@@ -139,14 +139,13 @@ class VirtualCluster {
 
   /// MPI-style wildcard tag: recv(tag = kAnyTag) matches the oldest message
   /// regardless of its tag, and send(tag = kAnyTag) posts an untagged
-  /// message. All pre-overlap traffic is untagged, so its behaviour is
-  /// unchanged.
+  /// message (re-shard traffic is untagged).
   static constexpr int kAnyTag = -1;
 
   /// Tagged send: like send(), but the message carries `tag` (>= 0) for the
-  /// receiver to match on. The overlapped exchange pipeline tags each chunk
-  /// with its chunk index so completion is chunk-granular — a retry can
-  /// purge and re-request one chunk without touching healthy in-flight ones.
+  /// receiver to match on. The exchange step tags each chunk with its chunk
+  /// index so completion is chunk-granular — a retry can purge and
+  /// re-request one chunk without touching healthy in-flight ones.
   void send(rank_t from, rank_t to, std::span<const std::byte> payload,
             int tag);
 
@@ -168,10 +167,10 @@ class VirtualCluster {
   [[nodiscard]] std::size_t pending(rank_t from, rank_t to) const;
 
   /// Discards queued messages with tag `tag` between `a` and `b` (both
-  /// directions): the overlapped pipeline's chunk-granular retry clears just
-  /// the failed chunk before re-requesting it, leaving every other chunk of
-  /// the exchange in flight — purge_pair here would destroy healthy chunks
-  /// and force a full re-send.
+  /// directions): a chunk-granular retry clears just the failed chunk
+  /// before re-requesting it, leaving every other chunk of the exchange in
+  /// flight — purge_pair here would destroy healthy chunks and force a full
+  /// re-send.
   void purge_tag(rank_t a, rank_t b, int tag);
 
   /// Discards queued messages between `a` and `b` (both directions): the
@@ -238,8 +237,8 @@ class VirtualCluster {
     /// CRC-32 of the payload as the sender handed it over — computed before
     /// any in-flight corruption, so the receiver's recompute catches it.
     std::uint32_t crc = 0;
-    /// Sender-assigned tag (kAnyTag for untagged traffic); the overlapped
-    /// pipeline's chunk index.
+    /// Sender-assigned tag (kAnyTag for untagged traffic); an exchange
+    /// chunk's index.
     int tag = kAnyTag;
   };
 

@@ -67,26 +67,40 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     cluster_.enable_concurrent(std::max<std::size_t>(1, capacity));
 
     // First touch: each rank thread allocates and zero-fills its own slice,
-    // recv buffer and packing scratch, so the pages land in the NUMA domain
-    // the thread was placed in.
+    // recv buffer and staging, so the pages land in the NUMA domain the
+    // thread was placed in.
     slices_.resize(static_cast<std::size_t>(num_ranks));
     recv_bufs_.resize(static_cast<std::size_t>(num_ranks));
-    rank_scratch_.resize(static_cast<std::size_t>(num_ranks));
+    stage_.resize(static_cast<std::size_t>(num_ranks));
     team_->run(num_ranks, [&](int r) {
       slices_[static_cast<std::size_t>(r)] = S(n_local);
       recv_bufs_[static_cast<std::size_t>(r)] = S(n_local);
-      rank_scratch_[static_cast<std::size_t>(r)].msg.resize(chunk_bytes);
+      stage_[static_cast<std::size_t>(r)].msg.resize(chunk_bytes);
     });
   } else {
     slices_.reserve(num_ranks);
-    recv_bufs_.reserve(num_ranks);
     for (int r = 0; r < num_ranks; ++r) {
       slices_.emplace_back(n_local);
-      recv_bufs_.emplace_back(n_local);
     }
+    stage_.resize(2);  // one per side of the pair in flight
+    resize_buffers();
   }
-  scratch_.resize(chunk_bytes);
   init_zero_state();
+}
+
+template <class S>
+void DistStateVector<S>::resize_buffers() {
+  recv_bufs_.clear();
+  recv_bufs_.reserve(static_cast<std::size_t>(num_ranks()));
+  for (int r = 0; r < num_ranks(); ++r) {
+    recv_bufs_.emplace_back(local_amps());
+  }
+  // Workers beyond a shrunk width keep their (idle) staging sized too.
+  const std::size_t chunk = std::min<std::size_t>(
+      opts_.max_message_bytes, local_amps() * kBytesPerAmp);
+  for (std::size_t i = 0; i < (team_ != nullptr ? stage_.size() : 1); ++i) {
+    stage_[i].msg.resize(chunk);
+  }
 }
 
 template <class S>
@@ -190,379 +204,66 @@ void DistStateVector<S>::tick_gate() {
 
 template <class S>
 template <class Fn>
-void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int messages,
-                                    std::uint64_t bytes, Fn&& fn) {
-  // Fault-free transport gets a single attempt, so genuine engine bugs are
-  // never masked by the retry loop.
-  const int attempts = injector_ != nullptr ? opts_.max_retries + 1 : 1;
-  for (int a = 0; a < attempts; ++a) {
-    try {
-      fn();
-      return;
-    } catch (const CommFault& f) {
-      // A timeout means the watchdog deadline elapsed before the receive
-      // gave up: that wait is real wall time on top of the retry backoff.
-      // A checksum mismatch is detected on arrival and costs no extra wait.
-      const bool timed_out = dynamic_cast<const CommTimeout*>(&f) != nullptr;
-      // Clear half-delivered messages of this exchange before re-sending.
-      cluster_.purge_pair(r, peer);
-      if (a + 1 >= attempts) {
-        throw NodeFailure(
-            "exchange between ranks " + std::to_string(r) + " and " +
-                std::to_string(peer) + " abandoned after " +
-                std::to_string(opts_.max_retries) + " retries",
-            peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-      }
-      injector_->record_retry(
-          bytes, messages,
-          opts_.retry_backoff_s * static_cast<double>(1 << a) +
-              (timed_out ? opts_.recv_deadline_s : 0.0));
-    }
-  }
-}
-
-template <class S>
-template <class RecvFn, class ResendFn>
-void DistStateVector<S>::chunk_retry(rank_t r, rank_t peer, int tag,
-                                     int messages, std::uint64_t bytes,
-                                     RecvFn&& recv_fn, ResendFn&& resend_fn) {
-  const int attempts = injector_ != nullptr ? opts_.max_retries + 1 : 1;
-  for (int a = 0; a < attempts; ++a) {
-    try {
-      recv_fn();
-      return;
-    } catch (const CommFault& f) {
-      const bool timed_out = dynamic_cast<const CommTimeout*>(&f) != nullptr;
-      // Purge only this chunk's tag: the exchange's other chunks stay
-      // queued (they are healthy in-flight traffic the pipeline will still
-      // consume), which is what makes the retry chunk-granular.
-      cluster_.purge_tag(r, peer, tag);
-      if (a + 1 >= attempts) {
-        throw NodeFailure(
-            "exchange between ranks " + std::to_string(r) + " and " +
-                std::to_string(peer) + " abandoned after " +
-                std::to_string(opts_.max_retries) + " retries",
-            peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-      }
-      injector_->record_retry(
-          bytes, messages,
-          opts_.retry_backoff_s * static_cast<double>(1 << a) +
-              (timed_out ? opts_.recv_deadline_s : 0.0));
-      resend_fn();
-    }
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full(rank_t r, rank_t peer) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-
-  auto send_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count) {
-    const std::size_t bytes = slices_[from].pack(first, count, scratch_.data());
-    cluster_.send(from, to, {scratch_.data(), bytes});
-  };
-  auto recv_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(from, to, {scratch_.data(), bytes});
-    recv_bufs_[to].unpack(first, count, scratch_.data());
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    // QuEST default: a sequence of blocking Sendrecv calls, one chunk fully
-    // completing before the next is posted. A fault retries just the
-    // affected Sendrecv round.
-    for (amp_index c = 0; c < chunks; ++c) {
-      const amp_index first = c * chunk_amps;
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      with_retry(r, peer, 2, 2 * count * kBytesPerAmp, [&] {
-        send_chunk(r, peer, first, count);
-        send_chunk(peer, r, first, count);
-        recv_chunk(r, peer, first, count);
-        recv_chunk(peer, r, first, count);
-      });
-    }
-  } else {
-    // Non-blocking rewrite: every Isend/Irecv posted up front, one WaitAll.
-    // A fault fails the WaitAll, so the whole exchange is re-posted.
-    with_retry(r, peer, 2 * static_cast<int>(chunks),
-               2 * n_local * kBytesPerAmp, [&] {
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        send_chunk(r, peer, first, count);
-        send_chunk(peer, r, first, count);
-      }
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        recv_chunk(r, peer, first, count);
-        recv_chunk(peer, r, first, count);
-      }
-    });
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half(rank_t r, rank_t peer, int local_bit) {
-  // Which half each side ships: the amplitudes whose local bit disagrees
-  // with the rank's own bit of the distributed target; see kernels.hpp.
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-
-  // Pooled scratch: sized on the first half-exchange, reused afterwards.
-  std::vector<std::byte>& out_r = half_scratch_.out_lo;
-  std::vector<std::byte>& out_peer = half_scratch_.out_hi;
-  std::vector<std::byte>& in_r = half_scratch_.in_lo;
-  std::vector<std::byte>& in_peer = half_scratch_.in_hi;
-  out_r.resize(half_bytes);
-  out_peer.resize(half_bytes);
-  in_r.resize(half_bytes);
-  in_peer.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, out_r.data());
-  kern::gather_half(slices_[peer], local_bit, rb, out_peer.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](rank_t from, rank_t to, const std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(from, to, {buf.data() + first, len});
-  };
-  auto land = [&](rank_t from, rank_t to, std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(from, to, {buf.data() + first, len});
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len =
-          std::min(chunk, half_bytes - c * chunk);
-      with_retry(r, peer, 2, 2 * static_cast<std::uint64_t>(len), [&] {
-        ship(r, peer, out_r, c);
-        ship(peer, r, out_peer, c);
-        land(r, peer, in_peer, c);
-        land(peer, r, in_r, c);
-      });
-    }
-  } else {
-    with_retry(r, peer, 2 * static_cast<int>(chunks),
-               2 * static_cast<std::uint64_t>(half_bytes), [&] {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        ship(r, peer, out_r, c);
-        ship(peer, r, out_peer, c);
-      }
-      for (std::size_t c = 0; c < chunks; ++c) {
-        land(r, peer, in_peer, c);
-        land(peer, r, in_r, c);
-      }
-    });
-  }
-
-  kern::scatter_half(slices_[r], local_bit, 1 - rb, in_r.data());
-  kern::scatter_half(slices_[peer], local_bit, rb, in_peer.data());
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full_overlapped(rank_t r, rank_t peer,
-                                                  amp_index align_amps,
-                                                  const RegionFn& combine) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  const amp_index tile =
-      amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_);
-
-  auto send_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count, int tag) {
-    const std::size_t bytes = slices_[from].pack(first, count, scratch_.data());
-    cluster_.send(from, to, {scratch_.data(), bytes}, tag);
-  };
-  auto recv_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count, int tag) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(from, to, {scratch_.data(), bytes}, tag);
-    recv_bufs_[to].unpack(first, count, scratch_.data());
-  };
-
-  // Producer side: post every chunk of both directions up front (the
-  // Isend/Irecv posting of the non-blocking path), each tagged with its
-  // chunk index so completion is chunk-granular rather than WaitAll.
-  for (amp_index c = 0; c < chunks; ++c) {
-    const amp_index first = c * chunk_amps;
-    const amp_index count = std::min(chunk_amps, n_local - first);
-    send_chunk(r, peer, first, count, static_cast<int>(c));
-    send_chunk(peer, r, first, count, static_cast<int>(c));
-  }
-  // Consumer side: wait on chunks in index order (per-chunk Waitany) and
-  // let the combine chase the arrival frontier — chunk k is applied while
-  // chunks k+1.. are still queued. A transient fault re-requests only the
-  // failed chunk; the slices' combine regions are untouched at that point,
-  // so a re-pack re-sends identical bytes and replay charges match the
-  // blocking path's per-chunk figures.
-  amp_index next = 0;
-  kern::apply_over_frontier(
-      n_local, align_amps, tile,
-      [&]() -> amp_index {
-        const amp_index c = next++;
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        const int tag = static_cast<int>(c);
-        chunk_retry(
-            r, peer, tag, 2, 2 * count * kBytesPerAmp,
-            [&] {
-              recv_chunk(r, peer, first, count, tag);
-              recv_chunk(peer, r, first, count, tag);
-            },
-            [&] {
-              send_chunk(r, peer, first, count, tag);
-              send_chunk(peer, r, first, count, tag);
-            });
-        return first + count;
-      },
-      combine);
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_overlapped(rank_t r, rank_t peer,
-                                                  int local_bit) {
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-
-  std::vector<std::byte>& out_r = half_scratch_.out_lo;
-  std::vector<std::byte>& out_peer = half_scratch_.out_hi;
-  std::vector<std::byte>& in_r = half_scratch_.in_lo;
-  std::vector<std::byte>& in_peer = half_scratch_.in_hi;
-  out_r.resize(half_bytes);
-  out_peer.resize(half_bytes);
-  in_r.resize(half_bytes);
-  in_peer.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, out_r.data());
-  kern::gather_half(slices_[peer], local_bit, rb, out_peer.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](rank_t from, rank_t to, const std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(from, to, {buf.data() + first, len}, static_cast<int>(c));
-  };
-  auto land = [&](rank_t from, rank_t to, std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(from, to, {buf.data() + first, len}, static_cast<int>(c));
-  };
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ship(r, peer, out_r, c);
-    ship(peer, r, out_peer, c);
-  }
-  // The frontier runs in *bytes* here (a chunk boundary may split an
-  // amplitude across two messages); kBytesPerAmp alignment holds the
-  // scatter back to whole packed amplitudes. The gathered out_* buffers
-  // are immutable during the drain, so a chunk re-send ships identical
-  // bytes.
-  const amp_index tile_bytes =
-      (amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_)) *
-      kBytesPerAmp;
-  std::size_t next = 0;
-  kern::apply_over_frontier(
-      static_cast<amp_index>(half_bytes), kBytesPerAmp, tile_bytes,
-      [&]() -> amp_index {
-        const std::size_t c = next++;
-        const std::size_t first = c * chunk;
-        const std::size_t len = std::min(chunk, half_bytes - first);
-        chunk_retry(
-            r, peer, static_cast<int>(c), 2,
-            2 * static_cast<std::uint64_t>(len),
-            [&] {
-              land(r, peer, in_peer, c);
-              land(peer, r, in_r, c);
-            },
-            [&] {
-              ship(r, peer, out_r, c);
-              ship(peer, r, out_peer, c);
-            });
-        return static_cast<amp_index>(first + len);
-      },
-      [&](amp_index first_b, amp_index count_b) {
-        const amp_index k0 = first_b / kBytesPerAmp;
-        const amp_index kc = count_b / kBytesPerAmp;
-        kern::scatter_half_range(slices_[r], local_bit, 1 - rb, in_r.data(),
-                                 k0, kc);
-        kern::scatter_half_range(slices_[peer], local_bit, rb, in_peer.data(),
-                                 k0, kc);
-      });
-}
-
-template <class S>
-template <class Fn>
-void DistStateVector<S>::exchange_round(rank_t r, rank_t peer, int messages,
-                                        std::uint64_t bytes, Fn&& fn) {
+void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
+                                    int messages, std::uint64_t bytes,
+                                    RankTeam* pair_sync, Fn&& attempt) {
   if (injector_ == nullptr) {
-    // Fault-free transport gets a single attempt (as in with_retry) and
-    // skips the rendezvous entirely — the hot path has no extra sync.
-    fn();
+    // Fault-free transport gets a single attempt and no rendezvous, so
+    // genuine engine bugs are never masked and the hot path has no extra
+    // sync.
+    attempt(0);
     return;
   }
-  const int pair_id = static_cast<int>(std::min(r, peer));
   const int attempts = opts_.max_retries + 1;
+  const int pair_id = static_cast<int>(std::min(r, peer));
   // Bounds the rendezvous wait: the peer's legitimate latency is at most
   // one watchdog deadline per message of the round, plus slack. A peer
   // that died of a non-communication error must not hang its partner.
-  const double rendezvous_s =
-      opts_.recv_deadline_s * (2.0 * messages + 4.0);
-  for (int a = 0; a < attempts; ++a) {
-    bool fail = false;
-    bool timed = false;
-    bool fatal = false;
+  const double rendezvous_s = opts_.recv_deadline_s * (2.0 * messages + 4.0);
+  const auto failure = [&](const std::string& what) {
+    return NodeFailure("exchange between ranks " + std::to_string(r) +
+                           " and " + std::to_string(peer) + what,
+                       peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+  };
+  for (int a = 0;; ++a) {
+    RankTeam::PairOutcome out;
     try {
-      fn();
+      attempt(a);
     } catch (const CommTimeout&) {
-      fail = true;
-      timed = true;
-    } catch (const NodeFailure&) {
-      fatal = true;
+      // A timeout means the watchdog deadline elapsed before the receive
+      // gave up: that wait is real wall time on top of the retry backoff.
+      // A checksum mismatch is detected on arrival and costs no extra wait.
+      out.any_fail = out.any_timed = true;
     } catch (const CommFault&) {
-      fail = true;
+      out.any_fail = true;
+    } catch (const NodeFailure&) {
+      if (pair_sync == nullptr) {
+        throw;
+      }
+      out.any_fatal = true;
     }
-    const RankTeam::PairOutcome out =
-        team_->pair_arrive(pair_id, fail, timed, fatal, rendezvous_s);
+    if (pair_sync != nullptr) {
+      out = pair_sync->pair_arrive(pair_id, out.any_fail, out.any_timed,
+                                   out.any_fatal, rendezvous_s);
+    }
     if (out.any_fatal) {
       // One side saw a dead rank: both throw, so recovery starts from a
       // symmetric position (mid-exchange, not at a gate boundary).
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " observed a node failure",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+      throw failure(" observed a node failure");
     }
     if (!out.any_fail) {
       return;
     }
-    // Coordinated retry: the lower rank clears half-delivered messages and
-    // records the pair's single retry charge — the same figures the serial
-    // engine records — then both sides rendezvous again so no re-send can
-    // race the purge.
-    if (r < peer) {
-      cluster_.purge_pair(r, peer);
+    // One caller per pair clears the failed unit's messages and records the
+    // single retry charge: the orchestrator, or the lower rank of a
+    // synchronised pair. Purging one tag leaves the exchange's other chunks
+    // in flight; the second rendezvous keeps any re-send from racing it.
+    if (pair_sync == nullptr || r < peer) {
+      if (tag == VirtualCluster::kAnyTag) {
+        cluster_.purge_pair(r, peer);
+      } else {
+        cluster_.purge_tag(r, peer, tag);
+      }
       if (a + 1 < attempts) {
         injector_->record_retry(
             bytes, messages,
@@ -570,369 +271,141 @@ void DistStateVector<S>::exchange_round(rank_t r, rank_t peer, int messages,
                 (out.any_timed ? opts_.recv_deadline_s : 0.0));
       }
     }
-    team_->pair_arrive(pair_id, false, false, false, rendezvous_s);
+    if (pair_sync != nullptr) {
+      pair_sync->pair_arrive(pair_id, false, false, false, rendezvous_s);
+    }
     if (a + 1 >= attempts) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " abandoned after " +
-              std::to_string(opts_.max_retries) + " retries",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+      throw failure(" abandoned after " + std::to_string(opts_.max_retries) +
+                    " retries");
     }
   }
 }
 
 template <class S>
-template <class RecvFn, class ResendFn>
-void DistStateVector<S>::exchange_round_tagged(rank_t r, rank_t peer, int tag,
-                                               int messages,
-                                               std::uint64_t bytes,
-                                               RecvFn&& recv_fn,
-                                               ResendFn&& resend_fn) {
-  if (injector_ == nullptr) {
-    // Fault-free transport gets a single attempt and skips the rendezvous
-    // entirely — the hot path has no extra sync (as in exchange_round).
-    recv_fn();
-    return;
-  }
-  const int pair_id = static_cast<int>(std::min(r, peer));
-  const int attempts = opts_.max_retries + 1;
-  const double rendezvous_s =
-      opts_.recv_deadline_s * (2.0 * messages + 4.0);
-  for (int a = 0; a < attempts; ++a) {
-    bool fail = false;
-    bool timed = false;
-    bool fatal = false;
-    try {
-      if (a > 0) {
-        resend_fn();  // the post-purge re-send of this rank's own chunk
-      }
-      recv_fn();
-    } catch (const CommTimeout&) {
-      fail = true;
-      timed = true;
-    } catch (const NodeFailure&) {
-      fatal = true;
-    } catch (const CommFault&) {
-      fail = true;
-    }
-    const RankTeam::PairOutcome out =
-        team_->pair_arrive(pair_id, fail, timed, fatal, rendezvous_s);
-    if (out.any_fatal) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " observed a node failure",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-    }
-    if (!out.any_fail) {
-      return;
-    }
-    // Coordinated chunk-granular retry: the lower rank purges only this
-    // chunk's tag — the exchange's other chunks stay in flight — and
-    // records the pair's single retry charge (the same one-chunk figures
-    // the serial overlapped engine records). The second rendezvous keeps
-    // any re-send from racing the purge.
-    if (r < peer) {
-      cluster_.purge_tag(r, peer, tag);
-      if (a + 1 < attempts) {
-        injector_->record_retry(
-            bytes, messages,
-            opts_.retry_backoff_s * static_cast<double>(1 << a) +
-                (out.any_timed ? opts_.recv_deadline_s : 0.0));
-      }
-    }
-    team_->pair_arrive(pair_id, false, false, false, rendezvous_s);
-    if (a + 1 >= attempts) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " abandoned after " +
-              std::to_string(opts_.max_retries) + " retries",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+void DistStateVector<S>::exchange_step(std::span<const Side> sides,
+                                       const Shape& shape,
+                                       const RegionFn& combine) {
+  const amp_index chunks = (shape.total + shape.chunk - 1) / shape.chunk;
+  const auto end_of = [&](amp_index c) {
+    return std::min((c + 1) * shape.chunk, shape.total);
+  };
+  // Staging: per rank on the threaded engine, per side of the pair in
+  // flight on the serial one, which packs every message through stage_[0].
+  const auto stage = [&](std::size_t i) -> Stage& {
+    return stage_[team_ != nullptr ? static_cast<std::size_t>(sides[i].me)
+                                   : i];
+  };
+  const auto pack_buf = [&](std::size_t i) -> std::vector<std::byte>& {
+    return stage(team_ != nullptr ? i : 0).msg;
+  };
+  // A half exchange ships the amplitudes whose local bit disagrees with the
+  // side's own bit of the distributed target; see kernels.hpp.
+  const auto half_value = [&](rank_t me) {
+    return 1 - bits::bit(static_cast<amp_index>(me), shape.high_bit);
+  };
+  if (shape.half) {
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      stage(i).out.resize(shape.total);
+      stage(i).in.resize(shape.total);
+      kern::gather_half(slices_[sides[i].me], shape.local_bit,
+                        half_value(sides[i].me), stage(i).out.data());
     }
   }
-}
 
-template <class S>
-void DistStateVector<S>::exchange_full_rank(rank_t r, rank_t peer) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  std::vector<std::byte>& buf = rank_scratch_[static_cast<std::size_t>(r)].msg;
-
-  auto send_chunk = [&](amp_index first, amp_index count) {
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    cluster_.send(r, peer, {buf.data(), bytes});
+  // Every message carries its chunk index as its tag. The serial engine
+  // interleaves the two sides per chunk and lands each chunk's messages in
+  // posting order: side 0 sent first, so side 1 receives first.
+  const auto post = [&](amp_index c) {
+    const amp_index first = c * shape.chunk;
+    const amp_index count = end_of(c) - first;
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      std::span<const std::byte> payload;
+      if (shape.half) {
+        payload = {stage(i).out.data() + first, count};
+      } else {
+        std::vector<std::byte>& buf = pack_buf(i);
+        payload = {buf.data(),
+                   slices_[sides[i].me].pack(first, count, buf.data())};
+      }
+      cluster_.send(sides[i].me, sides[i].peer, payload, static_cast<int>(c));
+    }
   };
-  auto recv_chunk = [&](amp_index first, amp_index count) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(peer, r, {buf.data(), bytes});
-    recv_bufs_[r].unpack(first, count, buf.data());
+  const auto land = [&](amp_index c) {
+    const amp_index first = c * shape.chunk;
+    const amp_index count = end_of(c) - first;
+    for (std::size_t i = sides.size(); i-- > 0;) {
+      const rank_t me = sides[i].me;
+      if (shape.half) {
+        cluster_.recv(sides[i].peer, me, {stage(i).in.data() + first, count},
+                      static_cast<int>(c));
+      } else {
+        std::vector<std::byte>& buf = pack_buf(i);
+        cluster_.recv(sides[i].peer, me, {buf.data(), count * kBytesPerAmp},
+                      static_cast<int>(c));
+        recv_bufs_[me].unpack(first, count, buf.data());
+      }
+    }
   };
 
-  if (opts_.policy == CommPolicy::kBlocking) {
+  // The policy picks the wait point and the retry unit. Blocking posts and
+  // waits chunk by chunk, retrying one chunk round; non-blocking posts
+  // everything and waits once, retrying the whole exchange; overlapped posts
+  // everything up front, waits per chunk and retries one tag while the
+  // combine chases the landed frontier. Re-posting an overlapped chunk is
+  // safe: its combine region is untouched until the chunk has fully landed.
+  const bool whole = opts_.policy == CommPolicy::kNonBlocking;
+  const bool chase = opts_.policy == CommPolicy::kOverlapped;
+  if (chase) {
     for (amp_index c = 0; c < chunks; ++c) {
-      const amp_index first = c * chunk_amps;
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      // The round totals cover both directions, so one retry is charged
-      // exactly what the serial engine charges for the pair.
-      exchange_round(r, peer, 2, 2 * count * kBytesPerAmp, [&] {
-        send_chunk(first, count);
-        recv_chunk(first, count);
-      });
+      post(c);
     }
-  } else {
-    exchange_round(r, peer, 2 * static_cast<int>(chunks),
-                   2 * n_local * kBytesPerAmp, [&] {
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        send_chunk(first, count);
-      }
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        recv_chunk(first, count);
-      }
-    });
   }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_rank(rank_t r, rank_t peer,
-                                            int local_bit) {
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-  RankScratch& rs = rank_scratch_[static_cast<std::size_t>(r)];
-  rs.half_out.resize(half_bytes);
-  rs.half_in.resize(half_bytes);
-
-  // Each side ships the half whose local bit disagrees with its own high
-  // bit — the same halves the serial engine moves, gathered symmetrically.
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, rs.half_out.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(r, peer, {rs.half_out.data() + first, len});
-  };
-  auto land = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(peer, r, {rs.half_in.data() + first, len});
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = std::min(chunk, half_bytes - c * chunk);
-      exchange_round(r, peer, 2, 2 * static_cast<std::uint64_t>(len), [&] {
-        ship(c);
-        land(c);
-      });
-    }
-  } else {
-    exchange_round(r, peer, 2 * static_cast<int>(chunks),
-                   2 * static_cast<std::uint64_t>(half_bytes), [&] {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        ship(c);
-      }
-      for (std::size_t c = 0; c < chunks; ++c) {
-        land(c);
-      }
-    });
-  }
-
-  kern::scatter_half(slices_[r], local_bit, 1 - rb, rs.half_in.data());
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full_rank_overlapped(
-    rank_t r, rank_t peer, amp_index align_amps, const RegionFn& combine) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  const amp_index tile =
-      amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_);
-  std::vector<std::byte>& buf = rank_scratch_[static_cast<std::size_t>(r)].msg;
-
-  auto send_chunk = [&](amp_index first, amp_index count, int tag) {
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    cluster_.send(r, peer, {buf.data(), bytes}, tag);
-  };
-  auto recv_chunk = [&](amp_index first, amp_index count, int tag) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(peer, r, {buf.data(), bytes}, tag);
-    recv_bufs_[r].unpack(first, count, buf.data());
-  };
-
-  // Post this rank's whole chunk stream up front, tagged by chunk index;
-  // the peer's thread posts the mirror stream concurrently.
-  for (amp_index c = 0; c < chunks; ++c) {
-    const amp_index first = c * chunk_amps;
-    const amp_index count = std::min(chunk_amps, n_local - first);
-    send_chunk(first, count, static_cast<int>(c));
-  }
-  // Drain the peer's stream in index order, combining each chunk's region
-  // while the rest is still in flight.
+  // One side per call means the peer's thread runs the mirror step
+  // concurrently, so retries rendezvous with it.
+  RankTeam* pair_sync = sides.size() == 1 ? team_.get() : nullptr;
   amp_index next = 0;
-  kern::apply_over_frontier(
-      n_local, align_amps, tile,
-      [&]() -> amp_index {
-        const amp_index c = next++;
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        const int tag = static_cast<int>(c);
-        // Round totals cover both directions, so one retry is charged
-        // exactly what the serial overlapped engine charges for the pair.
-        exchange_round_tagged(
-            r, peer, tag, 2, 2 * count * kBytesPerAmp,
-            [&] { recv_chunk(first, count, tag); },
-            [&] { send_chunk(first, count, tag); });
-        return first + count;
-      },
-      combine);
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_rank_overlapped(rank_t r, rank_t peer,
-                                                       int local_bit) {
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-  RankScratch& rs = rank_scratch_[static_cast<std::size_t>(r)];
-  rs.half_out.resize(half_bytes);
-  rs.half_in.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, rs.half_out.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(r, peer, {rs.half_out.data() + first, len},
-                  static_cast<int>(c));
+  const auto ready = [&]() -> amp_index {
+    const amp_index c0 = next;
+    next = whole ? chunks : c0 + 1;
+    // Round totals cover both directions, so one retry is charged the same
+    // on either engine.
+    const std::uint64_t bytes = 2 * (end_of(next - 1) - c0 * shape.chunk) *
+                                (shape.half ? 1 : kBytesPerAmp);
+    with_retry(sides[0].me, sides[0].peer,
+               whole ? VirtualCluster::kAnyTag : static_cast<int>(c0),
+               2 * static_cast<int>(next - c0), bytes, pair_sync,
+               [&](int attempt) {
+                 for (amp_index c = c0; c < next; ++c) {
+                   if (!chase || attempt > 0) {
+                     post(c);
+                   }
+                 }
+                 for (amp_index c = c0; c < next; ++c) {
+                   land(c);
+                 }
+               });
+    return end_of(next - 1);
   };
-  auto land = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(peer, r, {rs.half_in.data() + first, len},
-                  static_cast<int>(c));
-  };
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ship(c);
-  }
-  const amp_index tile_bytes =
+  // Without chasing, the whole stream must land before one combine pass.
+  const amp_index tile =
       (amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_)) *
-      kBytesPerAmp;
-  std::size_t next = 0;
+      (shape.half ? kBytesPerAmp : 1);
   kern::apply_over_frontier(
-      static_cast<amp_index>(half_bytes), kBytesPerAmp, tile_bytes,
-      [&]() -> amp_index {
-        const std::size_t c = next++;
-        const std::size_t first = c * chunk;
-        const std::size_t len = std::min(chunk, half_bytes - first);
-        exchange_round_tagged(r, peer, static_cast<int>(c), 2,
-                              2 * static_cast<std::uint64_t>(len),
-                              [&] { land(c); }, [&] { ship(c); });
-        return static_cast<amp_index>(first + len);
-      },
-      [&](amp_index first_b, amp_index count_b) {
-        kern::scatter_half_range(slices_[r], local_bit, 1 - rb,
-                                 rs.half_in.data(), first_b / kBytesPerAmp,
-                                 count_b / kBytesPerAmp);
+      shape.total, chase ? shape.align : shape.total,
+      chase ? tile : shape.total, ready,
+      [&](amp_index first, amp_index count) {
+        for (std::size_t i = 0; i < sides.size(); ++i) {
+          const rank_t me = sides[i].me;
+          if (shape.half) {
+            kern::scatter_half_range(slices_[me], shape.local_bit,
+                                     half_value(me), stage(i).in.data(),
+                                     first / kBytesPerAmp,
+                                     count / kBytesPerAmp);
+          } else {
+            combine(me, first, count);
+          }
+        }
       });
-}
-
-template <class S>
-void DistStateVector<S>::apply_distributed_threaded(const Gate& g,
-                                                    const OpPlan& plan) {
-  const amp_index local_ctrl =
-      kern::split_controls(g.controls, local_qubits_).local;
-  // Computed once on the orchestrator: every combine sees identical inputs.
-  Mat2 u{};
-  if (plan.combine == OpPlan::Combine::kMatrix1) {
-    u = gate_matrix2(g);
-  }
-  team_->run(num_ranks(), [&](int ri) {
-    const rank_t r = static_cast<rank_t>(ri);
-    const rank_t peer = static_cast<rank_t>(
-        static_cast<std::uint64_t>(r) ^ plan.rank_xor_mask);
-    // high_mask names control bits, rank_xor_mask target bits; they are
-    // disjoint, so both pair members agree on this participation test.
-    if (!bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      return;  // high controls unsatisfied: the pair is idle
-    }
-    const bool overlapped = opts_.policy == CommPolicy::kOverlapped;
-    switch (plan.combine) {
-      case OpPlan::Combine::kMatrix1: {
-        const int row_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (overlapped) {
-          exchange_full_rank_overlapped(
-              r, peer, 1, [&](amp_index first, amp_index count) {
-                kern::combine_matrix1_range(slices_[r], recv_bufs_[r], row_r,
-                                            u, local_ctrl, first, count);
-              });
-        } else {
-          exchange_full_rank(r, peer);
-          kern::combine_matrix1(slices_[r], recv_bufs_[r], row_r, u,
-                                local_ctrl);
-        }
-        break;
-      }
-      case OpPlan::Combine::kSwapOneHigh: {
-        const int a = g.targets[0];
-        const int bit_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (plan.half_exchange) {
-          if (overlapped) {
-            exchange_half_rank_overlapped(r, peer, a);
-          } else {
-            exchange_half_rank(r, peer, a);
-          }
-        } else if (overlapped) {
-          exchange_full_rank_overlapped(
-              r, peer, amp_index{1} << (a + 1),
-              [&](amp_index first, amp_index count) {
-                kern::combine_swap_one_high_range(slices_[r], recv_bufs_[r],
-                                                  a, bit_r, first, count);
-              });
-        } else {
-          exchange_full_rank(r, peer);
-          kern::combine_swap_one_high(slices_[r], recv_bufs_[r], a, bit_r);
-        }
-        break;
-      }
-      case OpPlan::Combine::kSwapTwoHigh: {
-        const std::uint64_t m = plan.rank_xor_mask;
-        const std::uint64_t rbits = static_cast<std::uint64_t>(r) & m;
-        if (rbits != 0 && rbits != m) {
-          if (overlapped) {
-            exchange_full_rank_overlapped(
-                r, peer, 1, [&](amp_index first, amp_index count) {
-                  kern::combine_swap_two_high_range(slices_[r], recv_bufs_[r],
-                                                    first, count);
-                });
-          } else {
-            exchange_full_rank(r, peer);
-            kern::combine_swap_two_high(slices_[r], recv_bufs_[r]);
-          }
-        }
-        break;
-      }
-      case OpPlan::Combine::kNone:
-        QSV_REQUIRE(false, "distributed plan without a combine kind");
-    }
-  });
-  QSV_REQUIRE(cluster_.quiescent(),
-              "messages left in flight after a distributed gate");
 }
 
 template <class S>
@@ -959,100 +432,90 @@ double DistStateVector<S>::exchange_numa_ratio(const OpPlan& plan) const {
 
 template <class S>
 void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
-  const int R = num_ranks();
   const amp_index local_ctrl =
       kern::split_controls(g.controls, local_qubits_).local;
+  // Computed once, before any rank runs: every combine sees identical inputs.
+  const Mat2 u = plan.combine == OpPlan::Combine::kMatrix1 ? gate_matrix2(g)
+                                                           : Mat2{};
+  const auto high = [&](rank_t me) {
+    return bits::bit(static_cast<amp_index>(me), plan.high_bit);
+  };
 
-  for (rank_t r = 0; r < R; ++r) {
-    const rank_t peer = static_cast<rank_t>(
-        static_cast<std::uint64_t>(r) ^ plan.rank_xor_mask);
-    if (peer <= r) {
-      continue;  // each pair once
+  Shape shape;
+  shape.total = local_amps();
+  shape.chunk = std::min<amp_index>(shape.total,
+                                    opts_.max_message_bytes / kBytesPerAmp);
+  RegionFn combine;
+  switch (plan.combine) {
+    case OpPlan::Combine::kMatrix1:
+      // Elementwise: every landed amplitude is immediately combinable.
+      combine = [&](rank_t me, amp_index first, amp_index count) {
+        kern::combine_matrix1_range(slices_[me], recv_bufs_[me], high(me), u,
+                                    local_ctrl, first, count);
+      };
+      break;
+    case OpPlan::Combine::kSwapOneHigh: {
+      const int a = g.targets[0];
+      if (plan.half_exchange) {
+        // The packed half-payload streams in bytes, so a chunk boundary may
+        // split an amplitude: the scatter waits for whole amplitudes.
+        shape.half = true;
+        shape.local_bit = a;
+        shape.high_bit = plan.high_bit;
+        shape.total = kern::half_payload_bytes(local_amps());
+        shape.chunk =
+            std::min<amp_index>(shape.total, opts_.max_message_bytes);
+        shape.align = kBytesPerAmp;
+      } else {
+        // The combine reads the partner amplitude flip_bit(i, a), so
+        // regions must be closed under that flip: align 2^(a+1).
+        shape.align = amp_index{1} << (a + 1);
+        combine = [&, a](rank_t me, amp_index first, amp_index count) {
+          kern::combine_swap_one_high_range(slices_[me], recv_bufs_[me], a,
+                                            high(me), first, count);
+        };
+      }
+      break;
     }
+    case OpPlan::Combine::kSwapTwoHigh:
+      combine = [&](rank_t me, amp_index first, amp_index count) {
+        kern::combine_swap_two_high_range(slices_[me], recv_bufs_[me], first,
+                                          count);
+      };
+      break;
+    case OpPlan::Combine::kNone:
+      QSV_REQUIRE(false, "distributed plan without a combine kind");
+  }
+
+  const std::uint64_t m = plan.rank_xor_mask;
+  // high_mask names control bits, rank_xor_mask target bits; they are
+  // disjoint, so both pair members agree on participation.
+  const auto participates = [&](rank_t r) {
     if (!bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      continue;  // high controls unsatisfied: the pair is idle
+      return false;  // high controls unsatisfied: the pair is idle
     }
-
-    const bool overlapped = opts_.policy == CommPolicy::kOverlapped;
-    switch (plan.combine) {
-      case OpPlan::Combine::kMatrix1: {
-        const Mat2 u = gate_matrix2(g);
-        const int row_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (overlapped) {
-          // Elementwise combine: every arrived amplitude is immediately
-          // combinable (align 1).
-          exchange_full_overlapped(
-              r, peer, 1, [&](amp_index first, amp_index count) {
-                kern::combine_matrix1_range(slices_[r], recv_bufs_[r], row_r,
-                                            u, local_ctrl, first, count);
-                kern::combine_matrix1_range(slices_[peer], recv_bufs_[peer],
-                                            1 - row_r, u, local_ctrl, first,
-                                            count);
-              });
-        } else {
-          exchange_full(r, peer);
-          kern::combine_matrix1(slices_[r], recv_bufs_[r], row_r, u,
-                                local_ctrl);
-          kern::combine_matrix1(slices_[peer], recv_bufs_[peer], 1 - row_r, u,
-                                local_ctrl);
-        }
-        break;
+    // A two-high SWAP moves amplitudes only between ranks whose two high
+    // bits differ.
+    const std::uint64_t rb = static_cast<std::uint64_t>(r) & m;
+    return plan.combine != OpPlan::Combine::kSwapTwoHigh ||
+           (rb != 0 && rb != m);
+  };
+  const auto peer_of = [&](rank_t r) {
+    return static_cast<rank_t>(static_cast<std::uint64_t>(r) ^ m);
+  };
+  if (team_ != nullptr) {
+    team_->run(num_ranks(), [&](int r) {
+      const Side side{r, peer_of(r)};
+      if (participates(r)) {
+        exchange_step({&side, 1}, shape, combine);
       }
-      case OpPlan::Combine::kSwapOneHigh: {
-        const int a = g.targets[0];
-        const int bit_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        const int bit_p =
-            bits::bit(static_cast<amp_index>(peer), plan.high_bit);
-        if (plan.half_exchange) {
-          if (overlapped) {
-            exchange_half_overlapped(r, peer, a);
-          } else {
-            exchange_half(r, peer, a);
-          }
-        } else if (overlapped) {
-          // The combine reads the partner amplitude flip_bit(i, a), so
-          // regions must be closed under that flip: align 2^(a+1).
-          exchange_full_overlapped(
-              r, peer, amp_index{1} << (a + 1),
-              [&](amp_index first, amp_index count) {
-                kern::combine_swap_one_high_range(slices_[r], recv_bufs_[r],
-                                                  a, bit_r, first, count);
-                kern::combine_swap_one_high_range(slices_[peer],
-                                                  recv_bufs_[peer], a, bit_p,
-                                                  first, count);
-              });
-        } else {
-          exchange_full(r, peer);
-          kern::combine_swap_one_high(slices_[r], recv_bufs_[r], a, bit_r);
-          kern::combine_swap_one_high(slices_[peer], recv_bufs_[peer], a,
-                                      bit_p);
-        }
-        break;
+    });
+  } else {
+    for (rank_t r = 0; r < num_ranks(); ++r) {
+      if (peer_of(r) > r && participates(r)) {  // each pair once
+        const Side pair[2] = {{r, peer_of(r)}, {peer_of(r), r}};
+        exchange_step(pair, shape, combine);
       }
-      case OpPlan::Combine::kSwapTwoHigh: {
-        // Only rank pairs whose two high bits differ hold moving amplitudes.
-        const std::uint64_t m = plan.rank_xor_mask;
-        const std::uint64_t rb = static_cast<std::uint64_t>(r) & m;
-        if (rb != 0 && rb != m) {
-          // r has exactly one of the two bits set: it pairs with r ^ m.
-          if (overlapped) {
-            exchange_full_overlapped(
-                r, peer, 1, [&](amp_index first, amp_index count) {
-                  kern::combine_swap_two_high_range(slices_[r], recv_bufs_[r],
-                                                    first, count);
-                  kern::combine_swap_two_high_range(
-                      slices_[peer], recv_bufs_[peer], first, count);
-                });
-          } else {
-            exchange_full(r, peer);
-            kern::combine_swap_two_high(slices_[r], recv_bufs_[r]);
-            kern::combine_swap_two_high(slices_[peer], recv_bufs_[peer]);
-          }
-        }
-        break;
-      }
-      case OpPlan::Combine::kNone:
-        QSV_REQUIRE(false, "distributed plan without a combine kind");
     }
   }
   QSV_REQUIRE(cluster_.quiescent(),
@@ -1085,11 +548,7 @@ void DistStateVector<S>::apply(const Gate& g) {
   e.participating_fraction = plan.participating_fraction;
 
   if (plan.locality == GateLocality::kDistributed) {
-    if (team_ != nullptr) {
-      apply_distributed_threaded(g, plan);
-    } else {
-      apply_distributed(g, plan);
-    }
+    apply_distributed(g, plan);
     e.kind = ExecEvent::Kind::kExchange;
     e.bytes_per_rank = plan.exchange_bytes;
     e.messages_per_rank = plan.messages;
@@ -1179,6 +638,7 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
       n_local,
       std::max<amp_index>(1, opts_.max_message_bytes / kBytesPerAmp));
 
+  std::vector<std::byte>& buf = stage_[0].msg;
   std::vector<S> merged;
   merged.reserve(static_cast<std::size_t>(plan.new_ranks));
   for (int n = 0; n < plan.new_ranks; ++n) {
@@ -1191,18 +651,18 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
     S s(n_local * 2);
     for (amp_index first = 0; first < n_local; first += chunk_amps) {
       const amp_index count = std::min(chunk_amps, n_local - first);
-      slices_[lo].pack(first, count, scratch_.data());
-      s.unpack(first, count, scratch_.data());
+      slices_[lo].pack(first, count, buf.data());
+      s.unpack(first, count, buf.data());
     }
     for (amp_index first = 0; first < n_local; first += chunk_amps) {
       const amp_index count = std::min(chunk_amps, n_local - first);
       const std::size_t bytes =
-          slices_[hi].pack(first, count, scratch_.data());
+          slices_[hi].pack(first, count, buf.data());
       if (!dead_pair) {
-        cluster_.send(hi, lo, {scratch_.data(), bytes});
-        cluster_.recv(hi, lo, {scratch_.data(), bytes});
+        cluster_.send(hi, lo, {buf.data(), bytes});
+        cluster_.recv(hi, lo, {buf.data(), bytes});
       }
-      s.unpack(n_local + first, count, scratch_.data());
+      s.unpack(n_local + first, count, buf.data());
     }
     merged.push_back(std::move(s));
   }
@@ -1211,23 +671,7 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
   local_qubits_ += 1;
   cluster_.shrink_to(plan.new_ranks);
 
-  const amp_index n_merged = local_amps();
-  recv_bufs_.clear();
-  recv_bufs_.reserve(static_cast<std::size_t>(plan.new_ranks));
-  for (int r = 0; r < plan.new_ranks; ++r) {
-    recv_bufs_.emplace_back(n_merged);
-  }
-  scratch_.resize(std::min<std::size_t>(opts_.max_message_bytes,
-                                        n_merged * kBytesPerAmp));
-  if (team_ != nullptr) {
-    // Doubled slices double the packing chunk; the extra workers beyond
-    // new_ranks simply idle in later fork/join regions.
-    const std::size_t new_chunk = std::min<std::size_t>(
-        opts_.max_message_bytes, n_merged * kBytesPerAmp);
-    for (RankScratch& rs : rank_scratch_) {
-      rs.msg.resize(new_chunk);
-    }
-  }
+  resize_buffers();
   return plan;
 }
 
@@ -1251,6 +695,7 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   // the rollback shrink below) cannot race in-flight messages.
   cluster_.grow_to(plan.new_ranks);
 
+  std::vector<std::byte>& buf = stage_[0].msg;
   std::vector<S> grown;
   grown.resize(static_cast<std::size_t>(plan.new_ranks));
   try {
@@ -1272,23 +717,24 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
       for (amp_index first = 0; first < n_half; first += chunk_amps) {
         const amp_index count = std::min(chunk_amps, n_half - first);
         slices_[static_cast<std::size_t>(n)].pack(first, count,
-                                                  scratch_.data());
+                                                  buf.data());
         grown[static_cast<std::size_t>(lo)].unpack(first, count,
-                                                   scratch_.data());
+                                                   buf.data());
       }
       // The absorbed partner half ships to the revived rank 2n+1 through the
       // cluster — CRC-checked end-to-end and retried on transient faults
       // like any exchange, so a corrupted handoff payload is caught and
       // re-sent, never absorbed into the revived slice.
-      with_retry(lo, hi, plan.messages_per_move, plan.bytes_per_move, [&] {
+      with_retry(lo, hi, VirtualCluster::kAnyTag, plan.messages_per_move,
+                 plan.bytes_per_move, nullptr, [&](int) {
         for (amp_index first = 0; first < n_half; first += chunk_amps) {
           const amp_index count = std::min(chunk_amps, n_half - first);
           const std::size_t bytes = slices_[static_cast<std::size_t>(n)].pack(
-              n_half + first, count, scratch_.data());
-          cluster_.send(lo, hi, {scratch_.data(), bytes});
-          cluster_.recv(lo, hi, {scratch_.data(), bytes});
+              n_half + first, count, buf.data());
+          cluster_.send(lo, hi, {buf.data(), bytes});
+          cluster_.recv(lo, hi, {buf.data(), bytes});
           grown[static_cast<std::size_t>(hi)].unpack(first, count,
-                                                     scratch_.data());
+                                                     buf.data());
         }
       });
     }
@@ -1304,20 +750,7 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   slices_ = std::move(grown);
   local_qubits_ -= 1;
 
-  recv_bufs_.clear();
-  recv_bufs_.reserve(static_cast<std::size_t>(plan.new_ranks));
-  for (int r = 0; r < plan.new_ranks; ++r) {
-    recv_bufs_.emplace_back(n_half);
-  }
-  scratch_.resize(std::min<std::size_t>(opts_.max_message_bytes,
-                                        n_half * kBytesPerAmp));
-  if (team_ != nullptr) {
-    const std::size_t new_chunk = std::min<std::size_t>(
-        opts_.max_message_bytes, n_half * kBytesPerAmp);
-    for (RankScratch& rs : rank_scratch_) {
-      rs.msg.resize(new_chunk);
-    }
-  }
+  resize_buffers();
   return plan;
 }
 
@@ -1493,6 +926,5 @@ BasicStateVector<S> DistStateVector<S>::gather() const {
 }
 
 template class DistStateVector<SoaStorage>;
-template class DistStateVector<AosStorage>;
 
 }  // namespace qsv

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -176,50 +177,50 @@ class DistStateVector {
   [[nodiscard]] ThreadSummary thread_summary() const;
 
  private:
-  /// Region kernel handed to the overlapped exchange pipeline: applies the
-  /// combine to amplitudes (or packed half-payload amplitudes) in
-  /// [first, first + count).
-  using RegionFn = std::function<void(amp_index first, amp_index count)>;
+  /// One rank's side of a pairwise exchange: `me` posts its chunks to
+  /// `peer` and consumes the peer's chunks into its own buffers.
+  struct Side {
+    rank_t me;
+    rank_t peer;
+  };
+  /// What one exchange streams, in the units it is chunked in: amplitudes
+  /// packed from the slice and unpacked into the recv buffer (full
+  /// exchange), or bytes of the half-payload gathered from the slice and
+  /// scattered back into it (half exchange, where a chunk boundary may split
+  /// an amplitude).
+  struct Shape {
+    bool half = false;
+    int local_bit = -1;  // half: the SWAP's local target
+    int high_bit = -1;   // half: rank bit of the distributed target
+    amp_index total = 0;  // units per direction
+    amp_index chunk = 0;  // units per message
+    /// Combine regions must start on multiples of this (a power of two): 1
+    /// for elementwise combines, 2^(a+1) for a SWAP reading partner
+    /// amplitude flip_bit(i, a), kBytesPerAmp for the half-payload scatter.
+    amp_index align = 1;
+  };
+  /// Combines side `me`'s landed units [first, first + count).
+  using RegionFn =
+      std::function<void(rank_t me, amp_index first, amp_index count)>;
 
-  void exchange_full(rank_t r, rank_t peer);
-  void exchange_half(rank_t r, rank_t peer, int local_bit);
-  /// Overlapped (CommPolicy::kOverlapped) full-slice exchange: every chunk
-  /// of both directions is posted up front tagged with its chunk index, and
-  /// `combine` is applied to each chunk's region as it lands — while later
-  /// chunks are still in flight. `align_amps` (power of two) holds the
-  /// combine back to regions closed under its partner reads (1 for
-  /// elementwise combines, 2^(a+1) for a one-local-bit SWAP). A transient
-  /// fault purges and re-requests only the failed chunk. Application order
-  /// (chunk 0, 1, ...) and per-amplitude arithmetic mirror the serial path
-  /// exactly, so the result is bitwise identical.
-  void exchange_full_overlapped(rank_t r, rank_t peer, amp_index align_amps,
-                                const RegionFn& combine);
-  /// Overlapped half-slice SWAP exchange (serial engine): the packed half
-  /// payloads stream chunk by chunk and each chunk is scattered into both
-  /// slices on arrival.
-  void exchange_half_overlapped(rank_t r, rank_t peer, int local_bit);
+  /// The one pairwise exchange step. Each side posts its chunks to its peer
+  /// (tagged with the chunk index), consumes the peer's chunks in order and
+  /// combines every landed region through kern::apply_over_frontier, in
+  /// increasing order and with the serial arithmetic, so every policy and
+  /// engine produces the same bits. The threaded engine passes one side (the
+  /// peer's thread runs the mirror step); the serial engine passes both
+  /// sides of a pair and interleaves them per chunk. The policy picks only
+  /// the wait point and the retry unit (docs/COMMS.md).
+  void exchange_step(std::span<const Side> sides, const Shape& shape,
+                     const RegionFn& combine);
+  /// Plans the distributed gate's shape and combine, then runs
+  /// exchange_step for every participating pair (serial) or rank (threaded).
   void apply_distributed(const Gate& g, const OpPlan& plan);
-  /// Symmetric per-rank form of apply_distributed: each rank thread sends
-  /// its own chunks, blocks on its peer's, and runs its own combine.
-  void apply_distributed_threaded(const Gate& g, const OpPlan& plan);
-  /// Rank `r`'s side of a full-slice exchange with `peer` (threaded engine;
-  /// the peer's thread runs the mirror-image call concurrently).
-  void exchange_full_rank(rank_t r, rank_t peer);
-  /// Rank `r`'s side of a half-slice SWAP exchange (threaded engine).
-  void exchange_half_rank(rank_t r, rank_t peer, int local_bit);
-  /// Rank `r`'s side of an overlapped full-slice exchange (threaded
-  /// engine): posts its own tagged chunks, then combines each arriving peer
-  /// chunk while its successors are still in flight. Chunk-granular retry
-  /// is coordinated through the pair rendezvous like exchange_round, but
-  /// purges only the failed chunk's tag.
-  void exchange_full_rank_overlapped(rank_t r, rank_t peer,
-                                     amp_index align_amps,
-                                     const RegionFn& combine);
-  /// Rank `r`'s side of an overlapped half-slice SWAP exchange (threaded).
-  void exchange_half_rank_overlapped(rank_t r, rank_t peer, int local_bit);
   /// Measured NUMA ratio for this exchange: numa_ratio_ when any
   /// participating pair spans domains under the placement plan, else 1.0.
   [[nodiscard]] double exchange_numa_ratio(const OpPlan& plan) const;
+  /// Rebuilds the recv buffers and packing chunks for the current width.
+  void resize_buffers();
   void apply_sweep_run(const Circuit& c, std::size_t first,
                        std::size_t count);
   void emit(const ExecEvent& e);
@@ -227,37 +228,17 @@ class DistStateVector {
   /// planned failure fires at this index, and applies any silent bitflips
   /// due at it (kBitFlip specs corrupt resident memory, not messages).
   void tick_gate();
-  /// Runs `fn` (one exchange round) with bounded retry on transient comm
-  /// faults; `messages`/`bytes` are what one re-send costs.
+  /// Runs attempt(a) for a = 0, 1, ... with bounded retry on transient comm
+  /// faults; `messages`/`bytes` are what one retry of the unit costs, and
+  /// a fault purges `tag` (or the whole pair for kAnyTag) before the next
+  /// attempt re-sends. With `pair_sync` null the caller runs both sides of
+  /// the pair in one attempt. Otherwise both pair members run this loop
+  /// concurrently, rendezvous on the combined outcome and retry or throw
+  /// together; the lower rank purges and records the single retry charge.
+  /// Without an injector, attempt(0) runs once with no rendezvous.
   template <class Fn>
-  void with_retry(rank_t r, rank_t peer, int messages, std::uint64_t bytes,
-                  Fn&& fn);
-  /// Chunk-granular counterpart of with_retry for the overlapped pipeline
-  /// (serial engine): `recv_fn` receives one tagged chunk; on a transient
-  /// fault only that chunk's tag is purged and `resend_fn` re-posts just
-  /// that chunk before the next attempt. `messages`/`bytes` are the
-  /// one-chunk re-send cost, so retries replay exactly the charges a
-  /// blocking per-chunk retry would.
-  template <class RecvFn, class ResendFn>
-  void chunk_retry(rank_t r, rank_t peer, int tag, int messages,
-                   std::uint64_t bytes, RecvFn&& recv_fn,
-                   ResendFn&& resend_fn);
-  /// Threaded counterpart of with_retry: both pair members run their side
-  /// of the round, rendezvous on the combined outcome, and retry (or throw)
-  /// symmetrically. The lower rank purges the pair and records the single
-  /// retry charge — the same figures the serial engine would record.
-  template <class Fn>
-  void exchange_round(rank_t r, rank_t peer, int messages,
-                      std::uint64_t bytes, Fn&& fn);
-  /// Chunk-granular counterpart of exchange_round (threaded engine): both
-  /// pair members run their side of one tagged chunk, rendezvous on the
-  /// outcome, and on failure the lower rank purges only that chunk's tag
-  /// (and records the pair's single retry charge) before both re-send their
-  /// own chunk via `resend_fn` and retry `recv_fn`.
-  template <class RecvFn, class ResendFn>
-  void exchange_round_tagged(rank_t r, rank_t peer, int tag, int messages,
-                             std::uint64_t bytes, RecvFn&& recv_fn,
-                             ResendFn&& resend_fn);
+  void with_retry(rank_t r, rank_t peer, int tag, int messages,
+                  std::uint64_t bytes, RankTeam* pair_sync, Fn&& attempt);
 
   int num_qubits_;
   int local_qubits_;
@@ -265,23 +246,16 @@ class DistStateVector {
   VirtualCluster cluster_;
   std::vector<S> slices_;       // one per rank
   std::vector<S> recv_bufs_;    // the doubling MPI buffers
-  std::vector<std::byte> scratch_;  // packing area for one message
-  /// Pooled half-exchange scratch, reused across exchanges instead of four
-  /// per-call heap allocations (grown on first half-exchange).
-  struct HalfScratch {
-    std::vector<std::byte> out_lo, out_hi, in_lo, in_hi;
+  /// Pooled exchange staging: a packing area for one message, and the
+  /// half-exchange payloads (grown on first use). The threaded engine keeps
+  /// one per rank; the serial engine one per side of the pair in flight,
+  /// and packs every message (re-shard traffic too) through stage_[0].msg.
+  struct Stage {
+    std::vector<std::byte> msg, out, in;
   };
-  HalfScratch half_scratch_;
+  std::vector<Stage> stage_;
   /// Ranks-as-threads runtime (null on the serial engine).
   std::unique_ptr<RankTeam> team_;
-  /// Per-rank scratch for the threaded engine: each rank thread packs into
-  /// its own message buffer and half-exchange staging area (the shared
-  /// scratch_/half_scratch_ above serve the serial engine only).
-  struct RankScratch {
-    std::vector<std::byte> msg;
-    std::vector<std::byte> half_out, half_in;
-  };
-  std::vector<RankScratch> rank_scratch_;
   /// Measured (or configured) local-vs-remote bandwidth ratio; 1.0 on
   /// single-domain hosts, so exchange pricing is unchanged there.
   double numa_ratio_ = 1.0;
@@ -294,9 +268,7 @@ class DistStateVector {
 };
 
 using DistStateVectorSoa = DistStateVector<SoaStorage>;
-using DistStateVectorAos = DistStateVector<AosStorage>;
 
 extern template class DistStateVector<SoaStorage>;
-extern template class DistStateVector<AosStorage>;
 
 }  // namespace qsv

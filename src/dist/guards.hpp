@@ -129,6 +129,5 @@ class StateGuard {
 };
 
 extern template class StateGuard<SoaStorage>;
-extern template class StateGuard<AosStorage>;
 
 }  // namespace qsv

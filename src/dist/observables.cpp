@@ -222,11 +222,7 @@ template real_t expectation<AosStorage>(const BasicStateVector<AosStorage>&,
                                         const PauliSum&);
 template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
                                         const PauliTerm&);
-template real_t expectation<AosStorage>(const DistStateVector<AosStorage>&,
-                                        const PauliTerm&);
 template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
-                                        const PauliSum&);
-template real_t expectation<AosStorage>(const DistStateVector<AosStorage>&,
                                         const PauliSum&);
 
 }  // namespace qsv

@@ -646,12 +646,5 @@ template IntegrityStats run_verified<SoaStorage>(DistStateVector<SoaStorage>&,
                                                  const RecoveryPolicy&,
                                                  const ElasticOptions&,
                                                  const StopToken*);
-template IntegrityStats run_verified<AosStorage>(DistStateVector<AosStorage>&,
-                                                 const Circuit&,
-                                                 const CheckpointOptions&,
-                                                 const GuardOptions&,
-                                                 const RecoveryPolicy&,
-                                                 const ElasticOptions&,
-                                                 const StopToken*);
 
 }  // namespace qsv

@@ -128,7 +128,5 @@ RecoveryStats run_with_recovery(DistStateVector<S>& sv, const Circuit& c,
 
 template RecoveryStats run_with_recovery<SoaStorage>(
     DistStateVector<SoaStorage>&, const Circuit&, const CheckpointOptions&);
-template RecoveryStats run_with_recovery<AosStorage>(
-    DistStateVector<AosStorage>&, const Circuit&, const CheckpointOptions&);
 
 }  // namespace qsv

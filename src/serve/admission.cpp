@@ -1,6 +1,9 @@
 #include "serve/admission.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "circuit/serialize.hpp"
 #include "circuit/transpile/cache_blocking.hpp"
@@ -13,6 +16,35 @@ namespace qsv::serve {
 namespace {
 
 bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
+
+/// The circuit's identity as the plan cache compares it: register size,
+/// name and every gate field, parameters as their exact bits. Two texts
+/// share a key only when they parse to the same circuit, whatever their
+/// comments or spacing. Binary rather than circuit_to_text, whose 17-digit
+/// decimal angles would make each cached key several times larger.
+std::string canonical_key(const Circuit& c) {
+  std::string key;
+  const auto put = [&](const void* data, std::size_t bytes) {
+    key.append(static_cast<const char*>(data), bytes);
+  };
+  const auto put_size = [&](std::size_t n) {
+    const auto v = static_cast<std::uint32_t>(n);
+    put(&v, sizeof v);
+  };
+  put_size(static_cast<std::size_t>(c.num_qubits()));
+  put_size(c.name().size());
+  key += c.name();
+  for (const Gate& g : c.gates()) {
+    put_size(static_cast<std::size_t>(g.kind));
+    for (const std::vector<qubit_t>* qs : {&g.targets, &g.controls}) {
+      put_size(qs->size());
+      put(qs->data(), qs->size() * sizeof(qubit_t));
+    }
+    put_size(g.params.size());
+    put(g.params.data(), g.params.size() * sizeof(real_t));
+  }
+  return key;
+}
 
 }  // namespace
 
@@ -74,8 +106,9 @@ AdmissionDecision AdmissionController::decide(const JobRequest& req) const {
   }
   d.ranks = req.ranks;
 
-  // Transpile + sweep-plan + price, through the shared plan cache.
-  PlanKey key{crc, d.num_qubits, d.ranks, req.transpile};
+  // Transpile + sweep-plan + price, through the shared plan cache, keyed by
+  // the circuit itself (the CRC above is only a transport check).
+  const PlanKey key{canonical_key(parsed), d.ranks, req.transpile};
   const int local_qubits = d.num_qubits - rank_bits;
   bool built = false;
   d.plan = cache_.get_or_build(key, [&]() {
@@ -85,7 +118,7 @@ AdmissionDecision AdmissionController::decide(const JobRequest& req) const {
       CacheBlockingOptions o;
       o.local_qubits = local_qubits;
       const Circuit blocked = CacheBlockingPass(o).run(parsed);
-      plan->transpiled = circuit_to_text(blocked) != req.circuit_text;
+      plan->transpiled = canonical_key(blocked) != key.circuit;
       plan->circuit = blocked;
     }
     DistOptions opts;

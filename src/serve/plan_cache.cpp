@@ -10,8 +10,8 @@ std::shared_ptr<const CachedPlan> PlanCache::get_or_build(
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.second);
-      return it->second.first;
+      lru_.splice(lru_.begin(), lru_, it->second.lru);
+      return it->second.plan;
     }
   }
 
@@ -27,16 +27,16 @@ std::shared_ptr<const CachedPlan> PlanCache::get_or_build(
   if (capacity_ == 0) {
     return plan;
   }
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  const auto [it, inserted] = entries_.try_emplace(key, Entry{plan, {}});
+  if (!inserted) {
     // Lost a build race: keep the incumbent so every caller shares one.
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    return it->second.first;
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    return it->second.plan;
   }
-  lru_.push_front(key);
-  entries_.emplace(key, std::make_pair(plan, lru_.begin()));
+  lru_.push_front(&it->first);
+  it->second.lru = lru_.begin();
   while (entries_.size() > capacity_) {
-    entries_.erase(lru_.back());
+    entries_.erase(entries_.find(*lru_.back()));
     lru_.pop_back();
     ++stats_.evictions;
   }

@@ -1,12 +1,15 @@
 // The transpiled-plan cache: repeated circuits pay transpile + sweep
 // planning + trace pricing once, ever.
 //
-// Keyed by (CRC-32 of the serialized circuit text, qubit count, rank count,
-// transpile flag) — the circuit/serialize + CRC-32 machinery gives the key
-// for free, and qubits/ranks pin the decomposition the plan was made for
-// (sweep runs depend on the local-qubit split; the priced estimate depends
-// on the node count). Entries are immutable and shared: concurrent jobs
-// execute the same plan object without copying.
+// Keyed by (canonical serialised circuit, rank count, transpile flag). The
+// serialised circuit is its identity and is compared in full on every
+// lookup: a hash of it would let a second circuit with a colliding hash run
+// the first one's plan. Serialising the parsed circuit also makes comments
+// and spacing irrelevant. Ranks pin the
+// decomposition the plan was made for (sweep runs depend on the local-qubit
+// split; the priced estimate depends on the node count). Entries are
+// immutable and shared: concurrent jobs execute the same plan object without
+// copying.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -24,8 +28,7 @@
 namespace qsv::serve {
 
 struct PlanKey {
-  std::uint32_t circuit_crc = 0;
-  int num_qubits = 0;
+  std::string circuit;  // canonical bytes of the parsed circuit
   int ranks = 0;
   bool transpile = true;
 
@@ -44,7 +47,8 @@ struct CachedPlan {
   /// Modeled full-circuit cost on the server's machine model (admission's
   /// energy check, and the fleet's joules/request accounting).
   RunReport estimate;
-  /// Whether the transpiler changed the circuit (reported for the record).
+  /// Whether the transpiler changed the circuit (reported for the record):
+  /// its canonical bytes differ from the key's.
   bool transpiled = false;
 };
 
@@ -76,13 +80,15 @@ class PlanCache {
   [[nodiscard]] PlanCacheStats stats() const;
 
  private:
+  struct Entry {
+    std::shared_ptr<const CachedPlan> plan;
+    std::list<const PlanKey*>::iterator lru;
+  };
+
   std::size_t capacity_;
   mutable std::mutex mu_;
-  std::list<PlanKey> lru_;  // front = most recent
-  std::map<PlanKey,
-           std::pair<std::shared_ptr<const CachedPlan>,
-                     std::list<PlanKey>::iterator>>
-      entries_;
+  std::list<const PlanKey*> lru_;  // keys of entries_, front = most recent
+  std::map<PlanKey, Entry> entries_;
   PlanCacheStats stats_;
 };
 

@@ -241,17 +241,5 @@ TEST(Dist, DistributedUnitary2MatchesSingle) {
   EXPECT_LT(ref.max_amp_diff(d.gather()), 1e-12);
 }
 
-TEST(Dist, AosLayoutMatchesSoa) {
-  Rng rng(61);
-  const Circuit c = build_random(6, 50, rng);
-  DistStateVectorSoa soa(6, 4, small_msgs());
-  DistStateVectorAos aos(6, 4, small_msgs());
-  soa.apply(c);
-  aos.apply(c);
-  for (amp_index i = 0; i < 64; ++i) {
-    EXPECT_LT(std::abs(soa.amplitude(i) - aos.amplitude(i)), 1e-12);
-  }
-}
-
 }  // namespace
 }  // namespace qsv

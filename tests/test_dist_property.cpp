@@ -112,37 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
         Case{32, CommPolicy::kNonBlocking, false, 11}),
     case_name);
 
-class DistEquivalenceAos : public testing::TestWithParam<Case> {};
-
-TEST_P(DistEquivalenceAos, RandomCircuitMatchesSingleEngine) {
-  const Case& p = GetParam();
-  const int n = 7;
-  Rng circ_rng(p.seed);
-  const Circuit c = build_random(n, 90, circ_rng);
-
-  StateVectorAos ref(n);
-  Rng init(p.seed + 3000);
-  ref.init_random_state(init);
-
-  DistOptions opts;
-  opts.policy = p.policy;
-  opts.half_exchange_swaps = p.half_exchange;
-  DistStateVectorAos dist(n, p.ranks, opts);
-  dist.init_from(ref);
-
-  ref.apply(c);
-  dist.apply(c);
-  EXPECT_LT(ref.max_amp_diff(dist.gather()), 1e-10);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DistEquivalenceAos,
-    testing::Values(Case{2, CommPolicy::kBlocking, false, 21},
-                    Case{4, CommPolicy::kNonBlocking, true, 22},
-                    Case{8, CommPolicy::kBlocking, true, 23},
-                    Case{16, CommPolicy::kNonBlocking, false, 24}),
-    case_name);
-
 // Norm preservation and probability consistency under long random evolution.
 class DistInvariants : public testing::TestWithParam<int> {};
 

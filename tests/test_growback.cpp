@@ -158,18 +158,6 @@ TEST(GrowBack, InverseOfShrinkIsBitIdenticalThreaded) {
   expect_global_identical(clean, sv);
 }
 
-TEST(GrowBack, InverseOfShrinkIsBitIdenticalAos) {
-  const Circuit c = elastic_circuit();
-  DistStateVector<AosStorage> clean(6, 4);
-  clean.apply(c);
-
-  DistStateVector<AosStorage> sv(6, 4);
-  sv.apply(c);
-  (void)sv.shrink_to_half(2);
-  (void)sv.grow_back_double();
-  expect_global_identical(clean, sv);
-}
-
 TEST(GrowBack, ToFullRepeatsTheDoubling) {
   const Circuit c = elastic_circuit();
   DistStateVector<SoaStorage> clean(6, 4);

@@ -3,6 +3,7 @@
 // accounting when overlap is off.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -194,6 +195,120 @@ TEST(Overlap, CorruptRetriesOnlyTheFailedChunk) {
   }
 }
 
+TEST(Overlap, RetryChargesPerPolicy) {
+  // One corrupted message on a single distributed gate, under every policy,
+  // engine and exchange shape, with a 64 B cap so every exchange is
+  // multi-chunk: H(5) ships 4 chunks of 64 B per direction, the half SWAP
+  // 2 chunks of 64 B. One retry is charged per the docs/COMMS.md table:
+  // 2 msgs / 2·chunk for blocking and overlapped (one chunk round or tag),
+  // 2·chunks / 2·slice for non-blocking (the whole exchange). The threaded
+  // engine counts ordinals per sender, so it gets the rank-qualified spec,
+  // and must charge exactly what the serial engine charges.
+  struct Row {
+    CommPolicy policy;
+    bool half;
+    int retry_messages;
+    std::uint64_t retry_bytes;
+  };
+  const Row rows[] = {
+      {CommPolicy::kBlocking, false, 2, 2 * 64},
+      {CommPolicy::kNonBlocking, false, 2 * 4, 2 * 256},
+      {CommPolicy::kOverlapped, false, 2, 2 * 64},
+      {CommPolicy::kBlocking, true, 2, 2 * 64},
+      {CommPolicy::kNonBlocking, true, 2 * 2, 2 * 128},
+      {CommPolicy::kOverlapped, true, 2, 2 * 64},
+  };
+  StateVector ref(6);
+  Rng rng(43);
+  ref.init_random_state(rng);
+
+  for (const Row& row : rows) {
+    Circuit c(6, "one_exchange");
+    c.add(row.half ? make_swap(1, 5) : make_h(5));
+    FaultInjector::Totals serial_totals;
+    for (int threads : {0, 4}) {
+      SCOPED_TRACE(std::string(comm_policy_name(row.policy)) +
+                   (row.half ? " half" : " full") +
+                   (threads != 0 ? " threaded" : " serial"));
+      DistOptions o;
+      o.policy = row.policy;
+      o.half_exchange_swaps = row.half;
+      o.max_message_bytes = 64;
+      o.threading.threads = threads;
+
+      DistStateVectorSoa clean(6, 4, o);
+      clean.init_from(ref);
+      clean.apply(c);
+
+      FaultInjector inj(
+          parse_fault_plan(threads != 0 ? "corrupt@2:1" : "corrupt@7"));
+      DistStateVectorSoa faulty(6, 4, o);
+      faulty.init_from(ref);
+      faulty.set_fault_injector(&inj);
+      RecordingListener rec;
+      faulty.set_listener(&rec);
+      faulty.apply(c);
+
+      int retry_messages = 0;
+      std::uint64_t event_retry_bytes = 0;
+      for (const ExecEvent& e : rec.events()) {
+        retry_messages += e.retry_messages;
+        event_retry_bytes += e.retry_bytes;
+      }
+      EXPECT_EQ(inj.totals().corrupted, 1u);
+      EXPECT_EQ(inj.totals().retries, 1u);
+      EXPECT_EQ(inj.totals().retry_bytes, row.retry_bytes);
+      EXPECT_EQ(event_retry_bytes, row.retry_bytes);
+      EXPECT_EQ(retry_messages, row.retry_messages);
+      if (threads == 0) {
+        serial_totals = inj.totals();
+      } else {
+        EXPECT_EQ(inj.totals().retries, serial_totals.retries);
+        EXPECT_EQ(inj.totals().retry_bytes, serial_totals.retry_bytes);
+        EXPECT_DOUBLE_EQ(inj.totals().delay_s, serial_totals.delay_s);
+      }
+      for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
+        ASSERT_EQ(clean.amplitude(i), faulty.amplitude(i)) << "amplitude "
+                                                           << i;
+      }
+    }
+  }
+}
+
+TEST(Overlap, NonBlockingDropBeforeShortLastChunkRetries) {
+  // A 48 B cap streams the 16-amp slice as chunks of 3, 3, 3, 3, 3, 1 amps.
+  // Every chunk is tagged, so after a drop the next receive waits for the
+  // missing chunk instead of consuming a later, differently sized one; the
+  // whole-exchange retry then lands on the clean state on both engines.
+  Circuit c(6, "one_exchange");
+  c.add(make_h(5));
+  StateVector ref(6);
+  Rng rng(47);
+  ref.init_random_state(rng);
+  for (int threads : {0, 4}) {
+    DistOptions o;
+    o.policy = CommPolicy::kNonBlocking;
+    o.max_message_bytes = 48;
+    o.threading.threads = threads;
+    DistStateVectorSoa clean(6, 4, o);
+    clean.init_from(ref);
+    clean.apply(c);
+
+    FaultInjector inj(
+        parse_fault_plan(threads != 0 ? "drop@2:0" : "drop@3"));
+    DistStateVectorSoa faulty(6, 4, o);
+    faulty.init_from(ref);
+    faulty.set_fault_injector(&inj);
+    faulty.apply(c);
+    EXPECT_EQ(inj.totals().dropped, 1u);
+    EXPECT_EQ(inj.totals().retries, 1u);
+    EXPECT_EQ(inj.totals().retry_bytes, 2u * 256u);
+    for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
+      ASSERT_EQ(clean.amplitude(i), faulty.amplitude(i)) << "amplitude " << i;
+    }
+  }
+}
+
 TEST(Overlap, DroppedChunkReplaysToIdenticalState) {
   DistStateVectorSoa clean(6, 4, overlap_opts(64));
   StateVector ref(6);
@@ -307,7 +422,8 @@ TEST(Overlap, OverlapOffIsZeroDelta) {
   DistOptions nb;
   nb.policy = CommPolicy::kNonBlocking;
   TraceSim sim(38, 64, nb);
-  CostModel cost(archer2(), job);
+  const MachineModel machine = archer2();  // CostModel keeps a reference
+  CostModel cost(machine, job);
   sim.set_listener(&cost);
   sim.apply(build_hadamard_bench(38, 37, 4));
   const RunReport r = cost.report();
@@ -326,12 +442,13 @@ TEST(Overlap, CostModelHidesWireTimeBehindCombine) {
   job.freq = CpuFreq::kMedium2000;
   job.nodes = 64;
   const Circuit c = build_hadamard_bench(38, 34, 1);
+  const MachineModel machine = archer2();  // CostModel keeps a reference
 
   auto price = [&](CommPolicy policy) {
     DistOptions o;
     o.policy = policy;
     TraceSim sim(38, 64, o);
-    CostModel cost(archer2(), job);
+    CostModel cost(machine, job);
     sim.set_listener(&cost);
     sim.apply(c);
     return cost.report();

@@ -117,7 +117,7 @@ std::shared_ptr<const CachedPlan> tiny_plan() {
 
 TEST(PlanCache, HitMissAndLruEviction) {
   PlanCache cache(2);
-  const PlanKey a{1, 1, 1, true}, b{2, 1, 1, true}, c{3, 1, 1, true};
+  const PlanKey a{"a", 1, true}, b{"b", 1, true}, c{"c", 1, true};
   (void)cache.get_or_build(a, tiny_plan);
   (void)cache.get_or_build(b, tiny_plan);
   (void)cache.get_or_build(a, tiny_plan);  // hit; a becomes most recent
@@ -132,7 +132,7 @@ TEST(PlanCache, HitMissAndLruEviction) {
 
 TEST(PlanCache, CapacityZeroDisablesCaching) {
   PlanCache cache(0);
-  const PlanKey k{1, 1, 1, true};
+  const PlanKey k{"k", 1, true};
   (void)cache.get_or_build(k, tiny_plan);
   (void)cache.get_or_build(k, tiny_plan);
   const PlanCacheStats s = cache.stats();
@@ -142,12 +142,12 @@ TEST(PlanCache, CapacityZeroDisablesCaching) {
 }
 
 TEST(PlanCache, KeyDistinguishesDecomposition) {
-  // Same circuit CRC at a different rank count is a different plan (the
+  // The same circuit at a different rank count is a different plan (the
   // sweep runs depend on the local-qubit split).
   PlanCache cache(8);
-  (void)cache.get_or_build({7, 4, 1, true}, tiny_plan);
-  (void)cache.get_or_build({7, 4, 2, true}, tiny_plan);
-  (void)cache.get_or_build({7, 4, 1, false}, tiny_plan);
+  (void)cache.get_or_build({"c", 1, true}, tiny_plan);
+  (void)cache.get_or_build({"c", 2, true}, tiny_plan);
+  (void)cache.get_or_build({"c", 1, false}, tiny_plan);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().entries, 3u);
 }
@@ -257,6 +257,81 @@ TEST(Admission, AcceptsFeasibleAndCachesThePlan) {
   ASSERT_TRUE(d2.admit);
   EXPECT_TRUE(d2.cache_hit);
   EXPECT_EQ(d1.plan.get(), d2.plan.get());  // shared immutable plan
+}
+
+/// Appends "# salt XXXX" to `body` with the four bytes XXXX forged so the
+/// whole text has CRC-32 `target` (CRC-32 is linear: four free bytes reach
+/// any value). Salts are tried until the forged bytes hold no newline, which
+/// would end the comment.
+std::string forge_crc32(const std::string& body, std::uint32_t target) {
+  std::uint32_t table[256];
+  std::uint8_t by_top_byte[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t r = i;
+    for (int k = 0; k < 8; ++k) {
+      r = (r & 1) != 0 ? (r >> 1) ^ 0xEDB88320u : r >> 1;
+    }
+    table[i] = r;
+    by_top_byte[r >> 24] = static_cast<std::uint8_t>(i);
+  }
+  for (int salt = 0;; ++salt) {
+    const std::string prefix = body + "# " + std::to_string(salt) + " ";
+    // Walk back from the wanted register to the four table indices, then
+    // forward from the prefix's register to the bytes that select them.
+    std::uint8_t idx[4];
+    std::uint32_t x = ~target;
+    for (int j = 3; j >= 0; --j) {
+      idx[j] = by_top_byte[x >> 24];
+      x = (x ^ table[idx[j]]) << 8;
+    }
+    std::uint32_t reg = ~crc32(prefix.data(), prefix.size());
+    std::string text = prefix;
+    for (std::uint8_t i : idx) {
+      text += static_cast<char>((reg ^ i) & 0xFF);
+      reg = (reg >> 8) ^ table[i];
+    }
+    if (text.find('\n', prefix.size()) == std::string::npos) {
+      return text;
+    }
+  }
+}
+
+TEST(Admission, CrcCollidingCircuitsGetTheirOwnPlans) {
+  // Two different circuits with one CRC-32: the cache must tell them apart,
+  // or the second runs the first one's plan and reports a wrong digest.
+  const std::string other_body = "qubits 3\nh 0\ncx 0 1\nx 2\n";
+  const std::string forged =
+      forge_crc32(other_body, crc32(kGhz.data(), kGhz.size()));
+  ASSERT_EQ(crc32(forged.data(), forged.size()),
+            crc32(kGhz.data(), kGhz.size()));
+
+  const MachineModel m = archer2();
+  PlanCache cache(8);
+  AdmissionController ctl(m, AdmissionLimits{}, cache);
+  JobRequest ghz = run_request(kGhz);
+  JobRequest other = run_request(forged);
+  ghz.transpile = other.transpile = false;
+  const AdmissionDecision d1 = ctl.decide(ghz);
+  const AdmissionDecision d2 = ctl.decide(other);
+  ASSERT_TRUE(d1.admit && d2.admit);
+  EXPECT_FALSE(d2.cache_hit);
+  EXPECT_NE(d1.plan.get(), d2.plan.get());
+  EXPECT_EQ(circuit_to_text(d1.plan->circuit),
+            circuit_to_text(parse_circuit(kGhz)));
+  EXPECT_EQ(circuit_to_text(d2.plan->circuit),
+            circuit_to_text(parse_circuit(other_body)));
+
+  // The key is the canonical circuit, not the raw text: the same circuit
+  // without the comment shares the plan, which does not depend on which
+  // client's spelling built it.
+  JobRequest plain = run_request(other_body);
+  plain.transpile = false;
+  const AdmissionDecision d3 = ctl.decide(plain);
+  EXPECT_TRUE(d3.cache_hit);
+  EXPECT_EQ(d2.plan.get(), d3.plan.get());
+  const AdmissionDecision commented = ctl.decide(run_request(kGhz + "# c\n"));
+  ASSERT_TRUE(commented.admit);
+  EXPECT_FALSE(commented.plan->transpiled);
 }
 
 TEST(Admission, RejectsWithTypedReasons) {
