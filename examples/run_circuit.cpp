@@ -1,5 +1,6 @@
 // Load a circuit from a text file, run it functionally on a virtual
-// cluster, report observables, and price it on the ARCHER2 model.
+// cluster through run_circuit, report its digest and observables, and price
+// it on the ARCHER2 model.
 //
 //   $ ./run_circuit circuits/bell.qc
 //   $ ./run_circuit my_circuit.qc 8        # 8 virtual ranks
@@ -54,8 +55,10 @@ int main(int argc, char** argv) {
     ranks = max_ranks;
   }
 
+  // The driver `qsv run` uses: the same digest it prints as `state crc32:`.
   DistStateVector<SoaStorage> sv(c.num_qubits(), ranks);
-  sv.apply(c);
+  const RunOutcome out = run_circuit(sv, c);
+  std::cout << "state digest: " << out.digest << "\n";
 
   std::cout << "\nPer-qubit <Z>:\n";
   for (qubit_t q = 0; q < c.num_qubits(); ++q) {

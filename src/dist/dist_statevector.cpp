@@ -55,14 +55,16 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
 
     // Mailbox capacity: one full exchange direction at the widest slice any
     // shrink can reach (half the state), so the non-blocking policy (all
-    // sends posted before any recv) can never stall on backpressure.
+    // sends posted before any recv) can never stall on backpressure. A
+    // full-exchange chunk is whole amplitudes, so a cap that is not a
+    // multiple of kBytesPerAmp sends more messages than cap-sized ones.
     std::size_t capacity = opts_.threading.mailbox_capacity;
     if (capacity == 0) {
-      const std::uint64_t widest_bytes =
-          (std::uint64_t{1} << (num_qubits_ - 1)) * kBytesPerAmp;
-      capacity = static_cast<std::size_t>(
-          (widest_bytes + opts_.max_message_bytes - 1) /
-          opts_.max_message_bytes);
+      const amp_index widest_amps = amp_index{1} << (num_qubits_ - 1);
+      const amp_index chunk_amps = std::max<amp_index>(
+          1, opts_.max_message_bytes / kBytesPerAmp);
+      capacity =
+          static_cast<std::size_t>((widest_amps + chunk_amps - 1) / chunk_amps);
     }
     cluster_.enable_concurrent(std::max<std::size_t>(1, capacity));
 

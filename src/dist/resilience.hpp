@@ -5,21 +5,16 @@
 //  * interval selection — the Young/Daly first-order optimum computed from
 //    system MTBF and checkpoint write cost, so the harness can sweep
 //    intervals against the analytic optimum;
-//  * a restart driver — executes a circuit gate by gate on a
-//    DistStateVector, checkpointing every K gates through dist/snapshot,
-//    and on a NodeFailure reloads the last good snapshot and replays the
-//    remaining gates. Replay is bit-identical to an uninterrupted run
-//    (asserted by tests): gate kernels are deterministic and snapshots
-//    store exact doubles.
+//  * checkpoint options — how often run_verified (dist/recovery_policy)
+//    snapshots the state through dist/snapshot, where, and how many
+//    restarts it attempts. On a NodeFailure it reloads the last good
+//    snapshot and replays the remaining gates; replay is bit-identical to
+//    an uninterrupted run (asserted by tests): gate kernels are
+//    deterministic and snapshots store exact doubles.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "circuit/circuit.hpp"
-#include "cluster/faults.hpp"
-#include "dist/dist_statevector.hpp"
 
 namespace qsv {
 
@@ -49,27 +44,5 @@ struct CheckpointOptions {
   /// ones deleted as soon as a newer write commits (see CheckpointStore).
   int keep_last = 2;
 };
-
-struct RecoveryStats {
-  bool completed = false;
-  int restarts = 0;
-  int checkpoints_written = 0;
-  /// Checkpoint writes that failed and were tolerated (the run continued
-  /// uncheckpointed; the last committed snapshot stays the restart target).
-  int checkpoint_write_failures = 0;
-  /// Circuit gates re-executed after restarts (the "lost work").
-  std::uint64_t gates_replayed = 0;
-  /// Copy of the injector's fault log (empty when no injector is attached).
-  std::vector<FaultEvent> faults;
-};
-
-/// Runs `c` on `sv` with checkpoint/restart recovery. With checkpointing
-/// enabled, an initial checkpoint of the starting state is written before
-/// the first gate so a failure anywhere has a snapshot to fall back to.
-/// Rethrows NodeFailure when checkpointing is disabled or max_restarts is
-/// exceeded.
-template <class S>
-RecoveryStats run_with_recovery(DistStateVector<S>& sv, const Circuit& c,
-                                const CheckpointOptions& opts);
 
 }  // namespace qsv

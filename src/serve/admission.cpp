@@ -9,8 +9,7 @@
 #include "circuit/transpile/cache_blocking.hpp"
 #include "common/bits.hpp"
 #include "common/crc32.hpp"
-#include "dist/trace.hpp"
-#include "perf/cost_model.hpp"
+#include "perf/runner.hpp"
 
 namespace qsv::serve {
 namespace {
@@ -123,20 +122,14 @@ AdmissionDecision AdmissionController::decide(const JobRequest& req) const {
     }
     DistOptions opts;
     opts.policy = limits_.policy;
-    plan->runs =
-        plan_sweep_runs(plan->circuit.gates(), local_qubits, opts.sweep);
     // Price the full circuit once on the trace engine: the admission
     // energy check and the fleet's joules/request both read this.
-    TraceSim sim(d.num_qubits, d.ranks, opts);
     JobConfig job;
     job.num_qubits = d.num_qubits;
     job.node_kind = limits_.node_kind;
     job.freq = limits_.freq;
     job.nodes = d.ranks;
-    CostModel cost(machine_, job);
-    sim.set_listener(&cost);
-    sim.apply(plan->circuit);
-    plan->estimate = cost.report();
+    plan->estimate = run_model(plan->circuit, machine_, job, opts);
     return plan;
   });
   d.cache_hit = !built;

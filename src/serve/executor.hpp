@@ -23,10 +23,10 @@ struct ExecResult {
 };
 
 /// Runs `job` to completion or its deadline: allocates the statevector at
-/// the job's (qubits, ranks) decomposition, applies the cached plan run by
-/// run with the stop token polled at each safe point, and digests the final
-/// state exactly like `qsv run` prints `state crc32:` (digest identity is
-/// the service's correctness contract). Never throws.
+/// the job's (qubits, ranks) decomposition and hands it, the plan's circuit
+/// and the stop token to run_circuit — the driver `qsv run` uses, so
+/// the digest is the `state crc32:` it prints (digest identity is the
+/// service's correctness contract). Never throws.
 [[nodiscard]] ExecResult execute_job(QueuedJob& job,
                                      const MachineModel& machine,
                                      const AdmissionLimits& limits,

@@ -1,13 +1,13 @@
-// The transpiled-plan cache: repeated circuits pay transpile + sweep
-// planning + trace pricing once, ever.
+// The transpiled-plan cache: repeated circuits pay transpile + trace
+// pricing once, ever.
 //
 // Keyed by (canonical serialised circuit, rank count, transpile flag). The
 // serialised circuit is its identity and is compared in full on every
 // lookup: a hash of it would let a second circuit with a colliding hash run
 // the first one's plan. Serialising the parsed circuit also makes comments
 // and spacing irrelevant. Ranks pin the
-// decomposition the plan was made for (sweep runs depend on the local-qubit
-// split; the priced estimate depends on the node count). Entries are
+// decomposition the plan was made for (cache blocking depends on the
+// local-qubit split; the priced estimate depends on the node count). Entries are
 // immutable and shared: concurrent jobs execute the same plan object without
 // copying.
 #pragma once
@@ -19,10 +19,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "circuit/circuit.hpp"
-#include "circuit/sweep_plan.hpp"
 #include "perf/report.hpp"
 
 namespace qsv::serve {
@@ -42,8 +40,6 @@ struct CachedPlan {
 
   /// The (possibly cache-blocking-transpiled) circuit the executor runs.
   Circuit circuit;
-  /// Sweep runs planned at this decomposition's local qubit count.
-  std::vector<GateRun> runs;
   /// Modeled full-circuit cost on the server's machine model (admission's
   /// energy check, and the fleet's joules/request accounting).
   RunReport estimate;

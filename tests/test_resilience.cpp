@@ -7,6 +7,7 @@
 #include "circuit/builders.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dist/recovery_policy.hpp"
 #include "harness/experiments.hpp"
 #include "harness/resilience.hpp"
 #include "machine/archer2.hpp"
@@ -57,7 +58,7 @@ TEST(Recovery, ReplayIsBitIdenticalToFaultFreeRun) {
   CheckpointOptions opts;
   opts.interval_gates = 7;
   opts.dir = tmp_dir("resilience_replay");
-  const RecoveryStats stats = run_with_recovery(sv, c, opts);
+  const IntegrityStats stats = run_verified(sv, c, opts, GuardOptions{});
 
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.restarts, 2);
@@ -78,7 +79,7 @@ TEST(Recovery, DisabledCheckpointingPropagatesNodeFailure) {
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   CheckpointOptions opts;  // interval_gates = 0: resilience off
-  EXPECT_THROW(run_with_recovery(sv, c, opts), NodeFailure);
+  EXPECT_THROW(run_verified(sv, c, opts, GuardOptions{}), NodeFailure);
 }
 
 TEST(Recovery, GivesUpAfterMaxRestarts) {
@@ -97,7 +98,7 @@ TEST(Recovery, GivesUpAfterMaxRestarts) {
   opts.interval_gates = 5;
   opts.dir = tmp_dir("resilience_giveup");
   opts.max_restarts = 3;
-  EXPECT_THROW(run_with_recovery(sv, c, opts), NodeFailure);
+  EXPECT_THROW(run_verified(sv, c, opts, GuardOptions{}), NodeFailure);
 }
 
 TEST(Recovery, FaultFreeRunNeedsNoRestarts) {
@@ -110,7 +111,7 @@ TEST(Recovery, FaultFreeRunNeedsNoRestarts) {
   CheckpointOptions opts;
   opts.interval_gates = 10;
   opts.dir = tmp_dir("resilience_faultfree");
-  const RecoveryStats stats = run_with_recovery(sv, c, opts);
+  const IntegrityStats stats = run_verified(sv, c, opts, GuardOptions{});
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.gates_replayed, 0u);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "circuit/builders.hpp"
+#include "circuit/serialize.hpp"
+#include "cluster/faults.hpp"
 #include "common/error.hpp"
 #include "machine/archer2.hpp"
 
@@ -61,6 +65,144 @@ TEST(Runner, CuScalesWithNodesAndRuntime) {
   job.nodes = 64;
   const RunReport r = run_model(build_hadamard_bench(38, 5, 72), m(), job);
   EXPECT_NEAR(r.cu, 64.0 * r.runtime_s / 3600.0, 1e-9);
+}
+
+// --- run_circuit ------------------------------------------------------------
+
+/// 20 gates on 6 qubits / 4 ranks: gates 0 and 6 are distributed, gates
+/// 10..19 local only, so a failure at gate 12 with checkpoints every 5
+/// gates can be recovered by shrinking to 2 ranks.
+Circuit six_qubit_circuit() {
+  Circuit c(6, "six");
+  c.add(make_h(4));
+  c.add(make_h(0));
+  c.add(make_cx(0, 1));
+  c.add(make_rz(1, 0.37));
+  c.add(make_h(2));
+  c.add(make_cx(2, 3));
+  c.add(make_h(5));
+  c.add(make_rx(3, 0.81));
+  c.add(make_cz(0, 2));
+  c.add(make_ry(1, 1.13));
+  for (int i = 0; i < 5; ++i) {
+    c.add(make_rz(i % 4, 0.29 + 0.11 * i));
+    c.add(make_cx((i + 1) % 4, (i + 2) % 4));
+  }
+  return c;
+}
+
+/// Raises `cancel` once the engine has applied `gates` gates.
+class CancelAfter final : public ExecListener {
+ public:
+  CancelAfter(const DistStateVector<SoaStorage>& sv, std::uint64_t gates,
+              std::atomic<bool>& cancel)
+      : sv_(sv), gates_(gates), cancel_(cancel) {}
+  void on_event(const ExecEvent&) override {
+    if (sv_.gates_applied() >= gates_) {
+      cancel_.store(true);
+    }
+  }
+
+ private:
+  const DistStateVector<SoaStorage>& sv_;
+  std::uint64_t gates_;
+  std::atomic<bool>& cancel_;
+};
+
+TEST(RunCircuit, StateDigestIsTheQsvRunDigestAtEveryWidth) {
+  // `qsv run` prints this digest for the 3-qubit GHZ circuit.
+  const Circuit ghz = parse_circuit("qubits 3\nh 0\ncx 0 1\ncx 1 2\n");
+  for (const int ranks : {1, 2, 4}) {
+    DistStateVector<SoaStorage> sv(3, ranks);
+    sv.apply(ghz);
+    EXPECT_EQ(state_digest(sv), "b649bfda") << ranks << " ranks";
+  }
+}
+
+TEST(RunCircuit, PlainAndVerifiedPathsLandOnOneDigest) {
+  const Circuit c = six_qubit_circuit();
+  DistStateVector<SoaStorage> plain(6, 4);
+  const RunOutcome a = run_circuit(plain, c);
+  EXPECT_EQ(a.status, RunOutcome::Status::kOk);
+  EXPECT_FALSE(a.verified);
+  EXPECT_EQ(a.gates_done, c.size());
+  EXPECT_EQ(a.digest, state_digest(plain));
+
+  DistStateVector<SoaStorage> guarded(6, 4);
+  RunSpec spec;
+  spec.guards.cadence_gates = 3;
+  const RunOutcome b = run_circuit(guarded, c, spec);
+  EXPECT_EQ(b.status, RunOutcome::Status::kOk);
+  EXPECT_TRUE(b.verified);
+  EXPECT_GT(b.integrity.guard_checks, 0u);
+  EXPECT_EQ(b.digest, a.digest);
+}
+
+TEST(RunCircuit, StopBeforeTheFirstGatePricesNothing) {
+  std::atomic<bool> cancel{true};
+  StopToken stop;
+  stop.set_cancel_flag(&cancel);
+  RunSpec spec;
+  spec.stop = &stop;
+  DistStateVector<SoaStorage> sv(6, 4);
+  const RunOutcome out = run_circuit(sv, six_qubit_circuit(), spec);
+  EXPECT_EQ(out.status, RunOutcome::Status::kStopped);
+  EXPECT_EQ(out.gates_done, 0u);
+  EXPECT_EQ(out.stop_reason, "cancelled at gate 0 of 20");
+  EXPECT_TRUE(out.digest.empty());
+  EXPECT_EQ(out.partial.runtime_s, 0.0);
+}
+
+TEST(RunCircuit, StoppedRunHoldsThePrefixAndPricesIt) {
+  const Circuit c = six_qubit_circuit();
+  DistStateVector<SoaStorage> sv(6, 4);
+  std::atomic<bool> cancel{false};
+  CancelAfter listener(sv, 7, cancel);
+  sv.set_listener(&listener);
+  StopToken stop;
+  stop.set_cancel_flag(&cancel);
+  RunSpec spec;
+  spec.guards.cadence_gates = 1;  // the verified path polls every gate
+  spec.stop = &stop;
+  const RunOutcome out = run_circuit(sv, c, spec);
+  ASSERT_EQ(out.status, RunOutcome::Status::kStopped);
+  ASSERT_GT(out.gates_done, 0u);
+  ASSERT_LT(out.gates_done, c.size());
+
+  Circuit prefix(6);
+  for (std::uint64_t g = 0; g < out.gates_done; ++g) {
+    prefix.add(c.gate(g));
+  }
+  DistStateVector<SoaStorage> ref(6, 4);
+  ref.apply(prefix);
+  EXPECT_EQ(state_digest(sv), state_digest(ref));
+  JobConfig job;
+  job.num_qubits = 6;
+  job.nodes = 4;
+  EXPECT_DOUBLE_EQ(out.partial.runtime_s,
+                   run_model(prefix, m(), job).runtime_s);
+  EXPECT_DOUBLE_EQ(out.partial.total_energy_j(),
+                   run_model(prefix, m(), job).total_energy_j());
+}
+
+TEST(RunCircuit, ShrinkThatNeverGrowsBackIsDegraded) {
+  const Circuit c = six_qubit_circuit();
+  DistStateVector<SoaStorage> clean(6, 4);
+  const RunOutcome ok = run_circuit(clean, c);
+
+  FaultInjector inj(parse_fault_plan("fail@12:1"));
+  DistStateVector<SoaStorage> sv(6, 4);
+  sv.set_fault_injector(&inj);
+  RunSpec spec;
+  spec.checkpoint.interval_gates = 5;
+  spec.checkpoint.dir = testing::TempDir() + "/run_circuit_shrink";
+  spec.elastic.allow_shrink = true;  // no spares: shrink is the only tier
+  const RunOutcome out = run_circuit(sv, c, spec);
+  EXPECT_EQ(out.status, RunOutcome::Status::kDegraded);
+  EXPECT_TRUE(out.verified);
+  EXPECT_EQ(out.integrity.shrinks, 1);
+  EXPECT_EQ(out.integrity.final_ranks, 2);
+  EXPECT_EQ(out.digest, ok.digest);
 }
 
 }  // namespace

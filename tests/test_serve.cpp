@@ -20,6 +20,7 @@
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
 #include "perf/fleet.hpp"
+#include "perf/runner.hpp"
 #include "serve/admission.hpp"
 #include "serve/json.hpp"
 #include "serve/plan_cache.hpp"
@@ -449,17 +450,7 @@ std::string direct_digest(const std::string& circuit_text, int ranks) {
   const Circuit c = parse_circuit(circuit_text);
   DistStateVector<SoaStorage> sv(c.num_qubits(), ranks, DistOptions{});
   sv.apply(c);
-  Crc32 crc;
-  for (amp_index g = 0; g < (amp_index{1} << c.num_qubits()); ++g) {
-    const cplx a = sv.amplitude(g);
-    const double re = a.real();
-    const double im = a.imag();
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-  }
-  char digest[16];
-  std::snprintf(digest, sizeof digest, "%08x", crc.value());
-  return digest;
+  return state_digest(sv);
 }
 
 TEST(ServerEndToEnd, RunDigestMatchesDirectRunAndCacheHits) {

@@ -306,6 +306,25 @@ TEST(ThreadedEngine, QftMatchesSerialBitwise) {
   }
 }
 
+TEST(ThreadedEngine, CapOffAmplitudeBoundaryDoesNotStallNonBlocking) {
+  // A 24-byte cap sends one 16-byte amplitude per full-exchange message:
+  // 128 messages per direction for a 2048-byte slice at 2 ranks, not the
+  // 2048 / 24 = 86 a byte count suggests. The mailboxes must hold them all,
+  // or the non-blocking policy's posted sends hit backpressure before any
+  // recv.
+  const Circuit c = build_qft(8);
+  DistOptions base;
+  base.policy = CommPolicy::kNonBlocking;
+  base.max_message_bytes = 24;
+  base.recv_deadline_s = 0.05;
+  DistStateVectorSoa serial(c.num_qubits(), 2, base);
+  DistStateVectorSoa threaded(c.num_qubits(), 2, threaded_opts(2, base));
+  serial.apply(c);
+  ASSERT_NO_THROW(threaded.apply(c));
+  expect_states_identical(serial, threaded);
+  EXPECT_EQ(serial.comm_stats().messages, threaded.comm_stats().messages);
+}
+
 TEST(ThreadedEngine, HalfExchangeSwapMatchesSerial) {
   const Circuit c = build_qft(8);
   DistOptions base;

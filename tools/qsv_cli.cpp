@@ -36,7 +36,6 @@
 //   6  deadline exceeded (--deadline-s elapsed; the run was cancelled at a
 //      gate boundary and the partial cost was reported)
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -52,7 +51,6 @@
 #include "circuit/transpile/greedy_cache_blocking.hpp"
 #include "common/args.hpp"
 #include "common/bits.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/csv.hpp"
@@ -211,7 +209,8 @@ int cmd_run(int argc, const char* const* argv) {
     sv.set_fault_injector(&*injector);
   }
 
-  CheckpointOptions ck;
+  RunSpec spec;
+  CheckpointOptions& ck = spec.checkpoint;
   const int interval = args.int_or("checkpoint-interval", 0);
   require_arg(interval >= 0, "--checkpoint-interval must be >= 0");
   ck.interval_gates = static_cast<std::uint64_t>(interval);
@@ -219,7 +218,7 @@ int cmd_run(int argc, const char* const* argv) {
   ck.keep_last = args.int_or("keep-last", 2);
   require_arg(ck.keep_last >= 1, "--keep-last must be >= 1");
 
-  GuardOptions guards;
+  GuardOptions& guards = spec.guards;
   const int cadence = args.int_or("guards", 0);
   require_arg(cadence >= 0, "--guards must be >= 0");
   guards.cadence_gates = static_cast<std::uint64_t>(cadence);
@@ -227,7 +226,7 @@ int cmd_run(int argc, const char* const* argv) {
 
   // Elastic recovery: the CLI enables every tier by default (the library
   // default is PR 4 restart-only); --recovery narrows the set.
-  ElasticOptions elastic;
+  ElasticOptions& elastic = spec.elastic;
   elastic.allow_shrink = true;
   elastic.allow_grow_back = true;
   if (const auto tiers = args.value("recovery")) {
@@ -244,22 +243,19 @@ int cmd_run(int argc, const char* const* argv) {
   // model and hand choose_tier the closed-form joules, so tier ranking is
   // energy-driven instead of the static cheapest-first order. The expected
   // replay window is half the checkpoint interval (failures land uniformly
-  // between checkpoints) at the fault clock's one second per gate.
+  // between checkpoints) at the fault clock's one second per gate. The same
+  // machine prices the applied prefix of a run the deadline stops.
   if (const auto machine = args.value("machine")) {
-    const MachineModel m = *machine == "archer2"
-                               ? archer2()
-                               : load_machine_config(archer2(), *machine);
+    spec.machine = *machine == "archer2"
+                       ? archer2()
+                       : load_machine_config(archer2(), *machine);
     JobConfig job;
     job.num_qubits = c.num_qubits();
     job.nodes = ranks;
-    TraceSim sim(c.num_qubits(), ranks, opts);
-    CostModel cost(m, job);
-    sim.set_listener(&cost);
-    sim.apply(c);
     const double replay_s =
         interval > 0 ? interval / 2.0 : c.size() / 2.0;
-    const TierEnergies te =
-        tier_energies_from_machine(m, job, cost.report(), replay_s);
+    const TierEnergies te = tier_energies_from_machine(
+        spec.machine, job, run_model(c, spec.machine, job, opts), replay_s);
     elastic.substitute_energy_j = te.substitute_j;
     elastic.shrink_energy_j = te.shrink_j;
     elastic.grow_back_energy_j = te.grow_back_j;
@@ -274,74 +270,33 @@ int cmd_run(int argc, const char* const* argv) {
               << fmt::seconds(te.replay_s) << ", " << *machine << ")\n";
   }
 
-  RecoveryPolicy policy;
   // The health monitor rides along whenever faults can occur; it is
   // observational, so this changes only the reported stats.
-  policy.health.enabled = injector.has_value();
+  spec.recovery.health.enabled = injector.has_value();
 
-  // Wall-clock budget: the run is cancelled at the next gate boundary once
-  // the deadline passes, the partial cost is reported, and the process
-  // exits with the contractual code 6.
+  // Wall-clock budget: the run stops at the next safe point once the
+  // deadline passes, the partial cost is reported, and the process exits
+  // with the contractual code 6.
   const double deadline_s = args.double_or("deadline-s", 0);
   require_arg(deadline_s >= 0, "--deadline-s must be >= 0");
   StopToken stop;
   if (deadline_s > 0) {
     stop = StopToken::after_seconds(deadline_s);
   }
+  spec.stop = &stop;
 
-  IntegrityStats rec;
-  const bool verified = injector || ck.interval_gates > 0 || guards.enabled();
-  try {
-    if (verified) {
-      // Gate-by-gate integrity driver: checkpoints, guard checks, rollbacks,
-      // elastic node-failure recovery. A NodeFailure that no tier can recover
-      // propagates out of here to exit code 4, an IntegrityAbort to 5.
-      rec = run_verified(sv, c, ck, guards, policy, elastic,
-                         deadline_s > 0 ? &stop : nullptr);
-    } else if (deadline_s > 0) {
-      // Fault-free path with a deadline: step the sweep plan run by run so
-      // the token is polled at every safe point.
-      const std::vector<GateRun> runs =
-          plan_sweep_runs(c.gates(), sv.local_qubits(), opts.sweep);
-      std::uint64_t gates_done = 0;
-      for (const GateRun& run : runs) {
-        if (stop.expired()) {
-          throw DeadlineExceeded("deadline of " + fmt::seconds(deadline_s) +
-                                     " exceeded at gate " +
-                                     std::to_string(gates_done) + " of " +
-                                     std::to_string(c.size()),
-                                 gates_done, c.size(), stop.cancelled());
-        }
-        sv.apply_run(c, run);
-        gates_done += run.count;
-      }
-    } else {
-      sv.apply(c);  // fault-free fast path (keeps the sweep executor active)
-    }
-  } catch (const DeadlineExceeded& e) {
-    // Partial cost report: price the applied prefix on the machine model so
-    // the joules already burned are accounted, not discarded.
-    std::cout << "deadline: " << e.what() << "\n";
-    const MachineModel m =
-        args.has("machine") && args.value_or("machine", "") != "archer2"
-            ? load_machine_config(archer2(), args.value_or("machine", ""))
-            : archer2();
-    JobConfig job;
-    job.num_qubits = c.num_qubits();
-    job.nodes = ranks;
-    TraceSim sim(c.num_qubits(), ranks, opts);
-    CostModel cost(m, job);
-    sim.set_listener(&cost);
-    for (std::uint64_t g = 0; g < e.gates_done(); ++g) {
-      sim.apply(c.gate(g));
-    }
-    const RunReport partial = cost.report();
-    std::cout << "partial cost: " << e.gates_done() << " of "
-              << e.gates_total() << " gates applied, modeled "
-              << fmt::seconds(partial.runtime_s) << ", "
-              << fmt::fixed(partial.total_energy_j(), 3) << " J\n";
+  // A NodeFailure that no tier can recover propagates out of here to exit
+  // code 4, an IntegrityAbort to 5.
+  const RunOutcome out = run_circuit(sv, c, spec);
+  if (out.status == RunOutcome::Status::kStopped) {
+    std::cout << "deadline: " << out.stop_reason << "\n";
+    std::cout << "partial cost: " << out.gates_done << " of " << c.size()
+              << " gates applied, modeled "
+              << fmt::seconds(out.partial.runtime_s) << ", "
+              << fmt::fixed(out.partial.total_energy_j(), 3) << " J\n";
     return 6;
   }
+  const IntegrityStats& rec = out.integrity;
   std::cout << "ran '" << c.name() << "' (" << c.size() << " gates) on "
             << ranks << " ranks; " << sv.comm_stats().messages
             << " messages, " << fmt::bytes(sv.comm_stats().bytes) << " ("
@@ -361,7 +316,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::cout << "threads: off (serial engine)\n";
     }
   }
-  if (opts.sweep.enabled && !verified) {
+  if (opts.sweep.enabled && !out.verified) {
     const SweepStats& sw = sv.sweep_stats();
     std::cout << "sweep executor: " << sw.runs << " tiled runs covering "
               << sw.swept_gates << " gates, " << sw.passes_saved
@@ -410,24 +365,11 @@ int cmd_run(int argc, const char* const* argv) {
   // Layout-independent digest of the final state (global amplitude order,
   // so it matches across rank counts — including after a shrink). The
   // determinism checker diffs this line across repeated faulted runs.
-  {
-    Crc32 crc;
-    for (amp_index g = 0; g < (amp_index{1} << c.num_qubits()); ++g) {
-      const cplx a = sv.amplitude(g);
-      const double re = a.real();
-      const double im = a.imag();
-      crc.update(&re, sizeof re);
-      crc.update(&im, sizeof im);
-    }
-    char digest[16];
-    std::snprintf(digest, sizeof digest, "%08x", crc.value());
-    std::cout << "state crc32: " << digest << "\n";
-  }
+  std::cout << "state crc32: " << out.digest << "\n";
   // Degraded completion: the run finished and the digest above is valid,
   // but at fewer ranks than planned — a shrink that never grew back.
   // Scripts key off the documented exit code 3 and this line.
-  const bool degraded = verified && rec.completed && rec.planned_ranks > 0 &&
-                        rec.final_ranks < rec.planned_ranks;
+  const bool degraded = out.status == RunOutcome::Status::kDegraded;
   if (degraded) {
     std::cout << "degraded: finished at " << rec.final_ranks << " of "
               << rec.planned_ranks << " planned ranks ("
