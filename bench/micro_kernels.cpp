@@ -11,6 +11,7 @@
 
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
+#include "common/crc32.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/statevector.hpp"
@@ -170,6 +171,24 @@ void BM_GatherHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherHalf<SoaStorage>);
 BENCHMARK(BM_GatherHalf<AosStorage>);
+
+// The checksum every exchange message pays twice (send and receive) and
+// the state digest and snapshots pay once per byte: a short message, one
+// 64 KiB digest block, and a 2 MiB exchange chunk.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(3);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.uniform() * 256);
+  }
+  for (auto _ : state) {
+    std::uint32_t crc = crc32(buf.data(), buf.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(64 << 10)->Arg(2 << 20);
 
 }  // namespace
 }  // namespace qsv

@@ -163,6 +163,18 @@ void DistStateVector<S>::set_amplitude(amp_index global, cplx v) {
 }
 
 template <class S>
+const S& DistStateVector<S>::slice(rank_t r) const {
+  QSV_REQUIRE(r >= 0 && r < num_ranks(), "rank out of range");
+  return slices_[r];
+}
+
+template <class S>
+S& DistStateVector<S>::slice(rank_t r) {
+  QSV_REQUIRE(r >= 0 && r < num_ranks(), "rank out of range");
+  return slices_[r];
+}
+
+template <class S>
 void DistStateVector<S>::emit(const ExecEvent& e) {
   if (listener_ != nullptr) {
     listener_->on_event(e);

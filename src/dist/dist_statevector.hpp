@@ -108,6 +108,13 @@ class DistStateVector {
   [[nodiscard]] cplx amplitude(amp_index global) const;
   void set_amplitude(amp_index global, cplx v);
 
+  /// Rank `r`'s resident amplitudes, global indices r * local_amps() up to
+  /// (r + 1) * local_amps(). For whole-state passes (digests, snapshots,
+  /// diagonal observables) that would otherwise go through amplitude() one
+  /// index at a time; the mutable form is for restoring a snapshot in place.
+  [[nodiscard]] const S& slice(rank_t r) const;
+  [[nodiscard]] S& slice(rank_t r);
+
   /// Reduction across ranks, as QuEST computes it (local sums + allreduce).
   [[nodiscard]] real_t probability_of_one(qubit_t qubit) const;
   [[nodiscard]] real_t norm_sq() const;

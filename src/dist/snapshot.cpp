@@ -70,34 +70,96 @@ Header read_header(std::ifstream& in, const std::string& path) {
   return h;
 }
 
-template <class GetAmp>
-void write_amps(std::ofstream& out, amp_index count, GetAmp get,
-                Crc32& crc) {
+/// Amplitudes per block of the payload stream: each block is one write or
+/// read and one Crc32::update (64 KiB).
+constexpr amp_index kBlockAmps = amp_index{1} << 12;
+
+// One storage's amplitudes [first, first + count) to and from the payload's
+// interleaved (re, im) doubles.
+void to_payload(const SoaStorage& s, amp_index first, amp_index count,
+                real_t* out) {
+  const real_t* re = s.re() + first;
+  const real_t* im = s.im() + first;
   for (amp_index i = 0; i < count; ++i) {
-    const cplx a = get(i);
-    const real_t re = a.real();
-    const real_t im = a.imag();
-    out.write(reinterpret_cast<const char*>(&re), sizeof re);
-    out.write(reinterpret_cast<const char*>(&im), sizeof im);
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
+    out[2 * i] = re[i];
+    out[2 * i + 1] = im[i];
   }
 }
 
-template <class SetAmp>
-void read_amps(std::ifstream& in, const std::string& path,
-               const Header& header, amp_index count, SetAmp set) {
-  Crc32 crc;
+void to_payload(const AosStorage& s, amp_index first, amp_index count,
+                real_t* out) {
+  std::memcpy(out, s.data() + first, count * kBytesPerAmp);
+}
+
+void from_payload(SoaStorage& s, amp_index first, amp_index count,
+                  const real_t* in) {
+  real_t* re = s.re() + first;
+  real_t* im = s.im() + first;
   for (amp_index i = 0; i < count; ++i) {
-    real_t re = 0;
-    real_t im = 0;
-    in.read(reinterpret_cast<char*>(&re), sizeof re);
-    in.read(reinterpret_cast<char*>(&im), sizeof im);
-    QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-    set(i, cplx{re, im});
+    re[i] = in[2 * i];
+    im[i] = in[2 * i + 1];
   }
+}
+
+void from_payload(AosStorage& s, amp_index first, amp_index count,
+                  const real_t* in) {
+  // std::complex<double> is laid out as (re, im) ([complex.numbers]).
+  std::memcpy(static_cast<void*>(s.data() + first), in,
+              count * kBytesPerAmp);
+}
+
+/// Streams the payload of a register held as equal consecutive slices
+/// (global amplitude order) to `emit(bytes, size)`, one block at a time.
+/// Slice sizes are powers of two, so no block straddles two slices.
+template <class S, class Emit>
+void stream_out(const std::vector<const S*>& slices, Emit emit) {
+  const amp_index per_slice = slices.front()->size();
+  const amp_index block = std::min(per_slice, kBlockAmps);
+  std::vector<real_t> buf(static_cast<std::size_t>(2 * block));
+  for (const S* s : slices) {
+    for (amp_index first = 0; first < per_slice; first += block) {
+      to_payload(*s, first, block, buf.data());
+      emit(buf.data(), static_cast<std::size_t>(block * kBytesPerAmp));
+    }
+  }
+}
+
+/// The inverse of stream_out: `fill(bytes, size)` supplies each block of
+/// the payload, which is then stored into the slices.
+template <class S, class Fill>
+void stream_in(const std::vector<S*>& slices, Fill fill) {
+  const amp_index per_slice = slices.front()->size();
+  const amp_index block = std::min(per_slice, kBlockAmps);
+  std::vector<real_t> buf(static_cast<std::size_t>(2 * block));
+  for (S* s : slices) {
+    for (amp_index first = 0; first < per_slice; first += block) {
+      fill(buf.data(), static_cast<std::size_t>(block * kBytesPerAmp));
+      from_payload(*s, first, block, buf.data());
+    }
+  }
+}
+
+/// Rank slices of `sv` in rank order, const or mutable as `sv` is.
+template <class SV>
+auto slices_of(SV& sv) {
+  std::vector<decltype(&sv.slice(0))> out;
+  for (rank_t r = 0; r < sv.num_ranks(); ++r) {
+    out.push_back(&sv.slice(r));
+  }
+  return out;
+}
+
+/// Reads the payload into `slices`, verifying the header CRC (v2).
+template <class S>
+void read_payload(std::ifstream& in, const std::string& path,
+                  const Header& header, const std::vector<S*>& slices) {
+  Crc32 crc;
+  stream_in(slices, [&](real_t* block, std::size_t bytes) {
+    in.read(reinterpret_cast<char*>(block),
+            static_cast<std::streamsize>(bytes));
+    QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
+    crc.update(block, bytes);
+  });
   QSV_REQUIRE(!header.has_crc || crc.value() == header.crc,
               "snapshot payload CRC mismatch (corrupt): " + path);
 }
@@ -116,9 +178,9 @@ std::ifstream open_in(const std::string& path) {
 
 /// Writes the whole snapshot to `<path>.tmp` (patching the CRC slot once
 /// the payload is known) and commits it with an atomic rename.
-template <class GetAmp>
+template <class S>
 void write_snapshot(const std::string& path, int num_qubits, int ranks,
-                    amp_index count, GetAmp get) {
+                    const std::vector<const S*>& slices) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out = open_out(tmp);
@@ -128,7 +190,11 @@ void write_snapshot(const std::string& path, int num_qubits, int ranks,
     write_u32(out, 0);  // CRC placeholder
     write_u32(out, static_cast<std::uint32_t>(ranks));  // rank-width tag
     Crc32 crc;
-    write_amps(out, count, get, crc);
+    stream_out(slices, [&](const real_t* block, std::size_t bytes) {
+      out.write(reinterpret_cast<const char*>(block),
+                static_cast<std::streamsize>(bytes));
+      crc.update(block, bytes);
+    });
     out.seekp(kCrcOffset);
     write_u32(out, crc.value());
     QSV_REQUIRE(out.good(), "short write while snapshotting: " + tmp);
@@ -137,41 +203,50 @@ void write_snapshot(const std::string& path, int num_qubits, int ranks,
               "cannot commit snapshot " + tmp + " -> " + path);
 }
 
+/// Reads the header and requires it to match a register of `num_qubits`.
+Header read_header_for(std::ifstream& in, const std::string& path,
+                       int num_qubits) {
+  const Header h = read_header(in, path);
+  QSV_REQUIRE(h.num_qubits == num_qubits,
+              "snapshot holds " + std::to_string(h.num_qubits) +
+                  " qubits, register has " + std::to_string(num_qubits));
+  return h;
+}
+
 }  // namespace
 
 template <class S>
 void save_state(const std::string& path, const BasicStateVector<S>& sv) {
-  write_snapshot(path, sv.num_qubits(), /*ranks=*/1, sv.num_amps(),
-                 [&](amp_index i) { return sv.amplitude(i); });
+  write_snapshot(path, sv.num_qubits(), /*ranks=*/1,
+                 std::vector<const S*>{&sv.storage()});
 }
 
 template <class S>
 void save_state(const std::string& path, const DistStateVector<S>& sv) {
-  write_snapshot(path, sv.num_qubits(), sv.num_ranks(),
-                 amp_index{1} << sv.num_qubits(),
-                 [&](amp_index i) { return sv.amplitude(i); });
+  write_snapshot(path, sv.num_qubits(), sv.num_ranks(), slices_of(sv));
+}
+
+template <class S>
+std::uint32_t payload_crc(const DistStateVector<S>& sv) {
+  Crc32 crc;
+  stream_out(slices_of(sv), [&](const real_t* block, std::size_t bytes) {
+    crc.update(block, bytes);
+  });
+  return crc.value();
 }
 
 template <class S>
 void load_state(const std::string& path, BasicStateVector<S>& sv) {
   std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
-  read_amps(in, path, h, sv.num_amps(),
-            [&](amp_index i, cplx v) { sv.set_amplitude(i, v); });
+  const Header h = read_header_for(in, path, sv.num_qubits());
+  read_payload(in, path, h, std::vector<S*>{&sv.storage()});
 }
 
 template <class S>
 void load_state(const std::string& path, DistStateVector<S>& sv) {
   std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
-  read_amps(in, path, h, amp_index{1} << h.num_qubits,
-            [&](amp_index i, cplx v) { sv.set_amplitude(i, v); });
+  const Header h = read_header_for(in, path, sv.num_qubits());
+  read_payload(in, path, h, slices_of(sv));
 }
 
 int snapshot_qubits(const std::string& path) {
@@ -189,10 +264,7 @@ void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
                      rank_t r) {
   QSV_REQUIRE(r >= 0 && r < sv.num_ranks(), "rank out of range");
   std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
+  const Header h = read_header_for(in, path, sv.num_qubits());
   // Rank slices are only meaningful at the geometry they were written at:
   // after a shrink or grow-back, rank r's span of an old-width snapshot is
   // a different piece of the state than the caller means. Untagged legacy
@@ -203,18 +275,15 @@ void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
                   std::to_string(sv.num_ranks()) +
                   " (re-shard geometry mismatch): " + path);
   const std::streamoff payload = in.tellg();
-  const amp_index n_local = sv.local_amps();
-  const amp_index first = static_cast<amp_index>(r) * n_local;
+  const amp_index first = static_cast<amp_index>(r) * sv.local_amps();
   in.seekg(payload + static_cast<std::streamoff>(first * kBytesPerAmp));
   QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-  for (amp_index i = 0; i < n_local; ++i) {
-    real_t re = 0;
-    real_t im = 0;
-    in.read(reinterpret_cast<char*>(&re), sizeof re);
-    in.read(reinterpret_cast<char*>(&im), sizeof im);
-    QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-    sv.set_amplitude(first + i, cplx{re, im});
-  }
+  stream_in(std::vector<S*>{&sv.slice(r)},
+            [&](real_t* block, std::size_t bytes) {
+              in.read(reinterpret_cast<char*>(block),
+                      static_cast<std::streamsize>(bytes));
+              QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
+            });
 }
 
 CheckpointStore::CheckpointStore(std::string dir, int keep_last)
@@ -315,6 +384,8 @@ template void load_state<AosStorage>(const std::string&,
                                      BasicStateVector<AosStorage>&);
 template void load_state<SoaStorage>(const std::string&,
                                      DistStateVector<SoaStorage>&);
+template std::uint32_t payload_crc<SoaStorage>(
+    const DistStateVector<SoaStorage>&);
 template void load_rank_slice<SoaStorage>(const std::string&,
                                           DistStateVector<SoaStorage>&,
                                           rank_t);

@@ -47,6 +47,12 @@ void load_state(const std::string& path, BasicStateVector<S>& sv);
 template <class S>
 void load_state(const std::string& path, DistStateVector<S>& sv);
 
+/// CRC-32 of the payload save_state writes for `sv` (the value in its
+/// header): the (re, im) doubles in global amplitude order, so it is the
+/// same at every rank count. `state_digest` prints it.
+template <class S>
+[[nodiscard]] std::uint32_t payload_crc(const DistStateVector<S>& sv);
+
 /// Reads just the header; returns the qubit count.
 [[nodiscard]] int snapshot_qubits(const std::string& path);
 

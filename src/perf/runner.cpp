@@ -3,8 +3,8 @@
 #include <cstdio>
 
 #include "circuit/sweep_plan.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "dist/snapshot.hpp"
 #include "dist/trace.hpp"
 #include "perf/cost_model.hpp"
 #include "sv/simd/simd.hpp"
@@ -43,16 +43,8 @@ RunReport run_functional_model(const Circuit& circuit,
 
 template <class S>
 std::string state_digest(const DistStateVector<S>& sv) {
-  Crc32 crc;
-  for (amp_index g = 0; g < (amp_index{1} << sv.num_qubits()); ++g) {
-    const cplx a = sv.amplitude(g);
-    const double re = a.real();
-    const double im = a.imag();
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-  }
   char digest[16];
-  std::snprintf(digest, sizeof digest, "%08x", crc.value());
+  std::snprintf(digest, sizeof digest, "%08x", payload_crc(sv));
   return digest;
 }
 

@@ -34,7 +34,8 @@ namespace qsv {
                                              const DistOptions& opts = {});
 
 /// Layout-independent CRC-32 of the state in global amplitude order, as
-/// eight hex digits. It matches across rank counts, engines and policies:
+/// eight hex digits: payload_crc (dist/snapshot.hpp), the CRC a snapshot of
+/// the state carries. It matches across rank counts, engines and policies:
 /// `qsv run` prints it as `state crc32:` and `qsv serve` answers it as
 /// `digest`.
 template <class S>

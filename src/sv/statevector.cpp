@@ -2,12 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
 
 namespace qsv {
+namespace {
+
+/// Amplitudes per block of a reduction.
+constexpr amp_index kSumBlock = amp_index{1} << 12;
+
+/// Sum of f(i) over [0, n): each fixed-size block is summed serially, in
+/// parallel across blocks, and the block sums are added in block order, so
+/// the result is the same double at every OpenMP thread count.
+template <class F>
+real_t block_sum(amp_index n, F f) {
+  const std::int64_t blocks =
+      static_cast<std::int64_t>((n + kSumBlock - 1) / kSumBlock);
+  std::vector<real_t> partial(static_cast<std::size_t>(blocks));
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    const amp_index first = static_cast<amp_index>(b) * kSumBlock;
+    const amp_index last = std::min(n, first + kSumBlock);
+    real_t s = 0;
+    for (amp_index i = first; i < last; ++i) {
+      s += f(i);
+    }
+    partial[static_cast<std::size_t>(b)] = s;
+  }
+  real_t acc = 0;
+  for (const real_t s : partial) {
+    acc += s;
+  }
+  return acc;
+}
+
+}  // namespace
 
 template <class S>
 BasicStateVector<S>::BasicStateVector(int num_qubits)
@@ -89,17 +124,9 @@ void BasicStateVector<S>::apply(const Circuit& c) {
 template <class S>
 real_t BasicStateVector<S>::probability_of_one(qubit_t qubit) const {
   QSV_REQUIRE(qubit >= 0 && qubit < num_qubits_, "qubit out of range");
-  const amp_index n = num_amps();
-  real_t p = 0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : p) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (bits::bit(static_cast<amp_index>(i), qubit)) {
-      p += std::norm(storage_.get(i));
-    }
-  }
-  return p;
+  return block_sum(num_amps(), [&](amp_index i) {
+    return bits::bit(i, qubit) ? std::norm(storage_.get(i)) : real_t{0};
+  });
 }
 
 template <class S>
@@ -153,15 +180,8 @@ std::map<amp_index, int> BasicStateVector<S>::sample_counts(int shots,
 
 template <class S>
 real_t BasicStateVector<S>::norm_sq() const {
-  const amp_index n = num_amps();
-  real_t acc = 0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    acc += std::norm(storage_.get(i));
-  }
-  return acc;
+  return block_sum(num_amps(),
+                   [&](amp_index i) { return std::norm(storage_.get(i)); });
 }
 
 template <class S>

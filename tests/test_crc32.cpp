@@ -3,12 +3,36 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 namespace qsv {
 namespace {
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition, written
+/// independently of both code paths in crc32.cpp.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> pattern(std::size_t n) {
+  std::vector<unsigned char> data(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return data;
+}
 
 TEST(Crc32, Ieee8023CheckValue) {
   // The standard check value: CRC-32("123456789") per IEEE 802.3.
@@ -47,15 +71,20 @@ TEST(Crc32, ByteAtATimeStreamingMatchesOneShot) {
 
 TEST(Crc32, EverySingleBitFlipChangesTheChecksum) {
   // The property the exchange path relies on: CRC-32 detects all
-  // single-bit errors, so an injected in-flight flip can never pass.
-  std::vector<unsigned char> data(64, 0xA5);
-  const std::uint32_t clean = crc32(data.data(), data.size());
-  for (std::size_t byte = 0; byte < data.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      data[byte] ^= static_cast<unsigned char>(1 << bit);
-      EXPECT_NE(crc32(data.data(), data.size()), clean)
-          << "flip of byte " << byte << " bit " << bit << " undetected";
-      data[byte] ^= static_cast<unsigned char>(1 << bit);
+  // single-bit errors, so an injected in-flight flip can never pass. The
+  // 1 KiB + 13 byte buffer puts flips in folded 64-byte blocks and in the
+  // table-loop tail.
+  for (const std::size_t size : {std::size_t{64}, std::size_t{1024 + 13}}) {
+    std::vector<unsigned char> data(size, 0xA5);
+    const std::uint32_t clean = crc32(data.data(), data.size());
+    for (std::size_t byte = 0; byte < data.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        data[byte] ^= static_cast<unsigned char>(1 << bit);
+        EXPECT_NE(crc32(data.data(), data.size()), clean)
+            << "flip of byte " << byte << " bit " << bit << " of " << size
+            << " undetected";
+        data[byte] ^= static_cast<unsigned char>(1 << bit);
+      }
     }
   }
 }
@@ -67,6 +96,52 @@ TEST(Crc32, UpdateWithZeroBytesIsIdentity) {
   const std::uint32_t before = acc.value();
   acc.update(s, 0);
   EXPECT_EQ(acc.value(), before);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-1100 at start offsets 0-15: inputs under 64 bytes, exactly
+  // 64, every 1-15 byte tail after the 16-byte folds, and every alignment.
+  const std::vector<unsigned char> data = pattern(1100 + 16);
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const unsigned char* p = data.data() + offset;
+      if (crc32(p, len) != bitwise_crc32(p, len) && ++mismatches <= 5) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Crc32, IncrementalSplitsInsideFoldedBulkAndTail) {
+  // A first update ending anywhere (inside a folded block, on a 16-byte
+  // boundary, in the tail) leaves the register the second update resumes.
+  const std::vector<unsigned char> data = pattern(1100);
+  const std::uint32_t want = bitwise_crc32(data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 acc;
+    acc.update(data.data(), split);
+    acc.update(data.data() + split, data.size() - split);
+    EXPECT_EQ(acc.value(), want) << "split at " << split;
+  }
+  // Three pieces, each long enough to take the fold on its own.
+  for (const std::size_t a : {64, 65, 79, 100, 127, 128}) {
+    for (const std::size_t b : {64, 77, 96, 191, 200}) {
+      Crc32 acc;
+      acc.update(data.data(), a);
+      acc.update(data.data() + a, b);
+      acc.update(data.data() + a + b, data.size() - a - b);
+      EXPECT_EQ(acc.value(), want) << "pieces " << a << "+" << b;
+    }
+  }
+}
+
+TEST(Crc32, LargeBufferMatchesBitwiseReference) {
+  // A message-sized buffer with a 3-byte tail.
+  const std::vector<unsigned char> data = pattern((std::size_t{2} << 20) + 3);
+  EXPECT_EQ(crc32(data.data(), data.size()),
+            bitwise_crc32(data.data(), data.size()));
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <fstream>
 
 #include "circuit/builders.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "perf/runner.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -17,6 +19,29 @@ namespace {
 
 std::string tmp_path(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+/// CRC-32 of the state fed one double at a time in global amplitude order:
+/// the digest's definition, written without the block streamer.
+std::uint32_t per_amplitude_crc(const DistStateVector<SoaStorage>& sv) {
+  Crc32 crc;
+  for (amp_index g = 0; g < (amp_index{1} << sv.num_qubits()); ++g) {
+    const cplx a = sv.amplitude(g);
+    const real_t re = a.real();
+    const real_t im = a.imag();
+    crc.update(&re, sizeof re);
+    crc.update(&im, sizeof im);
+  }
+  return crc.value();
+}
+
+/// The payload CRC field of a v2 snapshot header.
+std::uint32_t header_crc(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(16);  // magic, version, qubit count
+  std::uint32_t crc = 0;
+  in.read(reinterpret_cast<char*>(&crc), sizeof crc);
+  return crc;
 }
 
 TEST(Snapshot, SingleEngineRoundTrip) {
@@ -347,6 +372,51 @@ TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {
   for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
     EXPECT_EQ(b.amplitude(i), a.amplitude(i));
   }
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
+  // state_digest, the CRC save_state writes into the header and a CRC fed
+  // one amplitude at a time name one stream, at every rank count and after
+  // a re-shard. 14 qubits span several 4096-amplitude blocks per slice at
+  // one rank and a fraction of one at eight; every restore path must read
+  // the file back to the same state.
+  const std::string path = tmp_path("snap_digest.qsv");
+  Rng rng(14);
+  const Circuit c = build_rcs(14, 5, rng);
+  auto check = [&](const DistStateVector<SoaStorage>& sv) {
+    const std::uint32_t want = per_amplitude_crc(sv);
+    char hex[16];
+    std::snprintf(hex, sizeof hex, "%08x", want);
+    EXPECT_EQ(state_digest(sv), hex);
+    save_state(path, sv);
+    EXPECT_EQ(header_crc(path), want);
+
+    DistStateVector<SoaStorage> full(14, sv.num_ranks() == 8 ? 1 : 8);
+    load_state(path, full);
+    EXPECT_EQ(per_amplitude_crc(full), want);
+    DistStateVector<SoaStorage> by_slice(14, sv.num_ranks());
+    for (rank_t r = 0; r < sv.num_ranks(); ++r) {
+      load_rank_slice(path, by_slice, r);
+    }
+    EXPECT_EQ(per_amplitude_crc(by_slice), want);
+    return want;
+  };
+  std::uint32_t first = 0;
+  for (const int ranks : {1, 2, 8}) {
+    DistStateVector<SoaStorage> sv(14, ranks);
+    sv.apply(c);
+    const std::uint32_t crc = check(sv);
+    if (ranks == 1) {
+      first = crc;
+    }
+    EXPECT_EQ(crc, first) << ranks << " ranks";
+  }
+  DistStateVector<SoaStorage> shrunk(14, 8);
+  shrunk.apply(c);
+  (void)shrunk.shrink_to_half(3);
+  ASSERT_EQ(shrunk.num_ranks(), 4);
+  EXPECT_EQ(check(shrunk), first);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "circuit/builders.hpp"
 #include "circuit/matrix.hpp"
@@ -201,6 +206,29 @@ TEST(StateVector, LayoutsAgreeOnRandomCircuit) {
   for (amp_index i = 0; i < soa.num_amps(); ++i) {
     EXPECT_NEAR(std::abs(soa.amplitude(i) - aos.amplitude(i)), 0, 1e-12);
   }
+}
+
+TEST(StateVector, ReductionsAreTheSameDoubleAtAnyThreadCount) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  StateVector sv(14);
+  Rng rng(7);
+  sv.init_random_state(rng);
+  auto reductions = [&](int threads) {
+    omp_set_num_threads(threads);
+    std::vector<real_t> out{sv.norm_sq()};
+    for (qubit_t q = 0; q < sv.num_qubits(); ++q) {
+      out.push_back(sv.probability_of_one(q));
+    }
+    return out;
+  };
+  const int saved = omp_get_max_threads();
+  const std::vector<real_t> one = reductions(1);
+  const std::vector<real_t> four = reductions(4);
+  omp_set_num_threads(saved);
+  EXPECT_EQ(one, four);
+#endif
 }
 
 TEST(StateVector, RejectsOutOfRange) {
