@@ -154,10 +154,14 @@ int main(int argc, char** argv) {
     grow_backs_total += stats.grow_backs;
     degraded_total += stats.final_ranks < stats.planned_ranks ? 1 : 0;
 
+    // Appended piecewise: GCC 12 misreports an operator+ chain here as an
+    // overlapping memcpy (-Wrestrict, GCC bug 105329).
     std::string tiers;
     for (const RecoveryTier tier : stats.tiers_used) {
-      tiers += (tiers.empty() ? "" : ",") +
-               std::string(recovery_tier_name(tier));
+      if (!tiers.empty()) {
+        tiers += ',';
+      }
+      tiers += recovery_tier_name(tier);
     }
     t.row({std::to_string(seed), schedule, tiers.empty() ? "-" : tiers,
            std::to_string(stats.final_ranks),

@@ -9,8 +9,12 @@
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
+#include "cluster/cluster.hpp"
+#include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
@@ -189,6 +193,42 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(64 << 10)->Arg(2 << 20);
+
+// One pairwise exchange of SoA slices through the virtual cluster, as a
+// full exchange runs it: each side packs straight into a message (CRC at
+// send), then each receive verifies the CRC and unpacks straight out of it.
+// Bytes are both directions: 64 KiB is a small-register slice, 2 MiB one
+// exchange chunk of the benchmark's exchange workload.
+void BM_PairExchange(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  const amp_index amps = bytes / kBytesPerAmp;
+  BasicStateVector<SoaStorage> a(bits::log2_exact(amps));
+  BasicStateVector<SoaStorage> b(bits::log2_exact(amps));
+  Rng rng(4);
+  a.init_random_state(rng);
+  b.init_random_state(rng);
+  SoaStorage recv_a(amps);
+  SoaStorage recv_b(amps);
+  VirtualCluster cluster(2, bytes);
+  for (auto _ : state) {
+    cluster.send(0, 1, bytes, 0, [&](std::span<std::byte> m) {
+      a.storage().pack(0, amps, m.data());
+    });
+    cluster.send(1, 0, bytes, 0, [&](std::span<std::byte> m) {
+      b.storage().pack(0, amps, m.data());
+    });
+    cluster.recv(0, 1, bytes, 0, [&](std::span<const std::byte> m) {
+      recv_b.unpack(0, amps, m.data());
+    });
+    cluster.recv(1, 0, bytes, 0, [&](std::span<const std::byte> m) {
+      recv_a.unpack(0, amps, m.data());
+    });
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * bytes));
+}
+BENCHMARK(BM_PairExchange)->Arg(64 << 10)->Arg(2 << 20);
 
 }  // namespace
 }  // namespace qsv

@@ -62,20 +62,34 @@ void VirtualCluster::enable_concurrent(std::size_t capacity_messages) {
 }
 
 void VirtualCluster::send(rank_t from, rank_t to,
-                          std::span<const std::byte> payload) {
-  send(from, to, payload, kAnyTag);
+                          std::span<const std::byte> payload, int tag) {
+  send(from, to, payload.size(), tag, [&](std::span<std::byte> b) {
+    std::copy(payload.begin(), payload.end(), b.begin());
+  });
 }
 
-void VirtualCluster::send(rank_t from, rank_t to,
-                          std::span<const std::byte> payload, int tag) {
+void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out,
+                          int tag) {
+  recv(from, to, out.size(), tag, [&](std::span<const std::byte> b) {
+    std::copy(b.begin(), b.end(), out.begin());
+  });
+}
+
+void VirtualCluster::recycle(std::deque<Message>& queue) {
+  for (Message& m : queue) {
+    free_.push_back(std::move(m.data));
+  }
+}
+
+void VirtualCluster::send(rank_t from, rank_t to, std::size_t bytes, int tag,
+                          const Fill& fill) {
   check_rank(from);
   check_rank(to);
   QSV_REQUIRE(from != to, "self-send is not a message (rank " +
                               std::to_string(from) + ")");
-  QSV_REQUIRE(payload.size() <= max_message_bytes_,
+  QSV_REQUIRE(bytes <= max_message_bytes_,
               "message " + std::to_string(from) + " -> " +
-                  std::to_string(to) + " of " +
-                  std::to_string(payload.size()) +
+                  std::to_string(to) + " of " + std::to_string(bytes) +
                   " bytes exceeds the MPI size cap of " +
                   std::to_string(max_message_bytes_) +
                   " bytes; chunk the payload");
@@ -107,16 +121,27 @@ void VirtualCluster::send(rank_t from, rank_t to,
     }
   }
 
-  // The payload copy and checksum are the expensive part of a send; they
-  // happen outside the lock so concurrent senders overlap. The checksum is
-  // computed over the bytes the sender handed us, *before* any in-flight
-  // corruption: that is what makes detection end-to-end.
-  Message msg;
+  // The fill and the checksum are the expensive part of a send; they happen
+  // outside the lock so concurrent senders overlap. The checksum covers the
+  // bytes the sender wrote, *before* any in-flight corruption: that is what
+  // makes detection end-to-end.
+  Message msg{{}, bytes, 0, tag};
   if (deliver) {
-    msg = Message{std::vector<std::byte>(payload.begin(), payload.end()),
-                  crc32(payload.data(), payload.size()), tag};
-    if (corrupt_in_flight && !msg.data.empty()) {
-      msg.data[msg.data.size() / 2] ^= std::byte{0x01};  // single bit flip
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      if (!free_.empty()) {
+        msg.data = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (msg.data.size() < bytes) {
+      msg.data = std::vector<std::byte>(bytes);  // first use at this size
+    }
+    const std::span<std::byte> payload{msg.data.data(), bytes};
+    fill(payload);
+    msg.crc = crc32(payload.data(), payload.size());
+    if (corrupt_in_flight && bytes > 0) {
+      payload[bytes / 2] ^= std::byte{0x01};  // single bit flip
     }
   }
 
@@ -124,9 +149,9 @@ void VirtualCluster::send(rank_t from, rank_t to,
   // The wire carries the message whether or not it arrives: dropped and
   // corrupted sends are real traffic (and get re-sent by the retry layer).
   ++stats_.messages;
-  stats_.bytes += payload.size();
+  stats_.bytes += bytes;
   stats_.max_message_bytes =
-      std::max<std::uint64_t>(stats_.max_message_bytes, payload.size());
+      std::max<std::uint64_t>(stats_.max_message_bytes, bytes);
   if (!deliver) {
     return;
   }
@@ -163,12 +188,8 @@ void VirtualCluster::send(rank_t from, rank_t to,
   }
 }
 
-void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out) {
-  recv(from, to, out, kAnyTag);
-}
-
-void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out,
-                          int tag) {
+void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
+                          const Drain& drain) {
   check_rank(from);
   check_rank(to);
   check_alive(from, to);
@@ -213,12 +234,12 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out,
                         std::to_string(max_message_bytes_) + " bytes)");
     }
     const auto it = queues_.find({from, to});
-    if (m->data.size() != out.size()) {
+    if (m->size != bytes) {
       const std::string detail =
           "recv " + std::to_string(from) + " -> " + std::to_string(to) +
-          ": buffer of " + std::to_string(out.size()) +
+          ": buffer of " + std::to_string(bytes) +
           " bytes does not match the queued message of " +
-          std::to_string(m->data.size()) + " bytes (queue depth " +
+          std::to_string(m->size) + " bytes (queue depth " +
           std::to_string(it->second.size()) + ", message cap " +
           std::to_string(max_message_bytes_) + " bytes)";
       QSV_REQUIRE(false, detail);
@@ -234,11 +255,16 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out,
     }
   }
   // End-to-end verification: recompute the checksum over what actually
-  // arrived and compare against what the sender computed. No injector state
-  // is consulted here. Copy + CRC run outside the lock.
-  std::copy(msg.data.begin(), msg.data.end(), out.begin());
-  const std::uint32_t got_crc = crc32(out.data(), out.size());
+  // arrived and compare against what the sender computed, before the
+  // payload goes anywhere. No injector state is consulted here. CRC and
+  // drain run outside the lock.
+  const std::span<const std::byte> payload{msg.data.data(), msg.size};
+  const std::uint32_t got_crc = crc32(payload.data(), payload.size());
+  if (got_crc == msg.crc) {
+    drain(payload);
+  }
   std::lock_guard<std::mutex> lk(m_);
+  free_.push_back(std::move(msg.data));
   if (got_crc != msg.crc) {
     ++stats_.checksum_failures;
     throw CommCorrupt("recv " + std::to_string(from) + " -> " +
@@ -257,11 +283,12 @@ std::size_t VirtualCluster::pending(rank_t from, rank_t to) const {
 
 void VirtualCluster::purge_pair(rank_t a, rank_t b) {
   std::lock_guard<std::mutex> lk(m_);
-  for (const auto key : {std::pair<rank_t, rank_t>{a, b},
-                         std::pair<rank_t, rank_t>{b, a}}) {
+  for (const auto& key : {std::pair<rank_t, rank_t>{a, b},
+                          std::pair<rank_t, rank_t>{b, a}}) {
     const auto it = queues_.find(key);
     if (it != queues_.end()) {
       in_flight_ -= it->second.size();
+      recycle(it->second);
       queues_.erase(it);
     }
   }
@@ -272,8 +299,8 @@ void VirtualCluster::purge_pair(rank_t a, rank_t b) {
 
 void VirtualCluster::purge_tag(rank_t a, rank_t b, int tag) {
   std::lock_guard<std::mutex> lk(m_);
-  for (const auto key : {std::pair<rank_t, rank_t>{a, b},
-                         std::pair<rank_t, rank_t>{b, a}}) {
+  for (const auto& key : {std::pair<rank_t, rank_t>{a, b},
+                          std::pair<rank_t, rank_t>{b, a}}) {
     const auto it = queues_.find(key);
     if (it == queues_.end()) {
       continue;
@@ -281,6 +308,7 @@ void VirtualCluster::purge_tag(rank_t a, rank_t b, int tag) {
     auto& q = it->second;
     for (auto m = q.begin(); m != q.end();) {
       if (m->tag == tag) {
+        free_.push_back(std::move(m->data));
         m = q.erase(m);
         --in_flight_;
       } else {
@@ -302,6 +330,7 @@ void VirtualCluster::purge_rank(rank_t rank) {
   for (auto it = queues_.begin(); it != queues_.end();) {
     if (it->first.first == rank || it->first.second == rank) {
       in_flight_ -= it->second.size();
+      recycle(it->second);
       it = queues_.erase(it);
     } else {
       ++it;
@@ -343,6 +372,9 @@ void VirtualCluster::grow_to(int new_num_ranks) {
 
 void VirtualCluster::reset_queues() {
   std::lock_guard<std::mutex> lk(m_);
+  for (auto& [key, queue] : queues_) {
+    recycle(queue);
+  }
   queues_.clear();
   in_flight_ = 0;
   if (concurrent_) {

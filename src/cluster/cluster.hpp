@@ -10,10 +10,14 @@
 //    rewrite posts all Isend/Irecv up front and waits once.
 //
 // The transport here is *functional*: messages are byte buffers delivered
-// through per-pair FIFO queues. Timing semantics (serialisation vs
-// pipelining, congestion) belong to the cost model, which consumes the
-// execution events the engine emits; the cluster records ground-truth
-// traffic counters that the trace backend must reproduce exactly.
+// through per-pair FIFO queues. The sender writes its payload straight into
+// message storage the cluster recycles, and the receiver reads it straight
+// out of that storage, so once the first exchange has sized the storage a
+// message costs no allocation and no staging copy. Timing semantics
+// (serialisation vs pipelining, congestion) belong to the cost model, which
+// consumes the execution events the engine emits; the cluster records
+// ground-truth traffic counters that the trace backend must reproduce
+// exactly.
 //
 // Two execution modes share this transport:
 //  * serial (default): the single-threaded engine orchestrates every send
@@ -47,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -129,39 +134,46 @@ class VirtualCluster {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
 
-  /// Posts one message from `from` to `to`. The payload is copied into the
-  /// queue (MPI buffered-send semantics) together with its sender-side
-  /// CRC-32. Throws if the payload exceeds the message cap — callers must
-  /// chunk. With an injector attached, the message may be dropped or have a
-  /// payload bit flipped per the fault plan, and messages touching a dead
-  /// rank throw NodeFailure.
-  void send(rank_t from, rank_t to, std::span<const std::byte> payload);
-
   /// MPI-style wildcard tag: recv(tag = kAnyTag) matches the oldest message
   /// regardless of its tag, and send(tag = kAnyTag) posts an untagged
   /// message (re-shard traffic is untagged).
   static constexpr int kAnyTag = -1;
 
-  /// Tagged send: like send(), but the message carries `tag` (>= 0) for the
-  /// receiver to match on. The exchange step tags each chunk with its chunk
-  /// index so completion is chunk-granular — a retry can purge and
-  /// re-request one chunk without touching healthy in-flight ones.
+  /// Writes a message's payload into the span it is handed (exactly the
+  /// message's size); reads a delivered payload out of it.
+  using Fill = std::function<void(std::span<std::byte>)>;
+  using Drain = std::function<void(std::span<const std::byte>)>;
+
+  /// Posts one `bytes`-byte message from `from` to `to`, tagged `tag` (>= 0,
+  /// or kAnyTag) for the receiver to match on. `fill` writes the payload
+  /// straight into recycled message storage (MPI buffered-send semantics:
+  /// the caller's memory is free again on return); the CRC-32 is computed
+  /// over the filled bytes. Throws if `bytes` exceeds the message cap —
+  /// callers must chunk. With an injector attached, the message may be
+  /// dropped (then `fill` is never called) or have a payload bit flipped
+  /// after its CRC, and messages touching a dead rank throw NodeFailure.
+  void send(rank_t from, rank_t to, std::size_t bytes, int tag,
+            const Fill& fill);
+
+  /// Pops the oldest message from `from` to `to` whose tag equals `tag`
+  /// (any message for kAnyTag), skipping non-matching ones — chunk k+1
+  /// landing first never satisfies the wait for chunk k. The message must
+  /// be exactly `bytes` long. Throws CommTimeout if no matching message is
+  /// queued when the watchdog deadline expires (a dropped message, or —
+  /// fault-free — an engine scheduling bug) and CommCorrupt when the
+  /// recomputed CRC-32 of the received bytes disagrees with the sender's.
+  /// Only a verified payload reaches `drain`: corrupt bytes never touch the
+  /// caller's memory. Detection is purely checksum-based: no injector state
+  /// is consulted.
+  void recv(rank_t from, rank_t to, std::size_t bytes, int tag,
+            const Drain& drain);
+
+  /// Span forms: copy `payload` in, or the delivered payload out into `out`
+  /// (which must be exactly the message's size).
   void send(rank_t from, rank_t to, std::span<const std::byte> payload,
-            int tag);
-
-  /// Pops the oldest message from `from` to `to` into `out`, which must be
-  /// exactly the message's size. Throws CommTimeout if no message is queued
-  /// when the watchdog deadline expires (a dropped message, or — fault-free
-  /// — an engine scheduling bug) and CommCorrupt when the recomputed CRC-32
-  /// of the received bytes disagrees with the sender's. Detection is purely
-  /// checksum-based: no injector state is consulted.
-  void recv(rank_t from, rank_t to, std::span<std::byte> out);
-
-  /// Tagged receive (MPI tag matching): pops the oldest queued message from
-  /// `from` to `to` whose tag equals `tag`, skipping non-matching ones —
-  /// chunk k+1 landing first never satisfies the wait for chunk k. Same
-  /// timeout/CRC semantics as the untagged form.
-  void recv(rank_t from, rank_t to, std::span<std::byte> out, int tag);
+            int tag = kAnyTag);
+  void recv(rank_t from, rank_t to, std::span<std::byte> out,
+            int tag = kAnyTag);
 
   /// Number of queued messages from `from` to `to`.
   [[nodiscard]] std::size_t pending(rank_t from, rank_t to) const;
@@ -233,9 +245,12 @@ class VirtualCluster {
 
  private:
   struct Message {
+    /// Recycled storage: at least `size` bytes, of which the first `size`
+    /// are the payload.
     std::vector<std::byte> data;
-    /// CRC-32 of the payload as the sender handed it over — computed before
-    /// any in-flight corruption, so the receiver's recompute catches it.
+    std::size_t size = 0;
+    /// CRC-32 of the payload as the sender wrote it — computed before any
+    /// in-flight corruption, so the receiver's recompute catches it.
     std::uint32_t crc = 0;
     /// Sender-assigned tag (kAnyTag for untagged traffic); an exchange
     /// chunk's index.
@@ -244,6 +259,8 @@ class VirtualCluster {
 
   void check_rank(rank_t r) const;
   void check_alive(rank_t from, rank_t to) const;
+  /// Returns a queue's message storage to free_ (caller holds m_).
+  void recycle(std::deque<Message>& queue);
 
   int num_ranks_;
   std::size_t max_message_bytes_;
@@ -251,13 +268,19 @@ class VirtualCluster {
   // Keyed by (from, to). A map keeps memory proportional to active pairs
   // rather than num_ranks^2.
   std::map<std::pair<rank_t, rank_t>, std::deque<Message>> queues_;
+  /// Storage of received and purged messages, handed to the next sends.
+  /// Never trimmed: its length is bounded by the peak number of messages in
+  /// flight at once, and each buffer only grows to the largest payload it
+  /// has carried.
+  std::vector<std::vector<std::byte>> free_;
   std::uint64_t in_flight_ = 0;
   CommStats stats_;
   FaultInjector* injector_ = nullptr;
 
-  // Concurrent-mode state. The single mutex guards queues_, in_flight_,
-  // stats_ and the barrier epoch; payload copies and CRC work happen
-  // outside it so senders and receivers overlap on the expensive part.
+  // Concurrent-mode state. The single mutex guards queues_, free_,
+  // in_flight_, stats_ and the barrier epoch; fills, drains and CRC work
+  // happen outside it so senders and receivers overlap on the expensive
+  // part.
   bool concurrent_ = false;
   std::size_t capacity_messages_ = std::numeric_limits<std::size_t>::max();
   mutable std::mutex m_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -170,17 +171,20 @@ bool pin_current_thread(int cpu) {
 namespace {
 
 #if defined(__linux__)
-/// Streams `buf` once and returns the elapsed seconds (memcpy into a small
-/// sink so the reads cannot be optimised away).
+/// Streams `buf` once and returns the elapsed seconds. Each 64-byte line
+/// read is folded into a volatile sink, so the reads cannot be optimised
+/// away (a result nothing uses lets the compiler delete the whole loop).
 double time_stream(const std::vector<char>& buf) {
-  char sink[64];
+  volatile std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i + sizeof sink <= buf.size(); i += 4096) {
-    std::memcpy(sink, buf.data() + i, sizeof sink);
-    // Data-dependence on the sink keeps the loop live.
-    if (sink[0] == 0x7f) {
-      buf.size();
+  for (std::size_t i = 0; i + 64 <= buf.size(); i += 4096) {
+    std::uint64_t line[8];
+    std::memcpy(line, buf.data() + i, sizeof line);
+    std::uint64_t folded = 0;
+    for (const std::uint64_t word : line) {
+      folded ^= word;
     }
+    sink = sink ^ folded;
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();

@@ -10,6 +10,25 @@
 #include "sv/kernels.hpp"
 
 namespace qsv {
+namespace {
+
+/// Copies `count` amplitudes of `from`, starting at `from_first`, into `to`
+/// at `to_first`: a re-shard move that stays on one host, so it sends no
+/// message and goes through a small bounce buffer instead.
+template <class S>
+void copy_amps(const S& from, amp_index from_first, S& to, amp_index to_first,
+               amp_index count) {
+  constexpr amp_index kBlock = amp_index{1} << 12;
+  std::vector<std::byte> bounce(
+      static_cast<std::size_t>(std::min(count, kBlock)) * kBytesPerAmp);
+  for (amp_index done = 0; done < count; done += kBlock) {
+    const amp_index n = std::min(kBlock, count - done);
+    from.pack(from_first + done, n, bounce.data());
+    to.unpack(to_first + done, n, bounce.data());
+  }
+}
+
+}  // namespace
 
 template <class S>
 DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
@@ -27,8 +46,6 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
               "each rank must hold at least 2 amplitudes (QuEST's rule)");
 
   const amp_index n_local = amp_index{1} << local_qubits_;
-  const std::size_t chunk_bytes = std::min<std::size_t>(
-      opts_.max_message_bytes, n_local * kBytesPerAmp);
 
   if (opts_.threading.enabled()) {
     QSV_REQUIRE(
@@ -68,16 +85,17 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     }
     cluster_.enable_concurrent(std::max<std::size_t>(1, capacity));
 
-    // First touch: each rank thread allocates and zero-fills its own slice,
-    // recv buffer and staging, so the pages land in the NUMA domain the
-    // thread was placed in.
+    // First touch: each rank thread allocates and zero-fills its own slice
+    // and recv buffer, so the pages land in the NUMA domain the thread was
+    // placed in.
     slices_.resize(static_cast<std::size_t>(num_ranks));
-    recv_bufs_.resize(static_cast<std::size_t>(num_ranks));
+    recv_bufs_.resize(static_cast<std::size_t>(num_ranks > 1 ? num_ranks : 0));
     stage_.resize(static_cast<std::size_t>(num_ranks));
     team_->run(num_ranks, [&](int r) {
       slices_[static_cast<std::size_t>(r)] = S(n_local);
-      recv_bufs_[static_cast<std::size_t>(r)] = S(n_local);
-      stage_[static_cast<std::size_t>(r)].msg.resize(chunk_bytes);
+      if (!recv_bufs_.empty()) {
+        recv_bufs_[static_cast<std::size_t>(r)] = S(n_local);
+      }
     });
   } else {
     slices_.reserve(num_ranks);
@@ -92,16 +110,14 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
 
 template <class S>
 void DistStateVector<S>::resize_buffers() {
+  // Only the combine kernels read a recv buffer, and one rank never
+  // exchanges, so a single rank owns none (per_node_bytes exempts it too).
   recv_bufs_.clear();
-  recv_bufs_.reserve(static_cast<std::size_t>(num_ranks()));
-  for (int r = 0; r < num_ranks(); ++r) {
-    recv_bufs_.emplace_back(local_amps());
-  }
-  // Workers beyond a shrunk width keep their (idle) staging sized too.
-  const std::size_t chunk = std::min<std::size_t>(
-      opts_.max_message_bytes, local_amps() * kBytesPerAmp);
-  for (std::size_t i = 0; i < (team_ != nullptr ? stage_.size() : 1); ++i) {
-    stage_[i].msg.resize(chunk);
+  if (num_ranks() > 1) {
+    recv_bufs_.reserve(static_cast<std::size_t>(num_ranks()));
+    for (int r = 0; r < num_ranks(); ++r) {
+      recv_bufs_.emplace_back(local_amps());
+    }
   }
 }
 
@@ -303,14 +319,11 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
   const auto end_of = [&](amp_index c) {
     return std::min((c + 1) * shape.chunk, shape.total);
   };
-  // Staging: per rank on the threaded engine, per side of the pair in
-  // flight on the serial one, which packs every message through stage_[0].
+  // Half-exchange staging: per rank on the threaded engine, per side of the
+  // pair in flight on the serial one.
   const auto stage = [&](std::size_t i) -> Stage& {
     return stage_[team_ != nullptr ? static_cast<std::size_t>(sides[i].me)
                                    : i];
-  };
-  const auto pack_buf = [&](std::size_t i) -> std::vector<std::byte>& {
-    return stage(team_ != nullptr ? i : 0).msg;
   };
   // A half exchange ships the amplitudes whose local bit disagrees with the
   // side's own bit of the distributed target; see kernels.hpp.
@@ -328,35 +341,40 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
 
   // Every message carries its chunk index as its tag. The serial engine
   // interleaves the two sides per chunk and lands each chunk's messages in
-  // posting order: side 0 sent first, so side 1 receives first.
+  // posting order: side 0 sent first, so side 1 receives first. A full
+  // exchange packs each chunk straight into the message and unpacks it
+  // straight out of it into the recv buffer.
   const auto post = [&](amp_index c) {
     const amp_index first = c * shape.chunk;
     const amp_index count = end_of(c) - first;
+    const int tag = static_cast<int>(c);
     for (std::size_t i = 0; i < sides.size(); ++i) {
-      std::span<const std::byte> payload;
+      const rank_t me = sides[i].me;
       if (shape.half) {
-        payload = {stage(i).out.data() + first, count};
+        cluster_.send(me, sides[i].peer, {stage(i).out.data() + first, count},
+                      tag);
       } else {
-        std::vector<std::byte>& buf = pack_buf(i);
-        payload = {buf.data(),
-                   slices_[sides[i].me].pack(first, count, buf.data())};
+        cluster_.send(me, sides[i].peer, count * kBytesPerAmp, tag,
+                      [&](std::span<std::byte> b) {
+                        slices_[me].pack(first, count, b.data());
+                      });
       }
-      cluster_.send(sides[i].me, sides[i].peer, payload, static_cast<int>(c));
     }
   };
   const auto land = [&](amp_index c) {
     const amp_index first = c * shape.chunk;
     const amp_index count = end_of(c) - first;
+    const int tag = static_cast<int>(c);
     for (std::size_t i = sides.size(); i-- > 0;) {
       const rank_t me = sides[i].me;
       if (shape.half) {
         cluster_.recv(sides[i].peer, me, {stage(i).in.data() + first, count},
-                      static_cast<int>(c));
+                      tag);
       } else {
-        std::vector<std::byte>& buf = pack_buf(i);
-        cluster_.recv(sides[i].peer, me, {buf.data(), count * kBytesPerAmp},
-                      static_cast<int>(c));
-        recv_bufs_[me].unpack(first, count, buf.data());
+        cluster_.recv(sides[i].peer, me, count * kBytesPerAmp, tag,
+                      [&](std::span<const std::byte> b) {
+                        recv_bufs_[me].unpack(first, count, b.data());
+                      });
       }
     }
   };
@@ -652,31 +670,32 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
       n_local,
       std::max<amp_index>(1, opts_.max_message_bytes / kBytesPerAmp));
 
-  std::vector<std::byte>& buf = stage_[0].msg;
   std::vector<S> merged;
   merged.reserve(static_cast<std::size_t>(plan.new_ranks));
   for (int n = 0; n < plan.new_ranks; ++n) {
     const rank_t lo = static_cast<rank_t>(2 * n);
     const rank_t hi = static_cast<rank_t>(2 * n + 1);
-    // The dead pair merges on its surviving member, and the rebuilt slice
-    // was read from the checkpoint straight onto that host — no network
-    // movement either way for this one pair.
-    const bool dead_pair = lo == dead_rank || hi == dead_rank;
     S s(n_local * 2);
-    for (amp_index first = 0; first < n_local; first += chunk_amps) {
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      slices_[lo].pack(first, count, buf.data());
-      s.unpack(first, count, buf.data());
-    }
-    for (amp_index first = 0; first < n_local; first += chunk_amps) {
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      const std::size_t bytes =
-          slices_[hi].pack(first, count, buf.data());
-      if (!dead_pair) {
-        cluster_.send(hi, lo, {buf.data(), bytes});
-        cluster_.recv(hi, lo, {buf.data(), bytes});
+    copy_amps(slices_[lo], 0, s, 0, n_local);
+    if (lo == dead_rank || hi == dead_rank) {
+      // The dead pair merges on its surviving member, and the rebuilt slice
+      // was read from the checkpoint straight onto that host — no network
+      // movement either way for this one pair.
+      copy_amps(slices_[hi], 0, s, n_local, n_local);
+    } else {
+      // Packed straight into each message, unpacked straight out of it.
+      for (amp_index first = 0; first < n_local; first += chunk_amps) {
+        const amp_index count = std::min(chunk_amps, n_local - first);
+        const std::size_t bytes = count * kBytesPerAmp;
+        cluster_.send(hi, lo, bytes, VirtualCluster::kAnyTag,
+                      [&](std::span<std::byte> b) {
+                        slices_[hi].pack(first, count, b.data());
+                      });
+        cluster_.recv(hi, lo, bytes, VirtualCluster::kAnyTag,
+                      [&](std::span<const std::byte> b) {
+                        s.unpack(n_local + first, count, b.data());
+                      });
       }
-      s.unpack(n_local + first, count, buf.data());
     }
     merged.push_back(std::move(s));
   }
@@ -709,7 +728,6 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   // the rollback shrink below) cannot race in-flight messages.
   cluster_.grow_to(plan.new_ranks);
 
-  std::vector<std::byte>& buf = stage_[0].msg;
   std::vector<S> grown;
   grown.resize(static_cast<std::size_t>(plan.new_ranks));
   try {
@@ -727,14 +745,10 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
     for (int n = 0; n < plan.old_ranks; ++n) {
       const rank_t lo = static_cast<rank_t>(2 * n);
       const rank_t hi = static_cast<rank_t>(2 * n + 1);
+      const S& survivor = slices_[static_cast<std::size_t>(n)];
+      S& revived = grown[static_cast<std::size_t>(hi)];
       // The low half stays resident on the survivor (new rank 2n).
-      for (amp_index first = 0; first < n_half; first += chunk_amps) {
-        const amp_index count = std::min(chunk_amps, n_half - first);
-        slices_[static_cast<std::size_t>(n)].pack(first, count,
-                                                  buf.data());
-        grown[static_cast<std::size_t>(lo)].unpack(first, count,
-                                                   buf.data());
-      }
+      copy_amps(survivor, 0, grown[static_cast<std::size_t>(lo)], 0, n_half);
       // The absorbed partner half ships to the revived rank 2n+1 through the
       // cluster — CRC-checked end-to-end and retried on transient faults
       // like any exchange, so a corrupted handoff payload is caught and
@@ -743,12 +757,15 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
                  plan.bytes_per_move, nullptr, [&](int) {
         for (amp_index first = 0; first < n_half; first += chunk_amps) {
           const amp_index count = std::min(chunk_amps, n_half - first);
-          const std::size_t bytes = slices_[static_cast<std::size_t>(n)].pack(
-              n_half + first, count, buf.data());
-          cluster_.send(lo, hi, {buf.data(), bytes});
-          cluster_.recv(lo, hi, {buf.data(), bytes});
-          grown[static_cast<std::size_t>(hi)].unpack(first, count,
-                                                     buf.data());
+          const std::size_t bytes = count * kBytesPerAmp;
+          cluster_.send(lo, hi, bytes, VirtualCluster::kAnyTag,
+                        [&](std::span<std::byte> b) {
+                          survivor.pack(n_half + first, count, b.data());
+                        });
+          cluster_.recv(lo, hi, bytes, VirtualCluster::kAnyTag,
+                        [&](std::span<const std::byte> b) {
+                          revived.unpack(first, count, b.data());
+                        });
         }
       });
     }

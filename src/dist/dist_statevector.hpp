@@ -5,7 +5,9 @@
 // node, as in all the paper's experiments); the top k qubits select the
 // rank. Every rank owns a communication buffer of the same size as its
 // slice — the paper's "additional buffers are required in the MPI
-// implementation, doubling the overall memory requirement".
+// implementation, doubling the overall memory requirement". A single rank
+// never exchanges and owns none, as the machine model's per_node_bytes
+// assumes.
 #pragma once
 
 #include <functional>
@@ -226,7 +228,7 @@ class DistStateVector {
   /// Measured NUMA ratio for this exchange: numa_ratio_ when any
   /// participating pair spans domains under the placement plan, else 1.0.
   [[nodiscard]] double exchange_numa_ratio(const OpPlan& plan) const;
-  /// Rebuilds the recv buffers and packing chunks for the current width.
+  /// Rebuilds the recv buffers for the current width.
   void resize_buffers();
   void apply_sweep_run(const Circuit& c, std::size_t first,
                        std::size_t count);
@@ -252,13 +254,14 @@ class DistStateVector {
   DistOptions opts_;
   VirtualCluster cluster_;
   std::vector<S> slices_;       // one per rank
-  std::vector<S> recv_bufs_;    // the doubling MPI buffers
-  /// Pooled exchange staging: a packing area for one message, and the
-  /// half-exchange payloads (grown on first use). The threaded engine keeps
-  /// one per rank; the serial engine one per side of the pair in flight,
-  /// and packs every message (re-shard traffic too) through stage_[0].msg.
+  std::vector<S> recv_bufs_;    // the doubling MPI buffers; none on one rank
+  /// Half-exchange payloads, gathered whole before the first chunk is sent
+  /// and scattered as chunks land (grown on first use). The threaded engine
+  /// keeps one per rank, the serial engine one per side of the pair in
+  /// flight. A full exchange needs none: it packs straight into the
+  /// cluster's message storage and unpacks straight out of it.
   struct Stage {
-    std::vector<std::byte> msg, out, in;
+    std::vector<std::byte> out, in;
   };
   std::vector<Stage> stage_;
   /// Ranks-as-threads runtime (null on the serial engine).

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -333,6 +335,102 @@ TEST(Cluster, ShrinkToRejectsBadWidthsAndBusyClusters) {
   c.recv(0, 1, b);
   c.shrink_to(2);                        // quiescent again: allowed
   EXPECT_EQ(c.num_ranks(), 2);
+}
+
+/// `n` bytes of a pattern that differs between seeds.
+std::vector<std::byte> pattern(std::size_t n, int seed) {
+  std::vector<std::byte> p(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<std::byte>(i * 131u + static_cast<unsigned>(seed) * 29u);
+  }
+  return p;
+}
+
+TEST(Cluster, RecycledStorageIsInvisibleToDelivery) {
+  // One pair, one message at a time, so every send after the first reuses
+  // the storage of a corrupted, smaller, dropped-around or purged message.
+  FaultInjector inj(parse_fault_plan("corrupt@1,drop@4"));
+  VirtualCluster c(2, 1024);
+  c.set_fault_injector(&inj);
+  std::vector<std::byte> got;
+
+  // 1: corrupted in flight.
+  c.send(0, 1, pattern(512, 1));
+  got.assign(512, std::byte{0});
+  EXPECT_THROW(c.recv(0, 1, got), CommCorrupt);
+
+  // 2, 3: a smaller message in the larger message's storage, then a larger
+  // one. The size checks see the payload, not the storage behind it.
+  const std::vector<std::byte> small = pattern(3, 2);
+  c.send(0, 1, small);
+  got.assign(4, std::byte{0});
+  EXPECT_THROW(c.recv(0, 1, got), Error);
+  got.assign(512, std::byte{0});
+  EXPECT_THROW(c.recv(0, 1, got), Error);
+  got.assign(3, std::byte{0});
+  c.recv(0, 1, got);
+  EXPECT_EQ(got, small);
+  const std::vector<std::byte> large = pattern(1024, 3);
+  c.send(0, 1, large);
+  got.assign(1024, std::byte{0});
+  c.recv(0, 1, got);
+  EXPECT_EQ(got, large);
+
+  // 4: dropped, so never filled, and its receive times out.
+  bool filled = false;
+  c.send(0, 1, 100, VirtualCluster::kAnyTag,
+         [&](std::span<std::byte>) { filled = true; });
+  EXPECT_FALSE(filled);
+  got.assign(100, std::byte{0});
+  EXPECT_THROW(c.recv(0, 1, got), CommTimeout);
+
+  // 5: purged by tag before anyone received it.
+  c.send(0, 1, pattern(200, 5), 7);
+  c.purge_tag(0, 1, 7);
+  EXPECT_TRUE(c.quiescent());
+
+  // 6: the re-send, through the fill and drain forms.
+  const std::vector<std::byte> resent = pattern(200, 6);
+  c.send(0, 1, resent.size(), 7, [&](std::span<std::byte> b) {
+    ASSERT_EQ(b.size(), resent.size());
+    std::copy(resent.begin(), resent.end(), b.begin());
+  });
+  got.clear();
+  c.recv(0, 1, resent.size(), 7, [&](std::span<const std::byte> b) {
+    got.assign(b.begin(), b.end());
+  });
+  EXPECT_EQ(got, resent);
+  got.assign(200, std::byte{0});
+  EXPECT_THROW(c.recv(0, 1, got, 7), CommTimeout);
+
+  EXPECT_EQ(c.stats().messages, 6u);
+  EXPECT_EQ(c.stats().delivered, 3u);
+  EXPECT_EQ(c.stats().checksum_failures, 1u);
+  EXPECT_EQ(inj.totals().corrupted, 1u);
+  EXPECT_EQ(inj.totals().dropped, 1u);
+}
+
+TEST(Cluster, CorruptPayloadNeverReachesTheReceiversMemory) {
+  FaultPlan plan;
+  plan.corrupt_prob = 1.0;
+  FaultInjector inj(plan);
+  VirtualCluster c(2, 1024);
+  c.set_fault_injector(&inj);
+  const std::vector<std::byte> sentinel(64, std::byte{0xA5});
+
+  c.send(0, 1, pattern(64, 1));
+  std::vector<std::byte> out = sentinel;
+  EXPECT_THROW(c.recv(0, 1, out), CommCorrupt);
+  EXPECT_EQ(out, sentinel);
+
+  c.send(0, 1, pattern(64, 2));
+  bool drained = false;
+  EXPECT_THROW(c.recv(0, 1, 64, VirtualCluster::kAnyTag,
+                      [&](std::span<const std::byte>) { drained = true; }),
+               CommCorrupt);
+  EXPECT_FALSE(drained);
+  EXPECT_EQ(c.stats().checksum_failures, 2u);
+  EXPECT_TRUE(c.quiescent());
 }
 
 TEST(Cluster, PolicyNames) {

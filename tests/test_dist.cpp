@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
+
 #include "circuit/builders.hpp"
 #include "circuit/locality.hpp"
 #include "circuit/matrix.hpp"
@@ -207,6 +211,10 @@ TEST(Dist, EventListenerSeesEveryGate) {
       case ExecEvent::Kind::kSweep:
         announced += static_cast<std::size_t>(e.sweep_gates);
         break;
+      case ExecEvent::Kind::kGuard:
+      case ExecEvent::Kind::kRecovery:
+      case ExecEvent::Kind::kWarning:
+        break;
     }
   }
   EXPECT_EQ(per_gate, qft.size());
@@ -239,6 +247,33 @@ TEST(Dist, DistributedUnitary2MatchesSingle) {
   d.apply(one_high);
   d.apply(two_high);
   EXPECT_LT(ref.max_amp_diff(d.gather()), 1e-12);
+}
+
+TEST(Dist, SteadyStateExchangesFaultInNoPages) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts minor page faults with Linux getrusage";
+#else
+  const auto minor_faults = [] {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return u.ru_minflt;
+  };
+  for (const CommPolicy policy : {CommPolicy::kBlocking,
+                                  CommPolicy::kNonBlocking,
+                                  CommPolicy::kOverlapped}) {
+    SCOPED_TRACE(comm_policy_name(policy));
+    DistOptions o;
+    o.policy = policy;
+    // 2 MiB slices: each distributed H moves 8 MiB, 2,048 pages' worth.
+    DistStateVectorSoa d(19, 4, o);
+    d.apply(make_h(18));  // warm-up: sizes the message storage
+    const long before = minor_faults();
+    for (int i = 0; i < 14; ++i) {
+      d.apply(make_h(i % 2 == 0 ? 17 : 18));
+    }
+    EXPECT_LT(minor_faults() - before, 512);
+  }
+#endif
 }
 
 }  // namespace

@@ -172,6 +172,10 @@ TEST(GrowBack, ToFullRepeatsTheDoubling) {
   EXPECT_EQ(plans.size(), 2u);
   EXPECT_EQ(sv.num_ranks(), 4);
   expect_global_identical(clean, sv);
+  // One rank owns no recv buffer; the regrown engine exchanges again.
+  sv.apply(make_h(5));
+  clean.apply(make_h(5));
+  expect_global_identical(clean, sv);
 }
 
 TEST(GrowBack, ThreadedEngineRefusesToGrowBeyondConstructedWidth) {

@@ -74,8 +74,8 @@ TEST(ServeJson, RejectsHostileInput) {
 
 TEST(ServeJson, TypedAccessorsThrowOnMismatch) {
   const Json j = parse_json(R"({"circuit":42})");
-  EXPECT_THROW(j.find("circuit")->as_string(), ProtocolError);
-  EXPECT_THROW(j.find("circuit")->as_object(), ProtocolError);
+  EXPECT_THROW((void)j.find("circuit")->as_string(), ProtocolError);
+  EXPECT_THROW((void)j.find("circuit")->as_object(), ProtocolError);
   EXPECT_EQ(j.find("circuit")->as_number(), 42);
 }
 
