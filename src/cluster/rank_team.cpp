@@ -4,21 +4,17 @@
 #include <chrono>
 
 #include "common/error.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "common/parallel.hpp"
 
 namespace qsv {
 
-RankTeam::RankTeam(int num_workers, PlacementPlan plan,
-                   int omp_threads_per_worker)
-    : plan_(std::move(plan)),
-      omp_threads_per_worker_(omp_threads_per_worker) {
+RankTeam::RankTeam(int num_workers, PlacementPlan plan)
+    : plan_(std::move(plan)) {
   QSV_REQUIRE(num_workers >= 1, "rank team needs at least one worker");
   QSV_REQUIRE(plan_.domain_of_rank.size() >=
                   static_cast<std::size_t>(num_workers),
               "placement plan covers fewer ranks than the team has workers");
+  worker_width_ = std::max(1, loop_width() / num_workers);
   errors_.resize(static_cast<std::size_t>(num_workers));
   pair_slots_.resize(static_cast<std::size_t>(num_workers));
   for (auto& slot : pair_slots_) {
@@ -28,7 +24,7 @@ RankTeam::RankTeam(int num_workers, PlacementPlan plan,
   for (int w = 0; w < num_workers; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
   }
-  // Wait for every worker to finish its init (pinning, OpenMP width) so
+  // Wait for every worker to finish its init (pinning, loop width) so
   // pinned() is final once construction returns and first-touch work
   // dispatched immediately after lands on already-placed threads.
   std::unique_lock<std::mutex> lk(m_);
@@ -53,13 +49,10 @@ void RankTeam::worker_main(int index) {
     did_pin =
         pin_current_thread(plan_.cpu_of_rank[static_cast<std::size_t>(index)]);
   }
-#ifdef _OPENMP
-  if (omp_threads_per_worker_ > 0) {
-    // Per-thread ICV: nested parallel regions opened by this worker's
-    // kernels get its share of the machine, not the whole of it.
-    omp_set_num_threads(omp_threads_per_worker_);
-  }
-#endif
+  // A new thread starts at the process default width, not the
+  // constructing thread's; the loops this worker's kernels open get its
+  // share of the caller's width instead.
+  set_loop_width(worker_width_);
   std::uint64_t seen = 0;
   {
     std::lock_guard<std::mutex> lk(m_);

@@ -36,12 +36,11 @@ namespace qsv {
 class RankTeam {
  public:
   /// Spawns `num_workers` threads placed per `plan` (workers pin themselves
-  /// where the plan names CPUs; failures are recorded, not fatal).
-  /// `omp_threads_per_worker` caps each worker's nested OpenMP width so
-  /// rank-parallel kernels do not oversubscribe the machine; <= 0 leaves
-  /// the OpenMP default untouched.
-  RankTeam(int num_workers, PlacementPlan plan,
-           int omp_threads_per_worker = 0);
+  /// where the plan names CPUs; failures are recorded, not fatal). Each
+  /// worker's loop width (common/parallel.hpp) is the constructing thread's
+  /// width divided by `num_workers`, at least 1, so rank-parallel kernels
+  /// share the CPUs the caller may use instead of oversubscribing them.
+  RankTeam(int num_workers, PlacementPlan plan);
   ~RankTeam();
 
   RankTeam(const RankTeam&) = delete;
@@ -82,7 +81,7 @@ class RankTeam {
   PlacementPlan plan_;
   std::vector<std::thread> threads_;
   int pinned_ = 0;
-  int omp_threads_per_worker_ = 0;
+  int worker_width_ = 1;
 
   // Fork/join state: a generation counter publishes jobs; workers with
   // index < job_count_ execute and report back through done_.

@@ -65,10 +65,7 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     } else if (numa_domains_ > 1) {
       numa_ratio_ = measure_numa_bandwidth_ratio(topo);
     }
-    // Each rank thread gets an equal share of the machine for its nested
-    // OpenMP kernels, so rank-parallelism does not oversubscribe.
-    const int omp_share = std::max(1, topo.total_cpus / num_ranks);
-    team_ = std::make_unique<RankTeam>(num_ranks, std::move(plan), omp_share);
+    team_ = std::make_unique<RankTeam>(num_ranks, std::move(plan));
 
     // Mailbox capacity: one full exchange direction at the widest slice any
     // shrink can reach (half the state), so the non-blocking policy (all

@@ -9,16 +9,16 @@
 // Index convention: global amplitude index = (rank_bits << local_qubits) |
 // local index; bit q of the global index is the basis value of qubit q.
 //
-// Hot dense kernels (matrix1/matrix2/swap/phase/rz) are layered: when the
-// slice type exposes raw contiguous storage (sv/simd/simd.hpp span
-// concepts), they dispatch through the runtime-selected SIMD backend table;
-// the templated get/set loops below remain as the generic fallback for
-// slice types without span access. Backends are bit-identical, so the
-// routing never changes results (docs/KERNELS.md).
+// A slice must expose raw contiguous storage (sv/simd/simd.hpp span
+// concepts). The hot dense kernels (matrix1/matrix2/swap/phase/rz) run on
+// those spans: on the SoA layout through the runtime-selected SIMD backend
+// table, on the AoS layout through the scalar AoS kernels. Backends are
+// bit-identical, so the routing never changes results (docs/KERNELS.md).
 #pragma once
 
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <utility>
 
 #include "circuit/gate.hpp"
@@ -26,6 +26,7 @@
 #include "circuit/matrix.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/storage.hpp"
 
@@ -53,136 +54,43 @@ struct SplitMask {
 
 /// Applies a 2x2 matrix to a local target with an optional local control
 /// mask. High controls must already be satisfied (caller's responsibility).
-template <class S>
+template <simd::SpanAccess S>
 void apply_matrix1(S& s, int target, const Mat2& u, amp_index local_ctrl_mask) {
   if constexpr (simd::SoaSpanAccess<S>) {
     simd::ops().matrix1_soa(simd::soa_span(s), target, u, local_ctrl_mask);
-    return;
-  } else if constexpr (simd::AosSpanAccess<S>) {
-    simd::ops().matrix1_aos(simd::aos_span(s), target, u, local_ctrl_mask);
-    return;
-  }
-  const amp_index pairs = s.size() / 2;
-  const cplx u00 = u.m[0][0];
-  const cplx u01 = u.m[0][1];
-  const cplx u10 = u.m[1][0];
-  const cplx u11 = u.m[1][1];
-
-  if (local_ctrl_mask == 0) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t k = 0; k < static_cast<std::int64_t>(pairs); ++k) {
-      const amp_index i0 = bits::insert_zero_bit(static_cast<amp_index>(k), target);
-      const amp_index i1 = bits::set_bit(i0, target);
-      const cplx a0 = s.get(i0);
-      const cplx a1 = s.get(i1);
-      s.set(i0, u00 * a0 + u01 * a1);
-      s.set(i1, u10 * a0 + u11 * a1);
-    }
-    return;
-  }
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t k = 0; k < static_cast<std::int64_t>(pairs); ++k) {
-    const amp_index i0 = bits::insert_zero_bit(static_cast<amp_index>(k), target);
-    if (!bits::all_set(i0, local_ctrl_mask)) {
-      continue;
-    }
-    const amp_index i1 = bits::set_bit(i0, target);
-    const cplx a0 = s.get(i0);
-    const cplx a1 = s.get(i1);
-    s.set(i0, u00 * a0 + u01 * a1);
-    s.set(i1, u10 * a0 + u11 * a1);
+  } else {
+    simd::matrix1_aos(simd::aos_span(s), target, u, local_ctrl_mask);
   }
 }
 
 /// Applies a 4x4 matrix to two local targets (a = low subspace bit, b =
 /// high subspace bit) with an optional local control mask.
-template <class S>
+template <simd::SpanAccess S>
 void apply_matrix2(S& s, int a, int b, const Mat4& u,
                    amp_index local_ctrl_mask) {
   QSV_REQUIRE(a != b, "unitary2 targets must differ");
   if constexpr (simd::SoaSpanAccess<S>) {
     simd::ops().matrix2_soa(simd::soa_span(s), a, b, u, local_ctrl_mask);
-    return;
-  } else if constexpr (simd::AosSpanAccess<S>) {
-    simd::ops().matrix2_aos(simd::aos_span(s), a, b, u, local_ctrl_mask);
-    return;
-  }
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  const amp_index quads = s.size() / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t k = 0; k < static_cast<std::int64_t>(quads); ++k) {
-    const amp_index base =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    if (!bits::all_set(base, local_ctrl_mask)) {
-      continue;
-    }
-    // Subspace index order follows (bit b, bit a).
-    amp_index idx[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      amp_index i = base;
-      if (sub & 1) {
-        i = bits::set_bit(i, a);
-      }
-      if (sub & 2) {
-        i = bits::set_bit(i, b);
-      }
-      idx[sub] = i;
-    }
-    cplx in[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      in[sub] = s.get(idx[sub]);
-    }
-    for (int row = 0; row < 4; ++row) {
-      cplx acc = 0;
-      for (int col = 0; col < 4; ++col) {
-        acc += u.m[row][col] * in[col];
-      }
-      s.set(idx[row], acc);
-    }
+  } else {
+    simd::matrix2_aos(simd::aos_span(s), a, b, u, local_ctrl_mask);
   }
 }
 
 /// SWAP of two local qubits.
-template <class S>
+template <simd::SpanAccess S>
 void apply_swap_local(S& s, int a, int b) {
   QSV_REQUIRE(a != b, "swap targets must differ");
   if constexpr (simd::SoaSpanAccess<S>) {
     simd::ops().swap_soa(simd::soa_span(s), a, b);
-    return;
-  } else if constexpr (simd::AosSpanAccess<S>) {
-    simd::ops().swap_aos(simd::aos_span(s), a, b);
-    return;
-  }
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  const amp_index quads = s.size() / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t k = 0; k < static_cast<std::int64_t>(quads); ++k) {
-    // Enumerate indices with bit lo = 1, bit hi = 0; exchange with the
-    // partner that has lo = 0, hi = 1.
-    amp_index i = bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    i = bits::set_bit(i, lo);
-    const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-    const cplx ai = s.get(i);
-    s.set(i, s.get(j));
-    s.set(j, ai);
+  } else {
+    simd::swap_aos(simd::aos_span(s), a, b);
   }
 }
 
 /// Multiplies every amplitude whose global index has all bits of `mask` set
 /// by `factor`. `mask` may include high bits; the caller passes the global
 /// mask and the slice's rank_bits.
-template <class S>
+template <simd::SpanAccess S>
 void apply_phase_mask(S& s, amp_index global_mask, cplx factor,
                       int local_qubits, amp_index rank_bits) {
   const amp_index high_mask = global_mask >> local_qubits;
@@ -193,25 +101,14 @@ void apply_phase_mask(S& s, amp_index global_mask, cplx factor,
       global_mask & ((amp_index{1} << local_qubits) - 1);
   if constexpr (simd::SoaSpanAccess<S>) {
     simd::ops().phase_soa(simd::soa_span(s), local_mask, factor);
-    return;
-  } else if constexpr (simd::AosSpanAccess<S>) {
-    simd::ops().phase_aos(simd::aos_span(s), local_mask, factor);
-    return;
-  }
-  const amp_index n = s.size();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (bits::all_set(static_cast<amp_index>(i), local_mask)) {
-      s.set(i, s.get(i) * factor);
-    }
+  } else {
+    simd::phase_aos(simd::aos_span(s), local_mask, factor);
   }
 }
 
 /// Rz: phases both halves of the target (no control support needed beyond
 /// the mask, which gates the whole update).
-template <class S>
+template <simd::SpanAccess S>
 void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
               int local_qubits, amp_index rank_bits) {
   const cplx f0 = std::polar<real_t>(1, -theta / 2);
@@ -222,7 +119,6 @@ void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
   }
   const amp_index local_ctrl =
       ctrl_global & ((amp_index{1} << local_qubits) - 1);
-  const amp_index n = s.size();
 
   // The target may itself be a high bit: the whole slice is then one half
   // and the update degenerates to a mask-gated uniform phase.
@@ -231,38 +127,16 @@ void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
         bits::bit(rank_bits, target_global - local_qubits) ? f1 : f0;
     if constexpr (simd::SoaSpanAccess<S>) {
       simd::ops().phase_soa(simd::soa_span(s), local_ctrl, f);
-      return;
-    } else if constexpr (simd::AosSpanAccess<S>) {
-      simd::ops().phase_aos(simd::aos_span(s), local_ctrl, f);
-      return;
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-      if (bits::all_set(static_cast<amp_index>(i), local_ctrl)) {
-        s.set(i, s.get(i) * f);
-      }
+    } else {
+      simd::phase_aos(simd::aos_span(s), local_ctrl, f);
     }
     return;
   }
 
   if constexpr (simd::SoaSpanAccess<S>) {
     simd::ops().rz_soa(simd::soa_span(s), target_global, f0, f1, local_ctrl);
-    return;
-  } else if constexpr (simd::AosSpanAccess<S>) {
-    simd::ops().rz_aos(simd::aos_span(s), target_global, f0, f1, local_ctrl);
-    return;
-  }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (!bits::all_set(static_cast<amp_index>(i), local_ctrl)) {
-      continue;
-    }
-    const cplx f = bits::bit(static_cast<amp_index>(i), target_global) ? f1 : f0;
-    s.set(i, s.get(i) * f);
+  } else {
+    simd::rz_aos(simd::aos_span(s), target_global, f0, f1, local_ctrl);
   }
 }
 
@@ -290,36 +164,34 @@ void apply_fused_phase(S& s, const Gate& g, int local_qubits,
     }
   }
 
-  const amp_index n = s.size();
   const bool target_high = t >= local_qubits;
   if (target_high && bits::bit(rank_bits, t - local_qubits) == 0) {
     return;  // target bit is 0 across the whole slice: identity
   }
 
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t ii = 0; ii < static_cast<std::int64_t>(n); ++ii) {
-    const amp_index i = static_cast<amp_index>(ii);
-    if (!target_high && bits::bit(i, t) == 0) {
-      continue;
-    }
-    real_t phase = high_phase;
-    for (const auto& [c, theta] : local_ctrls) {
-      if (bits::bit(i, c)) {
-        phase += theta;
-      }
-    }
-    if (phase != 0) {
-      s.set(i, s.get(i) * std::polar<real_t>(1, phase));
-    }
-  }
+  const std::span<const std::pair<int, real_t>> ctrls(local_ctrls);
+  parallel_for(static_cast<std::int64_t>(s.size()),
+               [=, &s](std::int64_t ii) {
+                 const amp_index i = static_cast<amp_index>(ii);
+                 if (!target_high && bits::bit(i, t) == 0) {
+                   return;
+                 }
+                 real_t phase = high_phase;
+                 for (const auto& [c, theta] : ctrls) {
+                   if (bits::bit(i, c)) {
+                     phase += theta;
+                   }
+                 }
+                 if (phase != 0) {
+                   s.set(i, s.get(i) * std::polar<real_t>(1, phase));
+                 }
+               });
 }
 
 /// Applies any gate that is not distributed for this decomposition.
 /// Handles local-memory pair updates, all diagonal gates (including those
 /// whose operands live in the rank bits) and local SWAPs.
-template <class S>
+template <simd::SpanAccess S>
 void apply_gate_slice(S& s, const Gate& g, int local_qubits,
                       amp_index rank_bits) {
   QSV_REQUIRE(classify_gate(g, local_qubits) != GateLocality::kDistributed,
@@ -424,17 +296,14 @@ void combine_matrix1_range(S& mine, const S& theirs, int my_row, const Mat2& u,
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
   const cplx diag = u.m[my_row][my_row];
   const cplx off = u.m[my_row][1 - my_row];
-  const std::int64_t lo = static_cast<std::int64_t>(first);
-  const std::int64_t hi = static_cast<std::int64_t>(first + count);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = lo; i < hi; ++i) {
-    if (!bits::all_set(static_cast<amp_index>(i), local_ctrl_mask)) {
-      continue;
-    }
-    mine.set(i, diag * mine.get(i) + off * theirs.get(i));
-  }
+  parallel_for(static_cast<std::int64_t>(count),
+               [=, &mine, &theirs](std::int64_t k) {
+                 const amp_index i = first + static_cast<amp_index>(k);
+                 if (!bits::all_set(i, local_ctrl_mask)) {
+                   return;
+                 }
+                 mine.set(i, diag * mine.get(i) + off * theirs.get(i));
+               });
 }
 
 template <class S>
@@ -458,17 +327,13 @@ void combine_swap_one_high_range(S& mine, const S& theirs, int a,
                                  amp_index count) {
   QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  const std::int64_t lo = static_cast<std::int64_t>(first);
-  const std::int64_t hi = static_cast<std::int64_t>(first + count);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t ii = lo; ii < hi; ++ii) {
-    const amp_index i = static_cast<amp_index>(ii);
-    if (bits::bit(i, a) != my_high_bit) {
-      mine.set(i, theirs.get(bits::flip_bit(i, a)));
-    }
-  }
+  parallel_for(static_cast<std::int64_t>(count),
+               [=, &mine, &theirs](std::int64_t k) {
+                 const amp_index i = first + static_cast<amp_index>(k);
+                 if (bits::bit(i, a) != my_high_bit) {
+                   mine.set(i, theirs.get(bits::flip_bit(i, a)));
+                 }
+               });
 }
 
 template <class S>
@@ -483,14 +348,11 @@ void combine_swap_two_high_range(S& mine, const S& theirs, amp_index first,
                                  amp_index count) {
   QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  const std::int64_t lo = static_cast<std::int64_t>(first);
-  const std::int64_t hi = static_cast<std::int64_t>(first + count);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = lo; i < hi; ++i) {
-    mine.set(i, theirs.get(i));
-  }
+  parallel_for(static_cast<std::int64_t>(count),
+               [=, &mine, &theirs](std::int64_t k) {
+                 const amp_index i = first + static_cast<amp_index>(k);
+                 mine.set(i, theirs.get(i));
+               });
 }
 
 template <class S>
@@ -512,21 +374,18 @@ void combine_swap_two_high(S& mine, const S& theirs) {
 /// as interleaved (re, im) doubles.
 template <class S>
 void gather_half(const S& src, int a, int value, std::byte* out) {
-  const amp_index halves = src.size() / 2;
-  real_t* o = reinterpret_cast<real_t*>(out);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t kk = 0; kk < static_cast<std::int64_t>(halves); ++kk) {
-    const amp_index k = static_cast<amp_index>(kk);
-    amp_index i = bits::insert_zero_bit(k, a);
-    if (value) {
-      i = bits::set_bit(i, a);
-    }
-    const cplx v = src.get(i);
-    o[2 * k] = v.real();
-    o[2 * k + 1] = v.imag();
-  }
+  real_t* const o = reinterpret_cast<real_t*>(out);
+  parallel_for(static_cast<std::int64_t>(src.size() / 2),
+               [=, &src](std::int64_t kk) {
+                 const amp_index k = static_cast<amp_index>(kk);
+                 amp_index i = bits::insert_zero_bit(k, a);
+                 if (value) {
+                   i = bits::set_bit(i, a);
+                 }
+                 const cplx v = src.get(i);
+                 o[2 * k] = v.real();
+                 o[2 * k + 1] = v.imag();
+               });
 }
 
 /// Inverse of gather_half: writes the packed stream into amplitudes whose
@@ -541,20 +400,16 @@ void scatter_half_range(S& dst, int a, int value, const std::byte* in,
                         amp_index first, amp_index count) {
   QSV_REQUIRE(first + count <= dst.size() / 2,
               "scatter region out of range");
-  const real_t* p = reinterpret_cast<const real_t*>(in);
-  const std::int64_t lo = static_cast<std::int64_t>(first);
-  const std::int64_t hi = static_cast<std::int64_t>(first + count);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t kk = lo; kk < hi; ++kk) {
-    const amp_index k = static_cast<amp_index>(kk);
-    amp_index i = bits::insert_zero_bit(k, a);
-    if (value) {
-      i = bits::set_bit(i, a);
-    }
-    dst.set(i, cplx{p[2 * k], p[2 * k + 1]});
-  }
+  const real_t* const p = reinterpret_cast<const real_t*>(in);
+  parallel_for(static_cast<std::int64_t>(count),
+               [=, &dst](std::int64_t kk) {
+                 const amp_index k = first + static_cast<amp_index>(kk);
+                 amp_index i = bits::insert_zero_bit(k, a);
+                 if (value) {
+                   i = bits::set_bit(i, a);
+                 }
+                 dst.set(i, cplx{p[2 * k], p[2 * k + 1]});
+               });
 }
 
 template <class S>

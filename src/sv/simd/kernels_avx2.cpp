@@ -16,11 +16,11 @@
 // does not matter).
 //
 // Anything without a vector path here (control masks on dense kernels, tiny
-// spans, low swap/matrix2 strides, and the whole interleaved AoS layout,
-// which split lanes do not fit) forwards to the scalar backend's entry.
+// spans, low swap/matrix2 strides) forwards to the scalar backend's entry.
 #include <immintrin.h>
 
 #include "common/bits.hpp"
+#include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 
 namespace qsv::simd {
@@ -82,36 +82,28 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   if (target >= 2) {
     const int64_t stride = int64_t{1} << target;
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; off += 4) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const v4d a0r = _mm256_loadu_pd(re + i0);
-        const v4d a0i = _mm256_loadu_pd(im + i0);
-        const v4d a1r = _mm256_loadu_pd(re + i1);
-        const v4d a1i = _mm256_loadu_pd(im + i1);
-        v4d n0r, n0i, n1r, n1i;
-        mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-        _mm256_storeu_pd(re + i0, n0r);
-        _mm256_storeu_pd(im + i0, n0i);
-        _mm256_storeu_pd(re + i1, n1r);
-        _mm256_storeu_pd(im + i1, n1i);
-      }
-    }
+    parallel_for(blocks, stride / 4, [=](int64_t blk, int64_t vec) {
+      const int64_t i0 = blk * 2 * stride + 4 * vec;
+      const int64_t i1 = i0 + stride;
+      const v4d a0r = _mm256_loadu_pd(re + i0);
+      const v4d a0i = _mm256_loadu_pd(im + i0);
+      const v4d a1r = _mm256_loadu_pd(re + i1);
+      const v4d a1i = _mm256_loadu_pd(im + i1);
+      v4d n0r, n0i, n1r, n1i;
+      mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+      _mm256_storeu_pd(re + i0, n0r);
+      _mm256_storeu_pd(im + i0, n0i);
+      _mm256_storeu_pd(re + i1, n1r);
+      _mm256_storeu_pd(im + i1, n1i);
+    });
     return;
   }
 
   // target 0 or 1: pairs interleave inside each 8-amplitude group. Split
   // them with shuffles, compute, and shuffle back (self-inverse patterns).
   const bool adjacent = target == 0;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
+  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t group) {
+    const int64_t base = 8 * group;
     const v4d Ar = _mm256_loadu_pd(re + base);
     const v4d Br = _mm256_loadu_pd(re + base + 4);
     const v4d Ai = _mm256_loadu_pd(im + base);
@@ -146,7 +138,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
     _mm256_storeu_pd(re + base + 4, Dr);
     _mm256_storeu_pd(im + base, Ci);
     _mm256_storeu_pd(im + base + 4, Di);
-  }
+  });
 }
 
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
@@ -169,13 +161,10 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
     }
   }
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; k += 4) {
+  parallel_for(quads / 4, [=](int64_t group) {
     // lo >= 2: the 4 consecutive quad counters share one contiguous base.
     const int64_t base = static_cast<int64_t>(
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi));
+        bits::insert_two_zero_bits(static_cast<amp_index>(4 * group), lo, hi));
     int64_t idx[4];
     v4d inr[4], ini[4];
     for (int sub = 0; sub < 4; ++sub) {
@@ -197,7 +186,7 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
       _mm256_storeu_pd(re + idx[row], accr);
       _mm256_storeu_pd(im + idx[row], acci);
     }
-  }
+  });
 }
 
 void swap_soa(const SoaSpan& s, int a, int b) {
@@ -210,12 +199,9 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   real_t* const im = s.im;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; k += 4) {
+  parallel_for(quads / 4, [=](int64_t group) {
     amp_index i =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+        bits::insert_two_zero_bits(static_cast<amp_index>(4 * group), lo, hi);
     i = bits::set_bit(i, lo);
     const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
     const v4d xr = _mm256_loadu_pd(re + i);
@@ -226,7 +212,7 @@ void swap_soa(const SoaSpan& s, int a, int b) {
     _mm256_storeu_pd(im + i, yi);
     _mm256_storeu_pd(re + j, xr);
     _mm256_storeu_pd(im + j, xi);
-  }
+  });
 }
 
 void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
@@ -242,13 +228,10 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   const amp_index mask_hi = mask & ~amp_index{3};
   const v4d fr = _mm256_set1_pd(factor.real());
   const v4d fi = _mm256_set1_pd(factor.imag());
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 4) {
+  parallel_for(static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
+    const int64_t base = 4 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
-      continue;
+      return;
     }
     const v4d vr = _mm256_loadu_pd(re + base);
     const v4d vi = _mm256_loadu_pd(im + base);
@@ -258,7 +241,7 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
         _mm256_add_pd(_mm256_mul_pd(vr, fi), _mm256_mul_pd(vi, fr));
     _mm256_storeu_pd(re + base, _mm256_blendv_pd(vr, nr, lane));
     _mm256_storeu_pd(im + base, _mm256_blendv_pd(vi, ni, lane));
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -286,13 +269,10 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm256_blendv_pd(f0r, f1r, tmask);
     fiv_fixed = _mm256_blendv_pd(f0i, f1i, tmask);
   }
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 4) {
+  parallel_for(static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
+    const int64_t base = 4 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
-      continue;
+      return;
     }
     v4d frv = frv_fixed, fiv = fiv_fixed;
     if (!lane_target) {
@@ -309,33 +289,11 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
         _mm256_add_pd(_mm256_mul_pd(vr, fiv), _mm256_mul_pd(vi, frv));
     _mm256_storeu_pd(re + base, _mm256_blendv_pd(vr, nr, ctrl_lane));
     _mm256_storeu_pd(im + base, _mm256_blendv_pd(vi, ni, ctrl_lane));
-  }
-}
-
-// The interleaved AoS layout does not fit split re/im lanes; its entries
-// forward to the scalar backend (micro_layout / micro_sweep quantify the
-// resulting SoA-vs-AoS gap under vectorisation).
-void matrix1_aos(const AosSpan& s, int t, const Mat2& u, amp_index c) {
-  scalar_ops().matrix1_aos(s, t, u, c);
-}
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index c) {
-  scalar_ops().matrix2_aos(s, a, b, u, c);
-}
-void swap_aos(const AosSpan& s, int a, int b) {
-  scalar_ops().swap_aos(s, a, b);
-}
-void phase_aos(const AosSpan& s, amp_index m, cplx f) {
-  scalar_ops().phase_aos(s, m, f);
-}
-void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
-  scalar_ops().rz_aos(s, t, f0, f1, c);
+  });
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",      matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,    swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
+    "avx2", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
 };
 
 }  // namespace

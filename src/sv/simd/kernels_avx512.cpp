@@ -1,14 +1,14 @@
 // AVX-512 backend: 512-bit split re/im lanes for the kernels that dominate
 // dense local layers (matrix1, phase, rz). The rarer dense kernels
-// (matrix2, swap) compose the AVX2 table's entries, and the AoS layout
-// forwards to scalar — a worked example of the partial-backend composition
-// rule in docs/KERNELS.md.
+// (matrix2, swap) compose the AVX2 table's entries — a worked example of
+// the partial-backend composition rule in docs/KERNELS.md.
 //
 // Compiled with -mavx512f -ffp-contract=off; no FMA (bit-identity contract,
 // see kernels_scalar.cpp). Only the table getter is exported.
 #include <immintrin.h>
 
 #include "common/bits.hpp"
+#include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 
 namespace qsv::simd {
@@ -100,36 +100,28 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   if (target >= 3) {
     const int64_t stride = int64_t{1} << target;
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; off += 8) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const v8d a0r = _mm512_loadu_pd(re + i0);
-        const v8d a0i = _mm512_loadu_pd(im + i0);
-        const v8d a1r = _mm512_loadu_pd(re + i1);
-        const v8d a1i = _mm512_loadu_pd(im + i1);
-        v8d n0r, n0i, n1r, n1i;
-        mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-        _mm512_storeu_pd(re + i0, n0r);
-        _mm512_storeu_pd(im + i0, n0i);
-        _mm512_storeu_pd(re + i1, n1r);
-        _mm512_storeu_pd(im + i1, n1i);
-      }
-    }
+    parallel_for(blocks, stride / 8, [=](int64_t blk, int64_t vec) {
+      const int64_t i0 = blk * 2 * stride + 8 * vec;
+      const int64_t i1 = i0 + stride;
+      const v8d a0r = _mm512_loadu_pd(re + i0);
+      const v8d a0i = _mm512_loadu_pd(im + i0);
+      const v8d a1r = _mm512_loadu_pd(re + i1);
+      const v8d a1i = _mm512_loadu_pd(im + i1);
+      v8d n0r, n0i, n1r, n1i;
+      mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+      _mm512_storeu_pd(re + i0, n0r);
+      _mm512_storeu_pd(im + i0, n0i);
+      _mm512_storeu_pd(re + i1, n1r);
+      _mm512_storeu_pd(im + i1, n1i);
+    });
     return;
   }
 
   // target 0..2: split each 16-amplitude group into pair halves with
   // permutex2var (pairs are independent; relabelling lanes is free).
   const PairShuffle sh = pair_shuffle(target);
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 16) {
+  parallel_for(static_cast<int64_t>(s.n) / 16, [=](int64_t group) {
+    const int64_t base = 16 * group;
     const v8d Ar = _mm512_loadu_pd(re + base);
     const v8d Br = _mm512_loadu_pd(re + base + 8);
     const v8d Ai = _mm512_loadu_pd(im + base);
@@ -146,7 +138,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
     _mm512_storeu_pd(im + base, _mm512_permutex2var_pd(n0i, sh.inv_lo, n1i));
     _mm512_storeu_pd(im + base + 8,
                      _mm512_permutex2var_pd(n0i, sh.inv_hi, n1i));
-  }
+  });
 }
 
 void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
@@ -160,13 +152,10 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   const amp_index mask_hi = mask & ~amp_index{7};
   const v8d fr = _mm512_set1_pd(factor.real());
   const v8d fi = _mm512_set1_pd(factor.imag());
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
+  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
+    const int64_t base = 8 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
-      continue;
+      return;
     }
     const v8d vr = _mm512_loadu_pd(re + base);
     const v8d vi = _mm512_loadu_pd(im + base);
@@ -176,7 +165,7 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
         _mm512_add_pd(_mm512_mul_pd(vr, fi), _mm512_mul_pd(vi, fr));
     _mm512_mask_storeu_pd(re + base, lane, nr);
     _mm512_mask_storeu_pd(im + base, lane, ni);
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -203,13 +192,10 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm512_mask_blend_pd(tmask, f0r, f1r);
     fiv_fixed = _mm512_mask_blend_pd(tmask, f0i, f1i);
   }
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
+  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
+    const int64_t base = 8 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
-      continue;
+      return;
     }
     v8d frv = frv_fixed, fiv = fiv_fixed;
     if (!lane_target) {
@@ -226,37 +212,18 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
         _mm512_add_pd(_mm512_mul_pd(vr, fiv), _mm512_mul_pd(vi, frv));
     _mm512_mask_storeu_pd(re + base, ctrl_lane, nr);
     _mm512_mask_storeu_pd(im + base, ctrl_lane, ni);
-  }
+  });
 }
 
-// Composed entries: matrix2/swap ride the AVX2 implementations, AoS rides
-// scalar (see kernels_avx2.cpp for why split lanes skip AoS).
+// Composed entries: matrix2/swap ride the AVX2 implementations.
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
                  amp_index c) {
   avx2_ops().matrix2_soa(s, a, b, u, c);
 }
 void swap_soa(const SoaSpan& s, int a, int b) { avx2_ops().swap_soa(s, a, b); }
-void matrix1_aos(const AosSpan& s, int t, const Mat2& u, amp_index c) {
-  scalar_ops().matrix1_aos(s, t, u, c);
-}
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index c) {
-  scalar_ops().matrix2_aos(s, a, b, u, c);
-}
-void swap_aos(const AosSpan& s, int a, int b) {
-  scalar_ops().swap_aos(s, a, b);
-}
-void phase_aos(const AosSpan& s, amp_index m, cplx f) {
-  scalar_ops().phase_aos(s, m, f);
-}
-void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
-  scalar_ops().rz_aos(s, t, f0, f1, c);
-}
 
 constexpr KernelOps kAvx512Ops = {
-    "avx512",    matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,    swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
+    "avx512", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
 };
 
 }  // namespace

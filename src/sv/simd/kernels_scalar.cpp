@@ -8,12 +8,16 @@
 // with -ffp-contract=off so no multiply-add contraction can change rounding
 // (see src/sv/CMakeLists.txt; the vector backends use no FMA either).
 //
-// Loops over the SoA layout are written as (block, offset) nests over the
+// Uncontrolled matrix1 loops are written as (block, offset) nests over the
 // pair stride so the compiler can auto-vectorise the contiguous inner loop
-// even in this backend — the raw-span fast path replaces the get/set
-// indirection the templated kernels fall back to.
+// even in this backend.
+//
+// The AoS kernels are exported directly rather than through the table:
+// every backend would forward them here (split re/im lanes do not fit
+// interleaved storage).
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 
 namespace qsv::simd {
@@ -37,33 +41,25 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
 
   if (ctrl == 0) {
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; ++off) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const real_t a0r = re[i0], a0i = im[i0];
-        const real_t a1r = re[i1], a1i = im[i1];
-        re[i0] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
-        im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
-        re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
-        im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-      }
-    }
+    parallel_for(blocks, stride, [=](int64_t blk, int64_t off) {
+      const int64_t i0 = blk * 2 * stride + off;
+      const int64_t i1 = i0 + stride;
+      const real_t a0r = re[i0], a0i = im[i0];
+      const real_t a1r = re[i1], a1i = im[i1];
+      re[i0] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
+      im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
+      re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
+      im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
+    });
     return;
   }
 
   const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < pairs; ++k) {
+  parallel_for(pairs, [=](int64_t k) {
     const amp_index i0 =
         bits::insert_zero_bit(static_cast<amp_index>(k), target);
     if (!bits::all_set(i0, ctrl)) {
-      continue;
+      return;
     }
     const amp_index i1 = bits::set_bit(i0, target);
     const real_t a0r = re[i0], a0i = im[i0];
@@ -72,7 +68,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
     im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
     re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
     im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-  }
+  });
 }
 
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
@@ -82,14 +78,11 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
+  parallel_for(quads, [=](int64_t k) {
     const amp_index base =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     if (!bits::all_set(base, ctrl)) {
-      continue;
+      return;
     }
     // Subspace index order follows (bit b, bit a).
     amp_index idx[4];
@@ -119,7 +112,7 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
       re[idx[row]] = accr;
       im[idx[row]] = acci;
     }
-  }
+  });
 }
 
 void swap_soa(const SoaSpan& s, int a, int b) {
@@ -128,10 +121,7 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
+  parallel_for(quads, [=](int64_t k) {
     amp_index i =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     i = bits::set_bit(i, lo);
@@ -141,24 +131,20 @@ void swap_soa(const SoaSpan& s, int a, int b) {
     im[i] = im[j];
     re[j] = tr;
     im[j] = ti;
-  }
+  });
 }
 
 void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const real_t fr = factor.real(), fi = factor.imag();
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
     if (bits::all_set(static_cast<amp_index>(i), mask)) {
       const real_t vr = re[i], vi = im[i];
       re[i] = vr * fr - vi * fi;
       im[i] = vr * fi + vi * fr;
     }
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -166,13 +152,9 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   real_t* const im = s.im;
   const real_t f0r = f0.real(), f0i = f0.imag();
   const real_t f1r = f1.real(), f1i = f1.imag();
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
     if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-      continue;
+      return;
     }
     const bool one = bits::bit(static_cast<amp_index>(i), target) != 0;
     const real_t fr = one ? f1r : f0r;
@@ -180,8 +162,16 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     const real_t vr = re[i], vi = im[i];
     re[i] = vr * fr - vi * fi;
     im[i] = vr * fi + vi * fr;
-  }
+  });
 }
+
+constexpr KernelOps kScalarOps = {
+    "scalar", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
+};
+
+}  // namespace
+
+const KernelOps& scalar_ops() { return kScalarOps; }
 
 // ---------------------------------------------------------------------------
 // AoS (interleaved std::complex array) — plain std::complex arithmetic,
@@ -197,38 +187,30 @@ void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
 
   if (ctrl == 0) {
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; ++off) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const cplx a0 = amp[i0];
-        const cplx a1 = amp[i1];
-        amp[i0] = u00 * a0 + u01 * a1;
-        amp[i1] = u10 * a0 + u11 * a1;
-      }
-    }
+    parallel_for(blocks, stride, [=](int64_t blk, int64_t off) {
+      const int64_t i0 = blk * 2 * stride + off;
+      const int64_t i1 = i0 + stride;
+      const cplx a0 = amp[i0];
+      const cplx a1 = amp[i1];
+      amp[i0] = u00 * a0 + u01 * a1;
+      amp[i1] = u10 * a0 + u11 * a1;
+    });
     return;
   }
 
   const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < pairs; ++k) {
+  parallel_for(pairs, [=](int64_t k) {
     const amp_index i0 =
         bits::insert_zero_bit(static_cast<amp_index>(k), target);
     if (!bits::all_set(i0, ctrl)) {
-      continue;
+      return;
     }
     const amp_index i1 = bits::set_bit(i0, target);
     const cplx a0 = amp[i0];
     const cplx a1 = amp[i1];
     amp[i0] = u00 * a0 + u01 * a1;
     amp[i1] = u10 * a0 + u11 * a1;
-  }
+  });
 }
 
 void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
@@ -237,14 +219,11 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
+  parallel_for(quads, [=](int64_t k) {
     const amp_index base =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     if (!bits::all_set(base, ctrl)) {
-      continue;
+      return;
     }
     amp_index idx[4];
     for (int sub = 0; sub < 4; ++sub) {
@@ -268,7 +247,7 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
       }
       amp[idx[row]] = acc;
     }
-  }
+  });
 }
 
 void swap_aos(const AosSpan& s, int a, int b) {
@@ -276,10 +255,7 @@ void swap_aos(const AosSpan& s, int a, int b) {
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
+  parallel_for(quads, [=](int64_t k) {
     amp_index i =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     i = bits::set_bit(i, lo);
@@ -287,46 +263,31 @@ void swap_aos(const AosSpan& s, int a, int b) {
     const cplx t = amp[i];
     amp[i] = amp[j];
     amp[j] = t;
-  }
+  });
 }
 
 void phase_aos(const AosSpan& s, amp_index mask, cplx factor) {
   cplx* const amp = s.amp;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
     if (bits::all_set(static_cast<amp_index>(i), mask)) {
       amp[i] = amp[i] * factor;
     }
-  }
+  });
 }
 
 void rz_aos(const AosSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   cplx* const amp = s.amp;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
     if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-      continue;
+      return;
     }
-    const cplx f =
+    // A reference, not a copy: a copied selection is rebuilt in memory
+    // from two halves each pass and read back whole, which stalls
+    // store-to-load forwarding.
+    const cplx& f =
         bits::bit(static_cast<amp_index>(i), target) ? f1 : f0;
     amp[i] = amp[i] * f;
-  }
+  });
 }
-
-constexpr KernelOps kScalarOps = {
-    "scalar",      matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,      swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
-};
-
-}  // namespace
-
-const KernelOps& scalar_ops() { return kScalarOps; }
 
 }  // namespace qsv::simd

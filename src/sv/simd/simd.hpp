@@ -1,12 +1,13 @@
 // SIMD-dispatched span kernels for the hot dense gate paths.
 //
-// The gate kernels in sv/kernels.hpp are templated over a *slice* interface
-// (get/set/size). When the slice also exposes raw contiguous storage — the
-// SoA re()/im() arrays or the AoS data() array — the dense kernels route
-// through this layer instead: a table of function pointers (`KernelOps`)
-// whose entries are implemented once per backend (portable scalar, AVX2,
-// AVX-512) and selected once at startup by CPUID, overridable with the
-// QSV_SIMD environment variable.
+// The gate kernels in sv/kernels.hpp take a *slice* that exposes raw
+// contiguous storage — the SoA re()/im() arrays or the AoS data() array.
+// The five dense kernels on the SoA layout route through this layer: a
+// table of function pointers (`KernelOps`) whose entries are implemented
+// once per backend (portable scalar, AVX2, AVX-512) and selected once at
+// startup by CPUID, overridable with the QSV_SIMD environment variable.
+// Their AoS forms are scalar in every backend (split re/im lanes do not fit
+// interleaved storage) and are called directly.
 //
 // Contract (see docs/KERNELS.md for the full ABI):
 //  * Every backend produces bit-identical amplitudes for every entry. The
@@ -104,6 +105,11 @@ concept AosSpanAccess = requires(S& s) {
   { s.size() } -> std::convertible_to<amp_index>;
 };
 
+/// Slice types the gate kernels accept: either span form. A slice with
+/// get/set alone is rejected at compile time, not run on a slow path.
+template <class S>
+concept SpanAccess = SoaSpanAccess<S> || AosSpanAccess<S>;
+
 template <SoaSpanAccess S>
 [[nodiscard]] SoaSpan soa_span(S& s) {
   return {s.re(), s.im(), s.size()};
@@ -118,9 +124,8 @@ template <AosSpanAccess S>
 // Kernel table
 // ---------------------------------------------------------------------------
 
-/// One entry per hot dense kernel per layout. Semantics match the reference
-/// loops in sv/kernels.hpp exactly (same pair/quad enumeration, same
-/// control-mask gating, same complex operation order):
+/// One entry per hot dense kernel on the SoA layout. Semantics (the AoS
+/// functions below have the same ones):
 ///  * matrix1: 2x2 on index pairs differing in bit `target`; pairs whose
 ///    zero-member fails `ctrl` are untouched.
 ///  * matrix2: 4x4 on quads over bits `a` (low subspace bit) and `b`;
@@ -132,18 +137,11 @@ template <AosSpanAccess S>
 struct KernelOps {
   const char* name;
   void (*matrix1_soa)(const SoaSpan&, int target, const Mat2&, amp_index ctrl);
-  void (*matrix1_aos)(const AosSpan&, int target, const Mat2&, amp_index ctrl);
   void (*matrix2_soa)(const SoaSpan&, int a, int b, const Mat4&,
                       amp_index ctrl);
-  void (*matrix2_aos)(const AosSpan&, int a, int b, const Mat4&,
-                      amp_index ctrl);
   void (*swap_soa)(const SoaSpan&, int a, int b);
-  void (*swap_aos)(const AosSpan&, int a, int b);
   void (*phase_soa)(const SoaSpan&, amp_index mask, cplx factor);
-  void (*phase_aos)(const AosSpan&, amp_index mask, cplx factor);
   void (*rz_soa)(const SoaSpan&, int target, cplx f0, cplx f1,
-                 amp_index ctrl);
-  void (*rz_aos)(const AosSpan&, int target, cplx f0, cplx f1,
                  amp_index ctrl);
 };
 
@@ -152,5 +150,15 @@ struct KernelOps {
 
 /// Table of the active backend — what the gate kernels call.
 [[nodiscard]] const KernelOps& ops();
+
+// ---------------------------------------------------------------------------
+// AoS kernels (scalar reference code, the same under every backend)
+// ---------------------------------------------------------------------------
+
+void matrix1_aos(const AosSpan&, int target, const Mat2&, amp_index ctrl);
+void matrix2_aos(const AosSpan&, int a, int b, const Mat4&, amp_index ctrl);
+void swap_aos(const AosSpan&, int a, int b);
+void phase_aos(const AosSpan&, amp_index mask, cplx factor);
+void rz_aos(const AosSpan&, int target, cplx f0, cplx f1, amp_index ctrl);
 
 }  // namespace qsv::simd

@@ -7,6 +7,7 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "sv/kernels.hpp"
 
 namespace qsv {
@@ -23,18 +24,16 @@ real_t block_sum(amp_index n, F f) {
   const std::int64_t blocks =
       static_cast<std::int64_t>((n + kSumBlock - 1) / kSumBlock);
   std::vector<real_t> partial(static_cast<std::size_t>(blocks));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t b = 0; b < blocks; ++b) {
+  real_t* const out = partial.data();
+  parallel_for(blocks, [=](std::int64_t b) {
     const amp_index first = static_cast<amp_index>(b) * kSumBlock;
     const amp_index last = std::min(n, first + kSumBlock);
     real_t s = 0;
     for (amp_index i = first; i < last; ++i) {
       s += f(i);
     }
-    partial[static_cast<std::size_t>(b)] = s;
-  }
+    out[b] = s;
+  });
   real_t acc = 0;
   for (const real_t s : partial) {
     acc += s;

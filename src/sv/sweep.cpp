@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/storage.hpp"
@@ -11,18 +12,14 @@ namespace qsv::kern {
 namespace {
 
 /// Window over 2^t consecutive amplitudes of a slice, satisfying the same
-/// get/set/size interface the gate kernels are templated over. Inside the
-/// window the qubits at or above t act exactly like rank bits, so
-/// apply_gate_slice handles high controls and diagonal high operands
-/// unchanged.
+/// slice interface as the storage it views. Inside the window the qubits at
+/// or above t act exactly like rank bits, so apply_gate_slice handles high
+/// controls and diagonal high operands unchanged.
 ///
-/// When the underlying storage exposes raw arrays the view forwards them,
-/// shifted by the tile offset: a tile is always a contiguous window, so the
-/// dense kernels take the SIMD span fast path instead of paying a get/set
-/// indirection per amplitude (which also defeats auto-vectorisation in the
-/// scalar backend). Storage types without raw access still work through
-/// get/set.
-template <class S>
+/// The view forwards the storage's raw arrays shifted by the tile offset: a
+/// tile is always a contiguous window, so the dense kernels run on its
+/// spans exactly as on a whole slice.
+template <simd::SpanAccess S>
 class TileView {
  public:
   TileView(S& s, amp_index offset, amp_index size)
@@ -70,11 +67,7 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
 
   const amp_index tile_amps = amp_index{1} << t;
   const amp_index tiles = s.size() >> t;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t tile = 0; tile < static_cast<std::int64_t>(tiles);
-       ++tile) {
+  parallel_for(static_cast<std::int64_t>(tiles), [=, &s](std::int64_t tile) {
     TileView<S> view(s, static_cast<amp_index>(tile) << t, tile_amps);
     // Global index bit q (q >= t) is bit (q - t) of this combined id, so
     // the tile is a virtual rank of the decomposition at L = t.
@@ -83,7 +76,7 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
     for (std::size_t gi = 0; gi < count; ++gi) {
       apply_gate_slice(view, gates[gi], t, high_bits);
     }
-  }
+  });
 }
 
 template void apply_sweep_run<SoaStorage>(SoaStorage&, const Gate*,

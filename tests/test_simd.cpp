@@ -264,50 +264,23 @@ TEST(SimdBitIdentity, DistEngineAcrossBackends) {
   }
 }
 
-/// Storage with get/set only: exercises the templated fallback loops in
-/// sv/kernels.hpp (the non-contiguous path — no re()/im()/data() spans).
-class MockStorage {
- public:
-  explicit MockStorage(amp_index n) : amps_(n) {}
-  [[nodiscard]] amp_index size() const { return amps_.size(); }
-  [[nodiscard]] cplx get(amp_index i) const { return amps_[i]; }
-  void set(amp_index i, cplx v) { amps_[i] = v; }
-
- private:
-  std::vector<cplx> amps_;
+/// A slice with get/set only: the gate kernels have no path for it.
+struct GetSetOnly {
+  [[nodiscard]] amp_index size() const;
+  [[nodiscard]] cplx get(amp_index i) const;
+  void set(amp_index i, cplx v);
 };
 
-static_assert(!simd::SoaSpanAccess<MockStorage>);
-static_assert(!simd::AosSpanAccess<MockStorage>);
+template <class S>
+concept AppliesGates = requires(S& s, const Gate& g) {
+  kern::apply_gate_slice(s, g, 1, amp_index{0});
+};
+
+static_assert(!AppliesGates<GetSetOnly>);
+static_assert(AppliesGates<SoaStorage>);
+static_assert(AppliesGates<AosStorage>);
 static_assert(simd::SoaSpanAccess<SoaStorage>);
 static_assert(simd::AosSpanAccess<AosStorage>);
-
-// The generic get/set path must agree with the span fast path. Compared
-// within tolerance, not bitwise: the generic loops are compiled with the
-// project-default FP flags, so under -march=native the compiler may
-// legally contract them, unlike the pinned backend TUs.
-TEST(SimdFallback, GenericGetSetPathMatchesSpans) {
-  constexpr int n = 8;
-  const Circuit c = all_positions_circuit(n);
-  BackendGuard g(Backend::kScalar);
-
-  MockStorage mock(amp_index{1} << n);
-  StateVector span(n);
-  Rng rng(11);
-  span.init_random_state(rng);
-  for (amp_index i = 0; i < span.num_amps(); ++i) {
-    mock.set(i, span.amplitude(i));
-  }
-  for (const Gate& gate : c) {
-    kern::apply_gate_slice(mock, gate, n, /*rank_bits=*/0);
-  }
-  span.apply(c);
-  real_t m = 0;
-  for (amp_index i = 0; i < span.num_amps(); ++i) {
-    m = std::max(m, std::abs(mock.get(i) - span.amplitude(i)));
-  }
-  EXPECT_LT(m, 1e-12);
-}
 
 // Correctness anchor (not just self-consistency): every backend against
 // the brute-force dense-matrix reference.

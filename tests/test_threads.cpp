@@ -13,6 +13,7 @@
 #include "cluster/rank_team.hpp"
 #include "cluster/topology.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
@@ -145,6 +146,29 @@ TEST(RankTeam, RethrowsLowestRankException) {
     // engine surfaces the lowest-rank failure.
     EXPECT_STREQ(e.what(), "rank 1");
   }
+}
+
+TEST(RankTeam, WorkersShareTheCallersLoopWidth) {
+  const int saved = loop_width();
+  const auto worker_widths = [](int caller_width) {
+    set_loop_width(caller_width);
+    std::vector<int> widths(2, 0);
+    RankTeam team(2, unpinned_plan(2));
+    team.run(2, [&](int r) {
+      widths[static_cast<std::size_t>(r)] = loop_width();
+    });
+    return widths;
+  };
+  // A worker thread starts at the process default; the team hands it the
+  // caller's width (OMP_NUM_THREADS, taskset) split across the workers.
+  const std::vector<int> one = worker_widths(1);
+  const std::vector<int> four = worker_widths(4);
+  const bool settable = loop_width() == 4;  // false without OpenMP
+  set_loop_width(saved);
+
+  EXPECT_EQ(one, (std::vector<int>{1, 1}));
+  EXPECT_EQ(four, settable ? (std::vector<int>{2, 2})
+                           : (std::vector<int>{1, 1}));
 }
 
 TEST(RankTeam, PairArriveCombinesOutcomes) {
