@@ -167,10 +167,11 @@ BENCHMARK(BM_RzPerBackend<AosStorage>)->Apply(register_backend_args);
 template <class S>
 void BM_GatherHalf(benchmark::State& state) {
   auto sv = prepared<S>();
-  std::vector<std::byte> buf(kern::half_payload_bytes(sv.num_amps()));
+  S buf(sv.num_amps() / 2);
   for (auto _ : state) {
-    kern::gather_half(sv.storage(), 5, 1, buf.data());
-    benchmark::DoNotOptimize(buf.data());
+    kern::gather_half(sv.storage(), 5, 1, buf, 0);
+    benchmark::DoNotOptimize(&buf);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_GatherHalf<SoaStorage>);

@@ -387,41 +387,6 @@ bool VirtualCluster::quiescent() const {
   return in_flight_ == 0;
 }
 
-void VirtualCluster::barrier() {
-  std::lock_guard<std::mutex> lk(m_);
-  ++stats_.barriers;
-  stats_.barrier_arrivals += static_cast<std::uint64_t>(num_ranks_);
-}
-
-void VirtualCluster::barrier(rank_t r) {
-  check_rank(r);
-  std::unique_lock<std::mutex> lk(m_);
-  ++stats_.barrier_arrivals;
-  const std::uint64_t epoch = barrier_epoch_;
-  if (++barrier_waiting_ == num_ranks_) {
-    barrier_waiting_ = 0;
-    ++barrier_epoch_;
-    ++stats_.barriers;
-    cv_barrier_.notify_all();
-    return;
-  }
-  const bool released =
-      cv_barrier_.wait_for(lk, deadline_of(recv_deadline_s_),
-                           [&] { return barrier_epoch_ != epoch; });
-  if (!released) {
-    // Withdraw so a later complete barrier is not corrupted by our ghost;
-    // the arrival stat is withdrawn too, preserving the invariant that
-    // every completed barrier contributes exactly one arrival per rank.
-    --barrier_waiting_;
-    --stats_.barrier_arrivals;
-    throw CommTimeout("barrier: rank " + std::to_string(r) +
-                      " waited " + std::to_string(recv_deadline_s_) +
-                      " s but only " + std::to_string(barrier_waiting_ + 1) +
-                      " of " + std::to_string(num_ranks_) +
-                      " ranks arrived");
-  }
-}
-
 int message_count(std::uint64_t total_bytes, std::size_t max_message_bytes) {
   QSV_REQUIRE(max_message_bytes > 0, "zero message cap");
   if (total_bytes == 0) {

@@ -95,14 +95,6 @@ struct CommStats {
   /// it depends on thread scheduling (a fast sender deepens the mailbox a
   /// slow receiver is draining), so determinism checks must not key off it.
   std::uint64_t max_in_flight = 0;
-  /// Completed barriers (every participant arrived).
-  std::uint64_t barriers = 0;
-  /// Per-rank barrier participations: each completed barrier contributes
-  /// one arrival per rank, whether the ranks arrived concurrently
-  /// (barrier(rank)) or the orchestrator arrived for all of them
-  /// (barrier()). barriers counted whole-cluster events only, which
-  /// under-reported participation once ranks became real threads.
-  std::uint64_t barrier_arrivals = 0;
 
   // Receiver-side delivery counters (the trace backend reproduces the
   // send-side traffic above; delivery is a functional-transport notion).
@@ -223,19 +215,6 @@ class VirtualCluster {
   void enable_concurrent(std::size_t capacity_messages);
   [[nodiscard]] bool concurrent() const { return concurrent_; }
 
-  /// Whole-cluster barrier executed by a single orchestrating thread on
-  /// behalf of every rank: counts one completed barrier and one arrival per
-  /// rank (the serial engine's synchronisation points are implicit in its
-  /// program order, so this never blocks).
-  void barrier();
-
-  /// Rank `r` arrives at the current barrier and blocks until all
-  /// num_ranks() ranks have arrived (concurrent mode's real
-  /// synchronisation point; also correct, if pointless, serially with one
-  /// rank). Throws CommTimeout if the rest of the cluster fails to arrive
-  /// within the watchdog deadline — a dead peer must not hang the caller.
-  void barrier(rank_t r);
-
   [[nodiscard]] const CommStats& stats() const {
     // Caller-visible reads happen between parallel regions (quiescent), so
     // no lock is taken; concurrent readers would need one.
@@ -278,17 +257,13 @@ class VirtualCluster {
   FaultInjector* injector_ = nullptr;
 
   // Concurrent-mode state. The single mutex guards queues_, free_,
-  // in_flight_, stats_ and the barrier epoch; fills, drains and CRC work
-  // happen outside it so senders and receivers overlap on the expensive
-  // part.
+  // in_flight_ and stats_; fills, drains and CRC work happen outside it so
+  // senders and receivers overlap on the expensive part.
   bool concurrent_ = false;
   std::size_t capacity_messages_ = std::numeric_limits<std::size_t>::max();
   mutable std::mutex m_;
   std::condition_variable cv_recv_;   // a message landed
   std::condition_variable cv_send_;   // mailbox space freed
-  std::condition_variable cv_barrier_;
-  int barrier_waiting_ = 0;
-  std::uint64_t barrier_epoch_ = 0;
 };
 
 /// Splits a payload of `total_bytes` into messages of at most

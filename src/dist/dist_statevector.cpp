@@ -12,6 +12,10 @@
 namespace qsv {
 namespace {
 
+/// Backoff before retry attempt a + 1 is charged as kRetryBackoffS * 2^a of
+/// idle time.
+constexpr double kRetryBackoffS = 0.1;
+
 /// Copies `count` amplitudes of `from`, starting at `from_first`, into `to`
 /// at `to_first`: a re-shard move that stays on one host, so it sends no
 /// message and goes through a small bounce buffer instead.
@@ -60,62 +64,49 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     host_cpus_ = topo.total_cpus;
     PlacementPlan plan =
         plan_placement(topo, num_ranks, opts_.threading.placement);
-    if (opts_.threading.numa_remote_bw_ratio > 0) {
-      numa_ratio_ = std::max(1.0, opts_.threading.numa_remote_bw_ratio);
-    } else if (numa_domains_ > 1) {
+    if (numa_domains_ > 1) {
       numa_ratio_ = measure_numa_bandwidth_ratio(topo);
     }
     team_ = std::make_unique<RankTeam>(num_ranks, std::move(plan));
 
     // Mailbox capacity: one full exchange direction at the widest slice any
     // shrink can reach (half the state), so the non-blocking policy (all
-    // sends posted before any recv) can never stall on backpressure. A
-    // full-exchange chunk is whole amplitudes, so a cap that is not a
-    // multiple of kBytesPerAmp sends more messages than cap-sized ones.
-    std::size_t capacity = opts_.threading.mailbox_capacity;
-    if (capacity == 0) {
-      const amp_index widest_amps = amp_index{1} << (num_qubits_ - 1);
-      const amp_index chunk_amps = std::max<amp_index>(
-          1, opts_.max_message_bytes / kBytesPerAmp);
-      capacity =
-          static_cast<std::size_t>((widest_amps + chunk_amps - 1) / chunk_amps);
-    }
-    cluster_.enable_concurrent(std::max<std::size_t>(1, capacity));
-
-    // First touch: each rank thread allocates and zero-fills its own slice
-    // and recv buffer, so the pages land in the NUMA domain the thread was
-    // placed in.
-    slices_.resize(static_cast<std::size_t>(num_ranks));
-    recv_bufs_.resize(static_cast<std::size_t>(num_ranks > 1 ? num_ranks : 0));
-    stage_.resize(static_cast<std::size_t>(num_ranks));
-    team_->run(num_ranks, [&](int r) {
-      slices_[static_cast<std::size_t>(r)] = S(n_local);
-      if (!recv_bufs_.empty()) {
-        recv_bufs_[static_cast<std::size_t>(r)] = S(n_local);
-      }
-    });
-  } else {
-    slices_.reserve(num_ranks);
-    for (int r = 0; r < num_ranks; ++r) {
-      slices_.emplace_back(n_local);
-    }
-    stage_.resize(2);  // one per side of the pair in flight
-    resize_buffers();
+    // sends posted before any recv) can never stall on backpressure.
+    const amp_index widest_amps = amp_index{1} << (num_qubits_ - 1);
+    const amp_index chunk = chunk_amps(opts_.max_message_bytes);
+    cluster_.enable_concurrent(
+        static_cast<std::size_t>((widest_amps + chunk - 1) / chunk));
   }
+  slices_.resize(static_cast<std::size_t>(num_ranks));
+  for_each_rank(num_ranks, [&](int r) {
+    slices_[static_cast<std::size_t>(r)] = S(n_local);
+  });
+  resize_buffers();
   init_zero_state();
+}
+
+template <class S>
+void DistStateVector<S>::for_each_rank(int count,
+                                       const std::function<void(int)>& fn) {
+  if (team_ != nullptr) {
+    team_->run(count, fn);
+    return;
+  }
+  for (int r = 0; r < count; ++r) {
+    fn(r);
+  }
 }
 
 template <class S>
 void DistStateVector<S>::resize_buffers() {
   // Only the combine kernels read a recv buffer, and one rank never
   // exchanges, so a single rank owns none (per_node_bytes exempts it too).
+  const int owners = num_ranks() > 1 ? num_ranks() : 0;
   recv_bufs_.clear();
-  if (num_ranks() > 1) {
-    recv_bufs_.reserve(static_cast<std::size_t>(num_ranks()));
-    for (int r = 0; r < num_ranks(); ++r) {
-      recv_bufs_.emplace_back(local_amps());
-    }
-  }
+  recv_bufs_.resize(static_cast<std::size_t>(owners));
+  for_each_rank(owners, [&](int r) {
+    recv_bufs_[static_cast<std::size_t>(r)] = S(local_amps());
+  });
 }
 
 template <class S>
@@ -294,7 +285,7 @@ void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
       if (a + 1 < attempts) {
         injector_->record_retry(
             bytes, messages,
-            opts_.retry_backoff_s * static_cast<double>(1 << a) +
+            kRetryBackoffS * static_cast<double>(1 << a) +
                 (out.any_timed ? opts_.recv_deadline_s : 0.0));
       }
     }
@@ -316,63 +307,38 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
   const auto end_of = [&](amp_index c) {
     return std::min((c + 1) * shape.chunk, shape.total);
   };
-  // Half-exchange staging: per rank on the threaded engine, per side of the
-  // pair in flight on the serial one.
-  const auto stage = [&](std::size_t i) -> Stage& {
-    return stage_[team_ != nullptr ? static_cast<std::size_t>(sides[i].me)
-                                   : i];
-  };
-  // A half exchange ships the amplitudes whose local bit disagrees with the
-  // side's own bit of the distributed target; see kernels.hpp.
-  const auto half_value = [&](rank_t me) {
-    return 1 - bits::bit(static_cast<amp_index>(me), shape.high_bit);
-  };
-  if (shape.half) {
-    for (std::size_t i = 0; i < sides.size(); ++i) {
-      stage(i).out.resize(shape.total);
-      stage(i).in.resize(shape.total);
-      kern::gather_half(slices_[sides[i].me], shape.local_bit,
-                        half_value(sides[i].me), stage(i).out.data());
+  if (shape.gather) {
+    for (const Side& side : sides) {
+      shape.gather(side.me);
     }
   }
 
   // Every message carries its chunk index as its tag. The serial engine
   // interleaves the two sides per chunk and lands each chunk's messages in
-  // posting order: side 0 sent first, so side 1 receives first. A full
-  // exchange packs each chunk straight into the message and unpacks it
-  // straight out of it into the recv buffer.
+  // posting order: side 0 sent first, so side 1 receives first. Each chunk
+  // is packed straight into the message and unpacked straight out of it
+  // into the recv buffer.
   const auto post = [&](amp_index c) {
     const amp_index first = c * shape.chunk;
     const amp_index count = end_of(c) - first;
-    const int tag = static_cast<int>(c);
-    for (std::size_t i = 0; i < sides.size(); ++i) {
-      const rank_t me = sides[i].me;
-      if (shape.half) {
-        cluster_.send(me, sides[i].peer, {stage(i).out.data() + first, count},
-                      tag);
-      } else {
-        cluster_.send(me, sides[i].peer, count * kBytesPerAmp, tag,
-                      [&](std::span<std::byte> b) {
-                        slices_[me].pack(first, count, b.data());
-                      });
-      }
+    for (const Side& side : sides) {
+      const S& src = shape.gather ? recv_bufs_[side.me] : slices_[side.me];
+      const amp_index from = shape.gather ? shape.total + first : first;
+      cluster_.send(side.me, side.peer, count * kBytesPerAmp,
+                    static_cast<int>(c), [&](std::span<std::byte> b) {
+                      src.pack(from, count, b.data());
+                    });
     }
   };
   const auto land = [&](amp_index c) {
     const amp_index first = c * shape.chunk;
     const amp_index count = end_of(c) - first;
-    const int tag = static_cast<int>(c);
     for (std::size_t i = sides.size(); i-- > 0;) {
       const rank_t me = sides[i].me;
-      if (shape.half) {
-        cluster_.recv(sides[i].peer, me, {stage(i).in.data() + first, count},
-                      tag);
-      } else {
-        cluster_.recv(sides[i].peer, me, count * kBytesPerAmp, tag,
-                      [&](std::span<const std::byte> b) {
-                        recv_bufs_[me].unpack(first, count, b.data());
-                      });
-      }
+      cluster_.recv(sides[i].peer, me, count * kBytesPerAmp,
+                    static_cast<int>(c), [&](std::span<const std::byte> b) {
+                      recv_bufs_[me].unpack(first, count, b.data());
+                    });
     }
   };
 
@@ -398,8 +364,8 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
     next = whole ? chunks : c0 + 1;
     // Round totals cover both directions, so one retry is charged the same
     // on either engine.
-    const std::uint64_t bytes = 2 * (end_of(next - 1) - c0 * shape.chunk) *
-                                (shape.half ? 1 : kBytesPerAmp);
+    const std::uint64_t bytes =
+        2 * (end_of(next - 1) - c0 * shape.chunk) * kBytesPerAmp;
     with_retry(sides[0].me, sides[0].peer,
                whole ? VirtualCluster::kAnyTag : static_cast<int>(c0),
                2 * static_cast<int>(next - c0), bytes, pair_sync,
@@ -416,23 +382,14 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
     return end_of(next - 1);
   };
   // Without chasing, the whole stream must land before one combine pass.
-  const amp_index tile =
-      (amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_)) *
-      (shape.half ? kBytesPerAmp : 1);
+  const amp_index tile = amp_index{1}
+                         << std::min(opts_.sweep.tile_qubits, local_qubits_);
   kern::apply_over_frontier(
       shape.total, chase ? shape.align : shape.total,
       chase ? tile : shape.total, ready,
       [&](amp_index first, amp_index count) {
-        for (std::size_t i = 0; i < sides.size(); ++i) {
-          const rank_t me = sides[i].me;
-          if (shape.half) {
-            kern::scatter_half_range(slices_[me], shape.local_bit,
-                                     half_value(me), stage(i).in.data(),
-                                     first / kBytesPerAmp,
-                                     count / kBytesPerAmp);
-          } else {
-            combine(me, first, count);
-          }
+        for (const Side& side : sides) {
+          combine(side.me, first, count);
         }
       });
 }
@@ -444,15 +401,8 @@ double DistStateVector<S>::exchange_numa_ratio(const OpPlan& plan) const {
   }
   const std::vector<int>& dom = team_->plan().domain_of_rank;
   for (rank_t r = 0; r < num_ranks(); ++r) {
-    const rank_t peer = static_cast<rank_t>(
-        static_cast<std::uint64_t>(r) ^ plan.rank_xor_mask);
-    if (peer <= r ||
-        !bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      continue;
-    }
-    if (static_cast<std::size_t>(peer) < dom.size() &&
-        dom[static_cast<std::size_t>(r)] !=
-            dom[static_cast<std::size_t>(peer)]) {
+    if (plan.sends(r) && dom[static_cast<std::size_t>(r)] !=
+                             dom[static_cast<std::size_t>(plan.peer(r))]) {
       return numa_ratio_;  // a gate waits on its slowest pair
     }
   }
@@ -471,9 +421,8 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
   };
 
   Shape shape;
-  shape.total = local_amps();
-  shape.chunk = std::min<amp_index>(shape.total,
-                                    opts_.max_message_bytes / kBytesPerAmp);
+  shape.total = plan.exchange_bytes / kBytesPerAmp;
+  shape.chunk = plan.max_message_bytes / kBytesPerAmp;
   RegionFn combine;
   switch (plan.combine) {
     case OpPlan::Combine::kMatrix1:
@@ -486,15 +435,17 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
     case OpPlan::Combine::kSwapOneHigh: {
       const int a = g.targets[0];
       if (plan.half_exchange) {
-        // The packed half-payload streams in bytes, so a chunk boundary may
-        // split an amplitude: the scatter waits for whole amplitudes.
-        shape.half = true;
-        shape.local_bit = a;
-        shape.high_bit = plan.high_bit;
-        shape.total = kern::half_payload_bytes(local_amps());
-        shape.chunk =
-            std::min<amp_index>(shape.total, opts_.max_message_bytes);
-        shape.align = kBytesPerAmp;
+        // Each side ships the half whose bit `a` disagrees with its own bit
+        // of the distributed target and scatters the peer's half into the
+        // same positions, elementwise over the packed index.
+        shape.gather = [&, a](rank_t me) {
+          kern::gather_half(slices_[me], a, 1 - high(me), recv_bufs_[me],
+                            shape.total);
+        };
+        combine = [&, a](rank_t me, amp_index first, amp_index count) {
+          kern::scatter_half(slices_[me], a, 1 - high(me), recv_bufs_[me],
+                             first, count);
+        };
       } else {
         // The combine reads the partner amplitude flip_bit(i, a), so
         // regions must be closed under that flip: align 2^(a+1).
@@ -516,37 +467,15 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
       QSV_REQUIRE(false, "distributed plan without a combine kind");
   }
 
-  const std::uint64_t m = plan.rank_xor_mask;
-  // high_mask names control bits, rank_xor_mask target bits; they are
-  // disjoint, so both pair members agree on participation.
-  const auto participates = [&](rank_t r) {
-    if (!bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      return false;  // high controls unsatisfied: the pair is idle
+  // Threaded, every sending rank runs its own side; serially, the lower
+  // rank of each sending pair runs both.
+  for_each_rank(num_ranks(), [&](int r) {
+    const rank_t peer = plan.peer(r);
+    if (plan.sends(r) && (team_ != nullptr || r < peer)) {
+      const Side pair[2] = {{r, peer}, {peer, r}};
+      exchange_step({pair, team_ != nullptr ? 1u : 2u}, shape, combine);
     }
-    // A two-high SWAP moves amplitudes only between ranks whose two high
-    // bits differ.
-    const std::uint64_t rb = static_cast<std::uint64_t>(r) & m;
-    return plan.combine != OpPlan::Combine::kSwapTwoHigh ||
-           (rb != 0 && rb != m);
-  };
-  const auto peer_of = [&](rank_t r) {
-    return static_cast<rank_t>(static_cast<std::uint64_t>(r) ^ m);
-  };
-  if (team_ != nullptr) {
-    team_->run(num_ranks(), [&](int r) {
-      const Side side{r, peer_of(r)};
-      if (participates(r)) {
-        exchange_step({&side, 1}, shape, combine);
-      }
-    });
-  } else {
-    for (rank_t r = 0; r < num_ranks(); ++r) {
-      if (peer_of(r) > r && participates(r)) {  // each pair once
-        const Side pair[2] = {{r, peer_of(r)}, {peer_of(r), r}};
-        exchange_step(pair, shape, combine);
-      }
-    }
-  }
+  });
   QSV_REQUIRE(cluster_.quiescent(),
               "messages left in flight after a distributed gate");
 }
@@ -554,103 +483,54 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
 template <class S>
 void DistStateVector<S>::apply(const Gate& g) {
   QSV_REQUIRE(g.max_qubit() < num_qubits_, "gate qubit out of range");
-
-  // Gates without a native distributed execution (two-qubit dense
-  // unitaries on rank bits) run as their SWAP-staged expansion.
-  const std::vector<Gate> expansion =
-      expand_for_decomposition(g, local_qubits_);
-  if (!expansion.empty()) {
-    for (const Gate& sub : expansion) {
-      apply(sub);
-    }
-    return;
-  }
-
-  tick_gate();
-  const OpPlan plan = plan_gate(g, num_qubits_, local_qubits_, opts_);
-
-  ExecEvent e;
-  e.gate = g.kind;
-  e.locality = plan.locality;
-  e.local_amps = local_amps();
-  e.local_target = plan.local_target;
-  e.participating_fraction = plan.participating_fraction;
-
-  if (plan.locality == GateLocality::kDistributed) {
-    apply_distributed(g, plan);
-    e.kind = ExecEvent::Kind::kExchange;
-    e.bytes_per_rank = plan.exchange_bytes;
-    e.messages_per_rank = plan.messages;
-    e.policy = opts_.policy;
-    e.half_exchange = plan.half_exchange;
-    e.overlap_chunks =
-        opts_.policy == CommPolicy::kOverlapped ? plan.messages : 0;
-    e.numa_ratio = exchange_numa_ratio(plan);
-    if (injector_ != nullptr) {
-      const FaultInjector::GateFaultCharges charges =
-          injector_->take_gate_charges();
-      e.retry_bytes = charges.retry_bytes;
-      e.retry_messages = charges.retry_messages;
-      e.fault_delay_s = charges.delay_s;
-    }
-  } else {
-    if (team_ != nullptr) {
-      team_->run(num_ranks(), [&](int r) {
-        kern::apply_gate_slice(slices_[static_cast<std::size_t>(r)], g,
+  for_each_planned(g, num_qubits_, local_qubits_, opts_,
+                   [&](const Gate& leaf, const OpPlan& plan) {
+    tick_gate();
+    ExecEvent e = gate_event(leaf.kind, plan, local_qubits_, opts_);
+    if (plan.locality == GateLocality::kDistributed) {
+      apply_distributed(leaf, plan);
+      e.numa_ratio = exchange_numa_ratio(plan);
+      if (injector_ != nullptr) {
+        const FaultInjector::GateFaultCharges charges =
+            injector_->take_gate_charges();
+        e.retry_bytes = charges.retry_bytes;
+        e.retry_messages = charges.retry_messages;
+        e.fault_delay_s = charges.delay_s;
+      }
+    } else {
+      for_each_rank(num_ranks(), [&](int r) {
+        kern::apply_gate_slice(slices_[static_cast<std::size_t>(r)], leaf,
                                local_qubits_, static_cast<amp_index>(r));
       });
-    } else {
-      for (rank_t r = 0; r < num_ranks(); ++r) {
-        kern::apply_gate_slice(slices_[r], g, local_qubits_,
-                               static_cast<amp_index>(r));
-      }
     }
-    e.kind = ExecEvent::Kind::kLocalGate;
-  }
-  emit(e);
+    emit(e);
+  });
 }
 
 template <class S>
 bool DistStateVector<S>::gate_runs_local(const Gate& g) const {
-  const std::vector<Gate> expansion =
-      expand_for_decomposition(g, local_qubits_);
-  if (!expansion.empty()) {
-    for (const Gate& sub : expansion) {
-      if (!gate_runs_local(sub)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  return plan_gate(g, num_qubits_, local_qubits_, opts_).locality !=
-         GateLocality::kDistributed;
+  bool local = true;
+  for_each_planned(g, num_qubits_, local_qubits_, opts_,
+                   [&](const Gate&, const OpPlan& plan) {
+    local = local && plan.locality != GateLocality::kDistributed;
+  });
+  return local;
 }
 
 template <class S>
 void DistStateVector<S>::apply_to_rank(const Gate& g, rank_t r) {
   QSV_REQUIRE(r >= 0 && r < num_ranks(), "rank out of range");
-  const std::vector<Gate> expansion =
-      expand_for_decomposition(g, local_qubits_);
-  if (!expansion.empty()) {
-    for (const Gate& sub : expansion) {
-      apply_to_rank(sub, r);
-    }
-    return;
-  }
-  const OpPlan plan = plan_gate(g, num_qubits_, local_qubits_, opts_);
-  QSV_REQUIRE(plan.locality != GateLocality::kDistributed,
-              "solo replay requires gates with no distributed exchange");
-  kern::apply_gate_slice(slices_[r], g, local_qubits_,
-                         static_cast<amp_index>(r));
-  ExecEvent e;
-  e.kind = ExecEvent::Kind::kLocalGate;
-  e.gate = g.kind;
-  e.locality = plan.locality;
-  e.local_amps = local_amps();
-  e.local_target = plan.local_target;
-  // Exactly one node computes while the rest wait at the resume barrier.
-  e.participating_fraction = 1.0 / static_cast<double>(num_ranks());
-  emit(e);
+  for_each_planned(g, num_qubits_, local_qubits_, opts_,
+                   [&](const Gate& leaf, const OpPlan& plan) {
+    QSV_REQUIRE(plan.locality != GateLocality::kDistributed,
+                "solo replay requires gates with no distributed exchange");
+    kern::apply_gate_slice(slices_[r], leaf, local_qubits_,
+                           static_cast<amp_index>(r));
+    ExecEvent e = gate_event(leaf.kind, plan, local_qubits_, opts_);
+    // Exactly one node computes while the rest wait at the resume barrier.
+    e.participating_fraction = 1.0 / static_cast<double>(num_ranks());
+    emit(e);
+  });
 }
 
 template <class S>
@@ -663,9 +543,7 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
   const ReshardPlan plan = plan_reshard(num_qubits_, local_qubits_, dead_rank,
                                         opts_.max_message_bytes);
   const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local,
-      std::max<amp_index>(1, opts_.max_message_bytes / kBytesPerAmp));
+  const amp_index chunk = chunk_amps(opts_.max_message_bytes);
 
   std::vector<S> merged;
   merged.reserve(static_cast<std::size_t>(plan.new_ranks));
@@ -681,8 +559,8 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
       copy_amps(slices_[hi], 0, s, n_local, n_local);
     } else {
       // Packed straight into each message, unpacked straight out of it.
-      for (amp_index first = 0; first < n_local; first += chunk_amps) {
-        const amp_index count = std::min(chunk_amps, n_local - first);
+      for (amp_index first = 0; first < n_local; first += chunk) {
+        const amp_index count = std::min(chunk, n_local - first);
         const std::size_t bytes = count * kBytesPerAmp;
         cluster_.send(hi, lo, bytes, VirtualCluster::kAnyTag,
                       [&](std::span<std::byte> b) {
@@ -716,9 +594,7 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
                   " ranks");
   const amp_index n_local = local_amps();
   const amp_index n_half = n_local / 2;
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_half,
-      std::max<amp_index>(1, opts_.max_message_bytes / kBytesPerAmp));
+  const amp_index chunk = chunk_amps(opts_.max_message_bytes);
 
   // Widen the cluster before any traffic: the revived ranks must be valid
   // send targets. The engine is quiescent at a gate boundary, so this (and
@@ -728,17 +604,11 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   std::vector<S> grown;
   grown.resize(static_cast<std::size_t>(plan.new_ranks));
   try {
-    if (team_ != nullptr) {
-      // First touch: each new rank's worker thread allocates and zero-fills
-      // its own slice, so the pages land in the revived rank's NUMA domain.
-      team_->run(plan.new_ranks, [&](int r) {
-        grown[static_cast<std::size_t>(r)] = S(n_half);
-      });
-    } else {
-      for (int r = 0; r < plan.new_ranks; ++r) {
-        grown[static_cast<std::size_t>(r)] = S(n_half);
-      }
-    }
+    // First touch: threaded, each new rank's worker allocates and
+    // zero-fills its own slice, so the pages land in its NUMA domain.
+    for_each_rank(plan.new_ranks, [&](int r) {
+      grown[static_cast<std::size_t>(r)] = S(n_half);
+    });
     for (int n = 0; n < plan.old_ranks; ++n) {
       const rank_t lo = static_cast<rank_t>(2 * n);
       const rank_t hi = static_cast<rank_t>(2 * n + 1);
@@ -752,8 +622,8 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
       // re-sent, never absorbed into the revived slice.
       with_retry(lo, hi, VirtualCluster::kAnyTag, plan.messages_per_move,
                  plan.bytes_per_move, nullptr, [&](int) {
-        for (amp_index first = 0; first < n_half; first += chunk_amps) {
-          const amp_index count = std::min(chunk_amps, n_half - first);
+        for (amp_index first = 0; first < n_half; first += chunk) {
+          const amp_index count = std::min(chunk, n_half - first);
           const std::size_t bytes = count * kBytesPerAmp;
           cluster_.send(lo, hi, bytes, VirtualCluster::kAnyTag,
                         [&](std::span<std::byte> b) {
@@ -806,42 +676,21 @@ void DistStateVector<S>::apply_sweep_run(const Circuit& c, std::size_t first,
   }
   const Gate* gates = c.gates().data() + first;
   const int t = std::min(opts_.sweep.tile_qubits, local_qubits_);
-  if (team_ != nullptr) {
-    team_->run(num_ranks(), [&](int r) {
-      kern::apply_sweep_run(slices_[static_cast<std::size_t>(r)], gates,
-                            count, t, local_qubits_,
-                            static_cast<amp_index>(r));
-    });
-  } else {
-    for (rank_t r = 0; r < num_ranks(); ++r) {
-      kern::apply_sweep_run(slices_[r], gates, count, t, local_qubits_,
-                            static_cast<amp_index>(r));
-    }
-  }
-  const amp_index tiles = local_amps() >> t;
-  sweep_stats_.add_run(count, tiles);
-
-  ExecEvent se;
-  se.kind = ExecEvent::Kind::kSweep;
-  se.gate = gates[0].kind;
-  se.local_amps = local_amps();
-  se.sweep_gates = static_cast<int>(count);
-  se.sweep_tiles = tiles;
+  for_each_rank(num_ranks(), [&](int r) {
+    kern::apply_sweep_run(slices_[static_cast<std::size_t>(r)], gates, count,
+                          t, local_qubits_, static_cast<amp_index>(r));
+  });
+  const ExecEvent se = sweep_event(gates[0].kind, count, local_qubits_, opts_);
+  sweep_stats_.add_run(count, se.sweep_tiles);
   emit(se);
 
   // The per-gate events are unchanged versus gate-by-gate execution, so a
   // listening cost model charges exactly what a naive run would.
   for (std::size_t i = 0; i < count; ++i) {
-    const Gate& g = gates[i];
-    const OpPlan plan = plan_gate(g, num_qubits_, local_qubits_, opts_);
-    ExecEvent e;
-    e.kind = ExecEvent::Kind::kLocalGate;
-    e.gate = g.kind;
-    e.locality = plan.locality;
-    e.local_amps = local_amps();
-    e.local_target = plan.local_target;
-    e.participating_fraction = plan.participating_fraction;
-    emit(e);
+    for_each_planned(gates[i], num_qubits_, local_qubits_, opts_,
+                     [&](const Gate& leaf, const OpPlan& plan) {
+      emit(gate_event(leaf.kind, plan, local_qubits_, opts_));
+    });
   }
 }
 

@@ -192,23 +192,21 @@ class DistStateVector {
     rank_t me;
     rank_t peer;
   };
-  /// What one exchange streams, in the units it is chunked in: amplitudes
-  /// packed from the slice and unpacked into the recv buffer (full
-  /// exchange), or bytes of the half-payload gathered from the slice and
-  /// scattered back into it (half exchange, where a chunk boundary may split
-  /// an amplitude).
+  /// What one exchange streams, in whole amplitudes: `total` per direction
+  /// in messages of at most `chunk`, the peer's landing in the recv buffer
+  /// from index 0. A full exchange packs from the slice. A half exchange
+  /// (`gather` set) first gathers each side's outgoing half into the upper
+  /// half of its recv buffer and packs from there.
   struct Shape {
-    bool half = false;
-    int local_bit = -1;  // half: the SWAP's local target
-    int high_bit = -1;   // half: rank bit of the distributed target
-    amp_index total = 0;  // units per direction
-    amp_index chunk = 0;  // units per message
+    amp_index total = 0;
+    amp_index chunk = 0;
     /// Combine regions must start on multiples of this (a power of two): 1
     /// for elementwise combines, 2^(a+1) for a SWAP reading partner
-    /// amplitude flip_bit(i, a), kBytesPerAmp for the half-payload scatter.
+    /// amplitude flip_bit(i, a).
     amp_index align = 1;
+    std::function<void(rank_t me)> gather;
   };
-  /// Combines side `me`'s landed units [first, first + count).
+  /// Combines side `me`'s landed amplitudes [first, first + count).
   using RegionFn =
       std::function<void(rank_t me, amp_index first, amp_index count)>;
 
@@ -222,12 +220,16 @@ class DistStateVector {
   /// the wait point and the retry unit (docs/COMMS.md).
   void exchange_step(std::span<const Side> sides, const Shape& shape,
                      const RegionFn& combine);
-  /// Plans the distributed gate's shape and combine, then runs
-  /// exchange_step for every participating pair (serial) or rank (threaded).
+  /// Picks the distributed gate's shape and combine, then runs
+  /// exchange_step for every sending pair (serial) or rank (threaded).
   void apply_distributed(const Gate& g, const OpPlan& plan);
-  /// Measured NUMA ratio for this exchange: numa_ratio_ when any
-  /// participating pair spans domains under the placement plan, else 1.0.
+  /// Measured NUMA ratio for this exchange: numa_ratio_ when any sending
+  /// pair spans domains under the placement plan, else 1.0.
   [[nodiscard]] double exchange_numa_ratio(const OpPlan& plan) const;
+  /// Runs fn(r) for r in [0, count): on the rank threads when threaded (so
+  /// each rank first-touches what it allocates), in ascending order on the
+  /// calling thread otherwise.
+  void for_each_rank(int count, const std::function<void(int)>& fn);
   /// Rebuilds the recv buffers for the current width.
   void resize_buffers();
   void apply_sweep_run(const Circuit& c, std::size_t first,
@@ -255,19 +257,10 @@ class DistStateVector {
   VirtualCluster cluster_;
   std::vector<S> slices_;       // one per rank
   std::vector<S> recv_bufs_;    // the doubling MPI buffers; none on one rank
-  /// Half-exchange payloads, gathered whole before the first chunk is sent
-  /// and scattered as chunks land (grown on first use). The threaded engine
-  /// keeps one per rank, the serial engine one per side of the pair in
-  /// flight. A full exchange needs none: it packs straight into the
-  /// cluster's message storage and unpacks straight out of it.
-  struct Stage {
-    std::vector<std::byte> out, in;
-  };
-  std::vector<Stage> stage_;
   /// Ranks-as-threads runtime (null on the serial engine).
   std::unique_ptr<RankTeam> team_;
-  /// Measured (or configured) local-vs-remote bandwidth ratio; 1.0 on
-  /// single-domain hosts, so exchange pricing is unchanged there.
+  /// Measured local-vs-remote bandwidth ratio; 1.0 on single-domain hosts,
+  /// so exchange pricing is unchanged there.
   double numa_ratio_ = 1.0;
   int numa_domains_ = 1;
   int host_cpus_ = 1;

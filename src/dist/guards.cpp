@@ -4,6 +4,12 @@
 #include <string>
 
 namespace qsv {
+namespace {
+
+/// Allowed |‖ψ‖² - 1| drift at a norm check.
+constexpr double kNormTolerance = 1e-9;
+
+}  // namespace
 
 template <class S>
 void StateGuard<S>::emit_event(bool norm, bool crc) const {
@@ -31,9 +37,6 @@ void StateGuard<S>::emit_event(bool norm, bool crc) const {
 
 template <class S>
 void StateGuard<S>::check(std::uint64_t gate_index) {
-  if (!opts_.check_norm) {
-    return;
-  }
   ++stats_.checks;
   // The check's cost is paid whether or not it passes. Slice CRCs are a
   // checkpoint-signature feature (capture_signature/verify_restore), not a
@@ -42,12 +45,12 @@ void StateGuard<S>::check(std::uint64_t gate_index) {
   // signature here would desync it from the checkpoint on disk.
   emit_event(/*norm=*/true, /*crc=*/false);
   const real_t norm = sv_.norm_sq();
-  if (std::abs(norm - 1.0) > opts_.norm_tolerance) {
+  if (std::abs(norm - 1.0) > kNormTolerance) {
     ++stats_.violations;
     throw GuardViolation(
         "norm invariant violated after gate " + std::to_string(gate_index) +
             ": |psi|^2 = " + std::to_string(norm) + " drifted more than " +
-            std::to_string(opts_.norm_tolerance) + " from 1",
+            std::to_string(kNormTolerance) + " from 1",
         /*rank=*/-1, gate_index);
   }
 }

@@ -39,20 +39,15 @@ namespace qsv {
 
 struct GuardOptions {
   /// Circuit gates between invariant checks; 0 disables the guard layer
-  /// entirely (no checks, no events, zero cost-model delta).
+  /// entirely (no checks, no events, zero cost-model delta). A check
+  /// asserts |‖ψ‖² - 1| <= 1e-9; one also runs just before each checkpoint
+  /// is written, so rollback targets are verified state ("last *verified*
+  /// checkpoint").
   std::uint64_t cadence_gates = 0;
-  /// Check ‖ψ‖² == 1 within `norm_tolerance` at each cadence point.
-  bool check_norm = true;
   /// Fingerprint each slice with CRC-32 when a checkpoint is written and
   /// verify the fingerprint after a restore (catches corruption on the
   /// memory->disk->memory path).
   bool slice_crc = false;
-  /// Allowed |‖ψ‖² - 1| drift. Rounding accumulates with gate count, so
-  /// long circuits may need a looser tolerance.
-  double norm_tolerance = 1e-9;
-  /// Run a guard check just before each checkpoint is written, so rollback
-  /// targets are verified state ("last *verified* checkpoint").
-  bool verify_checkpoints = true;
 
   [[nodiscard]] bool enabled() const { return cadence_gates > 0; }
 };

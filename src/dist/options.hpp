@@ -26,18 +26,6 @@ struct ThreadOptions {
   /// (QSV_PLACEMENT=compact|scatter|none).
   PlacementPolicy placement = PlacementPolicy::kNone;
 
-  /// Local-vs-remote bandwidth ratio fed into exchange pricing for pairs
-  /// spanning NUMA domains. 0 = measure at startup
-  /// (topology.hpp: measure_numa_bandwidth_ratio; 1.0 on single-domain
-  /// hosts); explicit values let tests and single-domain hosts model a
-  /// multi-domain machine.
-  double numa_remote_bw_ratio = 0;
-
-  /// Per-pair mailbox capacity in messages; 0 sizes it automatically to
-  /// one full exchange direction so the non-blocking policy (all sends
-  /// posted before any recv) cannot deadlock on backpressure.
-  std::size_t mailbox_capacity = 0;
-
   [[nodiscard]] bool enabled() const { return threads > 0; }
 };
 
@@ -66,9 +54,8 @@ struct DistOptions {
   /// FaultInjector is attached; fault-free transport never retries).
   /// A dropped or corrupted chunk is re-sent up to `max_retries` times;
   /// exhaustion surfaces as a typed NodeFailure. Each attempt is charged
-  /// an exponential backoff (base * 2^attempt) as idle time.
+  /// an exponential backoff (0.1 s * 2^attempt) as idle time.
   int max_retries = 3;
-  double retry_backoff_s = 0.1;
 
   /// Watchdog deadline a receive waits before declaring CommTimeout. The
   /// retry layer charges the deadline as idle time on every timed-out

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "cluster/cluster.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 
@@ -15,15 +14,33 @@ double mask_fraction(std::uint64_t mask) {
   return 1.0 / static_cast<double>(std::uint64_t{1} << std::popcount(mask));
 }
 
+/// Messages that carry `amps` amplitudes in chunk_amps chunks.
+int messages_for(amp_index amps, std::size_t max_message_bytes) {
+  const amp_index chunk = chunk_amps(max_message_bytes);
+  return static_cast<int>((amps + chunk - 1) / chunk);
+}
+
 }  // namespace
+
+amp_index chunk_amps(std::size_t max_message_bytes) {
+  QSV_REQUIRE(max_message_bytes >= kBytesPerAmp,
+              "message cap below one amplitude");
+  return max_message_bytes / kBytesPerAmp;
+}
+
+bool OpPlan::sends(rank_t r) const {
+  const auto id = static_cast<std::uint64_t>(r);
+  const std::uint64_t target_bits = id & rank_xor_mask;
+  return combine != Combine::kNone && bits::all_set(id, high_mask) &&
+         (combine != Combine::kSwapTwoHigh ||
+          (target_bits != 0 && target_bits != rank_xor_mask));
+}
 
 OpPlan plan_gate(const Gate& g, int num_qubits, int local_qubits,
                  const DistOptions& opts) {
   QSV_REQUIRE(local_qubits >= 1 && local_qubits <= num_qubits,
               "invalid decomposition");
   const int L = local_qubits;
-  const amp_index slice = amp_index{1} << L;
-  const std::uint64_t slice_bytes = slice * kBytesPerAmp;
 
   OpPlan p;
   p.locality = classify_gate(g, L);
@@ -68,40 +85,71 @@ OpPlan plan_gate(const Gate& g, int num_qubits, int local_qubits,
   const CommFootprint f = comm_footprint(g, num_qubits, L);
   p.rank_xor_mask = f.rank_xor_mask;
   p.participating_fraction = f.participating_fraction * mask_fraction(p.high_mask);
+  p.exchange_bytes = f.bytes_full;
 
   if (g.kind == GateKind::kSwap) {
     const qubit_t a = g.targets[0];
     const qubit_t b = g.targets[1];
+    p.high_bit = b - L;  // two-high: informational, the xor mask has both bits
     if (a >= L) {
       p.combine = OpPlan::Combine::kSwapTwoHigh;
-      p.exchange_bytes = slice_bytes;
-      p.high_bit = b - L;  // informational; the xor mask carries both bits
     } else {
       p.combine = OpPlan::Combine::kSwapOneHigh;
-      p.high_bit = b - L;
       if (opts.half_exchange_swaps) {
         p.exchange_bytes = f.bytes_half;
         p.half_exchange = true;
-      } else {
-        p.exchange_bytes = f.bytes_full;
       }
     }
   } else {
     p.combine = OpPlan::Combine::kMatrix1;
     p.high_bit = g.targets[0] - L;
-    p.exchange_bytes = f.bytes_full;
   }
 
-  if (p.half_exchange) {
-    // Half payloads are shipped as raw byte streams, chunked by bytes.
-    p.messages = message_count(p.exchange_bytes, opts.max_message_bytes);
-  } else {
-    // Full-slice exchanges chunk by whole amplitudes (as QuEST does).
-    const amp_index chunk_amps = std::max<amp_index>(
-        1, opts.max_message_bytes / kBytesPerAmp);
-    p.messages = static_cast<int>((slice + chunk_amps - 1) / chunk_amps);
-  }
+  // Both exchange shapes stream whole amplitudes.
+  const amp_index payload_amps = p.exchange_bytes / kBytesPerAmp;
+  p.messages = messages_for(payload_amps, opts.max_message_bytes);
+  p.max_message_bytes =
+      std::min(payload_amps, chunk_amps(opts.max_message_bytes)) *
+      kBytesPerAmp;
+  // Idle ranks: unsatisfied high controls, and the half of a two-high
+  // SWAP's ranks whose two target bits agree.
+  const int idle_shift = std::popcount(p.high_mask) +
+                         (p.combine == OpPlan::Combine::kSwapTwoHigh ? 1 : 0);
+  p.sending_ranks = (std::uint64_t{1} << (num_qubits - L)) >> idle_shift;
   return p;
+}
+
+ExecEvent gate_event(GateKind gate, const OpPlan& plan, int local_qubits,
+                     const DistOptions& opts) {
+  ExecEvent e;
+  e.kind = ExecEvent::Kind::kLocalGate;
+  e.gate = gate;
+  e.locality = plan.locality;
+  e.local_amps = amp_index{1} << local_qubits;
+  e.local_target = plan.local_target;
+  e.participating_fraction = plan.participating_fraction;
+  if (plan.locality == GateLocality::kDistributed) {
+    e.kind = ExecEvent::Kind::kExchange;
+    e.bytes_per_rank = plan.exchange_bytes;
+    e.messages_per_rank = plan.messages;
+    e.policy = opts.policy;
+    e.half_exchange = plan.half_exchange;
+    e.overlap_chunks =
+        opts.policy == CommPolicy::kOverlapped ? plan.messages : 0;
+  }
+  return e;
+}
+
+ExecEvent sweep_event(GateKind first, std::size_t count, int local_qubits,
+                      const DistOptions& opts) {
+  ExecEvent e;
+  e.kind = ExecEvent::Kind::kSweep;
+  e.gate = first;
+  e.local_amps = amp_index{1} << local_qubits;
+  e.sweep_gates = static_cast<int>(count);
+  e.sweep_tiles =
+      e.local_amps >> std::min(opts.sweep.tile_qubits, local_qubits);
+  return e;
 }
 
 ReshardPlan plan_reshard(int num_qubits, int local_qubits, rank_t dead_rank,
@@ -116,10 +164,7 @@ ReshardPlan plan_reshard(int num_qubits, int local_qubits, rank_t dead_rank,
   p.dead_rank = dead_rank;
   p.slice_amps = amp_index{1} << local_qubits;
   p.bytes_per_move = p.slice_amps * kBytesPerAmp;
-  const amp_index chunk_amps =
-      std::max<amp_index>(1, max_message_bytes / kBytesPerAmp);
-  p.messages_per_move =
-      static_cast<int>((p.slice_amps + chunk_amps - 1) / chunk_amps);
+  p.messages_per_move = messages_for(p.slice_amps, max_message_bytes);
   p.moving_pairs = p.new_ranks - 1;
   p.total_bytes = static_cast<std::uint64_t>(p.moving_pairs) * p.bytes_per_move;
   p.rebuild_io_bytes = p.bytes_per_move;
@@ -135,10 +180,7 @@ GrowBackPlan plan_grow_back(int num_qubits, int local_qubits,
   p.new_ranks = p.old_ranks * 2;
   p.slice_amps = amp_index{1} << (local_qubits - 1);
   p.bytes_per_move = p.slice_amps * kBytesPerAmp;
-  const amp_index chunk_amps =
-      std::max<amp_index>(1, max_message_bytes / kBytesPerAmp);
-  p.messages_per_move =
-      static_cast<int>((p.slice_amps + chunk_amps - 1) / chunk_amps);
+  p.messages_per_move = messages_for(p.slice_amps, max_message_bytes);
   p.moving_pairs = p.old_ranks;
   p.total_bytes = static_cast<std::uint64_t>(p.moving_pairs) * p.bytes_per_move;
   return p;

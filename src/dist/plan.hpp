@@ -1,15 +1,24 @@
-// Gate execution planning, shared verbatim by the functional and trace
-// engines so their behaviour cannot diverge.
+// The one schedule both engines follow: the decomposition walk, the gate
+// plan, the message chunking and the events a gate emits. The functional
+// engine executes it and the trace engine only records it, so their event
+// streams and traffic counters cannot diverge.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "circuit/gate.hpp"
 #include "circuit/locality.hpp"
 #include "common/types.hpp"
+#include "dist/events.hpp"
 #include "dist/options.hpp"
 
 namespace qsv {
+
+/// Whole amplitudes per message under a `max_message_bytes` cap, which must
+/// hold at least one amplitude. Exchanges, re-shard moves and the threaded
+/// engine's mailbox sizing all chunk by this (as QuEST does).
+[[nodiscard]] amp_index chunk_amps(std::size_t max_message_bytes);
 
 /// Fully resolved execution plan for one gate at one decomposition.
 struct OpPlan {
@@ -45,10 +54,25 @@ struct OpPlan {
   /// Payload bytes per participating rank, after the half-exchange decision.
   std::uint64_t exchange_bytes = 0;
 
-  /// Messages per participating rank (chunking under the MPI cap).
+  /// Messages per participating rank: the payload in chunk_amps chunks.
   int messages = 0;
 
+  /// Payload bytes of the largest of those messages.
+  std::uint64_t max_message_bytes = 0;
+
+  /// Ranks for which sends() is true.
+  std::uint64_t sending_ranks = 0;
+
   bool half_exchange = false;
+
+  /// True when rank `r` exchanges with peer(r) for this gate. Ranks whose
+  /// high controls are unsatisfied sit out, and so do the ranks of a
+  /// two-high SWAP whose two target bits agree. Both pair members always
+  /// agree: high_mask and rank_xor_mask are disjoint.
+  [[nodiscard]] bool sends(rank_t r) const;
+  [[nodiscard]] rank_t peer(rank_t r) const {
+    return static_cast<rank_t>(static_cast<std::uint64_t>(r) ^ rank_xor_mask);
+  }
 };
 
 /// Builds the plan for `g` on an n-qubit register split over 2^(n-L) ranks
@@ -56,6 +80,33 @@ struct OpPlan {
 /// distributed).
 [[nodiscard]] OpPlan plan_gate(const Gate& g, int num_qubits, int local_qubits,
                                const DistOptions& opts);
+
+/// The gate walk both engines run: decomposes `g` for 2^L-amplitude slices
+/// (expand_for_decomposition, recursively) and calls fn(leaf, plan) for
+/// each natively executable leaf gate in order.
+template <class Fn>
+void for_each_planned(const Gate& g, int num_qubits, int local_qubits,
+                      const DistOptions& opts, Fn&& fn) {
+  const std::vector<Gate> expansion = expand_for_decomposition(g, local_qubits);
+  if (expansion.empty()) {
+    fn(g, plan_gate(g, num_qubits, local_qubits, opts));
+    return;
+  }
+  for (const Gate& sub : expansion) {
+    for_each_planned(sub, num_qubits, local_qubits, opts, fn);
+  }
+}
+
+/// The event both engines emit for one planned leaf gate: kLocalGate, or
+/// kExchange carrying the plan's traffic. The functional engine adds its
+/// NUMA ratio and fault charges.
+[[nodiscard]] ExecEvent gate_event(GateKind gate, const OpPlan& plan,
+                                   int local_qubits, const DistOptions& opts);
+
+/// The kSweep announcement of one cache-tiled run of `count` local gates,
+/// the first of kind `first`.
+[[nodiscard]] ExecEvent sweep_event(GateKind first, std::size_t count,
+                                    int local_qubits, const DistOptions& opts);
 
 /// Shrink-to-survive re-shard from 2^k to 2^(k-1) ranks. Because the top k
 /// qubits select the rank, new rank n's slice is the concatenation of old

@@ -234,7 +234,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     }
   }
   auto drop_ckpt = [&] {
-    if (checkpointing && !ck.keep_checkpoints) {
+    if (checkpointing) {
       store->clear();
     }
   };
@@ -499,9 +499,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       poll_replacements();
       const bool at_ckpt =
           checkpointing && i % ck.interval_gates == 0 && i < c.size();
-      if (guards.enabled() &&
-          (guard.due(i) || (at_ckpt && guards.verify_checkpoints) ||
-           i == c.size())) {
+      if (guards.enabled() && (guard.due(i) || at_ckpt || i == c.size())) {
         guard.check(i - 1);
       }
       if (at_ckpt && save_ckpt(i)) {

@@ -38,8 +38,6 @@ struct CheckpointOptions {
   std::string dir = ".";
   /// Give up (rethrow) after this many restarts.
   int max_restarts = 8;
-  /// Leave the final checkpoint file on disk after a successful run.
-  bool keep_checkpoints = false;
   /// Snapshot retention: newest N checkpoints kept per directory, older
   /// ones deleted as soon as a newer write commits (see CheckpointStore).
   int keep_last = 2;

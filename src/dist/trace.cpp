@@ -1,7 +1,6 @@
 #include "dist/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -19,105 +18,49 @@ TraceSim::TraceSim(int num_qubits, int num_ranks, DistOptions opts)
   QSV_REQUIRE(bits::is_pow2(static_cast<std::uint64_t>(num_ranks)),
               "rank count must be a power of two");
   QSV_REQUIRE(local_qubits_ >= 1, "each rank must hold at least 2 amplitudes");
+  QSV_REQUIRE(opts_.max_message_bytes >= kBytesPerAmp,
+              "message cap below one amplitude");
 }
 
 void TraceSim::apply(const Gate& g) {
   QSV_REQUIRE(g.max_qubit() < num_qubits_, "gate qubit out of range");
-
-  // Mirror the functional engine's decomposition of unsupported gates so
-  // the event streams stay identical.
-  const std::vector<Gate> expansion =
-      expand_for_decomposition(g, local_qubits_);
-  if (!expansion.empty()) {
-    for (const Gate& sub : expansion) {
-      apply(sub);
+  for_each_planned(g, num_qubits_, local_qubits_, opts_,
+                   [&](const Gate& leaf, const OpPlan& plan) {
+    switch (plan.locality) {
+      case GateLocality::kFullyLocal: ++counts_.fully_local; break;
+      case GateLocality::kLocalMemory: ++counts_.local_memory; break;
+      case GateLocality::kDistributed: ++counts_.distributed; break;
     }
-    return;
-  }
-
-  const OpPlan plan = plan_gate(g, num_qubits_, local_qubits_, opts_);
-
-  ExecEvent e;
-  e.gate = g.kind;
-  e.locality = plan.locality;
-  e.local_amps = local_amps();
-  e.local_target = plan.local_target;
-  e.participating_fraction = plan.participating_fraction;
-
-  switch (plan.locality) {
-    case GateLocality::kFullyLocal:
-      ++counts_.fully_local;
-      e.kind = ExecEvent::Kind::kLocalGate;
-      break;
-    case GateLocality::kLocalMemory:
-      ++counts_.local_memory;
-      e.kind = ExecEvent::Kind::kLocalGate;
-      break;
-    case GateLocality::kDistributed: {
-      ++counts_.distributed;
-      e.kind = ExecEvent::Kind::kExchange;
-      e.bytes_per_rank = plan.exchange_bytes;
-      e.messages_per_rank = plan.messages;
-      e.policy = opts_.policy;
-      e.half_exchange = plan.half_exchange;
-      e.overlap_chunks =
-          opts_.policy == CommPolicy::kOverlapped ? plan.messages : 0;
-
-      // Reproduce the cluster counters the functional engine would record.
-      int idle_shift = std::popcount(plan.high_mask);
-      if (plan.combine == OpPlan::Combine::kSwapTwoHigh) {
-        ++idle_shift;  // ranks whose two bits agree hold nothing that moves
-      }
-      const std::uint64_t participating =
-          static_cast<std::uint64_t>(num_ranks_) >> idle_shift;
-      stats_.messages +=
-          participating * static_cast<std::uint64_t>(plan.messages);
-      stats_.bytes += participating * plan.exchange_bytes;
-
-      std::uint64_t biggest;
-      if (plan.half_exchange) {
-        biggest = std::min<std::uint64_t>(opts_.max_message_bytes,
-                                          plan.exchange_bytes);
-      } else {
-        const amp_index chunk_amps = std::max<amp_index>(
-            1, opts_.max_message_bytes / kBytesPerAmp);
-        biggest = std::min<std::uint64_t>(local_amps(), chunk_amps) *
-                  kBytesPerAmp;
-      }
-      stats_.max_message_bytes =
-          std::max(stats_.max_message_bytes, biggest);
-      break;
-    }
-  }
-
-  if (listener_ != nullptr) {
-    listener_->on_event(e);
-  }
+    // The cluster counters the functional engine would record (all zero
+    // for a local gate).
+    stats_.messages +=
+        plan.sending_ranks * static_cast<std::uint64_t>(plan.messages);
+    stats_.bytes += plan.sending_ranks * plan.exchange_bytes;
+    stats_.max_message_bytes =
+        std::max(stats_.max_message_bytes, plan.max_message_bytes);
+    emit(gate_event(leaf.kind, plan, local_qubits_, opts_));
+  });
 }
 
 void TraceSim::apply(const Circuit& c) {
   QSV_REQUIRE(c.num_qubits() == num_qubits_, "register size mismatch");
-  // Mirror the functional engine's sweep grouping so the event streams stay
-  // identical: one kSweep announcement per tiled run, then the unchanged
-  // per-gate events (which apply() emits).
-  const std::vector<GateRun> runs =
-      plan_sweep_runs(c.gates(), local_qubits_, opts_.sweep);
-  const int t = std::min(opts_.sweep.tile_qubits, local_qubits_);
-  for (const GateRun& run : runs) {
+  // The functional engine's sweep grouping: one kSweep announcement per
+  // tiled run, then the unchanged per-gate events.
+  for (const GateRun& run :
+       plan_sweep_runs(c.gates(), local_qubits_, opts_.sweep)) {
     if (run.sweep) {
-      ExecEvent se;
-      se.kind = ExecEvent::Kind::kSweep;
-      se.gate = c.gate(run.first).kind;
-      se.local_amps = local_amps();
-      se.sweep_gates = static_cast<int>(run.count);
-      se.sweep_tiles = local_amps() >> t;
-      if (listener_ != nullptr) {
-        listener_->on_event(se);
-      }
+      emit(sweep_event(c.gate(run.first).kind, run.count, local_qubits_,
+                       opts_));
     }
     for (std::size_t i = 0; i < run.count; ++i) {
       apply(c.gate(run.first + i));
     }
+  }
+}
+
+void TraceSim::emit(const ExecEvent& e) {
+  if (listener_ != nullptr) {
+    listener_->on_event(e);
   }
 }
 

@@ -1,6 +1,7 @@
-// Trace engine: replays the exact schedule of the functional engine —
-// classification, exchange planning, chunking — without allocating
-// amplitudes, so the paper's 33-44 qubit runs can be priced at full scale.
+// Trace engine: records the schedule the functional engine executes
+// (dist/plan.hpp: the gate walk, exchange plans, chunking and events)
+// without allocating amplitudes, so the paper's 33-44 qubit runs can be
+// priced at full scale.
 //
 // Invariant (tested): for the same circuit, decomposition and options, the
 // ExecEvent stream and the traffic totals match the functional engine's.
@@ -47,6 +48,8 @@ class TraceSim {
   void set_listener(ExecListener* listener) { listener_ = listener; }
 
  private:
+  void emit(const ExecEvent& e);
+
   int num_qubits_;
   int num_ranks_;
   int local_qubits_;

@@ -362,59 +362,45 @@ void combine_swap_two_high(S& mine, const S& theirs) {
 
 // ---------------------------------------------------------------------------
 // Half-exchange helpers (the paper's future-work optimisation): only the
-// half of the slice whose bit `a` equals `value` is serialised.
+// half of the slice whose bit `a` equals `value` moves.
 // ---------------------------------------------------------------------------
 
-/// Number of bytes a half-exchange payload occupies.
-[[nodiscard]] inline std::size_t half_payload_bytes(amp_index slice_size) {
-  return (slice_size / 2) * kBytesPerAmp;
-}
-
-/// Packs amplitudes whose bit `a` == `value`, in increasing index order,
-/// as interleaved (re, im) doubles.
+/// Copies the amplitudes of `src` whose bit `a` == `value`, in increasing
+/// index order, into dst[first, first + src.size() / 2).
 template <class S>
-void gather_half(const S& src, int a, int value, std::byte* out) {
-  real_t* const o = reinterpret_cast<real_t*>(out);
+void gather_half(const S& src, int a, int value, S& dst, amp_index first) {
+  QSV_REQUIRE(first + src.size() / 2 <= dst.size(),
+              "gather region out of range");
   parallel_for(static_cast<std::int64_t>(src.size() / 2),
-               [=, &src](std::int64_t kk) {
+               [=, &src, &dst](std::int64_t kk) {
                  const amp_index k = static_cast<amp_index>(kk);
                  amp_index i = bits::insert_zero_bit(k, a);
                  if (value) {
                    i = bits::set_bit(i, a);
                  }
-                 const cplx v = src.get(i);
-                 o[2 * k] = v.real();
-                 o[2 * k + 1] = v.imag();
+                 dst.set(first + k, src.get(i));
                });
 }
 
-/// Inverse of gather_half: writes the packed stream into amplitudes whose
-/// bit `a` == `value`, in increasing index order.
-/// Range form: scatters packed amplitudes [first, first + count) of the
-/// stream (`in` still points at the stream's base). The overlapped pipeline
-/// calls this per arrived chunk; packed index k maps to one amplitude
-/// independently of every other k, so chunk-at-a-time scatter is bitwise
-/// identical to one whole pass (which delegates here).
+/// Inverse of gather_half over packed indices [first, first + count):
+/// writes src[k] into the k-th amplitude of `dst` whose bit `a` == `value`.
+/// Each k maps to one amplitude independently of every other, so the
+/// overlapped pipeline's region-at-a-time scatter is bitwise identical to
+/// one whole pass.
 template <class S>
-void scatter_half_range(S& dst, int a, int value, const std::byte* in,
-                        amp_index first, amp_index count) {
-  QSV_REQUIRE(first + count <= dst.size() / 2,
+void scatter_half(S& dst, int a, int value, const S& src, amp_index first,
+                  amp_index count) {
+  QSV_REQUIRE(first + count <= dst.size() / 2 && first + count <= src.size(),
               "scatter region out of range");
-  const real_t* const p = reinterpret_cast<const real_t*>(in);
   parallel_for(static_cast<std::int64_t>(count),
-               [=, &dst](std::int64_t kk) {
+               [=, &dst, &src](std::int64_t kk) {
                  const amp_index k = first + static_cast<amp_index>(kk);
                  amp_index i = bits::insert_zero_bit(k, a);
                  if (value) {
                    i = bits::set_bit(i, a);
                  }
-                 dst.set(i, cplx{p[2 * k], p[2 * k + 1]});
+                 dst.set(i, src.get(k));
                });
-}
-
-template <class S>
-void scatter_half(S& dst, int a, int value, const std::byte* in) {
-  scatter_half_range(dst, a, value, in, 0, dst.size() / 2);
 }
 
 }  // namespace qsv::kern

@@ -45,31 +45,28 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
                      int tile_qubits, int local_qubits, amp_index rank_bits);
 
 /// Ready-region executor for the overlapped exchange pipeline: drives a
-/// region kernel over [0, total) units chasing an arrival frontier instead
-/// of waiting for the whole payload.
+/// region kernel over amplitudes [0, total) chasing an arrival frontier
+/// instead of waiting for the whole payload.
 ///
 /// `ready()` advances the frontier — typically by receiving the next chunk
 /// of an in-flight exchange — and returns the new watermark W (monotone,
-/// eventually >= total): units [0, W) have arrived. `apply(first, count)`
-/// is then invoked over the newly combinable span, broken into at most
-/// `tile`-unit pieces so application stays cache-tiled while it chases the
-/// frontier.
+/// eventually >= total): amplitudes [0, W) have arrived.
+/// `apply(first, count)` is then invoked over the newly combinable span,
+/// broken into at most `tile`-amplitude pieces so application stays
+/// cache-tiled while it chases the frontier.
 ///
 /// `align` (a power of two) bounds how far application may trail the
 /// watermark: apply only ever sees spans whose boundaries are multiples of
 /// `align`, except the final span which ends exactly at `total`. A kernel
-/// whose unit i reads a partner unit within the same align-sized block
+/// whose amplitude i reads a partner within the same align-sized block
 /// (combine_swap_one_high_range reads flip_bit(i, a): align = 2^(a+1)) is
 /// therefore never handed a region whose partner data has not arrived.
 /// Pass align = 1 for purely elementwise kernels.
 ///
-/// Units are deliberately abstract: amplitudes for full-slice exchanges,
-/// bytes (align = kBytesPerAmp) for packed half-exchange streams.
-///
-/// Regions are applied strictly in increasing order, each unit exactly
-/// once, with the same per-unit arithmetic a single full pass would run —
-/// this is what makes the overlapped path bitwise identical to the serial
-/// one.
+/// Regions are applied strictly in increasing order, each amplitude exactly
+/// once, with the same per-amplitude arithmetic a single full pass would
+/// run — this is what makes the overlapped path bitwise identical to the
+/// serial one.
 template <class ReadyFn, class ApplyFn>
 void apply_over_frontier(amp_index total, amp_index align, amp_index tile,
                          ReadyFn&& ready, ApplyFn&& apply) {

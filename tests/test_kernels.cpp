@@ -149,13 +149,13 @@ TYPED_TEST(KernelsTyped, GatherScatterRoundTrip) {
   const amp_index n = 32;
   const int a = 2;
   const auto src = random_slice<TypeParam>(n, 10);
-  std::vector<std::byte> buf(kern::half_payload_bytes(n));
+  TypeParam buf(n / 2);
 
   for (int value : {0, 1}) {
-    kern::gather_half(src, a, value, buf.data());
+    kern::gather_half(src, a, value, buf, 0);
     auto dst = random_slice<TypeParam>(n, 11);
     const auto dst_ref = random_slice<TypeParam>(n, 11);
-    kern::scatter_half(dst, a, value, buf.data());
+    kern::scatter_half(dst, a, value, buf, 0, n / 2);
     for (amp_index i = 0; i < n; ++i) {
       if (bits::bit(i, a) == value) {
         EXPECT_EQ(dst.get(i), src.get(i));
@@ -183,12 +183,12 @@ TYPED_TEST(KernelsTyped, HalfExchangeEqualsFullExchangeSwap) {
 
   // Half path: rank 0 (b-bit 0) ships its bit_a==1 half; rank 1 ships
   // bit_a==0; each scatters what it received into the moving half.
-  std::vector<std::byte> lo_to_hi(kern::half_payload_bytes(n));
-  std::vector<std::byte> hi_to_lo(kern::half_payload_bytes(n));
-  kern::gather_half(half_lo, a, 1, lo_to_hi.data());
-  kern::gather_half(half_hi, a, 0, hi_to_lo.data());
-  kern::scatter_half(half_lo, a, 1, hi_to_lo.data());
-  kern::scatter_half(half_hi, a, 0, lo_to_hi.data());
+  TypeParam lo_to_hi(n / 2);
+  TypeParam hi_to_lo(n / 2);
+  kern::gather_half(half_lo, a, 1, lo_to_hi, 0);
+  kern::gather_half(half_hi, a, 0, hi_to_lo, 0);
+  kern::scatter_half(half_lo, a, 1, hi_to_lo, 0, n / 2);
+  kern::scatter_half(half_hi, a, 0, lo_to_hi, 0, n / 2);
 
   for (amp_index i = 0; i < n; ++i) {
     EXPECT_EQ(full_lo.get(i), half_lo.get(i)) << i;

@@ -118,9 +118,9 @@ TEST(Overlap, AlignmentHoldsBackSwapAcrossChunkBoundary) {
 }
 
 TEST(Overlap, HalfExchangeBitIdenticalAcrossChunkShapes) {
-  // Half-exchange ships a packed byte stream, so a chunk boundary may split
-  // an amplitude: 24 B chunks are 1.5 amplitudes, the frontier's
-  // kBytesPerAmp alignment keeps the scatter on whole amplitudes.
+  // Half exchanges stream whole amplitudes like full ones: a 24 B cap (1.5
+  // amplitudes) sends one amplitude per message, so every cap, ragged or
+  // not, must land the same bits.
   for (std::size_t cap :
        {std::size_t{2} * units::GiB, std::size_t{48}, std::size_t{24}}) {
     DistOptions serial_half;

@@ -96,6 +96,32 @@ TEST(Plan, MessageChunkingWithSmallCap) {
   EXPECT_EQ(p.messages, 6);  // ceil(16 / 3)
 }
 
+TEST(Plan, HalfExchangeChunksWholeAmplitudes) {
+  DistOptions opts;
+  opts.half_exchange_swaps = true;
+  opts.max_message_bytes = 40;  // 2.5 amplitudes: messages carry 2
+  const OpPlan p = plan_gate(make_swap(1, 5), 6, 4, opts);  // 8-amp halves
+  EXPECT_EQ(p.exchange_bytes, 8 * kBytesPerAmp);
+  EXPECT_EQ(p.messages, 4);
+  EXPECT_EQ(p.max_message_bytes, 2 * kBytesPerAmp);
+}
+
+TEST(Plan, SendersFollowHighControlsAndTwoHighSwapBits) {
+  // 6 qubits on 4 ranks: qubits 4 and 5 are rank bits 0 and 1.
+  const OpPlan swap = plan_gate(make_swap(4, 5), 6, 4, default_opts());
+  const OpPlan cx = plan_gate(make_cx(5, 4), 6, 4, default_opts());
+  const OpPlan local = plan_gate(make_h(0), 6, 4, default_opts());
+  EXPECT_EQ(swap.sending_ranks, 2u);
+  EXPECT_EQ(cx.sending_ranks, 2u);
+  EXPECT_EQ(local.sending_ranks, 0u);
+  for (rank_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(swap.sends(r), r == 1 || r == 2) << r;  // bits differ
+    EXPECT_EQ(cx.sends(r), r >= 2) << r;              // control bit set
+    EXPECT_FALSE(local.sends(r)) << r;
+    EXPECT_EQ(cx.peer(r), r ^ 1) << r;
+  }
+}
+
 TEST(Plan, SingleRankDecompositionRejectsNothing) {
   const OpPlan p = plan_gate(make_h(5), 6, 6, default_opts());
   EXPECT_EQ(p.locality, GateLocality::kLocalMemory);

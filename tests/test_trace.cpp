@@ -18,6 +18,7 @@ struct TraceCase {
   int ranks;
   CommPolicy policy;
   bool half;
+  std::size_t cap = 96;  // force ragged chunking (6 amps/message)
 };
 
 class TraceMatchesFunctional : public testing::TestWithParam<TraceCase> {};
@@ -27,7 +28,7 @@ TEST_P(TraceMatchesFunctional, EventStreamsAndTrafficAgree) {
   DistOptions opts;
   opts.policy = p.policy;
   opts.half_exchange_swaps = p.half;
-  opts.max_message_bytes = 96;  // force ragged chunking (6 amps/message)
+  opts.max_message_bytes = p.cap;
 
   Rng rng(p.qubits * 100 + p.ranks);
   Circuit c = build_random(p.qubits, 80, rng);
@@ -63,7 +64,10 @@ INSTANTIATE_TEST_SUITE_P(
                     TraceCase{6, 4, CommPolicy::kNonBlocking, false},
                     TraceCase{7, 8, CommPolicy::kBlocking, true},
                     TraceCase{8, 16, CommPolicy::kNonBlocking, true},
-                    TraceCase{8, 4, CommPolicy::kBlocking, true}));
+                    TraceCase{8, 4, CommPolicy::kBlocking, true},
+                    // 2.5 amplitudes per cap: half exchanges chunk whole
+                    // amplitudes, 2 per message.
+                    TraceCase{7, 4, CommPolicy::kOverlapped, true, 40}));
 
 TEST(Trace, WorksAtPaperScaleWithoutMemory) {
   // 44 qubits on 4096 ranks: impossible functionally, trivial as a trace.
@@ -101,6 +105,15 @@ TEST(Trace, RegisterLimits) {
   EXPECT_NO_THROW(TraceSim(62, 4096));
   EXPECT_THROW(TraceSim(63, 2), Error);
   EXPECT_THROW(TraceSim(10, 1024), Error);  // 1 amp per rank
+}
+
+TEST(Trace, RejectsMessageCapBelowOneAmplitude) {
+  // As VirtualCluster does: an 8 B message cannot carry a 16 B amplitude.
+  DistOptions opts;
+  opts.max_message_bytes = 8;
+  EXPECT_THROW(TraceSim(10, 4, opts), Error);
+  opts.max_message_bytes = kBytesPerAmp;
+  EXPECT_NO_THROW(TraceSim(10, 4, opts));
 }
 
 TEST(Trace, HalfExchangeHalvesTrafficOnSwaps) {
