@@ -5,6 +5,11 @@
 // The *PerBackend benchmarks pin the SIMD kernel backend (sv/simd/) per
 // run: the backend index is the last benchmark argument and the run's label
 // names it. Unsupported backends are skipped on this host, not failed.
+// The *BySize benchmarks sweep the register from 2^10 to 2^20 amplitudes
+// around parallel_for's cutoff (kParallelMinAmps): run them at the default
+// loop width and again under OMP_NUM_THREADS=1 to see where a team starts
+// to pay (docs/KERNELS.md §2):
+//   micro_kernels --benchmark_filter=BySize
 // JSON output comes from google-benchmark itself:
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
@@ -163,6 +168,44 @@ void BM_RzPerBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_RzPerBackend<SoaStorage>)->Apply(register_backend_args);
 BENCHMARK(BM_RzPerBackend<AosStorage>)->Apply(register_backend_args);
+
+/// A register of 2^range(0) amplitudes in a random state.
+StateVector prepared_at(const benchmark::State& state) {
+  StateVector sv(static_cast<int>(state.range(0)));
+  Rng rng(1);
+  sv.init_random_state(rng);
+  return sv;
+}
+
+/// Amplitudes per second: the unit the cutoff is stated in.
+void count_amps(benchmark::State& state, const StateVector& sv) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sv.num_amps()));
+}
+
+// One SoA matrix1 gate: the (block, offset) pair loop at target 8 and the
+// shuffle loop over 4/8/16-amplitude groups at target 0.
+void BM_Matrix1BySize(benchmark::State& state) {
+  StateVector sv = prepared_at(state);
+  const Gate g = make_h(static_cast<qubit_t>(state.range(1)));
+  for (auto _ : state) {
+    sv.apply(g);
+    benchmark::ClobberMemory();
+  }
+  count_amps(state, sv);
+}
+BENCHMARK(BM_Matrix1BySize)
+    ->ArgsProduct({benchmark::CreateDenseRange(10, 20, 1), {0, 8}});
+
+// One reduction: 4096-amplitude blocks summed in parallel, then in order.
+void BM_NormSqBySize(benchmark::State& state) {
+  const StateVector sv = prepared_at(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sv.norm_sq());
+  }
+  count_amps(state, sv);
+}
+BENCHMARK(BM_NormSqBySize)->DenseRange(10, 20, 1);
 
 template <class S>
 void BM_GatherHalf(benchmark::State& state) {

@@ -170,7 +170,7 @@ void apply_fused_phase(S& s, const Gate& g, int local_qubits,
   }
 
   const std::span<const std::pair<int, real_t>> ctrls(local_ctrls);
-  parallel_for(static_cast<std::int64_t>(s.size()),
+  parallel_for(s.size(), static_cast<std::int64_t>(s.size()),
                [=, &s](std::int64_t ii) {
                  const amp_index i = static_cast<amp_index>(ii);
                  if (!target_high && bits::bit(i, t) == 0) {
@@ -296,7 +296,7 @@ void combine_matrix1_range(S& mine, const S& theirs, int my_row, const Mat2& u,
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
   const cplx diag = u.m[my_row][my_row];
   const cplx off = u.m[my_row][1 - my_row];
-  parallel_for(static_cast<std::int64_t>(count),
+  parallel_for(count, static_cast<std::int64_t>(count),
                [=, &mine, &theirs](std::int64_t k) {
                  const amp_index i = first + static_cast<amp_index>(k);
                  if (!bits::all_set(i, local_ctrl_mask)) {
@@ -327,7 +327,7 @@ void combine_swap_one_high_range(S& mine, const S& theirs, int a,
                                  amp_index count) {
   QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  parallel_for(static_cast<std::int64_t>(count),
+  parallel_for(count, static_cast<std::int64_t>(count),
                [=, &mine, &theirs](std::int64_t k) {
                  const amp_index i = first + static_cast<amp_index>(k);
                  if (bits::bit(i, a) != my_high_bit) {
@@ -348,7 +348,7 @@ void combine_swap_two_high_range(S& mine, const S& theirs, amp_index first,
                                  amp_index count) {
   QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  parallel_for(static_cast<std::int64_t>(count),
+  parallel_for(count, static_cast<std::int64_t>(count),
                [=, &mine, &theirs](std::int64_t k) {
                  const amp_index i = first + static_cast<amp_index>(k);
                  mine.set(i, theirs.get(i));
@@ -369,9 +369,9 @@ void combine_swap_two_high(S& mine, const S& theirs) {
 /// index order, into dst[first, first + src.size() / 2).
 template <class S>
 void gather_half(const S& src, int a, int value, S& dst, amp_index first) {
-  QSV_REQUIRE(first + src.size() / 2 <= dst.size(),
-              "gather region out of range");
-  parallel_for(static_cast<std::int64_t>(src.size() / 2),
+  const amp_index half = src.size() / 2;
+  QSV_REQUIRE(first + half <= dst.size(), "gather region out of range");
+  parallel_for(half, static_cast<std::int64_t>(half),
                [=, &src, &dst](std::int64_t kk) {
                  const amp_index k = static_cast<amp_index>(kk);
                  amp_index i = bits::insert_zero_bit(k, a);
@@ -392,7 +392,7 @@ void scatter_half(S& dst, int a, int value, const S& src, amp_index first,
                   amp_index count) {
   QSV_REQUIRE(first + count <= dst.size() / 2 && first + count <= src.size(),
               "scatter region out of range");
-  parallel_for(static_cast<std::int64_t>(count),
+  parallel_for(count, static_cast<std::int64_t>(count),
                [=, &dst, &src](std::int64_t kk) {
                  const amp_index k = first + static_cast<amp_index>(kk);
                  amp_index i = bits::insert_zero_bit(k, a);

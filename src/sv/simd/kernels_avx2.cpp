@@ -82,7 +82,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   if (target >= 2) {
     const int64_t stride = int64_t{1} << target;
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-    parallel_for(blocks, stride / 4, [=](int64_t blk, int64_t vec) {
+    parallel_for(s.n, blocks, stride / 4, [=](int64_t blk, int64_t vec) {
       const int64_t i0 = blk * 2 * stride + 4 * vec;
       const int64_t i1 = i0 + stride;
       const v4d a0r = _mm256_loadu_pd(re + i0);
@@ -102,7 +102,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   // target 0 or 1: pairs interleave inside each 8-amplitude group. Split
   // them with shuffles, compute, and shuffle back (self-inverse patterns).
   const bool adjacent = target == 0;
-  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t group) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 8, [=](int64_t group) {
     const int64_t base = 8 * group;
     const v4d Ar = _mm256_loadu_pd(re + base);
     const v4d Br = _mm256_loadu_pd(re + base + 4);
@@ -161,7 +161,7 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
     }
   }
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads / 4, [=](int64_t group) {
+  parallel_for(s.n, quads / 4, [=](int64_t group) {
     // lo >= 2: the 4 consecutive quad counters share one contiguous base.
     const int64_t base = static_cast<int64_t>(
         bits::insert_two_zero_bits(static_cast<amp_index>(4 * group), lo, hi));
@@ -199,7 +199,7 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   real_t* const im = s.im;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads / 4, [=](int64_t group) {
+  parallel_for(s.n, quads / 4, [=](int64_t group) {
     amp_index i =
         bits::insert_two_zero_bits(static_cast<amp_index>(4 * group), lo, hi);
     i = bits::set_bit(i, lo);
@@ -228,7 +228,7 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   const amp_index mask_hi = mask & ~amp_index{3};
   const v4d fr = _mm256_set1_pd(factor.real());
   const v4d fi = _mm256_set1_pd(factor.imag());
-  parallel_for(static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
     const int64_t base = 4 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
       return;
@@ -269,7 +269,7 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm256_blendv_pd(f0r, f1r, tmask);
     fiv_fixed = _mm256_blendv_pd(f0i, f1i, tmask);
   }
-  parallel_for(static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 4, [=](int64_t vec) {
     const int64_t base = 4 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
       return;

@@ -100,7 +100,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   if (target >= 3) {
     const int64_t stride = int64_t{1} << target;
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-    parallel_for(blocks, stride / 8, [=](int64_t blk, int64_t vec) {
+    parallel_for(s.n, blocks, stride / 8, [=](int64_t blk, int64_t vec) {
       const int64_t i0 = blk * 2 * stride + 8 * vec;
       const int64_t i1 = i0 + stride;
       const v8d a0r = _mm512_loadu_pd(re + i0);
@@ -120,7 +120,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   // target 0..2: split each 16-amplitude group into pair halves with
   // permutex2var (pairs are independent; relabelling lanes is free).
   const PairShuffle sh = pair_shuffle(target);
-  parallel_for(static_cast<int64_t>(s.n) / 16, [=](int64_t group) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 16, [=](int64_t group) {
     const int64_t base = 16 * group;
     const v8d Ar = _mm512_loadu_pd(re + base);
     const v8d Br = _mm512_loadu_pd(re + base + 8);
@@ -152,7 +152,7 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   const amp_index mask_hi = mask & ~amp_index{7};
   const v8d fr = _mm512_set1_pd(factor.real());
   const v8d fi = _mm512_set1_pd(factor.imag());
-  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
     const int64_t base = 8 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
       return;
@@ -192,7 +192,7 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm512_mask_blend_pd(tmask, f0r, f1r);
     fiv_fixed = _mm512_mask_blend_pd(tmask, f0i, f1i);
   }
-  parallel_for(static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
+  parallel_for(s.n, static_cast<int64_t>(s.n) / 8, [=](int64_t vec) {
     const int64_t base = 8 * vec;
     if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
       return;

@@ -41,7 +41,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
 
   if (ctrl == 0) {
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-    parallel_for(blocks, stride, [=](int64_t blk, int64_t off) {
+    parallel_for(s.n, blocks, stride, [=](int64_t blk, int64_t off) {
       const int64_t i0 = blk * 2 * stride + off;
       const int64_t i1 = i0 + stride;
       const real_t a0r = re[i0], a0i = im[i0];
@@ -55,7 +55,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   }
 
   const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-  parallel_for(pairs, [=](int64_t k) {
+  parallel_for(s.n, pairs, [=](int64_t k) {
     const amp_index i0 =
         bits::insert_zero_bit(static_cast<amp_index>(k), target);
     if (!bits::all_set(i0, ctrl)) {
@@ -78,7 +78,7 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads, [=](int64_t k) {
+  parallel_for(s.n, quads, [=](int64_t k) {
     const amp_index base =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     if (!bits::all_set(base, ctrl)) {
@@ -121,7 +121,7 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads, [=](int64_t k) {
+  parallel_for(s.n, quads, [=](int64_t k) {
     amp_index i =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     i = bits::set_bit(i, lo);
@@ -138,7 +138,7 @@ void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const real_t fr = factor.real(), fi = factor.imag();
-  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
+  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
     if (bits::all_set(static_cast<amp_index>(i), mask)) {
       const real_t vr = re[i], vi = im[i];
       re[i] = vr * fr - vi * fi;
@@ -152,7 +152,7 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   real_t* const im = s.im;
   const real_t f0r = f0.real(), f0i = f0.imag();
   const real_t f1r = f1.real(), f1i = f1.imag();
-  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
+  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
     if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
       return;
     }
@@ -187,7 +187,7 @@ void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
 
   if (ctrl == 0) {
     const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-    parallel_for(blocks, stride, [=](int64_t blk, int64_t off) {
+    parallel_for(s.n, blocks, stride, [=](int64_t blk, int64_t off) {
       const int64_t i0 = blk * 2 * stride + off;
       const int64_t i1 = i0 + stride;
       const cplx a0 = amp[i0];
@@ -199,7 +199,7 @@ void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
   }
 
   const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-  parallel_for(pairs, [=](int64_t k) {
+  parallel_for(s.n, pairs, [=](int64_t k) {
     const amp_index i0 =
         bits::insert_zero_bit(static_cast<amp_index>(k), target);
     if (!bits::all_set(i0, ctrl)) {
@@ -219,7 +219,7 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads, [=](int64_t k) {
+  parallel_for(s.n, quads, [=](int64_t k) {
     const amp_index base =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     if (!bits::all_set(base, ctrl)) {
@@ -255,7 +255,7 @@ void swap_aos(const AosSpan& s, int a, int b) {
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
   const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(quads, [=](int64_t k) {
+  parallel_for(s.n, quads, [=](int64_t k) {
     amp_index i =
         bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
     i = bits::set_bit(i, lo);
@@ -268,7 +268,7 @@ void swap_aos(const AosSpan& s, int a, int b) {
 
 void phase_aos(const AosSpan& s, amp_index mask, cplx factor) {
   cplx* const amp = s.amp;
-  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
+  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
     if (bits::all_set(static_cast<amp_index>(i), mask)) {
       amp[i] = amp[i] * factor;
     }
@@ -277,7 +277,7 @@ void phase_aos(const AosSpan& s, amp_index mask, cplx factor) {
 
 void rz_aos(const AosSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   cplx* const amp = s.amp;
-  parallel_for(static_cast<int64_t>(s.n), [=](int64_t i) {
+  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
     if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
       return;
     }

@@ -25,7 +25,7 @@ real_t block_sum(amp_index n, F f) {
       static_cast<std::int64_t>((n + kSumBlock - 1) / kSumBlock);
   std::vector<real_t> partial(static_cast<std::size_t>(blocks));
   real_t* const out = partial.data();
-  parallel_for(blocks, [=](std::int64_t b) {
+  parallel_for(n, blocks, [=](std::int64_t b) {
     const amp_index first = static_cast<amp_index>(b) * kSumBlock;
     const amp_index last = std::min(n, first + kSumBlock);
     real_t s = 0;

@@ -66,8 +66,8 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
   }
 
   const amp_index tile_amps = amp_index{1} << t;
-  const amp_index tiles = s.size() >> t;
-  parallel_for(static_cast<std::int64_t>(tiles), [=, &s](std::int64_t tile) {
+  const auto tiles = static_cast<std::int64_t>(s.size() >> t);
+  parallel_for(s.size(), tiles, [=, &s](std::int64_t tile) {
     TileView<S> view(s, static_cast<amp_index>(tile) << t, tile_amps);
     // Global index bit q (q >= t) is bit (q - t) of this combined id, so
     // the tile is a virtual rank of the decomposition at L = t.

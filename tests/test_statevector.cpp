@@ -6,15 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <optional>
+#include <utility>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "circuit/builders.hpp"
 #include "circuit/matrix.hpp"
+#include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -208,27 +208,59 @@ TEST(StateVector, LayoutsAgreeOnRandomCircuit) {
   }
 }
 
+/// One qubit past parallel_for's cutoff: every loop over the register, and
+/// the sweep's tile loop, opens a team whenever the loop width allows.
+constexpr int kTeamQubits = bits::log2_exact(kParallelMinAmps) + 1;
+
+/// Runs `f` at loop width 1 and at width 4 and returns both results, or
+/// nothing when the width cannot be set (built without OpenMP).
+template <class F>
+auto at_widths_1_and_4(F f) -> std::optional<std::pair<decltype(f()),
+                                                       decltype(f())>> {
+  const int saved = loop_width();
+  set_loop_width(1);
+  auto one = f();
+  set_loop_width(4);
+  const bool settable = loop_width() == 4;
+  auto four = f();
+  set_loop_width(saved);
+  if (!settable) {
+    return std::nullopt;
+  }
+  return std::pair{std::move(one), std::move(four)};
+}
+
 TEST(StateVector, ReductionsAreTheSameDoubleAtAnyThreadCount) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "built without OpenMP";
-#else
-  StateVector sv(14);
+  StateVector sv(kTeamQubits);
   Rng rng(7);
   sv.init_random_state(rng);
-  auto reductions = [&](int threads) {
-    omp_set_num_threads(threads);
+  const auto runs = at_widths_1_and_4([&] {
     std::vector<real_t> out{sv.norm_sq()};
     for (qubit_t q = 0; q < sv.num_qubits(); ++q) {
       out.push_back(sv.probability_of_one(q));
     }
     return out;
-  };
-  const int saved = omp_get_max_threads();
-  const std::vector<real_t> one = reductions(1);
-  const std::vector<real_t> four = reductions(4);
-  omp_set_num_threads(saved);
-  EXPECT_EQ(one, four);
-#endif
+  });
+  if (!runs) {
+    GTEST_SKIP() << "built without OpenMP";
+  }
+  EXPECT_EQ(runs->first, runs->second);
+}
+
+TEST(StateVector, GatesAreTheSameAtAnyThreadCount) {
+  Rng circuit_rng(8);
+  const Circuit c = build_rcs(kTeamQubits, 4, circuit_rng);
+  const auto runs = at_widths_1_and_4([&] {
+    StateVector sv(kTeamQubits);
+    Rng rng(9);
+    sv.init_random_state(rng);
+    sv.apply(c);
+    return sv.to_vector();
+  });
+  if (!runs) {
+    GTEST_SKIP() << "built without OpenMP";
+  }
+  EXPECT_TRUE(runs->first == runs->second);
 }
 
 TEST(StateVector, RejectsOutOfRange) {
