@@ -51,7 +51,6 @@ void BM_Hadamard(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * kBytesPerAmp));
 }
 BENCHMARK(BM_Hadamard<SoaStorage>)->Arg(0)->Arg(8)->Arg(17);
-BENCHMARK(BM_Hadamard<AosStorage>)->Arg(0)->Arg(8)->Arg(17);
 
 template <class S>
 void BM_ControlledPhase(benchmark::State& state) {
@@ -63,7 +62,6 @@ void BM_ControlledPhase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ControlledPhase<SoaStorage>);
-BENCHMARK(BM_ControlledPhase<AosStorage>);
 
 template <class S>
 void BM_FusedPhaseLayer(benchmark::State& state) {
@@ -81,7 +79,6 @@ void BM_FusedPhaseLayer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedPhaseLayer<SoaStorage>);
-BENCHMARK(BM_FusedPhaseLayer<AosStorage>);
 
 template <class S>
 void BM_LocalSwap(benchmark::State& state) {
@@ -93,7 +90,6 @@ void BM_LocalSwap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSwap<SoaStorage>)->Arg(9)->Arg(17);
-BENCHMARK(BM_LocalSwap<AosStorage>)->Arg(9)->Arg(17);
 
 /// Pins the backend named by `arg`; returns false (after marking the run
 /// skipped) when this host cannot execute it.
@@ -132,7 +128,6 @@ void BM_Matrix1PerBackend(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * kBytesPerAmp));
 }
 BENCHMARK(BM_Matrix1PerBackend<SoaStorage>)->Apply(register_backend_args);
-BENCHMARK(BM_Matrix1PerBackend<AosStorage>)->Apply(register_backend_args);
 
 template <class S>
 void BM_Matrix2PerBackend(benchmark::State& state) {
@@ -151,7 +146,6 @@ void BM_Matrix2PerBackend(benchmark::State& state) {
   simd::set_active_backend(simd::best_backend());
 }
 BENCHMARK(BM_Matrix2PerBackend<SoaStorage>)->Apply(register_backend_args);
-BENCHMARK(BM_Matrix2PerBackend<AosStorage>)->Apply(register_backend_args);
 
 template <class S>
 void BM_RzPerBackend(benchmark::State& state) {
@@ -167,7 +161,6 @@ void BM_RzPerBackend(benchmark::State& state) {
   simd::set_active_backend(simd::best_backend());
 }
 BENCHMARK(BM_RzPerBackend<SoaStorage>)->Apply(register_backend_args);
-BENCHMARK(BM_RzPerBackend<AosStorage>)->Apply(register_backend_args);
 
 /// A register of 2^range(0) amplitudes in a random state.
 StateVector prepared_at(const benchmark::State& state) {
@@ -218,7 +211,6 @@ void BM_GatherHalf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GatherHalf<SoaStorage>);
-BENCHMARK(BM_GatherHalf<AosStorage>);
 
 // The checksum every exchange message pays twice (send and receive) and
 // the state digest and snapshots pay once per byte: a short message, one

@@ -2,11 +2,13 @@
 // gate-by-gate execution streams the whole statevector through the cache
 // hierarchy once per gate, the sweep executor walks it once per *run* and
 // replays every gate on an L2-resident tile. Workloads are runs of low-qubit
-// gates (the case the executor targets); both storage layouts are timed.
+// gates (the case the executor targets).
 //
 // A second section times the sweep under every compiled SIMD kernel backend
-// (sv/simd/): the `<workload>_<layout>_<backend>_vs_scalar` JSON keys are the
-// vector-over-scalar speedups the kernel layer is accepted on.
+// (sv/simd/): the `<workload>_soa_<backend>_vs_scalar` JSON keys are the
+// vector-over-scalar speedups the kernel layer is accepted on. The keys keep
+// the `soa` layout tag so they compare with BENCH_micro_sweep.json, which
+// also holds the rows of the removed interleaved layout.
 //
 // Usage: micro_sweep [--qubits N] [--reps R] [--tile T] [--json PATH]
 #include <algorithm>
@@ -97,9 +99,8 @@ Circuit qft_low_layer(int n, int width) {
 
 int g_tile_qubits = kDefaultSweepTileQubits;
 
-template <class S>
 double best_apply_seconds(int n, const Circuit& c, bool sweep, int reps) {
-  BasicStateVector<S> sv(n);
+  StateVector sv(n);
   SweepOptions o;
   o.enabled = sweep;
   o.tile_qubits = g_tile_qubits;
@@ -121,7 +122,7 @@ struct Workload {
 };
 
 int run(int argc, char** argv) {
-  int qubits = 25;  // 512 MiB per layout: the naive path cannot sit in LLC
+  int qubits = 25;  // 512 MiB: the naive path cannot sit in LLC
   int reps = 3;
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string a = argv[i];
@@ -147,24 +148,16 @@ int run(int argc, char** argv) {
   };
 
   Table table("gate-by-gate vs cache-tiled sweep");
-  table.header({"workload", "layout", "gates", "naive", "sweep", "speedup"});
+  table.header({"workload", "gates", "naive", "sweep", "speedup"});
   for (const Workload& w : workloads) {
-    for (const std::string& layout : {std::string("soa"), std::string("aos")}) {
-      const bool soa = layout == "soa";
-      const double naive =
-          soa ? best_apply_seconds<SoaStorage>(qubits, w.circuit, false, reps)
-              : best_apply_seconds<AosStorage>(qubits, w.circuit, false, reps);
-      const double sweep =
-          soa ? best_apply_seconds<SoaStorage>(qubits, w.circuit, true, reps)
-              : best_apply_seconds<AosStorage>(qubits, w.circuit, true, reps);
-      const double speedup = naive / sweep;
-      table.row({w.name, layout, std::to_string(w.circuit.size()),
-                 fmt::seconds(naive), fmt::seconds(sweep),
-                 fmt::fixed(speedup, 2) + "x"});
-      json.add(w.name + "_" + layout + "_naive", naive, "s");
-      json.add(w.name + "_" + layout + "_sweep", sweep, "s");
-      json.add(w.name + "_" + layout + "_speedup", speedup, "x");
-    }
+    const double naive = best_apply_seconds(qubits, w.circuit, false, reps);
+    const double sweep = best_apply_seconds(qubits, w.circuit, true, reps);
+    const double speedup = naive / sweep;
+    table.row({w.name, std::to_string(w.circuit.size()), fmt::seconds(naive),
+               fmt::seconds(sweep), fmt::fixed(speedup, 2) + "x"});
+    json.add(w.name + "_soa_naive", naive, "s");
+    json.add(w.name + "_soa_sweep", sweep, "s");
+    json.add(w.name + "_soa_speedup", speedup, "x");
   }
   table.print(std::cout);
 
@@ -186,39 +179,27 @@ int run(int argc, char** argv) {
   }
   const simd::Backend prev = simd::active_backend();
   Table bt("sweep by SIMD kernel backend");
-  bt.header({"workload", "layout", "backend", "sweep", "vs scalar"});
+  bt.header({"workload", "backend", "sweep", "vs scalar"});
   for (const Workload& w : workloads) {
-    for (const std::string& layout : {std::string("soa"), std::string("aos")}) {
-      const bool soa = layout == "soa";
-      double scalar_s = 0;
-      for (const simd::Backend b : backends) {
-        simd::set_active_backend(b);
-        const double t =
-            soa ? best_apply_seconds<SoaStorage>(qubits, w.circuit, true, reps)
-                : best_apply_seconds<AosStorage>(qubits, w.circuit, true, reps);
-        if (b == simd::Backend::kScalar) {
-          scalar_s = t;
-        }
-        const double vs = scalar_s > 0 ? scalar_s / t : 1.0;
-        const std::string key =
-            w.name + "_" + layout + "_" + simd::backend_name(b);
-        bt.row({w.name, layout, simd::backend_name(b), fmt::seconds(t),
-                fmt::fixed(vs, 2) + "x"});
-        json.add(key, t, "s");
-        if (b != simd::Backend::kScalar) {
-          json.add(key + "_vs_scalar", vs, "x");
-        }
+    double scalar_s = 0;
+    for (const simd::Backend b : backends) {
+      simd::set_active_backend(b);
+      const double t = best_apply_seconds(qubits, w.circuit, true, reps);
+      if (b == simd::Backend::kScalar) {
+        scalar_s = t;
+      }
+      const double vs = scalar_s > 0 ? scalar_s / t : 1.0;
+      const std::string key = w.name + "_soa_" + simd::backend_name(b);
+      bt.row({w.name, simd::backend_name(b), fmt::seconds(t),
+              fmt::fixed(vs, 2) + "x"});
+      json.add(key, t, "s");
+      if (b != simd::Backend::kScalar) {
+        json.add(key + "_vs_scalar", vs, "x");
       }
     }
   }
   simd::set_active_backend(prev);
   bt.print(std::cout);
-
-  bench::print_note(
-      "AoS rows do not move with the backend by design: the vector kernels "
-      "are split-lane (SoA-native) and delegate interleaved storage to the "
-      "scalar reference. The SoA-vs-AoS gap under vectorisation is the "
-      "layout-sensitivity result, not an accident.");
 
   // Ranks-as-threads section: the same sweep workload through the
   // distributed engine, serial vs one-thread-per-rank. The speedup is

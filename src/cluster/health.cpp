@@ -5,12 +5,30 @@
 #include "common/error.hpp"
 
 namespace qsv {
+namespace {
 
-HealthMonitor::HealthMonitor(int num_ranks, HealthOptions opts)
-    : opts_(opts), ranks_(static_cast<std::size_t>(num_ranks)) {
+/// Suspicion threshold: a rank whose phi (staleness / mean heartbeat
+/// interval) reaches this becomes suspected. 8 mean-intervals of silence is
+/// far beyond any single straggle, so one late message never trips it.
+constexpr double kSuspectPhi = 8.0;
+/// Hysteresis: a suspected rank is only cleared once phi falls back to this
+/// (a fresh heartbeat). The band between kClearPhi and kSuspectPhi holds the
+/// previous state, so the flag cannot flap.
+constexpr double kClearPhi = 1.0;
+static_assert(kClearPhi <= kSuspectPhi);
+/// Local stretches emit a probe heartbeat for every live rank each time this
+/// many gates pass without an exchange (the idle-period probe).
+constexpr std::uint64_t kProbeCadenceGates = 8;
+/// Floor for the mean-interval estimate, in gates: a burst of exchanges must
+/// not shrink the mean so far that the next local stretch looks like
+/// silence.
+constexpr double kMinMeanInterval = 1.0;
+
+}  // namespace
+
+HealthMonitor::HealthMonitor(int num_ranks)
+    : ranks_(static_cast<std::size_t>(num_ranks)) {
   QSV_REQUIRE(num_ranks >= 1, "health monitor needs at least one rank");
-  QSV_REQUIRE(opts_.clear_phi <= opts_.suspect_phi,
-              "health hysteresis requires clear_phi <= suspect_phi");
 }
 
 void HealthMonitor::heartbeat(rank_t r, std::uint64_t gate) {
@@ -38,7 +56,7 @@ double HealthMonitor::phi(rank_t r, std::uint64_t now_gate) const {
     return 0;
   }
   const double staleness = static_cast<double>(now_gate - s.last_beat);
-  return staleness / std::max(s.mean_interval, opts_.min_mean_interval);
+  return staleness / std::max(s.mean_interval, kMinMeanInterval);
 }
 
 bool HealthMonitor::suspected(rank_t r) const {
@@ -55,10 +73,10 @@ void HealthMonitor::update_suspicion(std::uint64_t now_gate) {
       continue;
     }
     const double p = phi(r, now_gate);
-    if (!s.suspected && p >= opts_.suspect_phi) {
+    if (!s.suspected && p >= kSuspectPhi) {
       s.suspected = true;
       ++stats_.suspicions;
-    } else if (s.suspected && p <= opts_.clear_phi) {
+    } else if (s.suspected && p <= kClearPhi) {
       // Only a fresh beat can bring phi back down: this is the clear edge
       // of the hysteresis band.
       s.suspected = false;
@@ -81,10 +99,9 @@ void HealthMonitor::observe(std::uint64_t gate, bool exchanged,
       }
     }
     last_exchange_gate_ = gate;
-  } else if (opts_.probe_cadence_gates > 0 &&
-             gate - last_exchange_gate_ >= opts_.probe_cadence_gates) {
+  } else if (gate - last_exchange_gate_ >= kProbeCadenceGates) {
     // Idle-period probe: a long local stretch carries no traffic, so poll
-    // liveness out of band at the configured cadence.
+    // liveness out of band at a fixed cadence.
     ++stats_.probes;
     for (rank_t r = 0; r < num_ranks(); ++r) {
       if (!ranks_[static_cast<std::size_t>(r)].dead && !is_missed(r)) {

@@ -31,31 +31,17 @@
 namespace qsv {
 
 struct HealthOptions {
+  /// Run a HealthMonitor alongside run_verified. Its thresholds are fixed
+  /// (cluster/health.cpp).
   bool enabled = false;
-  /// Suspicion threshold: a rank whose phi (staleness / mean heartbeat
-  /// interval) reaches this becomes suspected. 8 mean-intervals of silence
-  /// is far beyond any single straggle, so one late message never trips it.
-  double suspect_phi = 8.0;
-  /// Hysteresis: a suspected rank is only cleared once phi falls back to
-  /// this (a fresh heartbeat). The band between clear_phi and suspect_phi
-  /// holds the previous state, so the flag cannot flap.
-  double clear_phi = 1.0;
-  /// Local stretches emit a probe heartbeat for every live rank each time
-  /// this many gates pass without an exchange (the idle-period probe).
-  std::uint64_t probe_cadence_gates = 8;
-  /// Floor for the mean-interval estimate, in gates: a burst of exchanges
-  /// must not shrink the mean so far that the next local stretch looks like
-  /// silence.
-  double min_mean_interval = 1.0;
 };
 
 /// Per-rank heartbeat bookkeeping + suspicion scores. Drive it with one
 /// observe() per applied gate; read suspicions and stats between gates.
 class HealthMonitor {
  public:
-  explicit HealthMonitor(int num_ranks, HealthOptions opts = {});
+  explicit HealthMonitor(int num_ranks);
 
-  [[nodiscard]] const HealthOptions& options() const { return opts_; }
   [[nodiscard]] int num_ranks() const {
     return static_cast<int>(ranks_.size());
   }
@@ -111,7 +97,6 @@ class HealthMonitor {
   };
   void update_suspicion(std::uint64_t now_gate);
 
-  HealthOptions opts_;
   std::vector<RankState> ranks_;
   std::uint64_t last_exchange_gate_ = 0;
   Stats stats_;

@@ -653,20 +653,6 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
 }
 
 template <class S>
-std::vector<GrowBackPlan> DistStateVector<S>::grow_back_to_full(
-    int target_ranks) {
-  QSV_REQUIRE(bits::is_pow2(static_cast<std::uint64_t>(target_ranks)),
-              "rank count must be a power of two");
-  QSV_REQUIRE(target_ranks >= num_ranks(),
-              "grow_back_to_full cannot reduce the rank count");
-  std::vector<GrowBackPlan> plans;
-  while (num_ranks() < target_ranks) {
-    plans.push_back(grow_back_double());
-  }
-  return plans;
-}
-
-template <class S>
 void DistStateVector<S>::apply_sweep_run(const Circuit& c, std::size_t first,
                                          std::size_t count) {
   // A planned node failure anywhere inside the tiled run fires before the

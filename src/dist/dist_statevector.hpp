@@ -100,13 +100,6 @@ class DistStateVector {
   /// the owning NUMA domain. Returns the executed plan.
   GrowBackPlan grow_back_double();
 
-  /// Repeats grow_back_double until the engine is back at `target_ranks`
-  /// (a power of two between the current width and the constructed width).
-  /// A fault mid-sequence leaves the engine at the last consistent width
-  /// (every completed doubling stands) and rethrows. Returns one executed
-  /// plan per doubling.
-  std::vector<GrowBackPlan> grow_back_to_full(int target_ranks);
-
   [[nodiscard]] cplx amplitude(amp_index global) const;
   void set_amplitude(amp_index global, cplx v);
 
@@ -132,7 +125,6 @@ class DistStateVector {
   [[nodiscard]] const CommStats& comm_stats() const {
     return cluster_.stats();
   }
-  void reset_comm_stats() { cluster_.reset_stats(); }
 
   /// Attaches an event listener (cost model or test recorder); may be null.
   void set_listener(ExecListener* listener) { listener_ = listener; }

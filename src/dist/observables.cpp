@@ -231,18 +231,11 @@ real_t expectation(const DistStateVector<S>& sv, const PauliSum& sum) {
   return acc;
 }
 
-// Explicit instantiations for both layouts.
 template cplx pauli_bracket<SoaStorage>(const BasicStateVector<SoaStorage>&,
                                         const PauliTerm&);
-template cplx pauli_bracket<AosStorage>(const BasicStateVector<AosStorage>&,
-                                        const PauliTerm&);
 template real_t expectation<SoaStorage>(const BasicStateVector<SoaStorage>&,
                                         const PauliTerm&);
-template real_t expectation<AosStorage>(const BasicStateVector<AosStorage>&,
-                                        const PauliTerm&);
 template real_t expectation<SoaStorage>(const BasicStateVector<SoaStorage>&,
-                                        const PauliSum&);
-template real_t expectation<AosStorage>(const BasicStateVector<AosStorage>&,
                                         const PauliSum&);
 template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
                                         const PauliTerm&);

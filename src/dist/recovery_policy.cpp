@@ -194,7 +194,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   // exchanges the run performs anyway, an idle probe covers local
   // stretches, and the injector's per-gate fault log tells the monitor
   // which senders missed their beat. Never consulted for decisions.
-  HealthMonitor monitor(sv.num_ranks(), policy.health);
+  HealthMonitor monitor(sv.num_ranks());
   std::size_t fault_log_seen = inj != nullptr ? inj->log().size() : 0;
 
   int spares_left = elastic.spares;
@@ -250,7 +250,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       warn_ckpt_failure(e.what());
       return false;
     }
-    store->committed(gates, sv.num_ranks());
+    store->committed(gates);
     have_ckpt = true;
     ckpt_ranks = sv.num_ranks();
     ++stats.checkpoints_written;

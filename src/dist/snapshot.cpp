@@ -86,11 +86,6 @@ void to_payload(const SoaStorage& s, amp_index first, amp_index count,
   }
 }
 
-void to_payload(const AosStorage& s, amp_index first, amp_index count,
-                real_t* out) {
-  std::memcpy(out, s.data() + first, count * kBytesPerAmp);
-}
-
 void from_payload(SoaStorage& s, amp_index first, amp_index count,
                   const real_t* in) {
   real_t* re = s.re() + first;
@@ -99,13 +94,6 @@ void from_payload(SoaStorage& s, amp_index first, amp_index count,
     re[i] = in[2 * i];
     im[i] = in[2 * i + 1];
   }
-}
-
-void from_payload(AosStorage& s, amp_index first, amp_index count,
-                  const real_t* in) {
-  // std::complex<double> is laid out as (re, im) ([complex.numbers]).
-  std::memcpy(static_cast<void*>(s.data() + first), in,
-              count * kBytesPerAmp);
 }
 
 /// Streams the payload of a register held as equal consecutive slices
@@ -316,48 +304,24 @@ CheckpointStore::CheckpointStore(std::string dir, int keep_last)
     retained_.erase(retained_.begin());
     ++pruned_;
   }
-  // Recover the rank-width tags of the adopted files from their headers, so
-  // geometry checks work across job incarnations. A file that cannot be
-  // read keeps width 0 (unknown) — the full-restore path will surface the
-  // real error if it is ever used.
-  widths_.assign(retained_.size(), 0);
-  for (std::size_t k = 0; k < retained_.size(); ++k) {
-    try {
-      widths_[k] = snapshot_ranks(path_for(retained_[k]));
-    } catch (const Error&) {
-      widths_[k] = 0;
-    }
-  }
 }
 
 std::string CheckpointStore::path_for(std::uint64_t gates) const {
   return dir_ + "/ckpt-" + std::to_string(gates) + ".qsv";
 }
 
-void CheckpointStore::committed(std::uint64_t gates, int ranks) {
+void CheckpointStore::committed(std::uint64_t gates) {
   for (std::size_t k = retained_.size(); k-- > 0;) {
     if (retained_[k] == gates) {
       retained_.erase(retained_.begin() + static_cast<std::ptrdiff_t>(k));
-      widths_.erase(widths_.begin() + static_cast<std::ptrdiff_t>(k));
     }
   }
   retained_.push_back(gates);
-  widths_.push_back(ranks);
   while (static_cast<int>(retained_.size()) > keep_last_) {
     std::filesystem::remove(path_for(retained_.front()));
     retained_.erase(retained_.begin());
-    widths_.erase(widths_.begin());
     ++pruned_;
   }
-}
-
-int CheckpointStore::width_of(std::uint64_t gates) const {
-  for (std::size_t k = 0; k < retained_.size(); ++k) {
-    if (retained_[k] == gates) {
-      return widths_[k];
-    }
-  }
-  return 0;
 }
 
 std::string CheckpointStore::latest() const {
@@ -369,19 +333,14 @@ void CheckpointStore::clear() {
     std::filesystem::remove(path_for(gates));
   }
   retained_.clear();
-  widths_.clear();
 }
 
 template void save_state<SoaStorage>(const std::string&,
                                      const BasicStateVector<SoaStorage>&);
-template void save_state<AosStorage>(const std::string&,
-                                     const BasicStateVector<AosStorage>&);
 template void save_state<SoaStorage>(const std::string&,
                                      const DistStateVector<SoaStorage>&);
 template void load_state<SoaStorage>(const std::string&,
                                      BasicStateVector<SoaStorage>&);
-template void load_state<AosStorage>(const std::string&,
-                                     BasicStateVector<AosStorage>&);
 template void load_state<SoaStorage>(const std::string&,
                                      DistStateVector<SoaStorage>&);
 template std::uint32_t payload_crc<SoaStorage>(

@@ -14,9 +14,6 @@
 // rank-slice path, where the elastic re-shards (shrink / grow-back) change
 // what "rank r's span" means and a geometry-mismatched adoption must be
 // refused rather than silently misread.
-//
-// The layout on disk is storage-independent, so a snapshot written from a
-// SoA run restores into an interleaved-layout engine and vice versa.
 #pragma once
 
 #include <cstdint>
@@ -94,14 +91,8 @@ class CheckpointStore {
   [[nodiscard]] std::string path_for(std::uint64_t gates) const;
 
   /// Records a committed write at path_for(gates) and prunes beyond the
-  /// retention limit. `ranks` is the rank width the snapshot was written
-  /// at (0 = unknown), kept so a post-re-shard restore can check geometry
-  /// without re-opening the file.
-  void committed(std::uint64_t gates, int ranks = 0);
-
-  /// Rank width recorded for the checkpoint at `gates` (0 = unknown or not
-  /// retained).
-  [[nodiscard]] int width_of(std::uint64_t gates) const;
+  /// retention limit.
+  void committed(std::uint64_t gates);
 
   /// Newest committed checkpoint path (empty string when none).
   [[nodiscard]] std::string latest() const;
@@ -125,7 +116,6 @@ class CheckpointStore {
   std::string dir_;
   int keep_last_;
   std::vector<std::uint64_t> retained_;  // ascending gate indices
-  std::vector<int> widths_;              // rank width per retained entry
   std::uint64_t pruned_ = 0;
   std::uint64_t stale_tmps_removed_ = 0;
 };

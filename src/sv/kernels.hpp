@@ -1,4 +1,4 @@
-// Gate application kernels, templated over the amplitude storage layout.
+// Gate application kernels over a slice of SoA amplitude storage.
 //
 // All gate semantics live here, in exactly one place: the single-address-
 // space StateVector calls apply_gate_slice with rank_bits = 0 and
@@ -9,10 +9,9 @@
 // Index convention: global amplitude index = (rank_bits << local_qubits) |
 // local index; bit q of the global index is the basis value of qubit q.
 //
-// A slice must expose raw contiguous storage (sv/simd/simd.hpp span
-// concepts). The hot dense kernels (matrix1/matrix2/swap/phase/rz) run on
-// those spans: on the SoA layout through the runtime-selected SIMD backend
-// table, on the AoS layout through the scalar AoS kernels. Backends are
+// A slice must expose its raw re()/im() arrays (simd::SoaSpanAccess). The
+// hot dense kernels (matrix1/matrix2/swap/phase/rz) run on those spans
+// through the runtime-selected SIMD backend table. Backends are
 // bit-identical, so the routing never changes results (docs/KERNELS.md).
 #pragma once
 
@@ -54,43 +53,31 @@ struct SplitMask {
 
 /// Applies a 2x2 matrix to a local target with an optional local control
 /// mask. High controls must already be satisfied (caller's responsibility).
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_matrix1(S& s, int target, const Mat2& u, amp_index local_ctrl_mask) {
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().matrix1_soa(simd::soa_span(s), target, u, local_ctrl_mask);
-  } else {
-    simd::matrix1_aos(simd::aos_span(s), target, u, local_ctrl_mask);
-  }
+  simd::ops().matrix1_soa(simd::soa_span(s), target, u, local_ctrl_mask);
 }
 
 /// Applies a 4x4 matrix to two local targets (a = low subspace bit, b =
 /// high subspace bit) with an optional local control mask.
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_matrix2(S& s, int a, int b, const Mat4& u,
                    amp_index local_ctrl_mask) {
   QSV_REQUIRE(a != b, "unitary2 targets must differ");
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().matrix2_soa(simd::soa_span(s), a, b, u, local_ctrl_mask);
-  } else {
-    simd::matrix2_aos(simd::aos_span(s), a, b, u, local_ctrl_mask);
-  }
+  simd::ops().matrix2_soa(simd::soa_span(s), a, b, u, local_ctrl_mask);
 }
 
 /// SWAP of two local qubits.
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_swap_local(S& s, int a, int b) {
   QSV_REQUIRE(a != b, "swap targets must differ");
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().swap_soa(simd::soa_span(s), a, b);
-  } else {
-    simd::swap_aos(simd::aos_span(s), a, b);
-  }
+  simd::ops().swap_soa(simd::soa_span(s), a, b);
 }
 
 /// Multiplies every amplitude whose global index has all bits of `mask` set
 /// by `factor`. `mask` may include high bits; the caller passes the global
 /// mask and the slice's rank_bits.
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_phase_mask(S& s, amp_index global_mask, cplx factor,
                       int local_qubits, amp_index rank_bits) {
   const amp_index high_mask = global_mask >> local_qubits;
@@ -99,16 +86,12 @@ void apply_phase_mask(S& s, amp_index global_mask, cplx factor,
   }
   const amp_index local_mask =
       global_mask & ((amp_index{1} << local_qubits) - 1);
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().phase_soa(simd::soa_span(s), local_mask, factor);
-  } else {
-    simd::phase_aos(simd::aos_span(s), local_mask, factor);
-  }
+  simd::ops().phase_soa(simd::soa_span(s), local_mask, factor);
 }
 
 /// Rz: phases both halves of the target (no control support needed beyond
 /// the mask, which gates the whole update).
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
               int local_qubits, amp_index rank_bits) {
   const cplx f0 = std::polar<real_t>(1, -theta / 2);
@@ -125,19 +108,11 @@ void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
   if (target_global >= local_qubits) {
     const cplx f =
         bits::bit(rank_bits, target_global - local_qubits) ? f1 : f0;
-    if constexpr (simd::SoaSpanAccess<S>) {
-      simd::ops().phase_soa(simd::soa_span(s), local_ctrl, f);
-    } else {
-      simd::phase_aos(simd::aos_span(s), local_ctrl, f);
-    }
+    simd::ops().phase_soa(simd::soa_span(s), local_ctrl, f);
     return;
   }
 
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().rz_soa(simd::soa_span(s), target_global, f0, f1, local_ctrl);
-  } else {
-    simd::rz_aos(simd::aos_span(s), target_global, f0, f1, local_ctrl);
-  }
+  simd::ops().rz_soa(simd::soa_span(s), target_global, f0, f1, local_ctrl);
 }
 
 /// QuEST-style fused controlled-phase layer: for amplitudes with the target
@@ -191,7 +166,7 @@ void apply_fused_phase(S& s, const Gate& g, int local_qubits,
 /// Applies any gate that is not distributed for this decomposition.
 /// Handles local-memory pair updates, all diagonal gates (including those
 /// whose operands live in the rank bits) and local SWAPs.
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 void apply_gate_slice(S& s, const Gate& g, int local_qubits,
                       amp_index rank_bits) {
   QSV_REQUIRE(classify_gate(g, local_qubits) != GateLocality::kDistributed,
@@ -283,11 +258,10 @@ void apply_gate_slice(S& s, const Gate& g, int local_qubits,
 /// `local_ctrl_mask` gates per-amplitude updates (high controls are decided
 /// before the exchange).
 ///
-/// The _range forms update amplitudes [first, first + count) only — the
+/// The combine kernels update amplitudes [first, first + count) only — the
 /// overlapped exchange pipeline applies them chunk by chunk as payloads
-/// arrive. Each amplitude's update is independent and written by exactly
-/// the same expression as the full-slice form (which delegates here), so
-/// region-at-a-time application is bitwise identical to one whole pass.
+/// arrive. Each amplitude's update is independent, so region-at-a-time
+/// application is bitwise identical to one pass over (0, size).
 template <class S>
 void combine_matrix1_range(S& mine, const S& theirs, int my_row, const Mat2& u,
                            amp_index local_ctrl_mask, amp_index first,
@@ -304,13 +278,6 @@ void combine_matrix1_range(S& mine, const S& theirs, int my_row, const Mat2& u,
                  }
                  mine.set(i, diag * mine.get(i) + off * theirs.get(i));
                });
-}
-
-template <class S>
-void combine_matrix1(S& mine, const S& theirs, int my_row, const Mat2& u,
-                     amp_index local_ctrl_mask) {
-  combine_matrix1_range(mine, theirs, my_row, u, local_ctrl_mask, 0,
-                        mine.size());
 }
 
 /// Distributed SWAP with one local target `a` and the distributed target in
@@ -336,11 +303,6 @@ void combine_swap_one_high_range(S& mine, const S& theirs, int a,
                });
 }
 
-template <class S>
-void combine_swap_one_high(S& mine, const S& theirs, int a, int my_high_bit) {
-  combine_swap_one_high_range(mine, theirs, a, my_high_bit, 0, mine.size());
-}
-
 /// Distributed SWAP with both targets in the rank bits: the slices are
 /// exchanged wholesale (pure relabelling).
 template <class S>
@@ -353,11 +315,6 @@ void combine_swap_two_high_range(S& mine, const S& theirs, amp_index first,
                  const amp_index i = first + static_cast<amp_index>(k);
                  mine.set(i, theirs.get(i));
                });
-}
-
-template <class S>
-void combine_swap_two_high(S& mine, const S& theirs) {
-  combine_swap_two_high_range(mine, theirs, 0, mine.size());
 }
 
 // ---------------------------------------------------------------------------

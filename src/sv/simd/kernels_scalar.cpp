@@ -11,10 +11,6 @@
 // Uncontrolled matrix1 loops are written as (block, offset) nests over the
 // pair stride so the compiler can auto-vectorise the contiguous inner loop
 // even in this backend.
-//
-// The AoS kernels are exported directly rather than through the table:
-// every backend would forward them here (split re/im lanes do not fit
-// interleaved storage).
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -24,10 +20,6 @@ namespace qsv::simd {
 namespace {
 
 using std::int64_t;
-
-// ---------------------------------------------------------------------------
-// SoA (split re/im arrays)
-// ---------------------------------------------------------------------------
 
 void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
                  amp_index ctrl) {
@@ -172,122 +164,5 @@ constexpr KernelOps kScalarOps = {
 }  // namespace
 
 const KernelOps& scalar_ops() { return kScalarOps; }
-
-// ---------------------------------------------------------------------------
-// AoS (interleaved std::complex array) — plain std::complex arithmetic,
-// which is definitionally the reference order.
-// ---------------------------------------------------------------------------
-
-void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
-                 amp_index ctrl) {
-  cplx* const amp = s.amp;
-  const cplx u00 = u.m[0][0], u01 = u.m[0][1];
-  const cplx u10 = u.m[1][0], u11 = u.m[1][1];
-  const int64_t stride = int64_t{1} << target;
-
-  if (ctrl == 0) {
-    const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-    parallel_for(s.n, blocks, stride, [=](int64_t blk, int64_t off) {
-      const int64_t i0 = blk * 2 * stride + off;
-      const int64_t i1 = i0 + stride;
-      const cplx a0 = amp[i0];
-      const cplx a1 = amp[i1];
-      amp[i0] = u00 * a0 + u01 * a1;
-      amp[i1] = u10 * a0 + u11 * a1;
-    });
-    return;
-  }
-
-  const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-  parallel_for(s.n, pairs, [=](int64_t k) {
-    const amp_index i0 =
-        bits::insert_zero_bit(static_cast<amp_index>(k), target);
-    if (!bits::all_set(i0, ctrl)) {
-      return;
-    }
-    const amp_index i1 = bits::set_bit(i0, target);
-    const cplx a0 = amp[i0];
-    const cplx a1 = amp[i1];
-    amp[i0] = u00 * a0 + u01 * a1;
-    amp[i1] = u10 * a0 + u11 * a1;
-  });
-}
-
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index ctrl) {
-  cplx* const amp = s.amp;
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(s.n, quads, [=](int64_t k) {
-    const amp_index base =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    if (!bits::all_set(base, ctrl)) {
-      return;
-    }
-    amp_index idx[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      amp_index i = base;
-      if (sub & 1) {
-        i = bits::set_bit(i, a);
-      }
-      if (sub & 2) {
-        i = bits::set_bit(i, b);
-      }
-      idx[sub] = i;
-    }
-    cplx in[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      in[sub] = amp[idx[sub]];
-    }
-    for (int row = 0; row < 4; ++row) {
-      cplx acc = 0;
-      for (int col = 0; col < 4; ++col) {
-        acc += u.m[row][col] * in[col];
-      }
-      amp[idx[row]] = acc;
-    }
-  });
-}
-
-void swap_aos(const AosSpan& s, int a, int b) {
-  cplx* const amp = s.amp;
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(s.n, quads, [=](int64_t k) {
-    amp_index i =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    i = bits::set_bit(i, lo);
-    const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-    const cplx t = amp[i];
-    amp[i] = amp[j];
-    amp[j] = t;
-  });
-}
-
-void phase_aos(const AosSpan& s, amp_index mask, cplx factor) {
-  cplx* const amp = s.amp;
-  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
-    if (bits::all_set(static_cast<amp_index>(i), mask)) {
-      amp[i] = amp[i] * factor;
-    }
-  });
-}
-
-void rz_aos(const AosSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
-  cplx* const amp = s.amp;
-  parallel_for(s.n, static_cast<int64_t>(s.n), [=](int64_t i) {
-    if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-      return;
-    }
-    // A reference, not a copy: a copied selection is rebuilt in memory
-    // from two halves each pass and read back whole, which stalls
-    // store-to-load forwarding.
-    const cplx& f =
-        bits::bit(static_cast<amp_index>(i), target) ? f1 : f0;
-    amp[i] = amp[i] * f;
-  });
-}
 
 }  // namespace qsv::simd

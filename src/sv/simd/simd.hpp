@@ -1,13 +1,11 @@
 // SIMD-dispatched span kernels for the hot dense gate paths.
 //
-// The gate kernels in sv/kernels.hpp take a *slice* that exposes raw
-// contiguous storage — the SoA re()/im() arrays or the AoS data() array.
-// The five dense kernels on the SoA layout route through this layer: a
-// table of function pointers (`KernelOps`) whose entries are implemented
-// once per backend (portable scalar, AVX2, AVX-512) and selected once at
-// startup by CPUID, overridable with the QSV_SIMD environment variable.
-// Their AoS forms are scalar in every backend (split re/im lanes do not fit
-// interleaved storage) and are called directly.
+// The gate kernels in sv/kernels.hpp take a *slice* that exposes the raw
+// contiguous re()/im() arrays of SoaStorage (or a window over them). The
+// five dense kernels route through this layer: a table of function pointers
+// (`KernelOps`) whose entries are implemented once per backend (portable
+// scalar, AVX2, AVX-512) and selected once at startup by CPUID, overridable
+// with the QSV_SIMD environment variable.
 //
 // Contract (see docs/KERNELS.md for the full ABI):
 //  * Every backend produces bit-identical amplitudes for every entry. The
@@ -82,15 +80,9 @@ struct SoaSpan {
   amp_index n;
 };
 
-/// Contiguous interleaved view: amp[i] is amplitude i. `n` is a power of
-/// two.
-struct AosSpan {
-  cplx* amp;
-  amp_index n;
-};
-
-/// Slice types that can hand out a SoaSpan (SoaStorage and any view over
-/// it, e.g. the sweep executor's TileView).
+/// Slice types the gate kernels accept: SoaStorage and any view over it
+/// (e.g. the sweep executor's TileView). A slice with get/set alone is
+/// rejected at compile time, not run on a slow path.
 template <class S>
 concept SoaSpanAccess = requires(S& s) {
   { s.re() } -> std::convertible_to<real_t*>;
@@ -98,34 +90,16 @@ concept SoaSpanAccess = requires(S& s) {
   { s.size() } -> std::convertible_to<amp_index>;
 };
 
-/// Slice types that can hand out an AosSpan.
-template <class S>
-concept AosSpanAccess = requires(S& s) {
-  { s.data() } -> std::convertible_to<cplx*>;
-  { s.size() } -> std::convertible_to<amp_index>;
-};
-
-/// Slice types the gate kernels accept: either span form. A slice with
-/// get/set alone is rejected at compile time, not run on a slow path.
-template <class S>
-concept SpanAccess = SoaSpanAccess<S> || AosSpanAccess<S>;
-
 template <SoaSpanAccess S>
 [[nodiscard]] SoaSpan soa_span(S& s) {
   return {s.re(), s.im(), s.size()};
-}
-
-template <AosSpanAccess S>
-[[nodiscard]] AosSpan aos_span(S& s) {
-  return {s.data(), s.size()};
 }
 
 // ---------------------------------------------------------------------------
 // Kernel table
 // ---------------------------------------------------------------------------
 
-/// One entry per hot dense kernel on the SoA layout. Semantics (the AoS
-/// functions below have the same ones):
+/// One entry per hot dense kernel. Semantics:
 ///  * matrix1: 2x2 on index pairs differing in bit `target`; pairs whose
 ///    zero-member fails `ctrl` are untouched.
 ///  * matrix2: 4x4 on quads over bits `a` (low subspace bit) and `b`;
@@ -150,15 +124,5 @@ struct KernelOps {
 
 /// Table of the active backend — what the gate kernels call.
 [[nodiscard]] const KernelOps& ops();
-
-// ---------------------------------------------------------------------------
-// AoS kernels (scalar reference code, the same under every backend)
-// ---------------------------------------------------------------------------
-
-void matrix1_aos(const AosSpan&, int target, const Mat2&, amp_index ctrl);
-void matrix2_aos(const AosSpan&, int a, int b, const Mat4&, amp_index ctrl);
-void swap_aos(const AosSpan&, int a, int b);
-void phase_aos(const AosSpan&, amp_index mask, cplx factor);
-void rz_aos(const AosSpan&, int target, cplx f0, cplx f1, amp_index ctrl);
 
 }  // namespace qsv::simd

@@ -220,6 +220,5 @@ std::vector<cplx> BasicStateVector<S>::to_vector() const {
 }
 
 template class BasicStateVector<SoaStorage>;
-template class BasicStateVector<AosStorage>;
 
 }  // namespace qsv

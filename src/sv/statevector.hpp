@@ -18,8 +18,7 @@
 
 namespace qsv {
 
-/// Statevector over `num_qubits` qubits with storage layout `S`
-/// (SoaStorage or AosStorage).
+/// Statevector over `num_qubits` qubits held in storage `S` (SoaStorage).
 template <class S>
 class BasicStateVector {
  public:
@@ -102,10 +101,8 @@ class BasicStateVector {
   SweepStats sweep_stats_;
 };
 
-using StateVector = BasicStateVector<SoaStorage>;        // QuEST layout
-using StateVectorAos = BasicStateVector<AosStorage>;     // future-work layout
+using StateVector = BasicStateVector<SoaStorage>;
 
 extern template class BasicStateVector<SoaStorage>;
-extern template class BasicStateVector<AosStorage>;
 
 }  // namespace qsv

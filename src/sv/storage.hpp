@@ -1,15 +1,14 @@
-// Amplitude storage layouts.
+// Amplitude storage: QuEST's two separate real/imaginary arrays (structure
+// of arrays), the one layout every kernel and both engines run on.
 //
-// QuEST stores amplitudes as two separate real/imaginary arrays (structure
-// of arrays); the paper's future-work list proposes an interleaved complex
-// layout for better data locality. Both are provided behind one inline
-// interface so every kernel and both engines work with either; the
-// micro-benchmarks (bench/micro_layout) compare them.
+// The paper's future-work list proposes an interleaved complex layout "to
+// improve data locality" (§4). One was built and measured here: its kernels
+// stayed scalar (the vector backends work on split re/im lanes) and it ran
+// 3.6-5.5x slower than this layout at every size measured, so it was
+// removed (EXPERIMENTS.md).
 #pragma once
 
-#include <algorithm>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,21 +16,9 @@
 
 namespace qsv {
 
-enum class Layout {
-  kSeparateArrays,  // QuEST-style: double re[], double im[]
-  kInterleaved,     // std::complex<double>[]
-};
-
-[[nodiscard]] inline const char* layout_name(Layout layout) {
-  return layout == Layout::kSeparateArrays ? "separate-arrays"
-                                           : "interleaved";
-}
-
 /// Separate real/imaginary arrays (QuEST's layout).
 class SoaStorage {
  public:
-  static constexpr Layout kLayout = Layout::kSeparateArrays;
-
   SoaStorage() = default;
   explicit SoaStorage(amp_index n) : re_(n), im_(n) {}
 
@@ -75,51 +62,6 @@ class SoaStorage {
  private:
   std::vector<real_t> re_;
   std::vector<real_t> im_;
-};
-
-/// Interleaved complex array (the future-work layout).
-class AosStorage {
- public:
-  static constexpr Layout kLayout = Layout::kInterleaved;
-
-  AosStorage() = default;
-  explicit AosStorage(amp_index n) : amps_(n) {}
-
-  [[nodiscard]] amp_index size() const { return amps_.size(); }
-
-  [[nodiscard]] cplx get(amp_index i) const { return amps_[i]; }
-  void set(amp_index i, cplx v) { amps_[i] = v; }
-
-  [[nodiscard]] cplx* data() { return amps_.data(); }
-  [[nodiscard]] const cplx* data() const { return amps_.data(); }
-
-  void fill_zero() {
-    std::fill(amps_.begin(), amps_.end(), cplx{0, 0});
-  }
-
-  std::size_t pack(amp_index first, amp_index count, std::byte* out) const {
-    QSV_REQUIRE(first + count <= size(), "pack range out of bounds");
-    std::memcpy(out, amps_.data() + first, count * sizeof(cplx));
-    return count * kBytesPerAmp;
-  }
-
-  void unpack(amp_index first, amp_index count, const std::byte* in) {
-    QSV_REQUIRE(first + count <= size(), "unpack range out of bounds");
-    // GCC 12 misattributes the vector's heap buffer to a fixed-size array
-    // when this inlines into callers with constant counts and raises a
-    // bogus -Warray-bounds; the range is checked above.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Warray-bounds"
-#endif
-    std::memcpy(amps_.data() + first, in, count * sizeof(cplx));
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  }
-
- private:
-  std::vector<cplx> amps_;
 };
 
 }  // namespace qsv

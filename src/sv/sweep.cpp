@@ -19,7 +19,7 @@ namespace {
 /// The view forwards the storage's raw arrays shifted by the tile offset: a
 /// tile is always a contiguous window, so the dense kernels run on its
 /// spans exactly as on a whole slice.
-template <simd::SpanAccess S>
+template <simd::SoaSpanAccess S>
 class TileView {
  public:
   TileView(S& s, amp_index offset, amp_index size)
@@ -29,21 +29,8 @@ class TileView {
   [[nodiscard]] cplx get(amp_index i) const { return s_->get(offset_ + i); }
   void set(amp_index i, cplx v) { s_->set(offset_ + i, v); }
 
-  [[nodiscard]] real_t* re()
-    requires simd::SoaSpanAccess<S>
-  {
-    return s_->re() + offset_;
-  }
-  [[nodiscard]] real_t* im()
-    requires simd::SoaSpanAccess<S>
-  {
-    return s_->im() + offset_;
-  }
-  [[nodiscard]] cplx* data()
-    requires simd::AosSpanAccess<S>
-  {
-    return s_->data() + offset_;
-  }
+  [[nodiscard]] real_t* re() { return s_->re() + offset_; }
+  [[nodiscard]] real_t* im() { return s_->im() + offset_; }
 
  private:
   S* s_;
@@ -80,8 +67,6 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
 }
 
 template void apply_sweep_run<SoaStorage>(SoaStorage&, const Gate*,
-                                          std::size_t, int, int, amp_index);
-template void apply_sweep_run<AosStorage>(AosStorage&, const Gate*,
                                           std::size_t, int, int, amp_index);
 
 }  // namespace qsv::kern

@@ -69,6 +69,26 @@ expect_exit 2 "$qsv" run "$tmp/c.qc" --deadline-s -1   # negative deadline
 expect_exit 2 "$qsv" serve --workers 0                 # serve usage errors
 expect_exit 2 "$qsv" serve --queue -3
 
+# Out-of-range decompositions: ranks and nodes are powers of two leaving
+# each rank at least 2 amplitudes, a tile holds at least 2 amplitudes,
+# numeric --threads is 0 or the rank count, --local lies in [1, n].
+expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 3
+expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 0
+expect_exit 2 "$qsv" run "$tmp/c.qc" --tile 0
+expect_exit 2 "$qsv" run "$tmp/c.qc" --threads 3       # 4 ranks
+expect_exit 2 "$qsv" info "$tmp/c.qc" --local 0
+expect_exit 2 "$qsv" info "$tmp/c.qc" --local 9        # 6 qubits
+expect_exit 2 "$qsv" info "$tmp/c.qc" --local -1
+expect_exit 2 "$qsv" transpile "$tmp/c.qc" --local 0
+expect_exit 2 "$qsv" price "$tmp/c.qc" --nodes 3
+expect_exit 2 "$qsv" price --qft 10 --nodes 1024       # 1 amplitude a node
+
+# Fault specs may only name ranks the run has.
+expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4 --faults fail@6:7 \
+  --checkpoint-interval 3 --checkpoint-dir "$tmp/ck_norank"
+expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 1 --faults fail@6:1
+expect_exit 2 "$qsv" run "$tmp/c.qc" --bitflip 3:5      # 4 ranks
+
 # --- exit 6: deadline exceeded ----------------------------------------------
 # A deadline that has already passed cancels at the first gate boundary;
 # the partial cost (gates applied, modeled joules) is still reported.

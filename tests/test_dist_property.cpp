@@ -1,7 +1,7 @@
 // Property tests: the distributed engine must agree amplitude-for-amplitude
 // with the single-address-space engine on randomized circuits, across every
-// rank count, both communication policies, both storage layouts, and with
-// the half-exchange optimisation on or off.
+// rank count, both communication policies, and with the half-exchange
+// optimisation on or off.
 #include <gtest/gtest.h>
 
 #include <tuple>

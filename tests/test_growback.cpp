@@ -4,8 +4,8 @@
 // arms it, and the machine-derived tier energies that rank the tiers.
 //
 // The standing contract: shrink -> grow-back lands on amplitudes
-// bit-identical to the clean run, in the serial and threaded engines, for
-// both storage layouts, under every fault schedule tried here.
+// bit-identical to the clean run, in the serial and threaded engines, under
+// every fault schedule tried here.
 #include "dist/recovery_policy.hpp"
 
 #include <gtest/gtest.h>
@@ -168,8 +168,9 @@ TEST(GrowBack, ToFullRepeatsTheDoubling) {
   (void)sv.shrink_to_half(1);
   (void)sv.shrink_to_half(0);
   EXPECT_EQ(sv.num_ranks(), 1);
-  const std::vector<GrowBackPlan> plans = sv.grow_back_to_full(4);
-  EXPECT_EQ(plans.size(), 2u);
+  (void)sv.grow_back_double();
+  EXPECT_EQ(sv.num_ranks(), 2);
+  (void)sv.grow_back_double();
   EXPECT_EQ(sv.num_ranks(), 4);
   expect_global_identical(clean, sv);
   // One rank owns no recv buffer; the regrown engine exchanges again.
@@ -267,7 +268,8 @@ TEST(Health, SustainedSilenceSuspectsThenABeatClears) {
   }
   EXPECT_TRUE(mon.suspected(1));
   EXPECT_EQ(mon.stats().suspicions, 1u);
-  // One fresh beat collapses phi below clear_phi: hysteresis clears.
+  // One fresh beat collapses phi below the clear threshold (1.0):
+  // hysteresis clears.
   mon.observe(g, true);
   EXPECT_FALSE(mon.suspected(1));
   EXPECT_EQ(mon.stats().clears, 1u);
@@ -562,20 +564,6 @@ TEST(SnapshotWidth, TagsRefuseAMismatchedRankSliceAdoption) {
   DistStateVector<SoaStorage> restored(6, 4);
   load_state(path, restored);
   expect_global_identical(sv, restored);
-}
-
-TEST(SnapshotWidth, CheckpointStoreRemembersPerEntryWidths) {
-  CheckpointStore store(tmp_dir("width_store"), /*keep_last=*/2);
-  DistStateVector<SoaStorage> sv(6, 4);
-  save_state(store.path_for(5), sv);
-  store.committed(5, 4);
-  (void)sv.shrink_to_half(1);
-  save_state(store.path_for(10), sv);
-  store.committed(10, 2);
-  EXPECT_EQ(store.width_of(5), 4);
-  EXPECT_EQ(store.width_of(10), 2);
-  EXPECT_EQ(store.width_of(99), 0);  // not retained: unknown
-  store.clear();
 }
 
 // --- machine-derived tier energies -----------------------------------------

@@ -25,7 +25,7 @@ S random_slice(amp_index n, std::uint64_t seed) {
 template <class S>
 class KernelsTyped : public testing::Test {};
 
-using Storages = testing::Types<SoaStorage, AosStorage>;
+using Storages = testing::Types<SoaStorage>;
 TYPED_TEST_SUITE(KernelsTyped, Storages);
 
 TYPED_TEST(KernelsTyped, SplitControls) {
@@ -118,8 +118,8 @@ TYPED_TEST(KernelsTyped, CombineMatrix1ReconstructsHadamard) {
   const auto hi_ref = random_slice<TypeParam>(n, 7);
   const Mat2 h = gate_matrix2(make_h(0));
 
-  kern::combine_matrix1(lo, hi_ref, 0, h, 0);
-  kern::combine_matrix1(hi, lo_ref, 1, h, 0);
+  kern::combine_matrix1_range(lo, hi_ref, 0, h, 0, 0, n);
+  kern::combine_matrix1_range(hi, lo_ref, 1, h, 0, 0, n);
   const real_t s = std::numbers::sqrt2_v<real_t> / 2;
   for (amp_index i = 0; i < n; ++i) {
     EXPECT_LT(std::abs(lo.get(i) - (lo_ref.get(i) + hi_ref.get(i)) * s),
@@ -135,7 +135,7 @@ TYPED_TEST(KernelsTyped, CombineSwapOneHigh) {
   auto mine = random_slice<TypeParam>(n, 8);
   const auto peer = random_slice<TypeParam>(n, 9);
   const auto ref = random_slice<TypeParam>(n, 8);
-  kern::combine_swap_one_high(mine, peer, a, /*my_high_bit=*/0);
+  kern::combine_swap_one_high_range(mine, peer, a, /*my_high_bit=*/0, 0, n);
   for (amp_index i = 0; i < n; ++i) {
     if (bits::bit(i, a) != 0) {
       EXPECT_EQ(mine.get(i), peer.get(bits::flip_bit(i, a)));
@@ -178,8 +178,8 @@ TYPED_TEST(KernelsTyped, HalfExchangeEqualsFullExchangeSwap) {
   const auto lo_ref = random_slice<TypeParam>(n, 12);
   const auto hi_ref = random_slice<TypeParam>(n, 13);
 
-  kern::combine_swap_one_high(full_lo, hi_ref, a, 0);
-  kern::combine_swap_one_high(full_hi, lo_ref, a, 1);
+  kern::combine_swap_one_high_range(full_lo, hi_ref, a, 0, 0, n);
+  kern::combine_swap_one_high_range(full_hi, lo_ref, a, 1, 0, n);
 
   // Half path: rank 0 (b-bit 0) ships its bit_a==1 half; rank 1 ships
   // bit_a==0; each scatters what it received into the moving half.

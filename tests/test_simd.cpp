@@ -74,11 +74,10 @@ void expect_bitwise_eq(const std::vector<cplx>& got,
 
 /// Applies `c` to the same random state under `b` and under scalar;
 /// expects bitwise agreement.
-template <class S>
 void check_backend_matches_scalar(const Circuit& c, Backend b,
                                   const SweepOptions* sweep = nullptr) {
-  BasicStateVector<S> ref(c.num_qubits());
-  BasicStateVector<S> alt(c.num_qubits());
+  StateVector ref(c.num_qubits());
+  StateVector alt(c.num_qubits());
   Rng rng_a(42), rng_b(42);
   ref.init_random_state(rng_a);
   alt.init_random_state(rng_b);
@@ -178,14 +177,7 @@ TEST(SimdDispatch, OpsForRejectsUnsupported) {
 TEST(SimdBitIdentity, AllKernelsAllPositionsSoa) {
   const Circuit c = all_positions_circuit(9);
   for (Backend b : supported_backends()) {
-    check_backend_matches_scalar<SoaStorage>(c, b);
-  }
-}
-
-TEST(SimdBitIdentity, AllKernelsAllPositionsAos) {
-  const Circuit c = all_positions_circuit(9);
-  for (Backend b : supported_backends()) {
-    check_backend_matches_scalar<AosStorage>(c, b);
+    check_backend_matches_scalar(c, b);
   }
 }
 
@@ -195,8 +187,7 @@ TEST(SimdBitIdentity, TinyRegisters) {
   for (int n = 1; n <= 3; ++n) {
     const Circuit c = all_positions_circuit(n);
     for (Backend b : supported_backends()) {
-      check_backend_matches_scalar<SoaStorage>(c, b);
-      check_backend_matches_scalar<AosStorage>(c, b);
+      check_backend_matches_scalar(c, b);
     }
   }
 }
@@ -212,8 +203,7 @@ TEST(SimdBitIdentity, SweepTilesOddSizes) {
     o.tile_qubits = tile_qubits;
     o.min_run = 2;
     for (Backend b : supported_backends()) {
-      check_backend_matches_scalar<SoaStorage>(c, b, &o);
-      check_backend_matches_scalar<AosStorage>(c, b, &o);
+      check_backend_matches_scalar(c, b, &o);
     }
   }
 }
@@ -278,9 +268,7 @@ concept AppliesGates = requires(S& s, const Gate& g) {
 
 static_assert(!AppliesGates<GetSetOnly>);
 static_assert(AppliesGates<SoaStorage>);
-static_assert(AppliesGates<AosStorage>);
 static_assert(simd::SoaSpanAccess<SoaStorage>);
-static_assert(simd::AosSpanAccess<AosStorage>);
 
 // Correctness anchor (not just self-consistency): every backend against
 // the brute-force dense-matrix reference.

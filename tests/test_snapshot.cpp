@@ -75,21 +75,6 @@ TEST(Snapshot, DistRoundTripAcrossRankCounts) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, CrossLayoutRestore) {
-  const std::string path = tmp_path("snap_layout.qsv");
-  StateVector soa(5);
-  Rng rng(2);
-  soa.init_random_state(rng);
-  save_state(path, soa);
-
-  StateVectorAos aos(5);
-  load_state(path, aos);
-  for (amp_index i = 0; i < 32; ++i) {
-    EXPECT_EQ(soa.amplitude(i), aos.amplitude(i));
-  }
-  std::remove(path.c_str());
-}
-
 TEST(Snapshot, CheckpointResumeMatchesStraightRun) {
   const std::string path = tmp_path("snap_resume.qsv");
   Rng rng(3);

