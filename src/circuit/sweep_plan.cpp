@@ -27,7 +27,6 @@ std::vector<GateRun> plan_sweep_runs(const std::vector<Gate>& gates,
   }
 
   const int t = std::min(opts.tile_qubits, local_qubits);
-  const std::size_t min_run = std::max<std::size_t>(opts.min_run, 1);
 
   // Single forward scan; consecutive sweepable gates accumulate into a
   // candidate run, demoted to gate-by-gate execution when too short.
@@ -56,7 +55,7 @@ std::vector<GateRun> plan_sweep_runs(const std::vector<Gate>& gates,
     while (j < gates.size() && is_sweepable(gates[j], t)) {
       ++j;
     }
-    emit(i, j - i, j - i >= min_run);
+    emit(i, j - i, j - i >= kMinSweepRun);
     i = j;
   }
   return runs;

@@ -32,6 +32,10 @@ namespace qsv {
 /// dense runs, so half-sized L2s are still served well.
 inline constexpr int kDefaultSweepTileQubits = 15;
 
+/// Minimum consecutive sweepable gates worth tiling; shorter stretches
+/// execute gate-by-gate (a run of one gate saves no pass).
+inline constexpr std::size_t kMinSweepRun = 2;
+
 /// Knobs for the sweep executor, shared by both engines and the planner.
 struct SweepOptions {
   /// Master toggle: off means every gate streams the statevector alone.
@@ -39,10 +43,6 @@ struct SweepOptions {
 
   /// Tile exponent t (2^t amplitudes per tile). Clamped to the slice size.
   int tile_qubits = kDefaultSweepTileQubits;
-
-  /// Minimum consecutive sweepable gates worth tiling; shorter stretches
-  /// execute gate-by-gate.
-  std::size_t min_run = 2;
 };
 
 /// One segment of the partition: gates [first, first + count) of the

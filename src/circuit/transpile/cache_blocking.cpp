@@ -89,36 +89,35 @@ Circuit CacheBlockingPass::run(const Circuit& input) const {
     return input;
   }
 
-  if (opts_.require_benefit) {
-    // Count distributed non-SWAP gates in the tail before and after the
-    // relabelling; the hoisted SWAP suffix itself costs the same in either
-    // position, so the benefit is exactly this reduction.
-    std::size_t before = 0;
-    std::size_t after = 0;
-    for (std::size_t i = cut; i < body_end; ++i) {
-      const Gate& g = input.gate(i);
-      if (g.kind == GateKind::kSwap) {
-        continue;
-      }
-      if (classify_gate(g, L) == GateLocality::kDistributed) {
-        ++before;
-      }
-      Gate r = g;
-      for (qubit_t& q : r.targets) {
-        q = perm[q];
-      }
-      for (qubit_t& q : r.controls) {
-        q = perm[q];
-      }
-      if (classify_gate(r, L) == GateLocality::kDistributed) {
-        ++after;
-      }
+  // Rewrite only when the number of distributed non-SWAP gates strictly
+  // decreases. Count them in the tail before and after the relabelling;
+  // the hoisted SWAP suffix itself costs the same in either position, so
+  // the benefit is exactly this reduction.
+  std::size_t before = 0;
+  std::size_t after = 0;
+  for (std::size_t i = cut; i < body_end; ++i) {
+    const Gate& g = input.gate(i);
+    if (g.kind == GateKind::kSwap) {
+      continue;
     }
-    if (after >= before) {
-      QSV_DEBUG("cache-blocking: no benefit (" << before << " -> " << after
-                                               << "), circuit unchanged");
-      return input;
+    if (classify_gate(g, L) == GateLocality::kDistributed) {
+      ++before;
     }
+    Gate r = g;
+    for (qubit_t& q : r.targets) {
+      q = perm[q];
+    }
+    for (qubit_t& q : r.controls) {
+      q = perm[q];
+    }
+    if (classify_gate(r, L) == GateLocality::kDistributed) {
+      ++after;
+    }
+  }
+  if (after >= before) {
+    QSV_DEBUG("cache-blocking: no benefit (" << before << " -> " << after
+                                             << "), circuit unchanged");
+    return input;
   }
 
   Circuit out(n, input.name().empty() ? "cache_blocked"

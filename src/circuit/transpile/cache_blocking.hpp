@@ -24,11 +24,6 @@ struct CacheBlockingOptions {
   /// 32-local-qubit layout "to prevent any increase in gate execution time"
   /// (the two top local qubits pay a NUMA-stride penalty, Table 1).
   std::optional<int> reflect_threshold;
-
-  /// Only rewrite when the number of distributed non-SWAP gates strictly
-  /// decreases. When false the reflection is applied unconditionally at the
-  /// first qualifying gate (useful for testing).
-  bool require_benefit = true;
 };
 
 class CacheBlockingPass final : public Pass {

@@ -5,10 +5,13 @@
 #include <vector>
 
 #include "circuit/matrix.hpp"
-#include "common/error.hpp"
 
 namespace qsv {
 namespace {
+
+/// "Nice" gates (H, X, CP, ...) stay as they are in a run shorter than
+/// this: a run of 1 never pays for becoming a dense matrix.
+constexpr std::size_t kMinFusedRun = 2;
 
 /// A gate is fusible when it is an uncontrolled single-target unitary with
 /// a 2x2 matrix form.
@@ -70,10 +73,6 @@ Mat4 kron(const Mat2& mb, const Mat2& ma) {
 
 }  // namespace
 
-FusionPass::FusionPass(FusionOptions opts) : opts_(opts) {
-  QSV_REQUIRE(opts_.min_run >= 1, "min_run must be positive");
-}
-
 Circuit FusionPass::run(const Circuit& input) const {
   Circuit out(input.num_qubits(),
               input.name().empty() ? "fused" : input.name() + "_fused");
@@ -102,7 +101,7 @@ Circuit FusionPass::run(const Circuit& input) const {
     const bool all_diagonal =
         std::all_of(gates.begin(), gates.end(),
                     [](const Gate& g) { return g.is_diagonal(); });
-    if (!all_diagonal && static_cast<int>(gates.size()) >= opts_.min_run) {
+    if (!all_diagonal && gates.size() >= kMinFusedRun) {
       out.add(make_unitary1(q, params_of(run_matrix(gates))));
     } else {
       for (Gate& g : gates) {
@@ -119,8 +118,7 @@ Circuit FusionPass::run(const Circuit& input) const {
     }
 
     // Try to absorb pending runs into an uncontrolled 2-qubit dense gate.
-    if (g.kind == GateKind::kUnitary2 && g.controls.empty() &&
-        opts_.absorb_into_two_qubit) {
+    if (g.kind == GateKind::kUnitary2 && g.controls.empty()) {
       const qubit_t a = g.targets[0];
       const qubit_t b = g.targets[1];
       Mat2 ma = Mat2::identity();

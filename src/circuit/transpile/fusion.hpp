@@ -1,6 +1,7 @@
 // Gate fusion: merge runs of uncontrolled single-qubit gates acting on the
-// same qubit into one dense kUnitary1, and (optionally) absorb them into an
-// adjacent two-qubit dense gate.
+// same qubit into one dense kUnitary1, and absorb them into an adjacent
+// uncontrolled two-qubit dense gate on the same qubit (one 4x4 pass instead
+// of 4x4 + 2x2).
 //
 // Every statevector pass over the slice costs a full memory sweep (the
 // dominant local cost in the paper's model), so collapsing g3*g2*g1 into a
@@ -12,25 +13,10 @@
 
 namespace qsv {
 
-struct FusionOptions {
-  /// Also absorb fused single-qubit matrices into a neighbouring kUnitary2
-  /// on the same qubit (producing one 4x4 instead of 4x4 + 2x2 passes).
-  bool absorb_into_two_qubit = true;
-
-  /// Keep "nice" gates (H, X, CP, ...) as-is when a run has fewer than this
-  /// many gates; a run of 1 never pays for becoming a dense matrix.
-  int min_run = 2;
-};
-
 class FusionPass final : public Pass {
  public:
-  explicit FusionPass(FusionOptions opts = {});
-
   [[nodiscard]] std::string name() const override { return "fusion"; }
   [[nodiscard]] Circuit run(const Circuit& input) const override;
-
- private:
-  FusionOptions opts_;
 };
 
 }  // namespace qsv

@@ -16,10 +16,10 @@ GreedyCacheBlockingPass::GreedyCacheBlockingPass(
 }
 
 Circuit GreedyCacheBlockingPass::run(const Circuit& input) const {
-  return run_with_layout(input).circuit;
+  return run_with_stats(input).circuit;
 }
 
-GreedyCacheBlockingPass::Result GreedyCacheBlockingPass::run_with_layout(
+GreedyCacheBlockingPass::Result GreedyCacheBlockingPass::run_with_stats(
     const Circuit& input) const {
   const int n = input.num_qubits();
   const int L = opts_.local_qubits;
@@ -27,13 +27,10 @@ GreedyCacheBlockingPass::Result GreedyCacheBlockingPass::run_with_layout(
   Result res{Circuit(n, input.name().empty()
                             ? "greedy_blocked"
                             : input.name() + "_greedy_blocked"),
-             {},
              0};
 
   if (L >= n) {
     res.circuit = input;
-    res.final_layout.resize(n);
-    std::iota(res.final_layout.begin(), res.final_layout.end(), 0);
     return res;
   }
 
@@ -60,7 +57,7 @@ GreedyCacheBlockingPass::Result GreedyCacheBlockingPass::run_with_layout(
   auto reuse_count = [&](qubit_t logical, std::size_t from) {
     std::size_t count = 0;
     const std::size_t end =
-        std::min(input.size(), from + opts_.lookahead_window);
+        std::min(input.size(), from + kGreedyLookaheadWindow);
     for (std::size_t k = from; k < end; ++k) {
       const Gate& f = input.gate(k);
       if (f.is_diagonal()) {
@@ -144,17 +141,13 @@ GreedyCacheBlockingPass::Result GreedyCacheBlockingPass::run_with_layout(
     res.circuit.add(std::move(mapped));
   }
 
-  if (opts_.restore_layout) {
-    // Sort the layout back to identity with explicit SWAPs (selection style:
-    // at most n-1 swaps).
-    for (qubit_t p = 0; p < n; ++p) {
-      while (log_at[p] != p) {
-        do_swap(p, phys_of[p]);
-      }
+  // Sort the layout back to identity with explicit SWAPs (selection style:
+  // at most n-1 swaps).
+  for (qubit_t p = 0; p < n; ++p) {
+    while (log_at[p] != p) {
+      do_swap(p, phys_of[p]);
     }
   }
-
-  res.final_layout = phys_of;
   return res;
 }
 

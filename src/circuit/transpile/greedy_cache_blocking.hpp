@@ -6,31 +6,31 @@
 // gate would target a distributed physical qubit, that qubit is swapped with
 // the least-recently-used local physical qubit first; the inserted SWAP is
 // itself distributed, but pays off when the target is acted on repeatedly.
+// SWAPs at the end restore the identity layout, so the output circuit is
+// drop-in equivalent to the input.
 #pragma once
+
+#include <cstddef>
 
 #include "circuit/transpile/pass.hpp"
 
 namespace qsv {
 
+/// Instructions, from the current one on, that the reuse lookahead scans.
+inline constexpr std::size_t kGreedyLookaheadWindow = 64;
+
 struct GreedyCacheBlockingOptions {
   /// Number of node-local qubits L.
   int local_qubits = 0;
-
-  /// Emit SWAPs at the end restoring the identity layout, so the output
-  /// circuit is drop-in equivalent to the input. When false the final
-  /// logical-to-physical mapping is left in place (callers must consult
-  /// `final_layout` via run_with_layout).
-  bool restore_layout = true;
 
   /// Reuse lookahead: a localising SWAP costs one full exchange, so it only
   /// pays off when the target is acted on repeatedly (the paper's §2.2:
   /// "it can be compensated if the target is frequently acted on"). A
   /// distributed target is localised only when at least `min_reuse`
-  /// upcoming non-diagonal gates (within `lookahead_window` instructions,
-  /// including the current one) target the same logical qubit. 1 =
-  /// classic always-localise greedy.
+  /// upcoming non-diagonal gates (within kGreedyLookaheadWindow
+  /// instructions, including the current one) target the same logical
+  /// qubit. 1 = classic always-localise greedy.
   int min_reuse = 1;
-  std::size_t lookahead_window = 64;
 };
 
 class GreedyCacheBlockingPass final : public Pass {
@@ -44,12 +44,9 @@ class GreedyCacheBlockingPass final : public Pass {
 
   struct Result {
     Circuit circuit;
-    /// phys_of[logical] at the end of the rewritten circuit (identity when
-    /// restore_layout is true).
-    std::vector<qubit_t> final_layout;
     std::size_t inserted_swaps = 0;
   };
-  [[nodiscard]] Result run_with_layout(const Circuit& input) const;
+  [[nodiscard]] Result run_with_stats(const Circuit& input) const;
 
  private:
   GreedyCacheBlockingOptions opts_;

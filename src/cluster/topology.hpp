@@ -51,7 +51,7 @@ enum class PlacementPolicy {
 
 [[nodiscard]] const char* placement_policy_name(PlacementPolicy p);
 
-/// Parses "compact" | "scatter" | "none" (the QSV_PLACEMENT values);
+/// Parses "compact" | "scatter" | "none" (the --placement values);
 /// nullopt for anything else.
 [[nodiscard]] std::optional<PlacementPolicy> parse_placement_policy(
     const std::string& text);

@@ -1,10 +1,26 @@
 #include "common/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
 
 namespace qsv {
+
+std::int64_t parse_int(const std::string& text, const std::string& what,
+                       std::int64_t lo, std::int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end == nullptr || *end != '\0') {
+    throw ArgError(what + " needs an integer, got '" + text + "'");
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    throw ArgError(what + " must be in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "], got " + text);
+  }
+  return v;
+}
 
 ArgParser& ArgParser::flag(const std::string& name) {
   known_flags_.insert(name);
@@ -73,13 +89,9 @@ int ArgParser::int_or(const std::string& name, int def) const {
   if (!v) {
     return def;
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  if (v->empty() || end == nullptr || *end != '\0') {
-    throw ArgError("option --" + name + " needs an integer, got '" + *v +
-                   "'");
-  }
-  return static_cast<int>(parsed);
+  return static_cast<int>(parse_int(*v, "option --" + name,
+                                    std::numeric_limits<int>::min(),
+                                    std::numeric_limits<int>::max()));
 }
 
 double ArgParser::double_or(const std::string& name, double def) const {

@@ -5,6 +5,8 @@
 // loudly.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,6 +25,13 @@ class ArgError : public Error {
   using Error::Error;
 };
 
+/// Parses `text` as a base-10 integer in [lo, hi]. Anything else, including
+/// a value too large for any integer type, throws ArgError naming `what`.
+[[nodiscard]] std::int64_t parse_int(
+    const std::string& text, const std::string& what,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
+
 class ArgParser {
  public:
   /// Declare accepted names before parsing.
@@ -39,6 +48,8 @@ class ArgParser {
   /// Value with a default.
   [[nodiscard]] std::string value_or(const std::string& name,
                                      const std::string& def) const;
+  /// parse_int over the range of int: a value outside it is an ArgError,
+  /// not a wrapped number.
   [[nodiscard]] int int_or(const std::string& name, int def) const;
   [[nodiscard]] double double_or(const std::string& name, double def) const;
 

@@ -51,13 +51,16 @@ class StopToken {
 
   StopToken() = default;
 
-  /// Token that fires `seconds` from now.
+  /// Token that fires `seconds` from now. The budget is compared against
+  /// the elapsed time as a double, never converted into a clock time
+  /// point: a budget past the clock's range (about 292 years of
+  /// nanoseconds), or an infinite one, never fires instead of overflowing
+  /// into the past.
   static StopToken after_seconds(double seconds) {
     StopToken t;
     t.has_deadline_ = true;
-    t.deadline_ =
-        clock::now() + std::chrono::duration_cast<clock::duration>(
-                           std::chrono::duration<double>(seconds));
+    t.start_ = clock::now();
+    t.budget_s_ = seconds;
     return t;
   }
 
@@ -70,7 +73,9 @@ class StopToken {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       return true;
     }
-    return has_deadline_ && clock::now() >= deadline_;
+    return has_deadline_ &&
+           std::chrono::duration<double>(clock::now() - start_).count() >=
+               budget_s_;
   }
 
   /// True when the external cancel flag (not the clock) is the reason.
@@ -86,7 +91,8 @@ class StopToken {
 
  private:
   bool has_deadline_ = false;
-  clock::time_point deadline_{};
+  clock::time_point start_{};
+  double budget_s_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
 };
 

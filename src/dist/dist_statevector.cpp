@@ -41,7 +41,7 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
       local_qubits_(num_qubits - bits::log2_exact(
                                      static_cast<std::uint64_t>(num_ranks))),
       opts_(opts),
-      cluster_(num_ranks, opts.max_message_bytes, opts.recv_deadline_s) {
+      cluster_(num_ranks, opts.max_message_bytes, kRecvDeadlineS) {
   QSV_REQUIRE(num_qubits >= 1 && num_qubits <= 30,
               "functional distributed engine supports 1..30 qubits");
   QSV_REQUIRE(bits::is_pow2(static_cast<std::uint64_t>(num_ranks)),
@@ -232,12 +232,12 @@ void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
     attempt(0);
     return;
   }
-  const int attempts = opts_.max_retries + 1;
+  const int attempts = kMaxRetries + 1;
   const int pair_id = static_cast<int>(std::min(r, peer));
   // Bounds the rendezvous wait: the peer's legitimate latency is at most
   // one watchdog deadline per message of the round, plus slack. A peer
   // that died of a non-communication error must not hang its partner.
-  const double rendezvous_s = opts_.recv_deadline_s * (2.0 * messages + 4.0);
+  const double rendezvous_s = kRecvDeadlineS * (2.0 * messages + 4.0);
   const auto failure = [&](const std::string& what) {
     return NodeFailure("exchange between ranks " + std::to_string(r) +
                            " and " + std::to_string(peer) + what,
@@ -286,14 +286,14 @@ void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
         injector_->record_retry(
             bytes, messages,
             kRetryBackoffS * static_cast<double>(1 << a) +
-                (out.any_timed ? opts_.recv_deadline_s : 0.0));
+                (out.any_timed ? kRecvDeadlineS : 0.0));
       }
     }
     if (pair_sync != nullptr) {
       pair_sync->pair_arrive(pair_id, false, false, false, rendezvous_s);
     }
     if (a + 1 >= attempts) {
-      throw failure(" abandoned after " + std::to_string(opts_.max_retries) +
+      throw failure(" abandoned after " + std::to_string(kMaxRetries) +
                     " retries");
     }
   }

@@ -31,6 +31,18 @@
 
 namespace qsv {
 
+/// Bounded retry of faulted exchanges (exercised only when a FaultInjector
+/// is attached; fault-free transport never retries). A dropped or corrupted
+/// chunk is re-sent up to kMaxRetries times; exhaustion surfaces as a typed
+/// NodeFailure. Each attempt is charged an exponential backoff
+/// (0.1 s * 2^attempt) as idle time.
+inline constexpr int kMaxRetries = 3;
+
+/// Watchdog deadline a receive waits before declaring CommTimeout. The
+/// retry layer charges the deadline as idle time on every timed-out receive
+/// (fault-free runs never time out, so this is zero-delta).
+inline constexpr double kRecvDeadlineS = 0.5;
+
 template <class S>
 class DistStateVector {
  public:
@@ -132,8 +144,8 @@ class DistStateVector {
 
   /// Attaches a fault injector (cluster/faults.hpp); null restores perfect
   /// transport. Injected node failures surface as NodeFailure at the gate
-  /// boundary; dropped/corrupted messages are retried up to
-  /// options().max_retries times before escalating to NodeFailure.
+  /// boundary; dropped/corrupted messages are retried up to kMaxRetries
+  /// times before escalating to NodeFailure.
   /// Under the threaded engine the injector is switched to per-sender
   /// ordinals (see FaultInjector::OrdinalScope) so `drop@M:R` specs stay
   /// deterministic regardless of thread interleaving.

@@ -23,7 +23,7 @@ struct ThreadOptions {
   int threads = 0;
 
   /// Where rank threads and their first-touched slices land
-  /// (QSV_PLACEMENT=compact|scatter|none).
+  /// (`--placement compact|scatter|none`).
   PlacementPolicy placement = PlacementPolicy::kNone;
 
   [[nodiscard]] bool enabled() const { return threads > 0; }
@@ -49,18 +49,6 @@ struct DistOptions {
   /// slice per run instead of one per gate). On by default; affects only
   /// how amplitudes are moved, never the result or the cost-model charges.
   SweepOptions sweep;
-
-  /// Bounded retry of faulted exchanges (exercised only when a
-  /// FaultInjector is attached; fault-free transport never retries).
-  /// A dropped or corrupted chunk is re-sent up to `max_retries` times;
-  /// exhaustion surfaces as a typed NodeFailure. Each attempt is charged
-  /// an exponential backoff (0.1 s * 2^attempt) as idle time.
-  int max_retries = 3;
-
-  /// Watchdog deadline a receive waits before declaring CommTimeout. The
-  /// retry layer charges the deadline as idle time on every timed-out
-  /// receive (fault-free runs never time out, so this is zero-delta).
-  double recv_deadline_s = 0.5;
 
   /// Ranks-as-threads execution (docs/THREADING.md). Default off.
   ThreadOptions threading;

@@ -63,13 +63,6 @@ TierDecision choose_tier(const ElasticOptions& opts, const TierContext& ctx) {
     if (!ctx.window_replayable) {
       return "replay window contains distributed gates";
     }
-    if (opts.max_bytes_per_rank != 0 &&
-        ctx.post_shrink_bytes_per_rank > opts.max_bytes_per_rank) {
-      return "merged slice + MPI buffer (" +
-             std::to_string(ctx.post_shrink_bytes_per_rank) +
-             " bytes) exceeds the per-rank memory budget of " +
-             std::to_string(opts.max_bytes_per_rank) + " bytes";
-    }
     return "";
   };
   const std::string reshard_why = reshard_infeasible();
@@ -296,7 +289,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   auto restart_tier = [&] {
     ++stats.restarts;
     stats.tiers_used.push_back(RecoveryTier::kRestart);
-    if (stats.restarts > ck.max_restarts) {
+    if (stats.restarts > kMaxRestarts) {
       drop_ckpt();
       return false;
     }
@@ -379,9 +372,9 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
         emit_recovery(net);
       }
     } catch (const Error&) {
-      // The re-shard itself faulted (or memory/plan constraints bit at
-      // execution time): fall through to the restart tier, which rebuilds
-      // everything from the checkpoint.
+      // The re-shard itself faulted (or a plan constraint bit at execution
+      // time): fall through to the restart tier, which rebuilds everything
+      // from the checkpoint.
       if (!restart_tier()) {
         return false;
       }
@@ -533,12 +526,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
         replayable = sv.gate_runs_local(c.gate(j));
       }
       tc.window_replayable = replayable;
-      if (sv.num_ranks() >= 2) {
-        const std::uint64_t merged_slice_bytes =
-            static_cast<std::uint64_t>(sv.local_amps()) * 2 * kBytesPerAmp;
-        // Merged slice plus the same-size MPI recv buffer (the x2 rule).
-        tc.post_shrink_bytes_per_rank = 2 * merged_slice_bytes;
-      }
 
       const TierDecision decision = choose_tier(elastic, tc);
       if (!decision.feasible) {
@@ -609,12 +596,12 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
                 "): no checkpoint to roll back to: " + v.what(),
             v.rank(), v.gate(), v.what());
       }
-      if (stats.rollbacks > policy.max_rollbacks) {
+      if (stats.rollbacks > kMaxRollbacks) {
         drop_ckpt();
         throw IntegrityAbort(
             "integrity abort at gate " + std::to_string(v.gate()) +
                 " (rank " + std::to_string(v.rank()) + "): " +
-                std::to_string(policy.max_rollbacks) +
+                std::to_string(kMaxRollbacks) +
                 " rollbacks exhausted: " + v.what(),
             v.rank(), v.gate(), v.what());
       }

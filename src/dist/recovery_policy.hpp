@@ -2,16 +2,16 @@
 //
 //   detection source          response                         bounded by
 //   ------------------------  -------------------------------  -----------
-//   message CRC mismatch      re-exchange with backoff          max_retries
+//   message CRC mismatch      re-exchange with backoff          kMaxRetries
 //   (CommCorrupt)             (engine's with_retry, PR 2 path)
-//   receive watchdog timeout  re-exchange; the elapsed          max_retries
+//   receive watchdog timeout  re-exchange; the elapsed          kMaxRetries
 //   (CommTimeout)             deadline is charged as wait
-//   invariant guard           rollback to the last verified     max_rollbacks
+//   invariant guard           rollback to the last verified     kMaxRollbacks
 //   (GuardViolation)          checkpoint and replay
 //   node failure              cheapest feasible of:
 //   (NodeFailure)              substitute a spare node           spares
 //                              shrink to half the ranks          width >= 2
-//                              restart from checkpoint           max_restarts
+//                              restart from checkpoint           kMaxRestarts
 //   budget exhausted /        typed abort naming rank, gate     —
 //   no rollback target        and cause (IntegrityAbort)
 //
@@ -41,10 +41,13 @@
 
 namespace qsv {
 
+/// Guard-violation rollbacks tolerated before aborting.
+inline constexpr int kMaxRollbacks = 8;
+
+/// Node-failure restarts tolerated before the failure is rethrown.
+inline constexpr int kMaxRestarts = 8;
+
 struct RecoveryPolicy {
-  /// Guard-violation rollbacks tolerated before aborting. Node-failure
-  /// restarts have their own budget (CheckpointOptions::max_restarts).
-  int max_rollbacks = 8;
   /// Online health monitoring (cluster/health): observational heartbeats,
   /// suspicion scores and replacement-arrival bookkeeping. Off by default —
   /// it never changes recovery decisions, only the reported stats.
@@ -75,9 +78,6 @@ struct ElasticOptions {
   double shrink_energy_j = -1;
   double grow_back_energy_j = -1;
   double restart_energy_j = -1;
-  /// Per-rank memory budget in bytes (slice + the x2 MPI recv buffer).
-  /// A shrink that would exceed it is infeasible; 0 = no cap.
-  std::uint64_t max_bytes_per_rank = 0;
 };
 
 /// What the failure looked like when it was caught — the feasibility facts
@@ -93,8 +93,6 @@ struct TierContext {
   bool checkpoint_exists = false;
   int spares_left = 0;
   int num_ranks = 1;
-  /// Memory per rank after a shrink (merged slice + recv buffer).
-  std::uint64_t post_shrink_bytes_per_rank = 0;
   /// A replacement node is still expected to arrive later in the run (the
   /// injector holds unfired revive specs): the fact that turns a shrink
   /// into a shrink-now-grow-back-later.

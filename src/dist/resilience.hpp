@@ -36,8 +36,6 @@ struct CheckpointOptions {
   std::uint64_t interval_gates = 0;
   /// Directory for the rolling checkpoint file (created if missing).
   std::string dir = ".";
-  /// Give up (rethrow) after this many restarts.
-  int max_restarts = 8;
   /// Snapshot retention: newest N checkpoints kept per directory, older
   /// ones deleted as soon as a newer write commits (see CheckpointStore).
   int keep_last = 2;

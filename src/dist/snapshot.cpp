@@ -13,19 +13,16 @@
 namespace qsv {
 namespace {
 
-constexpr char kMagicV1[8] = {'Q', 'S', 'V', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagicV2[8] = {'Q', 'S', 'V', 'S', 'N', 'A', 'P', '2'};
 
 // v2 header layout after the magic: version, num_qubits, payload CRC-32,
-// reserved. The CRC slot is patched once the payload has streamed out.
+// rank width. The CRC slot is patched once the payload has streamed out.
 constexpr std::streamoff kCrcOffset = 8 + 2 * sizeof(std::uint32_t);
 
 struct Header {
   int num_qubits = 0;
-  bool has_crc = false;
   std::uint32_t crc = 0;
-  /// Rank width the writer was split over; 0 = untagged (v1 files and v2
-  /// files written before the reserved slot became the width tag).
+  /// Rank width the writer was split over.
   int ranks = 0;
 };
 
@@ -44,29 +41,19 @@ Header read_header(std::ifstream& in, const std::string& path) {
   in.read(magic.data(), magic.size());
   QSV_REQUIRE(in.good(), "not a qsv snapshot (short file): " + path);
 
+  QSV_REQUIRE(std::memcmp(magic.data(), kMagicV2, 8) == 0,
+              "not a qsv snapshot: " + path);
+  const std::uint32_t version = read_u32(in);
+  QSV_REQUIRE(in.good() && version == kSnapshotFormatVersion,
+              "unsupported snapshot format version " +
+                  std::to_string(version) + ": " + path);
   Header h;
-  if (std::memcmp(magic.data(), kMagicV2, 8) == 0) {
-    const std::uint32_t version = read_u32(in);
-    QSV_REQUIRE(in.good() && version == kSnapshotFormatVersion,
-                "unsupported snapshot format version " +
-                    std::to_string(version) + ": " + path);
-    const std::uint32_t n = read_u32(in);
-    h.crc = read_u32(in);
-    h.has_crc = true;
-    h.ranks = static_cast<int>(read_u32(in));  // rank-width tag (0 = none)
-    QSV_REQUIRE(in.good() && n >= 1 && n <= 62,
-                "corrupt snapshot header: " + path);
-    h.num_qubits = static_cast<int>(n);
-  } else if (std::memcmp(magic.data(), kMagicV1, 8) == 0) {
-    // Legacy v1: no version field, no CRC.
-    const std::uint32_t n = read_u32(in);
-    (void)read_u32(in);  // reserved
-    QSV_REQUIRE(in.good() && n >= 1 && n <= 62,
-                "corrupt snapshot header: " + path);
-    h.num_qubits = static_cast<int>(n);
-  } else {
-    QSV_REQUIRE(false, "not a qsv snapshot: " + path);
-  }
+  const std::uint32_t n = read_u32(in);
+  h.crc = read_u32(in);
+  h.ranks = static_cast<int>(read_u32(in));
+  QSV_REQUIRE(in.good() && n >= 1 && n <= 62,
+              "corrupt snapshot header: " + path);
+  h.num_qubits = static_cast<int>(n);
   return h;
 }
 
@@ -137,7 +124,7 @@ auto slices_of(SV& sv) {
   return out;
 }
 
-/// Reads the payload into `slices`, verifying the header CRC (v2).
+/// Reads the payload into `slices`, verifying the header CRC.
 template <class S>
 void read_payload(std::ifstream& in, const std::string& path,
                   const Header& header, const std::vector<S*>& slices) {
@@ -148,7 +135,7 @@ void read_payload(std::ifstream& in, const std::string& path,
     QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
     crc.update(block, bytes);
   });
-  QSV_REQUIRE(!header.has_crc || crc.value() == header.crc,
+  QSV_REQUIRE(crc.value() == header.crc,
               "snapshot payload CRC mismatch (corrupt): " + path);
 }
 
@@ -255,9 +242,8 @@ void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
   const Header h = read_header_for(in, path, sv.num_qubits());
   // Rank slices are only meaningful at the geometry they were written at:
   // after a shrink or grow-back, rank r's span of an old-width snapshot is
-  // a different piece of the state than the caller means. Untagged legacy
-  // files carry no width and are trusted.
-  QSV_REQUIRE(h.ranks == 0 || h.ranks == sv.num_ranks(),
+  // a different piece of the state than the caller means.
+  QSV_REQUIRE(h.ranks == sv.num_ranks(),
               "snapshot was written at " + std::to_string(h.ranks) +
                   " ranks but the register is split over " +
                   std::to_string(sv.num_ranks()) +

@@ -2,12 +2,10 @@
 //
 // Format v2: 8-byte magic "QSVSNAP2", u32 format version, u32 num_qubits,
 // u32 CRC-32 of the amplitude payload, u32 writer rank-width (how many ranks
-// the register was split over when the snapshot was taken; 0 in files
-// written before the field existed — it was reserved-zero), then 2^n
+// the register was split over when the snapshot was taken), then 2^n
 // amplitudes as interleaved little-endian doubles (re, im). Writes go to
 // `<path>.tmp` and are committed with an atomic rename, so a crash
 // mid-checkpoint never leaves a plausible-but-torn file at the final path.
-// v1 snapshots (magic "QSVSNAP1", no CRC) are still read.
 //
 // The payload is always in global amplitude order, so a *full* restore
 // (load_state) is width-agnostic; the rank-width tag exists for the
@@ -36,7 +34,7 @@ void save_state(const std::string& path, const DistStateVector<S>& sv);
 
 /// Restores into an existing register; the snapshot's qubit count must
 /// match. Throws qsv::Error on bad magic, truncation, size mismatch or
-/// (v2) payload CRC mismatch. On error the register contents are
+/// payload CRC mismatch. On error the register contents are
 /// unspecified — amplitudes stream directly into it.
 template <class S>
 void load_state(const std::string& path, BasicStateVector<S>& sv);
@@ -54,20 +52,20 @@ template <class S>
 [[nodiscard]] int snapshot_qubits(const std::string& path);
 
 /// Reads just the header; returns the rank width the writer was split over
-/// (1 for single-address-space snapshots, 0 for files predating the tag).
+/// (1 for single-address-space snapshots).
 [[nodiscard]] int snapshot_ranks(const std::string& path);
 
 /// Restores only rank `r`'s slice from a snapshot: the spare-node
 /// substitution path, where the replacement reads its 1/R of the state and
 /// the survivors keep theirs. Amplitudes are stored in global order, so a
 /// rank slice is one contiguous byte range seeked to directly. Throws when
-/// the snapshot carries a rank-width tag that does not match the register's
-/// current width: after a re-shard, "rank r's slice" of an old-width
-/// snapshot is a different span of the state than the caller means, so the
-/// adoption is refused (untagged legacy files are trusted). The whole-file
-/// payload CRC is *not* verified (that would mean reading everything — the
-/// full-restore path does); per-slice integrity is the guard layer's slice
-/// signature, checked by the caller after the restore.
+/// the snapshot's rank-width tag does not match the register's current
+/// width: after a re-shard, "rank r's slice" of an old-width snapshot is a
+/// different span of the state than the caller means, so the adoption is
+/// refused. The whole-file payload CRC is *not* verified (that would mean
+/// reading everything — the full-restore path does); per-slice integrity
+/// is the guard layer's slice signature, checked by the caller after the
+/// restore.
 template <class S>
 void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
                      rank_t r);

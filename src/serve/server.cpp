@@ -23,6 +23,10 @@
 namespace qsv::serve {
 namespace {
 
+/// Per-request line cap in bytes: a connection is closed past this, the
+/// one case where resynchronisation is impossible.
+constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 /// Writes the whole buffer; MSG_NOSIGNAL so a client that hung up mid-reply
 /// costs us an EPIPE, not a SIGPIPE. Returns false on any error.
 bool send_all(int fd, const std::string& data) {
@@ -189,13 +193,13 @@ void Server::handle_connection(int fd) {
         alive = false;
       }
     }
-    if (pending.size() > opts_.max_request_bytes) {
+    if (pending.size() > kMaxRequestBytes) {
       // A line this long cannot be resynchronised; answer once and close.
       metrics_.on_protocol_error();
       send_line(fd, make_error_response(
                         "", "protocol",
                         "request line exceeds " +
-                            std::to_string(opts_.max_request_bytes) +
+                            std::to_string(kMaxRequestBytes) +
                             " bytes"));
       break;
     }
@@ -211,7 +215,7 @@ void Server::handle_connection(int fd) {
 std::string Server::handle_line(const std::string& line) {
   JobRequest req;
   try {
-    req = parse_request(line, opts_.max_request_bytes);
+    req = parse_request(line, kMaxRequestBytes);
   } catch (const ProtocolError& e) {
     metrics_.on_protocol_error();
     return make_error_response("", "protocol", e.what());

@@ -40,9 +40,6 @@ struct ServerOptions {
   int workers = 2;
   /// Bounded queue capacity (jobs waiting, not running).
   std::size_t queue_capacity = 16;
-  /// Per-request line cap in bytes (connection is closed past this — the
-  /// one case where resynchronisation is impossible).
-  std::size_t max_request_bytes = std::size_t{1} << 20;
   /// Transpiled-plan cache entries; 0 disables the cache.
   std::size_t plan_cache_capacity = 64;
   AdmissionLimits limits;

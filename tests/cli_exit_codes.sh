@@ -83,6 +83,31 @@ expect_exit 2 "$qsv" transpile "$tmp/c.qc" --local 0
 expect_exit 2 "$qsv" price "$tmp/c.qc" --nodes 3
 expect_exit 2 "$qsv" price --qft 10 --nodes 1024       # 1 amplitude a node
 
+# Integers are range-checked, never wrapped modulo 2^32: 4294967298 is not
+# 2 ranks, and 4294967306 is not a 10-qubit QFT.
+expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4294967298
+expect_exit 2 "$qsv" price --qft 4294967306
+expect_exit 2 "$qsv" run "$tmp/c.qc" --checkpoint-interval 4294967297 \
+  --checkpoint-dir "$tmp/ck_wrap"
+expect_exit 2 "$qsv" run "$tmp/c.qc" --keep-last 4294967296
+grep -q "keep-last must be in" "$tmp/err" ||
+  fail "--keep-last 2^32 not reported as out of range"
+# At a wrapped queue of 1 this would start serving; the timeout bounds that.
+expect_exit 2 timeout 10 "$qsv" serve --queue 4294967297 \
+  --socket "$tmp/wrap.sock"
+
+# Register sizes lie in [1, 62]; other counts have their own floors.
+expect_exit 2 "$qsv" sbatch --qubits 100
+expect_exit 2 "$qsv" price --qft 0
+expect_exit 2 "$qsv" price --qft 70
+expect_exit 2 "$qsv" price --fast-qft 70
+expect_exit 2 "$qsv" transpile "$tmp/c.qc" --local 4 --pass greedy \
+  --min-reuse 0
+expect_exit 2 "$qsv" run "$tmp/c.qc" --shots -3
+
+# --policy is the only spelling of the exchange flavour.
+expect_exit 2 "$qsv" price --qft 10 --nonblocking
+
 # Fault specs may only name ranks the run has.
 expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4 --faults fail@6:7 \
   --checkpoint-interval 3 --checkpoint-dir "$tmp/ck_norank"
@@ -119,6 +144,17 @@ grep -q "integrity abort" "$tmp/err" || fail "exit-5 message missing"
 expect_exit 0 "$qsv" run "$tmp/c.qc"
 crc_clean=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/out") ||
   fail "clean run printed no state digest"
+cp "$tmp/out" "$tmp/clean.out"
+
+# 2 GiB is the default message cap, so spelling it out changes nothing.
+expect_exit 0 "$qsv" run "$tmp/c.qc" --max-message 2147483648
+cmp -s "$tmp/out" "$tmp/clean.out" ||
+  fail "--max-message 2147483648 output differs from the default run"
+
+# A deadline past the clock's range (2^63 ns, about 9.2e9 s) never fires.
+expect_exit 0 "$qsv" run "$tmp/c.qc" --deadline-s 1e10
+cmp -s "$tmp/out" "$tmp/clean.out" ||
+  fail "--deadline-s 1e10 output differs from the unbounded run"
 
 # Substitute tier: a spare absorbs the failure; the run must land on the
 # bit-identical state (same digest).

@@ -75,5 +75,17 @@ TEST(Args, NonNumericValueThrows) {
   EXPECT_THROW((void)p.double_or("nodes", 0), Error);
 }
 
+TEST(Args, IntegersOutsideTheirRangeThrowInsteadOfWrapping) {
+  // 2^32 + 2 must be refused, not wrapped to 2.
+  ArgParser p = make_parser();
+  parse(p, {"--nodes", "4294967298"});
+  EXPECT_THROW((void)p.int_or("nodes", 0), ArgError);
+  EXPECT_EQ(parse_int("4294967298", "n"), 4294967298);
+  EXPECT_THROW((void)parse_int("99999999999999999999", "n"), ArgError);
+  EXPECT_EQ(parse_int("-3", "n", -3, 3), -3);
+  EXPECT_THROW((void)parse_int("4", "n", -3, 3), ArgError);
+  EXPECT_THROW((void)parse_int("", "n"), ArgError);
+}
+
 }  // namespace
 }  // namespace qsv

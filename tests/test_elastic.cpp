@@ -61,7 +61,6 @@ TierContext clean_context() {
   ctx.checkpoint_exists = true;
   ctx.spares_left = 1;
   ctx.num_ranks = 4;
-  ctx.post_shrink_bytes_per_rank = 1024;
   return ctx;
 }
 
@@ -129,19 +128,6 @@ TEST(ChooseTier, DistributedWindowLeavesOnlyRestart) {
   ASSERT_TRUE(d.feasible);
   EXPECT_EQ(d.tier, RecoveryTier::kRestart);
   EXPECT_NE(d.reason.find("distributed gates"), std::string::npos);
-}
-
-TEST(ChooseTier, MemoryBudgetRejectsShrink) {
-  ElasticOptions opts = all_tiers();
-  opts.spares = 0;
-  opts.max_bytes_per_rank = 512;
-  TierContext ctx = clean_context();
-  ctx.spares_left = 0;
-  ctx.post_shrink_bytes_per_rank = 1024;  // over budget
-  const TierDecision d = choose_tier(opts, ctx);
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kRestart);
-  EXPECT_NE(d.reason.find("memory budget"), std::string::npos);
 }
 
 TEST(ChooseTier, NoCheckpointMeansNothingIsFeasible) {
@@ -350,30 +336,6 @@ TEST(Elastic, DistributedReplayWindowFallsBackToRestart) {
   EXPECT_EQ(stats.final_ranks, 4);
   ASSERT_EQ(stats.tiers_used.size(), 1u);
   EXPECT_EQ(stats.tiers_used[0], RecoveryTier::kRestart);
-  expect_global_identical(clean, sv);
-}
-
-TEST(Elastic, MemoryCapMakesShrinkInfeasibleRestartRecovers) {
-  const Circuit c = elastic_circuit();
-  DistStateVector<SoaStorage> clean(6, 4);
-  clean.apply(c);
-
-  FaultInjector inj(parse_fault_plan("fail@12:1"));
-  DistStateVector<SoaStorage> sv(6, 4);
-  sv.set_fault_injector(&inj);
-  CheckpointOptions ck;
-  ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_memcap");
-  ElasticOptions elastic = all_tiers();
-  elastic.spares = 0;
-  elastic.max_bytes_per_rank = 1;  // the x2 MPI-buffer rule cannot hold
-  const IntegrityStats stats =
-      run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, elastic);
-
-  EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.restarts, 1);
-  EXPECT_EQ(stats.shrinks, 0);
-  EXPECT_EQ(stats.final_ranks, 4);
   expect_global_identical(clean, sv);
 }
 

@@ -221,8 +221,7 @@ TEST(Faults, ExhaustedRetriesEscalateToNodeFailure) {
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   EXPECT_THROW(sv.apply(distributed_bench(6, 1)), NodeFailure);
-  EXPECT_EQ(inj.totals().retries,
-            static_cast<std::uint64_t>(sv.options().max_retries));
+  EXPECT_EQ(inj.totals().retries, static_cast<std::uint64_t>(kMaxRetries));
 }
 
 TEST(Faults, PlannedNodeFailureCarriesRankAndGate) {

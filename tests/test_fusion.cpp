@@ -4,7 +4,6 @@
 
 #include "circuit/builders.hpp"
 #include "circuit/locality.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sv/statevector.hpp"
 #include "test_util.hpp"
@@ -70,19 +69,6 @@ TEST(Fusion, AbsorbsIntoTwoQubitUnitary) {
   expect_equivalent(c, out);
 }
 
-TEST(Fusion, AbsorptionCanBeDisabled) {
-  Rng rng(3);
-  Circuit c(3);
-  c.add(make_h(0)).add(make_s(0));
-  c.add(make_unitary2(0, 2, random_unitary2_params(rng)));
-  FusionOptions opts;
-  opts.absorb_into_two_qubit = false;
-  const Circuit out = FusionPass(opts).run(c);
-  EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.count_kind(GateKind::kUnitary1), 1u);
-  expect_equivalent(c, out);
-}
-
 TEST(Fusion, PreservesSemanticsOnRandomCircuits) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     Rng rng(seed);
@@ -116,12 +102,6 @@ TEST(Fusion, LongRunCollapsesToOneGate) {
   const Circuit out = FusionPass().run(c);
   EXPECT_EQ(out.size(), 1u);
   expect_equivalent(c, out);
-}
-
-TEST(Fusion, RejectsBadOptions) {
-  FusionOptions opts;
-  opts.min_run = 0;
-  EXPECT_THROW(FusionPass{opts}, Error);
 }
 
 TEST(Fusion, AllDiagonalRunsStayUnfused) {

@@ -324,7 +324,6 @@ TierContext grow_back_context() {
   ctx.checkpoint_exists = true;
   ctx.spares_left = 0;
   ctx.num_ranks = 4;
-  ctx.post_shrink_bytes_per_rank = 1024;
   ctx.replacement_expected = true;
   return ctx;
 }

@@ -103,7 +103,16 @@ TEST(RunVerified, ViolationWithoutCheckpointIsATypedAbort) {
 }
 
 TEST(RunVerified, ExhaustedRollbackBudgetIsATypedAbort) {
-  FaultInjector inj(parse_fault_plan("bitflip@13:1:62"));
+  // One bit flip per pass over circuit gates 10..13: each is caught at gate
+  // 13 and rolls back to the checkpoint at gate 10. Bit-flip specs name the
+  // engine's gate counter, which keeps counting through replays, so pass k
+  // applies circuit gate 13 as engine gate 13 + 4k.
+  std::string plan;
+  for (int k = 0; k <= kMaxRollbacks; ++k) {
+    plan += (k == 0 ? "" : ",");
+    plan += "bitflip@" + std::to_string(13 + 4 * k) + ":1:62";
+  }
+  FaultInjector inj(parse_fault_plan(plan));
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
@@ -111,16 +120,16 @@ TEST(RunVerified, ExhaustedRollbackBudgetIsATypedAbort) {
   ck.dir = tmp_dir("verified_budget");
   GuardOptions guards;
   guards.cadence_gates = 1;
-  RecoveryPolicy policy;
-  policy.max_rollbacks = 0;
   try {
-    run_verified(sv, bench_circuit(), ck, guards, policy);
+    run_verified(sv, bench_circuit(), ck, guards);
     FAIL() << "expected IntegrityAbort";
   } catch (const IntegrityAbort& e) {
     EXPECT_EQ(e.gate(), 13u);
     EXPECT_NE(std::string(e.what()).find("rollbacks exhausted"),
               std::string::npos);
   }
+  EXPECT_EQ(inj.totals().bitflips,
+            static_cast<std::uint64_t>(kMaxRollbacks) + 1);
 }
 
 TEST(RunVerified, NodeFailurePropagatesUnchangedWithoutCheckpointing) {

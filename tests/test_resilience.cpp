@@ -97,8 +97,9 @@ TEST(Recovery, GivesUpAfterMaxRestarts) {
   CheckpointOptions opts;
   opts.interval_gates = 5;
   opts.dir = tmp_dir("resilience_giveup");
-  opts.max_restarts = 3;
   EXPECT_THROW(run_verified(sv, c, opts, GuardOptions{}), NodeFailure);
+  EXPECT_EQ(inj.totals().node_failures,
+            static_cast<std::uint64_t>(kMaxRestarts) + 1);
 }
 
 TEST(Recovery, FaultFreeRunNeedsNoRestarts) {

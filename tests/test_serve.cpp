@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/serialize.hpp"
 #include "common/crc32.hpp"
+#include "common/stop.hpp"
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
 #include "perf/fleet.hpp"
@@ -397,6 +399,18 @@ TEST(FleetMetrics, PercentilesAndAttribution) {
   EXPECT_NE(table.find("J/request"), std::string::npos);
 }
 
+// ----------------------------------------------------------- deadlines --
+
+TEST(StopToken, DeadlinesPastTheClockRangeNeverFire) {
+  // 1e10 s is past the 2^63 ns a steady_clock time point can hold.
+  for (double s : {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const StopToken t = StopToken::after_seconds(s);
+    EXPECT_TRUE(t.possible()) << s;
+    EXPECT_FALSE(t.expired()) << s;
+  }
+  EXPECT_TRUE(StopToken::after_seconds(0).expired());
+}
+
 // ---------------------------------------------------------- end-to-end --
 
 /// Minimal blocking line client for the tests.
@@ -534,6 +548,99 @@ TEST(ServerEndToEnd, DeadlineCancelsAtSafePointWithPartialCost) {
   server.request_drain();
   server.wait_until_drained();
   EXPECT_EQ(server.fleet().deadline_expired, 1u);
+}
+
+TEST(ServerEndToEnd, DeadlinePastTheClockRangeNeverFires) {
+  const MachineModel m = archer2();
+  const std::string path = test_socket_path("far_deadline");
+  Server server(m, small_server(path));
+  server.start();
+  {
+    Client client(path);
+    for (const std::string deadline : {"1e10", "1e300"}) {
+      const Json r = client.rpc(
+          R"({"op":"run","id":"far","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2,"deadline_s":)" +
+          deadline + "}");
+      ASSERT_EQ(r.find("status")->as_string(), "ok") << deadline;
+      EXPECT_EQ(r.find("digest")->as_string(), direct_digest(kGhz, 2))
+          << deadline;
+    }
+  }
+  server.request_drain();
+  server.wait_until_drained();
+  EXPECT_EQ(server.fleet().completed, 2u);
+  EXPECT_EQ(server.fleet().deadline_expired, 0u);
+}
+
+TEST(ServerEndToEnd, PriceAnswersFromThePlanWithoutRunningAJob) {
+  const MachineModel m = archer2();
+  const std::string path = test_socket_path("price");
+  Server server(m, small_server(path));
+  server.start();
+  {
+    Client client(path);
+    const std::string price =
+        R"({"op":"price","id":"p","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})";
+    const Json miss = client.rpc(price);
+    ASSERT_EQ(miss.find("status")->as_string(), "ok");
+    EXPECT_TRUE(miss.find("priced")->as_bool());
+    EXPECT_EQ(miss.find("gates")->as_number(), 3);
+    EXPECT_EQ(miss.find("ranks")->as_number(), 2);
+    EXPECT_GT(miss.find("runtime_s")->as_number(), 0);
+    EXPECT_GT(miss.find("energy_j")->as_number(), 0);
+    EXPECT_EQ(miss.find("cache")->as_string(), "miss");
+    EXPECT_EQ(miss.find("digest"), nullptr);  // nothing ran
+    const Json hit = client.rpc(price);
+    ASSERT_EQ(hit.find("status")->as_string(), "ok");
+    EXPECT_EQ(hit.find("cache")->as_string(), "hit");
+    EXPECT_EQ(hit.find("runtime_s")->as_number(),
+              miss.find("runtime_s")->as_number());
+    EXPECT_EQ(hit.find("energy_j")->as_number(),
+              miss.find("energy_j")->as_number());
+  }
+  server.request_drain();
+  server.wait_until_drained();
+  EXPECT_EQ(server.fleet().priced, 2u);
+  EXPECT_EQ(server.fleet().accepted, 0u);
+  EXPECT_EQ(server.fleet().completed, 0u);
+}
+
+TEST(ServerEndToEnd, StatsCountTheRequestsSent) {
+  const MachineModel m = archer2();
+  const std::string path = test_socket_path("stats");
+  Server server(m, small_server(path));
+  server.start();
+  {
+    Client client(path);
+    const std::string job =
+        R"("circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})";
+    EXPECT_EQ(client.rpc(R"({"op":"price","id":"p",)" + job)
+                  .find("cache")
+                  ->as_string(),
+              "miss");
+    EXPECT_EQ(client.rpc(R"({"op":"run","id":"r",)" + job)
+                  .find("cache")
+                  ->as_string(),
+              "hit");
+    EXPECT_EQ(client.rpc(R"({"op":"ping","id":"g"})")
+                  .find("status")
+                  ->as_string(),
+              "pong");
+    const Json s = client.rpc(R"({"op":"stats","id":"s"})");
+    ASSERT_EQ(s.find("status")->as_string(), "stats");
+    EXPECT_EQ(s.find("id")->as_string(), "s");
+    // The stats request is counted as received before it is answered.
+    EXPECT_EQ(s.find("received")->as_number(), 4);
+    EXPECT_EQ(s.find("completed")->as_number(), 1);
+    EXPECT_EQ(s.find("priced")->as_number(), 1);
+    EXPECT_EQ(s.find("rejected")->as_number(), 0);
+    EXPECT_EQ(s.find("cache_misses")->as_number(), 1);
+    EXPECT_EQ(s.find("cache_hits")->as_number(), 1);
+    EXPECT_EQ(s.find("cache_entries")->as_number(), 1);
+  }
+  server.request_drain();
+  server.wait_until_drained();
+  EXPECT_EQ(server.fleet().stats_requests, 1u);
 }
 
 TEST(ServerEndToEnd, OverloadBurstEveryRequestSettledTyped) {

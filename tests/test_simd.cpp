@@ -201,7 +201,6 @@ TEST(SimdBitIdentity, SweepTilesOddSizes) {
     SweepOptions o;
     o.enabled = true;
     o.tile_qubits = tile_qubits;
-    o.min_run = 2;
     for (Backend b : supported_backends()) {
       check_backend_matches_scalar(c, b, &o);
     }

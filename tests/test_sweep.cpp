@@ -21,10 +21,9 @@
 namespace qsv {
 namespace {
 
-SweepOptions tiny_tiles(int tile_qubits, std::size_t min_run = 2) {
+SweepOptions tiny_tiles(int tile_qubits) {
   SweepOptions o;
   o.tile_qubits = tile_qubits;
-  o.min_run = min_run;
   return o;
 }
 
@@ -233,17 +232,17 @@ TEST(SweepPlan, DisabledMeansOneNaiveRun) {
 }
 
 TEST(SweepPlan, MinRunRespected) {
+  // One sweepable gate short of kMinSweepRun runs gate by gate; one more
+  // gate makes the stretch a tiled run.
   Circuit c(8);
-  for (int i = 0; i < 5; ++i) {
-    c.add(make_h(i % 2));
+  for (std::size_t i = 0; i + 1 < kMinSweepRun; ++i) {
+    c.add(make_h(static_cast<qubit_t>(i % 2)));
   }
-  auto opts = tiny_tiles(3);
-  opts.min_run = 6;
-  const auto runs = plan_sweep_runs(c.gates(), 8, opts);
+  const auto runs = plan_sweep_runs(c.gates(), 8, tiny_tiles(3));
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_FALSE(runs[0].sweep);
-  opts.min_run = 5;
-  const auto runs2 = plan_sweep_runs(c.gates(), 8, opts);
+  c.add(make_h(1));
+  const auto runs2 = plan_sweep_runs(c.gates(), 8, tiny_tiles(3));
   ASSERT_EQ(runs2.size(), 1u);
   EXPECT_TRUE(runs2[0].sweep);
 }

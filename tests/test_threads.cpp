@@ -310,7 +310,6 @@ TEST(ThreadedEngine, CapOffAmplitudeBoundaryDoesNotStallNonBlocking) {
   DistOptions base;
   base.policy = CommPolicy::kNonBlocking;
   base.max_message_bytes = 24;
-  base.recv_deadline_s = 0.05;
   DistStateVectorSoa serial(c.num_qubits(), 2, base);
   DistStateVectorSoa threaded(c.num_qubits(), 2, threaded_opts(2, base));
   serial.apply(c);
@@ -368,10 +367,7 @@ TEST(ThreadedEngine, RetriedFaultsAreTransparentAndDeterministic) {
 }
 
 TEST(ThreadedEngine, ExhaustedRetriesEscalateSymmetrically) {
-  DistOptions base = threaded_opts(4);
-  base.max_retries = 1;
-  base.recv_deadline_s = 0.05;
-  DistStateVectorSoa sv(6, 4, base);
+  DistStateVectorSoa sv(6, 4, threaded_opts(4));
   // Drop every message: no pair can ever complete an exchange.
   FaultPlan always_drop;
   always_drop.drop_prob = 1.0;

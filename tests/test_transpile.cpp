@@ -163,7 +163,7 @@ TEST(GreedyCacheBlocking, LocalisesHadamardBenchmark) {
   const Circuit bench = build_hadamard_bench(8, 7, 50);
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 6;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(bench);
+  const auto res = GreedyCacheBlockingPass(gopts).run_with_stats(bench);
 
   const LocalityStats before = analyze_locality(bench, 6);
   const LocalityStats after = analyze_locality(res.circuit, 6);
@@ -186,24 +186,15 @@ TEST(GreedyCacheBlocking, EquivalentOnRandomCircuits) {
 }
 
 TEST(GreedyCacheBlocking, RestoreLayoutEndsAtIdentity) {
+  // The closing SWAPs return every logical qubit to its own slot: the
+  // output is the input's unitary with no relabelling left over.
   Rng rng(9);
   const Circuit c = build_random(6, 40, rng);
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 3;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(c);
-  for (int q = 0; q < 6; ++q) {
-    EXPECT_EQ(res.final_layout[q], q);
-  }
-}
-
-TEST(GreedyCacheBlocking, NoRestoreReportsLayout) {
-  const Circuit bench = build_hadamard_bench(6, 5, 3);
-  GreedyCacheBlockingOptions gopts;
-  gopts.local_qubits = 4;
-  gopts.restore_layout = false;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(bench);
-  // Logical 5 now lives in a local slot.
-  EXPECT_LT(res.final_layout[5], 4);
+  const auto res = GreedyCacheBlockingPass(gopts).run_with_stats(c);
+  EXPECT_GT(res.inserted_swaps, 0u);
+  expect_equivalent(c, res.circuit, 9);
 }
 
 TEST(GreedyCacheBlocking, LookaheadSkipsTouchOnceTargets) {
@@ -213,7 +204,7 @@ TEST(GreedyCacheBlocking, LookaheadSkipsTouchOnceTargets) {
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 5;
   gopts.min_reuse = 2;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(ghz);
+  const auto res = GreedyCacheBlockingPass(gopts).run_with_stats(ghz);
   EXPECT_EQ(res.inserted_swaps, 0u);
   EXPECT_EQ(analyze_locality(res.circuit, 5).distributed,
             analyze_locality(ghz, 5).distributed);
@@ -224,7 +215,7 @@ TEST(GreedyCacheBlocking, LookaheadStillLocalisesHotTargets) {
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 6;
   gopts.min_reuse = 2;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(bench);
+  const auto res = GreedyCacheBlockingPass(gopts).run_with_stats(bench);
   EXPECT_LE(analyze_locality(res.circuit, 6).distributed, 2u);
   expect_equivalent(bench, res.circuit);
 }
@@ -251,15 +242,28 @@ TEST(GreedyCacheBlocking, LookaheadNoWorseThanClassicGreedyOnRandom) {
 }
 
 TEST(GreedyCacheBlocking, LookaheadWindowBoundsTheScan) {
-  // With a window of 1 the only visible use is the current gate, so
-  // min_reuse = 2 never triggers and nothing is localised.
-  const Circuit bench = build_hadamard_bench(8, 7, 50);
+  // Two H gates on distributed qubit 7 with `gap` local gates between
+  // them. With min_reuse = 2 the first H localises qubit 7 only when the
+  // second lies inside the window that starts at the first.
+  auto reuse_after = [](std::size_t gap) {
+    Circuit c(8);
+    c.add(make_h(7));
+    for (std::size_t i = 0; i < gap; ++i) {
+      c.add(make_h(1));
+    }
+    c.add(make_h(7));
+    return c;
+  };
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 6;
   gopts.min_reuse = 2;
-  gopts.lookahead_window = 1;
-  const auto res = GreedyCacheBlockingPass(gopts).run_with_layout(bench);
-  EXPECT_EQ(res.inserted_swaps, 0u);
+  const GreedyCacheBlockingPass pass(gopts);
+  const auto outside = pass.run_with_stats(
+      reuse_after(kGreedyLookaheadWindow - 1));
+  EXPECT_EQ(outside.inserted_swaps, 0u);
+  const auto inside = pass.run_with_stats(
+      reuse_after(kGreedyLookaheadWindow - 2));
+  EXPECT_GT(inside.inserted_swaps, 0u);
 }
 
 TEST(GreedyCacheBlocking, RejectsBadMinReuse) {

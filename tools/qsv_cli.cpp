@@ -7,13 +7,14 @@
 //                 [--checkpoint-interval GATES] [--checkpoint-dir DIR]
 //                 [--keep-last N] [--guards K] [--guard-crc]
 //                 [--spares N] [--recovery TIERS]
+//                 [--threads 0|auto|N] [--placement compact|scatter|none]
 //                 [--machine (archer2 | overrides.machine)]
 //   qsv info <file.qc> --local L [--half-exchange]
 //   qsv transpile <file.qc> --local L [--pass cache|greedy|fusion|cleanup]
 //                 [--min-reuse K] [--out out.qc]
 //   qsv price (<file.qc> | --qft N | --fast-qft N) [--nodes N] [--highmem]
 //             [--freq low|medium|high] [--half-exchange]
-//             [--policy blocking|nonblocking|overlapped] [--nonblocking]
+//             [--policy blocking|nonblocking|overlapped]
 //             [--timeline out.csv] [--machine overrides.machine]
 //             [--mtbf HOURS] [--checkpoint-interval SECONDS]
 //             [--guards K] [--guard-crc] [--spares N]
@@ -36,7 +37,6 @@
 //   6  deadline exceeded (--deadline-s elapsed; the run was cancelled at a
 //      gate boundary and the partial cost was reported)
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -124,23 +124,10 @@ CommPolicy parse_policy(const std::string& s) {
                  s + "'");
 }
 
-/// std::stoi minus the raw std::invalid_argument escape hatch: bad input
-/// surfaces as a one-line usage error like every other CLI mistake.
-int parse_int(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  require_arg(!s.empty() && end != nullptr && *end == '\0',
-              what + " needs an integer, got '" + s + "'");
-  return static_cast<int>(v);
-}
-
-/// Environment fallback for a CLI option (flags win over env vars).
-std::optional<std::string> env_value(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return std::nullopt;
-  }
-  return std::string(v);
+/// A register size (--qft, --fast-qft, --qubits) within [1, 62], the
+/// widths the library represents.
+int register_size_arg(const std::string& text, const std::string& what) {
+  return static_cast<int>(parse_int(text, what, 1, 62));
 }
 
 int cmd_run(int argc, const char* const* argv) {
@@ -165,43 +152,39 @@ int cmd_run(int argc, const char* const* argv) {
   // Each rank needs >= 2 amplitudes: clamp for tiny registers.
   const int ranks = std::min(requested_ranks, 1 << (c.num_qubits() - 1));
   const int shots = args.int_or("shots", 0);
+  require_arg(shots >= 0, "--shots must be >= 0");
 
   DistOptions opts;
   opts.sweep.enabled = !args.has("no-sweep");
   opts.sweep.tile_qubits = args.int_or("tile", kDefaultSweepTileQubits);
   require_arg(opts.sweep.tile_qubits >= 1, "--tile must be >= 1");
 
-  // Exchange policy (QSV_POLICY): blocking Sendrecv chain, non-blocking
-  // post-all-then-wait, or the overlapped chunk pipeline. --max-message
-  // shrinks the MPI message cap (bytes) to force multi-chunk streams on
-  // small registers — the determinism checker drives the overlapped
-  // pipeline through real chunking with it.
-  const std::string policy_s =
-      args.value_or("policy", env_value("QSV_POLICY").value_or("blocking"));
-  opts.policy = parse_policy(policy_s);
+  // Exchange policy: blocking Sendrecv chain, non-blocking post-all-then-
+  // wait, or the overlapped chunk pipeline. --max-message shrinks the MPI
+  // message cap (bytes) to force multi-chunk streams on small registers —
+  // the determinism checker drives the overlapped pipeline through real
+  // chunking with it.
+  opts.policy = parse_policy(args.value_or("policy", "blocking"));
   if (const auto cap = args.value("max-message")) {
-    const int bytes = parse_int(*cap, "--max-message");
-    require_arg(bytes >= static_cast<int>(kBytesPerAmp),
+    const std::int64_t bytes = parse_int(*cap, "--max-message");
+    require_arg(bytes >= static_cast<std::int64_t>(kBytesPerAmp),
                 "--max-message must be >= one amplitude (16 bytes)");
-    opts.max_message_bytes = static_cast<std::uint64_t>(bytes);
+    opts.max_message_bytes = static_cast<std::size_t>(bytes);
   }
 
-  // Ranks-as-threads: --threads N|auto (env QSV_THREADS; "auto" = one
-  // thread per rank) and --placement compact|scatter|none (QSV_PLACEMENT).
-  // Default 0 keeps the serial engine.
-  const std::string threads_s =
-      args.value_or("threads", env_value("QSV_THREADS").value_or("0"));
+  // Ranks-as-threads: --threads N|auto ("auto" = one thread per rank) and
+  // --placement compact|scatter|none. Default 0 keeps the serial engine.
+  const std::string threads_s = args.value_or("threads", "0");
   if (threads_s == "auto") {
     opts.threading.threads = ranks;
   } else {
-    const int threads = parse_int(threads_s, "--threads");
+    const std::int64_t threads = parse_int(threads_s, "--threads");
     require_arg(threads == 0 || threads == ranks,
                 "--threads must be 0, auto or the rank count (" +
                     std::to_string(ranks) + "), got " + threads_s);
-    opts.threading.threads = threads;
+    opts.threading.threads = static_cast<int>(threads);
   }
-  const std::string placement_s =
-      args.value_or("placement", env_value("QSV_PLACEMENT").value_or("none"));
+  const std::string placement_s = args.value_or("placement", "none");
   const std::optional<PlacementPolicy> placement =
       parse_placement_policy(placement_s);
   require_arg(placement.has_value(),
@@ -486,6 +469,7 @@ int cmd_transpile(int argc, const char* const* argv) {
     GreedyCacheBlockingOptions o;
     o.local_qubits = local;
     o.min_reuse = args.int_or("min-reuse", 2);
+    require_arg(o.min_reuse >= 1, "--min-reuse must be >= 1");
     pass = std::make_unique<GreedyCacheBlockingPass>(o);
   } else if (which == "fusion") {
     pass = std::make_unique<FusionPass>();
@@ -514,7 +498,7 @@ int cmd_price(int argc, const char* const* argv) {
   args.option("timeline").option("machine").option("policy");
   args.option("mtbf").option("checkpoint-interval").option("guards");
   args.option("spares");
-  args.flag("highmem").flag("nonblocking").flag("half-exchange");
+  args.flag("highmem").flag("half-exchange");
   args.flag("guard-crc");
   args.parse(argc, argv);
 
@@ -534,10 +518,10 @@ int cmd_price(int argc, const char* const* argv) {
 
   Circuit c = [&]() -> Circuit {
     if (const auto n = args.value("qft")) {
-      return builtin_qft(parse_int(*n, "--qft"));
+      return builtin_qft(register_size_arg(*n, "--qft"));
     }
     if (const auto n = args.value("fast-qft")) {
-      const int qubits = parse_int(*n, "--fast-qft");
+      const int qubits = register_size_arg(*n, "--fast-qft");
       const int nodes = args.int_or("nodes", min_nodes(m, qubits, kind));
       require_nodes(nodes, qubits);
       return fast_qft(qubits,
@@ -559,13 +543,7 @@ int cmd_price(int argc, const char* const* argv) {
   require_arg(job.spares >= 0, "--spares must be >= 0");
 
   DistOptions opts;
-  // --policy names all three; --nonblocking is the pre-overlap spelling and
-  // stays as an alias for existing scripts.
-  opts.policy = args.has("nonblocking") ? CommPolicy::kNonBlocking
-                                        : CommPolicy::kBlocking;
-  if (const auto p = args.value("policy")) {
-    opts.policy = parse_policy(*p);
-  }
+  opts.policy = parse_policy(args.value_or("policy", "blocking"));
   opts.half_exchange_swaps = args.has("half-exchange");
 
   TraceSim sim(c.num_qubits(), job.nodes, opts);
@@ -736,8 +714,9 @@ int cmd_sbatch(int argc, const char* const* argv) {
   args.option("qubits").option("freq").option("name").option("cmd");
   args.flag("highmem");
   args.parse(argc, argv);
-  const int qubits = args.int_or("qubits", 0);
-  require_arg(qubits > 0, "usage: qsv sbatch --qubits N ...");
+  const auto qubits_s = args.value("qubits");
+  require_arg(qubits_s.has_value(), "usage: qsv sbatch --qubits N ...");
+  const int qubits = register_size_arg(*qubits_s, "--qubits");
 
   const MachineModel m = archer2();
   const NodeKind kind =
@@ -834,10 +813,12 @@ int usage() {
       << "             tier-selection energies from the machine model)\n"
       << "            env QSV_SIMD=scalar|avx2|avx512|auto pins the SIMD\n"
       << "            kernel backend (default: best the CPU supports)\n"
-      << "            --threads N|auto (env QSV_THREADS) runs each rank on\n"
-      << "            its own OS thread (N must equal the rank count);\n"
-      << "            --placement compact|scatter|none (env QSV_PLACEMENT)\n"
-      << "            pins rank threads and their slices to NUMA domains\n"
+      << "            --policy blocking|nonblocking|overlapped picks the\n"
+      << "            exchange flavour (default blocking)\n"
+      << "            --threads N|auto runs each rank on its own OS thread\n"
+      << "            (N must equal the rank count);\n"
+      << "            --placement compact|scatter|none pins rank threads\n"
+      << "            and their slices to NUMA domains\n"
       << "  info      locality & communication analysis of a circuit file\n"
       << "  transpile apply a pass (cache|greedy|fusion|cleanup)\n"
       << "  price     estimate runtime/energy/CU on the ARCHER2 model\n"
