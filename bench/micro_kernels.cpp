@@ -129,15 +129,28 @@ void BM_Matrix1PerBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_Matrix1PerBackend<SoaStorage>)->Apply(register_backend_args);
 
+/// matrix2 target pairs (a, b): the neighbour bonds RCS applies at the
+/// bottom of the register, where one or both targets are lane bits of a
+/// vector, next to pairs three bits apart.
+void register_pair_backend_args(benchmark::internal::Benchmark* bench) {
+  for (int b = 0; b < simd::kBackendCount; ++b) {
+    for (const auto& [lo, hi] : {std::pair{0, 1}, std::pair{1, 2},
+                                 std::pair{2, 3}, std::pair{0, 3},
+                                 std::pair{8, 11}}) {
+      bench->Args({lo, hi, b});
+    }
+  }
+}
+
 template <class S>
 void BM_Matrix2PerBackend(benchmark::State& state) {
   auto sv = prepared<S>();
-  if (!pin_backend(state, state.range(1))) {
+  if (!pin_backend(state, state.range(2))) {
     return;
   }
   Rng rng(9);
   const Gate g = make_unitary2(static_cast<qubit_t>(state.range(0)),
-                               static_cast<qubit_t>(state.range(0)) + 3,
+                               static_cast<qubit_t>(state.range(1)),
                                random_unitary2_params(rng));
   for (auto _ : state) {
     sv.apply(g);
@@ -145,7 +158,8 @@ void BM_Matrix2PerBackend(benchmark::State& state) {
   }
   simd::set_active_backend(simd::best_backend());
 }
-BENCHMARK(BM_Matrix2PerBackend<SoaStorage>)->Apply(register_backend_args);
+BENCHMARK(BM_Matrix2PerBackend<SoaStorage>)
+    ->Apply(register_pair_backend_args);
 
 template <class S>
 void BM_RzPerBackend(benchmark::State& state) {

@@ -8,6 +8,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simd/simd.hpp"
 
 namespace qsv {
 namespace {
@@ -48,6 +49,9 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
               "rank count must be a power of two");
   QSV_REQUIRE(local_qubits_ >= 1,
               "each rank must hold at least 2 amplitudes (QuEST's rule)");
+  // As in BasicStateVector: an unusable QSV_SIMD throws on this thread,
+  // before any rank thread or parallel region calls a kernel.
+  (void)simd::active_backend();
 
   const amp_index n_local = amp_index{1} << local_qubits_;
 

@@ -4,6 +4,7 @@
 // read physics out of simulations without collapsing the state.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,13 @@ template <class S>
 template <class S>
 [[nodiscard]] real_t expectation(const DistStateVector<S>& sv,
                                  const PauliSum& sum);
+
+/// expectation(sv, terms[k]) for every k, the same doubles. The diagonal
+/// terms (Z and I factors only) share one pass over the slices in global
+/// index order, so n <Z_q> readouts cost one pass, not n.
+template <class S>
+[[nodiscard]] std::vector<real_t> expectations(
+    const DistStateVector<S>& sv, std::span<const PauliTerm> terms);
 
 /// Raw complex bracket <sv| term |sv> (coefficient applied).
 template <class S>

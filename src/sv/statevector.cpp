@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simd/simd.hpp"
 
 namespace qsv {
 namespace {
@@ -49,6 +50,10 @@ BasicStateVector<S>::BasicStateVector(int num_qubits)
       storage_(amp_index{1} << num_qubits) {
   QSV_REQUIRE(num_qubits >= 1 && num_qubits <= 30,
               "in-memory statevector supports 1..30 qubits");
+  // Resolve the kernel backend on the constructing thread: a QSV_SIMD
+  // value this host cannot run throws here, not from a kernel that a sweep
+  // tile calls inside a parallel region, where it would abort the process.
+  (void)simd::active_backend();
   init_zero_state();
 }
 

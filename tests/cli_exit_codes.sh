@@ -101,6 +101,17 @@ expect_exit 2 "$qsv" sbatch --qubits 100
 expect_exit 2 "$qsv" price --qft 0
 expect_exit 2 "$qsv" price --qft 70
 expect_exit 2 "$qsv" price --fast-qft 70
+# A register the machine cannot hold is a bad argument that names the
+# largest one it can (44 qubits on standard nodes, 41 on high-memory ones).
+expect_exit 2 "$qsv" price --qft 62
+grep -q "largest register is 44 qubits" "$tmp/err" ||
+  fail "price --qft 62 does not name the largest register"
+expect_exit 2 "$qsv" price --fast-qft 62
+grep -q "largest register is 44 qubits" "$tmp/err" ||
+  fail "price --fast-qft 62 does not name the largest register"
+expect_exit 2 "$qsv" sbatch --qubits 44 --highmem
+grep -q "largest register is 41 qubits" "$tmp/err" ||
+  fail "sbatch --qubits 44 --highmem does not name the largest register"
 expect_exit 2 "$qsv" transpile "$tmp/c.qc" --local 4 --pass greedy \
   --min-reuse 0
 expect_exit 2 "$qsv" run "$tmp/c.qc" --shots -3
@@ -113,6 +124,16 @@ expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4 --faults fail@6:7 \
   --checkpoint-interval 3 --checkpoint-dir "$tmp/ck_norank"
 expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 1 --faults fail@6:1
 expect_exit 2 "$qsv" run "$tmp/c.qc" --bitflip 3:5      # 4 ranks
+
+# --- exit 1: library errors -------------------------------------------------
+# A QSV_SIMD value the host cannot run, also on a register large enough
+# that sweep tiles run inside a parallel region.
+printf 'qubits 17\nh 0\nh 1\nh 2\n' >"$tmp/wide.qc"
+expect_exit 1 env QSV_SIMD=bogus "$qsv" run "$tmp/wide.qc" --ranks 1
+grep -q "unknown backend 'bogus'" "$tmp/err" ||
+  fail "QSV_SIMD=bogus not reported by name"
+expect_exit 1 env QSV_SIMD=bogus "$qsv" run "$tmp/wide.qc" --ranks 2 \
+  --threads auto
 
 # --- exit 6: deadline exceeded ----------------------------------------------
 # A deadline that has already passed cancels at the first gate boundary;

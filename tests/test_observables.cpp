@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -173,6 +177,57 @@ TEST(Observables, DistributedEqualsGatheredBitForBit) {
     for (const PauliTerm& t : terms) {
       EXPECT_EQ(expectation(dist, t), expectation(gathered, t))
           << t.str() << " at " << ranks << " ranks";
+    }
+  }
+}
+
+TEST(Observables, SharedPassEqualsEachTermBitForBit) {
+  // qsv run reads every <Z_q> from one shared pass over the slices. Each
+  // value must be the double that term alone gives (itself the pass's
+  // one-mask case) and the reference loop on the gathered state gives,
+  // whichever terms share the call: a multi-qubit Z string, the identity
+  // and an X/Y term ride along, and slices smaller than one sign block
+  // (5 qubits on 8 ranks) are covered as well as larger ones.
+  for (const int n : {5, 11}) {
+    Rng rng(11);
+    const Circuit c = build_rcs(n, 8, rng);
+    std::vector<PauliTerm> terms;
+    for (qubit_t q = 0; q < n; ++q) {
+      PauliTerm z;
+      z.factors = {{q, Pauli::kZ}};
+      terms.push_back(z);
+    }
+    terms.push_back(PauliTerm::parse("-0.5 * Z0 Z2 Z3 Z4"));
+    terms.push_back(PauliTerm{});
+    terms.push_back(PauliTerm::parse("X1 Y4 Z2"));
+    for (const int ranks : {1, 2, 4, 8}) {
+      for (const int threads : {0, ranks}) {
+        DistOptions o;
+        o.threading.threads = threads;
+        DistStateVector<SoaStorage> dist(n, ranks, o);
+        dist.apply(c);
+        const StateVector gathered = dist.gather();
+        for (const std::size_t count : {std::size_t{2}, std::size_t{3},
+                                        terms.size()}) {
+          const std::span<const PauliTerm> some(terms.data(), count);
+          const std::vector<real_t> shared = expectations(dist, some);
+          ASSERT_EQ(shared.size(), count);
+          for (std::size_t k = 0; k < count; ++k) {
+            const std::string what =
+                terms[k].str() + " of " + std::to_string(count) + " at " +
+                std::to_string(n) + " qubits, " + std::to_string(ranks) +
+                " ranks, " + std::to_string(threads) + " rank threads";
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(shared[k]),
+                      std::bit_cast<std::uint64_t>(
+                          expectation(dist, terms[k])))
+                << what;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(shared[k]),
+                      std::bit_cast<std::uint64_t>(
+                          expectation(gathered, terms[k])))
+                << what;
+          }
+        }
+      }
     }
   }
 }

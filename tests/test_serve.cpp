@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -459,6 +460,18 @@ ServerOptions small_server(const std::string& path) {
   return so;
 }
 
+/// Field `key` of a server response. A response without it fails the
+/// current test by name (gtest reports the exception) instead of
+/// dereferencing a null pointer and taking every later test down with it.
+const Json& field(const Json& response, const std::string& key) {
+  const Json* const f = response.find(key);
+  if (f == nullptr) {
+    throw std::runtime_error("response has no \"" + key +
+                             "\" field: " + response.dump());
+  }
+  return *f;
+}
+
 /// The digest `qsv run` would print for this circuit — computed directly.
 std::string direct_digest(const std::string& circuit_text, int ranks) {
   const Circuit c = parse_circuit(circuit_text);
@@ -476,14 +489,14 @@ TEST(ServerEndToEnd, RunDigestMatchesDirectRunAndCacheHits) {
     Client client(path);
     const Json r1 = client.rpc(
         R"({"op":"run","id":"a","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})");
-    EXPECT_EQ(r1.find("status")->as_string(), "ok");
-    EXPECT_EQ(r1.find("digest")->as_string(), direct_digest(kGhz, 2));
-    EXPECT_EQ(r1.find("cache")->as_string(), "miss");
+    EXPECT_EQ(field(r1, "status").as_string(), "ok");
+    EXPECT_EQ(field(r1, "digest").as_string(), direct_digest(kGhz, 2));
+    EXPECT_EQ(field(r1, "cache").as_string(), "miss");
     const Json r2 = client.rpc(
         R"({"op":"run","id":"b","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})");
-    EXPECT_EQ(r2.find("status")->as_string(), "ok");
-    EXPECT_EQ(r2.find("digest")->as_string(), direct_digest(kGhz, 2));
-    EXPECT_EQ(r2.find("cache")->as_string(), "hit");
+    EXPECT_EQ(field(r2, "status").as_string(), "ok");
+    EXPECT_EQ(field(r2, "digest").as_string(), direct_digest(kGhz, 2));
+    EXPECT_EQ(field(r2, "cache").as_string(), "hit");
   }
   server.request_drain();
   server.wait_until_drained();
@@ -500,23 +513,23 @@ TEST(ServerEndToEnd, HostileRequestsGetTypedResponsesAndServerSurvives) {
     Client client(path);
     // Malformed JSON.
     Json r = client.rpc("{broken");
-    EXPECT_EQ(r.find("status")->as_string(), "error");
-    EXPECT_EQ(r.find("error_kind")->as_string(), "protocol");
+    EXPECT_EQ(field(r, "status").as_string(), "error");
+    EXPECT_EQ(field(r, "error_kind").as_string(), "protocol");
     // Well-formed JSON, hostile circuit (absurd width).
     r = client.rpc(R"({"op":"run","id":"w","circuit":"qubits 99\nh 0\n"})");
-    EXPECT_EQ(r.find("status")->as_string(), "error");
-    EXPECT_EQ(r.find("error_kind")->as_string(), "parse");
+    EXPECT_EQ(field(r, "status").as_string(), "error");
+    EXPECT_EQ(field(r, "error_kind").as_string(), "parse");
     // Truncated circuit stream (gate references a missing qubit).
     r = client.rpc(R"({"op":"run","id":"t","circuit":"qubits 2\ncx 0 5\n"})");
-    EXPECT_EQ(r.find("status")->as_string(), "error");
+    EXPECT_EQ(field(r, "status").as_string(), "error");
     // CRC-mismatch payload is rejected before parsing effort.
     r = client.rpc(
         R"({"op":"run","id":"c","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","crc32":1})");
-    EXPECT_EQ(r.find("status")->as_string(), "rejected");
+    EXPECT_EQ(field(r, "status").as_string(), "rejected");
     // The server is still fine: a good job right after completes.
     r = client.rpc(
         R"({"op":"run","id":"g","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})");
-    EXPECT_EQ(r.find("status")->as_string(), "ok");
+    EXPECT_EQ(field(r, "status").as_string(), "ok");
   }
   server.request_drain();
   server.wait_until_drained();
@@ -540,10 +553,10 @@ TEST(ServerEndToEnd, DeadlineCancelsAtSafePointWithPartialCost) {
     // with the priced (empty) prefix.
     const Json r = client.rpc(
         R"({"op":"run","id":"d","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2,"deadline_s":1e-9})");
-    EXPECT_EQ(r.find("status")->as_string(), "deadline");
-    EXPECT_EQ(r.find("gates")->as_number(), 3);
-    EXPECT_LE(r.find("gates_done")->as_number(), 3);
-    EXPECT_GE(r.find("queue_s")->as_number(), 0);
+    EXPECT_EQ(field(r, "status").as_string(), "deadline");
+    EXPECT_EQ(field(r, "gates").as_number(), 3);
+    EXPECT_LE(field(r, "gates_done").as_number(), 3);
+    EXPECT_GE(field(r, "queue_s").as_number(), 0);
   }
   server.request_drain();
   server.wait_until_drained();
@@ -561,8 +574,8 @@ TEST(ServerEndToEnd, DeadlinePastTheClockRangeNeverFires) {
       const Json r = client.rpc(
           R"({"op":"run","id":"far","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2,"deadline_s":)" +
           deadline + "}");
-      ASSERT_EQ(r.find("status")->as_string(), "ok") << deadline;
-      EXPECT_EQ(r.find("digest")->as_string(), direct_digest(kGhz, 2))
+      ASSERT_EQ(field(r, "status").as_string(), "ok") << deadline;
+      EXPECT_EQ(field(r, "digest").as_string(), direct_digest(kGhz, 2))
           << deadline;
     }
   }
@@ -582,21 +595,21 @@ TEST(ServerEndToEnd, PriceAnswersFromThePlanWithoutRunningAJob) {
     const std::string price =
         R"({"op":"price","id":"p","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})";
     const Json miss = client.rpc(price);
-    ASSERT_EQ(miss.find("status")->as_string(), "ok");
-    EXPECT_TRUE(miss.find("priced")->as_bool());
-    EXPECT_EQ(miss.find("gates")->as_number(), 3);
-    EXPECT_EQ(miss.find("ranks")->as_number(), 2);
-    EXPECT_GT(miss.find("runtime_s")->as_number(), 0);
-    EXPECT_GT(miss.find("energy_j")->as_number(), 0);
-    EXPECT_EQ(miss.find("cache")->as_string(), "miss");
+    ASSERT_EQ(field(miss, "status").as_string(), "ok");
+    EXPECT_TRUE(field(miss, "priced").as_bool());
+    EXPECT_EQ(field(miss, "gates").as_number(), 3);
+    EXPECT_EQ(field(miss, "ranks").as_number(), 2);
+    EXPECT_GT(field(miss, "runtime_s").as_number(), 0);
+    EXPECT_GT(field(miss, "energy_j").as_number(), 0);
+    EXPECT_EQ(field(miss, "cache").as_string(), "miss");
     EXPECT_EQ(miss.find("digest"), nullptr);  // nothing ran
     const Json hit = client.rpc(price);
-    ASSERT_EQ(hit.find("status")->as_string(), "ok");
-    EXPECT_EQ(hit.find("cache")->as_string(), "hit");
-    EXPECT_EQ(hit.find("runtime_s")->as_number(),
-              miss.find("runtime_s")->as_number());
-    EXPECT_EQ(hit.find("energy_j")->as_number(),
-              miss.find("energy_j")->as_number());
+    ASSERT_EQ(field(hit, "status").as_string(), "ok");
+    EXPECT_EQ(field(hit, "cache").as_string(), "hit");
+    EXPECT_EQ(field(hit, "runtime_s").as_number(),
+              field(miss, "runtime_s").as_number());
+    EXPECT_EQ(field(hit, "energy_j").as_number(),
+              field(miss, "energy_j").as_number());
   }
   server.request_drain();
   server.wait_until_drained();
@@ -614,29 +627,28 @@ TEST(ServerEndToEnd, StatsCountTheRequestsSent) {
     Client client(path);
     const std::string job =
         R"("circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","ranks":2})";
-    EXPECT_EQ(client.rpc(R"({"op":"price","id":"p",)" + job)
-                  .find("cache")
-                  ->as_string(),
-              "miss");
-    EXPECT_EQ(client.rpc(R"({"op":"run","id":"r",)" + job)
-                  .find("cache")
-                  ->as_string(),
-              "hit");
-    EXPECT_EQ(client.rpc(R"({"op":"ping","id":"g"})")
-                  .find("status")
-                  ->as_string(),
-              "pong");
+    EXPECT_EQ(
+        field(client.rpc(R"({"op":"price","id":"p",)" + job), "cache")
+            .as_string(),
+        "miss");
+    EXPECT_EQ(
+        field(client.rpc(R"({"op":"run","id":"r",)" + job), "cache")
+            .as_string(),
+        "hit");
+    EXPECT_EQ(
+        field(client.rpc(R"({"op":"ping","id":"g"})"), "status").as_string(),
+        "pong");
     const Json s = client.rpc(R"({"op":"stats","id":"s"})");
-    ASSERT_EQ(s.find("status")->as_string(), "stats");
-    EXPECT_EQ(s.find("id")->as_string(), "s");
+    ASSERT_EQ(field(s, "status").as_string(), "stats");
+    EXPECT_EQ(field(s, "id").as_string(), "s");
     // The stats request is counted as received before it is answered.
-    EXPECT_EQ(s.find("received")->as_number(), 4);
-    EXPECT_EQ(s.find("completed")->as_number(), 1);
-    EXPECT_EQ(s.find("priced")->as_number(), 1);
-    EXPECT_EQ(s.find("rejected")->as_number(), 0);
-    EXPECT_EQ(s.find("cache_misses")->as_number(), 1);
-    EXPECT_EQ(s.find("cache_hits")->as_number(), 1);
-    EXPECT_EQ(s.find("cache_entries")->as_number(), 1);
+    EXPECT_EQ(field(s, "received").as_number(), 4);
+    EXPECT_EQ(field(s, "completed").as_number(), 1);
+    EXPECT_EQ(field(s, "priced").as_number(), 1);
+    EXPECT_EQ(field(s, "rejected").as_number(), 0);
+    EXPECT_EQ(field(s, "cache_misses").as_number(), 1);
+    EXPECT_EQ(field(s, "cache_hits").as_number(), 1);
+    EXPECT_EQ(field(s, "cache_entries").as_number(), 1);
   }
   server.request_drain();
   server.wait_until_drained();
@@ -653,21 +665,23 @@ TEST(ServerEndToEnd, OverloadBurstEveryRequestSettledTyped) {
   server.start();
   constexpr int kClients = 12;
   std::vector<std::thread> threads;
-  std::vector<std::string> statuses(kClients);
+  // Replies are read on this thread: a missing field throws, which on a
+  // client thread would terminate the binary.
+  std::vector<Json> replies(kClients);
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
       Client client(path);
-      const Json r = client.rpc(
+      replies[i] = client.rpc(
           R"({"op":"run","id":"burst)" + std::to_string(i) +
           R"(","circuit":"qubits 6\nh 0\nh 1\nh 2\nh 3\nh 4\nh 5\ncx 0 5\n","ranks":2})");
-      statuses[i] = r.find("status")->as_string();
     });
   }
   for (std::thread& t : threads) t.join();
   server.request_drain();
   server.wait_until_drained();
   std::uint64_t ok = 0, shed = 0, rejected = 0;
-  for (const std::string& s : statuses) {
+  for (const Json& reply : replies) {
+    const std::string& s = field(reply, "status").as_string();
     // Every burst request got exactly one typed settlement.
     ASSERT_TRUE(s == "ok" || s == "shed" || s == "rejected") << s;
     ok += s == "ok";
@@ -689,10 +703,9 @@ TEST(ServerEndToEnd, DrainShedsQueuedWorkAndRefusesNewJobs) {
   server.start();
   {
     Client client(path);
-    EXPECT_EQ(client.rpc(R"({"op":"ping","id":"p"})")
-                  .find("status")
-                  ->as_string(),
-              "pong");
+    EXPECT_EQ(
+        field(client.rpc(R"({"op":"ping","id":"p"})"), "status").as_string(),
+        "pong");
   }
   server.request_drain();
   server.wait_until_drained();

@@ -122,7 +122,10 @@ Circuit all_positions_circuit(int n) {
   for (qubit_t a = 0; a < n; ++a) {
     for (qubit_t b_ = a + 1; b_ < n; ++b_) {
       c.add(make_swap(a, b_));
+      // Both orders: matrix2's subspace bit 0 is the first target, so (a, b)
+      // and (b, a) take different lane/vector layouts.
       c.add(make_unitary2(a, b_, random_unitary2_params(rng)));
+      c.add(make_unitary2(b_, a, random_unitary2_params(rng)));
     }
   }
   std::vector<qubit_t> controls;
@@ -181,10 +184,13 @@ TEST(SimdBitIdentity, AllKernelsAllPositionsSoa) {
   }
 }
 
-// Registers small enough that every vector kernel hits its minimum-span
-// scalar fallback (2 and 4 amplitudes).
+// Registers on both sides of every vector kernel's minimum span: 2 and 4
+// amplitudes take the scalar fallbacks, 8 is the smallest span of the AVX2
+// matrix1 and the AVX-512 matrix2 (both targets lane bits), 16 the smallest
+// of the AVX-512 matrix1 and AVX2 matrix2/swap, and 16/32 the first spans
+// where AVX-512 matrix2 groups span two and four vectors.
 TEST(SimdBitIdentity, TinyRegisters) {
-  for (int n = 1; n <= 3; ++n) {
+  for (int n = 1; n <= 6; ++n) {
     const Circuit c = all_positions_circuit(n);
     for (Backend b : supported_backends()) {
       check_backend_matches_scalar(c, b);

@@ -41,6 +41,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "circuit/builders.hpp"
 #include "circuit/locality.hpp"
@@ -98,6 +100,18 @@ void require_nodes(int nodes, int qubits) {
               "--nodes must be a power of two leaving each node at least 2 "
               "amplitudes, got " +
                   std::to_string(nodes));
+}
+
+/// A register the machine can hold. min_nodes refuses a larger one as a
+/// library error; here it is an argument out of range.
+void require_fits(const MachineModel& m, int qubits, NodeKind kind) {
+  const NodeType& node = m.node(kind);
+  const int largest = max_qubits(m, kind);
+  require_arg(qubits <= largest,
+              std::to_string(qubits) + " qubits do not fit on " +
+                  std::to_string(node.available) + " " + node.name +
+                  " nodes; the largest register is " +
+                  std::to_string(largest) + " qubits");
 }
 
 /// --local L (default: the whole register) within [1, qubits].
@@ -396,11 +410,13 @@ int cmd_run(int argc, const char* const* argv) {
               << rec.planned_ranks << " planned ranks ("
               << rec.degraded_gates << " gates below planned width)\n";
   }
+  std::vector<PauliTerm> z(static_cast<std::size_t>(c.num_qubits()));
   for (qubit_t q = 0; q < c.num_qubits(); ++q) {
-    PauliTerm z;
-    z.factors = {{q, Pauli::kZ}};
-    std::cout << "  <Z" << q << "> = " << fmt::fixed(expectation(sv, z), 4)
-              << "\n";
+    z[q].factors = {{q, Pauli::kZ}};
+  }
+  const std::vector<real_t> z_values = expectations(sv, std::span(z));
+  for (qubit_t q = 0; q < c.num_qubits(); ++q) {
+    std::cout << "  <Z" << q << "> = " << fmt::fixed(z_values[q], 4) << "\n";
   }
   if (shots > 0) {
     Rng rng(static_cast<std::uint64_t>(args.int_or("seed", 1)));
@@ -522,6 +538,7 @@ int cmd_price(int argc, const char* const* argv) {
     }
     if (const auto n = args.value("fast-qft")) {
       const int qubits = register_size_arg(*n, "--fast-qft");
+      require_fits(m, qubits, kind);
       const int nodes = args.int_or("nodes", min_nodes(m, qubits, kind));
       require_nodes(nodes, qubits);
       return fast_qft(qubits,
@@ -533,6 +550,7 @@ int cmd_price(int argc, const char* const* argv) {
     return load_circuit(args.positionals()[0]);
   }();
 
+  require_fits(m, c.num_qubits(), kind);
   JobConfig job;
   job.num_qubits = c.num_qubits();
   job.node_kind = kind;
@@ -721,6 +739,7 @@ int cmd_sbatch(int argc, const char* const* argv) {
   const MachineModel m = archer2();
   const NodeKind kind =
       args.has("highmem") ? NodeKind::kHighMem : NodeKind::kStandard;
+  require_fits(m, qubits, kind);
   const JobConfig job =
       make_min_job(m, qubits, kind, parse_freq(args.value_or("freq",
                                                              "medium")));
