@@ -341,31 +341,15 @@ void VirtualCluster::purge_rank(rank_t rank) {
   }
 }
 
-void VirtualCluster::shrink_to(int new_num_ranks) {
-  QSV_REQUIRE(new_num_ranks >= 1, "need at least one rank");
+void VirtualCluster::resize_to(int new_num_ranks) {
   QSV_REQUIRE(bits::is_pow2(static_cast<std::uint64_t>(new_num_ranks)),
               "QuEST-style decomposition requires a power-of-two rank count");
-  QSV_REQUIRE(new_num_ranks < num_ranks_,
-              "shrink_to must reduce the rank count (have " +
-                  std::to_string(num_ranks_) + ", asked for " +
-                  std::to_string(new_num_ranks) + ")");
+  QSV_REQUIRE(new_num_ranks != num_ranks_,
+              "resize_to must change the rank count (have " +
+                  std::to_string(num_ranks_) + ")");
   std::lock_guard<std::mutex> lk(m_);
   QSV_REQUIRE(in_flight_ == 0,
-              "shrink_to requires a quiescent cluster: " +
-                  std::to_string(in_flight_) + " messages still in flight");
-  num_ranks_ = new_num_ranks;
-}
-
-void VirtualCluster::grow_to(int new_num_ranks) {
-  QSV_REQUIRE(bits::is_pow2(static_cast<std::uint64_t>(new_num_ranks)),
-              "QuEST-style decomposition requires a power-of-two rank count");
-  QSV_REQUIRE(new_num_ranks > num_ranks_,
-              "grow_to must increase the rank count (have " +
-                  std::to_string(num_ranks_) + ", asked for " +
-                  std::to_string(new_num_ranks) + ")");
-  std::lock_guard<std::mutex> lk(m_);
-  QSV_REQUIRE(in_flight_ == 0,
-              "grow_to requires a quiescent cluster: " +
+              "resize_to requires a quiescent cluster: " +
                   std::to_string(in_flight_) + " messages still in flight");
   num_ranks_ = new_num_ranks;
 }
@@ -385,15 +369,6 @@ void VirtualCluster::reset_queues() {
 bool VirtualCluster::quiescent() const {
   std::lock_guard<std::mutex> lk(m_);
   return in_flight_ == 0;
-}
-
-int message_count(std::uint64_t total_bytes, std::size_t max_message_bytes) {
-  QSV_REQUIRE(max_message_bytes > 0, "zero message cap");
-  if (total_bytes == 0) {
-    return 0;
-  }
-  return static_cast<int>((total_bytes + max_message_bytes - 1) /
-                          max_message_bytes);
 }
 
 }  // namespace qsv

@@ -189,17 +189,12 @@ class VirtualCluster {
   /// replacement starts with empty mailboxes.
   void purge_rank(rank_t rank);
 
-  /// Shrink-to-survive membership change: the cluster drops to
-  /// `new_num_ranks` (a smaller power of two). Requires quiescence — the
-  /// re-shard traffic must have fully drained first. Traffic counters are
-  /// preserved: the movement already paid for stays on the books.
-  void shrink_to(int new_num_ranks);
-
-  /// Elastic grow-back membership change: the cluster widens to
-  /// `new_num_ranks` (a larger power of two) when replacement nodes arrive
-  /// mid-run. Requires quiescence, like shrink_to; traffic counters are
-  /// preserved. The revived ranks start with empty mailboxes.
-  void grow_to(int new_num_ranks);
+  /// Re-shard membership change: the cluster moves to `new_num_ranks`, a
+  /// different power of two. Requires quiescence: no message may be in
+  /// flight across the change. Traffic counters are preserved, so movement
+  /// already paid for stays on the books; ranks added by a grow start with
+  /// empty mailboxes.
+  void resize_to(int new_num_ranks);
 
   /// Discards every queued message (restart-from-checkpoint recovery).
   void reset_queues();
@@ -265,11 +260,5 @@ class VirtualCluster {
   std::condition_variable cv_recv_;   // a message landed
   std::condition_variable cv_send_;   // mailbox space freed
 };
-
-/// Splits a payload of `total_bytes` into messages of at most
-/// `max_message_bytes`; returns the number of messages (the paper's "32
-/// messages are exchanged per distributed gate").
-[[nodiscard]] int message_count(std::uint64_t total_bytes,
-                                std::size_t max_message_bytes);
 
 }  // namespace qsv

@@ -367,6 +367,13 @@ FaultInjector::GateFaultCharges FaultInjector::take_gate_charges() {
   return out;
 }
 
+void FaultInjector::put_back_gate_charges(const GateFaultCharges& charges) {
+  std::lock_guard<std::mutex> lk(m_);
+  gate_charges_.retry_bytes += charges.retry_bytes;
+  gate_charges_.retry_messages += charges.retry_messages;
+  gate_charges_.delay_s += charges.delay_s;
+}
+
 void FaultInjector::restart() {
   std::lock_guard<std::mutex> lk(m_);
   dead_.clear();

@@ -255,6 +255,10 @@ class FaultInjector {
   };
   [[nodiscard]] GateFaultCharges take_gate_charges();
 
+  /// Adds charges drained by take_gate_charges back to the pending ones (a
+  /// re-shard sets aside what was pending before its moves).
+  void put_back_gate_charges(const GateFaultCharges& charges);
+
   /// A restart replaces dead nodes with fresh ones: clears the dead set.
   /// Already-fired one-shot specs stay fired, so the same failure does not
   /// recur on replay.

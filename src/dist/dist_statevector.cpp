@@ -17,22 +17,6 @@ namespace {
 /// idle time.
 constexpr double kRetryBackoffS = 0.1;
 
-/// Copies `count` amplitudes of `from`, starting at `from_first`, into `to`
-/// at `to_first`: a re-shard move that stays on one host, so it sends no
-/// message and goes through a small bounce buffer instead.
-template <class S>
-void copy_amps(const S& from, amp_index from_first, S& to, amp_index to_first,
-               amp_index count) {
-  constexpr amp_index kBlock = amp_index{1} << 12;
-  std::vector<std::byte> bounce(
-      static_cast<std::size_t>(std::min(count, kBlock)) * kBytesPerAmp);
-  for (amp_index done = 0; done < count; done += kBlock) {
-    const amp_index n = std::min(kBlock, count - done);
-    from.pack(from_first + done, n, bounce.data());
-    to.unpack(to_first + done, n, bounce.data());
-  }
-}
-
 }  // namespace
 
 template <class S>
@@ -543,115 +527,83 @@ void DistStateVector<S>::rebind_rank(rank_t r) {
 }
 
 template <class S>
-ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
-  const ReshardPlan plan = plan_reshard(num_qubits_, local_qubits_, dead_rank,
-                                        opts_.max_message_bytes);
-  const amp_index n_local = local_amps();
+ReshardPlan DistStateVector<S>::reshard(int new_ranks, rank_t rebuilt) {
+  const ReshardPlan plan = plan_reshard(num_qubits_, local_qubits_, new_ranks,
+                                        rebuilt, opts_.max_message_bytes);
+  const bool grow = plan.new_ranks > plan.old_ranks;
+  const int wide = std::max(plan.old_ranks, plan.new_ranks);
+  QSV_REQUIRE(team_ == nullptr || wide <= team_->workers(),
+              "re-shard to " + std::to_string(wide) +
+                  " ranks beyond the rank team's constructed width");
+  const amp_index half = plan.bytes_per_move / kBytesPerAmp;
   const amp_index chunk = chunk_amps(opts_.max_message_bytes);
 
-  std::vector<S> merged;
-  merged.reserve(static_cast<std::size_t>(plan.new_ranks));
-  for (int n = 0; n < plan.new_ranks; ++n) {
-    const rank_t lo = static_cast<rank_t>(2 * n);
-    const rank_t hi = static_cast<rank_t>(2 * n + 1);
-    S s(n_local * 2);
-    copy_amps(slices_[lo], 0, s, 0, n_local);
-    if (lo == dead_rank || hi == dead_rank) {
-      // The dead pair merges on its surviving member, and the rebuilt slice
-      // was read from the checkpoint straight onto that host — no network
-      // movement either way for this one pair.
-      copy_amps(slices_[hi], 0, s, n_local, n_local);
-    } else {
-      // Packed straight into each message, unpacked straight out of it.
-      for (amp_index first = 0; first < n_local; first += chunk) {
-        const amp_index count = std::min(chunk, n_local - first);
-        const std::size_t bytes = count * kBytesPerAmp;
-        cluster_.send(hi, lo, bytes, VirtualCluster::kAnyTag,
-                      [&](std::span<std::byte> b) {
-                        slices_[hi].pack(first, count, b.data());
-                      });
-        cluster_.recv(hi, lo, bytes, VirtualCluster::kAnyTag,
-                      [&](std::span<const std::byte> b) {
-                        s.unpack(n_local + first, count, b.data());
-                      });
+  // The moves run at the wider width, where a grow's new ranks are valid
+  // send targets; at a gate boundary no message is in flight to race.
+  if (grow) {
+    cluster_.resize_to(wide);
+  }
+  std::vector<S> next(static_cast<std::size_t>(plan.new_ranks));
+  try {
+    for_each_rank(plan.new_ranks, [&](int r) {
+      next[static_cast<std::size_t>(r)] = S(grow ? half : 2 * half);
+    });
+    std::vector<S>& narrow = grow ? slices_ : next;
+    std::vector<S>& wide_slices = grow ? next : slices_;
+    for (int n = 0; n < wide / 2; ++n) {
+      const rank_t lo = static_cast<rank_t>(2 * n);
+      const bool rebuilt_pair = rebuilt == lo || rebuilt == lo + 1;
+      S& joined = narrow[static_cast<std::size_t>(n)];
+      for (int h = 0; h < 2; ++h) {
+        // Half h of the joined slice is wide rank 2n + h's slice: growing
+        // moves it out of the joined slice, shrinking moves it back in.
+        S& part = wide_slices[static_cast<std::size_t>(lo + h)];
+        const S& src = grow ? joined : part;
+        S& dst = grow ? part : joined;
+        const amp_index src_first = grow ? h * half : 0;
+        const amp_index dst_first = grow ? 0 : h * half;
+        if (h == 0 || rebuilt_pair) {
+          std::copy_n(src.re() + src_first, half, dst.re() + dst_first);
+          std::copy_n(src.im() + src_first, half, dst.im() + dst_first);
+          continue;
+        }
+        // The high half crosses the wire, packed straight into each message
+        // and unpacked straight out of it.
+        const rank_t from = grow ? lo : lo + 1;
+        const rank_t to = grow ? lo + 1 : lo;
+        with_retry(lo, lo + 1, VirtualCluster::kAnyTag,
+                   plan.messages_per_move, plan.bytes_per_move, nullptr,
+                   [&](int) {
+          for (amp_index first = 0; first < half; first += chunk) {
+            const amp_index count = std::min(chunk, half - first);
+            const std::size_t bytes = count * kBytesPerAmp;
+            cluster_.send(from, to, bytes, VirtualCluster::kAnyTag,
+                          [&](std::span<std::byte> b) {
+                            src.pack(src_first + first, count, b.data());
+                          });
+            cluster_.recv(from, to, bytes, VirtualCluster::kAnyTag,
+                          [&](std::span<const std::byte> b) {
+                            dst.unpack(dst_first + first, count, b.data());
+                          });
+          }
+        });
       }
     }
-    merged.push_back(std::move(s));
-  }
-
-  slices_ = std::move(merged);
-  local_qubits_ += 1;
-  cluster_.shrink_to(plan.new_ranks);
-
-  resize_buffers();
-  return plan;
-}
-
-template <class S>
-GrowBackPlan DistStateVector<S>::grow_back_double() {
-  const GrowBackPlan plan =
-      plan_grow_back(num_qubits_, local_qubits_, opts_.max_message_bytes);
-  QSV_REQUIRE(team_ == nullptr || plan.new_ranks <= team_->workers(),
-              "grow-back beyond the constructed width: the rank team has " +
-                  std::to_string(team_ != nullptr ? team_->workers() : 0) +
-                  " workers, asked for " + std::to_string(plan.new_ranks) +
-                  " ranks");
-  const amp_index n_local = local_amps();
-  const amp_index n_half = n_local / 2;
-  const amp_index chunk = chunk_amps(opts_.max_message_bytes);
-
-  // Widen the cluster before any traffic: the revived ranks must be valid
-  // send targets. The engine is quiescent at a gate boundary, so this (and
-  // the rollback shrink below) cannot race in-flight messages.
-  cluster_.grow_to(plan.new_ranks);
-
-  std::vector<S> grown;
-  grown.resize(static_cast<std::size_t>(plan.new_ranks));
-  try {
-    // First touch: threaded, each new rank's worker allocates and
-    // zero-fills its own slice, so the pages land in its NUMA domain.
-    for_each_rank(plan.new_ranks, [&](int r) {
-      grown[static_cast<std::size_t>(r)] = S(n_half);
-    });
-    for (int n = 0; n < plan.old_ranks; ++n) {
-      const rank_t lo = static_cast<rank_t>(2 * n);
-      const rank_t hi = static_cast<rank_t>(2 * n + 1);
-      const S& survivor = slices_[static_cast<std::size_t>(n)];
-      S& revived = grown[static_cast<std::size_t>(hi)];
-      // The low half stays resident on the survivor (new rank 2n).
-      copy_amps(survivor, 0, grown[static_cast<std::size_t>(lo)], 0, n_half);
-      // The absorbed partner half ships to the revived rank 2n+1 through the
-      // cluster — CRC-checked end-to-end and retried on transient faults
-      // like any exchange, so a corrupted handoff payload is caught and
-      // re-sent, never absorbed into the revived slice.
-      with_retry(lo, hi, VirtualCluster::kAnyTag, plan.messages_per_move,
-                 plan.bytes_per_move, nullptr, [&](int) {
-        for (amp_index first = 0; first < n_half; first += chunk) {
-          const amp_index count = std::min(chunk, n_half - first);
-          const std::size_t bytes = count * kBytesPerAmp;
-          cluster_.send(lo, hi, bytes, VirtualCluster::kAnyTag,
-                        [&](std::span<std::byte> b) {
-                          survivor.pack(n_half + first, count, b.data());
-                        });
-          cluster_.recv(lo, hi, bytes, VirtualCluster::kAnyTag,
-                        [&](std::span<const std::byte> b) {
-                          revived.unpack(first, count, b.data());
-                        });
-        }
-      });
-    }
   } catch (...) {
-    // The movement faulted past the retry budget: restore the narrow
-    // membership and leave the (untouched) merged slices in place, so the
-    // run continues at the old width.
+    // A move faulted past the retry budget: the old slices are untouched,
+    // so restoring the old membership leaves the engine as it was.
     cluster_.reset_queues();
-    cluster_.shrink_to(plan.old_ranks);
+    if (grow) {
+      cluster_.resize_to(plan.old_ranks);
+    }
     throw;
   }
 
-  slices_ = std::move(grown);
-  local_qubits_ -= 1;
-
+  slices_ = std::move(next);
+  local_qubits_ += grow ? -1 : 1;
+  if (!grow) {
+    cluster_.resize_to(plan.new_ranks);
+  }
   resize_buffers();
   return plan;
 }
@@ -769,17 +721,10 @@ int DistStateVector<S>::measure(qubit_t qubit, Rng& rng) {
 
 template <class S>
 std::uint32_t DistStateVector<S>::slice_crc(rank_t r) const {
-  QSV_REQUIRE(r >= 0 && r < num_ranks(), "rank out of range");
-  constexpr amp_index kChunkAmps = amp_index{1} << 12;
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(std::min(local_amps(), kChunkAmps)) *
-      kBytesPerAmp);
+  const S& s = slice(r);
   Crc32 crc;
-  for (amp_index first = 0; first < local_amps(); first += kChunkAmps) {
-    const amp_index count = std::min(kChunkAmps, local_amps() - first);
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    crc.update(buf.data(), bytes);
-  }
+  crc.update(s.re(), s.size() * sizeof(real_t));
+  crc.update(s.im(), s.size() * sizeof(real_t));
   return crc.value();
 }
 

@@ -91,26 +91,15 @@ class DistStateVector {
   /// replacement can never consume a stale pre-failure payload.
   void rebind_rank(rank_t r);
 
-  /// Shrink-to-survive: re-shards from 2^k to 2^(k-1) ranks. New rank n
-  /// absorbs old ranks 2n (low half) and 2n+1 (high half); the pair
-  /// containing `dead_rank` merges on the surviving member without network
-  /// traffic (the dead slice was rebuilt from the checkpoint in place),
-  /// every other odd rank ships its slice to its even partner through the
-  /// cluster — so counters and the fault injector see the re-shard traffic,
-  /// and a fault during it escalates to the caller (no retry wrapper: the
-  /// driver falls back to restart). Returns the executed plan.
-  ReshardPlan shrink_to_half(rank_t dead_rank);
-
-  /// Elastic grow-back: re-shards from 2^k to 2^(k+1) ranks, the exact
-  /// inverse of shrink_to_half. Survivor n keeps the low half of its doubled
-  /// slice as new rank 2n and sheds the absorbed partner half to revived
-  /// rank 2n+1 through the cluster (CRC-checked end-to-end and retried on
-  /// transient faults, like any exchange). Transactional: a fault that
-  /// exhausts the retries leaves the engine at the old width with the state
-  /// untouched and rethrows. In threaded mode the revived ranks' slices are
-  /// allocated first-touch on their own worker threads, so the pages land in
-  /// the owning NUMA domain. Returns the executed plan.
-  GrowBackPlan grow_back_double();
+  /// Re-shards to `new_ranks`, half or double the current width, as
+  /// ReshardPlan describes. Each high-half move goes through the cluster,
+  /// CRC-checked and retried on transient faults like any exchange, while
+  /// the cluster sits at the wider width. Transactional: a fault past the
+  /// retry budget leaves the slices, the width and the cluster as they were
+  /// and rethrows. Threaded, each new slice is allocated first-touch on its
+  /// own rank thread, and the engine never grows past the width it was
+  /// constructed at. Returns the executed plan.
+  ReshardPlan reshard(int new_ranks, rank_t rebuilt = -1);
 
   [[nodiscard]] cplx amplitude(amp_index global) const;
   void set_amplitude(amp_index global, cplx v);

@@ -18,9 +18,10 @@ namespace qsv {
 
 /// The four recovery tiers, in the static cheapest-first order the policy
 /// falls back through when no expected-energy figures are supplied.
-/// kRetry is the engine's bounded re-exchange (always on, priced through the
-/// retry_* fields of the affected gate event); the other three are driver
-/// actions priced as kRecovery events.
+/// kRetry is the engine's bounded re-send (always on, priced through the
+/// retry_* fields of the affected gate event, or of the re-shard's network
+/// event for a re-shard move); the others are run_verified's actions,
+/// priced as kRecovery events.
 enum class RecoveryTier {
   kRetry,       // re-send the affected exchange round
   kSubstitute,  // rebuild the dead rank's slice onto a spare node

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -14,18 +15,17 @@ double mask_fraction(std::uint64_t mask) {
   return 1.0 / static_cast<double>(std::uint64_t{1} << std::popcount(mask));
 }
 
-/// Messages that carry `amps` amplitudes in chunk_amps chunks.
-int messages_for(amp_index amps, std::size_t max_message_bytes) {
-  const amp_index chunk = chunk_amps(max_message_bytes);
-  return static_cast<int>((amps + chunk - 1) / chunk);
-}
-
 }  // namespace
 
 amp_index chunk_amps(std::size_t max_message_bytes) {
   QSV_REQUIRE(max_message_bytes >= kBytesPerAmp,
               "message cap below one amplitude");
   return max_message_bytes / kBytesPerAmp;
+}
+
+int messages_for(amp_index amps, std::size_t max_message_bytes) {
+  const amp_index chunk = chunk_amps(max_message_bytes);
+  return static_cast<int>((amps + chunk - 1) / chunk);
 }
 
 bool OpPlan::sends(rank_t r) const {
@@ -152,37 +152,29 @@ ExecEvent sweep_event(GateKind first, std::size_t count, int local_qubits,
   return e;
 }
 
-ReshardPlan plan_reshard(int num_qubits, int local_qubits, rank_t dead_rank,
-                         std::size_t max_message_bytes) {
-  const int old_ranks = 1 << (num_qubits - local_qubits);
-  QSV_REQUIRE(old_ranks >= 2, "cannot re-shard a single-rank run");
-  QSV_REQUIRE(dead_rank >= 0 && dead_rank < old_ranks,
-              "re-shard dead rank out of range");
+ReshardPlan plan_reshard(int num_qubits, int local_qubits, int new_ranks,
+                         rank_t rebuilt, std::size_t max_message_bytes) {
+  QSV_REQUIRE(local_qubits >= 1 && local_qubits <= num_qubits,
+              "invalid decomposition");
   ReshardPlan p;
-  p.old_ranks = old_ranks;
-  p.new_ranks = old_ranks / 2;
-  p.dead_rank = dead_rank;
-  p.slice_amps = amp_index{1} << local_qubits;
-  p.bytes_per_move = p.slice_amps * kBytesPerAmp;
-  p.messages_per_move = messages_for(p.slice_amps, max_message_bytes);
-  p.moving_pairs = p.new_ranks - 1;
-  p.total_bytes = static_cast<std::uint64_t>(p.moving_pairs) * p.bytes_per_move;
-  p.rebuild_io_bytes = p.bytes_per_move;
-  return p;
-}
-
-GrowBackPlan plan_grow_back(int num_qubits, int local_qubits,
-                            std::size_t max_message_bytes) {
-  QSV_REQUIRE(local_qubits >= 2 && local_qubits <= num_qubits,
-              "cannot grow back: slices would drop below two amplitudes");
-  GrowBackPlan p;
   p.old_ranks = 1 << (num_qubits - local_qubits);
-  p.new_ranks = p.old_ranks * 2;
-  p.slice_amps = amp_index{1} << (local_qubits - 1);
-  p.bytes_per_move = p.slice_amps * kBytesPerAmp;
-  p.messages_per_move = messages_for(p.slice_amps, max_message_bytes);
-  p.moving_pairs = p.old_ranks;
-  p.total_bytes = static_cast<std::uint64_t>(p.moving_pairs) * p.bytes_per_move;
+  p.new_ranks = new_ranks;
+  const bool grow = new_ranks == 2 * p.old_ranks;
+  QSV_REQUIRE(grow || (p.old_ranks >= 2 && new_ranks == p.old_ranks / 2),
+              "a re-shard halves or doubles the width (have " +
+                  std::to_string(p.old_ranks) + " ranks, asked for " +
+                  std::to_string(new_ranks) + ")");
+  QSV_REQUIRE(!grow || local_qubits >= 2,
+              "cannot grow: slices would drop below two amplitudes");
+  const int wide = std::max(p.old_ranks, new_ranks);
+  QSV_REQUIRE(rebuilt == -1 || (!grow && rebuilt >= 0 && rebuilt < wide),
+              "only a shrink merges a rebuilt slice, and it must name a rank");
+  const amp_index wide_amps = amp_index{1}
+                              << (grow ? local_qubits - 1 : local_qubits);
+  p.bytes_per_move = wide_amps * kBytesPerAmp;
+  p.messages_per_move = messages_for(wide_amps, max_message_bytes);
+  p.moving_pairs = wide / 2 - (rebuilt >= 0 ? 1 : 0);
+  p.rebuild_io_bytes = rebuilt >= 0 ? p.bytes_per_move : 0;
   return p;
 }
 

@@ -20,6 +20,10 @@ namespace qsv {
 /// engine's mailbox sizing all chunk by this (as QuEST does).
 [[nodiscard]] amp_index chunk_amps(std::size_t max_message_bytes);
 
+/// Messages that carry `amps` amplitudes in chunk_amps chunks: the paper's
+/// 32 messages for a 64 GiB slice under ARCHER2's 2 GiB cap.
+[[nodiscard]] int messages_for(amp_index amps, std::size_t max_message_bytes);
+
 /// Fully resolved execution plan for one gate at one decomposition.
 struct OpPlan {
   GateLocality locality{};
@@ -108,63 +112,34 @@ void for_each_planned(const Gate& g, int num_qubits, int local_qubits,
 [[nodiscard]] ExecEvent sweep_event(GateKind first, std::size_t count,
                                     int local_qubits, const DistOptions& opts);
 
-/// Shrink-to-survive re-shard from 2^k to 2^(k-1) ranks. Because the top k
-/// qubits select the rank, new rank n's slice is the concatenation of old
-/// ranks 2n (low half) and 2n+1 (high half): every old even rank absorbs its
-/// odd partner. The pair containing `dead_rank` merges without network
-/// traffic — the dead slice is rebuilt from the checkpoint directly onto its
-/// new host — so 2^(k-1) - 1 pairs ship one slice each over the wire.
+/// A width change between 2^k and 2^(k-1) ranks, in either direction.
+/// Because the top qubits select the rank, narrow rank n's slice is wide
+/// rank 2n's slice followed by wide rank 2n+1's: a shrink merges each pair
+/// and a grow splits it. The low half stays on its host; the high half
+/// crosses the wire between wide ranks 2n+1 and 2n. The pair holding a
+/// slice rebuilt from the checkpoint merges without traffic, because the
+/// checkpoint read lands that slice on the pair's surviving host.
 struct ReshardPlan {
   int old_ranks = 0;
   int new_ranks = 0;
-  rank_t dead_rank = -1;
-  /// Amplitudes per *old* slice (what each move ships).
-  amp_index slice_amps = 0;
-  /// Payload bytes one absorbing move ships (= one old slice).
+  /// Payload bytes of one move: one slice at the wider width.
   std::uint64_t bytes_per_move = 0;
   /// Messages per move (chunking by whole amplitudes under the MPI cap).
   int messages_per_move = 0;
-  /// Pairs that move a slice over the network (excludes the dead pair).
+  /// Pairs that move a slice over the network: one per narrow rank, less
+  /// the pair holding the rebuilt slice.
   int moving_pairs = 0;
-  /// Total network payload: moving_pairs * bytes_per_move.
-  std::uint64_t total_bytes = 0;
-  /// Filesystem bytes read to rebuild the dead slice from the checkpoint.
+  /// Filesystem bytes read to rebuild that slice; 0 without one.
   std::uint64_t rebuild_io_bytes = 0;
 };
 
-/// Plans the re-shard for an n-qubit register currently split over
-/// 2^(n - L) >= 2 ranks. Throws when already down to one rank.
+/// Plans the re-shard of an n-qubit register held as 2^(n - L) slices of
+/// 2^L amplitudes to `new_ranks`, which must be half or double the current
+/// width; every slice keeps at least two amplitudes. `rebuilt` names the
+/// wide rank whose slice was rebuilt from the checkpoint, or is -1; only a
+/// shrink takes one.
 [[nodiscard]] ReshardPlan plan_reshard(int num_qubits, int local_qubits,
-                                       rank_t dead_rank,
+                                       int new_ranks, rank_t rebuilt,
                                        std::size_t max_message_bytes);
-
-/// Grow-back re-shard from 2^k to 2^(k+1) ranks — the exact inverse of the
-/// shrink: survivor n keeps the low half of its doubled slice as new rank 2n
-/// and sheds the absorbed partner half to revived rank 2n+1. Unlike the
-/// shrink there is no free pair: every survivor ships one (new-width) slice
-/// over the wire, and nothing is read from the filesystem — the data is
-/// already resident in survivor memory.
-struct GrowBackPlan {
-  int old_ranks = 0;
-  int new_ranks = 0;
-  /// Amplitudes per *new* slice (what each survivor sheds).
-  amp_index slice_amps = 0;
-  /// Payload bytes one shedding move ships (= one new slice).
-  std::uint64_t bytes_per_move = 0;
-  /// Messages per move (chunking by whole amplitudes under the MPI cap).
-  int messages_per_move = 0;
-  /// Pairs that move a slice over the network (= old_ranks: all of them).
-  int moving_pairs = 0;
-  /// Total network payload: moving_pairs * bytes_per_move.
-  std::uint64_t total_bytes = 0;
-};
-
-/// Plans the grow-back for an n-qubit register currently split over
-/// 2^(n - L) ranks holding 2^L amplitudes each. Requires L >= 2 so each
-/// post-grow rank still holds at least two amplitudes, and L < n is implied
-/// by the shrink that preceded it (a never-shrunk single-rank run has L == n
-/// and cannot grow).
-[[nodiscard]] GrowBackPlan plan_grow_back(int num_qubits, int local_qubits,
-                                          std::size_t max_message_bytes);
 
 }  // namespace qsv

@@ -1,5 +1,6 @@
 #include "dist/recovery_policy.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 
@@ -191,9 +192,42 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   std::size_t fault_log_seen = inj != nullptr ? inj->log().size() : 0;
 
   int spares_left = elastic.spares;
-  auto emit_recovery = [&](const ExecEvent& e) {
+  auto emit = [&](const ExecEvent& e) {
     if (ExecListener* listener = sv.listener()) {
       listener->on_event(e);
+    }
+  };
+  // Emits one recovery action's kRecovery events: an io phase when
+  // `io_bytes` are read back from the checkpoint on `io_fraction` of the
+  // machine, then, for a re-shard whose pairs move, a network phase on the
+  // 2 * moving_pairs wide ranks that send or receive, carrying the retries
+  // and backoff of those moves.
+  auto emit_recovery = [&](RecoveryTier tier, std::uint64_t io_bytes,
+                           double io_fraction, std::uint64_t replayed,
+                           const ReshardPlan& rp = {},
+                           const FaultInjector::GateFaultCharges& moves = {}) {
+    ExecEvent e;
+    e.kind = ExecEvent::Kind::kRecovery;
+    e.recovery_tier = tier;
+    e.local_amps = sv.local_amps();
+    if (io_bytes > 0) {
+      ExecEvent io = e;
+      io.participating_fraction = io_fraction;
+      io.recovery_io_bytes = io_bytes;
+      io.recovery_replayed_gates = replayed;
+      emit(io);
+    }
+    if (rp.moving_pairs > 0) {
+      e.participating_fraction =
+          2.0 * static_cast<double>(rp.moving_pairs) /
+          static_cast<double>(std::max(rp.old_ranks, rp.new_ranks));
+      e.recovery_bytes_per_rank = rp.bytes_per_move;
+      e.recovery_messages_per_rank = rp.messages_per_move;
+      e.policy = sv.options().policy;
+      e.retry_bytes = moves.retry_bytes;
+      e.retry_messages = moves.retry_messages;
+      e.fault_delay_s = moves.delay_s;
+      emit(e);
     }
   };
 
@@ -211,7 +245,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     w.participating_fraction = 1.0;
     w.warning_io_bytes =
         (std::uint64_t{1} << sv.num_qubits()) * kBytesPerAmp;
-    emit_recovery(w);
+    emit(w);
   };
 
   bool checkpointing = ck.interval_gates > 0;
@@ -295,22 +329,19 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     }
     const std::uint64_t lost = i - ckpt_gate;
     roll_back();
-    ExecEvent e;
-    e.kind = ExecEvent::Kind::kRecovery;
-    e.recovery_tier = RecoveryTier::kRestart;
-    e.local_amps = sv.local_amps();
-    e.participating_fraction = 1.0;
-    e.recovery_io_bytes = (std::uint64_t{1} << sv.num_qubits()) * kBytesPerAmp;
-    e.recovery_replayed_gates = lost;
-    emit_recovery(e);
+    emit_recovery(RecoveryTier::kRestart,
+                  (std::uint64_t{1} << sv.num_qubits()) * kBytesPerAmp, 1.0,
+                  lost);
     return true;
   };
 
-  // Rebuilds rank `dead`'s slice from the last checkpoint and replays the
-  // window [ckpt_gate, i) on that rank alone — the survivors keep their
-  // position. Shared by the substitute and shrink tiers; the caller
-  // guarantees the window is solo-replayable (choose_tier checked).
+  // Rebinds rank `dead`'s mailboxes, rebuilds its slice from the last
+  // checkpoint and replays the window [ckpt_gate, i) on that rank alone —
+  // the survivors keep their position. Shared by the substitute and shrink
+  // tiers; the caller guarantees the window is solo-replayable (choose_tier
+  // checked).
   auto rebuild_rank = [&](rank_t dead) {
+    sv.rebind_rank(dead);
     load_rank_slice(store->path_for(ckpt_gate), sv, dead);
     for (std::size_t j = ckpt_gate; j < i; ++j) {
       sv.apply_to_rank(c.gate(j), dead);
@@ -318,63 +349,59 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     stats.gates_replayed += i - ckpt_gate;
   };
 
+  // Re-shards to `new_ranks` and emits its events; throws, leaving the
+  // engine at its old width, when a move faults past the retry budget. The
+  // network event carries the moves' own retries: charges pending from
+  // before are set aside for the next gate event. Ranks renumber, so the
+  // injector's dead set and the guard's per-rank checkpoint signature
+  // (verify_restore no-ops until the next checkpoint recaptures) are reset.
+  auto reshard = [&](int new_ranks, rank_t rebuilt, RecoveryTier label,
+                     std::uint64_t replayed) {
+    const FaultInjector::GateFaultCharges earlier =
+        inj != nullptr ? inj->take_gate_charges()
+                       : FaultInjector::GateFaultCharges{};
+    FaultInjector::GateFaultCharges moves;
+    ReshardPlan rp;
+    try {
+      rp = sv.reshard(new_ranks, rebuilt);
+    } catch (...) {
+      if (inj != nullptr) {
+        inj->put_back_gate_charges(earlier);
+      }
+      throw;
+    }
+    if (inj != nullptr) {
+      moves = inj->take_gate_charges();
+      inj->put_back_gate_charges(earlier);
+      inj->restart();
+    }
+    emit_recovery(label, rp.rebuild_io_bytes,
+                  1.0 / static_cast<double>(rp.old_ranks), replayed, rp,
+                  moves);
+    guard.invalidate_signature();
+    stats.final_ranks = sv.num_ranks();
+    if (policy.health.enabled) {
+      monitor.reset_width(sv.num_ranks(), sv.gates_applied());
+    }
+  };
+
   // Re-shard to half width: the immediate action shared by the shrink and
   // grow-back tiers (they differ only in whether a later replacement
-  // arrival re-expands the run). Falls back to the restart tier when the
-  // re-shard itself faults; returns false when even that budget is gone.
+  // arrival re-expands the run). No spare: the dead slice is rebuilt in
+  // place, its new host being the surviving pair member. Falls back to the
+  // restart tier when a re-shard move faults past its retry budget; returns
+  // false when even that budget is gone.
   std::size_t degraded_from = 0;  // circuit gate the run last fell below plan
   auto reshard_now = [&](rank_t dead, RecoveryTier label) {
     try {
-      // No spare: rebuild the dead slice in place (its new host is the
-      // surviving pair member), catch it up, then re-shard to half the
-      // ranks. The re-shard traffic flows through the live cluster —
-      // counted, priced, and itself subject to faults.
-      sv.rebind_rank(dead);
-      const std::uint64_t replayed = i - ckpt_gate;
       rebuild_rank(dead);
-      const ReshardPlan rp = sv.shrink_to_half(dead);
-      if (inj != nullptr) {
-        // Ranks renumber under the new decomposition: the dead set (old
-        // numbering) is meaningless now. Fault specs always refer to the
-        // current numbering.
-        inj->restart();
-      }
-      // The per-rank checkpoint signature describes the old width;
-      // verify_restore no-ops until the next checkpoint recaptures.
-      guard.invalidate_signature();
+      reshard(sv.num_ranks() / 2, dead, label, i - ckpt_gate);
       ++stats.shrinks;
       stats.tiers_used.push_back(label);
-      stats.final_ranks = sv.num_ranks();
       degraded_from = i;
-      if (policy.health.enabled) {
-        monitor.reset_width(sv.num_ranks(), sv.gates_applied());
-      }
-
-      ExecEvent io;
-      io.kind = ExecEvent::Kind::kRecovery;
-      io.recovery_tier = label;
-      io.local_amps = sv.local_amps();
-      io.participating_fraction = 1.0 / static_cast<double>(rp.old_ranks);
-      io.recovery_io_bytes = rp.rebuild_io_bytes;
-      io.recovery_replayed_gates = replayed;
-      emit_recovery(io);
-      if (rp.moving_pairs > 0) {
-        ExecEvent net;
-        net.kind = ExecEvent::Kind::kRecovery;
-        net.recovery_tier = label;
-        net.local_amps = sv.local_amps();
-        net.participating_fraction = 2.0 *
-                                     static_cast<double>(rp.moving_pairs) /
-                                     static_cast<double>(rp.old_ranks);
-        net.recovery_bytes_per_rank = rp.bytes_per_move;
-        net.recovery_messages_per_rank = rp.messages_per_move;
-        net.policy = sv.options().policy;
-        emit_recovery(net);
-      }
     } catch (const Error&) {
-      // The re-shard itself faulted (or a plan constraint bit at execution
-      // time): fall through to the restart tier, which rebuilds everything
-      // from the checkpoint.
+      // A move exhausted its retries (or a plan constraint bit): the restart
+      // tier rebuilds everything from the checkpoint.
       if (!restart_tier()) {
         return false;
       }
@@ -431,36 +458,17 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     const int before = sv.num_ranks();
     try {
       while (sv.num_ranks() < stats.planned_ranks) {
-        const GrowBackPlan gp = sv.grow_back_double();
+        // Every pair moves and nothing is read from the checkpoint: the
+        // data is resident in survivor memory.
+        reshard(sv.num_ranks() * 2, -1, RecoveryTier::kGrowBack, 0);
         ++stats.grow_backs;
         stats.tiers_used.push_back(RecoveryTier::kGrowBack);
-        // One net-phase recovery event per doubling: every survivor ships
-        // its absorbed half and every revived rank receives one, so the
-        // whole cluster participates. No io phase — unlike the shrink
-        // direction nothing is read from the checkpoint, the data is
-        // already resident in survivor memory.
-        ExecEvent net;
-        net.kind = ExecEvent::Kind::kRecovery;
-        net.recovery_tier = RecoveryTier::kGrowBack;
-        net.local_amps = sv.local_amps();
-        net.participating_fraction = 1.0;
-        net.recovery_bytes_per_rank = gp.bytes_per_move;
-        net.recovery_messages_per_rank = gp.messages_per_move;
-        net.policy = sv.options().policy;
-        emit_recovery(net);
       }
     } catch (const Error&) {
       // Movement faulted past the retry budget: stay at the current width.
     }
     if (sv.num_ranks() != before) {
-      // Same renumbering contract as the shrink direction.
-      inj->restart();
-      guard.invalidate_signature();
-      stats.final_ranks = sv.num_ranks();
-      if (policy.health.enabled) {
-        monitor.reset_width(sv.num_ranks(), sv.gates_applied());
-        fault_log_seen = inj->log().size();
-      }
+      fault_log_seen = inj->log().size();  // handoff faults are not misses
     }
   };
 
@@ -541,39 +549,25 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
           // slot alive again, rebuild the slice from the checkpoint and
           // replay it solo up to the failing gate. The survivors never
           // move, so only 1/R of the machine computes during catch-up.
-          sv.rebind_rank(dead);
           if (inj != nullptr) {
             inj->revive(dead);
           }
-          const std::uint64_t slice_bytes =
-              static_cast<std::uint64_t>(sv.local_amps()) * kBytesPerAmp;
           rebuild_rank(dead);
           ++stats.substitutions;
-          ++stats.spares_used;
           --spares_left;
           stats.tiers_used.push_back(RecoveryTier::kSubstitute);
-          ExecEvent e;
-          e.kind = ExecEvent::Kind::kRecovery;
-          e.recovery_tier = RecoveryTier::kSubstitute;
-          e.local_amps = sv.local_amps();
-          e.participating_fraction =
-              1.0 / static_cast<double>(sv.num_ranks());
-          e.recovery_io_bytes = slice_bytes;
-          e.recovery_replayed_gates = i - ckpt_gate;
-          emit_recovery(e);
+          emit_recovery(RecoveryTier::kSubstitute,
+                        static_cast<std::uint64_t>(sv.local_amps()) *
+                            kBytesPerAmp,
+                        1.0 / static_cast<double>(sv.num_ranks()),
+                        i - ckpt_gate);
           break;  // the loop re-runs gate i with every rank caught up
         }
-        case RecoveryTier::kShrink: {
-          if (!reshard_now(dead, RecoveryTier::kShrink)) {
-            throw;
-          }
-          break;
-        }
+        case RecoveryTier::kShrink:
         case RecoveryTier::kGrowBack: {
-          // The immediate action is the shrink; the tier's second half
-          // (the re-expand) fires when poll_replacements drains the
-          // expected arrival.
-          if (!reshard_now(dead, RecoveryTier::kGrowBack)) {
+          // Grow-back's immediate action is the shrink; its re-expand fires
+          // when poll_replacements drains the expected arrival.
+          if (!reshard_now(dead, decision.tier)) {
             throw;
           }
           break;

@@ -2,10 +2,11 @@
 //
 //   detection source          response                         bounded by
 //   ------------------------  -------------------------------  -----------
-//   message CRC mismatch      re-exchange with backoff          kMaxRetries
-//   (CommCorrupt)             (engine's with_retry, PR 2 path)
-//   receive watchdog timeout  re-exchange; the elapsed          kMaxRetries
-//   (CommTimeout)             deadline is charged as wait
+//   message CRC mismatch      re-send the exchange round or     kMaxRetries
+//   (CommCorrupt)             re-shard move with backoff
+//                             (the engine's with_retry)
+//   receive watchdog timeout  re-send; the elapsed deadline     kMaxRetries
+//   (CommTimeout)             is charged as wait
 //   invariant guard           rollback to the last verified     kMaxRollbacks
 //   (GuardViolation)          checkpoint and replay
 //   node failure              cheapest feasible of:
@@ -160,8 +161,6 @@ struct IntegrityStats {
   int shrinks = 0;
   /// Elastic grow-back re-shards (doublings back toward the planned width).
   int grow_backs = 0;
-  /// Spares consumed from the pool (== substitutions).
-  int spares_used = 0;
   /// Rank count the run was planned at.
   int planned_ranks = 0;
   /// Rank count at the end of the run (< planned_ranks after a shrink that

@@ -62,6 +62,45 @@ void CostModel::charge_local(double mem_t, double comp_t, double fraction,
          active * p_stall + idle * p_idle);
 }
 
+double CostModel::charge_mpi(double t, double fraction) {
+  const double active = job_.nodes * fraction;
+  const double idle = job_.nodes - active;
+  const double p_mpi = machine_.node_power(MachineModel::Phase::kMpi,
+                                           job_.freq, job_.node_kind);
+  const double p_idle = machine_.node_power(MachineModel::Phase::kIdle,
+                                            job_.freq, job_.node_kind);
+  const double energy = t * (active * p_mpi + idle * p_idle);
+  acc_.runtime_s += t;
+  acc_.phases.mpi_s += t;
+  acc_.node_energy_j += energy;
+  sample(MachineModel::Phase::kMpi, t, active * p_mpi + idle * p_idle);
+  return energy;
+}
+
+void CostModel::charge_faults(const ExecEvent& e, double numa_ratio) {
+  // Zero on fault-free runs. Retried traffic is priced exactly like the
+  // movement it repeats, and straggler/backoff delay is idle time across
+  // the whole job.
+  if (e.retry_bytes > 0 || e.retry_messages > 0) {
+    charge_mpi(numa_ratio * machine_.exchange_time(
+                                static_cast<double>(e.retry_bytes),
+                                e.retry_messages, e.policy, job_.nodes),
+               e.participating_fraction);
+    acc_.retry_bytes += e.retry_bytes;
+    acc_.retry_messages += static_cast<std::uint64_t>(e.retry_messages);
+  }
+  if (e.fault_delay_s > 0) {
+    const double p_idle = machine_.node_power(MachineModel::Phase::kIdle,
+                                              job_.freq, job_.node_kind);
+    acc_.runtime_s += e.fault_delay_s;
+    acc_.phases.mpi_s += e.fault_delay_s;
+    acc_.node_energy_j += e.fault_delay_s * job_.nodes * p_idle;
+    acc_.fault_delay_s += e.fault_delay_s;
+    sample(MachineModel::Phase::kIdle, e.fault_delay_s,
+           job_.nodes * p_idle);
+  }
+}
+
 void CostModel::on_event(const ExecEvent& e) {
   if (e.kind == ExecEvent::Kind::kSweep) {
     // Tiled runs change how local gates stream through the cache, not what
@@ -143,18 +182,13 @@ void CostModel::on_event(const ExecEvent& e) {
       const double t_net = machine_.exchange_time(
           static_cast<double>(e.recovery_bytes_per_rank),
           e.recovery_messages_per_rank, e.policy, job_.nodes);
-      const double p_mpi = machine_.node_power(MachineModel::Phase::kMpi,
-                                               job_.freq, job_.node_kind);
-      acc_.runtime_s += t_net;
-      acc_.phases.mpi_s += t_net;
-      const double energy = t_net * (active * p_mpi + idle * p_idle);
-      acc_.node_energy_j += energy;
+      const double energy = charge_mpi(t_net, e.participating_fraction);
       acc_.recovery_s += t_net;
       acc_.recovery_energy_j += energy;
       acc_.recovery_net_bytes += e.recovery_bytes_per_rank;
-      sample(MachineModel::Phase::kMpi, t_net,
-             active * p_mpi + idle * p_idle);
     }
+    // A re-shard move that faulted was retried like an exchange round.
+    charge_faults(e, 1.0);
     return;
   }
   if (e.kind == ExecEvent::Kind::kWarning) {
@@ -250,42 +284,8 @@ void CostModel::on_event(const ExecEvent& e) {
     acc_.overlap_saved_s += hidden;
     ++acc_.overlapped_exchanges;
   }
-  acc_.runtime_s += t_comm;
-  acc_.phases.mpi_s += t_comm;
-
-  const double active = job_.nodes * e.participating_fraction;
-  const double idle = job_.nodes - active;
-  const double p_mpi = machine_.node_power(MachineModel::Phase::kMpi,
-                                           job_.freq, job_.node_kind);
-  const double p_idle = machine_.node_power(MachineModel::Phase::kIdle,
-                                            job_.freq, job_.node_kind);
-  acc_.node_energy_j += t_comm * (active * p_mpi + idle * p_idle);
-  sample(MachineModel::Phase::kMpi, t_comm,
-         active * p_mpi + idle * p_idle);
-
-  // Fault recovery (zero on fault-free runs): retried exchange traffic is
-  // priced exactly like the original exchange, and straggler/backoff delay
-  // is idle time across the whole job.
-  if (e.retry_bytes > 0 || e.retry_messages > 0) {
-    const double t_retry = numa_ratio * machine_.exchange_time(
-        static_cast<double>(e.retry_bytes), e.retry_messages, e.policy,
-        job_.nodes);
-    acc_.runtime_s += t_retry;
-    acc_.phases.mpi_s += t_retry;
-    acc_.node_energy_j += t_retry * (active * p_mpi + idle * p_idle);
-    acc_.retry_bytes += e.retry_bytes;
-    acc_.retry_messages += static_cast<std::uint64_t>(e.retry_messages);
-    sample(MachineModel::Phase::kMpi, t_retry,
-           active * p_mpi + idle * p_idle);
-  }
-  if (e.fault_delay_s > 0) {
-    acc_.runtime_s += e.fault_delay_s;
-    acc_.phases.mpi_s += e.fault_delay_s;
-    acc_.node_energy_j += e.fault_delay_s * job_.nodes * p_idle;
-    acc_.fault_delay_s += e.fault_delay_s;
-    sample(MachineModel::Phase::kIdle, e.fault_delay_s,
-           job_.nodes * p_idle);
-  }
+  charge_mpi(t_comm, e.participating_fraction);
+  charge_faults(e, numa_ratio);
 
   charge_local(combine_mem_t, combine_comp_t, e.participating_fraction,
                /*stall_t=*/0);

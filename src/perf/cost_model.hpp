@@ -46,6 +46,11 @@ class CostModel final : public ExecListener {
  private:
   void charge_local(double mem_t, double comp_t, double fraction,
                     double stall_t);
+  /// Charges `t` seconds of MPI-phase work on `fraction` of the nodes, the
+  /// rest idling; returns the node energy.
+  double charge_mpi(double t, double fraction);
+  /// Prices an exchange's or a re-shard's retried traffic and fault delay.
+  void charge_faults(const ExecEvent& e, double numa_ratio);
   void sample(MachineModel::Phase phase, double duration, double node_watts);
 
   const MachineModel& machine_;

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "dist/options.hpp"
+#include "dist/plan.hpp"
 #include "dist/resilience.hpp"
 
 namespace qsv {
@@ -135,6 +136,15 @@ struct TierTerms {
   return t;
 }
 
+/// One slice shipped between a pair under the default message cap, priced
+/// like a blocking distributed gate: the move each re-shard direction makes.
+[[nodiscard]] double slice_move_s(const MachineModel& m, const TierTerms& t) {
+  const auto amps = static_cast<amp_index>(t.slice_bytes / kBytesPerAmp);
+  return m.exchange_time(t.slice_bytes,
+                         messages_for(amps, DistOptions{}.max_message_bytes),
+                         CommPolicy::kBlocking, t.nodes);
+}
+
 }  // namespace
 
 RecoveryEnergy expected_substitute(const MachineModel& m,
@@ -163,10 +173,7 @@ RecoveryEnergy expected_shrink(const MachineModel& m, const JobConfig& job,
   // new rank holds a doubled slice — a full-cluster exchange.
   const RecoveryEnergy base = expected_substitute(m, job, fault_free,
                                                   replay_s);
-  const int msgs = message_count(
-      static_cast<std::uint64_t>(t.slice_bytes), DistOptions{}.max_message_bytes);
-  const double t_move = m.exchange_time(t.slice_bytes, msgs,
-                                        CommPolicy::kBlocking, t.nodes);
+  const double t_move = slice_move_s(m, t);
   RecoveryEnergy r;
   r.tier = RecoveryTier::kShrink;
   r.time_s = base.time_s + t_move;
@@ -199,10 +206,7 @@ RecoveryEnergy expected_grow_back(const MachineModel& m, const JobConfig& job,
   // the inverse re-shard moves one (new-width) slice per surviving pair —
   // the same total bytes as the shrink's merge — at MPI-phase draw again.
   const RecoveryEnergy base = expected_shrink(m, job, fault_free, replay_s);
-  const int msgs = message_count(static_cast<std::uint64_t>(t.slice_bytes),
-                                 DistOptions{}.max_message_bytes);
-  const double t_move = m.exchange_time(t.slice_bytes, msgs,
-                                        CommPolicy::kBlocking, t.nodes);
+  const double t_move = slice_move_s(m, t);
   RecoveryEnergy r;
   r.tier = RecoveryTier::kGrowBack;
   r.time_s = base.time_s + t_move;

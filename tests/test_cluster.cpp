@@ -185,14 +185,6 @@ TEST(Cluster, ResetQueuesRestoresQuiescence) {
   EXPECT_THROW(c.recv(0, 1, buf), Error);
 }
 
-TEST(Cluster, MessageCount) {
-  EXPECT_EQ(message_count(0, 100), 0);
-  EXPECT_EQ(message_count(100, 100), 1);
-  EXPECT_EQ(message_count(101, 100), 2);
-  // The paper's case: a 64 GiB slice under a 2 GiB cap = 32 messages.
-  EXPECT_EQ(message_count(64ull << 30, 2ull << 30), 32);
-}
-
 TEST(Cluster, CleanDeliveriesAreCountedAsVerified) {
   VirtualCluster c(2, 1024);
   c.send(0, 1, payload({1, 2, 3}));
@@ -293,7 +285,7 @@ TEST(Cluster, PurgeRankClearsEveryQueueTouchingTheRankAndNoOthers) {
   EXPECT_TRUE(c.quiescent());
 }
 
-TEST(Cluster, ShrinkToHalvesTheClusterAndPreservesStats) {
+TEST(Cluster, ResizeToHalvesAndRestoresTheWidthAndPreservesStats) {
   VirtualCluster c(4, 1024);
   c.send(0, 1, payload({1, 2}));
   std::vector<std::byte> b(2);
@@ -301,24 +293,29 @@ TEST(Cluster, ShrinkToHalvesTheClusterAndPreservesStats) {
   const CommStats before = c.stats();
   ASSERT_GT(before.messages, 0u);
 
-  c.shrink_to(2);
+  c.resize_to(2);
   EXPECT_EQ(c.num_ranks(), 2);
   // The lifetime traffic record survives the re-shard.
   EXPECT_EQ(c.stats(), before);
+  c.resize_to(4);
+  EXPECT_EQ(c.num_ranks(), 4);
+  EXPECT_EQ(c.stats(), before);
 }
 
-TEST(Cluster, ShrinkToRejectsBadWidthsAndBusyClusters) {
+TEST(Cluster, ResizeToRejectsBadWidthsAndBusyClusters) {
   VirtualCluster c(4, 1024);
-  EXPECT_THROW(c.shrink_to(0), Error);
-  EXPECT_THROW(c.shrink_to(3), Error);   // not a power of two
-  EXPECT_THROW(c.shrink_to(4), Error);   // not a reduction
-  EXPECT_THROW(c.shrink_to(8), Error);
+  EXPECT_THROW(c.resize_to(0), Error);
+  EXPECT_THROW(c.resize_to(3), Error);   // not a power of two
+  EXPECT_THROW(c.resize_to(6), Error);
+  EXPECT_THROW(c.resize_to(4), Error);   // not a change
+  EXPECT_THROW(c.resize_to(-4), Error);
 
   c.send(0, 1, payload({9}));
-  EXPECT_THROW(c.shrink_to(2), Error);   // in-flight message: not quiescent
+  EXPECT_THROW(c.resize_to(2), Error);   // in-flight message: not quiescent
+  EXPECT_THROW(c.resize_to(8), Error);
   std::vector<std::byte> b(1);
   c.recv(0, 1, b);
-  c.shrink_to(2);                        // quiescent again: allowed
+  c.resize_to(2);                        // quiescent again: allowed
   EXPECT_EQ(c.num_ranks(), 2);
 }
 

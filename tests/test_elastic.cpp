@@ -186,7 +186,6 @@ TEST(Elastic, SubstituteRecoversBitIdenticalOnlyTheSpareReplays) {
 
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.substitutions, 1);
-  EXPECT_EQ(stats.spares_used, 1);
   EXPECT_EQ(stats.shrinks, 0);
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.final_ranks, 4);
@@ -285,6 +284,88 @@ TEST(Elastic, ShrinkEmitsIoAndNetworkRecoveryEvents) {
   // One of the two new ranks' pairs moves a slice over the wire (the dead
   // pair merges via the checkpoint read): 2 of 4 old ranks participate.
   EXPECT_DOUBLE_EQ(recovery[1].participating_fraction, 0.5);
+}
+
+/// Runs the elastic workload on 4 ranks of `opts`'s engine with no spare,
+/// so rank 1's failure at gate 12 shrinks, under `faults`. Checks that the
+/// run finished at half width on the clean state after `retries` retried
+/// shrink moves.
+void expect_shrink_survives(const char* faults, const DistOptions& opts,
+                            std::uint64_t retries) {
+  SCOPED_TRACE(faults);
+  const Circuit c = elastic_circuit();
+  DistStateVector<SoaStorage> clean(6, 4);
+  clean.apply(c);
+
+  FaultInjector inj(parse_fault_plan(faults));
+  DistStateVector<SoaStorage> sv(6, 4, opts);
+  sv.set_fault_injector(&inj);
+  CheckpointOptions ck;
+  ck.interval_gates = 5;
+  ck.dir = tmp_dir("elastic_shrink_retry");
+  ElasticOptions elastic = all_tiers();
+  elastic.spares = 0;
+  const IntegrityStats stats =
+      run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, elastic);
+
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.shrinks, 1);
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(stats.final_ranks, 2);
+  EXPECT_EQ(stats.gates_replayed, 2u);
+  EXPECT_EQ(inj.totals().retries, retries);
+  expect_global_identical(clean, sv);
+}
+
+DistOptions rank_threads() {
+  DistOptions o;
+  o.threading.threads = 4;
+  return o;
+}
+
+// Gates 0 and 6 send 8 messages, so the serial engine's message 9 is the
+// shrink's one move (pair (2, 3); the pair holding rank 1 merges locally).
+// The threaded injector counts per sender: rank 3 sent two messages before
+// gate 12, so its third send is that move.
+TEST(Elastic, DroppedShrinkMoveIsRetried) {
+  expect_shrink_survives("fail@12:1, drop@9", DistOptions{}, 1);
+  expect_shrink_survives("fail@12:1, drop@3:3", rank_threads(), 1);
+}
+
+TEST(Elastic, CorruptedShrinkMoveIsRetried) {
+  expect_shrink_survives("fail@12:1, corrupt@9", DistOptions{}, 1);
+  expect_shrink_survives("fail@12:1, corrupt@3:3", rank_threads(), 1);
+}
+
+TEST(Elastic, ExhaustedShrinkRetriesFallBackToRestart) {
+  // kMaxRetries + 1 drops: every attempt of the move is lost, the engine is
+  // left at full width, and run_verified restarts from the checkpoint.
+  const Circuit c = elastic_circuit();
+  DistStateVector<SoaStorage> clean(6, 4);
+  clean.apply(c);
+
+  FaultInjector inj(
+      parse_fault_plan("fail@12:1, drop@9, drop@10, drop@11, drop@12"));
+  DistStateVector<SoaStorage> sv(6, 4);
+  sv.set_fault_injector(&inj);
+  CheckpointOptions ck;
+  ck.interval_gates = 5;
+  ck.dir = tmp_dir("elastic_shrink_exhausted");
+  ElasticOptions elastic = all_tiers();
+  elastic.spares = 0;
+  const IntegrityStats stats =
+      run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, elastic);
+
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.shrinks, 0);
+  EXPECT_EQ(stats.restarts, 1);
+  EXPECT_EQ(stats.final_ranks, 4);
+  EXPECT_EQ(sv.num_ranks(), 4);
+  EXPECT_EQ(inj.totals().dropped, 4u);
+  EXPECT_EQ(inj.totals().retries, static_cast<std::uint64_t>(kMaxRetries));
+  ASSERT_EQ(stats.tiers_used.size(), 1u);
+  EXPECT_EQ(stats.tiers_used[0], RecoveryTier::kRestart);
+  expect_global_identical(clean, sv);
 }
 
 TEST(Elastic, SecondFailureAfterShrinkShrinksAgain) {

@@ -15,7 +15,6 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/gate.hpp"
-#include "cluster/cluster.hpp"
 #include "cluster/faults.hpp"
 #include "cluster/health.hpp"
 #include "common/error.hpp"
@@ -24,6 +23,7 @@
 #include "dist/plan.hpp"
 #include "dist/snapshot.hpp"
 #include "machine/archer2.hpp"
+#include "perf/cost_model.hpp"
 #include "perf/resilience_model.hpp"
 
 namespace qsv {
@@ -78,50 +78,72 @@ ElasticOptions grow_back_tiers() {
 
 // --- plan ------------------------------------------------------------------
 
-TEST(PlanGrowBack, DoublesTheWidthAndHalvesTheSlices) {
-  const GrowBackPlan p = plan_grow_back(6, 4, 1 << 20);
+TEST(PlanReshard, GrowDoublesTheWidthAndHalvesTheSlices) {
+  const ReshardPlan p = plan_reshard(6, 4, 8, -1, 1 << 20);
   EXPECT_EQ(p.old_ranks, 4);
   EXPECT_EQ(p.new_ranks, 8);
-  EXPECT_EQ(p.slice_amps, amp_index{8});  // 2^(4-1)
-  EXPECT_EQ(p.moving_pairs, 4);           // every survivor ships its top half
-  EXPECT_EQ(p.bytes_per_move, 8u * kBytesPerAmp);
+  EXPECT_EQ(p.moving_pairs, 4);  // every survivor ships its top half
+  EXPECT_EQ(p.bytes_per_move, 8u * kBytesPerAmp);  // one 2^(4-1) slice
   EXPECT_EQ(p.messages_per_move, 1);
-  EXPECT_EQ(p.total_bytes, 4u * 8u * kBytesPerAmp);
+  EXPECT_EQ(p.rebuild_io_bytes, 0u);  // the data is resident
+  // 2 -> 4 moves every pair too.
+  const ReshardPlan two = plan_reshard(6, 5, 4, -1, 1 << 20);
+  EXPECT_EQ(two.moving_pairs, 2);
+  EXPECT_EQ(two.bytes_per_move, 16u * kBytesPerAmp);
 }
 
-TEST(PlanGrowBack, ChunksMovesByMessageCap) {
+TEST(PlanReshard, ShrinkMergesTheRebuiltPairWithoutTraffic) {
+  // 4 -> 2: the pair (0, 1) holds the rebuilt rank 1 and merges locally,
+  // so only the pair (2, 3) ships its high half, one 16-amp wide slice.
+  const ReshardPlan p = plan_reshard(6, 4, 2, 1, 1 << 20);
+  EXPECT_EQ(p.old_ranks, 4);
+  EXPECT_EQ(p.new_ranks, 2);
+  EXPECT_EQ(p.moving_pairs, 1);
+  EXPECT_EQ(p.bytes_per_move, 16u * kBytesPerAmp);
+  EXPECT_EQ(p.messages_per_move, 1);
+  EXPECT_EQ(p.rebuild_io_bytes, 16u * kBytesPerAmp);
+  // Without a rebuilt slice every pair moves and nothing is read.
+  const ReshardPlan all = plan_reshard(6, 4, 2, -1, 1 << 20);
+  EXPECT_EQ(all.moving_pairs, 2);
+  EXPECT_EQ(all.rebuild_io_bytes, 0u);
+}
+
+TEST(PlanReshard, ChunksMovesByMessageCap) {
   // 8-amp slices moved under a 2-amp message cap: 4 messages per pair.
-  const GrowBackPlan p =
-      plan_grow_back(6, 4, 2 * static_cast<std::size_t>(kBytesPerAmp));
-  EXPECT_EQ(p.messages_per_move, 4);
+  const std::size_t cap = 2 * static_cast<std::size_t>(kBytesPerAmp);
+  EXPECT_EQ(plan_reshard(6, 4, 8, -1, cap).messages_per_move, 4);
+  // A shrink moves the wider 16-amp slice: 8 messages.
+  EXPECT_EQ(plan_reshard(6, 4, 2, 1, cap).messages_per_move, 8);
 }
 
-TEST(PlanGrowBack, SingleRankGrowsToTwo) {
-  const GrowBackPlan p = plan_grow_back(6, 6, 1 << 20);
+TEST(PlanReshard, SingleRankGrowsToTwo) {
+  const ReshardPlan p = plan_reshard(6, 6, 2, -1, 1 << 20);
   EXPECT_EQ(p.old_ranks, 1);
   EXPECT_EQ(p.new_ranks, 2);
+  EXPECT_EQ(p.moving_pairs, 1);
 }
 
-TEST(PlanGrowBack, RefusesSubTwoAmplitudeSlices) {
+TEST(PlanReshard, RefusesSubTwoAmplitudeSlices) {
   // local_qubits == 1: splitting again would leave sub-two-amp slices.
-  EXPECT_THROW((void)plan_grow_back(6, 1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 1, 64, -1, 1 << 20), Error);
 }
 
-// --- cluster ---------------------------------------------------------------
-
-TEST(ClusterGrowTo, RestoresWidthAfterShrink) {
-  VirtualCluster cl(4, 1 << 20);
-  cl.shrink_to(2);
-  EXPECT_EQ(cl.num_ranks(), 2);
-  cl.grow_to(4);
-  EXPECT_EQ(cl.num_ranks(), 4);
+TEST(PlanReshard, RefusesToShrinkOneRank) {
+  EXPECT_THROW((void)plan_reshard(6, 6, 1, -1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 6, 0, -1, 1 << 20), Error);
 }
 
-TEST(ClusterGrowTo, RejectsNonGrowthAndNonPowerOfTwo) {
-  VirtualCluster cl(4, 1 << 20);
-  EXPECT_THROW(cl.grow_to(4), Error);  // not a growth
-  EXPECT_THROW(cl.grow_to(2), Error);
-  EXPECT_THROW(cl.grow_to(6), Error);  // not a power of two
+TEST(PlanReshard, RefusesAWidthNeitherHalfNorDouble) {
+  EXPECT_THROW((void)plan_reshard(6, 4, 4, -1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 4, 1, -1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 4, 16, -1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 4, 3, -1, 1 << 20), Error);
+}
+
+TEST(PlanReshard, OnlyAShrinkMergesARebuiltRank) {
+  EXPECT_THROW((void)plan_reshard(6, 4, 8, 1, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 4, 2, 4, 1 << 20), Error);
+  EXPECT_THROW((void)plan_reshard(6, 4, 2, -2, 1 << 20), Error);
 }
 
 // --- engine ----------------------------------------------------------------
@@ -133,9 +155,9 @@ TEST(GrowBack, InverseOfShrinkIsBitIdenticalSerial) {
 
   DistStateVector<SoaStorage> sv(6, 4);
   sv.apply(c);
-  (void)sv.shrink_to_half(1);
+  (void)sv.reshard(2, 1);
   EXPECT_EQ(sv.num_ranks(), 2);
-  const GrowBackPlan p = sv.grow_back_double();
+  const ReshardPlan p = sv.reshard(4);
   EXPECT_EQ(p.new_ranks, 4);
   EXPECT_EQ(sv.num_ranks(), 4);
   expect_global_identical(clean, sv);
@@ -148,8 +170,8 @@ TEST(GrowBack, InverseOfShrinkIsBitIdenticalThreaded) {
 
   DistStateVector<SoaStorage> sv(6, 4, threaded_opts(4));
   sv.apply(c);
-  (void)sv.shrink_to_half(1);
-  (void)sv.grow_back_double();
+  (void)sv.reshard(2, 1);
+  (void)sv.reshard(4);
   EXPECT_EQ(sv.num_ranks(), 4);
   expect_global_identical(clean, sv);
   // The re-grown engine keeps working at the restored width.
@@ -165,12 +187,12 @@ TEST(GrowBack, ToFullRepeatsTheDoubling) {
 
   DistStateVector<SoaStorage> sv(6, 4);
   sv.apply(c);
-  (void)sv.shrink_to_half(1);
-  (void)sv.shrink_to_half(0);
+  (void)sv.reshard(2, 1);
+  (void)sv.reshard(1, 0);
   EXPECT_EQ(sv.num_ranks(), 1);
-  (void)sv.grow_back_double();
+  (void)sv.reshard(2);
   EXPECT_EQ(sv.num_ranks(), 2);
-  (void)sv.grow_back_double();
+  (void)sv.reshard(4);
   EXPECT_EQ(sv.num_ranks(), 4);
   expect_global_identical(clean, sv);
   // One rank owns no recv buffer; the regrown engine exchanges again.
@@ -183,7 +205,7 @@ TEST(GrowBack, ThreadedEngineRefusesToGrowBeyondConstructedWidth) {
   // The rank team was sized at construction; grow-back restores width, it
   // does not invent workers.
   DistStateVector<SoaStorage> sv(6, 4, threaded_opts(4));
-  EXPECT_THROW((void)sv.grow_back_double(), Error);
+  EXPECT_THROW((void)sv.reshard(8), Error);
 }
 
 TEST(GrowBack, CorruptedHandoffIsCaughtByCrcAndRetried) {
@@ -195,12 +217,12 @@ TEST(GrowBack, CorruptedHandoffIsCaughtByCrcAndRetried) {
 
   DistStateVector<SoaStorage> sv(6, 4);
   sv.apply(c);
-  (void)sv.shrink_to_half(1);
+  (void)sv.reshard(2, 1);
   // Every message from here on is a grow-back handoff; corrupt rank 0's
   // next send (the first chunk it ships to revived rank 1).
   FaultInjector inj(parse_fault_plan("corrupt@1:0"));
   sv.set_fault_injector(&inj);
-  (void)sv.grow_back_double();
+  (void)sv.reshard(4);
   EXPECT_GT(inj.totals().corrupted, 0u);
   EXPECT_GT(inj.totals().retries, 0u);
   expect_global_identical(clean, sv);
@@ -541,13 +563,98 @@ TEST(GrowBackDriver, CheckpointAfterGrowBackKeepsRankSliceTiersArmed) {
   expect_global_identical(clean, sv);
 }
 
+// --- pricing a re-shard's retried moves -------------------------------------
+
+TEST(ReshardPricing, RetriedMovesArePricedInBothDirections) {
+  // Gates 0 and 6 send 8 messages, so message 9 is the shrink's one move
+  // and message 10 the first move of the grow-back to 4 ranks.
+  for (const char* faults :
+       {"fail@12:1, drop@9", "fail@12:1, revive@16, drop@10"}) {
+    SCOPED_TRACE(faults);
+    FaultInjector inj(parse_fault_plan(faults));
+    DistStateVector<SoaStorage> sv(6, 4);
+    sv.set_fault_injector(&inj);
+    const MachineModel m = archer2();
+    JobConfig job;
+    job.num_qubits = 6;
+    job.nodes = 4;
+    CostModel cost(m, job);
+    sv.set_listener(&cost);
+    CheckpointOptions ck;
+    ck.interval_gates = 5;
+    ck.dir = tmp_dir("reshard_pricing");
+    const IntegrityStats stats = run_verified(
+        sv, elastic_circuit(), ck, GuardOptions{}, RecoveryPolicy{},
+        grow_back_tiers());
+    EXPECT_EQ(stats.restarts, 0);
+    EXPECT_EQ(stats.shrinks, 1);
+
+    const RunReport r = cost.report();
+    EXPECT_EQ(inj.totals().retries, 1u);
+    EXPECT_EQ(r.retry_bytes, inj.totals().retry_bytes);
+    EXPECT_EQ(r.retry_bytes, 16u * kBytesPerAmp);  // one 16-amp slice
+    EXPECT_EQ(r.retry_messages, 1u);
+    // The 0.1 s backoff before the re-send plus the 0.5 s watchdog wait.
+    EXPECT_DOUBLE_EQ(r.fault_delay_s, 0.6);
+  }
+}
+
+TEST(ReshardPricing, ChargesPendingFromBeforeStayWithTheNextGate) {
+  // Gate 10's exchange loses all four attempts of its first round
+  // (messages 1, 3, 5, 7), so its three retries stay pending while the run
+  // restarts from the gate-10 checkpoint. Rank 1 then dies before the
+  // replayed gate 10, and the shrink runs with those charges pending: they
+  // must not land on the shrink's event but on the next exchange, gate 15's
+  // H on qubit 5.
+  Circuit c(6, "pending");
+  for (int g = 0; g < 20; ++g) {
+    if (g == 10) {
+      c.add(make_h(4));
+    } else if (g == 15) {
+      c.add(make_h(5));
+    } else {
+      c.add(make_ry(g % 4, 0.3 + 0.07 * g));
+    }
+  }
+  DistStateVector<SoaStorage> clean(6, 4);
+  clean.apply(c);
+
+  FaultInjector inj(
+      parse_fault_plan("drop@1, drop@3, drop@5, drop@7, fail@11:1"));
+  DistStateVector<SoaStorage> sv(6, 4);
+  sv.set_fault_injector(&inj);
+  RecordingListener rec;
+  sv.set_listener(&rec);
+  CheckpointOptions ck;
+  ck.interval_gates = 5;
+  ck.dir = tmp_dir("reshard_pending");
+  const IntegrityStats stats = run_verified(
+      sv, c, ck, GuardOptions{}, RecoveryPolicy{}, grow_back_tiers());
+  EXPECT_EQ(stats.restarts, 1);
+  EXPECT_EQ(stats.shrinks, 1);
+  EXPECT_EQ(inj.totals().retries, 3u);
+  expect_global_identical(clean, sv);
+
+  std::uint64_t on_reshard = 0;
+  std::uint64_t on_exchange = 0;
+  for (const ExecEvent& e : rec.events()) {
+    if (e.kind == ExecEvent::Kind::kRecovery) {
+      on_reshard += e.retry_bytes;
+    } else if (e.kind == ExecEvent::Kind::kExchange) {
+      on_exchange += e.retry_bytes;
+    }
+  }
+  EXPECT_EQ(on_reshard, 0u);
+  EXPECT_EQ(on_exchange, inj.totals().retry_bytes);
+}
+
 // --- snapshot width tagging (satellite) ------------------------------------
 
 TEST(SnapshotWidth, TagsRefuseAMismatchedRankSliceAdoption) {
   const Circuit c = elastic_circuit();
   DistStateVector<SoaStorage> sv(6, 4);
   sv.apply(c);
-  (void)sv.shrink_to_half(1);
+  (void)sv.reshard(2, 1);
 
   // Checkpoint written at the shrunk 2-rank width...
   const std::string path = tmp_dir("width_tag.qsv");
@@ -557,7 +664,7 @@ TEST(SnapshotWidth, TagsRefuseAMismatchedRankSliceAdoption) {
   // ...then the run grows back to 4 ranks: a rank-slice adoption of the
   // stale checkpoint would misread spans, so it must be refused; the full
   // restore (global amplitude order) stays width-agnostic.
-  (void)sv.grow_back_double();
+  (void)sv.reshard(4);
   EXPECT_THROW(load_rank_slice(path, sv, rank_t{1}), Error);
 
   DistStateVector<SoaStorage> restored(6, 4);

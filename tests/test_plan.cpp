@@ -88,6 +88,15 @@ TEST(Plan, RzOnHighTargetKeepsEveryRankBusy) {
   EXPECT_DOUBLE_EQ(p.participating_fraction, 1.0);
 }
 
+TEST(Plan, MessagesForCountsWholeAmplitudeChunks) {
+  const std::size_t cap = 100 * kBytesPerAmp;
+  EXPECT_EQ(messages_for(0, cap), 0);
+  EXPECT_EQ(messages_for(100, cap), 1);
+  EXPECT_EQ(messages_for(101, cap), 2);
+  // The paper's case: a 64 GiB slice under a 2 GiB cap = 32 messages.
+  EXPECT_EQ(messages_for((64ull << 30) / kBytesPerAmp, 2ull << 30), 32);
+}
+
 TEST(Plan, MessageChunkingWithSmallCap) {
   DistOptions opts;
   opts.max_message_bytes = 48;  // 3 amplitudes per message

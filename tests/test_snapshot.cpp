@@ -379,7 +379,7 @@ TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
   }
   DistStateVector<SoaStorage> shrunk(14, 8);
   shrunk.apply(c);
-  (void)shrunk.shrink_to_half(3);
+  (void)shrunk.reshard(4, 3);
   ASSERT_EQ(shrunk.num_ranks(), 4);
   EXPECT_EQ(check(shrunk), first);
   std::remove(path.c_str());

@@ -389,8 +389,8 @@ TEST(ThreadedEngine, ShrinkUnderLiveThreadsMatchesSerial) {
     threaded.apply(c.gate(i));
   }
   // Re-shard 4 -> 2 mid-circuit; the extra workers idle from here on.
-  serial.shrink_to_half(3);
-  threaded.shrink_to_half(3);
+  serial.reshard(2, 3);
+  threaded.reshard(2, 3);
   EXPECT_EQ(threaded.num_ranks(), 2);
   for (std::size_t i = half; i < c.size(); ++i) {
     serial.apply(c.gate(i));

@@ -86,6 +86,11 @@ check "tier: substitute " "$qsv" run "$tmp/c.qc" "${common[@]}" \
       --checkpoint-dir "$tmp/ck_sub" --spares 1
 check "tier: shrink     " "$qsv" run "$tmp/c.qc" "${common[@]}" \
       --checkpoint-dir "$tmp/ck_shrink"
+# Message 9 is the shrink's one move (gates 0 and 6 send 8): the dropped
+# move is retried and the run still finishes at half width.
+check "tier: shrink, re-shard drop" "$qsv" run "$tmp/c.qc" \
+      --faults fail@12:1,drop@9 --checkpoint-interval 5 \
+      --checkpoint-dir "$tmp/ck_rdrop"
 check "tier: grow-back  " "$qsv" run "$tmp/c.qc" \
       --faults fail@12:1,revive@16 --checkpoint-interval 5 \
       --checkpoint-dir "$tmp/ck_grow"
@@ -104,6 +109,11 @@ check "thr: substitute  " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
       "${common[@]}" --checkpoint-dir "$tmp/ck_tsub" --spares 1
 check "thr: shrink      " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
       "${common[@]}" --checkpoint-dir "$tmp/ck_tshrink"
+# Each rank sends two messages before gate 12, so rank 3's third send is
+# its shrink move.
+check "thr: shrink, re-shard drop" "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
+      --faults fail@12:1,drop@3:3 --checkpoint-interval 5 \
+      --checkpoint-dir "$tmp/ck_trdrop"
 check "thr: grow-back   " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
       --faults fail@12:1,revive@16 --checkpoint-interval 5 \
       --checkpoint-dir "$tmp/ck_tgrow"
@@ -165,12 +175,13 @@ fi
 # run's narrower final layout).
 "$qsv" run "$tmp/c.qc" >"$tmp/clean_out" 2>&1
 clean_crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/clean_out")
-for tier in sub shrink growback restart; do
+for tier in sub shrink reshard_drop growback restart; do
   case $tier in
-    sub)      args=(--spares 1) ;;
-    shrink)   args=() ;;
-    growback) args=(--faults fail@12:1,revive@16) ;;
-    restart)  args=(--recovery restart) ;;
+    sub)          args=(--spares 1) ;;
+    shrink)       args=() ;;
+    reshard_drop) args=(--faults fail@12:1,drop@9) ;;
+    growback)     args=(--faults fail@12:1,revive@16) ;;
+    restart)      args=(--recovery restart) ;;
   esac
   "$qsv" run "$tmp/c.qc" "${common[@]}" --checkpoint-dir "$tmp/ck2_$tier" \
       "${args[@]}" >"$tmp/out" 2>&1
