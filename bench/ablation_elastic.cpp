@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -84,6 +86,20 @@ std::string chaos_schedule(int seed, bool* expect_grow_back) {
   return plan;
 }
 
+/// A directory removed, with everything in it, when the guard goes out of
+/// scope.
+struct RemovedOnExit {
+  explicit RemovedOnExit(std::filesystem::path p) : path(std::move(p)) {}
+  RemovedOnExit(const RemovedOnExit&) = delete;
+  RemovedOnExit& operator=(const RemovedOnExit&) = delete;
+  ~RemovedOnExit() {
+    std::error_code ec;  // best effort: a leftover directory is not a failure
+    std::filesystem::remove_all(path, ec);
+  }
+
+  std::filesystem::path path;
+};
+
 }  // namespace
 }  // namespace qsv
 
@@ -109,11 +125,13 @@ int main(int argc, char** argv) {
     DistStateVector<SoaStorage> sv(6, 4);
     sv.set_fault_injector(&inj);
 
+    // run_verified clears the checkpoint files but not their directory;
+    // the guard removes it when this seed's iteration ends, either way.
+    const RemovedOnExit ck_dir(std::filesystem::temp_directory_path() /
+                               ("qsv_chaos_seed_" + std::to_string(seed)));
     CheckpointOptions ck;
     ck.interval_gates = 5;
-    ck.dir = (std::filesystem::temp_directory_path() /
-              ("qsv_chaos_seed_" + std::to_string(seed)))
-                 .string();
+    ck.dir = ck_dir.path.string();
     GuardOptions guards;
     guards.cadence_gates = 2;
     guards.slice_crc = true;

@@ -10,17 +10,23 @@
 // loop width and again under OMP_NUM_THREADS=1 to see where a team starts
 // to pay (docs/KERNELS.md §2):
 //   micro_kernels --benchmark_filter=BySize
+// BM_Crc32 and BM_PairExchange take the loop width as their second argument,
+// 1 (the serial path) and 0 (the host default), so the team's share of the
+// transport shows on its own:
+//   micro_kernels --benchmark_filter='Crc32|PairExchange'
 // JSON output comes from google-benchmark itself:
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <string>
 
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
 #include "cluster/cluster.hpp"
 #include "common/bits.hpp"
 #include "common/crc32.hpp"
+#include "common/parallel.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/statevector.hpp"
@@ -229,7 +235,28 @@ BENCHMARK(BM_GatherHalf<SoaStorage>);
 // The checksum every exchange message pays twice (send and receive) and
 // the state digest and snapshots pay once per byte: a short message, one
 // 64 KiB digest block, and a 2 MiB exchange chunk.
+/// Runs a benchmark at the loop width its second argument names: 0 keeps
+/// the host default, n >= 1 sets n for the run. The run's label names the
+/// width, so a 1 row and a default row show what the team adds.
+class LoopWidthArg {
+ public:
+  explicit LoopWidthArg(benchmark::State& state) : saved_(loop_width()) {
+    const auto width = static_cast<int>(state.range(1));
+    if (width > 0) {
+      set_loop_width(width);
+    }
+    state.SetLabel("width " + std::to_string(loop_width()));
+  }
+  ~LoopWidthArg() { set_loop_width(saved_); }
+  LoopWidthArg(const LoopWidthArg&) = delete;
+  LoopWidthArg& operator=(const LoopWidthArg&) = delete;
+
+ private:
+  int saved_;
+};
+
 void BM_Crc32(benchmark::State& state) {
+  const LoopWidthArg width(state);
   std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);
   for (unsigned char& b : buf) {
@@ -242,14 +269,16 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(64 << 10)->Arg(2 << 20);
+BENCHMARK(BM_Crc32)->ArgsProduct({{64, 64 << 10, 2 << 20}, {1, 0}});
 
 // One pairwise exchange of SoA slices through the virtual cluster, as a
 // full exchange runs it: each side packs straight into a message (CRC at
 // send), then each receive verifies the CRC and unpacks straight out of it.
 // Bytes are both directions: 64 KiB is a small-register slice, 2 MiB one
-// exchange chunk of the benchmark's exchange workload.
+// exchange chunk of the benchmark's exchange workload. The second argument
+// is the loop width, as for BM_Crc32.
 void BM_PairExchange(benchmark::State& state) {
+  const LoopWidthArg width(state);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   const amp_index amps = bytes / kBytesPerAmp;
   BasicStateVector<SoaStorage> a(bits::log2_exact(amps));
@@ -278,7 +307,7 @@ void BM_PairExchange(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * bytes));
 }
-BENCHMARK(BM_PairExchange)->Arg(64 << 10)->Arg(2 << 20);
+BENCHMARK(BM_PairExchange)->ArgsProduct({{64 << 10, 2 << 20}, {1, 0}});
 
 }  // namespace
 }  // namespace qsv

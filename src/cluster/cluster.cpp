@@ -8,6 +8,7 @@
 #include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace qsv {
 namespace {
@@ -64,14 +65,15 @@ void VirtualCluster::enable_concurrent(std::size_t capacity_messages) {
 void VirtualCluster::send(rank_t from, rank_t to,
                           std::span<const std::byte> payload, int tag) {
   send(from, to, payload.size(), tag, [&](std::span<std::byte> b) {
-    std::copy(payload.begin(), payload.end(), b.begin());
+    parallel_copy(b.size() / kBytesPerAmp,
+                  {{b.data(), payload.data(), b.size()}});
   });
 }
 
 void VirtualCluster::recv(rank_t from, rank_t to, std::span<std::byte> out,
                           int tag) {
   recv(from, to, out.size(), tag, [&](std::span<const std::byte> b) {
-    std::copy(b.begin(), b.end(), out.begin());
+    parallel_copy(b.size() / kBytesPerAmp, {{out.data(), b.data(), b.size()}});
   });
 }
 

@@ -161,7 +161,8 @@ class VirtualCluster {
             const Drain& drain);
 
   /// Span forms: copy `payload` in, or the delivered payload out into `out`
-  /// (which must be exactly the message's size).
+  /// (which must be exactly the message's size), with parallel_copy: a
+  /// message of 1 MiB or more is copied by the caller's whole loop team.
   void send(rank_t from, rank_t to, std::span<const std::byte> payload,
             int tag = kAnyTag);
   void recv(rank_t from, rank_t to, std::span<std::byte> out,

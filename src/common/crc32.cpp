@@ -1,16 +1,22 @@
 #include "common/crc32.hpp"
 
+#include <algorithm>
 #include <array>
+
+#include "common/parallel.hpp"
+#include "common/types.hpp"
 
 namespace qsv {
 namespace {
+
+constexpr std::uint32_t kPoly = 0xEDB88320u;
 
 constexpr std::array<std::uint32_t, 256> make_table() {
   std::array<std::uint32_t, 256> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      c = (c & 1) ? kPoly ^ (c >> 1) : c >> 1;
     }
     t[i] = c;
   }
@@ -18,6 +24,38 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 }
 
 constexpr std::array<std::uint32_t, 256> kTable = make_table();
+
+/// a * b mod P over GF(2), both in the reflected order (bit 31 holds x^0).
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 0x80000000u; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      p ^= b;
+    }
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;  // b *= x
+  }
+  return p;
+}
+
+/// kBytePow[j] = x^(8 * 2^j) mod P: the shift past 2^j zero bytes.
+constexpr std::array<std::uint32_t, 64> make_byte_pows() {
+  std::array<std::uint32_t, 64> t{};
+  std::uint32_t p = 0x00800000u;  // x^8
+  for (std::uint32_t& e : t) {
+    e = p;
+    p = multmodp(p, p);
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 64> kBytePow = make_byte_pows();
+
+/// Inputs this long or longer are split across the loop team: 1 MiB, the
+/// bytes of kParallelMinAmps amplitudes.
+constexpr std::size_t kParallelMinBytes = kParallelMinAmps * kBytesPerAmp;
+
+/// Most blocks one update splits into; a wider team leaves threads idle.
+constexpr int kMaxBlocks = 256;
 
 }  // namespace
 
@@ -45,9 +83,11 @@ bool fold_available() {
 }  // namespace
 #endif
 
-void Crc32::update(const void* data, std::size_t len) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = state_;
+namespace {
+
+/// Folds `len` bytes at `p` into the CRC register `c` on the calling thread.
+std::uint32_t fold(std::uint32_t c, const unsigned char* p,
+                   std::size_t len) noexcept {
 #if QSV_CRC32_HAVE_PCLMUL
   // The fold takes whole 16-byte blocks and needs at least four of them;
   // the table loop below finishes the tail and takes shorter inputs.
@@ -61,13 +101,55 @@ void Crc32::update(const void* data, std::size_t len) noexcept {
   for (std::size_t i = 0; i < len; ++i) {
     c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
-  state_ = c;
+  return c;
+}
+
+}  // namespace
+
+void Crc32::update(const void* data, std::size_t len) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const int blocks =
+      len >= kParallelMinBytes ? std::min(loop_width(), kMaxBlocks) : 1;
+  if (blocks <= 1) {
+    state_ = fold(state_, p, len);
+    return;
+  }
+  // One block per team thread, each a whole number of 16-byte fold steps
+  // but the last, which also takes the remainder. Each block is checksummed
+  // on its own and the results are joined in order.
+  std::array<std::uint32_t, kMaxBlocks> crcs{};
+  std::uint32_t* const out = crcs.data();
+  const std::size_t step = (len / static_cast<std::size_t>(blocks)) &
+                           ~std::size_t{15};
+  parallel_for(static_cast<amp_index>(len / kBytesPerAmp), blocks,
+               [=](std::int64_t b) {
+    const std::size_t first = static_cast<std::size_t>(b) * step;
+    const std::size_t last = b + 1 == blocks ? len : first + step;
+    out[b] = fold(0xFFFFFFFFu, p + first, last - first) ^ 0xFFFFFFFFu;
+  });
+  std::uint32_t v = value();
+  for (int b = 0; b < blocks; ++b) {
+    const std::size_t first = static_cast<std::size_t>(b) * step;
+    v = crc32_combine(v, out[b], b + 1 == blocks ? len - first : step);
+  }
+  state_ = v ^ 0xFFFFFFFFu;
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
   Crc32 acc;
   acc.update(data, len);
   return acc.value();
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::size_t len_b) noexcept {
+  std::uint32_t shift = 0x80000000u;  // x^0
+  for (std::size_t j = 0; len_b != 0; ++j, len_b >>= 1) {
+    if ((len_b & 1) != 0) {
+      shift = multmodp(kBytePow[j], shift);
+    }
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace qsv

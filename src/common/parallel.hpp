@@ -32,10 +32,13 @@
 // This header defines only templates and constants. The ISA-flagged kernel
 // backends include it, and a non-template inline function compiled there
 // could become the copy that a baseline caller links; the width functions
-// are therefore defined in parallel.cpp, built with baseline flags.
+// and the block-split copy are therefore defined in parallel.cpp, built
+// with baseline flags.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/types.hpp"
 
@@ -55,6 +58,19 @@ inline constexpr amp_index kParallelMinAmps = amp_index{1} << 16;
 /// theirs; a new thread starts at the process default. No effect without
 /// OpenMP.
 void set_loop_width(int n);
+
+/// One contiguous copy of `bytes` bytes between non-overlapping ranges.
+struct CopyRange {
+  void* dst;
+  const void* src;
+  std::size_t bytes;
+};
+
+/// Performs every copy in `ranges`, which together move `amps` amplitudes.
+/// Below kParallelMinAmps, or at a loop width of 1, each is one memcpy on
+/// the calling thread; otherwise one team splits every range into
+/// loop_width() contiguous blocks and copies them at once.
+void parallel_copy(amp_index amps, std::initializer_list<CopyRange> ranges);
 
 /// Runs body(i) for every i in [0, n), each exactly once. The n
 /// iterations together cover `amps` amplitudes.

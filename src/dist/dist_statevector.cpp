@@ -65,12 +65,15 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     cluster_.enable_concurrent(
         static_cast<std::size_t>((widest_amps + chunk - 1) / chunk));
   }
+  // Each slice is allocated, and zeroed by its first touch, on the thread
+  // that owns it: a rank thread at its own loop width, or the serial
+  // engine's orchestrator across its whole team.
   slices_.resize(static_cast<std::size_t>(num_ranks));
   for_each_rank(num_ranks, [&](int r) {
     slices_[static_cast<std::size_t>(r)] = S(n_local);
   });
   resize_buffers();
-  init_zero_state();
+  slices_[0].set(0, cplx{1, 0});
 }
 
 template <class S>

@@ -54,7 +54,7 @@ BasicStateVector<S>::BasicStateVector(int num_qubits)
   // value this host cannot run throws here, not from a kernel that a sweep
   // tile calls inside a parallel region, where it would abort the process.
   (void)simd::active_backend();
-  init_zero_state();
+  storage_.set(0, cplx{1, 0});  // the storage starts zeroed
 }
 
 template <class S>

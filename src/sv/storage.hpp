@@ -8,19 +8,42 @@
 // removed (EXPERIMENTS.md).
 #pragma once
 
-#include <cstring>
+#include <memory>
+#include <new>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace qsv {
 
-/// Separate real/imaginary arrays (QuEST's layout).
+/// std::allocator whose no-argument construct default-initialises: a
+/// vector of doubles sized through it leaves them unwritten, so whatever
+/// writes them first (SoaStorage's parallel zero fill) is the first touch.
+/// Construction from a value (a copy) is allocator_traits' default.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Separate real/imaginary arrays (QuEST's layout). The passes over a
+/// whole range (the zero fill, pack and unpack) run across the calling
+/// thread's loop team once they cover kParallelMinAmps amplitudes
+/// (common/parallel.hpp), and on the calling thread below that.
 class SoaStorage {
  public:
   SoaStorage() = default;
-  explicit SoaStorage(amp_index n) : re_(n), im_(n) {}
+  /// `n` zero amplitudes, first touched by the zero fill's team.
+  explicit SoaStorage(amp_index n);
 
   [[nodiscard]] amp_index size() const { return re_.size(); }
 
@@ -36,32 +59,19 @@ class SoaStorage {
   [[nodiscard]] const real_t* re() const { return re_.data(); }
   [[nodiscard]] const real_t* im() const { return im_.data(); }
 
-  void fill_zero() {
-    std::memset(re_.data(), 0, re_.size() * sizeof(real_t));
-    std::memset(im_.data(), 0, im_.size() * sizeof(real_t));
-  }
+  void fill_zero();
 
   /// Serialises amplitudes [first, first+count) into a byte buffer
   /// (re then im, contiguous), as a message payload. Returns bytes written.
-  std::size_t pack(amp_index first, amp_index count, std::byte* out) const {
-    QSV_REQUIRE(first + count <= size(), "pack range out of bounds");
-    std::memcpy(out, re_.data() + first, count * sizeof(real_t));
-    std::memcpy(out + count * sizeof(real_t), im_.data() + first,
-                count * sizeof(real_t));
-    return count * kBytesPerAmp;
-  }
+  std::size_t pack(amp_index first, amp_index count, std::byte* out) const;
 
   /// Inverse of pack.
-  void unpack(amp_index first, amp_index count, const std::byte* in) {
-    QSV_REQUIRE(first + count <= size(), "unpack range out of bounds");
-    std::memcpy(re_.data() + first, in, count * sizeof(real_t));
-    std::memcpy(im_.data() + first, in + count * sizeof(real_t),
-                count * sizeof(real_t));
-  }
+  void unpack(amp_index first, amp_index count, const std::byte* in);
 
  private:
-  std::vector<real_t> re_;
-  std::vector<real_t> im_;
+  using Array = std::vector<real_t, DefaultInitAllocator<real_t>>;
+  Array re_;
+  Array im_;
 };
 
 }  // namespace qsv

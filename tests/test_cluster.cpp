@@ -10,6 +10,8 @@
 
 #include "cluster/faults.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
@@ -413,6 +415,29 @@ TEST(Cluster, CorruptPayloadNeverReachesTheReceiversMemory) {
   EXPECT_FALSE(drained);
   EXPECT_EQ(c.stats().checksum_failures, 2u);
   EXPECT_TRUE(c.quiescent());
+
+  // A 2 MiB payload at loop width 4: the fill, both checksums and the
+  // drain are split across a team, and the verdict still comes before any
+  // byte reaches the receiver.
+  const test::LoopWidthGuard restore;
+  set_loop_width(4);
+  const std::size_t big = std::size_t{2} << 20;
+  VirtualCluster wide(2, big);
+  wide.set_fault_injector(&inj);
+  const std::vector<std::byte> big_sentinel(big, std::byte{0xA5});
+  wide.send(0, 1, pattern(big, 3));
+  std::vector<std::byte> big_out = big_sentinel;
+  EXPECT_THROW(wide.recv(0, 1, big_out), CommCorrupt);
+  EXPECT_TRUE(big_out == big_sentinel);
+  EXPECT_EQ(wide.stats().checksum_failures, 1u);
+
+  // The same payload delivered clean arrives intact.
+  wide.set_fault_injector(nullptr);
+  wide.send(0, 1, pattern(big, 4));
+  wide.recv(0, 1, big_out);
+  EXPECT_TRUE(big_out == pattern(big, 4));
+  EXPECT_EQ(wide.stats().delivered, 1u);
+  EXPECT_TRUE(wide.quiescent());
 }
 
 TEST(Cluster, PolicyNames) {

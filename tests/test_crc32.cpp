@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
+#include "test_util.hpp"
+
 namespace qsv {
 namespace {
 
@@ -142,6 +145,81 @@ TEST(Crc32, LargeBufferMatchesBitwiseReference) {
   const std::vector<unsigned char> data = pattern((std::size_t{2} << 20) + 3);
   EXPECT_EQ(crc32(data.data(), data.size()),
             bitwise_crc32(data.data(), data.size()));
+}
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+TEST(Crc32, CombineEqualsTheChecksumOfTheConcatenation) {
+  // Split points inside the table-only range, on and around the 16- and
+  // 64-byte fold boundaries, and around the 1 MiB at which an update is
+  // split across the loop team.
+  const std::vector<unsigned char> data = pattern(kMiB + 100);
+  const std::uint32_t whole = bitwise_crc32(data.data(), data.size());
+  for (const std::size_t split :
+       {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
+        std::size_t{17}, std::size_t{63}, std::size_t{64}, kMiB - 1, kMiB,
+        kMiB + 1, data.size()}) {
+    const std::uint32_t a = bitwise_crc32(data.data(), split);
+    const std::uint32_t b =
+        bitwise_crc32(data.data() + split, data.size() - split);
+    EXPECT_EQ(crc32_combine(a, b, data.size() - split), whole)
+        << "split at " << split;
+  }
+  // Joining onto the empty prefix returns the suffix's checksum, and an
+  // empty suffix leaves the prefix's.
+  EXPECT_EQ(crc32_combine(0, 0xCBF43926u, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32_combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+}
+
+TEST(Crc32, EveryLoopWidthMatchesTheBitwiseReference) {
+  // Around the 1 MiB split threshold and past it with a ragged tail, at
+  // loop widths 1-4: one block per team thread, joined in order, must give
+  // the same integer as the unsplit definition. Without OpenMP every width
+  // runs the one-block path, which must agree too.
+  const test::LoopWidthGuard restore;
+  const std::vector<unsigned char> data = pattern(2 * kMiB + 13);
+  for (const std::size_t len : {kMiB - 1, kMiB, kMiB + 3, 2 * kMiB + 13}) {
+    const std::uint32_t want = bitwise_crc32(data.data(), len);
+    for (const int width : {1, 2, 3, 4}) {
+      set_loop_width(width);
+      EXPECT_EQ(crc32(data.data(), len), want)
+          << "length " << len << " at width " << width;
+      Crc32 acc;
+      acc.update(data.data(), len);
+      EXPECT_EQ(acc.value(), want)
+          << "length " << len << " at width " << width;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalUpdatesAcrossTheSplitThreshold) {
+  // A running register carried into a split update, a split update
+  // followed by short ones, and pieces on either side of 1 MiB: the split
+  // path must resume from, and leave, the register the serial fold would.
+  const test::LoopWidthGuard restore;
+  const std::vector<unsigned char> data = pattern(2 * kMiB + 13);
+  const std::uint32_t want = bitwise_crc32(data.data(), data.size());
+  const std::vector<std::vector<std::size_t>> cuts = {
+      {kMiB - 1},             // short first piece, split second piece
+      {kMiB},                 // both pieces split
+      {7, kMiB + 7},          // ragged prefix, split middle, split tail
+      {3, 64 + 3, 2 * kMiB},  // split piece between two short ones
+      {2 * kMiB + 12},        // split first piece, one-byte tail
+  };
+  for (const int width : {1, 3, 4}) {
+    set_loop_width(width);
+    for (const std::vector<std::size_t>& at : cuts) {
+      Crc32 acc;
+      std::size_t from = 0;
+      for (const std::size_t cut : at) {
+        acc.update(data.data() + from, cut - from);
+        from = cut;
+      }
+      acc.update(data.data() + from, data.size() - from);
+      EXPECT_EQ(acc.value(), want)
+          << "width " << width << ", first cut at " << at.front();
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #if defined(__linux__)
 #include <sys/resource.h>
 #endif
@@ -12,6 +14,7 @@
 #include "circuit/locality.hpp"
 #include "circuit/matrix.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "test_util.hpp"
@@ -256,6 +259,54 @@ TEST(Dist, DistributedUnitary2MatchesSingle) {
   d.apply(one_high);
   d.apply(two_high);
   EXPECT_LT(ref.max_amp_diff(d.gather()), 1e-12);
+}
+
+TEST(Dist, ExchangeIsBitIdenticalAtEveryLoopWidth) {
+  // RCS 19x2 on 4 serial ranks: 2 MiB slices, so the orchestrator's team
+  // packs, checksums and unpacks every whole-slice message, and a
+  // 1,048,592 B cap cuts each slice into chunks of 65,537 and 65,535
+  // amplitudes, one on each side of the team cutoff. Amplitudes and
+  // traffic must be the same bits at widths 1 and 3 as at 4, and the
+  // amplitudes those of the one-rank run.
+  const test::LoopWidthGuard restore;
+  Rng rng(19);
+  const Circuit c = build_rcs(19, 2, rng);
+  DistStateVectorSoa one(19, 1);
+  one.apply(c);
+  const SoaStorage& all = one.slice(0);
+  for (const CommPolicy policy : {CommPolicy::kBlocking,
+                                  CommPolicy::kNonBlocking,
+                                  CommPolicy::kOverlapped}) {
+    for (const std::size_t cap :
+         {DistOptions{}.max_message_bytes, std::size_t{1048592}}) {
+      DistOptions o;
+      o.policy = policy;
+      o.max_message_bytes = cap;
+      CommStats at_four;
+      for (const int width : {4, 1, 3}) {
+        SCOPED_TRACE(testing::Message()
+                     << comm_policy_name(policy) << ", cap " << cap
+                     << " B, width " << width);
+        set_loop_width(width);
+        DistStateVectorSoa d(19, 4, o);
+        d.apply(c);
+        const amp_index n = d.local_amps();
+        for (rank_t r = 0; r < 4; ++r) {
+          const std::size_t bytes = n * sizeof(real_t);
+          EXPECT_EQ(std::memcmp(d.slice(r).re(), all.re() + r * n, bytes), 0)
+              << "rank " << r;
+          EXPECT_EQ(std::memcmp(d.slice(r).im(), all.im() + r * n, bytes), 0)
+              << "rank " << r;
+        }
+        EXPECT_GT(d.comm_stats().messages, 0u);
+        if (width == 4) {
+          at_four = d.comm_stats();
+        } else {
+          EXPECT_EQ(d.comm_stats(), at_four);
+        }
+      }
+    }
+  }
 }
 
 TEST(Dist, SteadyStateExchangesFaultInNoPages) {

@@ -7,12 +7,27 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/matrix.hpp"
+#include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "sv/statevector.hpp"
 
 namespace qsv::test {
 
 inline constexpr real_t kTol = 1e-10;
+
+/// Restores the calling thread's loop width (common/parallel.hpp) when it
+/// goes out of scope, so a test that sets widths leaves the next one as it
+/// found it.
+class LoopWidthGuard {
+ public:
+  LoopWidthGuard() : saved_(loop_width()) {}
+  ~LoopWidthGuard() { set_loop_width(saved_); }
+  LoopWidthGuard(const LoopWidthGuard&) = delete;
+  LoopWidthGuard& operator=(const LoopWidthGuard&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// Applies a circuit to a dense vector via full matrices (brute force).
 inline std::vector<cplx> dense_apply(const Circuit& c,

@@ -142,6 +142,45 @@ check "ovl thr: clean   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
 check "ovl thr: retry   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
       "${threaded[@]}" --faults drop@3:1
 
+# Messages at or above the loop team's cutoff (kParallelMinAmps, 2^16
+# amplitudes): a generated 19-qubit probe on 4 serial ranks exchanges 2 MiB
+# slices, so the pack, both CRC-32s and the unpack of each whole-slice
+# message are split across the orchestrator's team. A 1,048,592 B cap cuts
+# each slice into chunks of 65,537 and 65,535 amplitudes, one on each side
+# of the cutoff. Every case runs at loop widths 1 and 3, twice each, and
+# must land on the clean digest at the default width.
+{
+  echo "qubits 19"
+  echo "name team_probe"
+  for q in $(seq 0 18); do echo "h $q"; done
+  for q in $(seq 0 2 17); do echo "cx $q $((q + 1))"; done
+  for q in $(seq 0 18); do echo "rz $q 0.$((q + 11))"; done
+  for q in $(seq 1 2 17); do echo "cx $q $((q + 1))"; done
+  echo "rx 18 0.7"
+  echo "cx 18 0"
+} >"$tmp/wide.qc"
+wide_crc=$("$qsv" run "$tmp/wide.qc" --ranks 4 2>&1 \
+           | grep -o 'state crc32: [0-9a-f]*')
+for policy in blocking overlapped; do
+  cap=()
+  [ "$policy" = overlapped ] && cap=(--max-message 1048592)
+  for faults in clean drop@3 corrupt@5; do
+    fault_args=()
+    [ "$faults" = clean ] || fault_args=(--faults "$faults")
+    for width in 1 3; do
+      check "team $policy $faults w$width" env OMP_NUM_THREADS=$width \
+            "$qsv" run "$tmp/wide.qc" --ranks 4 --policy "$policy" \
+            "${cap[@]}" "${fault_args[@]}"
+      crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/run1")
+      if [ "$crc" != "$wide_crc" ]; then
+        echo "FAIL team $policy $faults w$width: '$crc' != default width" \
+             "'$wide_crc'" >&2
+        status=1
+      fi
+    done
+  done
+done
+
 # Serial/threaded digest identity: the clean threaded run must land on the
 # serial clean digest bit-for-bit (all floating-point reductions stay on
 # the orchestrating thread).
