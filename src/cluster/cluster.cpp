@@ -137,7 +137,7 @@ void VirtualCluster::send(rank_t from, rank_t to, std::size_t bytes, int tag,
       }
     }
     if (msg.data.size() < bytes) {
-      msg.data = std::vector<std::byte>(bytes);  // first use at this size
+      msg.data = Bytes(bytes);  // first use at this size, unwritten
     }
     const std::span<std::byte> payload{msg.data.data(), bytes};
     fill(payload);

@@ -58,6 +58,7 @@
 #include <span>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "common/types.hpp"
 
 namespace qsv {
@@ -219,10 +220,14 @@ class VirtualCluster {
   void reset_stats() { stats_ = CommStats{}; }
 
  private:
+  /// Message storage: growing it leaves the new bytes unwritten, so the
+  /// sender's fill is their first touch.
+  using Bytes = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+
   struct Message {
     /// Recycled storage: at least `size` bytes, of which the first `size`
     /// are the payload.
-    std::vector<std::byte> data;
+    Bytes data;
     std::size_t size = 0;
     /// CRC-32 of the payload as the sender wrote it — computed before any
     /// in-flight corruption, so the receiver's recompute catches it.
@@ -247,7 +252,7 @@ class VirtualCluster {
   /// Never trimmed: its length is bounded by the peak number of messages in
   /// flight at once, and each buffer only grows to the largest payload it
   /// has carried.
-  std::vector<std::vector<std::byte>> free_;
+  std::vector<Bytes> free_;
   std::uint64_t in_flight_ = 0;
   CommStats stats_;
   FaultInjector* injector_ = nullptr;

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -105,67 +106,107 @@ std::optional<PlacementPolicy> parse_placement_policy(
 }
 
 PlacementPlan plan_placement(const HostTopology& topo, int num_ranks,
-                             PlacementPolicy policy) {
+                             PlacementPolicy policy, int cpus_per_rank) {
   QSV_REQUIRE(num_ranks >= 1, "placement needs at least one rank");
+  QSV_REQUIRE(cpus_per_rank >= 1, "a rank owns at least one CPU");
   QSV_REQUIRE(!topo.domains.empty(), "placement needs at least one domain");
+  const std::int64_t domains = static_cast<std::int64_t>(topo.domains.size());
+  std::int64_t host_cpus = 0;
+  for (const NumaDomain& d : topo.domains) {
+    host_cpus += static_cast<std::int64_t>(d.cpus.size());
+  }
+  QSV_REQUIRE(host_cpus >= 1, "placement needs at least one CPU");
+
+  // Position p of the policy's CPU order, as {domain index, CPU}.
+  const auto at = [&](std::int64_t p) -> std::pair<int, int> {
+    if (policy == PlacementPolicy::kScatter) {
+      // Scatter round-robins across domains; each domain hands out its
+      // CPUs in order, wrapping when positions outnumber them
+      // (oversubscription still gets a stable assignment).
+      const std::int64_t di = p % domains;
+      const std::vector<int>& cpus =
+          topo.domains[static_cast<std::size_t>(di)].cpus;
+      return {static_cast<int>(di),
+              cpus[static_cast<std::size_t>(p / domains) % cpus.size()]};
+    }
+    // Compact exhausts a domain's CPUs before spilling to the next, so
+    // co-resident ranks share an LLC and exchange pairs stay local as long
+    // as a domain has room; positions beyond the host's CPU count wrap back
+    // to domain 0. kNone uses the same domain map so cross-domain pricing
+    // has a defined answer.
+    std::size_t di = 0;
+    std::int64_t slot = p % host_cpus;
+    while (slot >= static_cast<std::int64_t>(topo.domains[di].cpus.size())) {
+      slot -= static_cast<std::int64_t>(topo.domains[di].cpus.size());
+      ++di;
+    }
+    return {static_cast<int>(di),
+            topo.domains[di].cpus[static_cast<std::size_t>(slot)]};
+  };
+
   PlacementPlan plan;
   plan.policy = policy;
   plan.domain_of_rank.resize(static_cast<std::size_t>(num_ranks));
   if (policy != PlacementPolicy::kNone) {
-    plan.cpu_of_rank.resize(static_cast<std::size_t>(num_ranks));
+    plan.cpus_of_rank.resize(static_cast<std::size_t>(num_ranks));
   }
-
-  const int domains = static_cast<int>(topo.domains.size());
-  int host_cpus = 0;
-  for (const NumaDomain& d : topo.domains) {
-    host_cpus += static_cast<int>(d.cpus.size());
-  }
-  QSV_REQUIRE(host_cpus >= 1, "placement needs at least one CPU");
+  // A set never holds more than the host's CPUs, however wide the rank.
+  const std::int64_t set_size = std::min<std::int64_t>(cpus_per_rank,
+                                                       host_cpus);
   for (int r = 0; r < num_ranks; ++r) {
-    int di = 0;
-    int cpu = 0;
-    if (policy == PlacementPolicy::kScatter) {
-      // Scatter round-robins ranks across domains; each domain hands out
-      // its CPUs in order, wrapping when ranks outnumber them
-      // (oversubscription still gets a stable assignment).
-      di = r % domains;
-      const NumaDomain& d = topo.domains[static_cast<std::size_t>(di)];
-      cpu = d.cpus[static_cast<std::size_t>(r / domains) % d.cpus.size()];
-    } else {
-      // Compact exhausts a domain's CPUs before spilling to the next, so
-      // co-resident ranks share an LLC and exchange pairs stay local as
-      // long as a domain has room; ranks beyond the host's CPU count wrap
-      // back to domain 0. kNone uses the same domain map so cross-domain
-      // pricing has a defined answer.
-      int slot = r % host_cpus;
-      while (slot >=
-             static_cast<int>(topo.domains[static_cast<std::size_t>(di)]
-                                  .cpus.size())) {
-        slot -= static_cast<int>(
-            topo.domains[static_cast<std::size_t>(di)].cpus.size());
-        ++di;
-      }
-      cpu = topo.domains[static_cast<std::size_t>(di)]
-                .cpus[static_cast<std::size_t>(slot)];
+    plan.domain_of_rank[static_cast<std::size_t>(r)] = at(r).first;
+    if (policy == PlacementPolicy::kNone) {
+      continue;
     }
-    plan.domain_of_rank[static_cast<std::size_t>(r)] = di;
-    if (policy != PlacementPolicy::kNone) {
-      plan.cpu_of_rank[static_cast<std::size_t>(r)] = cpu;
+    std::vector<int>& set = plan.cpus_of_rank[static_cast<std::size_t>(r)];
+    for (std::int64_t k = 0; k < set_size; ++k) {
+      const int cpu = at(r + k * num_ranks).second;
+      if (std::find(set.begin(), set.end(), cpu) == set.end()) {
+        set.push_back(cpu);
+      }
     }
   }
   return plan;
 }
 
-bool pin_current_thread(int cpu) {
+bool pin_current_thread(const std::vector<int>& cpus) {
 #if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
+  for (const int cpu : cpus) {
+    if (cpu < 0 || cpu >= CPU_SETSIZE) {
+      return false;
+    }
+    CPU_SET(cpu, &set);
+  }
+  return !cpus.empty() &&
+         pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
 #else
-  (void)cpu;
+  (void)cpus;
   return false;
 #endif
+}
+
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+#endif
+  if (cpus.empty()) {
+    const int n = std::max(1u, std::thread::hardware_concurrency());
+    for (int c = 0; c < n; ++c) {
+      cpus.push_back(c);
+    }
+  }
+  return cpus;
 }
 
 namespace {
@@ -219,14 +260,14 @@ double measure_numa_bandwidth_ratio(const HostTopology& topo,
   // First-touch the buffer from domain 0, then stream it from a domain-0
   // CPU (local) and a domain-1 CPU (remote). The ratio of the two times is
   // the penalty factor for cross-domain exchange traffic.
-  if (!pin_current_thread(topo.domains[0].cpus.front())) {
+  if (!pin_current_thread({topo.domains[0].cpus.front()})) {
     return 1.0;
   }
   std::vector<char> buf(probe_bytes, 1);
   // Warm + local pass.
   time_stream(buf);
   const double local_s = time_stream(buf);
-  if (!pin_current_thread(topo.domains[1].cpus.front())) {
+  if (!pin_current_thread({topo.domains[1].cpus.front()})) {
     return 1.0;
   }
   const double remote_s = time_stream(buf);

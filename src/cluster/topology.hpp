@@ -59,23 +59,36 @@ enum class PlacementPolicy {
 /// The concrete rank -> CPU/domain assignment for one run.
 struct PlacementPlan {
   PlacementPolicy policy = PlacementPolicy::kNone;
-  /// CPU each rank's thread is pinned to (empty for kNone).
-  std::vector<int> cpu_of_rank;
-  /// NUMA domain each rank's slice should be first-touched in. Filled for
-  /// every policy (kNone uses the compact mapping so cross-domain exchange
-  /// pricing stays defined even without pinning).
+  /// The CPUs each rank's thread is pinned to (empty for kNone).
+  std::vector<std::vector<int>> cpus_of_rank;
+  /// NUMA domain each rank's slice should be first-touched in: the domain
+  /// of the rank's first CPU. Filled for every policy (kNone uses the
+  /// compact mapping so cross-domain exchange pricing stays defined even
+  /// without pinning).
   std::vector<int> domain_of_rank;
 };
 
-/// Maps `num_ranks` rank threads onto the host under `policy`.
+/// Maps `num_ranks` rank threads onto the host under `policy`, each owning
+/// `cpus_per_rank` CPUs. The policy orders the host's CPUs (compact: domain
+/// by domain; scatter: round-robin across domains), and rank r takes the
+/// positions r, r + num_ranks, r + 2 * num_ranks, ... of that order, so the
+/// sets are disjoint while num_ranks * cpus_per_rank fits the host, every
+/// rank's first CPU and domain do not depend on `cpus_per_rank`, and more
+/// ranks than CPUs wrap onto shared CPUs.
 [[nodiscard]] PlacementPlan plan_placement(const HostTopology& topo,
                                            int num_ranks,
-                                           PlacementPolicy policy);
+                                           PlacementPolicy policy,
+                                           int cpus_per_rank);
 
-/// Pins the calling thread to `cpu`. Returns false where unsupported (or
-/// when the kernel refuses, e.g. the CPU is outside the allowed mask) —
-/// callers record the outcome instead of failing the run.
-bool pin_current_thread(int cpu);
+/// Pins the calling thread to the CPUs in `cpus`. Returns false where
+/// unsupported (or when the kernel refuses, e.g. no CPU of the set is in
+/// the allowed mask) — callers record the outcome instead of failing the
+/// run.
+bool pin_current_thread(const std::vector<int>& cpus);
+
+/// The CPUs the calling thread may run on: its affinity mask, or
+/// 0 .. hardware_concurrency - 1 where the mask cannot be read.
+[[nodiscard]] std::vector<int> allowed_cpus();
 
 /// Measures the local-vs-remote memory bandwidth ratio between the first
 /// two domains with a small strided-copy probe (buffer of `probe_bytes`).

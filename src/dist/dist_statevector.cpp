@@ -50,12 +50,11 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     const HostTopology topo = discover_host_topology();
     numa_domains_ = static_cast<int>(topo.domains.size());
     host_cpus_ = topo.total_cpus;
-    PlacementPlan plan =
-        plan_placement(topo, num_ranks, opts_.threading.placement);
     if (numa_domains_ > 1) {
       numa_ratio_ = measure_numa_bandwidth_ratio(topo);
     }
-    team_ = std::make_unique<RankTeam>(num_ranks, std::move(plan));
+    team_ = std::make_unique<RankTeam>(num_ranks, topo,
+                                       opts_.threading.placement);
 
     // Mailbox capacity: one full exchange direction at the widest slice any
     // shrink can reach (half the state), so the non-blocking policy (all

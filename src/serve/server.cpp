@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "serve/executor.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -54,6 +55,7 @@ bool send_line(int fd, const std::string& line) {
 Server::Server(const MachineModel& machine, ServerOptions opts)
     : machine_(machine),
       opts_(std::move(opts)),
+      worker_width_(std::max(1, loop_width() / std::max(1, opts_.workers))),
       cache_(opts_.plan_cache_capacity),
       admission_(machine_, opts_.limits, cache_),
       queue_(opts_.queue_capacity, opts_.limits.nodes) {}
@@ -328,6 +330,9 @@ std::string Server::handle_line(const std::string& line) {
 }
 
 void Server::worker_loop() {
+  // A new thread starts at the process default width, not the
+  // constructing thread's.
+  set_loop_width(worker_width_);
   while (std::unique_ptr<QueuedJob> job = queue_.pop_ready()) {
     metrics_.on_nodes_busy(queue_.nodes_busy());
     const double queue_s =

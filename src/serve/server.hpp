@@ -36,7 +36,10 @@ struct ServerOptions {
   /// Loopback TCP port; 0 = Unix socket only. (127.0.0.1 — the service is
   /// local by design.)
   int tcp_port = 0;
-  /// Worker threads executing admitted jobs concurrently.
+  /// Worker threads executing admitted jobs concurrently. Each runs its
+  /// jobs' loops at the constructing thread's loop width divided by the
+  /// workers, at least 1 (common/parallel.hpp), so concurrent jobs share
+  /// the CPUs instead of each opening teams as wide as the machine.
   int workers = 2;
   /// Bounded queue capacity (jobs waiting, not running).
   std::size_t queue_capacity = 16;
@@ -78,6 +81,8 @@ class Server {
   [[nodiscard]] FleetSnapshot fleet() const { return metrics_.snapshot(); }
   [[nodiscard]] PlanCacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
+  /// The loop width every worker thread sets before its first job.
+  [[nodiscard]] int worker_width() const { return worker_width_; }
 
  private:
   void accept_loop();
@@ -88,6 +93,7 @@ class Server {
 
   const MachineModel& machine_;
   ServerOptions opts_;
+  int worker_width_ = 1;
   PlanCache cache_;
   AdmissionController admission_;
   JobQueue queue_;

@@ -8,32 +8,12 @@
 // removed (EXPERIMENTS.md).
 #pragma once
 
-#include <memory>
-#include <new>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "common/types.hpp"
 
 namespace qsv {
-
-/// std::allocator whose no-argument construct default-initialises: a
-/// vector of doubles sized through it leaves them unwritten, so whatever
-/// writes them first (SoaStorage's parallel zero fill) is the first touch.
-/// Construction from a value (a copy) is allocator_traits' default.
-template <class T>
-struct DefaultInitAllocator : std::allocator<T> {
-  using std::allocator<T>::allocator;
-
-  template <class U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
-
-  template <class U>
-  void construct(U* p) {
-    ::new (static_cast<void*>(p)) U;
-  }
-};
 
 /// Separate real/imaginary arrays (QuEST's layout). The passes over a
 /// whole range (the zero fill, pack and unpack) run across the calling

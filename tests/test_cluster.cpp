@@ -394,6 +394,45 @@ TEST(Cluster, RecycledStorageIsInvisibleToDelivery) {
   EXPECT_EQ(inj.totals().dropped, 1u);
 }
 
+TEST(Cluster, RegrownStorageRoundTripsCleanAndCorrupted) {
+  // Each send reuses the storage the previous message left, and a larger
+  // one regrows it unwritten: the fill is the first write of every byte,
+  // and the checksum must cover exactly what it wrote.
+  FaultInjector inj(parse_fault_plan("corrupt@3"));
+  VirtualCluster c(2, 8192);
+  c.set_fault_injector(&inj);
+  std::vector<std::byte> got(16);
+  c.send(0, 1, pattern(16, 1));
+  c.recv(0, 1, got);
+  EXPECT_EQ(got, pattern(16, 1));
+
+  // Regrown from 16 to 4096 bytes, clean.
+  c.send(0, 1, pattern(4096, 2));
+  got.assign(4096, std::byte{0});
+  c.recv(0, 1, got);
+  EXPECT_EQ(got, pattern(4096, 2));
+
+  // Regrown from 4096 to 8192 bytes, corrupted in flight: caught, and the
+  // receiver's memory is untouched.
+  c.send(0, 1, pattern(8192, 3));
+  const std::vector<std::byte> sentinel(8192, std::byte{0xA5});
+  got = sentinel;
+  EXPECT_THROW(c.recv(0, 1, got), CommCorrupt);
+  EXPECT_EQ(got, sentinel);
+
+  // The re-send lands in the same storage and arrives intact.
+  c.send(0, 1, pattern(8192, 3));
+  c.recv(0, 1, got);
+  EXPECT_EQ(got, pattern(8192, 3));
+
+  EXPECT_EQ(c.stats().messages, 4u);
+  EXPECT_EQ(c.stats().bytes, 16u + 4096u + 8192u + 8192u);
+  EXPECT_EQ(c.stats().delivered, 3u);
+  EXPECT_EQ(c.stats().checksum_failures, 1u);
+  EXPECT_EQ(inj.totals().corrupted, 1u);
+  EXPECT_TRUE(c.quiescent());
+}
+
 TEST(Cluster, CorruptPayloadNeverReachesTheReceiversMemory) {
   FaultPlan plan;
   plan.corrupt_prob = 1.0;

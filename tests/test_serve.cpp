@@ -19,6 +19,7 @@
 
 #include "circuit/serialize.hpp"
 #include "common/crc32.hpp"
+#include "common/parallel.hpp"
 #include "common/stop.hpp"
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
@@ -31,6 +32,7 @@
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "sv/storage.hpp"
+#include "test_util.hpp"
 
 namespace qsv::serve {
 namespace {
@@ -502,6 +504,45 @@ TEST(ServerEndToEnd, RunDigestMatchesDirectRunAndCacheHits) {
   server.wait_until_drained();
   EXPECT_EQ(server.cache_stats().hits, 1u);
   EXPECT_EQ(server.fleet().completed, 2u);
+}
+
+TEST(ServerEndToEnd, WorkersTakeTheirShareOfTheCallersLoopWidth) {
+  const test::LoopWidthGuard restore;
+  const MachineModel m = archer2();
+  // A worker thread starts at the process default width; the server hands
+  // each the constructing thread's width split across the workers.
+  set_loop_width(1);
+  const Server narrow(m, small_server(test_socket_path("width1")));
+  EXPECT_EQ(narrow.worker_width(), 1);
+  set_loop_width(4);
+  const bool settable = loop_width() == 4;  // false without OpenMP
+  const std::string path = test_socket_path("width4");
+  Server server(m, small_server(path));
+  EXPECT_EQ(server.worker_width(), settable ? 2 : 1);
+
+  // A one-rank job of 2^16 amplitudes opens teams at the worker's width
+  // and lands on the digest of a run at the caller's.
+  std::string circuit = "qubits 16\n";
+  for (int q = 0; q < 16; ++q) {
+    circuit += "h " + std::to_string(q) + "\n";
+  }
+  for (int q = 0; q + 1 < 16; ++q) {
+    circuit += "cx " + std::to_string(q) + " " + std::to_string(q + 1) +
+               "\n";
+  }
+  server.start();
+  {
+    Client client(path);
+    const Json r = client.rpc(Json(JsonObject{{"op", "run"},
+                                              {"id", "w"},
+                                              {"circuit", circuit},
+                                              {"ranks", 1}})
+                                  .dump());
+    ASSERT_EQ(field(r, "status").as_string(), "ok");
+    EXPECT_EQ(field(r, "digest").as_string(), direct_digest(circuit, 1));
+  }
+  server.request_drain();
+  server.wait_until_drained();
 }
 
 TEST(ServerEndToEnd, HostileRequestsGetTypedResponsesAndServerSurvives) {

@@ -3,7 +3,9 @@
 // between the serial and threaded engines over QFT, faults and recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,11 +20,14 @@
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
 #include "perf/cost_model.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
 
 // --- topology & placement ---
+
+using CpuSets = std::vector<std::vector<int>>;
 
 HostTopology synthetic_topology(int domains, int cpus_per_domain) {
   HostTopology t;
@@ -56,46 +61,46 @@ TEST(Topology, CompactFillsDomainsInOrder) {
   const HostTopology t = synthetic_topology(2, 4);
   // Domain 0 has room for all four ranks, so nobody spills to domain 1:
   // exchange pairs stay on one LLC, which is the point of compact.
-  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact);
+  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact, 1);
   EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0, 0, 0}));
-  EXPECT_EQ(p.cpu_of_rank, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {2}, {3}}));
 }
 
 TEST(Topology, CompactKeepsExchangePairsLocalWhenRoomAllows) {
   // The regression: equal-block splitting used to put 2 ranks on a
   // 2-domain host in *different* domains, making every exchange remote.
   const HostTopology t = synthetic_topology(2, 4);
-  const PlacementPlan p = plan_placement(t, 2, PlacementPolicy::kCompact);
+  const PlacementPlan p = plan_placement(t, 2, PlacementPolicy::kCompact, 1);
   EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0}));
 }
 
 TEST(Topology, CompactSpillsOnlyWhenADomainIsFull) {
   const HostTopology t = synthetic_topology(2, 4);
-  const PlacementPlan p = plan_placement(t, 6, PlacementPolicy::kCompact);
+  const PlacementPlan p = plan_placement(t, 6, PlacementPolicy::kCompact, 1);
   EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0, 0, 0, 1, 1}));
-  EXPECT_EQ(p.cpu_of_rank, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {2}, {3}, {4}, {5}}));
 }
 
 TEST(Topology, CompactWrapsWhenRanksOutnumberCpus) {
   const HostTopology t = synthetic_topology(2, 1);
-  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact);
+  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact, 1);
   // Oversubscription wraps back to domain 0 for a stable assignment.
   EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 1, 0, 1}));
-  EXPECT_EQ(p.cpu_of_rank, (std::vector<int>{0, 1, 0, 1}));
+  EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {0}, {1}}));
 }
 
 TEST(Topology, ScatterRoundRobinsDomains) {
   const HostTopology t = synthetic_topology(2, 4);
-  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kScatter);
+  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kScatter, 1);
   EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 1, 0, 1}));
 }
 
 TEST(Topology, NonePlansDomainsButNoPinning) {
   const HostTopology t = synthetic_topology(2, 4);
-  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kNone);
+  const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kNone, 1);
   // Domains are still assigned (exchange pricing needs them), but no rank
   // is pinned to a CPU.
-  EXPECT_TRUE(p.cpu_of_rank.empty());
+  EXPECT_TRUE(p.cpus_of_rank.empty());
   EXPECT_EQ(p.domain_of_rank.size(), 4u);
 }
 
@@ -108,6 +113,79 @@ TEST(Topology, PolicyNamesRoundTrip) {
   EXPECT_FALSE(parse_placement_policy("bogus").has_value());
 }
 
+TEST(Topology, RanksOwnDisjointCpuSetsAndKeepTheirDomains) {
+  struct Case {
+    int domains;
+    int ranks;
+    PlacementPolicy policy;
+    std::vector<int> domain_of_rank;  // the one-CPU-per-rank map
+  };
+  const std::vector<Case> cases = {
+      {1, 1, PlacementPolicy::kCompact, {0}},
+      {1, 2, PlacementPolicy::kCompact, {0, 0}},
+      {1, 4, PlacementPolicy::kCompact, {0, 0, 0, 0}},
+      {1, 6, PlacementPolicy::kCompact, {0, 0, 0, 0, 0, 0}},
+      {1, 1, PlacementPolicy::kScatter, {0}},
+      {1, 2, PlacementPolicy::kScatter, {0, 0}},
+      {1, 4, PlacementPolicy::kScatter, {0, 0, 0, 0}},
+      {1, 6, PlacementPolicy::kScatter, {0, 0, 0, 0, 0, 0}},
+      {2, 1, PlacementPolicy::kCompact, {0}},
+      {2, 2, PlacementPolicy::kCompact, {0, 0}},
+      {2, 4, PlacementPolicy::kCompact, {0, 0, 0, 0}},
+      {2, 6, PlacementPolicy::kCompact, {0, 0, 0, 0, 1, 1}},
+      {2, 1, PlacementPolicy::kScatter, {0}},
+      {2, 2, PlacementPolicy::kScatter, {0, 1}},
+      {2, 4, PlacementPolicy::kScatter, {0, 1, 0, 1}},
+      {2, 6, PlacementPolicy::kScatter, {0, 1, 0, 1, 0, 1}},
+  };
+  for (const Case& c : cases) {
+    const HostTopology t = synthetic_topology(c.domains, 4);
+    // The width a rank team hands each rank when the caller's width is
+    // the host's CPU count.
+    const int width = std::max(1, t.total_cpus / c.ranks);
+    const PlacementPlan one = plan_placement(t, c.ranks, c.policy, 1);
+    const PlacementPlan p = plan_placement(t, c.ranks, c.policy, width);
+    SCOPED_TRACE(std::to_string(c.domains) + "x4, " +
+                 std::to_string(c.ranks) + " ranks, " +
+                 placement_policy_name(c.policy));
+    EXPECT_EQ(p.domain_of_rank, c.domain_of_rank);
+    EXPECT_EQ(one.domain_of_rank, c.domain_of_rank);
+    ASSERT_EQ(p.cpus_of_rank.size(), static_cast<std::size_t>(c.ranks));
+    std::vector<int> owner(static_cast<std::size_t>(t.total_cpus), -1);
+    for (int r = 0; r < c.ranks; ++r) {
+      const std::vector<int>& set = p.cpus_of_rank[static_cast<std::size_t>(r)];
+      ASSERT_EQ(set.size(), static_cast<std::size_t>(width));
+      // A rank's first CPU is the one it had alone.
+      EXPECT_EQ(set.front(), one.cpus_of_rank[static_cast<std::size_t>(r)]
+                                 .front());
+      for (const int cpu : set) {
+        ASSERT_GE(cpu, 0);
+        ASSERT_LT(cpu, t.total_cpus);
+        if (c.ranks <= t.total_cpus) {
+          EXPECT_EQ(owner[static_cast<std::size_t>(cpu)], -1)
+              << "CPU " << cpu << " is in two ranks' sets";
+        }
+        owner[static_cast<std::size_t>(cpu)] = r;
+      }
+    }
+  }
+  // The order's positions r, r + ranks, ...: compact interleaves ranks
+  // over the domains in order; scatter keeps each rank in its domain.
+  EXPECT_EQ(plan_placement(synthetic_topology(2, 4), 2,
+                           PlacementPolicy::kCompact, 4)
+                .cpus_of_rank,
+            (CpuSets{{0, 2, 4, 6}, {1, 3, 5, 7}}));
+  EXPECT_EQ(plan_placement(synthetic_topology(2, 4), 4,
+                           PlacementPolicy::kScatter, 2)
+                .cpus_of_rank,
+            (CpuSets{{0, 2}, {4, 6}, {1, 3}, {5, 7}}));
+  // A set never repeats a CPU, however wide the rank.
+  EXPECT_EQ(plan_placement(synthetic_topology(1, 4), 4,
+                           PlacementPolicy::kCompact, 2)
+                .cpus_of_rank,
+            (CpuSets{{0}, {1}, {2}, {3}}));
+}
+
 TEST(Topology, BandwidthRatioAtLeastOne) {
   EXPECT_GE(measure_numa_bandwidth_ratio(discover_host_topology(),
                                          /*probe_bytes=*/1 << 16),
@@ -116,13 +194,8 @@ TEST(Topology, BandwidthRatioAtLeastOne) {
 
 // --- the rank runtime ---
 
-PlacementPlan unpinned_plan(int ranks) {
-  return plan_placement(synthetic_topology(1, ranks), ranks,
-                        PlacementPolicy::kNone);
-}
-
 TEST(RankTeam, RunsEveryRankConcurrently) {
-  RankTeam team(4, unpinned_plan(4));
+  RankTeam team(4, synthetic_topology(1, 4), PlacementPolicy::kNone);
   std::vector<int> hits(4, 0);
   team.run(4, [&](int r) { hits[static_cast<std::size_t>(r)] = r + 1; });
   EXPECT_EQ(hits, (std::vector<int>{1, 2, 3, 4}));
@@ -133,7 +206,7 @@ TEST(RankTeam, RunsEveryRankConcurrently) {
 }
 
 TEST(RankTeam, RethrowsLowestRankException) {
-  RankTeam team(4, unpinned_plan(4));
+  RankTeam team(4, synthetic_topology(1, 4), PlacementPolicy::kNone);
   try {
     team.run(4, [&](int r) {
       if (r == 1 || r == 3) {
@@ -153,7 +226,7 @@ TEST(RankTeam, WorkersShareTheCallersLoopWidth) {
   const auto worker_widths = [](int caller_width) {
     set_loop_width(caller_width);
     std::vector<int> widths(2, 0);
-    RankTeam team(2, unpinned_plan(2));
+    RankTeam team(2, synthetic_topology(1, 2), PlacementPolicy::kNone);
     team.run(2, [&](int r) {
       widths[static_cast<std::size_t>(r)] = loop_width();
     });
@@ -171,8 +244,95 @@ TEST(RankTeam, WorkersShareTheCallersLoopWidth) {
                            : (std::vector<int>{1, 1}));
 }
 
+TEST(RankTeam, PinnedWorkersOwnAsManyCpusAsTheirLoopWidth) {
+  // The CPUs this process may use, as the host's one domain, so every
+  // planned CPU can really be pinned to.
+  HostTopology host;
+  host.domains.push_back(NumaDomain{0, allowed_cpus()});
+  host.total_cpus = static_cast<int>(host.domains[0].cpus.size());
+  if (host.total_cpus < 2) {
+    GTEST_SKIP() << "needs at least 2 CPUs in the affinity mask";
+  }
+  const test::LoopWidthGuard restore;
+  set_loop_width(host.total_cpus);
+  for (const int workers : {1, 2}) {
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::kCompact, PlacementPolicy::kScatter}) {
+      std::vector<int> widths(static_cast<std::size_t>(workers), 0);
+      std::vector<int> owned(static_cast<std::size_t>(workers), 0);
+      RankTeam team(workers, host, policy);
+      EXPECT_EQ(team.pinned(), workers);
+      EXPECT_FALSE(team.polls());
+      team.run(workers, [&](int r) {
+        widths[static_cast<std::size_t>(r)] = loop_width();
+        owned[static_cast<std::size_t>(r)] =
+            static_cast<int>(allowed_cpus().size());
+      });
+      EXPECT_EQ(widths, owned);
+      // Without OpenMP every width is 1, and so is every set.
+      EXPECT_EQ(widths[0], std::max(1, loop_width() / workers));
+    }
+  }
+}
+
+/// Runs `regions` back-to-back regions on `team`, every seventh of them on
+/// half the workers (a shrunk cluster), and checks that every region ran
+/// each of its ranks exactly once and no other.
+void expect_every_rank_once_per_region(RankTeam& team, int regions) {
+  const int workers = team.workers();
+  std::vector<int> runs(static_cast<std::size_t>(workers), 0);
+  std::vector<int> last(static_cast<std::size_t>(workers), -1);
+  std::vector<int> expected(static_cast<std::size_t>(workers), 0);
+  for (int i = 0; i < regions; ++i) {
+    const int count = i % 7 == 6 ? std::max(1, workers / 2) : workers;
+    team.run(count, [&runs, &last, i](int r) {
+      ++runs[static_cast<std::size_t>(r)];
+      last[static_cast<std::size_t>(r)] = i;
+    });
+    for (int r = 0; r < count; ++r) {
+      ++expected[static_cast<std::size_t>(r)];
+      ASSERT_EQ(last[static_cast<std::size_t>(r)], i)
+          << "rank " << r << " missed region " << i;
+    }
+    ASSERT_EQ(runs, expected) << "after region " << i;
+  }
+}
+
+TEST(RankTeam, BackToBackRegionsRunEveryRankOnceWhetherWorkersPollOrBlock) {
+  const test::LoopWidthGuard restore;
+  set_loop_width(1);
+  const int cpus = static_cast<int>(allowed_cpus().size());
+  {
+    // Two workers, or one on one CPU: the team fits, so workers poll.
+    const int fit = std::min(2, cpus);
+    RankTeam team(fit, synthetic_topology(1, fit), PlacementPolicy::kNone);
+    ASSERT_TRUE(team.polls());
+    expect_every_rank_once_per_region(team, 10000);
+  }
+  {
+    // A team wider than the CPUs: two workers as wide as all of them
+    // (the caller's width is twice the CPUs), or, where loops have no
+    // width to give (no OpenMP), one worker more than the CPUs. Workers
+    // block at once.
+    set_loop_width(2 * cpus);
+    const int workers = loop_width() == 2 * cpus ? 2 : cpus + 1;
+    RankTeam team(workers, synthetic_topology(1, workers),
+                  PlacementPolicy::kNone);
+    ASSERT_FALSE(team.polls());
+    expect_every_rank_once_per_region(team, 10000);
+  }
+  // Destroyed while its workers poll for a next region that never comes:
+  // the destructor must wake and join them.
+  for (int i = 0; i < 100; ++i) {
+    RankTeam team(2, synthetic_topology(1, 2), PlacementPolicy::kNone);
+    std::atomic<int> ran{0};
+    team.run(i % 2 + 1, [&](int) { ++ran; });
+    EXPECT_EQ(ran.load(), i % 2 + 1);
+  }
+}
+
 TEST(RankTeam, PairArriveCombinesOutcomes) {
-  RankTeam team(2, unpinned_plan(2));
+  RankTeam team(2, synthetic_topology(1, 2), PlacementPolicy::kNone);
   RankTeam::PairOutcome seen[2];
   team.run(2, [&](int r) {
     seen[r] = team.pair_arrive(0, /*fail=*/r == 0, /*timed=*/false,
@@ -187,7 +347,7 @@ TEST(RankTeam, PairArriveCombinesOutcomes) {
 }
 
 TEST(RankTeam, PairArriveTimesOutWithoutPeer) {
-  RankTeam team(2, unpinned_plan(2));
+  RankTeam team(2, synthetic_topology(1, 2), PlacementPolicy::kNone);
   EXPECT_THROW(team.run(1,
                         [&](int) {
                           team.pair_arrive(0, false, false, false,

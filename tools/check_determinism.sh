@@ -181,6 +181,29 @@ for policy in blocking overlapped; do
   done
 done
 
+# Every placement on the same probe: rank threads (--threads auto) at 1,
+# 2, 4 and 8 ranks own as many CPUs as their loop width under compact and
+# scatter, and poll between regions under none while the team fits the
+# CPUs (8 ranks on fewer CPUs block at once). Clean and with a dropped
+# message, every case must land on the serial engine's digest.
+for ranks in 1 2 4 8; do
+  for placement in compact scatter none; do
+    for faults in clean drop@3; do
+      fault_args=()
+      [ "$faults" = clean ] || fault_args=(--faults "$faults")
+      check "placement r$ranks $placement $faults" "$qsv" run \
+            "$tmp/wide.qc" --ranks "$ranks" --threads auto \
+            --placement "$placement" "${fault_args[@]}"
+      crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/run1")
+      if [ "$crc" != "$wide_crc" ]; then
+        echo "FAIL placement r$ranks $placement $faults: '$crc' !=" \
+             "serial '$wide_crc'" >&2
+        status=1
+      fi
+    done
+  done
+done
+
 # Serial/threaded digest identity: the clean threaded run must land on the
 # serial clean digest bit-for-bit (all floating-point reductions stay on
 # the orchestrating thread).
