@@ -11,13 +11,6 @@
 #include "common/parallel.hpp"
 
 namespace qsv {
-namespace {
-
-std::chrono::duration<double> deadline_of(double seconds) {
-  return std::chrono::duration<double>(seconds);
-}
-
-}  // namespace
 
 VirtualCluster::VirtualCluster(int num_ranks, std::size_t max_message_bytes,
                                double recv_deadline_s)
@@ -52,14 +45,11 @@ void VirtualCluster::check_alive(rank_t from, rank_t to) const {
   }
 }
 
-void VirtualCluster::enable_concurrent(std::size_t capacity_messages) {
-  QSV_REQUIRE(capacity_messages >= 1,
-              "concurrent mailboxes need capacity for at least one message");
+void VirtualCluster::enable_concurrent() {
   std::lock_guard<std::mutex> lk(m_);
   QSV_REQUIRE(in_flight_ == 0,
               "enable_concurrent requires a quiescent cluster");
   concurrent_ = true;
-  capacity_messages_ = capacity_messages;
 }
 
 void VirtualCluster::send(rank_t from, rank_t to,
@@ -147,7 +137,7 @@ void VirtualCluster::send(rank_t from, rank_t to, std::size_t bytes, int tag,
     }
   }
 
-  std::unique_lock<std::mutex> lk(m_);
+  std::lock_guard<std::mutex> lk(m_);
   // The wire carries the message whether or not it arrives: dropped and
   // corrupted sends are real traffic (and get re-sent by the retry layer).
   ++stats_.messages;
@@ -157,32 +147,7 @@ void VirtualCluster::send(rank_t from, rank_t to, std::size_t bytes, int tag,
   if (!deliver) {
     return;
   }
-  const std::pair<rank_t, rank_t> key{from, to};
-  // A drained mailbox is erased from the map (recv, purge_*, reset_queues),
-  // so a reference into queues_ must never be held across a wait: re-find
-  // the node each time the predicate runs and treat a missing entry as
-  // free space.
-  const auto mailbox_depth = [&] {
-    const auto it = queues_.find(key);
-    return it == queues_.end() ? std::size_t{0} : it->second.size();
-  };
-  if (concurrent_ && mailbox_depth() >= capacity_messages_) {
-    // Buffered-send backpressure, bounded by the same watchdog deadline as
-    // a receive: a receiver that stopped draining must not hang the sender.
-    const bool freed =
-        cv_send_.wait_for(lk, deadline_of(recv_deadline_s_),
-                          [&] { return mailbox_depth() < capacity_messages_; });
-    if (!freed) {
-      throw CommTimeout("send " + std::to_string(from) + " -> " +
-                        std::to_string(to) + " timed out: mailbox full (" +
-                        std::to_string(mailbox_depth()) + " of " +
-                        std::to_string(capacity_messages_) +
-                        " messages) after the " +
-                        std::to_string(recv_deadline_s_) +
-                        " s watchdog deadline");
-    }
-  }
-  queues_[key].push_back(std::move(msg));
+  queues_[{from, to}].push_back(std::move(msg));
   ++in_flight_;
   stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
   if (concurrent_) {
@@ -222,7 +187,8 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
       // arrived yet. The watchdog deadline turns a genuinely missing
       // message (dropped, or the sender died) into the same CommTimeout
       // the serial transport throws immediately.
-      cv_recv_.wait_for(lk, deadline_of(recv_deadline_s_), queued);
+      cv_recv_.wait_for(lk, std::chrono::duration<double>(recv_deadline_s_),
+                        queued);
     }
     if (!queued()) {
       throw CommTimeout("recv " + std::to_string(from) + " -> " +
@@ -251,9 +217,6 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
     --in_flight_;
     if (it->second.empty()) {
       queues_.erase(it);
-    }
-    if (concurrent_) {
-      cv_send_.notify_all();
     }
   }
   // End-to-end verification: recompute the checksum over what actually
@@ -294,9 +257,6 @@ void VirtualCluster::purge_pair(rank_t a, rank_t b) {
       queues_.erase(it);
     }
   }
-  if (concurrent_) {
-    cv_send_.notify_all();
-  }
 }
 
 void VirtualCluster::purge_tag(rank_t a, rank_t b, int tag) {
@@ -321,9 +281,6 @@ void VirtualCluster::purge_tag(rank_t a, rank_t b, int tag) {
       queues_.erase(it);
     }
   }
-  if (concurrent_) {
-    cv_send_.notify_all();
-  }
 }
 
 void VirtualCluster::purge_rank(rank_t rank) {
@@ -337,9 +294,6 @@ void VirtualCluster::purge_rank(rank_t rank) {
     } else {
       ++it;
     }
-  }
-  if (concurrent_) {
-    cv_send_.notify_all();
   }
 }
 
@@ -363,9 +317,6 @@ void VirtualCluster::reset_queues() {
   }
   queues_.clear();
   in_flight_ = 0;
-  if (concurrent_) {
-    cv_send_.notify_all();
-  }
 }
 
 bool VirtualCluster::quiescent() const {

@@ -24,12 +24,11 @@
 //    and recv in program order; a recv that finds no message throws
 //    CommTimeout immediately (the message can never arrive later).
 //  * concurrent (enable_concurrent): ranks run on their own threads
-//    (cluster/rank_team.hpp) and the per-pair queues become bounded MPSC
-//    mailboxes — recv blocks on a condition variable until a message lands
-//    or the watchdog deadline expires, and send blocks while the
-//    destination mailbox is at capacity (MPI buffered-send backpressure).
-//    The same watchdog deadline bounds both waits, so a lost peer always
-//    surfaces as the familiar CommTimeout instead of a hang.
+//    (cluster/rank_team.hpp) and the per-pair queues become MPSC mailboxes
+//    — recv blocks on a condition variable until a message lands or the
+//    watchdog deadline expires, so a lost peer surfaces as the familiar
+//    CommTimeout instead of a hang. A send never waits: as in serial mode,
+//    a mailbox holds whatever one exchange posts before its receives.
 //
 // Integrity is end-to-end, not oracular: every payload carries a CRC-32
 // computed at send time, and recv recomputes and compares before handing
@@ -52,7 +51,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <span>
@@ -205,11 +203,10 @@ class VirtualCluster {
   /// gate so no exchange leaks into the next operation.
   [[nodiscard]] bool quiescent() const;
 
-  /// Switches the per-pair queues into bounded concurrent mailboxes:
-  /// recv blocks (condition variable) until a message lands or the watchdog
-  /// deadline expires; send blocks while the destination mailbox holds
-  /// `capacity_messages` undelivered messages. Call before any traffic.
-  void enable_concurrent(std::size_t capacity_messages);
+  /// Switches the per-pair queues into concurrent mailboxes: recv blocks
+  /// (condition variable) until a message lands or the watchdog deadline
+  /// expires. Call before any traffic.
+  void enable_concurrent();
   [[nodiscard]] bool concurrent() const { return concurrent_; }
 
   [[nodiscard]] const CommStats& stats() const {
@@ -261,10 +258,8 @@ class VirtualCluster {
   // in_flight_ and stats_; fills, drains and CRC work happen outside it so
   // senders and receivers overlap on the expensive part.
   bool concurrent_ = false;
-  std::size_t capacity_messages_ = std::numeric_limits<std::size_t>::max();
   mutable std::mutex m_;
-  std::condition_variable cv_recv_;   // a message landed
-  std::condition_variable cv_send_;   // mailbox space freed
+  std::condition_variable cv_recv_;  // a message landed
 };
 
 }  // namespace qsv

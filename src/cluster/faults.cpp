@@ -123,7 +123,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       QSV_REQUIRE(t.at >= 1, "fault spec '" + raw +
                                  "': message ordinals are 1-based");
       s.at_message = t.at;
-      s.rank = t.has_extra() ? static_cast<rank_t>(t.extra()) : -1;
+      s.rank = t.has_extra() ? static_cast<rank_t>(t.extra()) : 0;
     } else if (t.kind == "delay") {
       s.kind = FaultKind::kStraggler;
       QSV_REQUIRE(t.at >= 1, "fault spec '" + raw +
@@ -131,6 +131,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       QSV_REQUIRE(t.has_extra() && t.extra() > 0,
                   "fault spec '" + raw + "': delay needs ':seconds'");
       s.at_message = t.at;
+      s.rank = 0;
       s.delay_s = t.extra();
     } else if (t.kind == "bitflip") {
       s.kind = FaultKind::kBitFlip;
@@ -161,9 +162,8 @@ FaultPlan parse_fault_plan(const std::string& text) {
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)),
       fired_(plan_.specs.size(), false),
-      rng_(plan_.seed),
-      // A fixed xor keeps the bitflip stream decoupled from the message
-      // stream while staying a pure function of the plan seed.
+      // A fixed xor keeps these draws apart from the node-failure times
+      // sample_node_failures draws from the same seed.
       bitflip_rng_(plan_.seed ^ 0x9E3779B97F4A7C15ull) {}
 
 bool FaultInjector::rank_dead(rank_t rank) const {
@@ -171,47 +171,23 @@ bool FaultInjector::rank_dead(rank_t rank) const {
   return std::find(dead_.begin(), dead_.end(), rank) != dead_.end();
 }
 
-Rng& FaultInjector::rng_for_sender(rank_t from) {
-  auto it = sender_rngs_.find(from);
-  if (it == sender_rngs_.end()) {
-    // Mix the sender into the plan seed (distinct odd multiplier per rank,
-    // SplitMix-style): every sender's stream is a pure function of
-    // (plan seed, sender) and independent of arrival interleaving.
-    const std::uint64_t seed =
-        plan_.seed ^
-        (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(from) + 2));
-    it = sender_rngs_.emplace(from, Rng(seed)).first;
-  }
-  return it->second;
-}
-
 FaultInjector::MessageOutcome FaultInjector::on_message(
     rank_t from, rank_t to, double recv_deadline_s) {
   std::lock_guard<std::mutex> lk(m_);
-  const bool per_sender = scope_ == OrdinalScope::kPerSender;
-  const std::uint64_t ordinal =
-      per_sender ? ++sender_counters_[from] : ++message_counter_;
-  Rng& rng = per_sender ? rng_for_sender(from) : rng_;
+  const std::uint64_t ordinal = ++sent_[from];
   MessageOutcome out;
 
-  // Explicit one-shot specs first: deterministic regardless of probability
-  // settings. Every spec naming this ordinal fires its latch, and when
+  // Every spec naming this sender's ordinal fires its latch, and when
   // several land on the same message the most severe verdict wins (drop >
   // corrupt > straggle): a dropped message makes a companion corruption or
   // delay moot, since nothing is delivered.
-  double explicit_delay_s = 0;
+  double delay_s = 0;
   int severity = 0;  // 0 deliver, 1 straggle, 2 corrupt, 3 drop
   for (std::size_t i = 0; i < plan_.specs.size(); ++i) {
     const FaultSpec& s = plan_.specs[i];
-    if (fired_[i] || s.at_message != ordinal ||
+    if (fired_[i] || s.at_message != ordinal || s.rank != from ||
         s.kind == FaultKind::kNodeFailure || s.kind == FaultKind::kBitFlip ||
         s.kind == FaultKind::kRevive) {
-      continue;
-    }
-    // Per-sender ordinals only exist relative to a sender, so a spec that
-    // names none binds to rank 0 (documented in OrdinalScope).
-    const rank_t spec_rank = per_sender && s.rank < 0 ? 0 : s.rank;
-    if (spec_rank >= 0 && spec_rank != from) {
       continue;
     }
     fired_[i] = true;
@@ -225,7 +201,7 @@ FaultInjector::MessageOutcome FaultInjector::on_message(
       case FaultKind::kStraggler:
         if (severity < 1) {
           severity = 1;
-          explicit_delay_s = s.delay_s;
+          delay_s = s.delay_s;
         }
         break;
       case FaultKind::kNodeFailure:
@@ -240,24 +216,7 @@ FaultInjector::MessageOutcome FaultInjector::on_message(
     out.verdict = Verdict::kCorrupt;
   } else if (severity == 1) {
     out.verdict = Verdict::kDelay;
-    out.delay_s = explicit_delay_s;
-  }
-
-  // Probabilistic stream: one draw per configured hazard per message, in a
-  // fixed order, so the consumed RNG stream is identical between runs.
-  if (out.verdict == Verdict::kDeliver) {
-    if (plan_.drop_prob > 0 && rng.uniform() < plan_.drop_prob) {
-      out.verdict = Verdict::kDrop;
-    }
-    if (plan_.corrupt_prob > 0 && rng.uniform() < plan_.corrupt_prob &&
-        out.verdict == Verdict::kDeliver) {
-      out.verdict = Verdict::kCorrupt;
-    }
-    if (plan_.straggler_prob > 0 && rng.uniform() < plan_.straggler_prob &&
-        out.verdict == Verdict::kDeliver) {
-      out.verdict = Verdict::kDelay;
-      out.delay_s = plan_.straggler_delay_s;
-    }
+    out.delay_s = delay_s;
   }
 
   // A straggler that lands strictly after the receiver's watchdog deadline

@@ -5,10 +5,13 @@
 // real machine loses nodes, drops/corrupts link-level messages (surfacing
 // as MPI timeouts) and suffers stragglers; our failure-free virtual cluster
 // models none of that. This header adds a seeded, fully deterministic fault
-// model: a FaultPlan lists *what* goes wrong and *when* (by gate index or
-// global message ordinal, or probabilistically from per-node MTBF), and a
-// FaultInjector executes the plan during a run, recording every fired event
-// so two runs with the same plan are bit-identical — asserted by tests.
+// model: a FaultPlan lists *what* goes wrong and *when* (by gate index, or by
+// the ordinal of a message among those its sender has sent, or sampled from
+// per-node MTBF), and a FaultInjector executes the plan during a run,
+// recording every fired event so two runs with the same plan are
+// bit-identical — asserted by tests. Counting messages per sender makes a
+// verdict independent of how senders interleave, so the serial engine and
+// the ranks-as-threads engine fire the same faults on the same messages.
 #pragma once
 
 #include <cstdint>
@@ -82,16 +85,15 @@ enum class FaultKind {
 
 [[nodiscard]] const char* fault_kind_name(FaultKind k);
 
-/// One planned fault. Message faults trigger on the Nth message the cluster
-/// carries (1-based ordinal over the whole run); node failures trigger when
-/// the engine starts the gate with this 0-based index.
+/// One planned fault. Message faults trigger on the Nth message their
+/// sender sends (1-based, counted over the whole run); node failures
+/// trigger when the engine starts the gate with this 0-based index.
 struct FaultSpec {
   FaultKind kind{};
   /// Affected rank: the dying rank for kNodeFailure, the sender for message
-  /// faults (-1 = any sender).
+  /// faults, the earmarked rank for kRevive (-1 = none).
   rank_t rank = -1;
-  /// 1-based message ordinal (message faults): global under the injector's
-  /// default scope, per-sender under OrdinalScope::kPerSender.
+  /// 1-based ordinal among the messages `rank` sends (message faults).
   std::uint64_t at_message = 0;
   /// 0-based gate index (kNodeFailure, kBitFlip).
   std::uint64_t at_gate = 0;
@@ -104,24 +106,13 @@ struct FaultSpec {
   bool operator==(const FaultSpec&) const = default;
 };
 
-/// The full deterministic schedule of faults for a run: explicit one-shot
-/// specs plus optional per-message probabilities drawn from a seeded stream.
+/// The full deterministic schedule of faults for a run: one-shot specs,
+/// plus the seed of the stream that draws bit-flip positions.
 struct FaultPlan {
   std::vector<FaultSpec> specs;
-
-  /// Per-message probabilities (evaluated in this order: drop, corrupt,
-  /// straggle) using the plan's seed; 0 disables the draw entirely, keeping
-  /// purely explicit plans RNG-free.
-  double drop_prob = 0;
-  double corrupt_prob = 0;
-  double straggler_prob = 0;
-  double straggler_delay_s = 0;
   std::uint64_t seed = 1;
 
-  [[nodiscard]] bool empty() const {
-    return specs.empty() && drop_prob == 0 && corrupt_prob == 0 &&
-           straggler_prob == 0;
-  }
+  [[nodiscard]] bool empty() const { return specs.empty(); }
 };
 
 /// Draws node-failure times from per-node exponential lifetimes with mean
@@ -136,9 +127,9 @@ struct FaultPlan {
 
 /// Parses a comma-separated fault list, e.g.
 ///   "fail@120:2, drop@5, corrupt@9:1, delay@3:0.25, bitflip@40:1"
-/// where `fail@G[:R]` kills rank R (default 0) at gate G, `drop@M` /
-/// `corrupt@M[:R]` hit the Mth message (optionally only if sent by R),
-/// `delay@M:S` delays the Mth message by S seconds, `bitflip@G[:R[:B]]`
+/// where `fail@G[:R]` kills rank R (default 0) at gate G, `drop@M[:R]` /
+/// `corrupt@M[:R]` hit the Mth message sent by rank R (default 0),
+/// `delay@M:S` delays rank 0's Mth message by S seconds, `bitflip@G[:R[:B]]`
 /// flips bit B (default: random) of a random resident amplitude on rank R
 /// (default 0) before gate G, and `revive@G[:R]` announces a replacement
 /// node (optionally earmarked for rank R) joining the allocation at gate G —
@@ -152,7 +143,7 @@ struct FaultEvent {
   FaultKind kind{};
   rank_t rank = -1;        // dying rank / sender
   rank_t peer = -1;        // receiver for message faults
-  std::uint64_t message = 0;  // global message ordinal (message faults)
+  std::uint64_t message = 0;  // the sender's message ordinal (message faults)
   std::uint64_t gate = 0;     // gate index when the fault fired
   double delay_s = 0;
   int bit = -1;               // flipped amplitude bit (kBitFlip)
@@ -162,37 +153,16 @@ struct FaultEvent {
 
 /// Executes a FaultPlan against a run. The VirtualCluster consults it on
 /// every message; the engine consults it at every gate boundary. All
-/// decisions are functions of (plan, message ordinal, gate index) only.
-/// Every mutating entry point is internally synchronised, so concurrent
-/// rank threads can consult one injector; log() and totals() return
-/// references and must only be read between parallel regions.
+/// decisions are functions of (plan, sender, the sender's message ordinal,
+/// gate index) only: each rank sends its messages in the same order on
+/// every engine, so a spec hits the same message whether ranks run in turn
+/// on one thread or concurrently on their own. Every mutating entry point
+/// is internally synchronised, so concurrent rank threads can consult one
+/// injector; log() and totals() return references and must only be read
+/// between parallel regions.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
-
-  /// How message ordinals are counted.
-  ///
-  /// kGlobal (default, the serial engine): one counter over every message
-  /// the cluster carries, in program order — `drop@M` means the Mth message
-  /// of the run. Meaningless under concurrent ranks, where the interleaving
-  /// of senders is scheduling-dependent.
-  ///
-  /// kPerSender (the threaded engine): each sender has its own 1-based
-  /// ordinal and its own RNG stream (derived from the plan seed and the
-  /// sender id), making every verdict a pure function of (plan, sender,
-  /// per-sender ordinal) — thread-safe and ordering-stable per rank no
-  /// matter how the scheduler interleaves senders. `drop@M:R` means the Mth
-  /// message *sent by rank R*; a message spec without a rank binds to
-  /// sender 0.
-  enum class OrdinalScope { kGlobal, kPerSender };
-  void set_scope(OrdinalScope scope) {
-    std::lock_guard<std::mutex> lk(m_);
-    scope_ = scope;
-  }
-  [[nodiscard]] OrdinalScope scope() const {
-    std::lock_guard<std::mutex> lk(m_);
-    return scope_;
-  }
 
   /// Verdict for one message about to be carried from `from` to `to`.
   enum class Verdict { kDeliver, kDrop, kCorrupt, kDelay };
@@ -223,8 +193,8 @@ class FaultInjector {
   /// Silent-corruption events due before gate `index`: each names a rank, a
   /// raw 64-bit amplitude draw (the engine reduces it modulo its local
   /// amplitude count) and a bit in [0, 128) of the complex amplitude. Specs
-  /// are one-shot and the draws come from a dedicated seeded stream, so a
-  /// rollback-and-replay neither re-corrupts nor perturbs message faults.
+  /// are one-shot and the draws come from the plan's seeded stream, so a
+  /// rollback-and-replay does not re-corrupt.
   struct BitFlipSpec {
     rank_t rank = 0;
     std::uint64_t amp_draw = 0;
@@ -295,25 +265,19 @@ class FaultInjector {
     std::uint64_t retries = 0;
     std::uint64_t retry_bytes = 0;
     double delay_s = 0;
+
+    bool operator==(const Totals&) const = default;
   };
   [[nodiscard]] const Totals& totals() const { return totals_; }
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
-  /// Stream for `from` under kPerSender: lazily seeded from the plan seed
-  /// and the sender id, so it is a pure function of both. Call under m_.
-  Rng& rng_for_sender(rank_t from);
-
   FaultPlan plan_;
   std::vector<bool> fired_;  // one-shot latch per spec
   std::vector<rank_t> dead_;
-  Rng rng_;
-  Rng bitflip_rng_;  // separate stream: bitflips never shift message draws
-  OrdinalScope scope_ = OrdinalScope::kGlobal;
-  std::uint64_t message_counter_ = 0;
-  std::map<rank_t, std::uint64_t> sender_counters_;  // kPerSender ordinals
-  std::map<rank_t, Rng> sender_rngs_;                // kPerSender streams
+  Rng bitflip_rng_;
+  std::map<rank_t, std::uint64_t> sent_;  // messages each sender has sent
   std::uint64_t current_gate_ = 0;
   GateFaultCharges gate_charges_;
   Totals totals_;

@@ -85,6 +85,8 @@ class HealthMonitor {
     std::uint64_t clears = 0;       // suspected ranks cleared by a beat
     std::uint64_t confirmed = 0;    // confirmed node failures recorded
     std::uint64_t replacements = 0; // replacement arrivals recorded
+
+    bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -1,9 +1,7 @@
 #include "cluster/topology.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -117,50 +115,43 @@ PlacementPlan plan_placement(const HostTopology& topo, int num_ranks,
   }
   QSV_REQUIRE(host_cpus >= 1, "placement needs at least one CPU");
 
-  // Position p of the policy's CPU order, as {domain index, CPU}.
-  const auto at = [&](std::int64_t p) -> std::pair<int, int> {
+  PlacementPlan plan;
+  plan.policy = policy;
+  if (policy == PlacementPolicy::kNone) {
+    return plan;
+  }
+
+  // The CPU at position p of the policy's CPU order.
+  const auto at = [&](std::int64_t p) {
     if (policy == PlacementPolicy::kScatter) {
       // Scatter round-robins across domains; each domain hands out its
       // CPUs in order, wrapping when positions outnumber them
       // (oversubscription still gets a stable assignment).
-      const std::int64_t di = p % domains;
       const std::vector<int>& cpus =
-          topo.domains[static_cast<std::size_t>(di)].cpus;
-      return {static_cast<int>(di),
-              cpus[static_cast<std::size_t>(p / domains) % cpus.size()]};
+          topo.domains[static_cast<std::size_t>(p % domains)].cpus;
+      return cpus[static_cast<std::size_t>(p / domains) % cpus.size()];
     }
     // Compact exhausts a domain's CPUs before spilling to the next, so
     // co-resident ranks share an LLC and exchange pairs stay local as long
     // as a domain has room; positions beyond the host's CPU count wrap back
-    // to domain 0. kNone uses the same domain map so cross-domain pricing
-    // has a defined answer.
+    // to domain 0.
     std::size_t di = 0;
     std::int64_t slot = p % host_cpus;
     while (slot >= static_cast<std::int64_t>(topo.domains[di].cpus.size())) {
       slot -= static_cast<std::int64_t>(topo.domains[di].cpus.size());
       ++di;
     }
-    return {static_cast<int>(di),
-            topo.domains[di].cpus[static_cast<std::size_t>(slot)]};
+    return topo.domains[di].cpus[static_cast<std::size_t>(slot)];
   };
 
-  PlacementPlan plan;
-  plan.policy = policy;
-  plan.domain_of_rank.resize(static_cast<std::size_t>(num_ranks));
-  if (policy != PlacementPolicy::kNone) {
-    plan.cpus_of_rank.resize(static_cast<std::size_t>(num_ranks));
-  }
+  plan.cpus_of_rank.resize(static_cast<std::size_t>(num_ranks));
   // A set never holds more than the host's CPUs, however wide the rank.
   const std::int64_t set_size = std::min<std::int64_t>(cpus_per_rank,
                                                        host_cpus);
   for (int r = 0; r < num_ranks; ++r) {
-    plan.domain_of_rank[static_cast<std::size_t>(r)] = at(r).first;
-    if (policy == PlacementPolicy::kNone) {
-      continue;
-    }
     std::vector<int>& set = plan.cpus_of_rank[static_cast<std::size_t>(r)];
     for (std::int64_t k = 0; k < set_size; ++k) {
-      const int cpu = at(r + k * num_ranks).second;
+      const int cpu = at(r + k * num_ranks);
       if (std::find(set.begin(), set.end(), cpu) == set.end()) {
         set.push_back(cpu);
       }
@@ -207,78 +198,6 @@ std::vector<int> allowed_cpus() {
     }
   }
   return cpus;
-}
-
-namespace {
-
-#if defined(__linux__)
-/// Streams `buf` once and returns the elapsed seconds. Each 64-byte line
-/// read is folded into a volatile sink, so the reads cannot be optimised
-/// away (a result nothing uses lets the compiler delete the whole loop).
-double time_stream(const std::vector<char>& buf) {
-  volatile std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i + 64 <= buf.size(); i += 4096) {
-    std::uint64_t line[8];
-    std::memcpy(line, buf.data() + i, sizeof line);
-    std::uint64_t folded = 0;
-    for (const std::uint64_t word : line) {
-      folded ^= word;
-    }
-    sink = sink ^ folded;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Saves/restores the caller's affinity around a pinned probe.
-struct AffinityGuard {
-  cpu_set_t saved;
-  bool valid;
-  AffinityGuard() {
-    valid =
-        pthread_getaffinity_np(pthread_self(), sizeof saved, &saved) == 0;
-  }
-  ~AffinityGuard() {
-    if (valid) {
-      pthread_setaffinity_np(pthread_self(), sizeof saved, &saved);
-    }
-  }
-};
-#endif
-
-}  // namespace
-
-double measure_numa_bandwidth_ratio(const HostTopology& topo,
-                                    std::size_t probe_bytes) {
-  if (topo.domains.size() < 2 || topo.domains[0].cpus.empty() ||
-      topo.domains[1].cpus.empty()) {
-    return 1.0;
-  }
-#if defined(__linux__)
-  AffinityGuard guard;
-  // First-touch the buffer from domain 0, then stream it from a domain-0
-  // CPU (local) and a domain-1 CPU (remote). The ratio of the two times is
-  // the penalty factor for cross-domain exchange traffic.
-  if (!pin_current_thread({topo.domains[0].cpus.front()})) {
-    return 1.0;
-  }
-  std::vector<char> buf(probe_bytes, 1);
-  // Warm + local pass.
-  time_stream(buf);
-  const double local_s = time_stream(buf);
-  if (!pin_current_thread({topo.domains[1].cpus.front()})) {
-    return 1.0;
-  }
-  const double remote_s = time_stream(buf);
-  if (local_s <= 0 || remote_s <= 0) {
-    return 1.0;
-  }
-  return std::max(1.0, remote_s / local_s);
-#else
-  (void)probe_bytes;
-  return 1.0;
-#endif
 }
 
 }  // namespace qsv

@@ -7,11 +7,12 @@
 // become OS threads (cluster/rank_team.hpp) the placement question becomes
 // real for us too: this header discovers the host's NUMA domains from
 // sysfs (with a portable single-domain fallback), maps ranks to CPUs under
-// a placement policy, pins threads, and measures the local-vs-remote
-// bandwidth ratio the cost model folds into exchange pricing.
+// a placement policy and pins threads. A pinned rank allocates its slice on
+// its own thread, so first touch puts the pages in its domain. What that
+// saves is measured on the host; the cost model prices the paper's machine
+// and never reads this host's topology.
 #pragma once
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,16 +57,12 @@ enum class PlacementPolicy {
 [[nodiscard]] std::optional<PlacementPolicy> parse_placement_policy(
     const std::string& text);
 
-/// The concrete rank -> CPU/domain assignment for one run.
+/// The concrete rank -> CPU assignment for one run.
 struct PlacementPlan {
   PlacementPolicy policy = PlacementPolicy::kNone;
-  /// The CPUs each rank's thread is pinned to (empty for kNone).
+  /// The CPUs each rank's thread is pinned to (empty for kNone). A rank's
+  /// slice is first-touched in the domain of its first CPU.
   std::vector<std::vector<int>> cpus_of_rank;
-  /// NUMA domain each rank's slice should be first-touched in: the domain
-  /// of the rank's first CPU. Filled for every policy (kNone uses the
-  /// compact mapping so cross-domain exchange pricing stays defined even
-  /// without pinning).
-  std::vector<int> domain_of_rank;
 };
 
 /// Maps `num_ranks` rank threads onto the host under `policy`, each owning
@@ -73,8 +70,8 @@ struct PlacementPlan {
 /// by domain; scatter: round-robin across domains), and rank r takes the
 /// positions r, r + num_ranks, r + 2 * num_ranks, ... of that order, so the
 /// sets are disjoint while num_ranks * cpus_per_rank fits the host, every
-/// rank's first CPU and domain do not depend on `cpus_per_rank`, and more
-/// ranks than CPUs wrap onto shared CPUs.
+/// rank's first CPU (and so its domain) does not depend on
+/// `cpus_per_rank`, and more ranks than CPUs wrap onto shared CPUs.
 [[nodiscard]] PlacementPlan plan_placement(const HostTopology& topo,
                                            int num_ranks,
                                            PlacementPolicy policy,
@@ -89,13 +86,5 @@ bool pin_current_thread(const std::vector<int>& cpus);
 /// The CPUs the calling thread may run on: its affinity mask, or
 /// 0 .. hardware_concurrency - 1 where the mask cannot be read.
 [[nodiscard]] std::vector<int> allowed_cpus();
-
-/// Measures the local-vs-remote memory bandwidth ratio between the first
-/// two domains with a small strided-copy probe (buffer of `probe_bytes`).
-/// Returns 1.0 on single-domain hosts or when pinning is unavailable; the
-/// result is always >= 1.0. This is the factor the cost model applies to
-/// cross-domain exchange traffic.
-[[nodiscard]] double measure_numa_bandwidth_ratio(
-    const HostTopology& topo, std::size_t probe_bytes = 8u << 20);
 
 }  // namespace qsv

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 
 #include "common/bits.hpp"
 #include "common/crc32.hpp"
@@ -50,19 +51,9 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     const HostTopology topo = discover_host_topology();
     numa_domains_ = static_cast<int>(topo.domains.size());
     host_cpus_ = topo.total_cpus;
-    if (numa_domains_ > 1) {
-      numa_ratio_ = measure_numa_bandwidth_ratio(topo);
-    }
     team_ = std::make_unique<RankTeam>(num_ranks, topo,
                                        opts_.threading.placement);
-
-    // Mailbox capacity: one full exchange direction at the widest slice any
-    // shrink can reach (half the state), so the non-blocking policy (all
-    // sends posted before any recv) can never stall on backpressure.
-    const amp_index widest_amps = amp_index{1} << (num_qubits_ - 1);
-    const amp_index chunk = chunk_amps(opts_.max_message_bytes);
-    cluster_.enable_concurrent(
-        static_cast<std::size_t>((widest_amps + chunk - 1) / chunk));
+    cluster_.enable_concurrent();
   }
   // Each slice is allocated, and zeroed by its first touch, on the thread
   // that owns it: a rank thread at its own loop width, or the serial
@@ -82,8 +73,18 @@ void DistStateVector<S>::for_each_rank(int count,
     team_->run(count, fn);
     return;
   }
+  std::exception_ptr first;
   for (int r = 0; r < count; ++r) {
-    fn(r);
+    try {
+      fn(r);
+    } catch (...) {
+      if (first == nullptr) {
+        first = std::current_exception();
+      }
+    }
+  }
+  if (first != nullptr) {
+    std::rethrow_exception(first);
   }
 }
 
@@ -112,7 +113,6 @@ DistStateVector<S>::thread_summary() const {
   s.pinned = team_->pinned();
   s.domains = numa_domains_;
   s.cpus = host_cpus_;
-  s.numa_ratio = numa_ratio_;
   return s;
 }
 
@@ -385,21 +385,6 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
 }
 
 template <class S>
-double DistStateVector<S>::exchange_numa_ratio(const OpPlan& plan) const {
-  if (team_ == nullptr || numa_ratio_ <= 1.0) {
-    return 1.0;
-  }
-  const std::vector<int>& dom = team_->plan().domain_of_rank;
-  for (rank_t r = 0; r < num_ranks(); ++r) {
-    if (plan.sends(r) && dom[static_cast<std::size_t>(r)] !=
-                             dom[static_cast<std::size_t>(plan.peer(r))]) {
-      return numa_ratio_;  // a gate waits on its slowest pair
-    }
-  }
-  return 1.0;
-}
-
-template <class S>
 void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
   const amp_index local_ctrl =
       kern::split_controls(g.controls, local_qubits_).local;
@@ -479,7 +464,6 @@ void DistStateVector<S>::apply(const Gate& g) {
     ExecEvent e = gate_event(leaf.kind, plan, local_qubits_, opts_);
     if (plan.locality == GateLocality::kDistributed) {
       apply_distributed(leaf, plan);
-      e.numa_ratio = exchange_numa_ratio(plan);
       if (injector_ != nullptr) {
         const FaultInjector::GateFaultCharges charges =
             injector_->take_gate_charges();

@@ -134,16 +134,13 @@ class DistStateVector {
   /// Attaches a fault injector (cluster/faults.hpp); null restores perfect
   /// transport. Injected node failures surface as NodeFailure at the gate
   /// boundary; dropped/corrupted messages are retried up to kMaxRetries
-  /// times before escalating to NodeFailure.
-  /// Under the threaded engine the injector is switched to per-sender
-  /// ordinals (see FaultInjector::OrdinalScope) so `drop@M:R` specs stay
-  /// deterministic regardless of thread interleaving.
+  /// times before escalating to NodeFailure. Each rank sends the same
+  /// messages in the same order on both engines, so a spec fires on the
+  /// same message and the run records the same events and totals whether
+  /// or not ranks run as threads.
   void set_fault_injector(FaultInjector* injector) {
     injector_ = injector;
     cluster_.set_fault_injector(injector);
-    if (injector_ != nullptr && team_ != nullptr) {
-      injector_->set_scope(FaultInjector::OrdinalScope::kPerSender);
-    }
   }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
 
@@ -174,7 +171,6 @@ class DistStateVector {
     int pinned = 0;   // workers that landed on their planned CPU
     int domains = 1;  // NUMA domains discovered on the host
     int cpus = 1;     // CPUs discovered on the host
-    double numa_ratio = 1.0;
   };
   [[nodiscard]] ThreadSummary thread_summary() const;
 
@@ -216,12 +212,11 @@ class DistStateVector {
   /// Picks the distributed gate's shape and combine, then runs
   /// exchange_step for every sending pair (serial) or rank (threaded).
   void apply_distributed(const Gate& g, const OpPlan& plan);
-  /// Measured NUMA ratio for this exchange: numa_ratio_ when any sending
-  /// pair spans domains under the placement plan, else 1.0.
-  [[nodiscard]] double exchange_numa_ratio(const OpPlan& plan) const;
   /// Runs fn(r) for r in [0, count): on the rank threads when threaded (so
   /// each rank first-touches what it allocates), in ascending order on the
-  /// calling thread otherwise.
+  /// calling thread otherwise. Either way every rank runs, and the lowest
+  /// rank's exception, if any, is rethrown once all have finished: a pair
+  /// whose exchange fails does not stop the other pairs' exchanges.
   void for_each_rank(int count, const std::function<void(int)>& fn);
   /// Rebuilds the recv buffers for the current width.
   void resize_buffers();
@@ -252,9 +247,6 @@ class DistStateVector {
   std::vector<S> recv_bufs_;    // the doubling MPI buffers; none on one rank
   /// Ranks-as-threads runtime (null on the serial engine).
   std::unique_ptr<RankTeam> team_;
-  /// Measured local-vs-remote bandwidth ratio; 1.0 on single-domain hosts,
-  /// so exchange pricing is unchanged there.
-  double numa_ratio_ = 1.0;
   int numa_domains_ = 1;
   int host_cpus_ = 1;
   SweepStats sweep_stats_;

@@ -98,12 +98,6 @@ struct ExecEvent {
   /// into the measured t_comm − t_overlap saving via the pipelined-chunk
   /// relation: (chunks−1)/chunks of min(t_comm, t_combine) is hidden.
   int overlap_chunks = 0;
-  /// Measured local-vs-remote NUMA bandwidth ratio applied to this
-  /// exchange's timing when at least one participating pair spans NUMA
-  /// domains (a gate waits on its slowest pair). 1.0 — the default, and
-  /// the value on single-domain hosts or same-domain exchanges — is
-  /// zero-delta for all pricing.
-  double numa_ratio = 1.0;
 
   // --- fault-recovery fields (zero on fault-free runs, so pricing and
   // event-stream identity with the trace engine are unchanged) ---

@@ -200,21 +200,32 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   // Emits one recovery action's kRecovery events: an io phase when
   // `io_bytes` are read back from the checkpoint on `io_fraction` of the
   // machine, then, for a re-shard whose pairs move, a network phase on the
-  // 2 * moving_pairs wide ranks that send or receive, carrying the retries
-  // and backoff of those moves.
+  // 2 * moving_pairs wide ranks that send or receive. The last event
+  // carries `retries`: the retries and backoff of a re-shard's moves, or of
+  // the exchange a restart recovers.
   auto emit_recovery = [&](RecoveryTier tier, std::uint64_t io_bytes,
                            double io_fraction, std::uint64_t replayed,
                            const ReshardPlan& rp = {},
-                           const FaultInjector::GateFaultCharges& moves = {}) {
+                           const FaultInjector::GateFaultCharges& retries =
+                               {}) {
     ExecEvent e;
     e.kind = ExecEvent::Kind::kRecovery;
     e.recovery_tier = tier;
     e.local_amps = sv.local_amps();
+    const auto carry_retries = [&](ExecEvent& last) {
+      last.policy = sv.options().policy;
+      last.retry_bytes = retries.retry_bytes;
+      last.retry_messages = retries.retry_messages;
+      last.fault_delay_s = retries.delay_s;
+    };
     if (io_bytes > 0) {
       ExecEvent io = e;
       io.participating_fraction = io_fraction;
       io.recovery_io_bytes = io_bytes;
       io.recovery_replayed_gates = replayed;
+      if (rp.moving_pairs == 0) {
+        carry_retries(io);
+      }
       emit(io);
     }
     if (rp.moving_pairs > 0) {
@@ -223,10 +234,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
           static_cast<double>(std::max(rp.old_ranks, rp.new_ranks));
       e.recovery_bytes_per_rank = rp.bytes_per_move;
       e.recovery_messages_per_rank = rp.messages_per_move;
-      e.policy = sv.options().policy;
-      e.retry_bytes = moves.retry_bytes;
-      e.retry_messages = moves.retry_messages;
-      e.fault_delay_s = moves.delay_s;
+      carry_retries(e);
       emit(e);
     }
   };
@@ -318,8 +326,10 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     i = ckpt_gate;
   };
 
-  // Full restart tier: the PR 2 path, now also priced as a kRecovery event
-  // (one full-state read, every node active through the reload).
+  // Full restart tier, priced as a kRecovery event (one full-state read,
+  // every node active through the reload) that also carries the retries
+  // still pending: those of the exchange or re-shard move whose failure
+  // led here.
   auto restart_tier = [&] {
     ++stats.restarts;
     stats.tiers_used.push_back(RecoveryTier::kRestart);
@@ -331,7 +341,9 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     roll_back();
     emit_recovery(RecoveryTier::kRestart,
                   (std::uint64_t{1} << sv.num_qubits()) * kBytesPerAmp, 1.0,
-                  lost);
+                  lost, {},
+                  inj != nullptr ? inj->take_gate_charges()
+                                 : FaultInjector::GateFaultCharges{});
     return true;
   };
 

@@ -77,14 +77,13 @@ double CostModel::charge_mpi(double t, double fraction) {
   return energy;
 }
 
-void CostModel::charge_faults(const ExecEvent& e, double numa_ratio) {
+void CostModel::charge_faults(const ExecEvent& e) {
   // Zero on fault-free runs. Retried traffic is priced exactly like the
   // movement it repeats, and straggler/backoff delay is idle time across
   // the whole job.
   if (e.retry_bytes > 0 || e.retry_messages > 0) {
-    charge_mpi(numa_ratio * machine_.exchange_time(
-                                static_cast<double>(e.retry_bytes),
-                                e.retry_messages, e.policy, job_.nodes),
+    charge_mpi(machine_.exchange_time(static_cast<double>(e.retry_bytes),
+                                      e.retry_messages, e.policy, job_.nodes),
                e.participating_fraction);
     acc_.retry_bytes += e.retry_bytes;
     acc_.retry_messages += static_cast<std::uint64_t>(e.retry_messages);
@@ -187,8 +186,9 @@ void CostModel::on_event(const ExecEvent& e) {
       acc_.recovery_energy_j += energy;
       acc_.recovery_net_bytes += e.recovery_bytes_per_rank;
     }
-    // A re-shard move that faulted was retried like an exchange round.
-    charge_faults(e, 1.0);
+    // A re-shard move that faulted was retried like an exchange round, and
+    // a restart carries the retries of the exchange it recovers.
+    charge_faults(e);
     return;
   }
   if (e.kind == ExecEvent::Kind::kWarning) {
@@ -262,10 +262,7 @@ void CostModel::on_event(const ExecEvent& e) {
   const double combine_comp_t = machine_.compute_time(
       static_cast<double>(e.local_amps) * c.flops_per_amp, job_.freq);
 
-  // Cross-domain exchanges run at the measured remote-bandwidth deficit
-  // (events carry 1.0 unless the threaded engine saw a pair span domains).
-  const double numa_ratio = std::max(1.0, e.numa_ratio);
-  double t_comm = numa_ratio * machine_.exchange_time(
+  double t_comm = machine_.exchange_time(
       static_cast<double>(e.bytes_per_rank), e.messages_per_rank, e.policy,
       job_.nodes);
 
@@ -285,7 +282,7 @@ void CostModel::on_event(const ExecEvent& e) {
     ++acc_.overlapped_exchanges;
   }
   charge_mpi(t_comm, e.participating_fraction);
-  charge_faults(e, numa_ratio);
+  charge_faults(e);
 
   charge_local(combine_mem_t, combine_comp_t, e.participating_fraction,
                /*stall_t=*/0);

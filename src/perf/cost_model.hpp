@@ -50,7 +50,7 @@ class CostModel final : public ExecListener {
   /// rest idling; returns the node energy.
   double charge_mpi(double t, double fraction);
   /// Prices an exchange's or a re-shard's retried traffic and fault delay.
-  void charge_faults(const ExecEvent& e, double numa_ratio);
+  void charge_faults(const ExecEvent& e);
   void sample(MachineModel::Phase phase, double duration, double node_watts);
 
   const MachineModel& machine_;

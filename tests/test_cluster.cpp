@@ -24,6 +24,17 @@ std::vector<std::byte> payload(std::initializer_list<int> vals) {
   return p;
 }
 
+/// A plan that corrupts rank 0's first `n` sends.
+FaultPlan corrupt_first_sends(int n) {
+  std::string text;
+  for (int m = 1; m <= n; ++m) {
+    text += "corrupt@";
+    text += std::to_string(m);
+    text += ',';
+  }
+  return parse_fault_plan(text);
+}
+
 TEST(Cluster, RequiresPowerOfTwoRanks) {
   EXPECT_NO_THROW(VirtualCluster(1, 1024));
   EXPECT_NO_THROW(VirtualCluster(64, 1024));
@@ -221,9 +232,7 @@ TEST(Cluster, InjectedCorruptionCanNeverPassTheChecksum) {
   // CRC-32 collision — impossible for the injector's single-bit flips.
   // A corrupted-but-checksum-clean delivery cannot be constructed through
   // the public API.
-  FaultPlan plan;
-  plan.corrupt_prob = 1.0;  // every message is corrupted in flight
-  FaultInjector inj(plan);
+  FaultInjector inj(corrupt_first_sends(32));  // every message below
   VirtualCluster c(2, 1024);
   c.set_fault_injector(&inj);
   for (int i = 0; i < 32; ++i) {
@@ -434,9 +443,7 @@ TEST(Cluster, RegrownStorageRoundTripsCleanAndCorrupted) {
 }
 
 TEST(Cluster, CorruptPayloadNeverReachesTheReceiversMemory) {
-  FaultPlan plan;
-  plan.corrupt_prob = 1.0;
-  FaultInjector inj(plan);
+  FaultInjector inj(corrupt_first_sends(3));  // every faulted send below
   VirtualCluster c(2, 1024);
   c.set_fault_injector(&inj);
   const std::vector<std::byte> sentinel(64, std::byte{0xA5});

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
@@ -30,14 +30,14 @@ TEST(Csv, EscapeQuotesCommasNewlines) {
 }
 
 TEST(Csv, WritesRows) {
-  const std::string path = testing::TempDir() + "/qsv_csv_test.csv";
+  const test::ScratchDir scratch("csv");
+  const std::string path = scratch.file("qsv_csv_test.csv");
   {
     CsvWriter w(path);
     w.row({"qubits", "runtime_s"});
     w.row({"44", "476"});
   }
   EXPECT_EQ(slurp(path), "qubits,runtime_s\n44,476\n");
-  std::remove(path.c_str());
 }
 
 TEST(Csv, ThrowsOnUnwritablePath) {

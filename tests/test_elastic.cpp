@@ -15,13 +15,10 @@
 #include "common/error.hpp"
 #include "dist/dist_statevector.hpp"
 #include "dist/events.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
-
-std::string tmp_dir(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 /// 20 single-kernel gates on 6 qubits / 4 ranks (local qubits 0..3).
 /// Gates 0..9 entangle everything including the distributed qubits 4 and 5;
@@ -180,7 +177,8 @@ TEST(Elastic, SubstituteRecoversBitIdenticalOnlyTheSpareReplays) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_substitute");
+  const test::ScratchDir scratch("elastic_substitute");
+  ck.dir = scratch.path();
   const IntegrityStats stats =
       run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, all_tiers());
 
@@ -206,7 +204,8 @@ TEST(Elastic, SubstituteEmitsOnePricedRecoveryEvent) {
   sv.set_listener(&rec);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_substitute_events");
+  const test::ScratchDir scratch("elastic_substitute_events");
+  ck.dir = scratch.path();
   (void)run_verified(sv, elastic_circuit(), ck, GuardOptions{},
                      RecoveryPolicy{}, all_tiers());
 
@@ -236,7 +235,8 @@ TEST(Elastic, ShrinkRecoversAtHalfWidthBitIdentical) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink");
+  const test::ScratchDir scratch("elastic_shrink");
+  ck.dir = scratch.path();
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;  // no spare: shrink is the cheapest feasible tier
   const IntegrityStats stats =
@@ -262,7 +262,8 @@ TEST(Elastic, ShrinkEmitsIoAndNetworkRecoveryEvents) {
   sv.set_listener(&rec);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink_events");
+  const test::ScratchDir scratch("elastic_shrink_events");
+  ck.dir = scratch.path();
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;
   (void)run_verified(sv, elastic_circuit(), ck, GuardOptions{},
@@ -302,7 +303,8 @@ void expect_shrink_survives(const char* faults, const DistOptions& opts,
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink_retry");
+  const test::ScratchDir scratch("elastic_shrink_retry");
+  ck.dir = scratch.path();
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;
   const IntegrityStats stats =
@@ -323,17 +325,16 @@ DistOptions rank_threads() {
   return o;
 }
 
-// Gates 0 and 6 send 8 messages, so the serial engine's message 9 is the
-// shrink's one move (pair (2, 3); the pair holding rank 1 merges locally).
-// The threaded injector counts per sender: rank 3 sent two messages before
-// gate 12, so its third send is that move.
+// Every rank sends one message in each of gates 0 and 6, so rank 3's third
+// send is the shrink's one move (pair (2, 3); the pair holding rank 1
+// merges locally), on either engine.
 TEST(Elastic, DroppedShrinkMoveIsRetried) {
-  expect_shrink_survives("fail@12:1, drop@9", DistOptions{}, 1);
+  expect_shrink_survives("fail@12:1, drop@3:3", DistOptions{}, 1);
   expect_shrink_survives("fail@12:1, drop@3:3", rank_threads(), 1);
 }
 
 TEST(Elastic, CorruptedShrinkMoveIsRetried) {
-  expect_shrink_survives("fail@12:1, corrupt@9", DistOptions{}, 1);
+  expect_shrink_survives("fail@12:1, corrupt@3:3", DistOptions{}, 1);
   expect_shrink_survives("fail@12:1, corrupt@3:3", rank_threads(), 1);
 }
 
@@ -344,13 +345,14 @@ TEST(Elastic, ExhaustedShrinkRetriesFallBackToRestart) {
   DistStateVector<SoaStorage> clean(6, 4);
   clean.apply(c);
 
-  FaultInjector inj(
-      parse_fault_plan("fail@12:1, drop@9, drop@10, drop@11, drop@12"));
+  FaultInjector inj(parse_fault_plan(
+      "fail@12:1, drop@3:3, drop@4:3, drop@5:3, drop@6:3"));
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink_exhausted");
+  const test::ScratchDir scratch("elastic_shrink_exhausted");
+  ck.dir = scratch.path();
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;
   const IntegrityStats stats =
@@ -380,7 +382,8 @@ TEST(Elastic, SecondFailureAfterShrinkShrinksAgain) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink_twice");
+  const test::ScratchDir scratch("elastic_shrink_twice");
+  ck.dir = scratch.path();
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;
   const IntegrityStats stats =
@@ -406,7 +409,8 @@ TEST(Elastic, DistributedReplayWindowFallsBackToRestart) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_dirty_window");
+  const test::ScratchDir scratch("elastic_dirty_window");
+  ck.dir = scratch.path();
   const IntegrityStats stats =
       run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, all_tiers());
 
@@ -426,7 +430,8 @@ TEST(Elastic, EverythingDisabledRethrowsTheNodeFailure) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_disabled");
+  const test::ScratchDir scratch("elastic_disabled");
+  ck.dir = scratch.path();
   ElasticOptions elastic;
   elastic.allow_substitute = false;
   elastic.allow_shrink = false;
@@ -446,7 +451,8 @@ TEST(Elastic, SpareIsConsumedSecondFailureUsesTheNextTier) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_spare_then_shrink");
+  const test::ScratchDir scratch("elastic_spare_then_shrink");
+  ck.dir = scratch.path();
   const IntegrityStats stats =
       run_verified(sv, c, ck, GuardOptions{}, RecoveryPolicy{}, all_tiers());
 
@@ -501,7 +507,8 @@ TEST(Elastic, GuardsStayOnAcrossAShrink) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("elastic_shrink_guards");
+  const test::ScratchDir scratch("elastic_shrink_guards");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 2;
   guards.slice_crc = true;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,13 +26,10 @@
 #include "machine/archer2.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/resilience_model.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
-
-std::string tmp_dir(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 /// The elastic reference workload (see test_elastic.cpp): distributed gates
 /// in [0, 10), a rank-local tail in [10, 20), so a failure at gate 12 is
@@ -416,7 +414,8 @@ TEST(GrowBackDriver, ReviveMidRunRestoresFullWidthBitIdentical) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_revive");
+  const test::ScratchDir scratch("growback_revive");
+  ck.dir = scratch.path();
   RecoveryPolicy policy;
   policy.health.enabled = true;
   const IntegrityStats stats =
@@ -448,7 +447,8 @@ TEST(GrowBackDriver, ThreadedEngineMatchesTheSerialDigest) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_threaded");
+  const test::ScratchDir scratch("growback_threaded");
+  ck.dir = scratch.path();
   const IntegrityStats stats = run_verified(sv, c, ck, GuardOptions{},
                                             RecoveryPolicy{},
                                             grow_back_tiers());
@@ -465,7 +465,8 @@ TEST(GrowBackDriver, NoReviveStaysShrunkAndCountsDegradedGates) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_degraded");
+  const test::ScratchDir scratch("growback_degraded");
+  ck.dir = scratch.path();
   const IntegrityStats stats = run_verified(sv, c, ck, GuardOptions{},
                                             RecoveryPolicy{},
                                             grow_back_tiers());
@@ -486,7 +487,8 @@ TEST(GrowBackDriver, EmitsAPricedNetworkEventAtFullParticipation) {
   sv.set_listener(&rec);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_events");
+  const test::ScratchDir scratch("growback_events");
+  ck.dir = scratch.path();
   (void)run_verified(sv, elastic_circuit(), ck, GuardOptions{},
                      RecoveryPolicy{}, grow_back_tiers());
 
@@ -524,7 +526,8 @@ TEST(GrowBackDriver, GuardCadenceStraddlesTheGrowBackBoundary) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_guards");
+  const test::ScratchDir scratch("growback_guards");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 2;
   guards.slice_crc = true;
@@ -552,7 +555,8 @@ TEST(GrowBackDriver, CheckpointAfterGrowBackKeepsRankSliceTiersArmed) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("growback_rearm");
+  const test::ScratchDir scratch("growback_rearm");
+  ck.dir = scratch.path();
   const IntegrityStats stats = run_verified(sv, c, ck, GuardOptions{},
                                             RecoveryPolicy{},
                                             grow_back_tiers());
@@ -566,10 +570,11 @@ TEST(GrowBackDriver, CheckpointAfterGrowBackKeepsRankSliceTiersArmed) {
 // --- pricing a re-shard's retried moves -------------------------------------
 
 TEST(ReshardPricing, RetriedMovesArePricedInBothDirections) {
-  // Gates 0 and 6 send 8 messages, so message 9 is the shrink's one move
-  // and message 10 the first move of the grow-back to 4 ranks.
+  // Every rank sends one message in each of gates 0 and 6, so rank 3's
+  // third send is the shrink's one move and rank 0's third the first move
+  // of the grow-back to 4 ranks.
   for (const char* faults :
-       {"fail@12:1, drop@9", "fail@12:1, revive@16, drop@10"}) {
+       {"fail@12:1, drop@3:3", "fail@12:1, revive@16, drop@3"}) {
     SCOPED_TRACE(faults);
     FaultInjector inj(parse_fault_plan(faults));
     DistStateVector<SoaStorage> sv(6, 4);
@@ -582,7 +587,8 @@ TEST(ReshardPricing, RetriedMovesArePricedInBothDirections) {
     sv.set_listener(&cost);
     CheckpointOptions ck;
     ck.interval_gates = 5;
-    ck.dir = tmp_dir("reshard_pricing");
+    const test::ScratchDir scratch("reshard_pricing");
+    ck.dir = scratch.path();
     const IntegrityStats stats = run_verified(
         sv, elastic_circuit(), ck, GuardOptions{}, RecoveryPolicy{},
         grow_back_tiers());
@@ -599,13 +605,9 @@ TEST(ReshardPricing, RetriedMovesArePricedInBothDirections) {
   }
 }
 
-TEST(ReshardPricing, ChargesPendingFromBeforeStayWithTheNextGate) {
-  // Gate 10's exchange loses all four attempts of its first round
-  // (messages 1, 3, 5, 7), so its three retries stay pending while the run
-  // restarts from the gate-10 checkpoint. Rank 1 then dies before the
-  // replayed gate 10, and the shrink runs with those charges pending: they
-  // must not land on the shrink's event but on the next exchange, gate 15's
-  // H on qubit 5.
+/// 20 gates on 6 qubits over 4 ranks whose only exchanges are gate 10's H
+/// on qubit 4 and gate 15's H on qubit 5.
+Circuit two_exchange_circuit() {
   Circuit c(6, "pending");
   for (int g = 0; g < 20; ++g) {
     if (g == 10) {
@@ -616,36 +618,99 @@ TEST(ReshardPricing, ChargesPendingFromBeforeStayWithTheNextGate) {
       c.add(make_ry(g % 4, 0.3 + 0.07 * g));
     }
   }
+  return c;
+}
+
+/// Retry bytes on the recorded exchange events and on the recovery events
+/// of each tier.
+struct RetryBytesByEvent {
+  std::uint64_t exchange = 0;
+  std::map<RecoveryTier, std::uint64_t> recovery;
+};
+
+RetryBytesByEvent retry_bytes_by_event(const RecordingListener& rec) {
+  RetryBytesByEvent by;
+  for (const ExecEvent& e : rec.events()) {
+    if (e.kind == ExecEvent::Kind::kRecovery) {
+      by.recovery[e.recovery_tier] += e.retry_bytes;
+    } else if (e.kind == ExecEvent::Kind::kExchange) {
+      by.exchange += e.retry_bytes;
+    }
+  }
+  return by;
+}
+
+TEST(ReshardPricing, RestartPricesTheRetriesOfTheExchangeItRecovers) {
+  // Gate 10's exchange loses all four attempts of its first round (rank
+  // 0's first four sends), so the run restarts from the gate-10
+  // checkpoint. Rank 1 then dies before the replayed gate 10 and the run
+  // shrinks. The three retries, 1,536 B, belong to the restart's event:
+  // not to the shrink's, and not to gate 15's exchange.
+  const Circuit c = two_exchange_circuit();
   DistStateVector<SoaStorage> clean(6, 4);
   clean.apply(c);
 
   FaultInjector inj(
-      parse_fault_plan("drop@1, drop@3, drop@5, drop@7, fail@11:1"));
+      parse_fault_plan("drop@1, drop@2, drop@3, drop@4, fail@11:1"));
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   RecordingListener rec;
   sv.set_listener(&rec);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("reshard_pending");
+  const test::ScratchDir scratch("reshard_restart");
+  ck.dir = scratch.path();
   const IntegrityStats stats = run_verified(
       sv, c, ck, GuardOptions{}, RecoveryPolicy{}, grow_back_tiers());
   EXPECT_EQ(stats.restarts, 1);
   EXPECT_EQ(stats.shrinks, 1);
   EXPECT_EQ(inj.totals().retries, 3u);
+  EXPECT_EQ(inj.totals().retry_bytes, 1536u);
   expect_global_identical(clean, sv);
 
-  std::uint64_t on_reshard = 0;
-  std::uint64_t on_exchange = 0;
-  for (const ExecEvent& e : rec.events()) {
-    if (e.kind == ExecEvent::Kind::kRecovery) {
-      on_reshard += e.retry_bytes;
-    } else if (e.kind == ExecEvent::Kind::kExchange) {
-      on_exchange += e.retry_bytes;
-    }
+  const RetryBytesByEvent by = retry_bytes_by_event(rec);
+  ASSERT_EQ(by.recovery.size(), 2u);
+  EXPECT_EQ(by.recovery.at(RecoveryTier::kRestart), 1536u);
+  EXPECT_EQ(by.recovery.at(RecoveryTier::kShrink), 0u);
+  EXPECT_EQ(by.exchange, 0u);
+}
+
+TEST(ReshardPricing, ChargesPendingFromBeforeStayWithTheNextGate) {
+  // Rank 1 dies at gate 3 and the run shrinks to 2 ranks. A first
+  // replacement arrives after gate 4, but the grow-back's first move (rank
+  // 0's first four sends) is lost four times, so the run stays at 2 ranks
+  // with that move's three retries pending. A second replacement arrives
+  // after gate 7 and its grow-back runs with them pending: they are set
+  // aside, stay off its event, and land on the next exchange, gate 10's.
+  const Circuit c = two_exchange_circuit();
+  DistStateVector<SoaStorage> clean(6, 4);
+  clean.apply(c);
+
+  FaultInjector inj(parse_fault_plan(
+      "fail@3:1, revive@6, revive@9, drop@1, drop@2, drop@3, drop@4"));
+  DistStateVector<SoaStorage> sv(6, 4);
+  sv.set_fault_injector(&inj);
+  RecordingListener rec;
+  sv.set_listener(&rec);
+  CheckpointOptions ck;
+  ck.interval_gates = 5;
+  const test::ScratchDir scratch("reshard_pending");
+  ck.dir = scratch.path();
+  const IntegrityStats stats = run_verified(
+      sv, c, ck, GuardOptions{}, RecoveryPolicy{}, grow_back_tiers());
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(stats.shrinks, 1);
+  EXPECT_EQ(stats.grow_backs, 1);
+  EXPECT_EQ(stats.final_ranks, 4);
+  EXPECT_EQ(inj.totals().retries, 3u);
+  EXPECT_EQ(inj.totals().retry_bytes, 3u * 16u * kBytesPerAmp);
+  expect_global_identical(clean, sv);
+
+  const RetryBytesByEvent by = retry_bytes_by_event(rec);
+  for (const auto& [tier, bytes] : by.recovery) {
+    EXPECT_EQ(bytes, 0u) << recovery_tier_name(tier);
   }
-  EXPECT_EQ(on_reshard, 0u);
-  EXPECT_EQ(on_exchange, inj.totals().retry_bytes);
+  EXPECT_EQ(by.exchange, inj.totals().retry_bytes);
 }
 
 // --- snapshot width tagging (satellite) ------------------------------------
@@ -657,7 +722,8 @@ TEST(SnapshotWidth, TagsRefuseAMismatchedRankSliceAdoption) {
   (void)sv.reshard(2, 1);
 
   // Checkpoint written at the shrunk 2-rank width...
-  const std::string path = tmp_dir("width_tag.qsv");
+  const test::ScratchDir scratch("width_tag");
+  const std::string path = scratch.file("width_tag.qsv");
   save_state(path, sv);
   EXPECT_EQ(snapshot_ranks(path), 2);
 

@@ -3,7 +3,6 @@
 // cost model, exactly as a downstream user would chain them.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "circuit/builders.hpp"
@@ -29,8 +28,9 @@ namespace qsv {
 namespace {
 
 TEST(Integration, SerializeTranspileRunSnapshotObserve) {
-  const std::string circ_path = testing::TempDir() + "/pipeline.qc";
-  const std::string snap_path = testing::TempDir() + "/pipeline.qsv";
+  const test::ScratchDir scratch("integration");
+  const std::string circ_path = scratch.file("pipeline.qc");
+  const std::string snap_path = scratch.file("pipeline.qsv");
 
   // 1. Author a circuit and write it to disk.
   QftOptions qopts;
@@ -64,9 +64,6 @@ TEST(Integration, SerializeTranspileRunSnapshotObserve) {
     EXPECT_NEAR(expectation(b, t), want, 1e-10) << term;
     EXPECT_NEAR(expectation(c, t), want, 1e-10) << term;
   }
-
-  std::remove(circ_path.c_str());
-  std::remove(snap_path.c_str());
 }
 
 TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {

@@ -9,6 +9,7 @@
 #include "common/units.hpp"
 #include "machine/archer2.hpp"
 #include "machine/job.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
@@ -74,7 +75,8 @@ TEST(MachineConfig, RenderRoundTripsEveryKey) {
 }
 
 TEST(MachineConfig, LoadFromFile) {
-  const std::string path = testing::TempDir() + "/qsv_machine.cfg";
+  const test::ScratchDir scratch("machine_config");
+  const std::string path = scratch.file("qsv_machine.cfg");
   {
     std::ofstream out(path);
     out << "standard.available = 100\n";

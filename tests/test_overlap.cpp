@@ -201,9 +201,9 @@ TEST(Overlap, RetryChargesPerPolicy) {
   // multi-chunk: H(5) ships 4 chunks of 64 B per direction, the half SWAP
   // 2 chunks of 64 B. One retry is charged per the docs/COMMS.md table:
   // 2 msgs / 2·chunk for blocking and overlapped (one chunk round or tag),
-  // 2·chunks / 2·slice for non-blocking (the whole exchange). The threaded
-  // engine counts ordinals per sender, so it gets the rank-qualified spec,
-  // and must charge exactly what the serial engine charges.
+  // 2·chunks / 2·slice for non-blocking (the whole exchange). The same spec
+  // corrupts the same message on both engines, and the threaded engine
+  // must charge exactly what the serial engine charges.
   struct Row {
     CommPolicy policy;
     bool half;
@@ -240,8 +240,7 @@ TEST(Overlap, RetryChargesPerPolicy) {
       clean.init_from(ref);
       clean.apply(c);
 
-      FaultInjector inj(
-          parse_fault_plan(threads != 0 ? "corrupt@2:1" : "corrupt@7"));
+      FaultInjector inj(parse_fault_plan("corrupt@2:1"));
       DistStateVectorSoa faulty(6, 4, o);
       faulty.init_from(ref);
       faulty.set_fault_injector(&inj);
@@ -294,8 +293,7 @@ TEST(Overlap, NonBlockingDropBeforeShortLastChunkRetries) {
     clean.init_from(ref);
     clean.apply(c);
 
-    FaultInjector inj(
-        parse_fault_plan(threads != 0 ? "drop@2:0" : "drop@3"));
+    FaultInjector inj(parse_fault_plan("drop@2"));
     DistStateVectorSoa faulty(6, 4, o);
     faulty.init_from(ref);
     faulty.set_fault_injector(&inj);

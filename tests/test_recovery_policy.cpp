@@ -9,13 +9,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
-
-std::string tmp_dir(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 Circuit bench_circuit(int gates = 30) {
   Rng rng(11);
@@ -37,7 +34,8 @@ TEST(RunVerified, FaultFreeRunMatchesPlainApply) {
   DistStateVector<SoaStorage> sv(6, 4);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("verified_faultfree");
+  const test::ScratchDir scratch("verified_faultfree");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 5;
   guards.slice_crc = true;
@@ -66,7 +64,8 @@ TEST(RunVerified, BitflipIsDetectedRolledBackAndReplayedBitIdentical) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("verified_bitflip");
+  const test::ScratchDir scratch("verified_bitflip");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 1;
   const IntegrityStats stats = run_verified(sv, c, ck, guards);
@@ -117,7 +116,8 @@ TEST(RunVerified, ExhaustedRollbackBudgetIsATypedAbort) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("verified_budget");
+  const test::ScratchDir scratch("verified_budget");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 1;
   try {
@@ -157,7 +157,8 @@ TEST(RunVerified, NodeFailureRestartsFromCheckpoint) {
   sv.set_fault_injector(&inj);
   CheckpointOptions ck;
   ck.interval_gates = 5;
-  ck.dir = tmp_dir("verified_restart");
+  const test::ScratchDir scratch("verified_restart");
+  ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 2;
   guards.slice_crc = true;  // restores verify against their signature

@@ -14,13 +14,10 @@
 #include "machine/job.hpp"
 #include "perf/resilience_model.hpp"
 #include "perf/runner.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
-
-std::string tmp_dir(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 TEST(Daly, MatchesYoungForCheapCheckpoints) {
   // delta << M: Daly reduces to Young's sqrt(2 d M).
@@ -57,7 +54,8 @@ TEST(Recovery, ReplayIsBitIdenticalToFaultFreeRun) {
   sv.set_fault_injector(&inj);
   CheckpointOptions opts;
   opts.interval_gates = 7;
-  opts.dir = tmp_dir("resilience_replay");
+  const test::ScratchDir scratch("resilience_replay");
+  opts.dir = scratch.path();
   const IntegrityStats stats = run_verified(sv, c, opts, GuardOptions{});
 
   EXPECT_TRUE(stats.completed);
@@ -96,7 +94,8 @@ TEST(Recovery, GivesUpAfterMaxRestarts) {
   const Circuit c = build_random(6, 30, rng);
   CheckpointOptions opts;
   opts.interval_gates = 5;
-  opts.dir = tmp_dir("resilience_giveup");
+  const test::ScratchDir scratch("resilience_giveup");
+  opts.dir = scratch.path();
   EXPECT_THROW(run_verified(sv, c, opts, GuardOptions{}), NodeFailure);
   EXPECT_EQ(inj.totals().node_failures,
             static_cast<std::uint64_t>(kMaxRestarts) + 1);
@@ -111,7 +110,8 @@ TEST(Recovery, FaultFreeRunNeedsNoRestarts) {
   DistStateVector<SoaStorage> sv(6, 4);
   CheckpointOptions opts;
   opts.interval_gates = 10;
-  opts.dir = tmp_dir("resilience_faultfree");
+  const test::ScratchDir scratch("resilience_faultfree");
+  opts.dir = scratch.path();
   const IntegrityStats stats = run_verified(sv, c, opts, GuardOptions{});
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.restarts, 0);

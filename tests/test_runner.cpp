@@ -9,6 +9,7 @@
 #include "cluster/faults.hpp"
 #include "common/error.hpp"
 #include "machine/archer2.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
@@ -122,7 +123,8 @@ TEST(RunCircuit, StateDigestIsTheQsvRunDigestAtEveryWidth) {
 TEST(RunCircuit, PlainAndVerifiedPathsLandOnOneDigest) {
   const Circuit c = six_qubit_circuit();
   DistStateVector<SoaStorage> plain(6, 4);
-  const RunOutcome a = run_circuit(plain, c);
+  const RunSpec defaults;
+  const RunOutcome a = run_circuit(plain, c, defaults);
   EXPECT_EQ(a.status, RunOutcome::Status::kOk);
   EXPECT_FALSE(a.verified);
   EXPECT_EQ(a.gates_done, c.size());
@@ -188,21 +190,22 @@ TEST(RunCircuit, StoppedRunHoldsThePrefixAndPricesIt) {
 TEST(RunCircuit, ShrinkThatNeverGrowsBackIsDegraded) {
   const Circuit c = six_qubit_circuit();
   DistStateVector<SoaStorage> clean(6, 4);
-  const RunOutcome ok = run_circuit(clean, c);
+  clean.apply(c);
 
   FaultInjector inj(parse_fault_plan("fail@12:1"));
   DistStateVector<SoaStorage> sv(6, 4);
   sv.set_fault_injector(&inj);
   RunSpec spec;
   spec.checkpoint.interval_gates = 5;
-  spec.checkpoint.dir = testing::TempDir() + "/run_circuit_shrink";
+  const test::ScratchDir scratch("run_circuit_shrink");
+  spec.checkpoint.dir = scratch.path();
   spec.elastic.allow_shrink = true;  // no spares: shrink is the only tier
   const RunOutcome out = run_circuit(sv, c, spec);
   EXPECT_EQ(out.status, RunOutcome::Status::kDegraded);
   EXPECT_TRUE(out.verified);
   EXPECT_EQ(out.integrity.shrinks, 1);
   EXPECT_EQ(out.integrity.final_ranks, 2);
-  EXPECT_EQ(out.digest, ok.digest);
+  EXPECT_EQ(out.digest, state_digest(clean));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 
 #include "circuit/builders.hpp"
 #include "common/error.hpp"
@@ -126,11 +125,11 @@ TEST(Serialize, RejectsMalformedInput) {
 }
 
 TEST(Serialize, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/qsv_roundtrip.qc";
+  const test::ScratchDir scratch("serialize");
+  const std::string path = scratch.file("qsv_roundtrip.qc");
   const Circuit c = build_ghz(4);
   save_circuit(path, c);
   expect_same_gates(load_circuit(path), c);
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, LoadMissingFileThrows) {

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "circuit/builders.hpp"
@@ -16,10 +15,6 @@
 
 namespace qsv {
 namespace {
-
-std::string tmp_path(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 /// CRC-32 of the state fed one double at a time in global amplitude order:
 /// the digest's definition, written without the block streamer.
@@ -45,7 +40,8 @@ std::uint32_t header_crc(const std::string& path) {
 }
 
 TEST(Snapshot, SingleEngineRoundTrip) {
-  const std::string path = tmp_path("snap_single.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_single.qsv");
   StateVector a(6);
   Rng rng(1);
   a.init_random_state(rng);
@@ -57,11 +53,11 @@ TEST(Snapshot, SingleEngineRoundTrip) {
   for (amp_index i = 0; i < a.num_amps(); ++i) {
     EXPECT_EQ(a.amplitude(i), b.amplitude(i));
   }
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, DistRoundTripAcrossRankCounts) {
-  const std::string path = tmp_path("snap_dist.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_dist.qsv");
   DistStateVector<SoaStorage> a(7, 4);
   a.apply(build_qft(7));
   save_state(path, a);
@@ -72,11 +68,11 @@ TEST(Snapshot, DistRoundTripAcrossRankCounts) {
   for (amp_index i = 0; i < (amp_index{1} << 7); ++i) {
     EXPECT_EQ(a.amplitude(i), b.amplitude(i));
   }
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, CheckpointResumeMatchesStraightRun) {
-  const std::string path = tmp_path("snap_resume.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_resume.qsv");
   Rng rng(3);
   const Circuit c = build_random(6, 80, rng);
 
@@ -98,28 +94,28 @@ TEST(Snapshot, CheckpointResumeMatchesStraightRun) {
   load_state(path, resumed);
   resumed.apply(second);
   EXPECT_LT(full.max_amp_diff(resumed), 1e-15);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, HeaderInspection) {
-  const std::string path = tmp_path("snap_header.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_header.qsv");
   StateVector sv(9);
   save_state(path, sv);
   EXPECT_EQ(snapshot_qubits(path), 9);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, RejectsWrongRegisterSize) {
-  const std::string path = tmp_path("snap_size.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_size.qsv");
   StateVector a(4);
   save_state(path, a);
   StateVector b(5);
   EXPECT_THROW(load_state(path, b), Error);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, RejectsGarbageAndTruncation) {
-  const std::string path = tmp_path("snap_bad.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_bad.qsv");
   {
     std::ofstream out(path, std::ios::binary);
     out << "definitely not a snapshot";
@@ -145,7 +141,6 @@ TEST(Snapshot, RejectsGarbageAndTruncation) {
   }
   StateVector sv5(5);
   EXPECT_THROW(load_state(path, sv5), Error);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, MissingFileThrows) {
@@ -155,7 +150,8 @@ TEST(Snapshot, MissingFileThrows) {
 }
 
 TEST(Snapshot, FlippedPayloadByteFailsCrc) {
-  const std::string path = tmp_path("snap_crc.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_crc.qsv");
   StateVector a(5);
   Rng rng(4);
   a.init_random_state(rng);
@@ -179,11 +175,11 @@ TEST(Snapshot, FlippedPayloadByteFailsCrc) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, WrongMagicRejected) {
-  const std::string path = tmp_path("snap_magic.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_magic.qsv");
   StateVector a(4);
   save_state(path, a);
   // A foreign magic, and the retired pre-CRC v1 magic.
@@ -202,11 +198,11 @@ TEST(Snapshot, WrongMagicRejected) {
           << magic;
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, UnsupportedVersionRejected) {
-  const std::string path = tmp_path("snap_version.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_version.qsv");
   StateVector a(4);
   save_state(path, a);
   {
@@ -217,11 +213,11 @@ TEST(Snapshot, UnsupportedVersionRejected) {
   }
   StateVector b(4);
   EXPECT_THROW(load_state(path, b), Error);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, AtomicRenameLeavesNoTempAndSurvivesStaleTemp) {
-  const std::string path = tmp_path("snap_atomic.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_atomic.qsv");
   const std::string tmp = path + ".tmp";
 
   // Simulate an interrupted earlier write: a stale, garbage .tmp file.
@@ -241,11 +237,11 @@ TEST(Snapshot, AtomicRenameLeavesNoTempAndSurvivesStaleTemp) {
   for (amp_index i = 0; i < a.num_amps(); ++i) {
     EXPECT_EQ(a.amplitude(i), b.amplitude(i));
   }
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointStore, KeepsTheLastNAndPrunesTheRest) {
-  const std::string dir = tmp_path("ckpt_rotation");
+  const test::ScratchDir scratch("ckpt_rotation");
+  const std::string dir = scratch.path();
   CheckpointStore store(dir, 2);
   StateVector sv(3);
   Rng rng(4);
@@ -272,8 +268,8 @@ TEST(CheckpointStore, RemovesStaleTempsAndAdoptsCommittedFiles) {
   // the rename never happened) next to its committed checkpoints. A new
   // incarnation must clean the former and resume the rotation on the
   // latter.
-  const std::string dir = tmp_path("ckpt_adoption");
-  std::filesystem::create_directories(dir);
+  const test::ScratchDir scratch("ckpt_adoption");
+  const std::string dir = scratch.path();
   StateVector sv(3);
   Rng rng(5);
   sv.init_random_state(rng);
@@ -305,14 +301,16 @@ TEST(CheckpointStore, RemovesStaleTempsAndAdoptsCommittedFiles) {
 }
 
 TEST(CheckpointStore, RejectsZeroRetention) {
-  EXPECT_THROW(CheckpointStore(tmp_path("ckpt_zero"), 0), Error);
+  const test::ScratchDir scratch("ckpt_zero");
+  EXPECT_THROW(CheckpointStore(scratch.path(), 0), Error);
 }
 
 TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {
   // Spare-node substitution reads only the dead rank's contiguous span of
   // the global snapshot: the restored slice is bit-exact and no other
   // rank's amplitudes are touched.
-  const std::string path = tmp_path("snap_rank_slice.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_rank_slice.qsv");
   DistStateVector<SoaStorage> a(6, 4);
   a.apply(build_qft(6));
   save_state(path, a);
@@ -337,7 +335,6 @@ TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {
   for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
     EXPECT_EQ(b.amplitude(i), a.amplitude(i));
   }
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
@@ -346,7 +343,8 @@ TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
   // a re-shard. 14 qubits span several 4096-amplitude blocks per slice at
   // one rank and a fraction of one at eight; every restore path must read
   // the file back to the same state.
-  const std::string path = tmp_path("snap_digest.qsv");
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_digest.qsv");
   Rng rng(14);
   const Circuit c = build_rcs(14, 5, rng);
   auto check = [&](const DistStateVector<SoaStorage>& sv) {
@@ -382,7 +380,6 @@ TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
   (void)shrunk.reshard(4, 3);
   ASSERT_EQ(shrunk.num_ranks(), 4);
   EXPECT_EQ(check(shrunk), first);
-  std::remove(path.c_str());
 }
 
 }  // namespace

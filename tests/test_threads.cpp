@@ -1,15 +1,19 @@
 // Ranks-as-threads engine: topology planning, the rank runtime, the
-// concurrent mailboxes, and — the standing contract — bitwise identity
-// between the serial and threaded engines over QFT, faults and recovery.
+// concurrent mailboxes, and — the standing contract — one engine model:
+// the serial and threaded engines reach bitwise-identical states and record
+// the same events, faults and recoveries over QFT, faults and every tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "circuit/builders.hpp"
+#include "circuit/gate.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/faults.hpp"
 #include "cluster/rank_team.hpp"
@@ -18,8 +22,9 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
-#include "machine/archer2.hpp"
-#include "perf/cost_model.hpp"
+#include "dist/recovery_policy.hpp"
+#include "dist/trace.hpp"
+#include "perf/runner.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -44,6 +49,21 @@ HostTopology synthetic_topology(int domains, int cpus_per_domain) {
   return t;
 }
 
+/// The domain (index into topo.domains) of each rank's first CPU: where a
+/// pinned rank first-touches its slice.
+std::vector<int> domains_of(const PlacementPlan& p, const HostTopology& t) {
+  std::vector<int> out;
+  for (const std::vector<int>& set : p.cpus_of_rank) {
+    for (std::size_t d = 0; d < t.domains.size(); ++d) {
+      const std::vector<int>& cpus = t.domains[d].cpus;
+      if (std::find(cpus.begin(), cpus.end(), set.front()) != cpus.end()) {
+        out.push_back(static_cast<int>(d));
+      }
+    }
+  }
+  return out;
+}
+
 TEST(Topology, ParseCpulist) {
   EXPECT_EQ(parse_cpulist("0-3,8,10-11"),
             (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
@@ -62,7 +82,7 @@ TEST(Topology, CompactFillsDomainsInOrder) {
   // Domain 0 has room for all four ranks, so nobody spills to domain 1:
   // exchange pairs stay on one LLC, which is the point of compact.
   const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact, 1);
-  EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0, 0, 0}));
+  EXPECT_EQ(domains_of(p, t), (std::vector<int>{0, 0, 0, 0}));
   EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {2}, {3}}));
 }
 
@@ -71,13 +91,13 @@ TEST(Topology, CompactKeepsExchangePairsLocalWhenRoomAllows) {
   // 2-domain host in *different* domains, making every exchange remote.
   const HostTopology t = synthetic_topology(2, 4);
   const PlacementPlan p = plan_placement(t, 2, PlacementPolicy::kCompact, 1);
-  EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0}));
+  EXPECT_EQ(domains_of(p, t), (std::vector<int>{0, 0}));
 }
 
 TEST(Topology, CompactSpillsOnlyWhenADomainIsFull) {
   const HostTopology t = synthetic_topology(2, 4);
   const PlacementPlan p = plan_placement(t, 6, PlacementPolicy::kCompact, 1);
-  EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 0, 0, 0, 1, 1}));
+  EXPECT_EQ(domains_of(p, t), (std::vector<int>{0, 0, 0, 0, 1, 1}));
   EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {2}, {3}, {4}, {5}}));
 }
 
@@ -85,23 +105,21 @@ TEST(Topology, CompactWrapsWhenRanksOutnumberCpus) {
   const HostTopology t = synthetic_topology(2, 1);
   const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kCompact, 1);
   // Oversubscription wraps back to domain 0 for a stable assignment.
-  EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 1, 0, 1}));
+  EXPECT_EQ(domains_of(p, t), (std::vector<int>{0, 1, 0, 1}));
   EXPECT_EQ(p.cpus_of_rank, (CpuSets{{0}, {1}, {0}, {1}}));
 }
 
 TEST(Topology, ScatterRoundRobinsDomains) {
   const HostTopology t = synthetic_topology(2, 4);
   const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kScatter, 1);
-  EXPECT_EQ(p.domain_of_rank, (std::vector<int>{0, 1, 0, 1}));
+  EXPECT_EQ(domains_of(p, t), (std::vector<int>{0, 1, 0, 1}));
 }
 
-TEST(Topology, NonePlansDomainsButNoPinning) {
+TEST(Topology, NonePinsNoRank) {
   const HostTopology t = synthetic_topology(2, 4);
   const PlacementPlan p = plan_placement(t, 4, PlacementPolicy::kNone, 1);
-  // Domains are still assigned (exchange pricing needs them), but no rank
-  // is pinned to a CPU.
+  EXPECT_EQ(p.policy, PlacementPolicy::kNone);
   EXPECT_TRUE(p.cpus_of_rank.empty());
-  EXPECT_EQ(p.domain_of_rank.size(), 4u);
 }
 
 TEST(Topology, PolicyNamesRoundTrip) {
@@ -118,7 +136,7 @@ TEST(Topology, RanksOwnDisjointCpuSetsAndKeepTheirDomains) {
     int domains;
     int ranks;
     PlacementPolicy policy;
-    std::vector<int> domain_of_rank;  // the one-CPU-per-rank map
+    std::vector<int> rank_domains;  // the one-CPU-per-rank map
   };
   const std::vector<Case> cases = {
       {1, 1, PlacementPolicy::kCompact, {0}},
@@ -148,8 +166,8 @@ TEST(Topology, RanksOwnDisjointCpuSetsAndKeepTheirDomains) {
     SCOPED_TRACE(std::to_string(c.domains) + "x4, " +
                  std::to_string(c.ranks) + " ranks, " +
                  placement_policy_name(c.policy));
-    EXPECT_EQ(p.domain_of_rank, c.domain_of_rank);
-    EXPECT_EQ(one.domain_of_rank, c.domain_of_rank);
+    EXPECT_EQ(domains_of(p, t), c.rank_domains);
+    EXPECT_EQ(domains_of(one, t), c.rank_domains);
     ASSERT_EQ(p.cpus_of_rank.size(), static_cast<std::size_t>(c.ranks));
     std::vector<int> owner(static_cast<std::size_t>(t.total_cpus), -1);
     for (int r = 0; r < c.ranks; ++r) {
@@ -184,12 +202,6 @@ TEST(Topology, RanksOwnDisjointCpuSetsAndKeepTheirDomains) {
                            PlacementPolicy::kCompact, 2)
                 .cpus_of_rank,
             (CpuSets{{0}, {1}, {2}, {3}}));
-}
-
-TEST(Topology, BandwidthRatioAtLeastOne) {
-  EXPECT_GE(measure_numa_bandwidth_ratio(discover_host_topology(),
-                                         /*probe_bytes=*/1 << 16),
-            1.0);
 }
 
 // --- the rank runtime ---
@@ -360,7 +372,7 @@ TEST(RankTeam, PairArriveTimesOutWithoutPeer) {
 
 TEST(Cluster, ConcurrentRecvBlocksUntilSend) {
   VirtualCluster c(2, 1024, /*recv_deadline_s=*/5.0);
-  c.enable_concurrent(/*capacity_messages=*/4);
+  c.enable_concurrent();
   std::vector<std::byte> got(3);
   std::thread receiver([&] { c.recv(0, 1, got); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -368,37 +380,6 @@ TEST(Cluster, ConcurrentRecvBlocksUntilSend) {
   c.send(0, 1, sent);
   receiver.join();
   EXPECT_EQ(got, sent);
-  EXPECT_TRUE(c.quiescent());
-}
-
-TEST(Cluster, ConcurrentSendBackpressureTimesOut) {
-  VirtualCluster c(2, 1024, /*recv_deadline_s=*/0.05);
-  c.enable_concurrent(/*capacity_messages=*/1);
-  const std::vector<std::byte> m{std::byte{1}};
-  c.send(0, 1, m);
-  // Mailbox full and nobody receiving: the watchdog bounds the wait.
-  EXPECT_THROW(c.send(0, 1, m), CommTimeout);
-}
-
-TEST(Cluster, ConcurrentSendBackpressureSurvivesQueueErase) {
-  // The regression: a blocked sender used to hold a reference into the
-  // queue map across its wait; the receiver draining the mailbox to empty
-  // erases that map node, and the woken sender then pushed into a
-  // destroyed deque. Capacity 1 makes the erase-while-waiting interleaving
-  // deterministic.
-  VirtualCluster c(2, 1024, /*recv_deadline_s=*/5.0);
-  c.enable_concurrent(/*capacity_messages=*/1);
-  const std::vector<std::byte> first{std::byte{1}};
-  const std::vector<std::byte> second{std::byte{2}};
-  c.send(0, 1, first);  // fills the mailbox
-  std::thread sender([&] { c.send(0, 1, second); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::vector<std::byte> got(1);
-  c.recv(0, 1, got);  // drains to empty: the queue node is erased
-  EXPECT_EQ(got, first);
-  sender.join();
-  c.recv(0, 1, got);
-  EXPECT_EQ(got, second);
   EXPECT_TRUE(c.quiescent());
 }
 
@@ -435,7 +416,6 @@ TEST(ThreadedEngine, SummaryReportsRuntime) {
   EXPECT_EQ(ts.threads, 4);
   EXPECT_EQ(ts.placement, PlacementPolicy::kCompact);
   EXPECT_GE(ts.domains, 1);
-  EXPECT_GE(ts.numa_ratio, 1.0);
   EXPECT_FALSE(DistStateVectorSoa(8, 4).thread_summary().enabled);
 }
 
@@ -492,11 +472,9 @@ TEST(ThreadedEngine, HalfExchangeSwapMatchesSerial) {
 }
 
 TEST(ThreadedEngine, RetriedFaultsAreTransparentAndDeterministic) {
-  // Per-sender ordinals deliberately re-index messages (`drop@5:1` means
-  // rank 1's 5th send, not the 5th global message), so fired-fault *counts*
-  // are not comparable across scopes. What is contractual: the final state
-  // matches the serial engine bitwise (retries are value-transparent), and
-  // repeated threaded runs fire identical faults and charges.
+  // Retries are value-transparent: the final state matches the serial
+  // engine bitwise. A spec names a sender's own message, so every run of
+  // either engine fires the same faults and charges the same retries.
   const Circuit c = build_qft(8);
   DistOptions base;
   base.max_message_bytes = 256;
@@ -504,37 +482,29 @@ TEST(ThreadedEngine, RetriedFaultsAreTransparentAndDeterministic) {
   FaultInjector fi_serial(parse_fault_plan("drop@5:1,corrupt@9:2"));
   serial.set_fault_injector(&fi_serial);
   serial.apply(c);
-  EXPECT_GE(fi_serial.totals().retries, 1u);
+  EXPECT_EQ(fi_serial.totals().dropped, 1u);
+  EXPECT_EQ(fi_serial.totals().corrupted, 1u);
+  EXPECT_EQ(fi_serial.totals().retries, 2u);
 
-  FaultInjector::Totals first{};
   for (int run = 0; run < 2; ++run) {
     DistStateVectorSoa threaded(c.num_qubits(), 4, threaded_opts(4, base));
     FaultInjector fi(parse_fault_plan("drop@5:1,corrupt@9:2"));
     threaded.set_fault_injector(&fi);
-    EXPECT_EQ(fi.scope(), FaultInjector::OrdinalScope::kPerSender);
     threaded.apply(c);
     expect_states_identical(serial, threaded);
-    EXPECT_EQ(fi.totals().dropped, 1u);
-    EXPECT_EQ(fi.totals().corrupted, 1u);
-    EXPECT_EQ(fi.totals().retries, 2u);
-    if (run == 0) {
-      first = fi.totals();
-    } else {
-      EXPECT_EQ(first.retry_bytes, fi.totals().retry_bytes);
-      EXPECT_EQ(first.delay_s, fi.totals().delay_s);
-    }
+    EXPECT_EQ(fi.totals(), fi_serial.totals());
   }
 }
 
 TEST(ThreadedEngine, ExhaustedRetriesEscalateSymmetrically) {
   DistStateVectorSoa sv(6, 4, threaded_opts(4));
-  // Drop every message: no pair can ever complete an exchange.
-  FaultPlan always_drop;
-  always_drop.drop_prob = 1.0;
-  FaultInjector fi(std::move(always_drop));
+  // Rank 0's first send and all three re-sends are lost: its pair can
+  // never complete the exchange, and both of its ranks give up together.
+  FaultInjector fi(parse_fault_plan("drop@1, drop@2, drop@3, drop@4"));
   sv.set_fault_injector(&fi);
   const Circuit c = build_qft(6);
   EXPECT_THROW(sv.apply(c), NodeFailure);
+  EXPECT_EQ(fi.totals().retries, static_cast<std::uint64_t>(kMaxRetries));
 }
 
 TEST(ThreadedEngine, ShrinkUnderLiveThreadsMatchesSerial) {
@@ -575,29 +545,209 @@ TEST(ThreadedEngine, MeasurementStaysOnOrchestratorAndMatches) {
   EXPECT_EQ(serial.norm_sq(), threaded.norm_sq());
 }
 
-// --- NUMA ratio pricing ---
+// --- one engine model: rank threads change the clock, nothing else ---
 
-TEST(CostModel, NumaRatioScalesExchangeTime) {
-  const MachineModel m = archer2();
-  JobConfig job;
-  job.num_qubits = 24;
-  job.nodes = 4;
-  ExecEvent e;
-  e.kind = ExecEvent::Kind::kExchange;
-  e.gate = GateKind::kX;
-  e.local_amps = amp_index{1} << 22;
-  e.bytes_per_rank = std::uint64_t{1} << 26;
-  e.messages_per_rank = 1;
+/// The 6-qubit probe of tools/check_determinism.sh. At 4 ranks gates 0 and
+/// 6 exchange and gates 10-19 are rank-local, so a failure at gate 12 is
+/// recoverable by every tier from the gate-10 checkpoint.
+Circuit determinism_probe() {
+  Circuit c(6, "determinism_probe");
+  c.add(make_h(4));
+  c.add(make_h(0));
+  c.add(make_cx(0, 1));
+  c.add(make_rz(1, 0.37));
+  c.add(make_h(2));
+  c.add(make_cx(2, 3));
+  c.add(make_h(5));
+  c.add(make_rx(3, 0.81));
+  c.add(make_cz(0, 2));
+  c.add(make_ry(1, 1.13));
+  c.add(make_rz(0, 0.29));
+  c.add(make_cx(1, 2));
+  c.add(make_rz(1, 0.4));
+  c.add(make_cx(2, 3));
+  c.add(make_rz(2, 0.51));
+  c.add(make_cx(3, 0));
+  c.add(make_rz(3, 0.62));
+  c.add(make_cx(0, 1));
+  c.add(make_rz(0, 0.73));
+  c.add(make_cx(1, 2));
+  return c;
+}
 
-  CostModel base(m, job);
-  base.on_event(e);
-  CostModel remote(m, job);
-  e.numa_ratio = 2.0;
-  remote.on_event(e);
-  // Only the exchange term scales, so the delta equals one extra t_comm.
-  EXPECT_GT(remote.report().phases.mpi_s, base.report().phases.mpi_s);
-  EXPECT_DOUBLE_EQ(remote.report().phases.mpi_s,
-                   2.0 * base.report().phases.mpi_s);
+struct EngineCase {
+  int ranks;
+  CommPolicy policy;
+  std::size_t cap;
+  std::string faults;
+  ElasticOptions elastic;
+  /// Message faults (drops, corruptions, delays) the spec fires.
+  std::uint64_t message_faults;
+};
+
+/// What one run records, apart from its wall time.
+struct EngineRecord {
+  std::vector<ExecEvent> events;
+  FaultInjector::Totals totals;
+  /// Sorted: rank threads log their faults in the scheduler's order.
+  std::vector<FaultEvent> faults;
+  CommStats comm;
+  IntegrityStats integrity;
+  std::string digest;
+};
+
+/// Runs `c` as qsv run does: on the verified path with checkpoints, the
+/// health monitor and the case's tiers when faults are planned, on the
+/// plain path otherwise.
+EngineRecord run_on_engine(const Circuit& c, const EngineCase& k,
+                           bool threaded) {
+  DistOptions opts;
+  opts.policy = k.policy;
+  opts.max_message_bytes = k.cap;
+  opts.threading.threads = threaded ? k.ranks : 0;
+  DistStateVectorSoa sv(c.num_qubits(), k.ranks, opts);
+  RecordingListener rec;
+  sv.set_listener(&rec);
+  const test::ScratchDir scratch("engine_model");
+  std::optional<FaultInjector> inj;
+  RunSpec spec;
+  if (!k.faults.empty()) {
+    inj.emplace(parse_fault_plan(k.faults));
+    sv.set_fault_injector(&*inj);
+    spec.checkpoint.interval_gates = 5;
+    spec.checkpoint.dir = scratch.path();
+    spec.recovery.health.enabled = true;
+    spec.elastic = k.elastic;
+  }
+  const RunOutcome out = run_circuit(sv, c, spec);
+
+  EngineRecord r;
+  r.events = rec.events();
+  r.comm = sv.comm_stats();
+  r.integrity = out.integrity;
+  r.digest = out.digest;
+  if (inj) {
+    r.totals = inj->totals();
+    r.faults = inj->log();
+    std::sort(r.faults.begin(), r.faults.end(),
+              [](const FaultEvent& a, const FaultEvent& b) {
+                return std::tie(a.gate, a.kind, a.rank, a.peer, a.message) <
+                       std::tie(b.gate, b.kind, b.rank, b.peer, b.message);
+              });
+  }
+  return r;
+}
+
+void expect_one_record(const EngineRecord& serial,
+                       const EngineRecord& threaded) {
+  ASSERT_EQ(serial.events.size(), threaded.events.size());
+  for (std::size_t i = 0; i < serial.events.size(); ++i) {
+    EXPECT_TRUE(serial.events[i] == threaded.events[i]) << "event " << i;
+  }
+  EXPECT_TRUE(serial.totals == threaded.totals);
+  EXPECT_TRUE(serial.faults == threaded.faults);
+  // What the senders put on the wire. Receive-side counters differ by how
+  // far each side of a failed round got before the round was retried.
+  EXPECT_EQ(serial.comm.messages, threaded.comm.messages);
+  EXPECT_EQ(serial.comm.bytes, threaded.comm.bytes);
+  const IntegrityStats& a = serial.integrity;
+  const IntegrityStats& b = threaded.integrity;
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.substitutions, b.substitutions);
+  EXPECT_EQ(a.shrinks, b.shrinks);
+  EXPECT_EQ(a.grow_backs, b.grow_backs);
+  EXPECT_EQ(a.final_ranks, b.final_ranks);
+  EXPECT_EQ(a.tiers_used, b.tiers_used);
+  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_EQ(a.gates_replayed, b.gates_replayed);
+  EXPECT_TRUE(a.health == b.health);
+  EXPECT_EQ(serial.digest, threaded.digest);
+}
+
+TEST(EngineModel, RankThreadsChangeTheClockAndNothingElse) {
+  const Circuit c = determinism_probe();
+  const std::size_t kDefaultCap = DistOptions{}.max_message_bytes;
+  ElasticOptions spare;
+  spare.spares = 1;
+  ElasticOptions shrink;
+  shrink.allow_shrink = true;
+  ElasticOptions grow = shrink;
+  grow.allow_grow_back = true;
+
+  std::vector<EngineCase> cases;
+  for (const int ranks : {2, 4, 8}) {
+    for (const CommPolicy policy :
+         {CommPolicy::kBlocking, CommPolicy::kNonBlocking,
+          CommPolicy::kOverlapped}) {
+      for (const std::size_t cap : {kDefaultCap, std::size_t{64}}) {
+        // Ranks 0 and 1 take part in the first exchange at every width.
+        cases.push_back({ranks, policy, cap, "", {}, 0});
+        cases.push_back({ranks, policy, cap, "corrupt@1:1", {}, 1});
+        cases.push_back({ranks, policy, cap, "delay@1:0.05", {}, 1});
+      }
+    }
+  }
+  // A threaded receiver waits out the watchdog on each drop, so few drops.
+  // Every rank sends two messages at 4 ranks and the default cap, so no
+  // engine drops a third.
+  cases.push_back({4, CommPolicy::kBlocking, kDefaultCap, "drop@3", {}, 0});
+  cases.push_back({4, CommPolicy::kBlocking, kDefaultCap, "drop@2:1", {}, 1});
+  cases.push_back({2, CommPolicy::kNonBlocking, 64, "drop@5", {}, 1});
+  cases.push_back({8, CommPolicy::kOverlapped, 64, "drop@1:1", {}, 1});
+  cases.push_back({4, CommPolicy::kOverlapped, 64,
+                   "corrupt@3:2, delay@5:0.2, corrupt@6", {}, 3});
+  // Every recovery tier. Each rank sends one message in each of gates 0 and
+  // 6, so rank 3's third send is the shrink's move, rank 0's third the
+  // grow-back's first.
+  cases.push_back({4, CommPolicy::kBlocking, kDefaultCap, "fail@12:1", {}, 0});
+  cases.push_back(
+      {4, CommPolicy::kNonBlocking, kDefaultCap, "fail@12:1", spare, 0});
+  cases.push_back({4, CommPolicy::kOverlapped, kDefaultCap,
+                   "fail@12:1, corrupt@3:3", shrink, 1});
+  cases.push_back(
+      {4, CommPolicy::kBlocking, kDefaultCap, "fail@12:1, drop@3:3", shrink,
+       1});
+  cases.push_back({4, CommPolicy::kBlocking, kDefaultCap,
+                   "fail@12:1, revive@16, corrupt@3", grow, 1});
+  // Exhausted retries restart: on the first exchange, while the other pair
+  // completes its own, and on the shrink's move.
+  cases.push_back({4, CommPolicy::kNonBlocking, kDefaultCap,
+                   "corrupt@1:1, corrupt@2:1, corrupt@3:1, corrupt@4:1", {},
+                   4});
+  cases.push_back(
+      {4, CommPolicy::kBlocking, kDefaultCap,
+       "fail@12:1, corrupt@3:3, corrupt@4:3, corrupt@5:3, corrupt@6:3",
+       shrink, 4});
+  cases.push_back(
+      {2, CommPolicy::kOverlapped, 64, "fail@12:1, revive@16", grow, 0});
+  cases.push_back({8, CommPolicy::kNonBlocking, 64, "fail@12:1", spare, 0});
+
+  std::string clean_digest;
+  for (const EngineCase& k : cases) {
+    SCOPED_TRACE(std::to_string(k.ranks) + " ranks, " +
+                 comm_policy_name(k.policy) + ", cap " +
+                 std::to_string(k.cap) + ", faults '" + k.faults + "'");
+    const EngineRecord serial = run_on_engine(c, k, false);
+    const EngineRecord threaded = run_on_engine(c, k, true);
+    expect_one_record(serial, threaded);
+    EXPECT_EQ(serial.totals.dropped + serial.totals.corrupted +
+                  serial.totals.straggled,
+              k.message_faults);
+    if (clean_digest.empty()) {
+      clean_digest = serial.digest;
+    }
+    EXPECT_EQ(serial.digest, clean_digest);
+    if (k.faults.empty()) {
+      DistOptions opts;
+      opts.policy = k.policy;
+      opts.max_message_bytes = k.cap;
+      TraceSim sim(c.num_qubits(), k.ranks, opts);
+      RecordingListener traced;
+      sim.set_listener(&traced);
+      sim.apply(c);
+      EXPECT_TRUE(traced.events() == threaded.events);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -27,6 +31,41 @@ class LoopWidthGuard {
 
  private:
   int saved_;
+};
+
+/// A fresh directory for one test, removed with everything in it when the
+/// object goes out of scope. Every directory lives under one root per
+/// process (qsv-test-<pid> in gtest's temp dir), so suites built twice and
+/// run side by side never share one, and the root goes with the last
+/// directory in it.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name) {
+    static int made = 0;
+    path_ = (root() / (std::to_string(made++) + "-" + name)).string();
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::remove(root(), ec);  // fails while others remain
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+  /// A path for file `name` inside the directory.
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  static std::filesystem::path root() {
+    return std::filesystem::path(testing::TempDir()) /
+           ("qsv-test-" + std::to_string(::getpid()));
+  }
+
+  std::string path_;
 };
 
 /// Applies a circuit to a dense vector via full matrices (brute force).

@@ -7,7 +7,7 @@
 # even seeds; a spare on every fourth), so the soak is replayable: the same
 # seed always runs the same schedule.
 #
-# Three contracts are enforced, and any violation exits nonzero:
+# Four contracts are enforced, and any violation exits nonzero:
 #   1. Digest identity — every recovered run, whatever tier it took, must
 #      land on the clean run's exact state crc32.
 #   2. Elastic width — seeds that schedule a revive (and have no spare)
@@ -16,6 +16,8 @@
 #   3. Tier-energy ordering — the machine-derived per-failure energies
 #      printed by --machine must rank strictly
 #      substitute < shrink < grow-back < restart.
+#   4. One engine model — a threaded seed's traffic, fault, health and
+#      recovery lines must equal the same seed's serial run's.
 #
 # A per-seed digest table is written to $CHAOS_OUT (default
 # chaos_soak_digests.txt) so CI can upload it as an artifact and diff soaks
@@ -65,9 +67,10 @@ rz 0 0.73
 cx 1 2
 EOF
 
-# Seed -> fault schedule. Message-ordinal specs are rank-qualified (rank 1's
-# 2nd send) so the same schedule is deterministic under both the serial and
-# the ranks-as-threads engines, whose injectors count per sender.
+# Seed -> fault schedule. A message spec names the Mth message one rank
+# sends (rank 1's 2nd; rank 0's when no rank is named, as in delay@M:S), on
+# either engine, so a schedule fires the same faults serially and on rank
+# threads.
 schedule() {
   local seed=$1 fail_gate fail_rank plan
   fail_gate=$((11 + seed % 7))
@@ -127,6 +130,16 @@ soak() {
   printf '%-4s | %-4s | %-50s | %-8s | %-8s | %s\n' \
     "$seed" "$engine" "$plan" "${crc:-none}" "$rc" "$verdict" >>"$out"
 
+  grep -E 'messages|faults:|health:|recovery:' "$tmp/run" \
+    >"$tmp/sum_${engine}_${seed}"
+  if [ "$engine" = thr ] &&
+     ! diff -u "$tmp/sum_ser_${seed}" "$tmp/sum_thr_${seed}" >"$tmp/diff"; then
+    echo "FAIL seed $seed: the threaded run recorded what the serial run" \
+         "did not:" >&2
+    cat "$tmp/diff" >&2
+    status=1
+  fi
+
   # The machine-priced tier energies ride along on every run; assert the
   # strict substitute < shrink < grow-back < restart ordering once per run.
   if ! grep '^tier energies:' "$tmp/run" | \
@@ -143,7 +156,8 @@ for seed in $(seq 1 16); do
   soak "$seed" ser
 done
 # Threaded subset: the even seeds at seed % 4 == 2 carry a revive, so this
-# covers mid-run grow-back under the ranks-as-threads engine too.
+# covers mid-run grow-back under the ranks-as-threads engine too, and each
+# must record what its serial run recorded.
 for seed in 2 6 10 14; do
   soak "$seed" thr --threads auto --placement compact
 done

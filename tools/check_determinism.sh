@@ -4,6 +4,9 @@
 # recovery tier. The virtual cluster is single-process and the fault plan is
 # a deterministic latch list, so any divergence here is a real bug
 # (uninitialised state, iteration-order dependence, a stray RNG), not noise.
+# Every case on the 6-qubit probe also runs on rank threads, which must
+# record what the serial engine records, and every message fault a case
+# names must fire.
 #
 #   tools/check_determinism.sh [path-to-qsv-binary]
 #
@@ -54,6 +57,28 @@ summarise() {
   grep -E "state crc32|messages|faults:|health:|recovery:|shrink-to-survive|grow-back:|degraded:" "$1"
 }
 
+# A message fault a case names must fire whenever the run exchanges: the
+# `faults:` line counts it under its kind.
+fired() {
+  local name=$1 out=$2 spec='' kind
+  shift 2
+  while [ $# -gt 0 ]; do
+    [ "$1" = --faults ] && spec=${2:-}
+    shift
+  done
+  grep -q '; 0 messages' "$out" && return
+  for kind in drop:dropped corrupt:corrupted delay:straggled; do
+    case $spec in
+      *"${kind%%:*}@"*)
+        grep -qE "^faults: .* [1-9][0-9]* ${kind#*:}" "$out" || {
+          echo "FAIL $name: '$spec' fired no ${kind%%:*}:" >&2
+          grep '^faults:' "$out" >&2
+          status=1; }
+        ;;
+    esac
+  done
+}
+
 # Exit 0 (success) and exit 3 (degraded completion: valid digest at reduced
 # width) are both in-contract here; anything else fails the run.
 check() {
@@ -76,71 +101,65 @@ check() {
   else
     echo "ok   $name: $(grep -o 'state crc32: [0-9a-f]*' "$tmp/sum1")"
   fi
+  fired "$name" "$tmp/run1" "$@"
+}
+
+# One case on both engines, each checked twice: rank threads change the
+# wall time and nothing else, so the threaded run's digest, traffic, fault,
+# health and recovery lines must equal the serial run's.
+threaded=(--threads auto --placement compact)
+engines() {
+  local name=$1 lines='state crc32|messages|faults:|health:|recovery:'
+  shift
+  check "$name" "$@"
+  grep -E "$lines" "$tmp/run1" >"$tmp/serial"
+  check "thr: $name" "$@" "${threaded[@]}"
+  grep -E "$lines" "$tmp/run1" >"$tmp/thr"
+  if ! diff -u "$tmp/serial" "$tmp/thr" >"$tmp/diff"; then
+    echo "FAIL $name: the engines recorded different runs:" >&2
+    cat "$tmp/diff" >&2
+    status=1
+  fi
 }
 
 common=(--faults fail@12:1 --checkpoint-interval 5)
 
-check "clean            " "$qsv" run "$tmp/c.qc"
-check "retry (drop)     " "$qsv" run "$tmp/c.qc" --faults drop@3
-check "tier: substitute " "$qsv" run "$tmp/c.qc" "${common[@]}" \
-      --checkpoint-dir "$tmp/ck_sub" --spares 1
-check "tier: shrink     " "$qsv" run "$tmp/c.qc" "${common[@]}" \
-      --checkpoint-dir "$tmp/ck_shrink"
-# Message 9 is the shrink's one move (gates 0 and 6 send 8): the dropped
-# move is retried and the run still finishes at half width.
-check "tier: shrink, re-shard drop" "$qsv" run "$tmp/c.qc" \
-      --faults fail@12:1,drop@9 --checkpoint-interval 5 \
-      --checkpoint-dir "$tmp/ck_rdrop"
-check "tier: grow-back  " "$qsv" run "$tmp/c.qc" \
-      --faults fail@12:1,revive@16 --checkpoint-interval 5 \
-      --checkpoint-dir "$tmp/ck_grow"
-check "tier: restart    " "$qsv" run "$tmp/c.qc" "${common[@]}" \
-      --checkpoint-dir "$tmp/ck_restart" --recovery restart
-
-# Threaded duplicates: the ranks-as-threads engine must be just as
-# reproducible. Message-ordinal specs are rank-qualified (drop@3:1 = rank
-# 1's 3rd send) because the threaded injector counts per sender — a global
-# ordinal would depend on thread interleaving.
-threaded=(--threads auto --placement compact)
-check "thr: clean       " "$qsv" run "$tmp/c.qc" "${threaded[@]}"
-check "thr: retry (drop)" "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      --faults drop@3:1
-check "thr: substitute  " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_tsub" --spares 1
-check "thr: shrink      " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_tshrink"
-# Each rank sends two messages before gate 12, so rank 3's third send is
-# its shrink move.
-check "thr: shrink, re-shard drop" "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      --faults fail@12:1,drop@3:3 --checkpoint-interval 5 \
-      --checkpoint-dir "$tmp/ck_trdrop"
-check "thr: grow-back   " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      --faults fail@12:1,revive@16 --checkpoint-interval 5 \
-      --checkpoint-dir "$tmp/ck_tgrow"
-check "thr: restart     " "$qsv" run "$tmp/c.qc" "${threaded[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_trestart" --recovery restart
+# Message specs count the sender's own messages: every rank sends one in
+# each of gates 0 and 6, so rank 1's second is gate 6's, and rank 3's third
+# is the shrink's one move (the dropped move is retried and the run still
+# finishes at half width).
+engines "clean            " "$qsv" run "$tmp/c.qc"
+engines "retry (drop)     " "$qsv" run "$tmp/c.qc" --faults drop@2:1
+engines "tier: substitute " "$qsv" run "$tmp/c.qc" "${common[@]}" \
+        --checkpoint-dir "$tmp/ck_sub" --spares 1
+engines "tier: shrink     " "$qsv" run "$tmp/c.qc" "${common[@]}" \
+        --checkpoint-dir "$tmp/ck_shrink"
+engines "tier: shrink, re-shard drop" "$qsv" run "$tmp/c.qc" \
+        --faults fail@12:1,drop@3:3 --checkpoint-interval 5 \
+        --checkpoint-dir "$tmp/ck_rdrop"
+engines "tier: grow-back  " "$qsv" run "$tmp/c.qc" \
+        --faults fail@12:1,revive@16 --checkpoint-interval 5 \
+        --checkpoint-dir "$tmp/ck_grow"
+engines "tier: restart    " "$qsv" run "$tmp/c.qc" "${common[@]}" \
+        --checkpoint-dir "$tmp/ck_restart" --recovery restart
 
 # Overlapped exchange pipeline: a 64 B message cap splits each 256 B slice
 # exchange into 4 tagged chunks, so the combine really chases the arrival
 # frontier. The pipeline must be just as reproducible through every
 # recovery tier, and a chunk-granular retry must replay identical charges.
 overlapped=(--policy overlapped --max-message 64)
-check "ovl: clean       " "$qsv" run "$tmp/c.qc" "${overlapped[@]}"
-check "ovl: retry (drop)" "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      --faults drop@3
-check "ovl: substitute  " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_osub" --spares 1
-check "ovl: shrink      " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_oshrink"
-check "ovl: grow-back   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      --faults fail@12:1,revive@16 --checkpoint-interval 5 \
-      --checkpoint-dir "$tmp/ck_ogrow"
-check "ovl: restart     " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      "${common[@]}" --checkpoint-dir "$tmp/ck_orestart" --recovery restart
-check "ovl thr: clean   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      "${threaded[@]}"
-check "ovl thr: retry   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
-      "${threaded[@]}" --faults drop@3:1
+engines "ovl: clean       " "$qsv" run "$tmp/c.qc" "${overlapped[@]}"
+engines "ovl: retry (drop)" "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
+        --faults drop@3
+engines "ovl: substitute  " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
+        "${common[@]}" --checkpoint-dir "$tmp/ck_osub" --spares 1
+engines "ovl: shrink      " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
+        "${common[@]}" --checkpoint-dir "$tmp/ck_oshrink"
+engines "ovl: grow-back   " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
+        --faults fail@12:1,revive@16 --checkpoint-interval 5 \
+        --checkpoint-dir "$tmp/ck_ogrow"
+engines "ovl: restart     " "$qsv" run "$tmp/c.qc" "${overlapped[@]}" \
+        "${common[@]}" --checkpoint-dir "$tmp/ck_orestart" --recovery restart
 
 # Messages at or above the loop team's cutoff (kParallelMinAmps, 2^16
 # amplitudes): a generated 19-qubit probe on 4 serial ranks exchanges 2 MiB
@@ -164,7 +183,7 @@ wide_crc=$("$qsv" run "$tmp/wide.qc" --ranks 4 2>&1 \
 for policy in blocking overlapped; do
   cap=()
   [ "$policy" = overlapped ] && cap=(--max-message 1048592)
-  for faults in clean drop@3 corrupt@5; do
+  for faults in clean drop@3 corrupt@4; do
     fault_args=()
     [ "$faults" = clean ] || fault_args=(--faults "$faults")
     for width in 1 3; do
@@ -184,8 +203,8 @@ done
 # Every placement on the same probe: rank threads (--threads auto) at 1,
 # 2, 4 and 8 ranks own as many CPUs as their loop width under compact and
 # scatter, and poll between regions under none while the team fits the
-# CPUs (8 ranks on fewer CPUs block at once). Clean and with a dropped
-# message, every case must land on the serial engine's digest.
+# CPUs (8 ranks on fewer CPUs block at once). Clean and with rank 0's third
+# send dropped, every case must land on the serial engine's digest.
 for ranks in 1 2 4 8; do
   for placement in compact scatter none; do
     for faults in clean drop@3; do
@@ -204,29 +223,15 @@ for ranks in 1 2 4 8; do
   done
 done
 
-# Serial/threaded digest identity: the clean threaded run must land on the
-# serial clean digest bit-for-bit (all floating-point reductions stay on
-# the orchestrating thread).
-serial_crc=$("$qsv" run "$tmp/c.qc" 2>&1 | grep -o 'state crc32: [0-9a-f]*')
-thr_crc=$("$qsv" run "$tmp/c.qc" "${threaded[@]}" 2>&1 \
-          | grep -o 'state crc32: [0-9a-f]*')
-if [ "$thr_crc" != "$serial_crc" ]; then
-  echo "FAIL serial/threaded identity: '$thr_crc' != '$serial_crc'" >&2
-  status=1
-else
-  echo "ok   serial/threaded identity: $serial_crc"
-fi
-
 # Overlapped digest identity: the chunk pipeline applies regions strictly in
-# order with the serial kernels, so serial, overlapped and threaded-
-# overlapped runs must all land on the same bits.
+# order with the serial kernels, so blocking and overlapped runs must land
+# on the same bits (engines() already holds each to its threaded twin).
+serial_crc=$("$qsv" run "$tmp/c.qc" 2>&1 | grep -o 'state crc32: [0-9a-f]*')
 ovl_crc=$("$qsv" run "$tmp/c.qc" "${overlapped[@]}" 2>&1 \
           | grep -o 'state crc32: [0-9a-f]*')
-ovl_thr_crc=$("$qsv" run "$tmp/c.qc" "${overlapped[@]}" "${threaded[@]}" \
-              2>&1 | grep -o 'state crc32: [0-9a-f]*')
-if [ "$ovl_crc" != "$serial_crc" ] || [ "$ovl_thr_crc" != "$serial_crc" ]; then
+if [ "$ovl_crc" != "$serial_crc" ]; then
   echo "FAIL overlapped identity: serial '$serial_crc'," \
-       "overlapped '$ovl_crc', threaded overlapped '$ovl_thr_crc'" >&2
+       "overlapped '$ovl_crc'" >&2
   status=1
 else
   echo "ok   overlapped identity: $serial_crc"
@@ -241,7 +246,7 @@ for tier in sub shrink reshard_drop growback restart; do
   case $tier in
     sub)          args=(--spares 1) ;;
     shrink)       args=() ;;
-    reshard_drop) args=(--faults fail@12:1,drop@9) ;;
+    reshard_drop) args=(--faults fail@12:1,drop@3:3) ;;
     growback)     args=(--faults fail@12:1,revive@16) ;;
     restart)      args=(--recovery restart) ;;
   esac

@@ -227,12 +227,11 @@ int cmd_run(int argc, const char* const* argv) {
     plan.specs.insert(plan.specs.end(), sampled.specs.begin(),
                       sampled.specs.end());
   }
-  // Every rank a spec names must exist. Message faults and revivals take
-  // -1 for "any rank"; node failures and bit flips always name one.
+  // Every rank a spec names must exist. A revival takes -1 for "any rank";
+  // every other spec names one (rank 0 when the text names none).
   for (const FaultSpec& s : plan.specs) {
-    const bool names_one = s.kind == FaultKind::kNodeFailure ||
-                           s.kind == FaultKind::kBitFlip;
-    require_arg(s.rank < ranks && s.rank >= (names_one ? 0 : -1),
+    const bool any_rank_ok = s.kind == FaultKind::kRevive;
+    require_arg(s.rank < ranks && s.rank >= (any_rank_ok ? -1 : 0),
                 "fault spec names rank " + std::to_string(s.rank) +
                     " of a " + std::to_string(ranks) + "-rank run");
   }
@@ -344,9 +343,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::cout << "threads: " << ts.threads << " rank threads, placement "
                 << placement_policy_name(ts.placement) << ", " << ts.pinned
                 << "/" << ts.threads << " pinned, " << ts.domains
-                << " NUMA domain(s) over " << ts.cpus
-                << " CPU(s), remote-bw ratio " << fmt::fixed(ts.numa_ratio, 2)
-                << "\n";
+                << " NUMA domain(s) over " << ts.cpus << " CPU(s)\n";
     } else {
       std::cout << "threads: off (serial engine)\n";
     }
