@@ -97,6 +97,15 @@ Token parse_token(const std::string& raw) {
   return t;
 }
 
+/// The values of a per-rank delay map, added in ascending rank order.
+double sum_by_rank(const std::map<rank_t, double>& by_rank) {
+  double sum = 0;
+  for (const auto& rank_delay : by_rank) {
+    sum += rank_delay.second;
+  }
+  return sum;
+}
+
 }  // namespace
 
 FaultPlan parse_fault_plan(const std::string& text) {
@@ -247,8 +256,8 @@ FaultInjector::MessageOutcome FaultInjector::on_message(
         e.delay_s = out.delay_s;
         ++totals_.straggled;
         if (!out.past_deadline) {
-          totals_.delay_s += out.delay_s;
-          gate_charges_.delay_s += out.delay_s;
+          delay_s_[from] += out.delay_s;
+          pending_delay_s_[from] += out.delay_s;
         }
         break;
       case Verdict::kDeliver:
@@ -308,21 +317,23 @@ std::vector<FaultInjector::BitFlipSpec> FaultInjector::bitflips_at_gate(
   return out;
 }
 
-void FaultInjector::record_retry(std::uint64_t bytes, int messages,
-                                 double backoff_s) {
+void FaultInjector::record_retry(rank_t rank, std::uint64_t bytes,
+                                 int messages, double backoff_s) {
   std::lock_guard<std::mutex> lk(m_);
   ++totals_.retries;
   totals_.retry_bytes += bytes;
-  totals_.delay_s += backoff_s;
+  delay_s_[rank] += backoff_s;
   gate_charges_.retry_bytes += bytes;
   gate_charges_.retry_messages += messages;
-  gate_charges_.delay_s += backoff_s;
+  pending_delay_s_[rank] += backoff_s;
 }
 
 FaultInjector::GateFaultCharges FaultInjector::take_gate_charges() {
   std::lock_guard<std::mutex> lk(m_);
-  const GateFaultCharges out = gate_charges_;
+  GateFaultCharges out = gate_charges_;
+  out.delay_s = sum_by_rank(pending_delay_s_);
   gate_charges_ = GateFaultCharges{};
+  pending_delay_s_.clear();
   return out;
 }
 
@@ -330,7 +341,14 @@ void FaultInjector::put_back_gate_charges(const GateFaultCharges& charges) {
   std::lock_guard<std::mutex> lk(m_);
   gate_charges_.retry_bytes += charges.retry_bytes;
   gate_charges_.retry_messages += charges.retry_messages;
-  gate_charges_.delay_s += charges.delay_s;
+  pending_delay_s_[kPutBack] += charges.delay_s;
+}
+
+FaultInjector::Totals FaultInjector::totals() const {
+  std::lock_guard<std::mutex> lk(m_);
+  Totals out = totals_;
+  out.delay_s = sum_by_rank(delay_s_);
+  return out;
 }
 
 void FaultInjector::restart() {

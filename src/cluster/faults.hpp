@@ -212,12 +212,17 @@ class FaultInjector {
     return current_gate_;
   }
 
-  /// Records an engine-level retry (for the per-gate accounting the cost
-  /// model charges as extra traffic + backoff idle time).
-  void record_retry(std::uint64_t bytes, int messages, double backoff_s);
+  /// Records an engine-level retry of the pair whose lower rank is `rank`
+  /// (for the per-gate accounting the cost model charges as extra traffic
+  /// + backoff idle time).
+  void record_retry(rank_t rank, std::uint64_t bytes, int messages,
+                    double backoff_s);
 
   /// Per-gate accounting, drained by the engine when it emits the gate's
-  /// execution event.
+  /// execution event. Delays are kept per charged rank (a straggler's
+  /// sender, a retry's lower rank) and summed in ascending rank order: each
+  /// rank's charges arrive in its program order on both engines, so the
+  /// sum does not depend on how rank threads interleave.
   struct GateFaultCharges {
     std::uint64_t retry_bytes = 0;
     int retry_messages = 0;
@@ -226,7 +231,8 @@ class FaultInjector {
   [[nodiscard]] GateFaultCharges take_gate_charges();
 
   /// Adds charges drained by take_gate_charges back to the pending ones (a
-  /// re-shard sets aside what was pending before its moves).
+  /// re-shard sets aside what was pending before its moves). Their delay
+  /// sums first, as one term.
   void put_back_gate_charges(const GateFaultCharges& charges);
 
   /// A restart replaces dead nodes with fresh ones: clears the dead set.
@@ -254,7 +260,8 @@ class FaultInjector {
   /// Every fault that fired, in firing order.
   [[nodiscard]] const std::vector<FaultEvent>& log() const { return log_; }
 
-  /// Totals over the whole run (including across restarts).
+  /// Totals over the whole run (including across restarts). `delay_s`
+  /// sums each rank's delays, in ascending rank order.
   struct Totals {
     std::uint64_t dropped = 0;
     std::uint64_t corrupted = 0;
@@ -268,7 +275,7 @@ class FaultInjector {
 
     bool operator==(const Totals&) const = default;
   };
-  [[nodiscard]] const Totals& totals() const { return totals_; }
+  [[nodiscard]] Totals totals() const;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
@@ -279,8 +286,14 @@ class FaultInjector {
   Rng bitflip_rng_;
   std::map<rank_t, std::uint64_t> sent_;  // messages each sender has sent
   std::uint64_t current_gate_ = 0;
+  /// Pending retry traffic; pending delays are in pending_delay_s_.
   GateFaultCharges gate_charges_;
-  Totals totals_;
+  /// Delays by charged rank: pending for the next gate, and over the run.
+  /// Put-back charges sit under kPutBack, which sorts first.
+  static constexpr rank_t kPutBack = -1;
+  std::map<rank_t, double> pending_delay_s_;
+  std::map<rank_t, double> delay_s_;
+  Totals totals_;  // delay_s unused: totals() sums delay_s_
   std::vector<FaultEvent> log_;
   mutable std::mutex m_;
 };

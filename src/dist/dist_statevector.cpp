@@ -263,9 +263,10 @@ void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
       return;
     }
     // One caller per pair clears the failed unit's messages and records the
-    // single retry charge: the orchestrator, or the lower rank of a
-    // synchronised pair. Purging one tag leaves the exchange's other chunks
-    // in flight; the second rendezvous keeps any re-send from racing it.
+    // single retry charge, against the pair's lower rank: the orchestrator,
+    // or the lower rank of a synchronised pair. Purging one tag leaves the
+    // exchange's other chunks in flight; the second rendezvous keeps any
+    // re-send from racing it.
     if (pair_sync == nullptr || r < peer) {
       if (tag == VirtualCluster::kAnyTag) {
         cluster_.purge_pair(r, peer);
@@ -274,7 +275,7 @@ void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int tag,
       }
       if (a + 1 < attempts) {
         injector_->record_retry(
-            bytes, messages,
+            pair_id, bytes, messages,
             kRetryBackoffS * static_cast<double>(1 << a) +
                 (out.any_timed ? kRecvDeadlineS : 0.0));
       }

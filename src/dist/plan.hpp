@@ -102,8 +102,8 @@ void for_each_planned(const Gate& g, int num_qubits, int local_qubits,
 }
 
 /// The event both engines emit for one planned leaf gate: kLocalGate, or
-/// kExchange carrying the plan's traffic. The functional engine adds its
-/// NUMA ratio and fault charges.
+/// kExchange carrying the plan's traffic. The functional engine adds the
+/// gate's fault charges.
 [[nodiscard]] ExecEvent gate_event(GateKind gate, const OpPlan& plan,
                                    int local_qubits, const DistOptions& opts);
 

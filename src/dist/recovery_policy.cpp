@@ -1,8 +1,10 @@
 #include "dist/recovery_policy.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <optional>
 #include <sstream>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -11,7 +13,8 @@
 
 namespace qsv {
 
-TierDecision choose_tier(const ElasticOptions& opts, const TierContext& ctx) {
+std::optional<RecoveryTier> choose_tier(const ElasticOptions& opts,
+                                        const TierContext& ctx) {
   struct Candidate {
     RecoveryTier tier;
     double energy_j;
@@ -19,27 +22,13 @@ TierDecision choose_tier(const ElasticOptions& opts, const TierContext& ctx) {
   // Built in the static cheapest-first order, so when no energies are
   // supplied the front of the list is the pick.
   std::vector<Candidate> feasible;
-  std::string why_not;
-  auto reject = [&](const char* tier, const std::string& why) {
-    if (!why_not.empty()) {
-      why_not += "; ";
-    }
-    why_not += std::string(tier) + ": " + why;
-  };
 
-  if (!opts.allow_substitute) {
-    reject("substitute", "disabled");
-  } else if (ctx.spares_left <= 0) {
-    reject("substitute", "no spare node left");
-  } else if (!ctx.checkpoint_exists) {
-    reject("substitute", "no checkpoint to rebuild from");
-  } else if (!ctx.checkpoint_geometry_matches) {
-    reject("substitute", "checkpoint predates a re-shard (geometry mismatch)");
-  } else if (!ctx.clean_boundary) {
-    reject("substitute", "failure not at a clean gate boundary");
-  } else if (!ctx.window_replayable) {
-    reject("substitute", "replay window contains distributed gates");
-  } else {
+  // The rank-slice tiers rebuild one rank from the checkpoint and replay
+  // the window on it alone.
+  const bool slice_rebuild_ok = ctx.checkpoint_exists &&
+                                ctx.checkpoint_geometry_matches &&
+                                ctx.clean_boundary && ctx.window_replayable;
+  if (opts.allow_substitute && ctx.spares_left > 0 && slice_rebuild_ok) {
     feasible.push_back({RecoveryTier::kSubstitute, opts.substitute_energy_j});
   }
 
@@ -48,58 +37,22 @@ TierDecision choose_tier(const ElasticOptions& opts, const TierContext& ctx) {
   // exclusive candidates for one failure. Grow-back — shrink now, re-expand
   // when the expected replacement arrives — supersedes plain shrink
   // whenever it is enabled and an arrival is expected.
-  auto reshard_infeasible = [&]() -> std::string {
-    if (ctx.num_ranks < 2) {
-      return "already down to one rank";
-    }
-    if (!ctx.checkpoint_exists) {
-      return "no checkpoint to rebuild from";
-    }
-    if (!ctx.checkpoint_geometry_matches) {
-      return "checkpoint predates a re-shard (geometry mismatch)";
-    }
-    if (!ctx.clean_boundary) {
-      return "failure not at a clean gate boundary";
-    }
-    if (!ctx.window_replayable) {
-      return "replay window contains distributed gates";
-    }
-    return "";
-  };
-  const std::string reshard_why = reshard_infeasible();
-  const bool grow_back_ok = opts.allow_grow_back &&
-                            ctx.replacement_expected && reshard_why.empty();
-
-  if (!opts.allow_shrink) {
-    reject("shrink", "disabled");
-  } else if (!reshard_why.empty()) {
-    reject("shrink", reshard_why);
-  } else if (grow_back_ok) {
-    reject("shrink", "superseded by grow-back (a replacement is expected)");
-  } else {
+  const bool reshard_ok = ctx.num_ranks >= 2 && slice_rebuild_ok;
+  const bool grow_back_ok =
+      opts.allow_grow_back && ctx.replacement_expected && reshard_ok;
+  if (opts.allow_shrink && reshard_ok && !grow_back_ok) {
     feasible.push_back({RecoveryTier::kShrink, opts.shrink_energy_j});
   }
-
-  if (!opts.allow_grow_back) {
-    reject("grow-back", "disabled");
-  } else if (!ctx.replacement_expected) {
-    reject("grow-back", "no replacement arrival expected");
-  } else if (!reshard_why.empty()) {
-    reject("grow-back", reshard_why);
-  } else {
+  if (grow_back_ok) {
     feasible.push_back({RecoveryTier::kGrowBack, opts.grow_back_energy_j});
   }
 
-  if (!opts.allow_restart) {
-    reject("restart", "disabled");
-  } else if (!ctx.checkpoint_exists) {
-    reject("restart", "no checkpoint to restart from");
-  } else {
+  if (opts.allow_restart && ctx.checkpoint_exists) {
     feasible.push_back({RecoveryTier::kRestart, opts.restart_energy_j});
   }
 
   if (feasible.empty()) {
-    return {false, RecoveryTier::kRestart, "no feasible tier: " + why_not};
+    return std::nullopt;
   }
 
   // Energy-informed choice only when every feasible tier is priced;
@@ -116,22 +69,7 @@ TierDecision choose_tier(const ElasticOptions& opts, const TierContext& ctx) {
       }
     }
   }
-
-  std::ostringstream reason;
-  reason << recovery_tier_name(pick.tier);
-  if (all_priced) {
-    reason << " is cheapest by expected energy (" << pick.energy_j << " J of";
-    for (const Candidate& cand : feasible) {
-      reason << ' ' << recovery_tier_name(cand.tier) << '=' << cand.energy_j;
-    }
-    reason << ')';
-  } else {
-    reason << " is first in the static cheapest-first order";
-  }
-  if (!why_not.empty()) {
-    reason << "; infeasible: " << why_not;
-  }
-  return {true, pick.tier, reason.str()};
+  return pick.tier;
 }
 
 ElasticOptions parse_recovery_tiers(const std::string& text) {
@@ -256,36 +194,52 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     emit(w);
   };
 
+  // One checkpoint file per run: each commit replaces it through
+  // save_state's temp file and atomic rename, every restore reads it, and
+  // the run removes it and any temp file when it returns or throws. Files
+  // an earlier process left under these names are removed first; nothing
+  // reads them.
+  struct CheckpointFile {
+    CheckpointFile() = default;
+    CheckpointFile(const CheckpointFile&) = delete;
+    CheckpointFile& operator=(const CheckpointFile&) = delete;
+    ~CheckpointFile() { remove(); }
+    void remove() const {
+      if (!path.empty()) {
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+        std::filesystem::remove(path + ".tmp", ec);
+      }
+    }
+    std::string path;
+  } ckpt_file;
   bool checkpointing = ck.interval_gates > 0;
-  std::optional<CheckpointStore> store;
   if (checkpointing) {
+    const std::string dir = ck.dir.empty() ? std::string(".") : ck.dir;
     try {
-      store.emplace(ck.dir.empty() ? std::string(".") : ck.dir, ck.keep_last);
+      std::filesystem::create_directories(dir);
+      ckpt_file.path = dir + "/checkpoint.qsv";
+      ckpt_file.remove();
     } catch (const std::exception& e) {
-      // Unwritable/uncreatable directory: no store at all, so no rollback
-      // target either — recovery semantics degrade to checkpointing-off.
+      // Uncreatable directory: no rollback target either — recovery
+      // semantics degrade to checkpointing-off.
       checkpointing = false;
       warn_ckpt_failure(e.what());
     }
   }
-  auto drop_ckpt = [&] {
-    if (checkpointing) {
-      store->clear();
-    }
-  };
   int ckpt_ranks = sv.num_ranks();  // rank width the checkpoint was taken at
   bool have_ckpt = false;  // at least one snapshot committed successfully
-  auto save_ckpt = [&](std::size_t gates) -> bool {
+  auto save_ckpt = [&]() -> bool {
     if (!ckpt_writable) {
       return false;
     }
     try {
-      save_state(store->path_for(gates), sv);
+      save_state(ckpt_file.path, sv);
     } catch (const Error& e) {
+      // save_state left the last commit, if any, as it was.
       warn_ckpt_failure(e.what());
       return false;
     }
-    store->committed(gates);
     have_ckpt = true;
     ckpt_ranks = sv.num_ranks();
     ++stats.checkpoints_written;
@@ -299,8 +253,23 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   if (checkpointing) {
     // Initial checkpoint: a failure before the first interval boundary
     // still has a rollback target.
-    save_ckpt(0);
+    save_ckpt();
   }
+
+  // Runs `load`, a read of the checkpoint into rank `rank`'s slice (-1: the
+  // whole register). A read that fails verification leaves nothing to
+  // recover from: reading the same bytes again cannot do better.
+  auto read_ckpt = [&](rank_t rank, const auto& load) {
+    try {
+      load();
+    } catch (const Error& e) {
+      throw IntegrityAbort(
+          "integrity abort: the checkpoint of gate " +
+              std::to_string(ckpt_gate) + " failed verification (rank " +
+              std::to_string(rank) + "): " + e.what(),
+          rank, ckpt_gate, e.what());
+    }
+  };
 
   // Rolls back to the last verified checkpoint after a detection. A restore
   // that fails its own signature check is unsalvageable: reloading the same
@@ -311,11 +280,10 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     if (inj != nullptr) {
       inj->restart();
     }
-    load_state(store->path_for(ckpt_gate), sv);
+    read_ckpt(-1, [&] { load_state(ckpt_file.path, sv); });
     try {
       guard.verify_restore(ckpt_gate == 0 ? 0 : ckpt_gate - 1);
     } catch (const GuardViolation& v) {
-      drop_ckpt();
       throw IntegrityAbort(
           "integrity abort: rollback target is itself corrupt (rank " +
               std::to_string(v.rank()) + ", gate " + std::to_string(v.gate()) +
@@ -334,7 +302,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     ++stats.restarts;
     stats.tiers_used.push_back(RecoveryTier::kRestart);
     if (stats.restarts > kMaxRestarts) {
-      drop_ckpt();
       return false;
     }
     const std::uint64_t lost = i - ckpt_gate;
@@ -354,7 +321,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   // checked).
   auto rebuild_rank = [&](rank_t dead) {
     sv.rebind_rank(dead);
-    load_rank_slice(store->path_for(ckpt_gate), sv, dead);
+    read_ckpt(dead, [&] { load_rank_slice(ckpt_file.path, sv, dead); });
     for (std::size_t j = ckpt_gate; j < i; ++j) {
       sv.apply_to_rank(c.gate(j), dead);
     }
@@ -405,8 +372,8 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   // false when even that budget is gone.
   std::size_t degraded_from = 0;  // circuit gate the run last fell below plan
   auto reshard_now = [&](rank_t dead, RecoveryTier label) {
+    rebuild_rank(dead);
     try {
-      rebuild_rank(dead);
       reshard(sv.num_ranks() / 2, dead, label, i - ckpt_gate);
       ++stats.shrinks;
       stats.tiers_used.push_back(label);
@@ -489,7 +456,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     // every rank's slice reflects the same circuit prefix. The partial
     // state is left intact for the caller to digest and price.
     if (stop != nullptr && stop->possible() && stop->expired()) {
-      drop_ckpt();
       const bool cancelled = stop->cancelled();
       throw DeadlineExceeded(
           std::string(cancelled ? "cancelled" : "deadline exceeded") +
@@ -515,7 +481,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       if (guards.enabled() && (guard.due(i) || at_ckpt || i == c.size())) {
         guard.check(i - 1);
       }
-      if (at_ckpt && save_ckpt(i)) {
+      if (at_ckpt && save_ckpt()) {
         // Advance the rollback target only on a committed write: after a
         // tolerated failure the run keeps the last good snapshot.
         ckpt_gate = i;
@@ -547,15 +513,14 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       }
       tc.window_replayable = replayable;
 
-      const TierDecision decision = choose_tier(elastic, tc);
-      if (!decision.feasible) {
+      const std::optional<RecoveryTier> tier = choose_tier(elastic, tc);
+      if (!tier) {
         ++stats.restarts;
-        drop_ckpt();
         throw;
       }
 
       const rank_t dead = f.rank();
-      switch (decision.tier) {
+      switch (*tier) {
         case RecoveryTier::kSubstitute: {
           // A spare takes over the rank id: rebind its mailboxes, mark the
           // slot alive again, rebuild the slice from the checkpoint and
@@ -579,7 +544,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
         case RecoveryTier::kGrowBack: {
           // Grow-back's immediate action is the shrink; its re-expand fires
           // when poll_replacements drains the expected arrival.
-          if (!reshard_now(dead, decision.tier)) {
+          if (!reshard_now(dead, *tier)) {
             throw;
           }
           break;
@@ -603,7 +568,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
             v.rank(), v.gate(), v.what());
       }
       if (stats.rollbacks > kMaxRollbacks) {
-        drop_ckpt();
         throw IntegrityAbort(
             "integrity abort at gate " + std::to_string(v.gate()) +
                 " (rank " + std::to_string(v.rank()) + "): " +
@@ -626,7 +590,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   if (inj != nullptr) {
     stats.faults = inj->log();
   }
-  drop_ckpt();
   return stats;
 }
 

@@ -14,7 +14,8 @@
 //                              shrink to half the ranks          width >= 2
 //                              restart from checkpoint           kMaxRestarts
 //   budget exhausted /        typed abort naming rank, gate     —
-//   no rollback target        and cause (IntegrityAbort)
+//   no rollback target /      and cause (IntegrityAbort)
+//   checkpoint fails its CRC
 //
 // The first two tiers live inside the engine; run_verified drives the
 // rest: it executes a circuit with checkpointing (dist/resilience) plus
@@ -31,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,7 +100,7 @@ struct TierContext {
   /// injector holds unfired revive specs): the fact that turns a shrink
   /// into a shrink-now-grow-back-later.
   bool replacement_expected = false;
-  /// The retained checkpoint was written at the current rank width. The
+  /// The checkpoint was written at the current rank width. The
   /// rank-slice tiers (substitute, shrink, grow-back) read one rank's span
   /// of the snapshot, which is only meaningful at matching geometry; a
   /// checkpoint predating a re-shard leaves restart (global amplitude
@@ -106,20 +108,11 @@ struct TierContext {
   bool checkpoint_geometry_matches = true;
 };
 
-/// The chosen action, or feasible=false when no tier can recover (the
-/// caller rethrows the NodeFailure).
-struct TierDecision {
-  bool feasible = false;
-  RecoveryTier tier = RecoveryTier::kRestart;
-  /// Human-readable account of why this tier won (or why none could).
-  std::string reason;
-};
-
-/// Picks the cheapest feasible recovery tier. Pure: no engine or machine
-/// state, just the options and the failure context — callable from tests
-/// and the CLI's `price` command alike.
-[[nodiscard]] TierDecision choose_tier(const ElasticOptions& opts,
-                                       const TierContext& ctx);
+/// Picks the cheapest feasible recovery tier, or nullopt when no tier can
+/// recover (the caller rethrows the NodeFailure). Pure: no engine or
+/// machine state, just the options and the failure context.
+[[nodiscard]] std::optional<RecoveryTier> choose_tier(
+    const ElasticOptions& opts, const TierContext& ctx);
 
 /// Parses a `--recovery=` tier list ("retry,substitute,shrink,restart"
 /// in any order) into the enable flags; tiers not named are disabled.
@@ -127,17 +120,20 @@ struct TierDecision {
 /// always on. Throws qsv::Error on unknown tokens.
 [[nodiscard]] ElasticOptions parse_recovery_tiers(const std::string& text);
 
-/// Recovery budget exhausted, or corruption detected with nothing to roll
-/// back to: the run is not salvageable and the caller gets the forensics.
+/// Recovery budget exhausted, corruption detected with nothing to roll back
+/// to, or a checkpoint that fails verification when it is read back: the
+/// run is not salvageable and the caller gets the forensics.
 class IntegrityAbort : public Error {
  public:
   IntegrityAbort(const std::string& what, rank_t rank, std::uint64_t gate,
                  std::string cause)
       : Error(what), rank_(rank), gate_(gate), cause_(std::move(cause)) {}
 
-  /// Rank the failure localises to; -1 for a global invariant.
+  /// Rank the failure localises to; -1 for a global invariant or a full
+  /// checkpoint restore.
   [[nodiscard]] rank_t rank() const { return rank_; }
-  /// Circuit-gate index where detection fired.
+  /// Circuit-gate index where detection fired; for a checkpoint that fails
+  /// verification, the gate count it was taken at.
   [[nodiscard]] std::uint64_t gate() const { return gate_; }
   /// The underlying detection's message.
   [[nodiscard]] const std::string& cause() const { return cause_; }
@@ -199,6 +195,14 @@ struct IntegrityStats {
 /// checkpointing is off (PR 2 semantics). Node failures route through
 /// choose_tier(elastic, ...); the default ElasticOptions reduce that to the
 /// PR 4 restart-only path.
+///
+/// The run keeps one checkpoint file, `<ck.dir>/checkpoint.qsv`: each
+/// commit replaces it, rollback, restart and the rank rebuild of substitute
+/// and shrink read it, and the run removes it and any temp file when it
+/// returns or throws. Every read is verified (the payload CRC for a full
+/// restore, the slice CRC for a rank rebuild); a read that fails is an
+/// IntegrityAbort naming the rank (-1 for a full restore) and the gate the
+/// checkpoint was taken at.
 ///
 /// Checkpoint write failures (disk full, unwritable directory) do not kill
 /// a healthy run: the failure is logged, priced as a kWarning event, counted

@@ -6,11 +6,11 @@
 //    system MTBF and checkpoint write cost, so the harness can sweep
 //    intervals against the analytic optimum;
 //  * checkpoint options — how often run_verified (dist/recovery_policy)
-//    snapshots the state through dist/snapshot, where, and how many
-//    restarts it attempts. On a NodeFailure it reloads the last good
-//    snapshot and replays the remaining gates; replay is bit-identical to
-//    an uninterrupted run (asserted by tests): gate kernels are
-//    deterministic and snapshots store exact doubles.
+//    snapshots the state through dist/snapshot, and where. On a
+//    NodeFailure it reloads the last good snapshot and replays the
+//    remaining gates; replay is bit-identical to an uninterrupted run
+//    (asserted by tests): gate kernels are deterministic and snapshots
+//    store exact doubles.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +34,10 @@ struct CheckpointOptions {
   /// Circuit gates between checkpoints; 0 disables checkpointing entirely
   /// (a NodeFailure then propagates to the caller).
   std::uint64_t interval_gates = 0;
-  /// Directory for the rolling checkpoint file (created if missing).
+  /// Directory for the run's one checkpoint file, `checkpoint.qsv`
+  /// (created if missing). Each commit replaces the file; the run removes
+  /// it when it returns or throws.
   std::string dir = ".";
-  /// Snapshot retention: newest N checkpoints kept per directory, older
-  /// ones deleted as soon as a newer write commits (see CheckpointStore).
-  int keep_last = 2;
 };
 
 }  // namespace qsv

@@ -89,9 +89,10 @@ expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4294967298
 expect_exit 2 "$qsv" price --qft 4294967306
 expect_exit 2 "$qsv" run "$tmp/c.qc" --checkpoint-interval 4294967297 \
   --checkpoint-dir "$tmp/ck_wrap"
-expect_exit 2 "$qsv" run "$tmp/c.qc" --keep-last 4294967296
-grep -q "keep-last must be in" "$tmp/err" ||
-  fail "--keep-last 2^32 not reported as out of range"
+# A run keeps one checkpoint file, so there is no retention count to set.
+expect_exit 2 "$qsv" run "$tmp/c.qc" --keep-last 2
+grep -q "unknown option --keep-last" "$tmp/err" ||
+  fail "--keep-last not reported as an unknown option"
 # At a wrapped queue of 1 this would start serving; the timeout bounds that.
 expect_exit 2 timeout 10 "$qsv" serve --queue 4294967297 \
   --socket "$tmp/wrap.sock"
@@ -229,16 +230,18 @@ crc_nockpt=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/out")
 [ "$crc_nockpt" = "$crc_clean" ] ||
   fail "uncheckpointed run digest '$crc_nockpt' != clean '$crc_clean'"
 
-# Checkpoint hygiene: a successful run cleans its checkpoints up, leaving
-# neither committed files nor temp files behind (keep-last bounds the
-# footprint *during* the run; rotation itself is unit-tested).
+# Checkpoint hygiene: a run keeps one checkpoint file and removes it, and
+# any temp file, whether it completes or aborts. A checkpoint directory
+# left holding anything fails the contract.
+expect_empty_dir() {
+  [ -z "$(ls -A "$1")" ] || fail "$2 left $(ls -A "$1" | tr '\n' ' ')in $1"
+}
 expect_exit 0 "$qsv" run "$tmp/c.qc" --checkpoint-interval 5 \
-  --checkpoint-dir "$tmp/ck_keep" --keep-last 1
-if ls "$tmp/ck_keep"/ckpt-*.qsv >/dev/null 2>&1; then
-  fail "committed checkpoints left behind after a successful run"
-fi
-if ls "$tmp/ck_keep"/*.tmp >/dev/null 2>&1; then
-  fail "stale .tmp left behind"
-fi
+  --checkpoint-dir "$tmp/ck_done"
+expect_empty_dir "$tmp/ck_done" "a completed run"
+for dir in ck_sub ck_shrink ck_grow ck_restart; do
+  expect_empty_dir "$tmp/$dir" "a recovered run"
+done
+expect_empty_dir "$tmp/ck_disabled" "a run aborted by a node failure"
 
 echo "ok: all CLI exit-code and digest contracts hold"

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +21,7 @@
 #include "common/error.hpp"
 #include "dist/dist_statevector.hpp"
 #include "dist/events.hpp"
+#include "perf/runner.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -69,10 +76,10 @@ ElasticOptions all_tiers() {
 }
 
 TEST(ChooseTier, StaticOrderPicksSubstituteWhenAllFeasible) {
-  const TierDecision d = choose_tier(all_tiers(), clean_context());
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kSubstitute);
-  EXPECT_NE(d.reason.find("static cheapest-first"), std::string::npos);
+  const std::optional<RecoveryTier> d =
+      choose_tier(all_tiers(), clean_context());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kSubstitute);
 }
 
 TEST(ChooseTier, ExpectedEnergyOverridesTheStaticOrder) {
@@ -80,10 +87,9 @@ TEST(ChooseTier, ExpectedEnergyOverridesTheStaticOrder) {
   opts.substitute_energy_j = 9.0;
   opts.shrink_energy_j = 5.0;
   opts.restart_energy_j = 7.0;
-  const TierDecision d = choose_tier(opts, clean_context());
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kShrink);
-  EXPECT_NE(d.reason.find("cheapest by expected energy"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(opts, clean_context());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kShrink);
 }
 
 TEST(ChooseTier, PartialPricingFallsBackToStaticOrder) {
@@ -92,18 +98,17 @@ TEST(ChooseTier, PartialPricingFallsBackToStaticOrder) {
   ElasticOptions opts = all_tiers();
   opts.substitute_energy_j = 9.0;
   opts.shrink_energy_j = 5.0;  // restart stays -1 (unknown)
-  const TierDecision d = choose_tier(opts, clean_context());
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kSubstitute);
+  const std::optional<RecoveryTier> d = choose_tier(opts, clean_context());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kSubstitute);
 }
 
 TEST(ChooseTier, NoSpareFallsToShrink) {
   TierContext ctx = clean_context();
   ctx.spares_left = 0;
-  const TierDecision d = choose_tier(all_tiers(), ctx);
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kShrink);
-  EXPECT_NE(d.reason.find("no spare"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(all_tiers(), ctx);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kShrink);
 }
 
 TEST(ChooseTier, DirtyBoundaryLeavesOnlyRestart) {
@@ -112,37 +117,33 @@ TEST(ChooseTier, DirtyBoundaryLeavesOnlyRestart) {
   TierContext ctx = clean_context();
   ctx.clean_boundary = false;
   ctx.window_replayable = false;
-  const TierDecision d = choose_tier(all_tiers(), ctx);
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kRestart);
-  EXPECT_NE(d.reason.find("clean gate boundary"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(all_tiers(), ctx);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kRestart);
 }
 
 TEST(ChooseTier, DistributedWindowLeavesOnlyRestart) {
   TierContext ctx = clean_context();
   ctx.window_replayable = false;
-  const TierDecision d = choose_tier(all_tiers(), ctx);
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.tier, RecoveryTier::kRestart);
-  EXPECT_NE(d.reason.find("distributed gates"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(all_tiers(), ctx);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, RecoveryTier::kRestart);
 }
 
 TEST(ChooseTier, NoCheckpointMeansNothingIsFeasible) {
   TierContext ctx = clean_context();
   ctx.checkpoint_exists = false;
-  const TierDecision d = choose_tier(all_tiers(), ctx);
-  EXPECT_FALSE(d.feasible);
-  EXPECT_NE(d.reason.find("no feasible tier"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(all_tiers(), ctx);
+  EXPECT_FALSE(d.has_value());
 }
 
-TEST(ChooseTier, DisabledTiersAreRejectedWithAReason) {
+TEST(ChooseTier, DisabledTiersAreInfeasible) {
   ElasticOptions opts = all_tiers();
   opts.allow_substitute = false;
   opts.allow_shrink = false;
   opts.allow_restart = false;
-  const TierDecision d = choose_tier(opts, clean_context());
-  EXPECT_FALSE(d.feasible);
-  EXPECT_NE(d.reason.find("disabled"), std::string::npos);
+  const std::optional<RecoveryTier> d = choose_tier(opts, clean_context());
+  EXPECT_FALSE(d.has_value());
 }
 
 TEST(ParseRecoveryTiers, NamedTiersAreEnabledOthersOff) {
@@ -522,6 +523,217 @@ TEST(Elastic, GuardsStayOnAcrossAShrink) {
   EXPECT_EQ(stats.guard_violations, 0u);
   EXPECT_GT(stats.guard_checks, 0u);
   expect_global_identical(clean, sv);
+}
+
+// --- one checkpoint file per run, every read verified ----------------------
+
+/// Watches a run's checkpoint directory from its event stream: at every
+/// event the directory may hold `checkpoint.qsv` and nothing else. An
+/// optional action runs at one gate event (1-based), the point where a
+/// test corrupts the checkpoint or stops the run.
+class CheckpointDirWatch final : public ExecListener {
+ public:
+  explicit CheckpointDirWatch(std::string dir) : dir_(std::move(dir)) {}
+
+  void at_gate_event(std::size_t n, std::function<void()> action) {
+    action_at_ = n;
+    action_ = std::move(action);
+  }
+
+  void on_event(const ExecEvent& e) override {
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      const std::string name = entry.path().filename().string();
+      if (name != "checkpoint.qsv") {
+        strays_.insert(name);
+      }
+    }
+    if (e.kind == ExecEvent::Kind::kLocalGate ||
+        e.kind == ExecEvent::Kind::kExchange) {
+      if (++gate_events_ == action_at_) {
+        action_();
+      }
+    }
+  }
+
+  /// Every other name seen in the directory at any event.
+  [[nodiscard]] const std::set<std::string>& strays() const {
+    return strays_;
+  }
+
+ private:
+  std::string dir_;
+  std::size_t gate_events_ = 0;
+  std::size_t action_at_ = 0;
+  std::function<void()> action_;
+  std::set<std::string> strays_;
+};
+
+[[nodiscard]] bool dir_is_empty(const std::string& dir) {
+  return std::filesystem::directory_iterator(dir) ==
+         std::filesystem::directory_iterator();
+}
+
+TEST(CheckpointFile, OneFileAtEveryEventAndNoneAfterTheRun) {
+  // Every path of run_verified, a directory holding an earlier process's
+  // checkpoint.qsv and checkpoint.qsv.tmp, and a write that fails after a
+  // commit (the restart then reads the commit before it): at every event
+  // the directory holds at most the run's checkpoint.qsv, and nothing once
+  // run_verified returns or throws.
+  struct Case {
+    std::string name;
+    std::string faults;
+    ElasticOptions elastic;
+    std::vector<RecoveryTier> tiers;
+    int rollbacks = 0;
+    std::uint64_t guard_cadence = 0;
+    std::size_t stop_at = 0;  // cancel the run at this gate event
+    bool stale_files = false;
+    bool completes = true;
+    // At this gate event an empty directory takes the temp file's name, so
+    // the checkpoint write that follows fails.
+    std::size_t block_write_at = 0;
+  };
+  ElasticOptions shrink;
+  shrink.allow_shrink = true;
+  ElasticOptions grow = shrink;
+  grow.allow_grow_back = true;
+  ElasticOptions none;
+  none.allow_substitute = false;
+  none.allow_restart = false;
+  const std::vector<Case> cases = {
+      {"clean", "", {}, {}},
+      {"substitute", "fail@12:1", all_tiers(), {RecoveryTier::kSubstitute}},
+      {"shrink", "fail@12:1", shrink, {RecoveryTier::kShrink}},
+      {"grow-back", "fail@12:1, revive@16", grow,
+       {RecoveryTier::kGrowBack, RecoveryTier::kGrowBack}},
+      {"restart", "fail@12:1", {}, {RecoveryTier::kRestart}},
+      {"rollback", "bitflip@13:1:62", {}, {}, 1, 1},
+      {"deadline", "", {}, {}, 0, 0, 14, false, false},
+      {"abort", "fail@12:1", none, {}, 0, 0, 0, false, false},
+      {"stale files", "fail@12:1", {}, {RecoveryTier::kRestart}, 0, 0, 0,
+       true},
+      {"failed write", "fail@17:1", {}, {RecoveryTier::kRestart}, 0, 0, 0,
+       false, true, 15},
+  };
+
+  const Circuit c = elastic_circuit();
+  DistStateVectorSoa clean(6, 4);
+  clean.apply(c);
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    const test::ScratchDir scratch("checkpoint_file");
+    if (k.stale_files) {
+      std::ofstream(scratch.file("checkpoint.qsv")) << "an earlier run";
+      std::ofstream(scratch.file("checkpoint.qsv.tmp")) << "half-written";
+    }
+    FaultInjector inj(parse_fault_plan(k.faults));
+    DistStateVectorSoa sv(6, 4);
+    sv.set_fault_injector(&inj);
+    CheckpointDirWatch watch(scratch.path());
+    sv.set_listener(&watch);
+    std::atomic<bool> cancel{false};
+    StopToken stop;
+    stop.set_cancel_flag(&cancel);
+    if (k.stop_at > 0) {
+      watch.at_gate_event(k.stop_at, [&] { cancel = true; });
+    }
+    if (k.block_write_at > 0) {
+      watch.at_gate_event(k.block_write_at, [&] {
+        std::filesystem::create_directory(scratch.file("checkpoint.qsv.tmp"));
+      });
+    }
+    CheckpointOptions ck;
+    ck.interval_gates = 5;
+    ck.dir = scratch.path();
+    GuardOptions guards;
+    guards.cadence_gates = k.guard_cadence;
+    try {
+      const IntegrityStats stats = run_verified(
+          sv, c, ck, guards, RecoveryPolicy{}, k.elastic, &stop);
+      EXPECT_TRUE(k.completes);
+      EXPECT_EQ(stats.tiers_used, k.tiers);
+      EXPECT_EQ(stats.rollbacks, k.rollbacks);
+      EXPECT_EQ(stats.checkpoint_write_failures, k.block_write_at > 0 ? 1 : 0);
+      EXPECT_EQ(state_digest(sv), state_digest(clean));
+    } catch (const Error& e) {
+      EXPECT_FALSE(k.completes) << e.what();
+    }
+    EXPECT_TRUE(watch.strays().empty())
+        << "first stray: " << *watch.strays().begin();
+    EXPECT_TRUE(dir_is_empty(scratch.path()));
+  }
+}
+
+TEST(CheckpointFile, ACorruptSliceAbortsEveryTierThatReadsIt) {
+  // The gate-10 checkpoint is committed between the events of gates 9 and
+  // 10. At gate 10's event the lowest mantissa bit of the 16 re doubles in
+  // rank 1's span is flipped, and the failure at gate 12 reads the file
+  // back: substitute and shrink rebuild rank 1 from its slice, which fails
+  // its CRC, and restart fails the payload CRC. The guards never look at
+  // checkpoint bytes, so they change nothing. Each run aborts, naming the
+  // rank and the checkpoint's gate, and leaves the directory empty.
+  struct Case {
+    std::string name;
+    ElasticOptions elastic;
+    rank_t rank;
+    bool guards = false;
+  };
+  ElasticOptions shrink;
+  shrink.allow_shrink = true;
+  const std::vector<Case> cases = {
+      {"substitute", all_tiers(), 1},
+      {"shrink", shrink, 1},
+      {"restart", {}, -1},
+      {"substitute with guards", all_tiers(), 1, true},
+      {"shrink with guards", shrink, 1, true},
+  };
+  const Circuit c = elastic_circuit();
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    const test::ScratchDir scratch("corrupt_checkpoint");
+    const std::string path = scratch.file("checkpoint.qsv");
+    FaultInjector inj(parse_fault_plan("fail@12:1"));
+    DistStateVectorSoa sv(6, 4);
+    sv.set_fault_injector(&inj);
+    CheckpointDirWatch watch(scratch.path());
+    sv.set_listener(&watch);
+    watch.at_gate_event(11, [&] {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      std::uint32_t ranks = 0;
+      f.seekg(20);
+      f.read(reinterpret_cast<char*>(&ranks), sizeof ranks);
+      ASSERT_EQ(ranks, 4u);
+      const std::streamoff rank1 = 24 + 4 * 4 + 16 * kBytesPerAmp;
+      for (std::streamoff a = 0; a < 16; ++a) {
+        char b = 0;
+        f.seekg(rank1 + a * kBytesPerAmp);
+        f.read(&b, 1);
+        b = static_cast<char>(b ^ 0x01);
+        f.seekp(rank1 + a * kBytesPerAmp);
+        f.write(&b, 1);
+      }
+      ASSERT_TRUE(f.good());
+    });
+    CheckpointOptions ck;
+    ck.interval_gates = 5;
+    ck.dir = scratch.path();
+    GuardOptions guards;
+    if (k.guards) {
+      guards.cadence_gates = 2;
+      guards.slice_crc = true;
+    }
+    try {
+      (void)run_verified(sv, c, ck, guards, RecoveryPolicy{}, k.elastic);
+      ADD_FAILURE() << "completed with digest " << state_digest(sv);
+    } catch (const IntegrityAbort& e) {
+      EXPECT_EQ(e.rank(), k.rank) << e.what();
+      EXPECT_EQ(e.gate(), 10u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("checkpoint of gate 10"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(dir_is_empty(scratch.path()));
+  }
 }
 
 }  // namespace

@@ -158,6 +158,36 @@ TEST(Faults, StragglerDelayIsChargedToTheGateEvent) {
   EXPECT_DOUBLE_EQ(charged, 0.5);
 }
 
+TEST(Faults, DelaySumsDoNotDependOnHowRanksInterleave) {
+  // Rank threads record their charges as they arrive; only each rank's own
+  // charges keep their program order. Rank 0 charges 0.05 s then 0.1 s and
+  // rank 2 charges 0.2 s, in three interleavings. Added in arrival order
+  // the first gives 0.35000000000000003 and the second 0.34999999999999998;
+  // added per rank in ascending rank order all three give one double.
+  struct Charge {
+    rank_t rank;
+    double backoff_s;
+  };
+  const std::vector<std::vector<Charge>> interleavings = {
+      {{0, 0.05}, {0, 0.1}, {2, 0.2}},
+      {{0, 0.05}, {2, 0.2}, {0, 0.1}},
+      {{2, 0.2}, {0, 0.05}, {0, 0.1}},
+  };
+  const double per_rank = (0.05 + 0.1) + 0.2;
+  for (const std::vector<Charge>& order : interleavings) {
+    FaultInjector inj(FaultPlan{});
+    for (const Charge& charge : order) {
+      inj.record_retry(charge.rank, 64, 2, charge.backoff_s);
+    }
+    const FaultInjector::GateFaultCharges gate = inj.take_gate_charges();
+    EXPECT_EQ(gate.delay_s, per_rank);
+    EXPECT_EQ(gate.retry_bytes, 3u * 64u);
+    EXPECT_EQ(gate.retry_messages, 6);
+    EXPECT_EQ(inj.totals().delay_s, per_rank);
+    EXPECT_EQ(inj.take_gate_charges().delay_s, 0.0);
+  }
+}
+
 TEST(Faults, PastDeadlineStragglerTimesOutAndIsRetried) {
   // Fault interplay: a straggler slower than the receive watchdog is not a
   // wait, it is a timeout — the message never arrives, the retry layer

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "dist/snapshot.hpp"
 #include "sv/statevector.hpp"
 #include "sv/storage.hpp"
+#include "test_util.hpp"
 
 namespace qsv {
 namespace {
@@ -97,11 +98,9 @@ TEST(SerializeHardening, RoundTripStillWorksAfterHardening) {
 class SnapshotHardening : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "hardening_" + std::to_string(::getpid()) + ".snap";
     BasicStateVector<SoaStorage> sv(3);
     save_state(path_, sv);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
 
   std::vector<char> read_bytes() {
     std::ifstream in(path_, std::ios::binary);
@@ -113,7 +112,8 @@ class SnapshotHardening : public ::testing::Test {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  std::string path_;
+  const test::ScratchDir scratch_{"hardening"};
+  const std::string path_ = scratch_.file("hardening.snap");
 };
 
 TEST_F(SnapshotHardening, TruncatedPayloadIsTyped) {
@@ -142,6 +142,21 @@ TEST_F(SnapshotHardening, PayloadCrcMismatchIsTyped) {
 TEST_F(SnapshotHardening, WidthMismatchIsTyped) {
   BasicStateVector<SoaStorage> wrong(5);
   EXPECT_THROW(load_state(path_, wrong), Error);
+}
+
+TEST_F(SnapshotHardening, AbsurdRankWidthIsTyped) {
+  // The rank width sizes the slice-CRC table: one that is not a power of
+  // two, or wider than the register's 8 amplitudes, is refused before
+  // anything is read or allocated for it.
+  for (const std::uint32_t ranks : {0u, 3u, 16u, 0x80000000u}) {
+    std::vector<char> bytes = read_bytes();
+    std::memcpy(bytes.data() + 20, &ranks, sizeof ranks);
+    write_bytes(bytes);
+    BasicStateVector<SoaStorage> sv(3);
+    EXPECT_THROW(load_state(path_, sv), Error) << ranks;
+    EXPECT_THROW((void)snapshot_ranks(path_), Error) << ranks;
+    save_state(path_, sv);
+  }
 }
 
 TEST_F(SnapshotHardening, GarbageMagicIsTyped) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "circuit/builders.hpp"
@@ -30,13 +31,35 @@ std::uint32_t per_amplitude_crc(const DistStateVector<SoaStorage>& sv) {
   return crc.value();
 }
 
-/// The payload CRC field of a v2 snapshot header.
-std::uint32_t header_crc(const std::string& path) {
+/// The u32 at byte `offset` of a file.
+std::uint32_t read_u32_at(const std::string& path, std::streamoff offset) {
   std::ifstream in(path, std::ios::binary);
-  in.seekg(16);  // magic, version, qubit count
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof crc);
-  return crc;
+  in.seekg(offset);
+  std::uint32_t v = 0;
+  in.read(reinterpret_cast<char*>(&v), sizeof v);
+  return v;
+}
+
+/// The payload CRC field of a v3 snapshot header.
+std::uint32_t header_crc(const std::string& path) {
+  return read_u32_at(path, 16);  // past magic, version, qubit count
+}
+
+/// Byte offset of the payload: the header's 24 bytes, then one slice CRC
+/// per rank of the writer's width.
+std::streamoff payload_offset(const std::string& path) {
+  return 24 + 4 * static_cast<std::streamoff>(read_u32_at(path, 20));
+}
+
+/// Flips the lowest bit of the byte at `offset`.
+void flip_byte(const std::string& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  char b = 0;
+  f.seekg(offset);
+  f.read(&b, 1);
+  b = static_cast<char>(b ^ 0x01);
+  f.seekp(offset);
+  f.write(&b, 1);
 }
 
 TEST(Snapshot, SingleEngineRoundTrip) {
@@ -158,16 +181,7 @@ TEST(Snapshot, FlippedPayloadByteFailsCrc) {
   save_state(path, a);
 
   // Flip one bit deep inside the amplitude block.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(24 + 100);  // past the 24-byte v2 header
-    char b = 0;
-    f.seekg(24 + 100);
-    f.read(&b, 1);
-    f.seekp(24 + 100);
-    b = static_cast<char>(b ^ 0x01);
-    f.write(&b, 1);
-  }
+  flip_byte(path, payload_offset(path) + 100);
   StateVector b(5);
   try {
     load_state(path, b);
@@ -182,8 +196,9 @@ TEST(Snapshot, WrongMagicRejected) {
   const std::string path = scratch.file("snap_magic.qsv");
   StateVector a(4);
   save_state(path, a);
-  // A foreign magic, and the retired pre-CRC v1 magic.
-  for (const char* magic : {"XSVSNAP2", "QSVSNAP1"}) {
+  // A foreign magic, the retired pre-CRC v1 magic and the v2 magic, whose
+  // header has no slice CRCs.
+  for (const char* magic : {"XSVSNAP3", "QSVSNAP1", "QSVSNAP2"}) {
     {
       std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
       f.write(magic, 8);
@@ -204,15 +219,17 @@ TEST(Snapshot, UnsupportedVersionRejected) {
   const test::ScratchDir scratch("snapshot");
   const std::string path = scratch.file("snap_version.qsv");
   StateVector a(4);
-  save_state(path, a);
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(8);
-    const std::uint32_t bad = 99;
-    f.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+  // The retired v2 layout, and a version from the future.
+  for (const std::uint32_t bad : {2u, 99u}) {
+    save_state(path, a);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(8);
+      f.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+    }
+    StateVector b(4);
+    EXPECT_THROW(load_state(path, b), Error) << "version " << bad;
   }
-  StateVector b(4);
-  EXPECT_THROW(load_state(path, b), Error);
 }
 
 TEST(Snapshot, AtomicRenameLeavesNoTempAndSurvivesStaleTemp) {
@@ -237,72 +254,30 @@ TEST(Snapshot, AtomicRenameLeavesNoTempAndSurvivesStaleTemp) {
   for (amp_index i = 0; i < a.num_amps(); ++i) {
     EXPECT_EQ(a.amplitude(i), b.amplitude(i));
   }
+
+  // A second commit replaces the first, as a run's checkpoint file is
+  // replaced at every interval, and leaves no .tmp holding the old one.
+  StateVector c(4);
+  c.init_random_state(rng);
+  save_state(path, c);
+  EXPECT_FALSE(std::ifstream(tmp).good());
+  load_state(path, b);
+  for (amp_index i = 0; i < c.num_amps(); ++i) {
+    EXPECT_EQ(c.amplitude(i), b.amplitude(i));
+  }
 }
 
-TEST(CheckpointStore, KeepsTheLastNAndPrunesTheRest) {
-  const test::ScratchDir scratch("ckpt_rotation");
-  const std::string dir = scratch.path();
-  CheckpointStore store(dir, 2);
-  StateVector sv(3);
-  Rng rng(4);
-  sv.init_random_state(rng);
-  for (const std::uint64_t gates : {0ull, 5ull, 10ull}) {
-    save_state(store.path_for(gates), sv);
-    store.committed(gates);
-  }
-
-  ASSERT_EQ(store.retained().size(), 2u);
-  EXPECT_EQ(store.retained()[0], 5u);
-  EXPECT_EQ(store.retained()[1], 10u);
-  EXPECT_EQ(store.pruned(), 1u);
-  EXPECT_EQ(store.latest(), store.path_for(10));
-  // The rotated-out checkpoint is really gone from disk.
-  EXPECT_FALSE(std::ifstream(store.path_for(0)).good());
-  EXPECT_TRUE(std::ifstream(store.path_for(5)).good());
-  store.clear();
-  EXPECT_FALSE(std::ifstream(store.path_for(10)).good());
-}
-
-TEST(CheckpointStore, RemovesStaleTempsAndAdoptsCommittedFiles) {
-  // A job killed mid-checkpoint leaves a .tmp (garbage by construction,
-  // the rename never happened) next to its committed checkpoints. A new
-  // incarnation must clean the former and resume the rotation on the
-  // latter.
-  const test::ScratchDir scratch("ckpt_adoption");
-  const std::string dir = scratch.path();
-  StateVector sv(3);
-  Rng rng(5);
-  sv.init_random_state(rng);
-  save_state(dir + "/ckpt-3.qsv", sv);
-  save_state(dir + "/ckpt-9.qsv", sv);
-  {
-    std::ofstream out(dir + "/ckpt-12.qsv.tmp", std::ios::binary);
-    out << "half-written garbage";
-  }
-  {
-    std::ofstream out(dir + "/notes.txt");
-    out << "not a checkpoint";
-  }
-
-  CheckpointStore store(dir, 2);
-  EXPECT_EQ(store.stale_tmps_removed(), 1u);
-  EXPECT_FALSE(std::ifstream(dir + "/ckpt-12.qsv.tmp").good());
-  ASSERT_EQ(store.retained().size(), 2u);
-  EXPECT_EQ(store.retained()[0], 3u);
-  EXPECT_EQ(store.retained()[1], 9u);
-  EXPECT_EQ(store.latest(), store.path_for(9));
-
-  // A tighter retention prunes adopted checkpoints oldest-first.
-  CheckpointStore tight(dir, 1);
-  ASSERT_EQ(tight.retained().size(), 1u);
-  EXPECT_EQ(tight.retained()[0], 9u);
-  EXPECT_EQ(tight.pruned(), 1u);
-  EXPECT_FALSE(std::ifstream(store.path_for(3)).good());
-}
-
-TEST(CheckpointStore, RejectsZeroRetention) {
-  const test::ScratchDir scratch("ckpt_zero");
-  EXPECT_THROW(CheckpointStore(scratch.path(), 0), Error);
+TEST(Snapshot, CommitNeverReplacesADirectory) {
+  // A directory in the snapshot's place is an error, and it stays where
+  // it is: the commit must not swap it out of the way. The failed write
+  // leaves no temp file.
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_dir.qsv");
+  std::filesystem::create_directory(path);
+  StateVector a(4);
+  EXPECT_THROW(save_state(path, a), Error);
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {
@@ -337,6 +312,41 @@ TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {
   }
 }
 
+TEST(Snapshot, LoadRankSliceVerifiesTheSliceItReads) {
+  // One flipped bit in rank 2's span: that slice's read fails its CRC, the
+  // other slices still restore bit-exact, and a full restore fails the
+  // payload CRC.
+  const test::ScratchDir scratch("snapshot");
+  const std::string path = scratch.file("snap_slice_crc.qsv");
+  DistStateVector<SoaStorage> a(6, 4);
+  a.apply(build_qft(6));
+  save_state(path, a);
+  const amp_index local = amp_index{1} << 4;
+  flip_byte(path, payload_offset(path) +
+                      static_cast<std::streamoff>(2 * local + 3) *
+                          static_cast<std::streamoff>(kBytesPerAmp));
+
+  DistStateVector<SoaStorage> b(6, 4);
+  try {
+    load_rank_slice(path, b, 2);
+    FAIL() << "expected the slice CRC to catch the flip";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("slice 2 CRC mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const rank_t r : {0, 1, 3}) {
+    load_rank_slice(path, b, r);
+  }
+  for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
+    if (i / local != 2) {
+      EXPECT_EQ(b.amplitude(i), a.amplitude(i)) << "amplitude " << i;
+    }
+  }
+  DistStateVector<SoaStorage> full(6, 4);
+  EXPECT_THROW(load_state(path, full), Error);
+}
+
 TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
   // state_digest, the CRC save_state writes into the header and a CRC fed
   // one amplitude at a time name one stream, at every rank count and after
@@ -354,6 +364,28 @@ TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
     EXPECT_EQ(state_digest(sv), hex);
     save_state(path, sv);
     EXPECT_EQ(header_crc(path), want);
+    // One CRC per slice of the writer's width, each over that slice's bytes
+    // of the payload.
+    EXPECT_EQ(read_u32_at(path, 20),
+              static_cast<std::uint32_t>(sv.num_ranks()));
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const std::size_t slice_bytes =
+        static_cast<std::size_t>(sv.local_amps() * kBytesPerAmp);
+    const std::size_t payload =
+        static_cast<std::size_t>(payload_offset(path));
+    const std::size_t size =
+        payload + slice_bytes * static_cast<std::size_t>(sv.num_ranks());
+    EXPECT_EQ(bytes.size(), size);
+    bytes.resize(size);  // a short file fails above, not out of bounds
+    for (rank_t r = 0; r < sv.num_ranks(); ++r) {
+      EXPECT_EQ(read_u32_at(path, 24 + 4 * r),
+                crc32(bytes.data() + payload +
+                          slice_bytes * static_cast<std::size_t>(r),
+                      slice_bytes))
+          << "slice " << r;
+    }
 
     DistStateVector<SoaStorage> full(14, sv.num_ranks() == 8 ? 1 : 8);
     load_state(path, full);

@@ -696,6 +696,12 @@ TEST(EngineModel, RankThreadsChangeTheClockAndNothingElse) {
   cases.push_back({8, CommPolicy::kOverlapped, 64, "drop@1:1", {}, 1});
   cases.push_back({4, CommPolicy::kOverlapped, 64,
                    "corrupt@3:2, delay@5:0.2, corrupt@6", {}, 3});
+  // Both pairs of gate 0 charge delays: rank 0 straggles 0.05 s and 0.2 s,
+  // and rank 2's retry backs off 0.1 s. Added in arrival order, the gate's
+  // sum is 0.35 when the retry lands last and 0.35000000000000003 when it
+  // lands between the two straggles.
+  cases.push_back({4, CommPolicy::kOverlapped, 64,
+                   "delay@1:0.05, delay@2:0.2, corrupt@1:2", {}, 3});
   // Every recovery tier. Each rank sends one message in each of gates 0 and
   // 6, so rank 3's third send is the shrink's move, rank 0's third the
   // grow-back's first.

@@ -5,7 +5,7 @@
 //                 [--policy blocking|nonblocking|overlapped] [--max-message B]
 //                 [--faults PLAN] [--mtbf HOURS] [--bitflip G[:R[:B]]]
 //                 [--checkpoint-interval GATES] [--checkpoint-dir DIR]
-//                 [--keep-last N] [--guards K] [--guard-crc]
+//                 [--guards K] [--guard-crc]
 //                 [--spares N] [--recovery TIERS]
 //                 [--threads 0|auto|N] [--placement compact|scatter|none]
 //                 [--machine (archer2 | overrides.machine)]
@@ -149,7 +149,7 @@ int cmd_run(int argc, const char* const* argv) {
   args.option("ranks").option("shots").option("seed").option("tile");
   args.option("faults").option("mtbf").option("checkpoint-interval");
   args.option("checkpoint-dir").option("bitflip").option("guards");
-  args.option("keep-last").option("spares").option("recovery");
+  args.option("spares").option("recovery");
   args.option("threads").option("placement").option("machine");
   args.option("policy").option("max-message").option("deadline-s");
   args.flag("no-sweep").flag("guard-crc");
@@ -249,8 +249,6 @@ int cmd_run(int argc, const char* const* argv) {
   require_arg(interval >= 0, "--checkpoint-interval must be >= 0");
   ck.interval_gates = static_cast<std::uint64_t>(interval);
   ck.dir = args.value_or("checkpoint-dir", ".");
-  ck.keep_last = args.int_or("keep-last", 2);
-  require_arg(ck.keep_last >= 1, "--keep-last must be >= 1");
 
   GuardOptions& guards = spec.guards;
   const int cadence = args.int_or("guards", 0);
@@ -819,7 +817,7 @@ int usage() {
       << "             --faults/--mtbf inject failures, --bitflip G[:R[:B]]\n"
       << "             injects silent corruption, --checkpoint-interval\n"
       << "             and --checkpoint-dir enable checkpoint/restart\n"
-      << "             (--keep-last N retains N checkpoints, default 2),\n"
+      << "             (one file, DIR/checkpoint.qsv, removed at exit),\n"
       << "             --guards K checks invariants every K gates and\n"
       << "             --guard-crc adds slice CRC signatures;\n"
       << "             --spares N holds spare nodes for substitution,\n"
