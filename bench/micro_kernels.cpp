@@ -10,16 +10,18 @@
 // loop width and again under OMP_NUM_THREADS=1 to see where a team starts
 // to pay (docs/KERNELS.md §2):
 //   micro_kernels --benchmark_filter=BySize
-// BM_Crc32 and BM_PairExchange take the loop width as their second argument,
-// 1 (the serial path) and 0 (the host default), so the team's share of the
-// transport shows on its own:
-//   micro_kernels --benchmark_filter='Crc32|PairExchange'
+// BM_Crc32, BM_PairExchange and BM_CombineMatrix1 take the loop width as
+// their second argument, 1 (the serial path) and 0 (the host default), so
+// the team's share of the transport and the combine shows on its own:
+//   micro_kernels --benchmark_filter='Crc32|PairExchange|CombineMatrix1'
 // JSON output comes from google-benchmark itself:
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
@@ -223,10 +225,11 @@ BENCHMARK(BM_NormSqBySize)->DenseRange(10, 20, 1);
 template <class S>
 void BM_GatherHalf(benchmark::State& state) {
   auto sv = prepared<S>();
-  S buf(sv.num_amps() / 2);
+  const amp_index half = sv.num_amps() / 2;
+  std::vector<std::byte> message(half * kBytesPerAmp);
   for (auto _ : state) {
-    kern::gather_half(sv.storage(), 5, 1, buf, 0);
-    benchmark::DoNotOptimize(&buf);
+    kern::gather_half(sv.storage(), 5, 1, 0, half, message.data());
+    benchmark::DoNotOptimize(message.data());
     benchmark::ClobberMemory();
   }
 }
@@ -273,10 +276,12 @@ BENCHMARK(BM_Crc32)->ArgsProduct({{64, 64 << 10, 2 << 20}, {1, 0}});
 
 // One pairwise exchange of SoA slices through the virtual cluster, as a
 // full exchange runs it: each side packs straight into a message (CRC at
-// send), then each receive verifies the CRC and unpacks straight out of it.
-// Bytes are both directions: 64 KiB is a small-register slice, 2 MiB one
-// exchange chunk of the benchmark's exchange workload. The second argument
-// is the loop width, as for BM_Crc32.
+// send), then each receive verifies the CRC and the side combines a
+// distributed H straight out of the held message, which goes back to the
+// cluster when the view is destroyed. Bytes are both directions: 64 KiB is
+// a small-register slice, 2 MiB one exchange chunk of the benchmark's
+// exchange workload. The second argument is the loop width, as for
+// BM_Crc32.
 void BM_PairExchange(benchmark::State& state) {
   const LoopWidthArg width(state);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
@@ -286,8 +291,7 @@ void BM_PairExchange(benchmark::State& state) {
   Rng rng(4);
   a.init_random_state(rng);
   b.init_random_state(rng);
-  SoaStorage recv_a(amps);
-  SoaStorage recv_b(amps);
+  const Mat2 h = gate_matrix2(make_h(0));
   VirtualCluster cluster(2, bytes);
   for (auto _ : state) {
     cluster.send(0, 1, bytes, 0, [&](std::span<std::byte> m) {
@@ -296,18 +300,49 @@ void BM_PairExchange(benchmark::State& state) {
     cluster.send(1, 0, bytes, 0, [&](std::span<std::byte> m) {
       b.storage().pack(0, amps, m.data());
     });
-    cluster.recv(0, 1, bytes, 0, [&](std::span<const std::byte> m) {
-      recv_b.unpack(0, amps, m.data());
-    });
-    cluster.recv(1, 0, bytes, 0, [&](std::span<const std::byte> m) {
-      recv_a.unpack(0, amps, m.data());
-    });
+    const VirtualCluster::MessageView from_a =
+        cluster.recv_view(0, 1, bytes, 0);
+    const VirtualCluster::MessageView from_b =
+        cluster.recv_view(1, 0, bytes, 0);
+    kern::combine_matrix1_range(b.storage(),
+                                kern::peer_span(from_a.bytes(), 0), 1, h, 0,
+                                0, amps);
+    kern::combine_matrix1_range(a.storage(),
+                                kern::peer_span(from_b.bytes(), 0), 0, h, 0,
+                                0, amps);
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * bytes));
 }
 BENCHMARK(BM_PairExchange)->ArgsProduct({{64 << 10, 2 << 20}, {1, 0}});
+
+// One rank's side of a distributed one-qubit gate over 2^range(0)
+// amplitudes (2^17 is a rank's slice in the benchmark's exchange
+// workload): the matrix1 combine reading the peer's amplitudes in place
+// from one message, with a complex unitary. The second argument is the
+// loop width, as for BM_Crc32.
+void BM_CombineMatrix1(benchmark::State& state) {
+  const LoopWidthArg width(state);
+  const int qubits = static_cast<int>(state.range(0));
+  const amp_index amps = amp_index{1} << qubits;
+  BasicStateVector<SoaStorage> mine(qubits);
+  BasicStateVector<SoaStorage> theirs(qubits);
+  Rng rng(5);
+  mine.init_random_state(rng);
+  theirs.init_random_state(rng);
+  std::vector<std::byte> message(amps * kBytesPerAmp);
+  theirs.storage().pack(0, amps, message.data());
+  const kern::PeerSpan peer = kern::peer_span(message, 0);
+  const Mat2 u = gate_matrix2(make_unitary1(0, random_unitary1_params(rng)));
+  for (auto _ : state) {
+    kern::combine_matrix1_range(mine.storage(), peer, 0, u, 0, 0, amps);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(amps));
+}
+BENCHMARK(BM_CombineMatrix1)->ArgsProduct({{17}, {1, 0}});
 
 }  // namespace
 }  // namespace qsv

@@ -157,6 +157,13 @@ void VirtualCluster::send(rank_t from, rank_t to, std::size_t bytes, int tag,
 
 void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
                           const Drain& drain) {
+  const MessageView view = recv_view(from, to, bytes, tag);
+  drain(view.bytes());
+}
+
+VirtualCluster::MessageView VirtualCluster::recv_view(rank_t from, rank_t to,
+                                                      std::size_t bytes,
+                                                      int tag) {
   check_rank(from);
   check_rank(to);
   check_alive(from, to);
@@ -221,16 +228,12 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
   }
   // End-to-end verification: recompute the checksum over what actually
   // arrived and compare against what the sender computed, before the
-  // payload goes anywhere. No injector state is consulted here. CRC and
-  // drain run outside the lock.
-  const std::span<const std::byte> payload{msg.data.data(), msg.size};
-  const std::uint32_t got_crc = crc32(payload.data(), payload.size());
-  if (got_crc == msg.crc) {
-    drain(payload);
-  }
+  // payload goes anywhere. No injector state is consulted here. The CRC
+  // runs outside the lock.
+  const std::uint32_t got_crc = crc32(msg.data.data(), msg.size);
   std::lock_guard<std::mutex> lk(m_);
-  free_.push_back(std::move(msg.data));
   if (got_crc != msg.crc) {
+    free_.push_back(std::move(msg.data));
     ++stats_.checksum_failures;
     throw CommCorrupt("recv " + std::to_string(from) + " -> " +
                       std::to_string(to) + ": payload CRC-32 mismatch (sent " +
@@ -238,6 +241,14 @@ void VirtualCluster::recv(rank_t from, rank_t to, std::size_t bytes, int tag,
                       std::to_string(got_crc) + ")");
   }
   ++stats_.delivered;
+  ++held_;
+  return MessageView(this, std::move(msg.data), msg.size);
+}
+
+void VirtualCluster::give_back(Bytes data) {
+  std::lock_guard<std::mutex> lk(m_);
+  free_.push_back(std::move(data));
+  --held_;
 }
 
 std::size_t VirtualCluster::pending(rank_t from, rank_t to) const {
@@ -321,7 +332,7 @@ void VirtualCluster::reset_queues() {
 
 bool VirtualCluster::quiescent() const {
   std::lock_guard<std::mutex> lk(m_);
-  return in_flight_ == 0;
+  return in_flight_ == 0 && held_ == 0;
 }
 
 }  // namespace qsv

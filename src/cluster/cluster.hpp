@@ -13,11 +13,14 @@
 // through per-pair FIFO queues. The sender writes its payload straight into
 // message storage the cluster recycles, and the receiver reads it straight
 // out of that storage, so once the first exchange has sized the storage a
-// message costs no allocation and no staging copy. Timing semantics
-// (serialisation vs pipelining, congestion) belong to the cost model, which
-// consumes the execution events the engine emits; the cluster records
-// ground-truth traffic counters that the trace backend must reproduce
-// exactly.
+// message costs no allocation and no staging copy. A receive has two
+// phases: recv_view pops and verifies a message and hands back its storage
+// as a held view, which returns to the free list when the view is
+// destroyed; the draining recv forms are that view read once. Timing
+// semantics (serialisation vs pipelining, congestion) belong to the cost
+// model, which consumes the execution events the engine emits; the cluster
+// records ground-truth traffic counters that the trace backend must
+// reproduce exactly.
 //
 // Two execution modes share this transport:
 //  * serial (default): the single-threaded engine orchestrates every send
@@ -54,6 +57,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/default_init_allocator.hpp"
@@ -146,16 +150,25 @@ class VirtualCluster {
   void send(rank_t from, rank_t to, std::size_t bytes, int tag,
             const Fill& fill);
 
+  class MessageView;
+
   /// Pops the oldest message from `from` to `to` whose tag equals `tag`
   /// (any message for kAnyTag), skipping non-matching ones — chunk k+1
   /// landing first never satisfies the wait for chunk k. The message must
   /// be exactly `bytes` long. Throws CommTimeout if no matching message is
   /// queued when the watchdog deadline expires (a dropped message, or —
   /// fault-free — an engine scheduling bug) and CommCorrupt when the
-  /// recomputed CRC-32 of the received bytes disagrees with the sender's.
-  /// Only a verified payload reaches `drain`: corrupt bytes never touch the
-  /// caller's memory. Detection is purely checksum-based: no injector state
-  /// is consulted.
+  /// recomputed CRC-32 of the received bytes disagrees with the sender's;
+  /// a corrupt message's storage goes straight back to the free list.
+  /// Otherwise returns the verified payload in place: its storage is held
+  /// out of the free list, and so out of every later send, until the view
+  /// is destroyed. Detection is purely checksum-based: no injector state is
+  /// consulted.
+  [[nodiscard]] MessageView recv_view(rank_t from, rank_t to,
+                                      std::size_t bytes, int tag);
+
+  /// recv_view, then `drain` reads the verified payload once before its
+  /// storage is recycled. Corrupt bytes never reach `drain`.
   void recv(rank_t from, rank_t to, std::size_t bytes, int tag,
             const Drain& drain);
 
@@ -199,8 +212,9 @@ class VirtualCluster {
   /// Discards every queued message (restart-from-checkpoint recovery).
   void reset_queues();
 
-  /// True when every queue is empty — asserted by the engine after each
-  /// gate so no exchange leaks into the next operation.
+  /// True when every queue is empty and no view is held — asserted by the
+  /// engine after each gate so no exchange, and no received payload,
+  /// outlives it.
   [[nodiscard]] bool quiescent() const;
 
   /// Switches the per-pair queues into concurrent mailboxes: recv blocks
@@ -238,6 +252,8 @@ class VirtualCluster {
   void check_alive(rank_t from, rank_t to) const;
   /// Returns a queue's message storage to free_ (caller holds m_).
   void recycle(std::deque<Message>& queue);
+  /// Takes back a released view's storage.
+  void give_back(Bytes data);
 
   int num_ranks_;
   std::size_t max_message_bytes_;
@@ -245,21 +261,65 @@ class VirtualCluster {
   // Keyed by (from, to). A map keeps memory proportional to active pairs
   // rather than num_ranks^2.
   std::map<std::pair<rank_t, rank_t>, std::deque<Message>> queues_;
-  /// Storage of received and purged messages, handed to the next sends.
-  /// Never trimmed: its length is bounded by the peak number of messages in
-  /// flight at once, and each buffer only grows to the largest payload it
-  /// has carried.
+  /// Storage of released, corrupt and purged messages, handed to the next
+  /// sends. Never trimmed: its length is bounded by the peak number of
+  /// messages queued or held at once, and each buffer only grows to the
+  /// largest payload it has carried.
   std::vector<Bytes> free_;
   std::uint64_t in_flight_ = 0;
+  std::size_t held_ = 0;
   CommStats stats_;
   FaultInjector* injector_ = nullptr;
 
   // Concurrent-mode state. The single mutex guards queues_, free_,
-  // in_flight_ and stats_; fills, drains and CRC work happen outside it so
-  // senders and receivers overlap on the expensive part.
+  // in_flight_, held_ and stats_; fills, reads and CRC work happen outside
+  // it so senders and receivers overlap on the expensive part.
   bool concurrent_ = false;
   mutable std::mutex m_;
   std::condition_variable cv_recv_;  // a message landed
+};
+
+/// A verified payload, read in place. Move-only; destroying or releasing
+/// it hands the storage back to the cluster's free list, from any thread.
+/// The cluster must outlive it. Purges and queue resets never touch a held
+/// payload: it has already left its queue.
+class VirtualCluster::MessageView {
+ public:
+  MessageView() = default;
+  MessageView(MessageView&& other) noexcept { *this = std::move(other); }
+  MessageView& operator=(MessageView&& other) noexcept {
+    if (this != &other) {
+      release();
+      owner_ = std::exchange(other.owner_, nullptr);
+      data_ = std::move(other.data_);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  MessageView(const MessageView&) = delete;
+  MessageView& operator=(const MessageView&) = delete;
+  ~MessageView() { release(); }
+
+  [[nodiscard]] std::span<const std::byte> bytes() const {
+    return {data_.data(), size_};
+  }
+
+  /// Returns the storage now; the view is empty afterwards.
+  void release() {
+    if (owner_ != nullptr) {
+      std::exchange(owner_, nullptr)->give_back(std::move(data_));
+      size_ = 0;
+    }
+  }
+
+ private:
+  friend class VirtualCluster;
+  MessageView(VirtualCluster* owner, Bytes data, std::size_t size)
+      : owner_(owner), data_(std::move(data)), size_(size) {}
+
+  VirtualCluster* owner_ = nullptr;
+  Bytes data_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace qsv

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <exception>
 
 #include "common/bits.hpp"
@@ -62,7 +63,6 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
   for_each_rank(num_ranks, [&](int r) {
     slices_[static_cast<std::size_t>(r)] = S(n_local);
   });
-  resize_buffers();
   slices_[0].set(0, cplx{1, 0});
 }
 
@@ -86,18 +86,6 @@ void DistStateVector<S>::for_each_rank(int count,
   if (first != nullptr) {
     std::rethrow_exception(first);
   }
-}
-
-template <class S>
-void DistStateVector<S>::resize_buffers() {
-  // Only the combine kernels read a recv buffer, and one rank never
-  // exchanges, so a single rank owns none (per_node_bytes exempts it too).
-  const int owners = num_ranks() > 1 ? num_ranks() : 0;
-  recv_bufs_.clear();
-  recv_bufs_.resize(static_cast<std::size_t>(owners));
-  for_each_rank(owners, [&](int r) {
-    recv_bufs_[static_cast<std::size_t>(r)] = S(local_amps());
-  });
 }
 
 template <class S>
@@ -298,38 +286,32 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
   const auto end_of = [&](amp_index c) {
     return std::min((c + 1) * shape.chunk, shape.total);
   };
-  if (shape.gather) {
-    for (const Side& side : sides) {
-      shape.gather(side.me);
-    }
-  }
 
   // Every message carries its chunk index as its tag. The serial engine
   // interleaves the two sides per chunk and lands each chunk's messages in
   // posting order: side 0 sent first, so side 1 receives first. Each chunk
-  // is packed straight into the message and unpacked straight out of it
-  // into the recv buffer.
+  // is packed straight into the message, and the combine reads the peer's
+  // amplitudes straight out of it: a landed chunk stays held, verified,
+  // until the combine frontier has passed it. held[side] holds chunks
+  // [released, released + size) in order.
+  std::vector<std::deque<VirtualCluster::MessageView>> held(sides.size());
+  amp_index released = 0;
   const auto post = [&](amp_index c) {
     const amp_index first = c * shape.chunk;
     const amp_index count = end_of(c) - first;
     for (const Side& side : sides) {
-      const S& src = shape.gather ? recv_bufs_[side.me] : slices_[side.me];
-      const amp_index from = shape.gather ? shape.total + first : first;
       cluster_.send(side.me, side.peer, count * kBytesPerAmp,
                     static_cast<int>(c), [&](std::span<std::byte> b) {
-                      src.pack(from, count, b.data());
+                      shape.pack(side.me, first, count, b.data());
                     });
     }
   };
   const auto land = [&](amp_index c) {
-    const amp_index first = c * shape.chunk;
-    const amp_index count = end_of(c) - first;
+    const amp_index count = end_of(c) - c * shape.chunk;
     for (std::size_t i = sides.size(); i-- > 0;) {
-      const rank_t me = sides[i].me;
-      cluster_.recv(sides[i].peer, me, count * kBytesPerAmp,
-                    static_cast<int>(c), [&](std::span<const std::byte> b) {
-                      recv_bufs_[me].unpack(first, count, b.data());
-                    });
+      held[i].push_back(cluster_.recv_view(sides[i].peer, sides[i].me,
+                                           count * kBytesPerAmp,
+                                           static_cast<int>(c)));
     }
   };
 
@@ -337,8 +319,10 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
   // waits chunk by chunk, retrying one chunk round; non-blocking posts
   // everything and waits once, retrying the whole exchange; overlapped posts
   // everything up front, waits per chunk and retries one tag while the
-  // combine chases the landed frontier. Re-posting an overlapped chunk is
-  // safe: its combine region is untouched until the chunk has fully landed.
+  // combine chases the landed frontier in cache tiles. A region is combined
+  // only once its round has verified in both directions (with_retry has
+  // returned, after the pair rendezvous on rank threads), so a re-send
+  // always packs amplitudes no combine has overwritten yet.
   const bool whole = opts_.policy == CommPolicy::kNonBlocking;
   const bool chase = opts_.policy == CommPolicy::kOverlapped;
   if (chase) {
@@ -350,7 +334,13 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
   // concurrently, so retries rendezvous with it.
   RankTeam* pair_sync = sides.size() == 1 ? team_.get() : nullptr;
   amp_index next = 0;
-  const auto ready = [&]() -> amp_index {
+  const auto ready = [&](amp_index done) -> amp_index {
+    // Every combine below `done` has run, and none reads below it again.
+    for (; released < next && end_of(released) <= done; ++released) {
+      for (auto& side_views : held) {
+        side_views.pop_front();
+      }
+    }
     const amp_index c0 = next;
     next = whole ? chunks : c0 + 1;
     // Round totals cover both directions, so one retry is charged the same
@@ -361,6 +351,11 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
                whole ? VirtualCluster::kAnyTag : static_cast<int>(c0),
                2 * static_cast<int>(next - c0), bytes, pair_sync,
                [&](int attempt) {
+                 // What a failed attempt landed goes back before the
+                 // re-send.
+                 for (auto& side_views : held) {
+                   side_views.resize(c0 - released);
+                 }
                  for (amp_index c = c0; c < next; ++c) {
                    if (!chase || attempt > 0) {
                      post(c);
@@ -372,15 +367,26 @@ void DistStateVector<S>::exchange_step(std::span<const Side> sides,
                });
     return end_of(next - 1);
   };
-  // Without chasing, the whole stream must land before one combine pass.
+  // Each region is combined from the held chunks that overlap its
+  // alignment blocks, where a SWAP's partners lie; each kernel call
+  // touches only the amplitudes that read inside its chunk. Blocking and
+  // non-blocking exchanges combine each round as one region, at full loop
+  // width.
   const amp_index tile = amp_index{1}
                          << std::min(opts_.sweep.tile_qubits, local_qubits_);
   kern::apply_over_frontier(
-      shape.total, chase ? shape.align : shape.total,
-      chase ? tile : shape.total, ready,
+      shape.total, shape.align, chase ? tile : shape.total, ready,
       [&](amp_index first, amp_index count) {
-        for (const Side& side : sides) {
-          combine(side.me, first, count);
+        const amp_index lo = first & ~(shape.align - 1);
+        const amp_index hi =
+            (first + count + shape.align - 1) & ~(shape.align - 1);
+        for (std::size_t i = 0; i < sides.size(); ++i) {
+          for (amp_index c = lo / shape.chunk; c * shape.chunk < hi; ++c) {
+            combine(sides[i].me,
+                    kern::peer_span(held[i][c - released].bytes(),
+                                    c * shape.chunk),
+                    first, count);
+          }
         }
       });
 }
@@ -399,12 +405,17 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
   Shape shape;
   shape.total = plan.exchange_bytes / kBytesPerAmp;
   shape.chunk = plan.max_message_bytes / kBytesPerAmp;
+  shape.pack = [&](rank_t me, amp_index first, amp_index count,
+                   std::byte* out) {
+    slices_[me].pack(first, count, out);
+  };
   RegionFn combine;
   switch (plan.combine) {
     case OpPlan::Combine::kMatrix1:
       // Elementwise: every landed amplitude is immediately combinable.
-      combine = [&](rank_t me, amp_index first, amp_index count) {
-        kern::combine_matrix1_range(slices_[me], recv_bufs_[me], high(me), u,
+      combine = [&](rank_t me, const kern::PeerSpan& peer, amp_index first,
+                    amp_index count) {
+        kern::combine_matrix1_range(slices_[me], peer, high(me), u,
                                     local_ctrl, first, count);
       };
       break;
@@ -412,31 +423,34 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
       const int a = g.targets[0];
       if (plan.half_exchange) {
         // Each side ships the half whose bit `a` disagrees with its own bit
-        // of the distributed target and scatters the peer's half into the
-        // same positions, elementwise over the packed index.
-        shape.gather = [&, a](rank_t me) {
-          kern::gather_half(slices_[me], a, 1 - high(me), recv_bufs_[me],
-                            shape.total);
+        // of the distributed target, gathered straight into the message,
+        // and scatters the peer's half into the same positions,
+        // elementwise over the packed index.
+        shape.pack = [&, a](rank_t me, amp_index first, amp_index count,
+                            std::byte* out) {
+          kern::gather_half(slices_[me], a, 1 - high(me), first, count, out);
         };
-        combine = [&, a](rank_t me, amp_index first, amp_index count) {
-          kern::scatter_half(slices_[me], a, 1 - high(me), recv_bufs_[me],
-                             first, count);
+        combine = [&, a](rank_t me, const kern::PeerSpan& peer,
+                         amp_index first, amp_index count) {
+          kern::scatter_half(slices_[me], a, 1 - high(me), peer, first,
+                             count);
         };
       } else {
         // The combine reads the partner amplitude flip_bit(i, a), so
         // regions must be closed under that flip: align 2^(a+1).
         shape.align = amp_index{1} << (a + 1);
-        combine = [&, a](rank_t me, amp_index first, amp_index count) {
-          kern::combine_swap_one_high_range(slices_[me], recv_bufs_[me], a,
-                                            high(me), first, count);
+        combine = [&, a](rank_t me, const kern::PeerSpan& peer,
+                         amp_index first, amp_index count) {
+          kern::combine_swap_one_high_range(slices_[me], peer, a, high(me),
+                                            first, count);
         };
       }
       break;
     }
     case OpPlan::Combine::kSwapTwoHigh:
-      combine = [&](rank_t me, amp_index first, amp_index count) {
-        kern::combine_swap_two_high_range(slices_[me], recv_bufs_[me], first,
-                                          count);
+      combine = [&](rank_t me, const kern::PeerSpan& peer, amp_index first,
+                    amp_index count) {
+        kern::combine_swap_two_high_range(slices_[me], peer, first, count);
       };
       break;
     case OpPlan::Combine::kNone:
@@ -453,7 +467,8 @@ void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
     }
   });
   QSV_REQUIRE(cluster_.quiescent(),
-              "messages left in flight after a distributed gate");
+              "messages left in flight, or received payloads held, after a "
+              "distributed gate");
 }
 
 template <class S>
@@ -591,7 +606,6 @@ ReshardPlan DistStateVector<S>::reshard(int new_ranks, rank_t rebuilt) {
   if (!grow) {
     cluster_.resize_to(plan.new_ranks);
   }
-  resize_buffers();
   return plan;
 }
 

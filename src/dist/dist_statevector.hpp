@@ -3,11 +3,13 @@
 //
 // The statevector is split evenly across 2^k ranks (one rank per simulated
 // node, as in all the paper's experiments); the top k qubits select the
-// rank. Every rank owns a communication buffer of the same size as its
-// slice — the paper's "additional buffers are required in the MPI
-// implementation, doubling the overall memory requirement". A single rank
-// never exchanges and owns none, as the machine model's per_node_bytes
-// assumes.
+// rank. QuEST gives every rank an MPI buffer of the same size as its slice
+// to receive its peer's amplitudes into — the paper's "additional buffers
+// are required in the MPI implementation, doubling the overall memory
+// requirement", which the machine model's per_node_bytes keeps pricing.
+// This engine owns only its slices: a distributed gate's combine reads the
+// peer's amplitudes in place from the verified messages that carried them
+// (docs/COMMS.md, "The transport: mailboxes and message lifecycle").
 #pragma once
 
 #include <functional>
@@ -30,6 +32,10 @@
 #include "sv/sweep.hpp"
 
 namespace qsv {
+
+namespace kern {
+struct PeerSpan;
+}
 
 /// Bounded retry of faulted exchanges (exercised only when a FaultInjector
 /// is attached; fault-free transport never retries). A dropped or corrupted
@@ -176,16 +182,16 @@ class DistStateVector {
 
  private:
   /// One rank's side of a pairwise exchange: `me` posts its chunks to
-  /// `peer` and consumes the peer's chunks into its own buffers.
+  /// `peer` and combines the peer's chunks into its own slice.
   struct Side {
     rank_t me;
     rank_t peer;
   };
   /// What one exchange streams, in whole amplitudes: `total` per direction
-  /// in messages of at most `chunk`, the peer's landing in the recv buffer
-  /// from index 0. A full exchange packs from the slice. A half exchange
-  /// (`gather` set) first gathers each side's outgoing half into the upper
-  /// half of its recv buffer and packs from there.
+  /// in messages of at most `chunk`, stream index 0 first. `pack` writes
+  /// side `me`'s stream amplitudes [first, first + count) into a message:
+  /// straight from the slice for a full exchange, gathered from it for a
+  /// half exchange.
   struct Shape {
     amp_index total = 0;
     amp_index chunk = 0;
@@ -193,20 +199,25 @@ class DistStateVector {
     /// for elementwise combines, 2^(a+1) for a SWAP reading partner
     /// amplitude flip_bit(i, a).
     amp_index align = 1;
-    std::function<void(rank_t me)> gather;
+    std::function<void(rank_t me, amp_index first, amp_index count,
+                       std::byte* out)>
+        pack;
   };
-  /// Combines side `me`'s landed amplitudes [first, first + count).
-  using RegionFn =
-      std::function<void(rank_t me, amp_index first, amp_index count)>;
+  /// Combines side `me`'s amplitudes [first, first + count) with what
+  /// `peer`, one held message, holds of the peer's stream.
+  using RegionFn = std::function<void(rank_t me, const kern::PeerSpan& peer,
+                                      amp_index first, amp_index count)>;
 
   /// The one pairwise exchange step. Each side posts its chunks to its peer
-  /// (tagged with the chunk index), consumes the peer's chunks in order and
-  /// combines every landed region through kern::apply_over_frontier, in
-  /// increasing order and with the serial arithmetic, so every policy and
-  /// engine produces the same bits. The threaded engine passes one side (the
-  /// peer's thread runs the mirror step); the serial engine passes both
-  /// sides of a pair and interleaves them per chunk. The policy picks only
-  /// the wait point and the retry unit (docs/COMMS.md).
+  /// (tagged with the chunk index), holds the peer's verified chunks in
+  /// order and combines every landed region from them through
+  /// kern::apply_over_frontier, in increasing order and with the serial
+  /// arithmetic, so every policy and engine produces the same bits. A chunk
+  /// is let go once the frontier has passed it, and none outlives the step.
+  /// The threaded engine passes one side (the peer's thread runs the mirror
+  /// step); the serial engine passes both sides of a pair and interleaves
+  /// them per chunk. The policy picks only the wait point and the retry
+  /// unit (docs/COMMS.md).
   void exchange_step(std::span<const Side> sides, const Shape& shape,
                      const RegionFn& combine);
   /// Picks the distributed gate's shape and combine, then runs
@@ -218,8 +229,6 @@ class DistStateVector {
   /// rank's exception, if any, is rethrown once all have finished: a pair
   /// whose exchange fails does not stop the other pairs' exchanges.
   void for_each_rank(int count, const std::function<void(int)>& fn);
-  /// Rebuilds the recv buffers for the current width.
-  void resize_buffers();
   void apply_sweep_run(const Circuit& c, std::size_t first,
                        std::size_t count);
   void emit(const ExecEvent& e);
@@ -243,8 +252,7 @@ class DistStateVector {
   int local_qubits_;
   DistOptions opts_;
   VirtualCluster cluster_;
-  std::vector<S> slices_;       // one per rank
-  std::vector<S> recv_bufs_;    // the doubling MPI buffers; none on one rank
+  std::vector<S> slices_;  // one per rank
   /// Ranks-as-threads runtime (null on the serial engine).
   std::unique_ptr<RankTeam> team_;
   int numa_domains_ = 1;

@@ -15,7 +15,9 @@
 // bit-identical, so the routing never changes results (docs/KERNELS.md).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
 #include <span>
 #include <utility>
@@ -249,8 +251,32 @@ void apply_gate_slice(S& s, const Gate& g, int local_qubits,
 
 // ---------------------------------------------------------------------------
 // Distributed combine kernels (used by the distributed engine after the
-// pairwise exchange; `theirs` is the peer's full slice).
+// pairwise exchange). The peer's amplitudes are never copied into a buffer
+// of this rank's: the kernels read them in place from the verified message
+// that carried them, as a PeerSpan.
 // ---------------------------------------------------------------------------
+
+/// Peer amplitudes [first, first + count) of an exchange stream, read in
+/// place from one message: `count` real parts, then `count` imaginary parts
+/// (the layout SoaStorage::pack and gather_half write).
+struct PeerSpan {
+  const real_t* re = nullptr;
+  const real_t* im = nullptr;
+  amp_index first = 0;
+  amp_index count = 0;
+
+  [[nodiscard]] amp_index end() const { return first + count; }
+};
+
+/// Views a payload of whole amplitudes as the stream's amplitudes from
+/// `first` on. The payload's reals were written as reals (a pack or a
+/// gather copies them in), so they are read back through real_t pointers.
+[[nodiscard]] inline PeerSpan peer_span(std::span<const std::byte> payload,
+                                        amp_index first) {
+  const amp_index count = payload.size() / kBytesPerAmp;
+  const auto* re = reinterpret_cast<const real_t*>(payload.data());
+  return {re, re + count, first, count};
+}
 
 /// Distributed single-target gate: this rank holds the `my_row` components
 /// (my_row = my rank's bit of the target). After receiving the peer slice:
@@ -259,105 +285,190 @@ void apply_gate_slice(S& s, const Gate& g, int local_qubits,
 /// before the exchange).
 ///
 /// The combine kernels update amplitudes [first, first + count) only — the
-/// overlapped exchange pipeline applies them chunk by chunk as payloads
-/// arrive. Each amplitude's update is independent, so region-at-a-time
-/// application is bitwise identical to one pass over (0, size).
-template <class S>
-void combine_matrix1_range(S& mine, const S& theirs, int my_row, const Mat2& u,
-                           amp_index local_ctrl_mask, amp_index first,
-                           amp_index count) {
-  QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
+/// exchange applies them region by region as payloads arrive. Each reads
+/// only the peer amplitudes `peer` holds: an elementwise kernel updates the
+/// part of the region that `peer` covers, so a region spread over several
+/// messages takes one call per message. Each amplitude's update is
+/// independent, so region-at-a-time application is bitwise identical to
+/// one pass over (0, size).
+///
+/// The complex products are written out in std::complex's order, re =
+/// (dr*ar - di*ai) + (or*br - oi*bi) and im = (dr*ai + di*ar) + (or*bi +
+/// oi*br), which gives the bits the std::complex form gave on finite
+/// amplitudes, in a loop the compiler vectorises. The translation units
+/// that instantiate these kernels are compiled without FP contraction
+/// (docs/KERNELS.md), so no build fuses them into multiply-adds.
+template <simd::SoaSpanAccess S>
+void combine_matrix1_range(S& mine, const PeerSpan& peer, int my_row,
+                           const Mat2& u, amp_index local_ctrl_mask,
+                           amp_index first, amp_index count) {
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  const cplx diag = u.m[my_row][my_row];
-  const cplx off = u.m[my_row][1 - my_row];
-  parallel_for(count, static_cast<std::int64_t>(count),
-               [=, &mine, &theirs](std::int64_t k) {
-                 const amp_index i = first + static_cast<amp_index>(k);
-                 if (!bits::all_set(i, local_ctrl_mask)) {
-                   return;
-                 }
-                 mine.set(i, diag * mine.get(i) + off * theirs.get(i));
-               });
+  const amp_index lo = std::max(first, peer.first);
+  const amp_index hi = std::min(first + count, peer.end());
+  if (lo >= hi) {
+    return;
+  }
+  const real_t dr = u.m[my_row][my_row].real();
+  const real_t di = u.m[my_row][my_row].imag();
+  const real_t orr = u.m[my_row][1 - my_row].real();
+  const real_t oi = u.m[my_row][1 - my_row].imag();
+  real_t* const mre = mine.re() + lo;
+  real_t* const mim = mine.im() + lo;
+  const real_t* const pre = peer.re + (lo - peer.first);
+  const real_t* const pim = peer.im + (lo - peer.first);
+  const amp_index n = hi - lo;
+  const auto mix = [=](amp_index k) {
+    const real_t ar = mre[k];
+    const real_t ai = mim[k];
+    const real_t br = pre[k];
+    const real_t bi = pim[k];
+    mre[k] = (dr * ar - di * ai) + (orr * br - oi * bi);
+    mim[k] = (dr * ai + di * ar) + (orr * bi + oi * br);
+  };
+  if (local_ctrl_mask == 0) {
+    parallel_for(n, static_cast<std::int64_t>(n),
+                 [=](std::int64_t k) { mix(static_cast<amp_index>(k)); });
+    return;
+  }
+  parallel_for(n, static_cast<std::int64_t>(n), [=](std::int64_t k) {
+    if (bits::all_set(lo + static_cast<amp_index>(k), local_ctrl_mask)) {
+      mix(static_cast<amp_index>(k));
+    }
+  });
 }
 
 /// Distributed SWAP with one local target `a` and the distributed target in
 /// the rank bits: amplitudes whose local bit `a` differs from this rank's
-/// bit of the distributed target are replaced from the peer slice.
-/// Range form for the overlapped pipeline. An amplitude i in the region
-/// reads theirs[flip_bit(i, a)], which may sit outside [first, first+count):
-/// callers must only pass regions closed under flipping bit `a` — i.e.
-/// aligned to (and a multiple of) 2^(a+1) amplitudes, which the frontier
-/// driver guarantees (sv/sweep.hpp).
-template <class S>
-void combine_swap_one_high_range(S& mine, const S& theirs, int a,
+/// bit of the distributed target are replaced from the peer slice. An
+/// amplitude i of [first, first + count) reads theirs[flip_bit(i, a)],
+/// which may lie outside the region and in another message: this call
+/// updates the amplitudes whose partner `peer` holds. Every partner a
+/// region reads lies in the 2^(a+1)-aligned blocks that the region
+/// overlaps, which is why the frontier driver holds application back to
+/// that alignment (sv/sweep.hpp).
+template <simd::SoaSpanAccess S>
+void combine_swap_one_high_range(S& mine, const PeerSpan& peer, int a,
                                  int my_high_bit, amp_index first,
                                  amp_index count) {
-  QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  parallel_for(count, static_cast<std::int64_t>(count),
-               [=, &mine, &theirs](std::int64_t k) {
-                 const amp_index i = first + static_cast<amp_index>(k);
-                 if (bits::bit(i, a) != my_high_bit) {
-                   mine.set(i, theirs.get(bits::flip_bit(i, a)));
-                 }
-               });
+  // An amplitude and its partner share a 2^(a+1) block: only the blocks
+  // that overlap both the region and `peer` have work.
+  const amp_index end = first + count;
+  const amp_index half = amp_index{1} << a;
+  const amp_index base = std::max(first, peer.first) & ~(2 * half - 1);
+  const amp_index stop = std::min(end, peer.end());
+  if (base >= stop) {
+    return;
+  }
+  const amp_index blocks = (stop - base + 2 * half - 1) / (2 * half);
+  // In each block the run of `half` amplitudes whose bit a differs from
+  // my_high_bit is written, from the partner run `half` away.
+  const amp_index write_off = my_high_bit != 0 ? 0 : half;
+  const amp_index read_off = half - write_off;
+  real_t* const mre = mine.re();
+  real_t* const mim = mine.im();
+  const PeerSpan p = peer;
+  parallel_for(std::min(count, blocks * 2 * half),
+               static_cast<std::int64_t>(blocks), [=](std::int64_t b) {
+    const amp_index block = base + static_cast<amp_index>(b) * 2 * half;
+    const amp_index w = block + write_off;
+    const amp_index r = block + read_off;
+    const amp_index i_lo = std::max(first, w);
+    const amp_index i_hi = std::min(end, w + half);
+    if (i_lo >= i_hi) {
+      return;
+    }
+    const amp_index j_lo = std::max(i_lo - w + r, p.first);
+    const amp_index j_hi = std::min(i_hi - w + r, p.end());
+    if (j_lo >= j_hi) {
+      return;
+    }
+    std::copy_n(p.re + (j_lo - p.first), j_hi - j_lo, mre + (j_lo - r + w));
+    std::copy_n(p.im + (j_lo - p.first), j_hi - j_lo, mim + (j_lo - r + w));
+  });
 }
 
 /// Distributed SWAP with both targets in the rank bits: the slices are
-/// exchanged wholesale (pure relabelling).
-template <class S>
-void combine_swap_two_high_range(S& mine, const S& theirs, amp_index first,
-                                 amp_index count) {
-  QSV_REQUIRE(mine.size() == theirs.size(), "slice size mismatch");
+/// exchanged wholesale (pure relabelling). Copies the part of the region
+/// that `peer` covers.
+template <simd::SoaSpanAccess S>
+void combine_swap_two_high_range(S& mine, const PeerSpan& peer,
+                                 amp_index first, amp_index count) {
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  parallel_for(count, static_cast<std::int64_t>(count),
-               [=, &mine, &theirs](std::int64_t k) {
-                 const amp_index i = first + static_cast<amp_index>(k);
-                 mine.set(i, theirs.get(i));
-               });
+  const amp_index lo = std::max(first, peer.first);
+  const amp_index hi = std::min(first + count, peer.end());
+  if (lo >= hi) {
+    return;
+  }
+  const std::size_t bytes = (hi - lo) * sizeof(real_t);
+  parallel_copy(hi - lo,
+                {{mine.re() + lo, peer.re + (lo - peer.first), bytes},
+                 {mine.im() + lo, peer.im + (lo - peer.first), bytes}});
 }
 
 // ---------------------------------------------------------------------------
 // Half-exchange helpers (the paper's future-work optimisation): only the
-// half of the slice whose bit `a` equals `value` moves.
+// half of the slice whose bit `a` equals `value` moves. Packed index k is
+// the k-th amplitude of that half, in increasing index order.
 // ---------------------------------------------------------------------------
 
-/// Copies the amplitudes of `src` whose bit `a` == `value`, in increasing
-/// index order, into dst[first, first + src.size() / 2).
-template <class S>
-void gather_half(const S& src, int a, int value, S& dst, amp_index first) {
-  const amp_index half = src.size() / 2;
-  QSV_REQUIRE(first + half <= dst.size(), "gather region out of range");
-  parallel_for(half, static_cast<std::int64_t>(half),
-               [=, &src, &dst](std::int64_t kk) {
-                 const amp_index k = static_cast<amp_index>(kk);
-                 amp_index i = bits::insert_zero_bit(k, a);
-                 if (value) {
-                   i = bits::set_bit(i, a);
-                 }
-                 dst.set(first + k, src.get(i));
-               });
+/// Calls copy(k, i, n) for every run of packed indices [k, k + n) within
+/// [lo, hi) whose amplitudes are contiguous from index i: runs of 2^a
+/// packed indices, split across the calling thread's loop team.
+template <class CopyRun>
+void for_each_half_run(amp_index lo, amp_index hi, int a, int value,
+                       CopyRun copy) {
+  if (lo >= hi) {
+    return;
+  }
+  const amp_index first_run = lo >> a;
+  const amp_index runs = ((hi - 1) >> a) - first_run + 1;
+  const amp_index set = static_cast<amp_index>(value) << a;
+  parallel_for(hi - lo, static_cast<std::int64_t>(runs),
+               [=](std::int64_t rr) {
+    const amp_index run = first_run + static_cast<amp_index>(rr);
+    const amp_index k_lo = std::max(lo, run << a);
+    const amp_index k_hi = std::min(hi, (run + 1) << a);
+    copy(k_lo, bits::insert_zero_bit(k_lo, a) | set, k_hi - k_lo);
+  });
+}
+
+/// Writes packed amplitudes [first, first + count) of `src`'s half into a
+/// message payload at `out`: `count` real parts, then `count` imaginary
+/// parts — the half exchange's send, gathered straight from the slice.
+template <simd::SoaSpanAccess S>
+void gather_half(const S& src, int a, int value, amp_index first,
+                 amp_index count, std::byte* out) {
+  QSV_REQUIRE(first + count <= src.size() / 2, "gather region out of range");
+  real_t* const ore = reinterpret_cast<real_t*>(out);
+  real_t* const oim = ore + count;
+  const real_t* const sre = src.re();
+  const real_t* const sim = src.im();
+  for_each_half_run(first, first + count, a, value,
+                    [=](amp_index k, amp_index i, amp_index n) {
+    std::copy_n(sre + i, n, ore + (k - first));
+    std::copy_n(sim + i, n, oim + (k - first));
+  });
 }
 
 /// Inverse of gather_half over packed indices [first, first + count):
-/// writes src[k] into the k-th amplitude of `dst` whose bit `a` == `value`.
-/// Each k maps to one amplitude independently of every other, so the
-/// overlapped pipeline's region-at-a-time scatter is bitwise identical to
-/// one whole pass.
-template <class S>
-void scatter_half(S& dst, int a, int value, const S& src, amp_index first,
-                  amp_index count) {
-  QSV_REQUIRE(first + count <= dst.size() / 2 && first + count <= src.size(),
-              "scatter region out of range");
-  parallel_for(count, static_cast<std::int64_t>(count),
-               [=, &dst, &src](std::int64_t kk) {
-                 const amp_index k = first + static_cast<amp_index>(kk);
-                 amp_index i = bits::insert_zero_bit(k, a);
-                 if (value) {
-                   i = bits::set_bit(i, a);
-                 }
-                 dst.set(i, src.get(k));
-               });
+/// writes the peer's packed amplitude k into the k-th amplitude of `dst`
+/// whose bit `a` == `value`, for the k that `src` holds. Each k maps to one
+/// amplitude independently of every other, so the region-at-a-time
+/// scatter is bitwise identical to one whole pass.
+template <simd::SoaSpanAccess S>
+void scatter_half(S& dst, int a, int value, const PeerSpan& src,
+                  amp_index first, amp_index count) {
+  QSV_REQUIRE(first + count <= dst.size() / 2, "scatter region out of range");
+  real_t* const dre = dst.re();
+  real_t* const dim = dst.im();
+  const PeerSpan p = src;
+  for_each_half_run(std::max(first, p.first),
+                    std::min(first + count, p.end()), a, value,
+                    [=](amp_index k, amp_index i, amp_index n) {
+    std::copy_n(p.re + (k - p.first), n, dre + i);
+    std::copy_n(p.im + (k - p.first), n, dim + i);
+  });
 }
 
 }  // namespace qsv::kern

@@ -48,9 +48,11 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
 /// region kernel over amplitudes [0, total) chasing an arrival frontier
 /// instead of waiting for the whole payload.
 ///
-/// `ready()` advances the frontier — typically by receiving the next chunk
-/// of an in-flight exchange — and returns the new watermark W (monotone,
-/// eventually >= total): amplitudes [0, W) have arrived.
+/// `ready(done)` advances the frontier — typically by receiving the next
+/// chunk of an in-flight exchange — and returns the new watermark W
+/// (monotone, eventually >= total): amplitudes [0, W) have arrived. `done`
+/// is how far application has got: every region below it has been applied
+/// and none will be again, so whatever only those regions read can go.
 /// `apply(first, count)` is then invoked over the newly combinable span,
 /// broken into at most `tile`-amplitude pieces so application stays
 /// cache-tiled while it chases the frontier.
@@ -72,7 +74,7 @@ void apply_over_frontier(amp_index total, amp_index align, amp_index tile,
                          ReadyFn&& ready, ApplyFn&& apply) {
   amp_index done = 0;
   while (done < total) {
-    const amp_index w = ready();
+    const amp_index w = ready(done);
     // Hold application back to the last alignment boundary at or below the
     // watermark; once everything has arrived, run out to the exact end.
     const amp_index safe = w >= total ? total : w & ~(align - 1);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/faults.hpp"
@@ -484,6 +485,132 @@ TEST(Cluster, CorruptPayloadNeverReachesTheReceiversMemory) {
   EXPECT_TRUE(big_out == pattern(big, 4));
   EXPECT_EQ(wide.stats().delivered, 1u);
   EXPECT_TRUE(wide.quiescent());
+}
+
+/// Sends `p` from `from` to `to` and returns the message storage the fill
+/// wrote into, so a test can see which storage the free list handed out.
+const std::byte* send_at(VirtualCluster& c, rank_t from, rank_t to,
+                         const std::vector<std::byte>& p, int tag) {
+  const std::byte* at = nullptr;
+  c.send(from, to, p.size(), tag, [&](std::span<std::byte> b) {
+    std::copy(p.begin(), p.end(), b.begin());
+    at = b.data();
+  });
+  return at;
+}
+
+bool holds(const VirtualCluster::MessageView& v,
+           const std::vector<std::byte>& p) {
+  return std::equal(v.bytes().begin(), v.bytes().end(), p.begin(), p.end());
+}
+
+TEST(Cluster, HeldViewKeepsItsBytesAndStorageUntilItIsDestroyed) {
+  VirtualCluster c(4, 1024);
+  const std::byte* held_at = send_at(c, 0, 1, pattern(256, 1), 0);
+  {
+    const VirtualCluster::MessageView v = c.recv_view(0, 1, 256, 0);
+    EXPECT_EQ(v.bytes().data(), held_at);  // read in place, not copied
+    EXPECT_FALSE(c.quiescent());
+    EXPECT_EQ(c.stats().delivered, 1u);
+    // Traffic in both directions and on another pair, received, drained and
+    // purged while the view is held, never lands in the held storage.
+    for (int round = 0; round < 4; ++round) {
+      EXPECT_NE(send_at(c, 1, 0, pattern(512, 10 + round), 1), held_at);
+      EXPECT_NE(send_at(c, 2, 3, pattern(128, 20 + round), 2), held_at);
+      EXPECT_NE(send_at(c, 0, 1, pattern(1024, 30 + round), 3), held_at);
+      std::vector<std::byte> got(512);
+      c.recv(1, 0, got, 1);
+      EXPECT_EQ(got, pattern(512, 10 + round));
+      const VirtualCluster::MessageView other = c.recv_view(0, 1, 1024, 3);
+      EXPECT_TRUE(holds(other, pattern(1024, 30 + round)));
+      c.purge_tag(2, 3, 2);
+      EXPECT_EQ(c.pending(2, 3), 0u);
+    }
+    EXPECT_TRUE(holds(v, pattern(256, 1)));
+    EXPECT_FALSE(c.quiescent());
+    // Queued, counted and peaked as before: a held view is not in flight.
+    EXPECT_EQ(c.stats().max_in_flight, 3u);
+  }
+  EXPECT_TRUE(c.quiescent());
+  // Back on top of the free list: the next send writes into it.
+  EXPECT_EQ(send_at(c, 0, 1, pattern(64, 2), 0), held_at);
+}
+
+TEST(Cluster, CorruptPayloadYieldsNoViewAndItsStorageIsRecycled) {
+  FaultInjector inj(corrupt_first_sends(1));
+  VirtualCluster c(2, 1024);
+  c.set_fault_injector(&inj);
+  const std::byte* at = send_at(c, 0, 1, pattern(256, 1), 0);
+  EXPECT_THROW((void)c.recv_view(0, 1, 256, 0), CommCorrupt);
+  EXPECT_TRUE(c.quiescent());
+  EXPECT_EQ(c.stats().checksum_failures, 1u);
+  EXPECT_EQ(c.stats().delivered, 0u);
+  // The re-send writes into the corrupt message's storage and verifies.
+  EXPECT_EQ(send_at(c, 0, 1, pattern(256, 1), 0), at);
+  const VirtualCluster::MessageView v = c.recv_view(0, 1, 256, 0);
+  EXPECT_TRUE(holds(v, pattern(256, 1)));
+  EXPECT_EQ(c.stats().delivered, 1u);
+}
+
+TEST(Cluster, PurgesAndResetsLeaveAHeldViewIntact) {
+  VirtualCluster c(4, 1024);
+  send_at(c, 0, 1, pattern(300, 1), 5);
+  VirtualCluster::MessageView v = c.recv_view(0, 1, 300, 5);
+  const std::byte* held_at = v.bytes().data();
+  // Same tag, same pair, the rank, then everything.
+  send_at(c, 0, 1, pattern(300, 2), 5);
+  send_at(c, 1, 0, pattern(300, 3), 5);
+  c.purge_tag(0, 1, 5);
+  send_at(c, 0, 1, pattern(300, 4), 6);
+  c.purge_pair(0, 1);
+  send_at(c, 0, 2, pattern(300, 5), 7);
+  c.purge_rank(0);
+  send_at(c, 2, 3, pattern(300, 6), 8);
+  c.reset_queues();
+  EXPECT_EQ(v.bytes().data(), held_at);
+  EXPECT_TRUE(holds(v, pattern(300, 1)));
+  EXPECT_FALSE(c.quiescent());  // nothing queued, one payload held
+  v.release();
+  EXPECT_TRUE(v.bytes().empty());
+  EXPECT_TRUE(c.quiescent());
+}
+
+TEST(Cluster, ViewMovesToAndIsReleasedOnAnotherThread) {
+  // Concurrent mailboxes: a sender thread posts, this thread takes the
+  // views, and a third thread checks and destroys them while this thread
+  // keeps sending and receiving into recycled storage.
+  constexpr int kMessages = 64;
+  VirtualCluster c(2, 4096);
+  c.enable_concurrent();
+  std::thread sender([&] {
+    for (int m = 0; m < kMessages; ++m) {
+      c.send(0, 1, pattern(4096, m), m);
+    }
+  });
+  std::vector<VirtualCluster::MessageView> views;
+  for (int m = 0; m < kMessages; ++m) {
+    views.push_back(c.recv_view(0, 1, 4096, m));
+  }
+  sender.join();
+  EXPECT_FALSE(c.quiescent());
+  std::thread releaser([views = std::move(views)]() mutable {
+    for (std::size_t m = 0; m < views.size(); ++m) {
+      EXPECT_TRUE(holds(views[m], pattern(4096, static_cast<int>(m))));
+      VirtualCluster::MessageView last = std::move(views[m]);
+      EXPECT_TRUE(views[m].bytes().empty());  // moved from: empty
+      last = VirtualCluster::MessageView{};   // move-assigning releases
+      EXPECT_TRUE(last.bytes().empty());
+    }
+  });
+  for (int m = 0; m < kMessages; ++m) {
+    c.send(1, 0, pattern(4096, 100 + m), 0);
+    std::vector<std::byte> got(4096);
+    c.recv(1, 0, got, 0);
+    EXPECT_EQ(got, pattern(4096, 100 + m));
+  }
+  releaser.join();
+  EXPECT_TRUE(c.quiescent());
+  EXPECT_EQ(c.stats().delivered, 2u * kMessages);
 }
 
 TEST(Cluster, PolicyNames) {

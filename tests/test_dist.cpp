@@ -8,6 +8,10 @@
 
 #if defined(__linux__)
 #include <sys/resource.h>
+#include <unistd.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 #include "circuit/builders.hpp"
@@ -307,6 +311,51 @@ TEST(Dist, ExchangeIsBitIdenticalAtEveryLoopWidth) {
       }
     }
   }
+}
+
+TEST(Dist, ConstructionFirstTouchesOnlyTheSlices) {
+#if !defined(__linux__) || !defined(__GLIBC__)
+  GTEST_SKIP() << "counts minor page faults with Linux getrusage under glibc";
+#else
+  // An engine allocates its slices and nothing of their size besides: the
+  // combine reads the peer's amplitudes from message storage, so there is
+  // no receive buffer to allocate and zero. Every array of 128 KiB or more
+  // gets a mapping of its own, as the e2e benchmark's set-up samples do,
+  // and free heap memory that earlier tests left is handed back to the
+  // kernel before each count, so each page a construction touches is a
+  // fresh minor fault. The yardstick is the faults of allocating the four
+  // 2^17-amplitude slices alone, which also counts what a sanitizer's
+  // allocator adds per page.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  const auto faults_of = [](const auto& work) {
+    malloc_trim(0);
+    const long before = minor_faults();
+    work();
+    return minor_faults() - before;
+  };
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE(threads == 0 ? "serial" : "4 rank threads");
+    DistOptions o;
+    o.threading.threads = threads;
+    // Warm-up: the loop team, the rank threads' stacks and the allocator
+    // are set up once per process.
+    { const DistStateVectorSoa warm(19, 4, o); }
+    const long slices = faults_of([] {
+      std::vector<SoaStorage> s;
+      for (int r = 0; r < 4; ++r) {
+        s.emplace_back(amp_index{1} << 17);
+      }
+    });
+    const long engine =
+        faults_of([&] { const DistStateVectorSoa d(19, 4, o); });
+    // The yardstick really is fresh pages (a few may share a page with
+    // heap memory in use).
+    const long slice_pages =
+        4L * (amp_index{1} << 17) * kBytesPerAmp / sysconf(_SC_PAGESIZE);
+    EXPECT_GE(slices, slice_pages * 3 / 4);
+    EXPECT_LT(engine, slices + slices / 4) << slices << " for the slices";
+  }
+#endif
 }
 
 TEST(Dist, SteadyStateExchangesFaultInNoPages) {

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "circuit/matrix.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -108,6 +112,31 @@ TYPED_TEST(KernelsTyped, ApplyGateSliceRejectsDistributed) {
   EXPECT_THROW(kern::apply_gate_slice(s, make_h(5), 3, 0), Error);
 }
 
+/// A slice's amplitudes [first, first + count) as a message payload lays
+/// them out: `count` real parts, then `count` imaginary parts.
+template <class S>
+std::vector<real_t> payload_of(const S& s, amp_index first, amp_index count) {
+  std::vector<real_t> p(2 * count);
+  s.pack(first, count, reinterpret_cast<std::byte*>(p.data()));
+  return p;
+}
+
+kern::PeerSpan span_of(const std::vector<real_t>& payload, amp_index first) {
+  const amp_index count = payload.size() / 2;
+  return {payload.data(), payload.data() + count, first, count};
+}
+
+/// `peer`'s stream cut into messages of `chunk` amplitudes.
+template <class S>
+std::vector<std::vector<real_t>> chunks_of(const S& peer, amp_index total,
+                                           amp_index chunk) {
+  std::vector<std::vector<real_t>> out;
+  for (amp_index first = 0; first < total; first += chunk) {
+    out.push_back(payload_of(peer, first, std::min(chunk, total - first)));
+  }
+  return out;
+}
+
 TYPED_TEST(KernelsTyped, CombineMatrix1ReconstructsHadamard) {
   // Simulate the two sides of a distributed H by hand and compare to the
   // 1-qubit formula: lo' = (lo + hi)/sqrt(2); hi' = (lo - hi)/sqrt(2).
@@ -118,8 +147,10 @@ TYPED_TEST(KernelsTyped, CombineMatrix1ReconstructsHadamard) {
   const auto hi_ref = random_slice<TypeParam>(n, 7);
   const Mat2 h = gate_matrix2(make_h(0));
 
-  kern::combine_matrix1_range(lo, hi_ref, 0, h, 0, 0, n);
-  kern::combine_matrix1_range(hi, lo_ref, 1, h, 0, 0, n);
+  const std::vector<real_t> from_hi = payload_of(hi_ref, 0, n);
+  const std::vector<real_t> from_lo = payload_of(lo_ref, 0, n);
+  kern::combine_matrix1_range(lo, span_of(from_hi, 0), 0, h, 0, 0, n);
+  kern::combine_matrix1_range(hi, span_of(from_lo, 0), 1, h, 0, 0, n);
   const real_t s = std::numbers::sqrt2_v<real_t> / 2;
   for (amp_index i = 0; i < n; ++i) {
     EXPECT_LT(std::abs(lo.get(i) - (lo_ref.get(i) + hi_ref.get(i)) * s),
@@ -129,13 +160,56 @@ TYPED_TEST(KernelsTyped, CombineMatrix1ReconstructsHadamard) {
   }
 }
 
+TYPED_TEST(KernelsTyped, CombineMatrix1IsTheComplexFormulaBitForBit) {
+  // The written-out re/im arithmetic must give the bits of
+  // diag * mine + off * theirs in std::complex, for a complex unitary, with
+  // and without a local control, whether the peer's stream arrives as one
+  // message or as ragged chunks, at loop widths 1 and 4 (2^17 amplitudes
+  // open a team).
+  const test::LoopWidthGuard restore;
+  const amp_index n = amp_index{1} << 17;
+  const auto peer = random_slice<TypeParam>(n, 21);
+  const auto start = random_slice<TypeParam>(n, 22);
+  Rng rng(23);
+  const Mat2 u = gate_matrix2(make_unitary1(0, random_unitary1_params(rng)));
+  for (const int width : {1, 4}) {
+    set_loop_width(width);
+    for (const amp_index ctrl : {amp_index{0}, amp_index{0b101}}) {
+      for (const amp_index chunk : {n, amp_index{65537}, amp_index{3}}) {
+        SCOPED_TRACE(testing::Message() << "width " << width << ", ctrl "
+                                        << ctrl << ", chunk " << chunk);
+        for (const int row : {0, 1}) {
+          TypeParam mine = start;
+          const std::vector<std::vector<real_t>> msgs =
+              chunks_of(peer, n, chunk);
+          for (std::size_t c = 0; c < msgs.size(); ++c) {
+            kern::combine_matrix1_range(mine, span_of(msgs[c], c * chunk), row,
+                                        u, ctrl, 0, n);
+          }
+          const cplx diag = u.m[row][row];
+          const cplx off = u.m[row][1 - row];
+          for (amp_index i = 0; i < n; ++i) {
+            const cplx want = bits::all_set(i, ctrl)
+                                  ? diag * start.get(i) + off * peer.get(i)
+                                  : start.get(i);
+            const cplx got = mine.get(i);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TYPED_TEST(KernelsTyped, CombineSwapOneHigh) {
   const amp_index n = 16;
   const int a = 1;  // local swap bit
   auto mine = random_slice<TypeParam>(n, 8);
   const auto peer = random_slice<TypeParam>(n, 9);
   const auto ref = random_slice<TypeParam>(n, 8);
-  kern::combine_swap_one_high_range(mine, peer, a, /*my_high_bit=*/0, 0, n);
+  const std::vector<real_t> msg = payload_of(peer, 0, n);
+  kern::combine_swap_one_high_range(mine, span_of(msg, 0), a,
+                                    /*my_high_bit=*/0, 0, n);
   for (amp_index i = 0; i < n; ++i) {
     if (bits::bit(i, a) != 0) {
       EXPECT_EQ(mine.get(i), peer.get(bits::flip_bit(i, a)));
@@ -145,22 +219,79 @@ TYPED_TEST(KernelsTyped, CombineSwapOneHigh) {
   }
 }
 
-TYPED_TEST(KernelsTyped, GatherScatterRoundTrip) {
-  const amp_index n = 32;
-  const int a = 2;
-  const auto src = random_slice<TypeParam>(n, 10);
-  TypeParam buf(n / 2);
+TYPED_TEST(KernelsTyped, SwapCombinesReadPartnersAcrossMessages) {
+  // A full-exchange SWAP reads partner flip_bit(i, a), which lies in
+  // another message whenever a chunk is not a multiple of 2^(a+1)
+  // amplitudes. Handing a region every message that overlaps its
+  // alignment blocks must give the one-message result, for every region
+  // split the frontier driver makes (whole blocks, or pieces of a half
+  // block when a tile is smaller than the alignment), on both sides.
+  const amp_index n = 64;
+  const auto peer = random_slice<TypeParam>(n, 31);
+  const auto start = random_slice<TypeParam>(n, 32);
+  for (const int a : {0, 1, 2, 3, 5}) {
+    for (const int high : {0, 1}) {
+      TypeParam want = start;
+      const std::vector<real_t> whole = payload_of(peer, 0, n);
+      kern::combine_swap_one_high_range(want, span_of(whole, 0), a, high, 0,
+                                        n);
+      TypeParam two_high = start;
+      kern::combine_swap_two_high_range(two_high, span_of(whole, 0), 0, n);
+      for (const amp_index chunk : {amp_index{1}, amp_index{3},
+                                    amp_index{6}, amp_index{64}}) {
+        for (const amp_index region : {amp_index{1}, amp_index{4},
+                                       amp_index{64}}) {
+          SCOPED_TRACE(testing::Message() << "a " << a << ", high " << high
+                                          << ", chunk " << chunk
+                                          << ", region " << region);
+          const std::vector<std::vector<real_t>> msgs =
+              chunks_of(peer, n, chunk);
+          TypeParam got = start;
+          TypeParam got_two = start;
+          for (amp_index first = 0; first < n; first += region) {
+            for (std::size_t c = 0; c < msgs.size(); ++c) {
+              const kern::PeerSpan p = span_of(msgs[c], c * chunk);
+              kern::combine_swap_one_high_range(got, p, a, high, first,
+                                                region);
+              kern::combine_swap_two_high_range(got_two, p, first, region);
+            }
+          }
+          for (amp_index i = 0; i < n; ++i) {
+            ASSERT_EQ(got.get(i), want.get(i)) << i;
+            ASSERT_EQ(got_two.get(i), two_high.get(i)) << i;
+          }
+        }
+      }
+    }
+  }
+}
 
-  for (int value : {0, 1}) {
-    kern::gather_half(src, a, value, buf, 0);
-    auto dst = random_slice<TypeParam>(n, 11);
-    const auto dst_ref = random_slice<TypeParam>(n, 11);
-    kern::scatter_half(dst, a, value, buf, 0, n / 2);
-    for (amp_index i = 0; i < n; ++i) {
-      if (bits::bit(i, a) == value) {
-        EXPECT_EQ(dst.get(i), src.get(i));
-      } else {
-        EXPECT_EQ(dst.get(i), dst_ref.get(i));
+TYPED_TEST(KernelsTyped, GatherScatterRoundTrip) {
+  // Gathered and scattered in pieces, as ragged chunks of a half exchange
+  // are, the round trip moves exactly the half whose bit `a` is `value`.
+  const amp_index n = 32;
+  for (const int a : {0, 2, 4}) {
+    const auto src = random_slice<TypeParam>(n, 10);
+    for (int value : {0, 1}) {
+      for (const amp_index chunk : {amp_index{3}, amp_index{16}}) {
+        SCOPED_TRACE(testing::Message() << "a " << a << ", value " << value
+                                        << ", chunk " << chunk);
+        auto dst = random_slice<TypeParam>(n, 11);
+        const auto dst_ref = random_slice<TypeParam>(n, 11);
+        for (amp_index first = 0; first < n / 2; first += chunk) {
+          const amp_index count = std::min(chunk, n / 2 - first);
+          std::vector<real_t> msg(2 * count);
+          kern::gather_half(src, a, value, first, count,
+                            reinterpret_cast<std::byte*>(msg.data()));
+          kern::scatter_half(dst, a, value, span_of(msg, first), 0, n / 2);
+        }
+        for (amp_index i = 0; i < n; ++i) {
+          if (bits::bit(i, a) == value) {
+            EXPECT_EQ(dst.get(i), src.get(i));
+          } else {
+            EXPECT_EQ(dst.get(i), dst_ref.get(i));
+          }
+        }
       }
     }
   }
@@ -178,17 +309,21 @@ TYPED_TEST(KernelsTyped, HalfExchangeEqualsFullExchangeSwap) {
   const auto lo_ref = random_slice<TypeParam>(n, 12);
   const auto hi_ref = random_slice<TypeParam>(n, 13);
 
-  kern::combine_swap_one_high_range(full_lo, hi_ref, a, 0, 0, n);
-  kern::combine_swap_one_high_range(full_hi, lo_ref, a, 1, 0, n);
+  const std::vector<real_t> from_hi = payload_of(hi_ref, 0, n);
+  const std::vector<real_t> from_lo = payload_of(lo_ref, 0, n);
+  kern::combine_swap_one_high_range(full_lo, span_of(from_hi, 0), a, 0, 0, n);
+  kern::combine_swap_one_high_range(full_hi, span_of(from_lo, 0), a, 1, 0, n);
 
   // Half path: rank 0 (b-bit 0) ships its bit_a==1 half; rank 1 ships
   // bit_a==0; each scatters what it received into the moving half.
-  TypeParam lo_to_hi(n / 2);
-  TypeParam hi_to_lo(n / 2);
-  kern::gather_half(half_lo, a, 1, lo_to_hi, 0);
-  kern::gather_half(half_hi, a, 0, hi_to_lo, 0);
-  kern::scatter_half(half_lo, a, 1, hi_to_lo, 0, n / 2);
-  kern::scatter_half(half_hi, a, 0, lo_to_hi, 0, n / 2);
+  std::vector<real_t> lo_to_hi(n);
+  std::vector<real_t> hi_to_lo(n);
+  kern::gather_half(half_lo, a, 1, 0, n / 2,
+                    reinterpret_cast<std::byte*>(lo_to_hi.data()));
+  kern::gather_half(half_hi, a, 0, 0, n / 2,
+                    reinterpret_cast<std::byte*>(hi_to_lo.data()));
+  kern::scatter_half(half_lo, a, 1, span_of(hi_to_lo, 0), 0, n / 2);
+  kern::scatter_half(half_hi, a, 0, span_of(lo_to_hi, 0), 0, n / 2);
 
   for (amp_index i = 0; i < n; ++i) {
     EXPECT_EQ(full_lo.get(i), half_lo.get(i)) << i;

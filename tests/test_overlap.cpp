@@ -329,6 +329,75 @@ TEST(Overlap, DroppedChunkReplaysToIdenticalState) {
   }
 }
 
+TEST(Overlap, RoundWhoseSecondDirectionFailsReplaysToTheCleanState) {
+  // The combine reads the peer's amplitudes from held messages, so nothing
+  // may be combined until both directions of a round have verified: a
+  // re-send packs from the slice, which must still hold the pre-gate
+  // amplitudes. Each case fails the higher rank's message of a round whose
+  // other direction (the lower rank's, received first serially) verified,
+  // in each of the three gates. 48 B and 96 B caps cut a 16-amplitude slice
+  // into 3- and 6-amplitude chunks, so the 2^(a+1) blocks a full-exchange
+  // SWAP reads its partners from straddle chunks for a = 2 and 3; the half
+  // exchange of the same SWAPs scatters from held chunks too.
+  Circuit c(6, "straddle");
+  c.add(make_swap(2, 5));  // pairs 0-2 and 1-3
+  c.add(make_h(4));        // pairs 0-1 and 2-3
+  c.add(make_swap(3, 5));  // pairs 0-2 and 1-3
+  StateVector ref(6);
+  Rng rng(53);
+  ref.init_random_state(rng);
+  for (const bool half : {false, true}) {
+    for (const CommPolicy policy : {CommPolicy::kBlocking,
+                                    CommPolicy::kNonBlocking,
+                                    CommPolicy::kOverlapped}) {
+      for (const std::size_t cap : {std::size_t{48}, std::size_t{96}}) {
+        DistOptions o;
+        o.policy = policy;
+        o.half_exchange_swaps = half;
+        o.max_message_bytes = cap;
+        DistStateVectorSoa clean(6, 4, o);
+        clean.init_from(ref);
+        clean.apply(c);
+        // Messages each rank sends per SWAP (k) and per H (h).
+        const amp_index chunk = cap / kBytesPerAmp;
+        const amp_index k = ((half ? 8 : 16) + chunk - 1) / chunk;
+        const amp_index h = (16 + chunk - 1) / chunk;
+        const std::string specs[] = {
+            "corrupt@2:2",                                // SWAP(2, 5)
+            "corrupt@" + std::to_string(k + 1) + ":3",    // H(4), chunk 0
+            "corrupt@" + std::to_string(k + h + 2) + ":2",  // SWAP(3, 5)
+            "drop@" + std::to_string(k + 2) + ":3",       // H(4), chunk 1
+        };
+        for (const std::string& spec : specs) {
+          for (const int threads : {0, 4}) {
+            // A threaded drop waits out a 0.5 s watchdog: one shape is
+            // enough.
+            if (threads != 0 && spec[0] == 'd' && (half || cap != 48)) {
+              continue;
+            }
+            SCOPED_TRACE(testing::Message()
+                         << (half ? "half " : "full ")
+                         << comm_policy_name(policy) << ", cap " << cap
+                         << " B, " << spec << (threads != 0 ? ", threaded"
+                                                            : ", serial"));
+            o.threading.threads = threads;
+            FaultInjector inj(parse_fault_plan(spec));
+            DistStateVectorSoa faulty(6, 4, o);
+            faulty.init_from(ref);
+            faulty.set_fault_injector(&inj);
+            faulty.apply(c);
+            EXPECT_EQ(inj.totals().retries, 1u);
+            for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
+              ASSERT_EQ(clean.amplitude(i), faulty.amplitude(i))
+                  << "amplitude " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Overlap, StragglerOnOneChunkOnlyDelaysThatChunk) {
   // A straggler inside the watchdog deadline delays its chunk but the
   // pipeline consumes chunks in order and the digest is unchanged; the

@@ -6,7 +6,9 @@
 # (uninitialised state, iteration-order dependence, a stray RNG), not noise.
 # Every case on the 6-qubit probe also runs on rank threads, which must
 # record what the serial engine records, and every message fault a case
-# names must fire.
+# names must fire. Generated probes hold every rank count to one digest on
+# complex-valued gates, and every exchange policy and message cap to one
+# digest on distributed SWAPs.
 #
 #   tools/check_determinism.sh [path-to-qsv-binary]
 #
@@ -219,6 +221,118 @@ for ranks in 1 2 4 8; do
              "serial '$wide_crc'" >&2
         status=1
       fi
+    done
+  done
+done
+
+# Complex matrix entries: a generated RCS-style probe of u1q and u2q gates
+# on 14 qubits. The other probes use real-valued gates, where a fused
+# multiply-add rounds like the separate multiply and add; a complex product
+# does not. A build that contracted the distributed combine into fused
+# multiply-adds (as -march=native would, without the pinned
+# -ffp-contract=off) printed a different digest at every rank count. At
+# ranks 1, 2, 4 and 8, on both engines, every run must print the one-rank
+# serial digest.
+awk -v n=14 -v depth=4 '
+  # A 2x2 unitary as 8 reals (re/im pairs, row-major) in o.
+  function u1(t, p, l, o,   c, s) {
+    c = cos(t / 2); s = sin(t / 2)
+    o[0] = c;              o[1] = 0
+    o[2] = -cos(l) * s;    o[3] = -sin(l) * s
+    o[4] = cos(p) * s;     o[5] = sin(p) * s
+    o[6] = cos(p + l) * c; o[7] = sin(p + l) * c
+  }
+  function reals(head, v, k,   line, i) {
+    line = head " |"
+    for (i = 0; i < k; ++i) line = line " " sprintf("%.17g", v[i])
+    print line
+  }
+  BEGIN {
+    print "qubits " n; print "name complex_probe"
+    for (L = 0; L < depth; ++L) {
+      for (q = 0; q < n; ++q) {
+        u1(0.3 + 0.11 * q + 0.7 * L, 0.2 + 0.13 * q,
+           0.5 + 0.17 * L + 0.05 * q, m)
+        reals("u1q " q, m, 8)
+      }
+      # x kron y with rows 2 and 3 swapped: an entangling two-qubit unitary.
+      for (q = L % 2; q + 1 < n; q += 2) {
+        u1(0.9 + 0.07 * q, 0.4 + 0.03 * L, 1.1 + 0.09 * q, x)
+        u1(0.6 + 0.05 * L, 1.3 + 0.02 * q, 0.8 + 0.04 * q, y)
+        for (r = 0; r < 4; ++r) {
+          rr = r < 2 ? r : 5 - r
+          for (c = 0; c < 4; ++c) {
+            xi = 2 * (2 * int(rr / 2) + int(c / 2))
+            yi = 2 * (2 * (rr % 2) + c % 2)
+            e[2 * (4 * r + c)] = x[xi] * y[yi] - x[xi + 1] * y[yi + 1]
+            e[2 * (4 * r + c) + 1] = x[xi] * y[yi + 1] + x[xi + 1] * y[yi]
+          }
+        }
+        reals("u2q " q " " q + 1, e, 32)
+      }
+    }
+  }' >"$tmp/complex.qc"
+complex_crc=$("$qsv" run "$tmp/complex.qc" --ranks 1 2>&1 \
+              | grep -o 'state crc32: [0-9a-f]*')
+for ranks in 1 2 4 8; do
+  engines "complex r$ranks" "$qsv" run "$tmp/complex.qc" --ranks "$ranks"
+  for side in serial thr; do
+    crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/$side")
+    if [ "$crc" != "$complex_crc" ]; then
+      echo "FAIL complex r$ranks ($side): '$crc' != one rank" \
+           "'$complex_crc'" >&2
+      status=1
+    fi
+  done
+done
+
+# Distributed SWAPs on a generated 19-qubit probe at 4 ranks (rank qubits
+# 17 and 18): one local target at a = 0, 1 and 3, whose combine reads the
+# partner amplitude flip_bit(i, a) straight out of the peer's messages, and
+# a SWAP of the two rank qubits. A 48 B cap cuts each 2^17-amplitude slice
+# into 3-amplitude chunks, so partners sit in another message; a
+# 1,048,592 B cap cuts it at 65,537 amplitudes, inside a 2^(a+1) block for
+# every a. Under every policy, at those caps and the default, on both
+# engines, clean and with rank 0's third send dropped, every run must land
+# on the serial blocking default-cap digest.
+{
+  echo "qubits 19"
+  echo "name swap_probe"
+  for q in $(seq 0 18); do echo "h $q"; done
+  for q in $(seq 0 18); do echo "rz $q 0.$((q + 21))"; done
+  for q in $(seq 0 2 17); do echo "cx $q $((q + 1))"; done
+  echo "swap 0 17"
+  echo "rx 0 0.31"
+  echo "cx 17 2"
+  echo "swap 1 18"
+  echo "ry 1 0.47"
+  echo "rz 18 0.59"
+  echo "swap 3 17"
+  echo "cx 3 4"
+  echo "rx 17 0.71"
+  echo "swap 17 18"
+  echo "rz 17 0.83"
+  echo "h 18"
+} >"$tmp/swap.qc"
+swap_crc=$("$qsv" run "$tmp/swap.qc" --ranks 4 2>&1 \
+           | grep -o 'state crc32: [0-9a-f]*')
+for policy in blocking nonblocking overlapped; do
+  for cap in default 1048592 48; do
+    cap_args=()
+    [ "$cap" = default ] || cap_args=(--max-message "$cap")
+    for faults in clean drop@3; do
+      fault_args=()
+      [ "$faults" = clean ] || fault_args=(--faults "$faults")
+      engines "swap $policy $cap $faults" "$qsv" run "$tmp/swap.qc" \
+              --ranks 4 --policy "$policy" "${cap_args[@]}" "${fault_args[@]}"
+      for side in serial thr; do
+        crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/$side")
+        if [ "$crc" != "$swap_crc" ]; then
+          echo "FAIL swap $policy $cap $faults ($side): '$crc' != serial" \
+               "blocking '$swap_crc'" >&2
+          status=1
+        fi
+      done
     done
   done
 done
