@@ -117,14 +117,28 @@ expect_exit 2 "$qsv" transpile "$tmp/c.qc" --local 4 --pass greedy \
   --min-reuse 0
 expect_exit 2 "$qsv" run "$tmp/c.qc" --shots -3
 
-# --policy is the only spelling of the exchange flavour.
+# --policy is the only spelling of the exchange flavour, and --faults the
+# only spelling of a fault spec.
 expect_exit 2 "$qsv" price --qft 10 --nonblocking
+expect_exit 2 "$qsv" run "$tmp/c.qc" --bitflip 3
+grep -q "unknown option --bitflip" "$tmp/err" ||
+  fail "--bitflip not reported as an unknown option"
 
 # Fault specs may only name ranks the run has.
 expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4 --faults fail@6:7 \
   --checkpoint-interval 3 --checkpoint-dir "$tmp/ck_norank"
 expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 1 --faults fail@6:1
-expect_exit 2 "$qsv" run "$tmp/c.qc" --bitflip 3:5      # 4 ranks
+expect_exit 2 "$qsv" run "$tmp/c.qc" --faults bitflip@3:5   # 4 ranks
+
+# The functional engines hold registers up to 24 qubits; a larger one is a
+# bad argument that names the cap.
+printf 'qubits 25\nh 0\n' >"$tmp/huge.qc"
+expect_exit 2 "$qsv" run "$tmp/huge.qc"
+grep -q "largest register is 24 qubits" "$tmp/err" ||
+  fail "a 25-qubit run does not name the 24-qubit cap"
+expect_exit 2 timeout 10 "$qsv" serve --max-qubits 25 --socket "$tmp/cap.sock"
+grep -q "must be in \[1, 24\]" "$tmp/err" ||
+  fail "serve --max-qubits 25 does not name the 24-qubit cap"
 
 # --- exit 1: library errors -------------------------------------------------
 # A QSV_SIMD value the host cannot run, also on a register large enough
@@ -159,7 +173,7 @@ expect_exit 4 "$qsv" run "$tmp/c.qc" --faults fail@12:1 \
 # --- exit 5: integrity abort ------------------------------------------------
 # A silent exponent-bit flip with guards on but no checkpoint to roll back
 # to: detection has nowhere to go but a typed abort.
-expect_exit 5 "$qsv" run "$tmp/c.qc" --bitflip 2:0:62 --guards 1
+expect_exit 5 "$qsv" run "$tmp/c.qc" --faults bitflip@2:0:62 --guards 1
 grep -q "integrity abort" "$tmp/err" || fail "exit-5 message missing"
 
 # --- exit 0 + digest: clean and recovered runs agree ------------------------

@@ -58,6 +58,8 @@ TEST(Dist, InitAndAmplitudeAddressing) {
   EXPECT_EQ(d.amplitude(13), (cplx{1, 0}));
   EXPECT_EQ(d.amplitude(0), (cplx{0, 0}));
   EXPECT_NEAR(d.norm_sq(), 1.0, 1e-15);
+  // A gate on a qubit past the register is refused.
+  EXPECT_THROW(d.apply(make_h(4)), Error);
 }
 
 TEST(Dist, DistributedHadamardMatchesSingle) {

@@ -63,21 +63,29 @@ TEST_P(DistEquivalence, RandomCircuitMatchesSingleEngine) {
 TEST_P(DistEquivalence, QftMatchesSingleEngine) {
   const Case& p = GetParam();
   const int n = 8;
-  const Circuit qft = build_qft(n);
+  // The default QFT, and QuEST's built-in one: ascending Hadamards, each
+  // target's controlled phases fused into one diagonal pass, final swaps.
+  QftOptions builtin;
+  builtin.ascending = true;
+  builtin.fused_phases = true;
+  builtin.final_swaps = true;
+  for (const QftOptions& qft_opts : {QftOptions{}, builtin}) {
+    const Circuit qft = build_qft(n, qft_opts);
+    StateVector ref(n);
+    Rng init(p.seed + 2000);
+    ref.init_random_state(init);
 
-  StateVector ref(n);
-  Rng init(p.seed + 2000);
-  ref.init_random_state(init);
+    DistOptions opts;
+    opts.policy = p.policy;
+    opts.half_exchange_swaps = p.half_exchange;
+    DistStateVectorSoa dist(n, p.ranks, opts);
+    dist.init_from(ref);
 
-  DistOptions opts;
-  opts.policy = p.policy;
-  opts.half_exchange_swaps = p.half_exchange;
-  DistStateVectorSoa dist(n, p.ranks, opts);
-  dist.init_from(ref);
-
-  ref.apply(qft);
-  dist.apply(qft);
-  EXPECT_LT(ref.max_amp_diff(dist.gather()), 1e-10);
+    ref.apply(qft);
+    dist.apply(qft);
+    EXPECT_LT(ref.max_amp_diff(dist.gather()), 1e-10)
+        << (qft_opts.fused_phases ? "built-in QFT" : "default QFT");
+  }
 }
 
 TEST_P(DistEquivalence, GroverMatchesSingleEngine) {

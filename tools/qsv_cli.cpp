@@ -3,7 +3,7 @@
 //   qsv run <file.qc> [--ranks N] [--shots K] [--seed S]
 //                 [--no-sweep] [--tile T] [--deadline-s S]
 //                 [--policy blocking|nonblocking|overlapped] [--max-message B]
-//                 [--faults PLAN] [--mtbf HOURS] [--bitflip G[:R[:B]]]
+//                 [--faults PLAN] [--mtbf HOURS]
 //                 [--checkpoint-interval GATES] [--checkpoint-dir DIR]
 //                 [--guards K] [--guard-crc]
 //                 [--spares N] [--recovery TIERS]
@@ -138,6 +138,10 @@ CommPolicy parse_policy(const std::string& s) {
                  s + "'");
 }
 
+/// The largest register `qsv run` and `qsv serve` hold. The functional
+/// engines allocate every amplitude: 2^24 of them take 256 MiB.
+constexpr int kMaxFunctionalQubits = 24;
+
 /// A register size (--qft, --fast-qft, --qubits) within [1, 62], the
 /// widths the library represents.
 int register_size_arg(const std::string& text, const std::string& what) {
@@ -148,7 +152,7 @@ int cmd_run(int argc, const char* const* argv) {
   ArgParser args;
   args.option("ranks").option("shots").option("seed").option("tile");
   args.option("faults").option("mtbf").option("checkpoint-interval");
-  args.option("checkpoint-dir").option("bitflip").option("guards");
+  args.option("checkpoint-dir").option("guards");
   args.option("spares").option("recovery");
   args.option("threads").option("placement").option("machine");
   args.option("policy").option("max-message").option("deadline-s");
@@ -158,7 +162,11 @@ int cmd_run(int argc, const char* const* argv) {
               "usage: qsv run <file.qc> ...");
 
   const Circuit c = load_circuit(args.positionals()[0]);
-  QSV_REQUIRE(c.num_qubits() <= 24, "register too large for functional run");
+  require_arg(c.num_qubits() <= kMaxFunctionalQubits,
+              std::to_string(c.num_qubits()) +
+                  " qubits exceed the functional engines' cap; the largest "
+                  "register is " +
+                  std::to_string(kMaxFunctionalQubits) + " qubits");
   const int requested_ranks = args.int_or("ranks", 4);
   require_arg(is_pow2_count(requested_ranks),
               "--ranks must be a power of two, got " +
@@ -211,12 +219,6 @@ int cmd_run(int argc, const char* const* argv) {
   FaultPlan plan;
   if (const auto f = args.value("faults")) {
     plan = parse_fault_plan(*f);
-  }
-  if (const auto b = args.value("bitflip")) {
-    // Shorthand for a silent-corruption spec: --bitflip G[:R[:B]].
-    const FaultPlan flips = parse_fault_plan("bitflip@" + *b);
-    plan.specs.insert(plan.specs.end(), flips.specs.begin(),
-                      flips.specs.end());
   }
   const double mtbf_hours = args.double_or("mtbf", 0);
   require_arg(mtbf_hours >= 0, "--mtbf must be positive");
@@ -415,12 +417,9 @@ int cmd_run(int argc, const char* const* argv) {
   }
   if (shots > 0) {
     Rng rng(static_cast<std::uint64_t>(args.int_or("seed", 1)));
-    std::map<amp_index, int> histogram;
     // Sample from the gathered state (small registers only, checked above).
-    auto single = sv.gather();
-    for (int s = 0; s < shots; ++s) {
-      ++histogram[single.sample(rng)];
-    }
+    std::map<amp_index, int> histogram =
+        sv.gather().sample_counts(shots, rng);
     std::cout << "top outcomes over " << shots << " shots:\n";
     int printed = 0;
     for (int round = 0; round < 5 && printed < 5; ++round) {
@@ -756,23 +755,29 @@ int cmd_serve(int argc, const char* const* argv) {
 
   serve::ServerOptions so;
   so.socket_path = args.value_or("socket", "qsv-serve.sock");
-  so.tcp_port = args.int_or("port", 0);
+  so.tcp_port = args.int_or("port", so.tcp_port);
   require_arg(so.tcp_port >= 0 && so.tcp_port <= 65535,
               "--port must be in [0, 65535]");
-  so.workers = args.int_or("workers", 2);
+  so.workers = args.int_or("workers", so.workers);
   require_arg(so.workers >= 1, "--workers must be >= 1");
-  const int queue = args.int_or("queue", 16);
+  const int queue =
+      args.int_or("queue", static_cast<int>(so.queue_capacity));
   require_arg(queue >= 1, "--queue must be >= 1");
   so.queue_capacity = static_cast<std::size_t>(queue);
-  const int cache = args.int_or("cache", 64);
+  const int cache =
+      args.int_or("cache", static_cast<int>(so.plan_cache_capacity));
   require_arg(cache >= 0, "--cache must be >= 0");
   so.plan_cache_capacity = static_cast<std::size_t>(cache);
-  so.limits.nodes = args.int_or("nodes", 64);
+  so.limits.nodes = args.int_or("nodes", so.limits.nodes);
   require_arg(so.limits.nodes >= 1, "--nodes must be >= 1");
-  so.limits.max_qubits = args.int_or("max-qubits", 22);
-  require_arg(so.limits.max_qubits >= 1 && so.limits.max_qubits <= 24,
-              "--max-qubits must be in [1, 24] (functional engine cap)");
-  so.limits.energy_budget_j = args.double_or("energy-budget", 0);
+  so.limits.max_qubits = args.int_or("max-qubits", so.limits.max_qubits);
+  require_arg(so.limits.max_qubits >= 1 &&
+                  so.limits.max_qubits <= kMaxFunctionalQubits,
+              "--max-qubits must be in [1, " +
+                  std::to_string(kMaxFunctionalQubits) +
+                  "] (functional engine cap)");
+  so.limits.energy_budget_j =
+      args.double_or("energy-budget", so.limits.energy_budget_j);
   require_arg(so.limits.energy_budget_j >= 0,
               "--energy-budget must be >= 0 (0 = unlimited)");
 
@@ -814,9 +819,10 @@ int usage() {
       << "  run       run a circuit file functionally on a virtual cluster\n"
       << "            (--no-sweep disables cache-tiled multi-gate sweeps,\n"
       << "             --tile T sets the tile exponent, default 15;\n"
-      << "             --faults/--mtbf inject failures, --bitflip G[:R[:B]]\n"
-      << "             injects silent corruption, --checkpoint-interval\n"
-      << "             and --checkpoint-dir enable checkpoint/restart\n"
+      << "             --faults/--mtbf inject failures (--faults\n"
+      << "             bitflip@G[:R[:B]] injects silent corruption),\n"
+      << "             --checkpoint-interval and --checkpoint-dir enable\n"
+      << "             checkpoint/restart\n"
       << "             (one file, DIR/checkpoint.qsv, removed at exit),\n"
       << "             --guards K checks invariants every K gates and\n"
       << "             --guard-crc adds slice CRC signatures;\n"
