@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
     ck.dir = ck_dir.path.string();
     GuardOptions guards;
     guards.cadence_gates = 2;
-    guards.slice_crc = true;
     RecoveryPolicy policy;
     policy.health.enabled = true;
     ElasticOptions elastic;

@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 
 namespace qsv {
@@ -42,11 +43,11 @@ std::string num(real_t v) {
   return os.str();
 }
 
+/// Refuses line `line` of the input: the message names the input line, not
+/// a source location.
 [[noreturn]] void fail(int line, const std::string& what) {
-  QSV_REQUIRE(false,
-              "circuit parse error at line " + std::to_string(line) + ": " +
-                  what);
-  std::abort();  // unreachable
+  throw Error("circuit parse error at line " + std::to_string(line) + ": " +
+              what);
 }
 
 /// Hard cap on parsed gates: a hostile payload cannot make the parser
@@ -194,6 +195,22 @@ Circuit parse_circuit(const std::string& text) {
       fail(line_no, "instruction before the 'qubits' header");
     }
 
+    // Every qubit the line names must lie in the register and appear once,
+    // so a bad operand is refused here, naming its line, before a gate
+    // builder or Circuit::add can see it.
+    amp_index named = 0;  // one bit per qubit the line has named so far
+    auto operand = [&](qubit_t q) {
+      if (q < 0 || q >= num_qubits) {
+        fail(line_no, "qubit " + std::to_string(q) + " outside the " +
+                          std::to_string(num_qubits) + "-qubit register");
+      }
+      if (bits::bit(named, q) != 0) {
+        fail(line_no, "qubit " + std::to_string(q) + " named twice");
+      }
+      named = bits::set_bit(named, q);
+      return q;
+    };
+
     // Optional extra-control prefix: "ctrl a b ... | <gate ...>".
     std::vector<qubit_t> extra_controls;
     if (op == "ctrl") {
@@ -204,11 +221,13 @@ Circuit parse_circuit(const std::string& text) {
           saw_bar = true;
           break;
         }
+        qubit_t q = 0;
         try {
-          extra_controls.push_back(static_cast<qubit_t>(std::stoi(tok)));
+          q = static_cast<qubit_t>(std::stoi(tok));
         } catch (const std::exception&) {
           fail(line_no, "bad control qubit: " + tok);
         }
+        extra_controls.push_back(operand(q));
       }
       if (!saw_bar || extra_controls.empty() || !(ls >> op)) {
         fail(line_no, "malformed ctrl prefix");
@@ -220,7 +239,7 @@ Circuit parse_circuit(const std::string& text) {
       if (!(ls >> q)) {
         fail(line_no, std::string("missing ") + what);
       }
-      return q;
+      return operand(q);
     };
     auto read_real = [&](const char* what) {
       real_t v = 0;
@@ -287,13 +306,14 @@ Circuit parse_circuit(const std::string& text) {
         if (colon == std::string::npos) {
           fail(line_no, "bad fphase factor: " + tok);
         }
+        qubit_t q = 0;
         try {
-          controls.push_back(
-              static_cast<qubit_t>(std::stoi(tok.substr(0, colon))));
+          q = static_cast<qubit_t>(std::stoi(tok.substr(0, colon)));
           angles.push_back(std::stod(tok.substr(colon + 1)));
         } catch (const std::exception&) {
           fail(line_no, "bad fphase factor: " + tok);
         }
+        controls.push_back(operand(q));
         if (!std::isfinite(angles.back())) {
           fail(line_no, "non-finite fphase angle: " + tok);
         }
@@ -368,7 +388,9 @@ void save_circuit(const std::string& path, const Circuit& c) {
 
 Circuit load_circuit(const std::string& path) {
   std::ifstream in(path);
-  QSV_REQUIRE(in.good(), "cannot open circuit file: " + path);
+  if (!in.good()) {
+    throw Error("cannot open circuit file: " + path);
+  }
   return read_circuit(in);
 }
 

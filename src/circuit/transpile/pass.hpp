@@ -1,9 +1,7 @@
-// Transpiler pass framework.
+// Transpiler pass interface.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "circuit/circuit.hpp"
 
@@ -15,19 +13,6 @@ class Pass {
   virtual ~Pass() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual Circuit run(const Circuit& input) const = 0;
-};
-
-/// Runs a sequence of passes in order.
-class PassManager {
- public:
-  PassManager& add(std::unique_ptr<Pass> pass);
-
-  [[nodiscard]] Circuit run(const Circuit& input) const;
-
-  [[nodiscard]] std::size_t num_passes() const { return passes_.size(); }
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
 };
 
 }  // namespace qsv

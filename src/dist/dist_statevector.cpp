@@ -7,7 +7,6 @@
 #include <exception>
 
 #include "common/bits.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
@@ -718,15 +717,6 @@ int DistStateVector<S>::measure(qubit_t qubit, Rng& rng) {
     }
   }
   return outcome;
-}
-
-template <class S>
-std::uint32_t DistStateVector<S>::slice_crc(rank_t r) const {
-  const S& s = slice(r);
-  Crc32 crc;
-  crc.update(s.re(), s.size() * sizeof(real_t));
-  crc.update(s.im(), s.size() * sizeof(real_t));
-  return crc.value();
 }
 
 template <class S>

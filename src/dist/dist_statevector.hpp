@@ -161,10 +161,6 @@ class DistStateVector {
   /// Counters over every cache-tiled sweep run executed so far.
   [[nodiscard]] const SweepStats& sweep_stats() const { return sweep_stats_; }
 
-  /// CRC-32 over rank `r`'s resident amplitudes (the guard layer's slice
-  /// signature: captured at checkpoints, verified after restores).
-  [[nodiscard]] std::uint32_t slice_crc(rank_t r) const;
-
   /// True when options().threading selected the ranks-as-threads engine.
   [[nodiscard]] bool threaded() const { return team_ != nullptr; }
 

@@ -50,10 +50,11 @@ struct ExecEvent {
                  // gates inside still emit their own kLocalGate events, so
                  // pricing is unchanged and this event is purely a report
                  // of memory passes saved
-    kGuard,      // an integrity guard check (norm / slice CRC): emitted by
-                 // the guard layer, never by the engine itself, so engine
-                 // event streams stay identical between the functional and
-                 // trace backends and guards-off runs are zero-delta
+    kGuard,      // an integrity guard's norm check over local_amps per
+                 // rank: emitted by the guard layer, never by the engine
+                 // itself, so engine event streams stay identical between
+                 // the functional and trace backends and guards-off runs
+                 // are zero-delta
     kRecovery,   // a recovery action (substitute / shrink / restart):
                  // emitted by the recovery driver, never by the engine, so
                  // fault-free streams are unchanged. One action emits
@@ -133,19 +134,6 @@ struct ExecEvent {
   int sweep_gates = 0;
   /// Tiles per rank (slice amplitudes / tile amplitudes).
   amp_index sweep_tiles = 0;
-
-  // --- guard-only fields (the "price of trust"; all zero on every other
-  // event kind) ---
-  /// Slice bytes each rank streams for the norm reduction.
-  std::uint64_t guard_bytes_per_rank = 0;
-  /// Slice bytes each rank additionally runs through CRC-32.
-  std::uint64_t guard_crc_bytes_per_rank = 0;
-  /// FLOPs per rank for the norm accumulation (2 per amplitude: square and
-  /// add, for each of re/im).
-  std::uint64_t guard_flops_per_rank = 0;
-  /// Whether the check ends in a global allreduce (norm comparison does;
-  /// a pure local CRC capture does not).
-  bool guard_sync = false;
 
   bool operator==(const ExecEvent&) const = default;
 };

@@ -8,12 +8,9 @@
 // so ‖ψ‖² stays 1 to rounding. A StateGuard checks that invariant at a
 // configurable cadence and raises GuardViolation when it drifts; the
 // recovery policy (dist/recovery_policy.hpp) converts the violation into a
-// rollback to the last verified checkpoint.
-//
-// Optionally the guard also fingerprints each slice with a CRC-32
-// ("signature"), captured when a checkpoint is written and re-verified
-// after a restore — catching corruption on the memory→disk→memory path
-// that the norm check alone would attribute to the replay.
+// rollback to the last verified checkpoint. Corruption on the
+// memory→disk→memory path is the snapshot's to catch: every checkpoint
+// read is CRC-verified (dist/snapshot.hpp).
 //
 // Coverage note: a flip of a sign bit (bit 63 or 127 of the packed
 // amplitude) changes no magnitude and therefore escapes the norm check;
@@ -21,15 +18,14 @@
 // ablation harness reports this residual escape rate — trust has both a
 // price and a coverage, and we measure both.
 //
-// Cost: every check is charged through a kGuard ExecEvent (slice bytes
-// streamed, FLOPs for the norm accumulation, CRC bytes, and whether the
-// check ends in an allreduce). Guards off (cadence 0) emits nothing, so
+// Cost: every check is charged through a kGuard ExecEvent naming the slice
+// size; the cost model prices the slice stream, the norm accumulation and
+// the allreduce from it. Guards off (cadence 0) emits nothing, so
 // fault-free runs are bit- and cost-identical to the unguarded engine.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -44,28 +40,22 @@ struct GuardOptions {
   /// is written, so rollback targets are verified state ("last *verified*
   /// checkpoint").
   std::uint64_t cadence_gates = 0;
-  /// Fingerprint each slice with CRC-32 when a checkpoint is written and
-  /// verify the fingerprint after a restore (catches corruption on the
-  /// memory->disk->memory path).
-  bool slice_crc = false;
 
   [[nodiscard]] bool enabled() const { return cadence_gates > 0; }
 };
 
-/// A state invariant failed: the typed error the recovery policy converts
+/// The norm invariant failed: the typed error the recovery policy converts
 /// into a rollback (or an abort when no checkpoint exists to roll back to).
+/// The norm is a global invariant, so a violation names no rank.
 class GuardViolation : public Error {
  public:
-  GuardViolation(const std::string& what, rank_t rank, std::uint64_t gate)
-      : Error(what), rank_(rank), gate_(gate) {}
+  GuardViolation(const std::string& what, std::uint64_t gate)
+      : Error(what), gate_(gate) {}
 
-  /// Rank the violation localises to; -1 for a global invariant (norm).
-  [[nodiscard]] rank_t rank() const { return rank_; }
   /// Circuit-gate index of the check that fired.
   [[nodiscard]] std::uint64_t gate() const { return gate_; }
 
  private:
-  rank_t rank_;
   std::uint64_t gate_;
 };
 
@@ -82,44 +72,21 @@ class StateGuard {
   StateGuard(DistStateVector<S>& sv, GuardOptions opts)
       : sv_(sv), opts_(opts) {}
 
-  [[nodiscard]] const GuardOptions& options() const { return opts_; }
-
   /// True when a check is due after `gates_done` circuit gates.
   [[nodiscard]] bool due(std::uint64_t gates_done) const {
     return opts_.enabled() && gates_done > 0 &&
            gates_done % opts_.cadence_gates == 0;
   }
 
-  /// Runs the configured checks; `gate_index` is the circuit gate just
-  /// applied (for violation reporting). Throws GuardViolation on drift.
+  /// Runs the norm check; `gate_index` is the circuit gate just applied
+  /// (for violation reporting). Throws GuardViolation on drift.
   void check(std::uint64_t gate_index);
-
-  /// Per-slice CRC-32 fingerprint of the current state.
-  [[nodiscard]] std::vector<std::uint32_t> signature() const;
-
-  /// Captures the current signature (called when a checkpoint is written);
-  /// charged as a CRC-only guard event.
-  void capture_signature();
-
-  /// Verifies the restored state against the signature captured at the
-  /// matching checkpoint write. No-op when slice_crc is off or nothing was
-  /// captured. Throws GuardViolation naming the mismatching rank.
-  void verify_restore(std::uint64_t gate_index);
-
-  /// Drops the captured signature. Called after a shrink-to-survive
-  /// re-shard: the per-rank fingerprints describe the old width, so
-  /// verify_restore no-ops until the next checkpoint write recaptures at
-  /// the new width.
-  void invalidate_signature() { signature_.clear(); }
 
   [[nodiscard]] const GuardStats& stats() const { return stats_; }
 
  private:
-  void emit_event(bool norm, bool crc) const;
-
   DistStateVector<S>& sv_;
   GuardOptions opts_;
-  std::vector<std::uint32_t> signature_;
   GuardStats stats_;
 };
 

@@ -243,9 +243,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     have_ckpt = true;
     ckpt_ranks = sv.num_ranks();
     ++stats.checkpoints_written;
-    // Fingerprint what we just trusted to disk, so a restore can prove it
-    // came back intact.
-    guard.capture_signature();
     return true;
   };
 
@@ -271,9 +268,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     }
   };
 
-  // Rolls back to the last verified checkpoint after a detection. A restore
-  // that fails its own signature check is unsalvageable: reloading the same
-  // bytes cannot do better, so that converts straight into an abort.
+  // Rolls back to the last verified checkpoint after a detection.
   std::size_t i = 0;
   auto roll_back = [&] {
     sv.reset_transport();
@@ -281,15 +276,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       inj->restart();
     }
     read_ckpt(-1, [&] { load_state(ckpt_file.path, sv); });
-    try {
-      guard.verify_restore(ckpt_gate == 0 ? 0 : ckpt_gate - 1);
-    } catch (const GuardViolation& v) {
-      throw IntegrityAbort(
-          "integrity abort: rollback target is itself corrupt (rank " +
-              std::to_string(v.rank()) + ", gate " + std::to_string(v.gate()) +
-              "): " + v.what(),
-          v.rank(), v.gate(), v.what());
-    }
     stats.gates_replayed += i - ckpt_gate;
     i = ckpt_gate;
   };
@@ -332,8 +318,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   // engine at its old width, when a move faults past the retry budget. The
   // network event carries the moves' own retries: charges pending from
   // before are set aside for the next gate event. Ranks renumber, so the
-  // injector's dead set and the guard's per-rank checkpoint signature
-  // (verify_restore no-ops until the next checkpoint recaptures) are reset.
+  // injector's dead set is reset.
   auto reshard = [&](int new_ranks, rank_t rebuilt, RecoveryTier label,
                      std::uint64_t replayed) {
     const FaultInjector::GateFaultCharges earlier =
@@ -357,7 +342,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     emit_recovery(label, rp.rebuild_io_bytes,
                   1.0 / static_cast<double>(rp.old_ranks), replayed, rp,
                   moves);
-    guard.invalidate_signature();
     stats.final_ranks = sv.num_ranks();
     if (policy.health.enabled) {
       monitor.reset_width(sv.num_ranks(), sv.gates_applied());
@@ -424,7 +408,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     if (arrived == 0) {
       return;
     }
-    stats.revivals += arrived;
     if (policy.health.enabled) {
       fault_log_seen = inj->log().size();  // revive events are not misses
       for (std::size_t k = 0; k < arrived; ++k) {
@@ -561,19 +544,18 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     } catch (const GuardViolation& v) {
       ++stats.rollbacks;
       if (!checkpointing || !have_ckpt) {
-        throw IntegrityAbort(
-            "integrity abort at gate " + std::to_string(v.gate()) +
-                " (rank " + std::to_string(v.rank()) +
-                "): no checkpoint to roll back to: " + v.what(),
-            v.rank(), v.gate(), v.what());
+        throw IntegrityAbort("integrity abort at gate " +
+                                 std::to_string(v.gate()) +
+                                 " (rank -1): no checkpoint to roll back to: " +
+                                 v.what(),
+                             -1, v.gate(), v.what());
       }
       if (stats.rollbacks > kMaxRollbacks) {
-        throw IntegrityAbort(
-            "integrity abort at gate " + std::to_string(v.gate()) +
-                " (rank " + std::to_string(v.rank()) + "): " +
-                std::to_string(kMaxRollbacks) +
-                " rollbacks exhausted: " + v.what(),
-            v.rank(), v.gate(), v.what());
+        throw IntegrityAbort("integrity abort at gate " +
+                                 std::to_string(v.gate()) + " (rank -1): " +
+                                 std::to_string(kMaxRollbacks) +
+                                 " rollbacks exhausted: " + v.what(),
+                             -1, v.gate(), v.what());
       }
       roll_back();
     }
@@ -587,9 +569,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
   stats.guard_checks = guard.stats().checks;
   stats.guard_violations = guard.stats().violations;
   stats.health = monitor.stats();
-  if (inj != nullptr) {
-    stats.faults = inj->log();
-  }
   return stats;
 }
 

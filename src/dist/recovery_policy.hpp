@@ -162,8 +162,6 @@ struct IntegrityStats {
   /// Rank count at the end of the run (< planned_ranks after a shrink that
   /// never grew back — the degraded-completion case).
   int final_ranks = 0;
-  /// Replacement arrivals drained from the injector's revive stream.
-  std::uint64_t revivals = 0;
   /// Circuit gates executed below the planned width by the end of the run
   /// (0 when the run finished at full width).
   std::uint64_t degraded_gates = 0;
@@ -180,8 +178,6 @@ struct IntegrityStats {
   std::uint64_t gates_replayed = 0;
   std::uint64_t guard_checks = 0;
   std::uint64_t guard_violations = 0;
-  /// Copy of the injector's fault log (empty without an injector).
-  std::vector<FaultEvent> faults;
   /// Health-monitor counters (all zero when RecoveryPolicy::health is off).
   HealthMonitor::Stats health;
 };

@@ -8,32 +8,28 @@
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/types.hpp"
+#include "dist/events.hpp"
 #include "dist/resilience.hpp"
 #include "harness/experiments.hpp"
 #include "machine/job.hpp"
+#include "perf/cost_model.hpp"
 #include "perf/resilience_model.hpp"
 #include "perf/runner.hpp"
 
 namespace qsv {
 
-double guard_check_s(const MachineModel& m, int qubits, int nodes,
-                     bool slice_crc) {
+double guard_check_s(const MachineModel& m, int qubits, int nodes) {
   QSV_REQUIRE(qubits >= 1 && qubits < 63, "bad qubit count");
   QSV_REQUIRE(nodes >= 1, "need at least one node");
-  const double amps_per_rank = std::ldexp(1.0, qubits) / nodes;
-  const double slice_bytes = amps_per_rank * kBytesPerAmp;
-  // Same primitives the cost model charges per kGuard event: stream the
-  // slice, 4 flops per amplitude for the norm accumulation, meet in a
-  // scalar allreduce — plus the CRC pass at the integrity rate.
-  double t = m.mem_time(slice_bytes, CpuFreq::kMedium2000) +
-             m.compute_time(4 * amps_per_rank, CpuFreq::kMedium2000) +
-             m.allreduce_time(nodes);
-  if (slice_crc) {
-    QSV_REQUIRE(m.integrity.crc_bw_bytes_per_s > 0,
-                "integrity CRC bandwidth unset");
-    t += slice_bytes / m.integrity.crc_bw_bytes_per_s;
-  }
-  return t;
+  JobConfig job;
+  job.num_qubits = qubits;
+  job.nodes = nodes;
+  CostModel cost(m, job);
+  ExecEvent check;
+  check.kind = ExecEvent::Kind::kGuard;
+  check.local_amps = (amp_index{1} << qubits) / static_cast<amp_index>(nodes);
+  cost.on_event(check);
+  return cost.report().guard_s;
 }
 
 double optimal_guard_cadence_s(double check_s, double sdc_rate_per_s) {
@@ -76,7 +72,7 @@ IntegritySweepResult experiment_integrity_sweep(const MachineModel& m) {
     const double solve_energy_j = once.total_energy_j() * reps;
     const double solve_node_w = once.node_energy_j / once.runtime_s;
 
-    const double g = guard_check_s(m, qubits, nodes, /*slice_crc=*/false);
+    const double g = guard_check_s(m, qubits, nodes);
     const double delta = checkpoint_write_s(m, qubits);
     const double tau_c = daly_interval_s(m.system_mtbf_s(nodes), delta);
     res.configs.push_back(

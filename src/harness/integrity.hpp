@@ -16,12 +16,11 @@
 
 namespace qsv {
 
-/// Wall-clock cost of one invariant check (norm streaming + accumulation +
-/// optional slice CRC + scalar allreduce) for a `qubits`-qubit state split
-/// over `nodes` ranks — the same primitives the cost model charges per
-/// kGuard event.
+/// Wall-clock cost of one norm check (slice stream + accumulation + scalar
+/// allreduce) for a `qubits`-qubit state split over `nodes` ranks: one
+/// kGuard event priced by the cost model.
 [[nodiscard]] double guard_check_s(const MachineModel& m, int qubits,
-                                   int nodes, bool slice_crc);
+                                   int nodes);
 
 /// The cadence minimising overhead + expected detection-latency loss:
 /// tau_g* = sqrt(2 * check_s / sdc_rate_per_s).

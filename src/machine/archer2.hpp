@@ -98,13 +98,6 @@ namespace qsv {
   m.filesystem.write_bw_bytes_per_s = 160e9;
   m.filesystem.read_bw_bytes_per_s = 200e9;
 
-  // Integrity guards: table-driven (slice-by-slice) CRC-32 runs at a few
-  // GB/s per core; across 128 cores per node the effective rate is capped
-  // by memory bandwidth minus the table-lookup serialisation, ~150 GB/s —
-  // deliberately below the 412.6 GB/s streaming anchor, making slice
-  // fingerprints measurably costlier than a plain read pass.
-  m.integrity.crc_bw_bytes_per_s = 150e9;
-
   // Reliability: per-node MTBF of 10 years is typical for HPE Cray EX
   // fleets, giving a system MTBF of ~21 h on a 4096-node job — the same
   // order as the paper's multi-hour headline runs, so expected lost work is

@@ -154,12 +154,6 @@ const std::map<std::string, Key>& schema() {
         },
         1e9);
 
-    add("integrity.crc_bw_gb_s",
-        [](MachineModel& m) -> double& {
-          return m.integrity.crc_bw_bytes_per_s;
-        },
-        1e9);
-
     add("reliability.node_mtbf_hours",
         [](MachineModel& m) -> double& { return m.reliability.node_mtbf_s; },
         3600.0);
@@ -180,6 +174,12 @@ const std::map<std::string, Key>& schema() {
   return keys;
 }
 
+/// Refuses line `line_no` of a config: the message names the input line,
+/// not a source location.
+[[noreturn]] void refuse(int line_no, const std::string& what) {
+  throw Error("machine config line " + std::to_string(line_no) + ": " + what);
+}
+
 }  // namespace
 
 MachineModel apply_machine_config(const MachineModel& base,
@@ -197,9 +197,9 @@ MachineModel apply_machine_config(const MachineModel& base,
     if (line.find_first_not_of(" \t") == std::string::npos) {
       continue;
     }
-    QSV_REQUIRE(eq != std::string::npos,
-                "machine config line " + std::to_string(line_no) +
-                    ": expected 'key = value'");
+    if (eq == std::string::npos) {
+      refuse(line_no, "expected 'key = value'");
+    }
     auto trim = [](std::string s) {
       const auto b = s.find_first_not_of(" \t");
       const auto e = s.find_last_not_of(" \t");
@@ -213,14 +213,15 @@ MachineModel apply_machine_config(const MachineModel& base,
       continue;
     }
     const auto it = schema().find(key);
-    QSV_REQUIRE(it != schema().end(),
-                "machine config line " + std::to_string(line_no) +
-                    ": unknown key '" + key + "'");
+    if (it == schema().end()) {
+      refuse(line_no, "unknown key '" + key + "'");
+    }
     std::istringstream vs(value);
     double v = 0;
     vs >> v;
-    QSV_REQUIRE(!vs.fail(), "machine config line " + std::to_string(line_no) +
-                                ": bad value '" + value + "'");
+    if (vs.fail()) {
+      refuse(line_no, "bad value '" + value + "'");
+    }
     it->second.set(m, v);
   }
   return m;
@@ -229,7 +230,9 @@ MachineModel apply_machine_config(const MachineModel& base,
 MachineModel load_machine_config(const MachineModel& base,
                                  const std::string& path) {
   std::ifstream in(path);
-  QSV_REQUIRE(in.good(), "cannot open machine config: " + path);
+  if (!in.good()) {
+    throw Error("cannot open machine config: " + path);
+  }
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   return apply_machine_config(base, text);

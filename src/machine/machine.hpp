@@ -103,15 +103,6 @@ struct ReliabilityParams {
   double requeue_s = 0;
 };
 
-/// Integrity-guard cost parameters (dist/guards.hpp). Per-message exchange
-/// CRCs are *not* parameterised here: link-level checksumming is part of
-/// the measured network bandwidth anchors, so charging it again would
-/// double-count (DESIGN.md "Integrity and recovery tiers").
-struct IntegrityParams {
-  /// Single-core table-driven CRC-32 throughput over resident slices.
-  double crc_bw_bytes_per_s = 0;
-};
-
 /// Node power during an execution phase: static + dynamic * dvfs(freq).
 struct PhasePower {
   double static_w = 0;
@@ -145,7 +136,6 @@ struct MachineModel {
   SwitchParams switches;
   FilesystemParams filesystem;
   ReliabilityParams reliability;
-  IntegrityParams integrity;
 
   [[nodiscard]] const NodeType& node(NodeKind k) const {
     return k == NodeKind::kStandard ? standard : highmem;

@@ -112,27 +112,18 @@ void CostModel::on_event(const ExecEvent& e) {
     return;
   }
   if (e.kind == ExecEvent::Kind::kGuard) {
-    // The price of trust: invariant checks stream the slice (memory), run
-    // the norm accumulation (compute), optionally CRC the slice bytes at
-    // the integrity rate, and meet in a scalar allreduce (MPI). Every rank
-    // participates; a guard check is not a gate.
+    // The price of trust: a norm check streams the slice (memory), squares
+    // and accumulates re and im (4 FLOPs per amplitude) and meets in a
+    // scalar allreduce (MPI). Every rank participates; a guard check is not
+    // a gate.
     ++acc_.guard_checks;
-    const double mem_t = machine_.mem_time(
-        static_cast<double>(e.guard_bytes_per_rank), job_.freq);
-    double crc_t = 0;
-    if (e.guard_crc_bytes_per_rank > 0) {
-      QSV_REQUIRE(machine_.integrity.crc_bw_bytes_per_s > 0,
-                  "integrity CRC bandwidth unset");
-      crc_t = static_cast<double>(e.guard_crc_bytes_per_rank) /
-              machine_.integrity.crc_bw_bytes_per_s;
-    }
-    const double comp_t = machine_.compute_time(
-        static_cast<double>(e.guard_flops_per_rank), job_.freq);
-    const double sync_t =
-        e.guard_sync ? machine_.allreduce_time(job_.nodes) : 0.0;
+    const double amps = static_cast<double>(e.local_amps);
+    const double mem_t = machine_.mem_time(amps * kBytesPerAmp, job_.freq);
+    const double comp_t = machine_.compute_time(4 * amps, job_.freq);
+    const double sync_t = machine_.allreduce_time(job_.nodes);
 
-    acc_.runtime_s += mem_t + crc_t + comp_t + sync_t;
-    acc_.phases.memory_s += mem_t + crc_t;
+    acc_.runtime_s += mem_t + comp_t + sync_t;
+    acc_.phases.memory_s += mem_t;
     acc_.phases.compute_s += comp_t;
     acc_.phases.mpi_s += sync_t;
 
@@ -140,13 +131,12 @@ void CostModel::on_event(const ExecEvent& e) {
                                                job_.freq, job_.node_kind);
     const double p_mpi = machine_.node_power(MachineModel::Phase::kMpi,
                                              job_.freq, job_.node_kind);
-    const double energy = (mem_t + crc_t + comp_t) * job_.nodes * p_local +
+    const double energy = (mem_t + comp_t) * job_.nodes * p_local +
                           sync_t * job_.nodes * p_mpi;
     acc_.node_energy_j += energy;
-    acc_.guard_s += mem_t + crc_t + comp_t + sync_t;
+    acc_.guard_s += mem_t + comp_t + sync_t;
     acc_.guard_energy_j += energy;
-    sample(MachineModel::Phase::kLocal, mem_t + crc_t + comp_t,
-           job_.nodes * p_local);
+    sample(MachineModel::Phase::kLocal, mem_t + comp_t, job_.nodes * p_local);
     sample(MachineModel::Phase::kMpi, sync_t, job_.nodes * p_mpi);
     return;
   }

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "cluster/cluster.hpp"
 #include "machine/job.hpp"
@@ -48,12 +47,6 @@ struct RunReport {
   std::uint64_t local_gates = 0;       // fully-local + local-memory
   std::uint64_t distributed_gates = 0;
   CommStats traffic;
-
-  /// SIMD kernel backend the dense tile kernels dispatched to (informational;
-  /// the cost model prices gates, not instructions — but runs are only
-  /// comparable across hosts when this matches). Empty for pure trace runs
-  /// that never touch amplitudes.
-  std::string kernel_backend;
 
   /// Sweep-executor reporting (informational; never priced): cache-tiled
   /// runs seen, and full statevector passes they avoided versus

@@ -7,7 +7,6 @@
 #include "dist/snapshot.hpp"
 #include "dist/trace.hpp"
 #include "perf/cost_model.hpp"
-#include "sv/simd/simd.hpp"
 
 namespace qsv {
 
@@ -22,22 +21,6 @@ RunReport run_model(const Circuit& circuit, const MachineModel& machine,
 
   RunReport r = cost.report();
   r.traffic = sim.comm_stats();
-  return r;
-}
-
-RunReport run_functional_model(const Circuit& circuit,
-                               const MachineModel& machine,
-                               const JobConfig& job, const DistOptions& opts) {
-  QSV_REQUIRE(job.num_qubits == circuit.num_qubits(),
-              "job register size does not match the circuit");
-  DistStateVector<SoaStorage> sim(circuit.num_qubits(), job.nodes, opts);
-  CostModel cost(machine, job);
-  sim.set_listener(&cost);
-  sim.apply(circuit);
-
-  RunReport r = cost.report();
-  r.traffic = sim.comm_stats();
-  r.kernel_backend = simd::backend_name(simd::active_backend());
   return r;
 }
 

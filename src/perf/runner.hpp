@@ -25,14 +25,6 @@ namespace qsv {
                                   const JobConfig& job,
                                   const DistOptions& opts = {});
 
-/// Runs `circuit` functionally on a small register (<= ~24 qubits) with the
-/// same cost model attached, so correctness and cost can be checked on one
-/// execution. Returns the report; amplitudes are discarded.
-[[nodiscard]] RunReport run_functional_model(const Circuit& circuit,
-                                             const MachineModel& machine,
-                                             const JobConfig& job,
-                                             const DistOptions& opts = {});
-
 /// Layout-independent CRC-32 of the state in global amplitude order, as
 /// eight hex digits: payload_crc (dist/snapshot.hpp), the CRC a snapshot of
 /// the state carries. It matches across rank counts, engines and policies:

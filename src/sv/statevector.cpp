@@ -176,8 +176,23 @@ std::map<amp_index, int> BasicStateVector<S>::sample_counts(int shots,
                                                             Rng& rng) const {
   QSV_REQUIRE(shots >= 0, "negative shot count");
   std::map<amp_index, int> counts;
+  // One norm and one table of running sums, made with the additions
+  // sample() makes in the same order, so each shot draws the same r and
+  // lands on the same outcome as a sample() call would.
+  const real_t norm = norm_sq();
+  const amp_index n = num_amps();
+  std::vector<real_t> running(static_cast<std::size_t>(n));
+  real_t acc = 0;
+  for (amp_index i = 0; i < n; ++i) {
+    acc += std::norm(storage_.get(i));
+    running[static_cast<std::size_t>(i)] = acc;
+  }
   for (int s = 0; s < shots; ++s) {
-    ++counts[sample(rng)];
+    const real_t r = rng.uniform() * norm;
+    const auto hit = std::lower_bound(running.begin(), running.end(), r);
+    ++counts[hit == running.end()
+                 ? n - 1  // numerical slack: the tail state
+                 : static_cast<amp_index>(hit - running.begin())];
   }
   return counts;
 }

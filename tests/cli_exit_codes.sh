@@ -124,6 +124,15 @@ expect_exit 2 "$qsv" run "$tmp/c.qc" --bitflip 3
 grep -q "unknown option --bitflip" "$tmp/err" ||
   fail "--bitflip not reported as an unknown option"
 
+# A guard check is the norm check alone: neither run nor price takes a
+# slice-signature flag.
+expect_exit 2 "$qsv" run "$tmp/c.qc" --guards 2 --guard-crc
+grep -q "unknown option --guard-crc" "$tmp/err" ||
+  fail "run --guard-crc not reported as an unknown option"
+expect_exit 2 "$qsv" price --qft 30 --guards 2 --guard-crc
+grep -q "unknown option --guard-crc" "$tmp/err" ||
+  fail "price --guard-crc not reported as an unknown option"
+
 # Fault specs may only name ranks the run has.
 expect_exit 2 "$qsv" run "$tmp/c.qc" --ranks 4 --faults fail@6:7 \
   --checkpoint-interval 3 --checkpoint-dir "$tmp/ck_norank"
@@ -149,6 +158,24 @@ grep -q "unknown backend 'bogus'" "$tmp/err" ||
   fail "QSV_SIMD=bogus not reported by name"
 expect_exit 1 env QSV_SIMD=bogus "$qsv" run "$tmp/wide.qc" --ranks 2 \
   --threads auto
+
+# Refused input names its own line, not a source file of qsv: a gate
+# operand outside the register, and a machine-config key the model lacks
+# (it prices no slice-signature CRC, so it has no rate for one).
+expect_no_source_file() {
+  grep -q '\.cpp' "$tmp/err" && fail "$1 names a source file: $(cat "$tmp/err")"
+  return 0
+}
+printf 'qubits 2\ncx 0 5\n' >"$tmp/bad_operand.qc"
+expect_exit 1 "$qsv" run "$tmp/bad_operand.qc"
+grep -q "circuit parse error at line 2: qubit 5" "$tmp/err" ||
+  fail "an out-of-range operand does not name its line"
+expect_no_source_file "an out-of-range operand"
+printf 'integrity.crc_bw_gb_s = 150\n' >"$tmp/crc.machine"
+expect_exit 1 "$qsv" price --qft 30 --machine "$tmp/crc.machine"
+grep -q "machine config line 1: unknown key 'integrity.crc_bw_gb_s'" \
+  "$tmp/err" || fail "integrity.crc_bw_gb_s not refused as an unknown key"
+expect_no_source_file "an unknown machine-config key"
 
 # --- exit 6: deadline exceeded ----------------------------------------------
 # A deadline that has already passed cancels at the first gate boundary;

@@ -496,9 +496,7 @@ TEST(Elastic, FaultFreeRunWithElasticOptionsIsZeroDelta) {
 }
 
 TEST(Elastic, GuardsStayOnAcrossAShrink) {
-  // Guards + shrink: the per-rank checkpoint signature describes the old
-  // width, so it is invalidated at the shrink and recaptured later; guard
-  // checks keep passing on the merged slices.
+  // Guards + shrink: norm checks keep passing on the merged slices.
   const Circuit c = elastic_circuit();
   DistStateVector<SoaStorage> clean(6, 4);
   clean.apply(c);
@@ -512,7 +510,6 @@ TEST(Elastic, GuardsStayOnAcrossAShrink) {
   ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 2;
-  guards.slice_crc = true;
   ElasticOptions elastic = all_tiers();
   elastic.spares = 0;
   const IntegrityStats stats =
@@ -670,8 +667,9 @@ TEST(CheckpointFile, ACorruptSliceAbortsEveryTierThatReadsIt) {
   // rank 1's span is flipped, and the failure at gate 12 reads the file
   // back: substitute and shrink rebuild rank 1 from its slice, which fails
   // its CRC, and restart fails the payload CRC. The guards never look at
-  // checkpoint bytes, so they change nothing. Each run aborts, naming the
-  // rank and the checkpoint's gate, and leaves the directory empty.
+  // checkpoint bytes, so they change nothing: with them on, the payload
+  // CRC still aborts the full restore. Each run aborts, naming the rank and
+  // the checkpoint's gate, and leaves the directory empty.
   struct Case {
     std::string name;
     ElasticOptions elastic;
@@ -686,6 +684,7 @@ TEST(CheckpointFile, ACorruptSliceAbortsEveryTierThatReadsIt) {
       {"restart", {}, -1},
       {"substitute with guards", all_tiers(), 1, true},
       {"shrink with guards", shrink, 1, true},
+      {"restart with guards", {}, -1, true},
   };
   const Circuit c = elastic_circuit();
   for (const Case& k : cases) {
@@ -720,7 +719,6 @@ TEST(CheckpointFile, ACorruptSliceAbortsEveryTierThatReadsIt) {
     GuardOptions guards;
     if (k.guards) {
       guards.cadence_gates = 2;
-      guards.slice_crc = true;
     }
     try {
       (void)run_verified(sv, c, ck, guards, RecoveryPolicy{}, k.elastic);

@@ -421,7 +421,7 @@ TEST(GrowBackDriver, ReviveMidRunRestoresFullWidthBitIdentical) {
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.shrinks, 1);
   EXPECT_EQ(stats.grow_backs, 1);
-  EXPECT_EQ(stats.revivals, 1u);
+  EXPECT_EQ(inj.totals().revivals, 1u);
   EXPECT_EQ(stats.planned_ranks, 4);
   EXPECT_EQ(stats.final_ranks, 4);
   EXPECT_EQ(sv.num_ranks(), 4);
@@ -512,8 +512,7 @@ TEST(GrowBackDriver, EmitsAPricedNetworkEventAtFullParticipation) {
 
 TEST(GrowBackDriver, GuardCadenceStraddlesTheGrowBackBoundary) {
   // Guards checking every 2 gates across shrink (gate 12) and grow-back
-  // (gate 16): signatures are invalidated at each re-shard and recaptured,
-  // so no false violations and the digest still matches.
+  // (gate 16): no false violations and the digest still matches.
   const Circuit c = elastic_circuit();
   DistStateVector<SoaStorage> clean(6, 4);
   clean.apply(c);
@@ -527,7 +526,6 @@ TEST(GrowBackDriver, GuardCadenceStraddlesTheGrowBackBoundary) {
   ck.dir = scratch.path();
   GuardOptions guards;
   guards.cadence_gates = 2;
-  guards.slice_crc = true;
   const IntegrityStats stats = run_verified(sv, c, ck, guards,
                                             RecoveryPolicy{},
                                             grow_back_tiers());

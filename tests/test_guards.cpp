@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "circuit/builders.hpp"
 #include "cluster/faults.hpp"
@@ -76,24 +77,8 @@ TEST(StateGuard, NormCheckEmitsPricedEvent) {
   ASSERT_EQ(rec.events().size(), 1u);
   const ExecEvent& e = rec.events()[0];
   EXPECT_EQ(e.kind, ExecEvent::Kind::kGuard);
-  const std::uint64_t slice_bytes =
-      static_cast<std::uint64_t>(sv.local_amps()) * kBytesPerAmp;
-  EXPECT_EQ(e.guard_bytes_per_rank, slice_bytes);
-  EXPECT_EQ(e.guard_flops_per_rank,
-            4 * static_cast<std::uint64_t>(sv.local_amps()));
-  EXPECT_TRUE(e.guard_sync);
-  EXPECT_EQ(e.guard_crc_bytes_per_rank, 0u);  // slice_crc off
-
-  // Slice CRCs are charged when a checkpoint signature is captured.
-  rec.clear();
-  GuardOptions with_crc = opts;
-  with_crc.slice_crc = true;
-  StateGuard<SoaStorage> crc_guard(sv, with_crc);
-  crc_guard.capture_signature();
-  ASSERT_EQ(rec.events().size(), 1u);
-  EXPECT_EQ(rec.events()[0].guard_crc_bytes_per_rank, slice_bytes);
-  EXPECT_EQ(rec.events()[0].guard_bytes_per_rank, 0u);
-  EXPECT_FALSE(rec.events()[0].guard_sync);  // a local pass, no allreduce
+  EXPECT_EQ(e.local_amps, sv.local_amps());  // the cost model's one input
+  EXPECT_EQ(e.local_amps, amp_index{16});
 }
 
 TEST(StateGuard, GuardsOffIsZeroDelta) {
@@ -142,7 +127,6 @@ TEST(StateGuard, DetectsInjectedExponentBitFlip) {
     guard.check(2);
     FAIL() << "expected GuardViolation";
   } catch (const GuardViolation& v) {
-    EXPECT_EQ(v.rank(), -1);  // norm is a global invariant
     EXPECT_EQ(v.gate(), 2u);
     EXPECT_NE(std::string(v.what()).find("norm invariant"),
               std::string::npos);
@@ -165,32 +149,24 @@ TEST(StateGuard, SignBitFlipEscapesTheNormCheck) {
   EXPECT_NO_THROW(guard.check(2));
 }
 
-TEST(StateGuard, SignatureCatchesStateMutation) {
-  DistStateVector<SoaStorage> sv(6, 4);
-  sv.apply(distributed_bench(6, 1));
-  GuardOptions opts;
-  opts.cadence_gates = 1;
-  opts.slice_crc = true;
-  StateGuard<SoaStorage> guard(sv, opts);
-
-  guard.capture_signature();
-  EXPECT_NO_THROW(guard.verify_restore(0));  // unchanged state verifies
-
-  sv.apply(distributed_bench(6, 1));  // mutate after the capture
-  try {
-    guard.verify_restore(1);
-    FAIL() << "expected GuardViolation";
-  } catch (const GuardViolation& v) {
-    EXPECT_GE(v.rank(), 0);  // slice CRCs localise to a rank
-  }
-}
-
-TEST(GuardCost, CheckCostScalesWithStateAndCrc) {
+TEST(GuardCost, CheckCostScalesWithState) {
   const MachineModel m = archer2();
-  const double base = guard_check_s(m, 40, 1024, /*slice_crc=*/false);
+  const double base = guard_check_s(m, 40, 1024);
   EXPECT_GT(base, 0);
-  EXPECT_GT(guard_check_s(m, 40, 1024, /*slice_crc=*/true), base);
-  EXPECT_GT(guard_check_s(m, 41, 1024, false), base);
+  EXPECT_GT(guard_check_s(m, 41, 1024), base);
+
+  // One kGuard event priced by the cost model is the closed form: stream
+  // the slice, 4 FLOPs per amplitude, one scalar allreduce.
+  const std::pair<int, int> scales[] = {{43, 2048}, {44, 4096}, {40, 1024},
+                                        {38, 64},   {33, 1},    {20, 4}};
+  for (const auto& [qubits, nodes] : scales) {
+    const double amps = std::ldexp(1.0, qubits) / nodes;
+    const double want =
+        m.mem_time(amps * kBytesPerAmp, CpuFreq::kMedium2000) +
+        m.compute_time(4 * amps, CpuFreq::kMedium2000) +
+        m.allreduce_time(nodes);
+    EXPECT_EQ(guard_check_s(m, qubits, nodes), want) << qubits << "q/" << nodes;
+  }
 }
 
 TEST(GuardCost, OptimalCadenceMatchesYoungAnalogue) {
@@ -209,10 +185,7 @@ TEST(CostModelGuard, GuardEventIsPricedButNotAGate) {
 
   ExecEvent e;
   e.kind = ExecEvent::Kind::kGuard;
-  e.guard_bytes_per_rank = (std::uint64_t{1} << 30) / 8 * kBytesPerAmp;
-  e.guard_flops_per_rank = 4 * ((std::uint64_t{1} << 30) / 8);
-  e.guard_crc_bytes_per_rank = e.guard_bytes_per_rank;
-  e.guard_sync = true;
+  e.local_amps = (amp_index{1} << 30) / 8;
   cost.on_event(e);
 
   const RunReport r = cost.report();

@@ -67,8 +67,8 @@ TEST(Integration, SerializeTranspileRunSnapshotObserve) {
 }
 
 TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {
-  // cleanup -> fusion -> greedy(lookahead): chained through PassManager on
-  // a workload with redundancy, runs and hot distributed qubits.
+  // cleanup -> fusion -> greedy(lookahead), run in turn on a workload with
+  // redundancy, runs and hot distributed qubits.
   Circuit c(9, "messy");
   Rng rng(5);
   // Redundant pair, a hot distributed qubit, and random filler.
@@ -78,14 +78,11 @@ TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {
   }
   c.append(build_random(9, 60, rng));
 
-  PassManager pm;
-  pm.add(std::make_unique<CleanupPass>());
-  pm.add(std::make_unique<FusionPass>());
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 6;
   gopts.min_reuse = 2;
-  pm.add(std::make_unique<GreedyCacheBlockingPass>(gopts));
-  const Circuit out = pm.run(c);
+  const Circuit out = GreedyCacheBlockingPass(gopts).run(
+      FusionPass().run(CleanupPass().run(c)));
 
   // Semantics preserved.
   StateVector sa(9);

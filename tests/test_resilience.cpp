@@ -62,8 +62,8 @@ TEST(Recovery, ReplayIsBitIdenticalToFaultFreeRun) {
   EXPECT_EQ(stats.restarts, 2);
   EXPECT_GT(stats.checkpoints_written, 2);
   EXPECT_GT(stats.gates_replayed, 0u);
-  ASSERT_EQ(stats.faults.size(), 2u);
-  EXPECT_EQ(stats.faults[0].kind, FaultKind::kNodeFailure);
+  ASSERT_EQ(inj.log().size(), 2u);
+  EXPECT_EQ(inj.log()[0].kind, FaultKind::kNodeFailure);
 
   for (amp_index i = 0; i < (amp_index{1} << 6); ++i) {
     EXPECT_EQ(clean.amplitude(i), sv.amplitude(i));

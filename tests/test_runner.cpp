@@ -9,6 +9,7 @@
 #include "cluster/faults.hpp"
 #include "common/error.hpp"
 #include "machine/archer2.hpp"
+#include "perf/cost_model.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -31,7 +32,12 @@ TEST(Runner, ModelAndFunctionalAgreeOnCosts) {
   DistOptions opts;
   opts.max_message_bytes = 256;
   const RunReport a = run_model(qft, m(), job, opts);
-  const RunReport b = run_functional_model(qft, m(), job, opts);
+  DistStateVector<SoaStorage> sim(qft.num_qubits(), job.nodes, opts);
+  CostModel cost(m(), job);
+  sim.set_listener(&cost);
+  sim.apply(qft);
+  RunReport b = cost.report();
+  b.traffic = sim.comm_stats();
 
   EXPECT_DOUBLE_EQ(a.runtime_s, b.runtime_s);
   EXPECT_DOUBLE_EQ(a.node_energy_j, b.node_energy_j);

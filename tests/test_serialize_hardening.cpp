@@ -56,6 +56,30 @@ TEST(SerializeHardening, TruncatedAndMalformedStreams) {
   EXPECT_THROW((void)parse_circuit("qubits 2\nh 7\n"), Error);
 }
 
+TEST(SerializeHardening, OutOfRangeOperandNamesItsLine) {
+  // Refused by the parser, naming the input line, before a gate builder or
+  // Circuit::add can raise a precondition that names a source file.
+  expect_parse_error("qubits 2\nh 0\ncx 0 5\n",
+                     "circuit parse error at line 3: qubit 5 outside");
+  expect_parse_error("qubits 2\nh -1\n",
+                     "circuit parse error at line 2: qubit -1 outside");
+  expect_parse_error("qubits 3\nctrl 3 | x 0\n",
+                     "circuit parse error at line 2: qubit 3 outside");
+  expect_parse_error("qubits 3\nfphase 0 | 1:0.5 4:0.5\n",
+                     "circuit parse error at line 2: qubit 4 outside");
+}
+
+TEST(SerializeHardening, RepeatedOperandNamesItsLine) {
+  expect_parse_error("qubits 2\ncx 1 1\n",
+                     "circuit parse error at line 2: qubit 1 named twice");
+  expect_parse_error("qubits 3\nh 0\nswap 2 2\n",
+                     "circuit parse error at line 3: qubit 2 named twice");
+  expect_parse_error("qubits 3\nctrl 0 | cx 0 1\n",
+                     "circuit parse error at line 2: qubit 0 named twice");
+  expect_parse_error("qubits 3\nfphase 0 | 1:0.5 1:0.25\n",
+                     "circuit parse error at line 2: qubit 1 named twice");
+}
+
 TEST(SerializeHardening, NonFiniteParametersRejected) {
   // However nan/inf/overflow sneaks in (stream rejection or the explicit
   // isfinite checks), the result is a typed parse error, not a NaN gate.

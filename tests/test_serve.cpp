@@ -556,13 +556,26 @@ TEST(ServerEndToEnd, HostileRequestsGetTypedResponsesAndServerSurvives) {
     Json r = client.rpc("{broken");
     EXPECT_EQ(field(r, "status").as_string(), "error");
     EXPECT_EQ(field(r, "error_kind").as_string(), "protocol");
+    // A parse error names the input line, not a source file of the server.
+    const auto expect_names_line = [](const Json& resp, int line) {
+      const std::string error = field(resp, "error").as_string();
+      EXPECT_NE(error.find("circuit parse error at line " +
+                           std::to_string(line) + ":"),
+                std::string::npos)
+          << error;
+      EXPECT_EQ(error.find("precondition"), std::string::npos) << error;
+      EXPECT_EQ(error.find(".cpp"), std::string::npos) << error;
+    };
     // Well-formed JSON, hostile circuit (absurd width).
     r = client.rpc(R"({"op":"run","id":"w","circuit":"qubits 99\nh 0\n"})");
     EXPECT_EQ(field(r, "status").as_string(), "error");
     EXPECT_EQ(field(r, "error_kind").as_string(), "parse");
+    expect_names_line(r, 1);
     // Truncated circuit stream (gate references a missing qubit).
     r = client.rpc(R"({"op":"run","id":"t","circuit":"qubits 2\ncx 0 5\n"})");
     EXPECT_EQ(field(r, "status").as_string(), "error");
+    EXPECT_EQ(field(r, "error_kind").as_string(), "parse");
+    expect_names_line(r, 2);
     // CRC-mismatch payload is rejected before parsing effort.
     r = client.rpc(
         R"({"op":"run","id":"c","circuit":"qubits 3\nh 0\ncx 0 1\ncx 1 2\n","crc32":1})");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numbers>
 #include <optional>
 #include <utility>
@@ -163,6 +164,23 @@ TYPED_TEST(StateVectorTyped, SampleFollowsDistribution) {
   EXPECT_NEAR(counts[1], 500, 80);
   EXPECT_EQ(counts[2], 0);
   EXPECT_EQ(counts[3], 0);
+}
+
+TYPED_TEST(StateVectorTyped, SampleCountsIsTheHistogramOfSampleCalls) {
+  // A random 10-qubit state: one seeded sample_counts call draws the same
+  // outcomes as that many sample() calls from the same seed.
+  Rng build(12);
+  BasicStateVector<TypeParam> sv(10);
+  sv.apply(build_random(10, 60, build));
+  constexpr int kShots = 3000;
+  Rng one_by_one(5);
+  std::map<amp_index, int> want;
+  for (int s = 0; s < kShots; ++s) {
+    ++want[sv.sample(one_by_one)];
+  }
+  Rng batched(5);
+  EXPECT_EQ(sv.sample_counts(kShots, batched), want);
+  EXPECT_EQ(batched.uniform(), one_by_one.uniform());  // same draws used
 }
 
 TYPED_TEST(StateVectorTyped, InnerProductAndFidelity) {

@@ -527,9 +527,6 @@ TEST(ThreadedEngine, ShrinkUnderLiveThreadsMatchesSerial) {
     threaded.apply(c.gate(i));
   }
   expect_states_identical(serial, threaded);
-  for (rank_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(serial.slice_crc(r), threaded.slice_crc(r));
-  }
 }
 
 TEST(ThreadedEngine, MeasurementStaysOnOrchestratorAndMatches) {

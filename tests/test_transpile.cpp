@@ -316,21 +316,5 @@ TEST(Cleanup, PreservesSemantics) {
   expect_equivalent(c, CleanupPass().run(c));
 }
 
-TEST(PassManager, RunsInOrder) {
-  PassManager pm;
-  CacheBlockingOptions copts;
-  copts.local_qubits = 5;
-  pm.add(std::make_unique<CacheBlockingPass>(copts));
-  pm.add(std::make_unique<CleanupPass>());
-  EXPECT_EQ(pm.num_passes(), 2u);
-  const Circuit qft = build_qft(7);
-  expect_equivalent(qft, pm.run(qft));
-}
-
-TEST(PassManager, RejectsNullPass) {
-  PassManager pm;
-  EXPECT_THROW(pm.add(nullptr), Error);
-}
-
 }  // namespace
 }  // namespace qsv

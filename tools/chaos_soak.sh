@@ -108,7 +108,7 @@ soak() {
   spares=$(( seed % 4 == 0 ? 1 : 0 ))
   rc=0
   "$qsv" run "$tmp/c.qc" --faults "$plan" --spares "$spares" \
-    --guards 2 --guard-crc --checkpoint-interval 5 \
+    --guards 2 --checkpoint-interval 5 \
     --checkpoint-dir "$tmp/ck_${engine}_${seed}" --machine archer2 \
     "$@" >"$tmp/run" 2>&1 || rc=$?
   crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/run" | awk '{print $3}')

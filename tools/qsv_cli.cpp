@@ -5,8 +5,7 @@
 //                 [--policy blocking|nonblocking|overlapped] [--max-message B]
 //                 [--faults PLAN] [--mtbf HOURS]
 //                 [--checkpoint-interval GATES] [--checkpoint-dir DIR]
-//                 [--guards K] [--guard-crc]
-//                 [--spares N] [--recovery TIERS]
+//                 [--guards K] [--spares N] [--recovery TIERS]
 //                 [--threads 0|auto|N] [--placement compact|scatter|none]
 //                 [--machine (archer2 | overrides.machine)]
 //   qsv info <file.qc> --local L [--half-exchange]
@@ -17,7 +16,7 @@
 //             [--policy blocking|nonblocking|overlapped]
 //             [--timeline out.csv] [--machine overrides.machine]
 //             [--mtbf HOURS] [--checkpoint-interval SECONDS]
-//             [--guards K] [--guard-crc] [--spares N]
+//             [--guards K] [--spares N]
 //   qsv sbatch --qubits N [--highmem] [--freq ...] [--name J] [--cmd CMD]
 //   qsv serve [--socket PATH] [--port N] [--workers N] [--queue N]
 //             [--nodes N] [--max-qubits N] [--energy-budget J]
@@ -156,7 +155,7 @@ int cmd_run(int argc, const char* const* argv) {
   args.option("spares").option("recovery");
   args.option("threads").option("placement").option("machine");
   args.option("policy").option("max-message").option("deadline-s");
-  args.flag("no-sweep").flag("guard-crc");
+  args.flag("no-sweep");
   args.parse(argc, argv);
   require_arg(args.positionals().size() == 1,
               "usage: qsv run <file.qc> ...");
@@ -256,7 +255,6 @@ int cmd_run(int argc, const char* const* argv) {
   const int cadence = args.int_or("guards", 0);
   require_arg(cadence >= 0, "--guards must be >= 0");
   guards.cadence_gates = static_cast<std::uint64_t>(cadence);
-  guards.slice_crc = args.has("guard-crc");
 
   // Elastic recovery: the CLI enables every tier by default (the library
   // default is PR 4 restart-only); --recovery narrows the set.
@@ -509,7 +507,6 @@ int cmd_price(int argc, const char* const* argv) {
   args.option("mtbf").option("checkpoint-interval").option("guards");
   args.option("spares");
   args.flag("highmem").flag("half-exchange");
-  args.flag("guard-crc");
   args.parse(argc, argv);
 
   // Optional machine-config overrides on top of the ARCHER2 calibration.
@@ -573,16 +570,10 @@ int cmd_price(int argc, const char* const* argv) {
   const int guard_cadence = args.int_or("guards", 0);
   require_arg(guard_cadence >= 0, "--guards must be >= 0");
   if (guard_cadence > 0) {
-    const std::uint64_t local_amps =
-        (std::uint64_t{1} << c.num_qubits()) /
-        static_cast<std::uint64_t>(job.nodes);
     ExecEvent g;
     g.kind = ExecEvent::Kind::kGuard;
-    g.guard_bytes_per_rank = local_amps * kBytesPerAmp;
-    g.guard_flops_per_rank = 4 * local_amps;
-    g.guard_crc_bytes_per_rank =
-        args.has("guard-crc") ? local_amps * kBytesPerAmp : 0;
-    g.guard_sync = true;
+    g.local_amps = (amp_index{1} << c.num_qubits()) /
+                   static_cast<amp_index>(job.nodes);
     for (std::uint64_t i = static_cast<std::uint64_t>(guard_cadence);
          i < c.size(); i += static_cast<std::uint64_t>(guard_cadence)) {
       cost.on_event(g);
@@ -824,8 +815,7 @@ int usage() {
       << "             --checkpoint-interval and --checkpoint-dir enable\n"
       << "             checkpoint/restart\n"
       << "             (one file, DIR/checkpoint.qsv, removed at exit),\n"
-      << "             --guards K checks invariants every K gates and\n"
-      << "             --guard-crc adds slice CRC signatures;\n"
+      << "             --guards K checks the norm every K gates;\n"
       << "             --spares N holds spare nodes for substitution,\n"
       << "             --recovery retry,substitute,shrink,grow-back,restart\n"
       << "             picks the allowed recovery tiers (default all), and\n"
