@@ -10,14 +10,18 @@
 // loop width and again under OMP_NUM_THREADS=1 to see where a team starts
 // to pay (docs/KERNELS.md §2):
 //   micro_kernels --benchmark_filter=BySize
-// BM_Crc32, BM_PairExchange and BM_CombineMatrix1 take the loop width as
-// their second argument, 1 (the serial path) and 0 (the host default), so
-// the team's share of the transport and the combine shows on its own:
-//   micro_kernels --benchmark_filter='Crc32|PairExchange|CombineMatrix1'
+// BM_Crc32, BM_PairExchange, BM_CombineMatrix1, BM_GatherHalf and
+// BM_CombineSwapOneHigh take the loop width as their second argument, 1
+// (the serial path) and 0 (the host default), so the team's share of the
+// transport and the combine shows on its own:
+//   micro_kernels --benchmark_filter='Crc32|PairExchange|Combine|Gather'
+// BM_DiagSums times the <Z_q> readout per backend:
+//   micro_kernels --benchmark_filter=DiagSums
 // JSON output comes from google-benchmark itself:
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -198,6 +202,36 @@ void count_amps(benchmark::State& state, const StateVector& sv) {
                           static_cast<std::int64_t>(sv.num_amps()));
 }
 
+// The <Z_q> readout of qsv run: one diag_sums pass for every qubit's mask
+// over a register of 2^range(0) amplitudes (19 masks over 2^19 is the
+// exchange workload's readout, 21 over 2^21 the one-rank workload's),
+// through the backend range(1) names.
+void BM_DiagSums(benchmark::State& state) {
+  const auto b = static_cast<simd::Backend>(state.range(1));
+  if (!simd::backend_supported(b)) {
+    state.SkipWithError("backend not supported on this host");
+    return;
+  }
+  state.SetLabel(simd::backend_name(b));
+  const StateVector sv = prepared_at(state);
+  const int n = sv.num_qubits();
+  std::vector<amp_index> masks(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) {
+    masks[static_cast<std::size_t>(q)] = amp_index{1} << q;
+  }
+  std::vector<real_t> sums(masks.size());
+  for (auto _ : state) {
+    std::fill(sums.begin(), sums.end(), 0.0);
+    simd::ops_for(b).diag_sums(sv.storage().re(), sv.storage().im(),
+                               sv.num_amps(), 0, masks.data(), masks.size(),
+                               sums.data());
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  count_amps(state, sv);
+}
+BENCHMARK(BM_DiagSums)->ArgsProduct({{19, 21}, {0, 1, 2}});
+
 // One SoA matrix1 gate: the (block, offset) pair loop at target 8 and the
 // shuffle loop over 4/8/16-amplitude groups at target 0.
 void BM_Matrix1BySize(benchmark::State& state) {
@@ -222,19 +256,6 @@ void BM_NormSqBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_NormSqBySize)->DenseRange(10, 20, 1);
 
-template <class S>
-void BM_GatherHalf(benchmark::State& state) {
-  auto sv = prepared<S>();
-  const amp_index half = sv.num_amps() / 2;
-  std::vector<std::byte> message(half * kBytesPerAmp);
-  for (auto _ : state) {
-    kern::gather_half(sv.storage(), 5, 1, 0, half, message.data());
-    benchmark::DoNotOptimize(message.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_GatherHalf<SoaStorage>);
-
 // The checksum every exchange message pays twice (send and receive) and
 // the state digest and snapshots pay once per byte: a short message, one
 // 64 KiB digest block, and a 2 MiB exchange chunk.
@@ -258,8 +279,27 @@ class LoopWidthArg {
   int saved_;
 };
 
+/// The CRC-32 fold this CPU runs on long inputs, as common/crc32.cpp picks
+/// it by CPUID (a build whose compiler lacks a fold's ISA flags takes the
+/// next narrower one).
+std::string crc32_fold_name() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("vpclmulqdq") &&
+      __builtin_cpu_supports("avx512f")) {
+    return "512-bit fold";
+  }
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    return "128-bit fold";
+  }
+#endif
+  return "table loop";
+}
+
 void BM_Crc32(benchmark::State& state) {
   const LoopWidthArg width(state);
+  state.SetLabel("width " + std::to_string(loop_width()) + ", " +
+                 crc32_fold_name());
   std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);
   for (unsigned char& b : buf) {
@@ -343,6 +383,58 @@ void BM_CombineMatrix1(benchmark::State& state) {
                           static_cast<std::int64_t>(amps));
 }
 BENCHMARK(BM_CombineMatrix1)->ArgsProduct({{17}, {1, 0}});
+
+// One rank's side of a distributed SWAP whose local target is the victim
+// bit range(0), over a 2^17-amplitude slice (a rank of the benchmark's
+// exchange workload) at the loop width range(1), as for BM_Crc32. Bits 0
+// and 1 are the victims QuEST picks for a two-qubit gate's distributed
+// target; 16 leaves one 2^17-amplitude block. BM_GatherHalf packs the half that
+// the half exchange sends; BM_CombineSwapOneHigh copies the peer's half in
+// place out of one message of the full exchange.
+constexpr int kSwapSliceQubits = 17;
+
+void swap_victim_args(benchmark::internal::Benchmark* bench) {
+  bench->ArgsProduct({{0, 1, 5, 16}, {1, 0}});
+}
+
+void BM_GatherHalf(benchmark::State& state) {
+  const LoopWidthArg width(state);
+  const int a = static_cast<int>(state.range(0));
+  BasicStateVector<SoaStorage> sv(kSwapSliceQubits);
+  Rng rng(6);
+  sv.init_random_state(rng);
+  const amp_index half = sv.num_amps() / 2;
+  std::vector<std::byte> message(half * kBytesPerAmp);
+  for (auto _ : state) {
+    kern::gather_half(sv.storage(), a, 1, 0, half, message.data());
+    benchmark::DoNotOptimize(message.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(half));
+}
+BENCHMARK(BM_GatherHalf)->Apply(swap_victim_args);
+
+void BM_CombineSwapOneHigh(benchmark::State& state) {
+  const LoopWidthArg width(state);
+  const int a = static_cast<int>(state.range(0));
+  BasicStateVector<SoaStorage> mine(kSwapSliceQubits);
+  BasicStateVector<SoaStorage> theirs(kSwapSliceQubits);
+  Rng rng(7);
+  mine.init_random_state(rng);
+  theirs.init_random_state(rng);
+  const amp_index amps = mine.num_amps();
+  std::vector<std::byte> message(amps * kBytesPerAmp);
+  theirs.storage().pack(0, amps, message.data());
+  const kern::PeerSpan peer = kern::peer_span(message, 0);
+  for (auto _ : state) {
+    kern::combine_swap_one_high_range(mine.storage(), peer, a, 0, 0, amps);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(amps / 2));
+}
+BENCHMARK(BM_CombineSwapOneHigh)->Apply(swap_victim_args);
 
 }  // namespace
 }  // namespace qsv

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "common/crc32_fold.hpp"
 #include "common/parallel.hpp"
 #include "common/types.hpp"
 
@@ -60,17 +61,11 @@ constexpr int kMaxBlocks = 256;
 }  // namespace
 
 #if QSV_CRC32_HAVE_PCLMUL
-namespace detail {
-/// Folds `len` bytes (len >= 64, a multiple of 16) into the CRC register
-/// `state` with PCLMULQDQ (crc32_pclmul.cpp, built with -mpclmul -msse4.1).
-std::uint32_t crc32_fold_pclmul(const unsigned char* p, std::size_t len,
-                                std::uint32_t state) noexcept;
-}  // namespace detail
-
 namespace {
 
-/// Whether the CPU can run the fold, checked once per process. Both paths
-/// give the same checksum, so nothing but the CPU selects between them.
+/// Whether the CPU can run the 128-bit fold, and the 512-bit one, checked
+/// once per process. Every path gives the same checksum, so nothing but
+/// the CPU selects between them.
 bool fold_available() {
   static const bool ok = [] {
     __builtin_cpu_init();
@@ -79,6 +74,17 @@ bool fold_available() {
   }();
   return ok;
 }
+
+#if QSV_CRC32_HAVE_VPCLMUL
+bool wide_fold_available() {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("vpclmulqdq") &&
+           __builtin_cpu_supports("avx512f");
+  }();
+  return ok;
+}
+#endif
 
 }  // namespace
 #endif
@@ -89,11 +95,18 @@ namespace {
 std::uint32_t fold(std::uint32_t c, const unsigned char* p,
                    std::size_t len) noexcept {
 #if QSV_CRC32_HAVE_PCLMUL
-  // The fold takes whole 16-byte blocks and needs at least four of them;
-  // the table loop below finishes the tail and takes shorter inputs.
+  // The folds take whole 16-byte blocks: the 512-bit one at least sixteen
+  // of them, the 128-bit one at least four. The table loop below finishes
+  // the tail and takes shorter inputs.
   if (len >= 64 && fold_available()) {
     const std::size_t bulk = len & ~std::size_t{15};
+#if QSV_CRC32_HAVE_VPCLMUL
+    c = bulk >= 256 && wide_fold_available()
+            ? detail::crc32_fold_vpclmul(p, bulk, c)
+            : detail::crc32_fold_pclmul(p, bulk, c);
+#else
     c = detail::crc32_fold_pclmul(p, bulk, c);
+#endif
     p += bulk;
     len -= bulk;
   }

@@ -5,6 +5,9 @@
 // 1 MiB or more is split into one block per thread of the calling thread's
 // loop team (common/parallel.hpp), and the block checksums are joined with
 // crc32_combine, so the value is the same integer at every loop width.
+// Each block takes the widest fold the CPU runs: 512-bit VPCLMULQDQ from
+// 256 bytes, 128-bit PCLMULQDQ from 64, then a table loop for the tail;
+// every path gives the same integer, so only CPUID picks one.
 #pragma once
 
 #include <cstddef>

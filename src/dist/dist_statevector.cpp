@@ -618,10 +618,18 @@ void DistStateVector<S>::apply_sweep_run(const Circuit& c, std::size_t first,
   }
   const Gate* gates = c.gates().data() + first;
   const int t = std::min(opts_.sweep.tile_qubits, local_qubits_);
-  for_each_rank(num_ranks(), [&](int r) {
-    kern::apply_sweep_run(slices_[static_cast<std::size_t>(r)], gates, count,
-                          t, local_qubits_, static_cast<amp_index>(r));
-  });
+  if (team_ == nullptr) {
+    // One loop over every rank's tiles, so the team splits the whole
+    // register even when a slice holds fewer tiles than it has threads.
+    kern::apply_sweep_run(std::span<S>(slices_), 0, gates, count, t,
+                          local_qubits_);
+  } else {
+    for_each_rank(num_ranks(), [&](int r) {
+      kern::apply_sweep_run(
+          std::span<S>(&slices_[static_cast<std::size_t>(r)], 1),
+          static_cast<amp_index>(r), gates, count, t, local_qubits_);
+    });
+  }
   const ExecEvent se = sweep_event(gates[0].kind, count, local_qubits_, opts_);
   sweep_stats_.add_run(count, se.sweep_tiles);
   emit(se);
@@ -685,11 +693,15 @@ real_t DistStateVector<S>::probability_of_one(qubit_t qubit) const {
 
 template <class S>
 real_t DistStateVector<S>::norm_sq() const {
+  // The readout's chain for the empty mask: every |a|^2 added in global
+  // index order, one slice after another.
+  const simd::KernelOps& ops = simd::ops();
+  const amp_index no_signs = 0;
   real_t acc = 0;
   for (rank_t r = 0; r < num_ranks(); ++r) {
-    for (amp_index i = 0; i < local_amps(); ++i) {
-      acc += std::norm(slices_[r].get(i));
-    }
+    ops.diag_sums(slices_[r].re(), slices_[r].im(), local_amps(),
+                  static_cast<amp_index>(r) * local_amps(), &no_signs, 1,
+                  &acc);
   }
   return acc;
 }

@@ -119,6 +119,8 @@ class DistStateVector {
 
   /// Reduction across ranks, as QuEST computes it (local sums + allreduce).
   [[nodiscard]] real_t probability_of_one(qubit_t qubit) const;
+  /// Every |a|^2 added in global index order: the diagonal readout's chain
+  /// for the identity, so the same double as expectation(*this, I).
   [[nodiscard]] real_t norm_sq() const;
 
   /// Measures and collapses (uses the same reduction + local scaling).

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cstdint>
-#include <cstring>
 #include <sstream>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "sv/simd/simd.hpp"
 
 namespace qsv {
 namespace {
@@ -186,104 +185,28 @@ real_t expectation(const BasicStateVector<S>& sv, const PauliSum& sum) {
 
 namespace {
 
-/// Two accumulator chains, and their bit patterns, as one GCC/Clang vector:
-/// an SSE2 register on baseline x86-64, a pair of scalars on a target
-/// without vectors.
-using ChainPair = real_t __attribute__((vector_size(2 * sizeof(real_t))));
-using ChainPairBits =
-    std::uint64_t __attribute__((vector_size(2 * sizeof(std::uint64_t))));
-
-/// Amplitudes per sign block: (-1)^popcount(g & mask) splits into a sign
-/// fixed over an aligned block and a within-block sign read from a table.
-constexpr amp_index kSignBlock = 64;
-
-/// (-1)^popcount(x) per lane, as the sign bit of a double.
-ChainPairBits sign_bits(ChainPairBits x) {
-  for (int shift = 32; shift > 0; shift /= 2) {
-    x ^= x >> shift;
-  }
-  return x << 63;
-}
-
-/// z_sums with the chains in groups of kWidth pairs, the last group padded
-/// with empty masks. A group's chains stay in registers over a block.
-template <std::size_t kWidth, class S>
-std::vector<real_t> z_sums_by(const DistStateVector<S>& sv,
-                              std::span<const amp_index> masks) {
-  if (masks.empty()) {
-    return {};
-  }
-  const std::size_t groups = (masks.size() + 2 * kWidth - 1) / (2 * kWidth);
-  std::vector<ChainPairBits> mask_pairs(groups * kWidth, ChainPairBits{});
-  for (std::size_t k = 0; k < masks.size(); ++k) {
-    mask_pairs[k / 2][k % 2] = masks[k];
-  }
-  const amp_index local = sv.local_amps();
-  const amp_index block = std::min(local, kSignBlock);
-  // inner[(g * block + i) * kWidth + v]: pair v of group g at offset i.
-  std::vector<ChainPairBits> inner(groups * block * kWidth);
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (amp_index i = 0; i < block; ++i) {
-      for (std::size_t v = 0; v < kWidth; ++v) {
-        inner[(g * block + i) * kWidth + v] =
-            sign_bits(mask_pairs[g * kWidth + v] & i);
-      }
-    }
-  }
-  std::vector<ChainPair> acc(groups * kWidth, ChainPair{});
-  for (rank_t r = 0; r < sv.num_ranks(); ++r) {
-    const amp_index base = static_cast<amp_index>(r) * local;
-    for (amp_index first = 0; first < local; first += block) {
-      // The block is read from memory once; later groups find it in cache.
-      const real_t* const re = sv.slice(r).re() + first;
-      const real_t* const im = sv.slice(r).im() + first;
-      for (std::size_t g = 0; g < groups; ++g) {
-        ChainPairBits outer[kWidth];
-        ChainPair a[kWidth];
-        for (std::size_t v = 0; v < kWidth; ++v) {
-          outer[v] = sign_bits(mask_pairs[g * kWidth + v] & (base | first));
-          a[v] = acc[g * kWidth + v];
-        }
-        const ChainPairBits* sign = &inner[g * block * kWidth];
-        for (amp_index i = 0; i < block; i += 2, sign += 2 * kWidth) {
-          // |a|^2 of amplitudes i and i + 1, each then added to every chain.
-          ChainPair r2, i2;
-          std::memcpy(&r2, re + i, sizeof r2);
-          std::memcpy(&i2, im + i, sizeof i2);
-          const auto p2 = std::bit_cast<ChainPairBits>(r2 * r2 + i2 * i2);
-          const ChainPairBits p0 = {p2[0], p2[0]};
-          const ChainPairBits p1 = {p2[1], p2[1]};
-          for (std::size_t v = 0; v < kWidth; ++v) {
-            a[v] += std::bit_cast<ChainPair>(sign[v] ^ outer[v] ^ p0);
-          }
-          for (std::size_t v = 0; v < kWidth; ++v) {
-            a[v] += std::bit_cast<ChainPair>(sign[kWidth + v] ^ outer[v] ^ p1);
-          }
-        }
-        std::copy(a, a + kWidth, &acc[g * kWidth]);
-      }
-    }
-  }
-  std::vector<real_t> sums(masks.size());
-  for (std::size_t k = 0; k < sums.size(); ++k) {
-    sums[k] = acc[k / 2][k % 2];
-  }
-  return sums;
-}
-
 /// Sums (-1)^popcount(g & masks[k]) * |a_g|^2 over every amplitude g in
 /// global index order, read straight from each slice, one accumulator chain
-/// per mask. Every chain starts at 0 and adds +p or -p once per amplitude
-/// in that order whatever other masks share the pass, so entry k is the
-/// same double as a pass for masks[k] alone; a sign flips p's sign bit,
-/// which is what -p does. One or two masks take one chain pair, as narrow
-/// as a single chain; more take groups of four pairs, enough independent
-/// additions to hide each one's latency.
+/// per mask: the active kernel table's diag_sums, called on the slices in
+/// rank order so that every chain runs on from one slice into the next.
+/// Each chain starts at 0 and adds +p or -p once per amplitude in that
+/// order whatever other masks share the pass, so entry k is the same double
+/// as a pass for masks[k] alone, on every backend (sv/simd/diag_sums.hpp).
 template <class S>
 std::vector<real_t> z_sums(const DistStateVector<S>& sv,
                            std::span<const amp_index> masks) {
-  return masks.size() <= 2 ? z_sums_by<1>(sv, masks)
-                           : z_sums_by<4>(sv, masks);
+  std::vector<real_t> sums(masks.size(), 0.0);
+  if (masks.empty()) {
+    return sums;
+  }
+  const simd::KernelOps& ops = simd::ops();
+  const amp_index local = sv.local_amps();
+  for (rank_t r = 0; r < sv.num_ranks(); ++r) {
+    ops.diag_sums(sv.slice(r).re(), sv.slice(r).im(), local,
+                  static_cast<amp_index>(r) * local, masks.data(),
+                  masks.size(), sums.data());
+  }
+  return sums;
 }
 
 }  // namespace

@@ -337,6 +337,63 @@ void combine_matrix1_range(S& mine, const PeerSpan& peer, int my_row,
   });
 }
 
+// ---------------------------------------------------------------------------
+// Half copies. A distributed SWAP with local target `a` moves one half of
+// each slice: the amplitudes whose bit `a` equals a given value. Packed
+// index k of a half names its k-th amplitude in increasing index order,
+// insert_zero_bit(k, a) | value << a, so each run of 2^a consecutive packed
+// indices is a run of contiguous amplitudes, and an amplitude's partner
+// across bit `a` has the same packed index in the other half.
+// ---------------------------------------------------------------------------
+
+/// Packed indices per piece of a half copy's loop. Pieces, not runs, are
+/// the loop's iterations: a run is one amplitude when a = 0.
+inline constexpr amp_index kHalfCopyPiece = 1024;
+
+/// The number of amplitudes below index `i` whose bit `a` equals `value`:
+/// the packed index of the first such amplitude at or above i.
+[[nodiscard]] constexpr amp_index packed_below(amp_index i, int a,
+                                               int value) {
+  const amp_index half = amp_index{1} << a;
+  const amp_index in_block = i & (2 * half - 1);
+  const amp_index below = value != 0
+                              ? (in_block > half ? in_block - half : 0)
+                              : std::min(in_block, half);
+  return ((i >> (a + 1)) << a) + below;
+}
+
+/// Calls copy(k, i, n) for runs of packed indices [k, k + n) within
+/// [lo, hi) of the half whose bit `a` equals `value`, whose amplitudes are
+/// contiguous from index i; the loop covers `amps` amplitudes. The range is
+/// split into pieces of kHalfCopyPiece packed indices across the calling
+/// thread's loop team. A piece walks the runs it meets and clips them only
+/// at its own ends; below 2^3-amplitude runs (a < 3) it passes one
+/// amplitude at a time (n = 1), so the copy is a plain strided loop.
+template <class CopyRun>
+void for_each_half_run(amp_index amps, amp_index lo, amp_index hi, int a,
+                       int value, CopyRun copy) {
+  if (lo >= hi) {
+    return;
+  }
+  const amp_index set = static_cast<amp_index>(value) << a;
+  const amp_index pieces = (hi - lo + kHalfCopyPiece - 1) / kHalfCopyPiece;
+  parallel_for(amps, static_cast<std::int64_t>(pieces), [=](std::int64_t p) {
+    const amp_index k_lo = lo + static_cast<amp_index>(p) * kHalfCopyPiece;
+    const amp_index k_hi = std::min(hi, k_lo + kHalfCopyPiece);
+    if (a < 3) {
+      for (amp_index k = k_lo; k < k_hi; ++k) {
+        copy(k, bits::insert_zero_bit(k, a) | set, amp_index{1});
+      }
+      return;
+    }
+    for (amp_index k = k_lo; k < k_hi;) {
+      const amp_index run_end = std::min(k_hi, ((k >> a) + 1) << a);
+      copy(k, bits::insert_zero_bit(k, a) | set, run_end - k);
+      k = run_end;
+    }
+  });
+}
+
 /// Distributed SWAP with one local target `a` and the distributed target in
 /// the rank bits: amplitudes whose local bit `a` differs from this rank's
 /// bit of the distributed target are replaced from the peer slice. An
@@ -346,45 +403,32 @@ void combine_matrix1_range(S& mine, const PeerSpan& peer, int my_row,
 /// region reads lies in the 2^(a+1)-aligned blocks that the region
 /// overlaps, which is why the frontier driver holds application back to
 /// that alignment (sv/sweep.hpp).
+///
+/// The written amplitudes form one half and their partners the other, at
+/// the same packed indices, so the update is a half copy over the packed
+/// indices whose amplitude lies in the region and whose partner in `peer`.
 template <simd::SoaSpanAccess S>
 void combine_swap_one_high_range(S& mine, const PeerSpan& peer, int a,
                                  int my_high_bit, amp_index first,
                                  amp_index count) {
   QSV_REQUIRE(first + count <= mine.size(), "combine region out of range");
-  // An amplitude and its partner share a 2^(a+1) block: only the blocks
-  // that overlap both the region and `peer` have work.
-  const amp_index end = first + count;
-  const amp_index half = amp_index{1} << a;
-  const amp_index base = std::max(first, peer.first) & ~(2 * half - 1);
-  const amp_index stop = std::min(end, peer.end());
-  if (base >= stop) {
+  const int written = 1 - my_high_bit;
+  const amp_index lo = std::max(packed_below(first, a, written),
+                                packed_below(peer.first, a, my_high_bit));
+  const amp_index hi = std::min(packed_below(first + count, a, written),
+                                packed_below(peer.end(), a, my_high_bit));
+  if (lo >= hi) {
     return;
   }
-  const amp_index blocks = (stop - base + 2 * half - 1) / (2 * half);
-  // In each block the run of `half` amplitudes whose bit a differs from
-  // my_high_bit is written, from the partner run `half` away.
-  const amp_index write_off = my_high_bit != 0 ? 0 : half;
-  const amp_index read_off = half - write_off;
+  const amp_index half = amp_index{1} << a;
   real_t* const mre = mine.re();
   real_t* const mim = mine.im();
   const PeerSpan p = peer;
-  parallel_for(std::min(count, blocks * 2 * half),
-               static_cast<std::int64_t>(blocks), [=](std::int64_t b) {
-    const amp_index block = base + static_cast<amp_index>(b) * 2 * half;
-    const amp_index w = block + write_off;
-    const amp_index r = block + read_off;
-    const amp_index i_lo = std::max(first, w);
-    const amp_index i_hi = std::min(end, w + half);
-    if (i_lo >= i_hi) {
-      return;
-    }
-    const amp_index j_lo = std::max(i_lo - w + r, p.first);
-    const amp_index j_hi = std::min(i_hi - w + r, p.end());
-    if (j_lo >= j_hi) {
-      return;
-    }
-    std::copy_n(p.re + (j_lo - p.first), j_hi - j_lo, mre + (j_lo - r + w));
-    std::copy_n(p.im + (j_lo - p.first), j_hi - j_lo, mim + (j_lo - r + w));
+  // The loop spans both halves of the blocks it writes into.
+  for_each_half_run(2 * (hi - lo), lo, hi, a, written,
+                    [=](amp_index, amp_index i, amp_index n) {
+    std::copy_n(p.re + ((i ^ half) - p.first), n, mre + i);
+    std::copy_n(p.im + ((i ^ half) - p.first), n, mim + i);
   });
 }
 
@@ -408,30 +452,8 @@ void combine_swap_two_high_range(S& mine, const PeerSpan& peer,
 
 // ---------------------------------------------------------------------------
 // Half-exchange helpers (the paper's future-work optimisation): only the
-// half of the slice whose bit `a` equals `value` moves. Packed index k is
-// the k-th amplitude of that half, in increasing index order.
+// half of the slice whose bit `a` equals `value` moves, as packed indices.
 // ---------------------------------------------------------------------------
-
-/// Calls copy(k, i, n) for every run of packed indices [k, k + n) within
-/// [lo, hi) whose amplitudes are contiguous from index i: runs of 2^a
-/// packed indices, split across the calling thread's loop team.
-template <class CopyRun>
-void for_each_half_run(amp_index lo, amp_index hi, int a, int value,
-                       CopyRun copy) {
-  if (lo >= hi) {
-    return;
-  }
-  const amp_index first_run = lo >> a;
-  const amp_index runs = ((hi - 1) >> a) - first_run + 1;
-  const amp_index set = static_cast<amp_index>(value) << a;
-  parallel_for(hi - lo, static_cast<std::int64_t>(runs),
-               [=](std::int64_t rr) {
-    const amp_index run = first_run + static_cast<amp_index>(rr);
-    const amp_index k_lo = std::max(lo, run << a);
-    const amp_index k_hi = std::min(hi, (run + 1) << a);
-    copy(k_lo, bits::insert_zero_bit(k_lo, a) | set, k_hi - k_lo);
-  });
-}
 
 /// Writes packed amplitudes [first, first + count) of `src`'s half into a
 /// message payload at `out`: `count` real parts, then `count` imaginary
@@ -444,7 +466,7 @@ void gather_half(const S& src, int a, int value, amp_index first,
   real_t* const oim = ore + count;
   const real_t* const sre = src.re();
   const real_t* const sim = src.im();
-  for_each_half_run(first, first + count, a, value,
+  for_each_half_run(count, first, first + count, a, value,
                     [=](amp_index k, amp_index i, amp_index n) {
     std::copy_n(sre + i, n, ore + (k - first));
     std::copy_n(sim + i, n, oim + (k - first));
@@ -463,8 +485,9 @@ void scatter_half(S& dst, int a, int value, const PeerSpan& src,
   real_t* const dre = dst.re();
   real_t* const dim = dst.im();
   const PeerSpan p = src;
-  for_each_half_run(std::max(first, p.first),
-                    std::min(first + count, p.end()), a, value,
+  const amp_index lo = std::max(first, p.first);
+  const amp_index hi = std::min(first + count, p.end());
+  for_each_half_run(hi > lo ? hi - lo : 0, lo, hi, a, value,
                     [=](amp_index k, amp_index i, amp_index n) {
     std::copy_n(p.re + (k - p.first), n, dre + i);
     std::copy_n(p.im + (k - p.first), n, dim + i);

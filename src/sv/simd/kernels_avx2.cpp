@@ -17,11 +17,13 @@
 //
 // Anything without a vector path here (control masks on dense kernels, tiny
 // spans, low swap/matrix2 strides) forwards to the scalar backend's entry.
+// The readout keeps 4 chains per register (sv/simd/diag_sums.hpp).
 #include <immintrin.h>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
+#include "sv/simd/diag_sums.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -294,6 +296,7 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
 
 constexpr KernelOps kAvx2Ops = {
     "avx2", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
+    diag_sums<4>,
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 // AVX-512 backend: 512-bit split re/im lanes for matrix1, matrix2, phase
-// and rz. swap composes the AVX2 table's entry — a worked example of the
+// and rz, and 8 readout chains per register. swap, and the readout's lone
+// chain, compose the AVX2 table's entries — worked examples of the
 // partial-backend composition rule in docs/KERNELS.md.
 //
 // Compiled with -mavx512f -ffp-contract=off; no FMA (bit-identity contract,
@@ -11,6 +12,7 @@
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
+#include "sv/simd/diag_sums.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -376,8 +378,24 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
 // Composed entry: swap rides the AVX2 implementation.
 void swap_soa(const SoaSpan& s, int a, int b) { avx2_ops().swap_soa(s, a, b); }
 
+// A lone chain gains nothing from 512-bit registers, and this file's build
+// of it forms |a|^2 in them, which lowers the clock on hosts that slow down
+// for 512-bit work: one mask (the norm) rides the AVX2 entry, which took
+// 0.36-0.42 ms against 0.61 ms over 2^19 amplitudes on the reference host
+// (docs/KERNELS.md §5).
+void diag_sums_soa(const real_t* re, const real_t* im, amp_index n,
+                   amp_index base, const amp_index* masks, std::size_t count,
+                   real_t* acc) {
+  if (count == 1) {
+    avx2_ops().diag_sums(re, im, n, base, masks, count, acc);
+    return;
+  }
+  diag_sums<8>(re, im, n, base, masks, count, acc);
+}
+
 constexpr KernelOps kAvx512Ops = {
     "avx512", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
+    diag_sums_soa,
 };
 
 }  // namespace

@@ -10,11 +10,13 @@
 //
 // Uncontrolled matrix1 loops are written as (block, offset) nests over the
 // pair stride so the compiler can auto-vectorise the contiguous inner loop
-// even in this backend.
+// even in this backend. The readout (sv/simd/diag_sums.hpp) is the one
+// vector-extension kernel every backend shares, at its own width.
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
+#include "sv/simd/diag_sums.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -157,8 +159,11 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
+// The readout's chain pairs are SSE2 registers on baseline x86-64, and
+// pairs of scalars on a target without vectors.
 constexpr KernelOps kScalarOps = {
     "scalar", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
+    diag_sums<2>,
 };
 
 }  // namespace

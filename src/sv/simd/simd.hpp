@@ -2,16 +2,18 @@
 //
 // The gate kernels in sv/kernels.hpp take a *slice* that exposes the raw
 // contiguous re()/im() arrays of SoaStorage (or a window over them). The
-// five dense kernels route through this layer: a table of function pointers
-// (`KernelOps`) whose entries are implemented once per backend (portable
-// scalar, AVX2, AVX-512) and selected once at startup by CPUID, overridable
-// with the QSV_SIMD environment variable.
+// five dense kernels, and the diagonal readout behind <Z_q> and the norm,
+// route through this layer: a table of function pointers (`KernelOps`)
+// whose entries are implemented once per backend (portable scalar, AVX2,
+// AVX-512) and selected once at startup by CPUID, overridable with the
+// QSV_SIMD environment variable.
 //
 // Contract (see docs/KERNELS.md for the full ABI):
-//  * Every backend produces bit-identical amplitudes for every entry. The
-//    vector kernels mirror the scalar complex-arithmetic operation order
-//    exactly, use no FMA, and every backend translation unit is compiled
-//    with -ffp-contract=off, so dispatch never changes results.
+//  * Every backend produces bit-identical amplitudes (and sums) for every
+//    entry. The vector kernels mirror the scalar complex-arithmetic
+//    operation order exactly, use no FMA, and every backend translation
+//    unit is compiled with -ffp-contract=off, so dispatch never changes
+//    results.
 //  * Spans always cover a power-of-two number of amplitudes (a slice or a
 //    sweep tile), so vector main loops never need remainder handling —
 //    backends fall back to their scalar path below a minimum span size.
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -99,7 +102,7 @@ template <SoaSpanAccess S>
 // Kernel table
 // ---------------------------------------------------------------------------
 
-/// One entry per hot dense kernel. Semantics:
+/// One entry per hot dense kernel, and the diagonal readout. Semantics:
 ///  * matrix1: 2x2 on index pairs differing in bit `target`; pairs whose
 ///    zero-member fails `ctrl` are untouched.
 ///  * matrix2: 4x4 on quads over bits `a` (low subspace bit) and `b`;
@@ -108,6 +111,12 @@ template <SoaSpanAccess S>
 ///  * phase: multiplies amplitudes with all `mask` bits set by `factor`.
 ///  * rz: amplitudes matching `ctrl` are multiplied by f1 when bit
 ///    `target` is set, f0 otherwise.
+///  * diag_sums: for each amplitude i of [0, n) in index order, adds
+///    (-1)^popcount((base + i) & masks[k]) * (re[i]^2 + im[i]^2) to acc[k]
+///    for every k < count. n is a power of two and base a multiple of
+///    n, so calling it on consecutive slices continues every sum in global
+///    index order: acc[k] is then the same double as a one-mask pass over
+///    the whole register.
 struct KernelOps {
   const char* name;
   void (*matrix1_soa)(const SoaSpan&, int target, const Mat2&, amp_index ctrl);
@@ -117,6 +126,9 @@ struct KernelOps {
   void (*phase_soa)(const SoaSpan&, amp_index mask, cplx factor);
   void (*rz_soa)(const SoaSpan&, int target, cplx f0, cplx f1,
                  amp_index ctrl);
+  void (*diag_sums)(const real_t* re, const real_t* im, amp_index n,
+                    amp_index base, const amp_index* masks,
+                    std::size_t count, real_t* acc);
 };
 
 /// Table of a specific backend (must be supported).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -114,8 +115,9 @@ void BasicStateVector<S>::apply(const Circuit& c) {
   const int t = std::min(sweep_opts_.tile_qubits, num_qubits_);
   for (const GateRun& run : runs) {
     if (run.sweep) {
-      kern::apply_sweep_run(storage_, c.gates().data() + run.first, run.count,
-                            t, num_qubits_, /*rank_bits=*/0);
+      kern::apply_sweep_run(std::span<S>(&storage_, 1), /*first_rank=*/0,
+                            c.gates().data() + run.first, run.count, t,
+                            num_qubits_);
       sweep_stats_.add_run(run.count, num_amps() >> t);
     } else {
       for (std::size_t i = 0; i < run.count; ++i) {

@@ -41,32 +41,42 @@ class TileView {
 }  // namespace
 
 template <class S>
-void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
-                     int tile_qubits, int local_qubits, amp_index rank_bits) {
+void apply_sweep_run(std::span<S> slices, amp_index first_rank,
+                     const Gate* gates, std::size_t count, int tile_qubits,
+                     int local_qubits) {
   const int t = std::min(tile_qubits, local_qubits);
   QSV_REQUIRE(t >= 1, "tiles hold at least 2 amplitudes");
-  QSV_REQUIRE(s.size() == amp_index{1} << local_qubits,
-              "slice size does not match local_qubits");
+  const amp_index slice_amps = amp_index{1} << local_qubits;
+  for (const S& s : slices) {
+    QSV_REQUIRE(s.size() == slice_amps,
+                "slice size does not match local_qubits");
+  }
   for (std::size_t gi = 0; gi < count; ++gi) {
     QSV_REQUIRE(is_sweepable(gates[gi], t),
                 "non-sweepable gate in a sweep run: " + gates[gi].str());
   }
 
   const amp_index tile_amps = amp_index{1} << t;
-  const auto tiles = static_cast<std::int64_t>(s.size() >> t);
-  parallel_for(s.size(), tiles, [=, &s](std::int64_t tile) {
-    TileView<S> view(s, static_cast<amp_index>(tile) << t, tile_amps);
+  const auto tiles = static_cast<std::int64_t>(slice_amps >> t);
+  S* const first = slices.data();
+  parallel_for(slices.size() * slice_amps,
+               static_cast<std::int64_t>(slices.size()) * tiles,
+               [=](std::int64_t k) {
+    const auto tile = static_cast<amp_index>(k % tiles);
+    const auto slice = static_cast<amp_index>(k / tiles);
+    TileView<S> view(first[slice], tile << t, tile_amps);
     // Global index bit q (q >= t) is bit (q - t) of this combined id, so
     // the tile is a virtual rank of the decomposition at L = t.
     const amp_index high_bits =
-        (rank_bits << (local_qubits - t)) | static_cast<amp_index>(tile);
+        ((first_rank + slice) << (local_qubits - t)) | tile;
     for (std::size_t gi = 0; gi < count; ++gi) {
       apply_gate_slice(view, gates[gi], t, high_bits);
     }
   });
 }
 
-template void apply_sweep_run<SoaStorage>(SoaStorage&, const Gate*,
-                                          std::size_t, int, int, amp_index);
+template void apply_sweep_run<SoaStorage>(std::span<SoaStorage>, amp_index,
+                                          const Gate*, std::size_t, int,
+                                          int);
 
 }  // namespace qsv::kern

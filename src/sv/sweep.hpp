@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "circuit/gate.hpp"
 #include "circuit/sweep_plan.hpp"
@@ -37,12 +38,14 @@ struct SweepStats {
 namespace kern {
 
 /// Applies gates[0 .. count) to every 2^min(tile_qubits, local_qubits)-
-/// amplitude tile of `s`, tile by tile, with OpenMP parallelism across
-/// tiles. `rank_bits` is the slice's rank id (0 for a single-address-space
-/// state); every gate must be sweepable at the effective tile size.
+/// amplitude tile of every slice in `slices`, tile by tile, in one
+/// parallel loop over all their tiles. Slice k holds rank first_rank + k
+/// (a single-address-space state is rank 0); every gate must be sweepable
+/// at the effective tile size.
 template <class S>
-void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
-                     int tile_qubits, int local_qubits, amp_index rank_bits);
+void apply_sweep_run(std::span<S> slices, amp_index first_rank,
+                     const Gate* gates, std::size_t count, int tile_qubits,
+                     int local_qubits);
 
 /// Ready-region executor for the overlapped exchange pipeline: drives a
 /// region kernel over amplitudes [0, total) chasing an arrival frontier

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32_fold.hpp"
 #include "common/parallel.hpp"
 #include "test_util.hpp"
 
@@ -117,6 +118,56 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   EXPECT_EQ(mismatches, 0);
 }
 
+TEST(Crc32, MatchesBitwiseReferenceWhereTheWideFoldRuns) {
+  // Every length from 256 bytes, where the 512-bit fold starts, to 4 KiB:
+  // one step and its 16-byte tail blocks, several steps, and every tail
+  // after them, at aligned and unaligned starts. The reference register is
+  // carried along, so each prefix costs one more byte.
+  const std::vector<unsigned char> data = pattern(4096 + 64);
+  int mismatches = 0;
+  for (const std::size_t offset : {0, 1, 7, 16, 33, 63}) {
+    const unsigned char* p = data.data() + offset;
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t len = 1; len <= 4096; ++len) {
+      reg ^= p[len - 1];
+      for (int k = 0; k < 8; ++k) {
+        reg = (reg >> 1) ^ (0xEDB88320u & (0u - (reg & 1u)));
+      }
+      if (len >= 256 && crc32(p, len) != (reg ^ 0xFFFFFFFFu) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+#if QSV_CRC32_HAVE_VPCLMUL
+TEST(Crc32, WideFoldEqualsTheNarrowFold) {
+  // The 512-bit fold against the 128-bit one it finishes with, register for
+  // register, from several initial registers, where this CPU runs both.
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("vpclmulqdq") ||
+      !__builtin_cpu_supports("avx512f") ||
+      !__builtin_cpu_supports("pclmul") ||
+      !__builtin_cpu_supports("sse4.1")) {
+    GTEST_SKIP() << "this CPU lacks the 512-bit or the 128-bit fold";
+  }
+  const std::vector<unsigned char> data = pattern(4096 + 64);
+  for (const std::size_t offset : {0, 1, 33}) {
+    const unsigned char* p = data.data() + offset;
+    for (const std::uint32_t state : {0xFFFFFFFFu, 0u, 0x9E3779B9u}) {
+      for (std::size_t len = 256; len <= 4096; len += 16) {
+        ASSERT_EQ(detail::crc32_fold_vpclmul(p, len, state),
+                  detail::crc32_fold_pclmul(p, len, state))
+            << "offset " << offset << " length " << len << " register "
+            << state;
+      }
+    }
+  }
+}
+#endif
+
 TEST(Crc32, IncrementalSplitsInsideFoldedBulkAndTail) {
   // A first update ending anywhere (inside a folded block, on a 16-byte
   // boundary, in the tail) leaves the register the second update resumes.
@@ -178,7 +229,8 @@ TEST(Crc32, EveryLoopWidthMatchesTheBitwiseReference) {
   // runs the one-block path, which must agree too.
   const test::LoopWidthGuard restore;
   const std::vector<unsigned char> data = pattern(2 * kMiB + 13);
-  for (const std::size_t len : {kMiB - 1, kMiB, kMiB + 3, 2 * kMiB + 13}) {
+  for (const std::size_t len :
+       {kMiB - 1, kMiB, kMiB + 3, 2 * kMiB, 2 * kMiB + 13}) {
     const std::uint32_t want = bitwise_crc32(data.data(), len);
     for (const int width : {1, 2, 3, 4}) {
       set_loop_width(width);

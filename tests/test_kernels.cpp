@@ -297,6 +297,145 @@ TYPED_TEST(KernelsTyped, GatherScatterRoundTrip) {
   }
 }
 
+/// Whether two slices hold the same bytes.
+template <class S>
+bool same_bytes(const S& a, const S& b) {
+  const std::size_t bytes = a.size() * sizeof(real_t);
+  return a.size() == b.size() && std::memcmp(a.re(), b.re(), bytes) == 0 &&
+         std::memcmp(a.im(), b.im(), bytes) == 0;
+}
+
+/// The three half copies of a distributed SWAP on one rank's slice, checked
+/// byte for byte against their definitions at every victim bit a of a
+/// 2^12-amplitude slice, on both sides: the full exchange's combine (an
+/// amplitude whose bit a differs from the rank's bit reads the peer's
+/// i ^ 2^a), the half exchange's gather (packed index k is the k-th
+/// amplitude whose bit a is the sent value) and its scatter. Peer streams
+/// arrive whole and in 3-, 65- and 4095-amplitude chunks; regions are the
+/// whole slice, blocks of 2^(a+1) (the frontier's alignment) and ragged
+/// 1000-amplitude tiles. Packed ranges span several of the copies' pieces,
+/// so a piece boundary or a run the loop drops shows.
+template <class S>
+void check_half_copies(amp_index n, std::uint64_t seed) {
+  const S peer = random_slice<S>(n, seed);
+  const S start = random_slice<S>(n, seed + 1);
+  const int local_qubits = bits::log2_exact(n);
+  for (int a = 0; a < local_qubits; ++a) {
+    const amp_index bit = amp_index{1} << a;
+    for (const int high : {0, 1}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << ", a " << a
+                                      << ", rank bit " << high);
+      // Combine: every chunking of the peer's stream, every region split.
+      S want = start;
+      for (amp_index i = 0; i < n; ++i) {
+        if (bits::bit(i, a) != high) {
+          want.set(i, peer.get(i ^ bit));
+        }
+      }
+      for (const amp_index chunk : {n, amp_index{3}, amp_index{65},
+                                    amp_index{4095}}) {
+        const std::vector<std::vector<real_t>> msgs =
+            chunks_of(peer, n, chunk);
+        for (const amp_index region : {n, 2 * bit, amp_index{1000}}) {
+          S got = start;
+          for (amp_index first = 0; first < n; first += region) {
+            for (std::size_t c = 0; c < msgs.size(); ++c) {
+              kern::combine_swap_one_high_range(
+                  got, span_of(msgs[c], c * chunk), a, high, first,
+                  std::min(region, n - first));
+            }
+          }
+          ASSERT_TRUE(same_bytes(got, want))
+              << "combine, chunk " << chunk << ", region " << region;
+        }
+      }
+      // Gather and scatter of the half whose bit a is `high`, in chunks.
+      const amp_index half = n / 2;
+      std::vector<real_t> packed(2 * half);
+      S scattered = start;
+      for (amp_index k = 0; k < half; ++k) {
+        const amp_index i = bits::insert_zero_bit(k, a) |
+                            (static_cast<amp_index>(high) << a);
+        packed[k] = peer.re()[i];
+        packed[half + k] = peer.im()[i];
+        scattered.set(i, peer.get(i));
+      }
+      for (const amp_index chunk : {half, amp_index{3}, amp_index{65},
+                                    amp_index{4095}}) {
+        S got = start;
+        for (amp_index first = 0; first < half; first += chunk) {
+          const amp_index count = std::min(chunk, half - first);
+          std::vector<real_t> msg(2 * count);
+          kern::gather_half(peer, a, high, first, count,
+                            reinterpret_cast<std::byte*>(msg.data()));
+          ASSERT_TRUE(std::equal(msg.begin(), msg.begin() + count,
+                                 packed.begin() + first) &&
+                      std::equal(msg.begin() + count, msg.end(),
+                                 packed.begin() + half + first))
+              << "gather, chunk " << chunk << ", first " << first;
+          for (const amp_index region : {half, amp_index{1000}}) {
+            for (amp_index r = 0; r < half; r += region) {
+              kern::scatter_half(got, a, high, span_of(msg, first), r,
+                                 std::min(region, half - r));
+            }
+          }
+        }
+        ASSERT_TRUE(same_bytes(got, scattered)) << "scatter, chunk " << chunk;
+      }
+    }
+  }
+}
+
+TYPED_TEST(KernelsTyped, HalfCopiesMatchTheirDefinitionAtEveryVictimBit) {
+  check_half_copies<TypeParam>(amp_index{1} << 12, 41);
+}
+
+TYPED_TEST(KernelsTyped, HalfCopiesSplitAcrossTheTeamMatchTheDefinition) {
+  // 2^17 amplitudes open a team: the pieces are split across it at every
+  // loop width, including one that leaves a thread a short last share.
+  const test::LoopWidthGuard restore;
+  for (const int width : {1, 3, 4}) {
+    set_loop_width(width);
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const amp_index n = amp_index{1} << 17;
+    const TypeParam peer = random_slice<TypeParam>(n, 51);
+    const TypeParam start = random_slice<TypeParam>(n, 52);
+    for (const int a : {0, 1, 5, 16}) {
+      const amp_index bit = amp_index{1} << a;
+      TypeParam want = start;
+      for (amp_index i = 0; i < n; ++i) {
+        if (bits::bit(i, a) != 1) {
+          want.set(i, peer.get(i ^ bit));
+        }
+      }
+      for (const amp_index chunk : {n, amp_index{65537}}) {
+        TypeParam got = start;
+        const std::vector<std::vector<real_t>> msgs =
+            chunks_of(peer, n, chunk);
+        for (std::size_t c = 0; c < msgs.size(); ++c) {
+          kern::combine_swap_one_high_range(got, span_of(msgs[c], c * chunk),
+                                            a, 1, 0, n);
+        }
+        ASSERT_TRUE(same_bytes(got, want)) << "a " << a << ", chunk "
+                                           << chunk;
+      }
+      std::vector<real_t> msg(n);
+      kern::gather_half(peer, a, 0, 0, n / 2,
+                        reinterpret_cast<std::byte*>(msg.data()));
+      TypeParam scattered = start;
+      kern::scatter_half(scattered, a, 0, span_of(msg, 0), 0, n / 2);
+      TypeParam scatter_want = start;
+      for (amp_index k = 0; k < n / 2; ++k) {
+        const amp_index i = bits::insert_zero_bit(k, a);
+        ASSERT_EQ(msg[k], peer.re()[i]) << "a " << a << ", k " << k;
+        ASSERT_EQ(msg[n / 2 + k], peer.im()[i]) << "a " << a << ", k " << k;
+        scatter_want.set(i, peer.get(i));
+      }
+      ASSERT_TRUE(same_bytes(scattered, scatter_want)) << "a " << a;
+    }
+  }
+}
+
 TYPED_TEST(KernelsTyped, HalfExchangeEqualsFullExchangeSwap) {
   // One-high SWAP implemented via gather/exchange-half/scatter must equal
   // the full-exchange combine.

@@ -232,6 +232,25 @@ TEST(Observables, SharedPassEqualsEachTermBitForBit) {
   }
 }
 
+TEST(Observables, NormIsTheIdentityChainBitForBit) {
+  // norm_sq is the readout's chain for the empty mask, the guard's norm
+  // check reads it, and its additions run in the identity term's order,
+  // on both engines and at every rank count.
+  Rng rng(13);
+  const Circuit c = build_rcs(11, 6, rng);
+  for (const int ranks : {1, 2, 4, 8}) {
+    for (const int threads : {0, ranks}) {
+      DistOptions o;
+      o.threading.threads = threads;
+      DistStateVector<SoaStorage> dist(11, ranks, o);
+      dist.apply(c);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.norm_sq()),
+                std::bit_cast<std::uint64_t>(expectation(dist, PauliTerm{})))
+          << ranks << " ranks, " << threads << " rank threads";
+    }
+  }
+}
+
 TEST(Observables, RejectsOutOfRange) {
   StateVector sv(3);
   EXPECT_THROW((void)expectation(sv, PauliTerm::parse("X5")), Error);

@@ -16,6 +16,7 @@
 #include "circuit/circuit.hpp"
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
@@ -259,7 +260,73 @@ TEST(SimdBitIdentity, DistEngineAcrossBackends) {
   }
 }
 
-/// A slice with get/set only: the gate kernels have no path for it.
+/// diag_sums over `slices` consecutive slices of `slice` amplitudes each,
+/// through one backend's entry, the chains continued from slice to slice
+/// as the readout calls it.
+std::vector<real_t> diag_sums_over_slices(Backend b,
+                                          const std::vector<real_t>& re,
+                                          const std::vector<real_t>& im,
+                                          amp_index slice,
+                                          const std::vector<amp_index>& masks) {
+  std::vector<real_t> acc(masks.size(), 0.0);
+  for (amp_index base = 0; base < re.size(); base += slice) {
+    simd::ops_for(b).diag_sums(re.data() + base, im.data() + base, slice,
+                               base, masks.data(), masks.size(), acc.data());
+  }
+  return acc;
+}
+
+// The diagonal readout: every chain adds +|a_g|^2 or -|a_g|^2 in global
+// index order, so every backend's entry gives the scalar entry's doubles,
+// and the scalar entry gives the definition's, for every mask count (a
+// lone chain, part of one register, whole registers, several groups with
+// a ragged last one), for slices smaller and larger than the 64-amplitude
+// sign block, and with the chains carried across 1 to 8 slices.
+TEST(SimdBitIdentity, DiagSumsEveryBackendEqualsTheDefinition) {
+  Rng rng(17);
+  for (const amp_index slice : {amp_index{2}, amp_index{32}, amp_index{64},
+                                amp_index{1} << 12}) {
+    for (const amp_index slices : {amp_index{1}, amp_index{2}, amp_index{8}}) {
+      const amp_index n = slice * slices;
+      std::vector<real_t> re(n), im(n);
+      for (amp_index g = 0; g < n; ++g) {
+        re[g] = rng.uniform(-1, 1);
+        im[g] = rng.uniform(-1, 1);
+      }
+      for (const std::size_t count : {1, 2, 3, 8, 9, 16, 17, 24}) {
+        std::vector<amp_index> masks(count);
+        for (std::size_t k = 0; k < count; ++k) {
+          // Single bits and random strings over every bit; with an even
+          // count the first is the empty mask (the norm's).
+          masks[k] = k == 0 && count % 2 == 0 ? 0
+                     : k % 2 == 1
+                         ? amp_index{1} << (k % bits::log2_exact(2 * n))
+                         : static_cast<amp_index>(rng.uniform() * 2 * n);
+        }
+        std::vector<real_t> want(count, 0.0);
+        for (amp_index g = 0; g < n; ++g) {
+          const real_t p = re[g] * re[g] + im[g] * im[g];
+          for (std::size_t k = 0; k < count; ++k) {
+            want[k] += std::popcount(g & masks[k]) % 2 == 1 ? -p : p;
+          }
+        }
+        for (Backend b : supported_backends()) {
+          const std::vector<real_t> got =
+              diag_sums_over_slices(b, re, im, slice, masks);
+          for (std::size_t k = 0; k < count; ++k) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                      std::bit_cast<std::uint64_t>(want[k]))
+                << simd::backend_name(b) << ": mask " << masks[k] << " ("
+                << k << " of " << count << "), " << slices << " slices of "
+                << slice;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A slice with get/set only: the gate kernels have no path for it./// A slice with get/set only: the gate kernels have no path for it.
 struct GetSetOnly {
   [[nodiscard]] amp_index size() const;
   [[nodiscard]] cplx get(amp_index i) const;
