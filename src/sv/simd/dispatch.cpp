@@ -15,14 +15,16 @@ bool cpu_supports(Backend b) {
     case Backend::kScalar:
       return true;
     case Backend::kAvx2:
+      // Its matrix2 is a chain of FMA instructions.
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
+      return __builtin_cpu_supports("avx2") && cpu_has_fma();
 #else
       return false;
 #endif
     case Backend::kAvx512:
+      // It composes AVX2 entries.
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f");
+      return __builtin_cpu_supports("avx512f") && cpu_supports(Backend::kAvx2);
 #else
       return false;
 #endif
@@ -52,6 +54,14 @@ Backend resolve() {
 }
 
 }  // namespace
+
+bool cpu_has_fma() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx");
+#else
+  return false;
+#endif
+}
 
 const char* backend_name(Backend b) {
   switch (b) {

@@ -1,10 +1,11 @@
 // AVX2 backend: 256-bit split re/im lanes over the SoA layout.
 //
-// Compiled with -mavx2 -ffp-contract=off (no FMA: the bit-identity contract
-// requires the scalar backend's separate multiply/add rounding). Only the
-// kernel-table getter is exported; everything else is file-local so no
-// AVX2-compiled symbol can leak into translation units built for the
-// baseline ISA.
+// Compiled with -mavx2 -mfma -ffp-contract=off. matrix2 is the matrix2
+// chain of FMA instructions, which is why the table needs a CPU with FMA;
+// every other kernel multiplies, then adds, as the scalar reference does
+// (bit-identity contract, see kernels_scalar.cpp). Only the kernel-table
+// getter is exported; everything else is file-local so no AVX2-compiled
+// symbol can leak into translation units built for the baseline ISA.
 //
 // Vector main paths mirror the scalar reference operation-for-operation per
 // lane, so the amplitudes they produce are bit-identical to the scalar
@@ -13,10 +14,11 @@
 // the pairs interleave inside a 8-amplitude group and are separated with
 // unpack / 128-bit-permute shuffles (a pure relabelling — per-lane
 // arithmetic is unaffected, and pairs are independent, so processing order
-// does not matter).
+// does not matter). matrix2 permutes quad members the same way, for every
+// target pair.
 //
 // Anything without a vector path here (control masks on dense kernels, tiny
-// spans, low swap/matrix2 strides) forwards to the scalar backend's entry.
+// spans, low swap strides) forwards to the scalar backend's entry.
 // The readout keeps 4 chains per register (sv/simd/diag_sums.hpp).
 #include <immintrin.h>
 
@@ -24,6 +26,7 @@
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 #include "sv/simd/diag_sums.hpp"
+#include "sv/simd/quad_plan.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -143,52 +146,122 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   });
 }
 
+// matrix2 takes every target pair in groups of whole quads
+// (sv/simd/quad_plan.hpp): lane bits are 0 and 1, and every output lane
+// runs the matrix2 chain, where _mm256_fnmadd_pd(a, b, c) rounds
+// -(a * b) + c once, which is std::fma(-a, b, c).
+
+/// Lane l of the result is lane idx(l) of v. AVX2 permutes doubles across
+/// 128-bit halves only by immediates, so each double moves as two floats
+/// (vpermps); `idx` holds 2 idx(l) and 2 idx(l) + 1 at floats 2l and 2l + 1.
+inline v4d permute(__m256i idx, v4d v) {
+  return _mm256_castps_pd(
+      _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), idx));
+}
+
+/// A QuadPlan in registers: the vpermps index of each column's member, and
+/// per output vector v and column c the lane-wise entries u[row][c].
+template <unsigned kVecBits>
+struct QuadLayout {
+  using Plan = QuadPlan<4, kVecBits>;
+  static constexpr int kVecs = Plan::kVecs;
+  int64_t offset[kVecs];
+  __m256i member[4];
+  v4d ur[kVecs][4], ui[kVecs][4];
+};
+
+template <unsigned kVecBits>
+QuadLayout<kVecBits> quad_layout(int a, int b, const Mat4& u) {
+  const QuadPlan<4, kVecBits> p = quad_plan<4, kVecBits>(a, b);
+  QuadLayout<kVecBits> q{};
+  for (int j = 0; j < q.kVecs; ++j) {
+    q.offset[j] = p.offset[j];
+  }
+  for (int c = 0; c < 4; ++c) {
+    alignas(32) int idx[8];
+    for (int l = 0; l < 4; ++l) {
+      idx[2 * l] = 2 * p.member[c][l];
+      idx[2 * l + 1] = 2 * p.member[c][l] + 1;
+    }
+    q.member[c] = _mm256_load_si256(reinterpret_cast<const __m256i*>(idx));
+  }
+  for (int v = 0; v < q.kVecs; ++v) {
+    for (int c = 0; c < 4; ++c) {
+      alignas(32) double r[4], i[4];
+      for (int l = 0; l < 4; ++l) {
+        r[l] = u.m[p.row[v][l]][c].real();
+        i[l] = u.m[p.row[v][l]][c].imag();
+      }
+      q.ur[v][c] = _mm256_load_pd(r);
+      q.ui[v][c] = _mm256_load_pd(i);
+    }
+  }
+  return q;
+}
+
+template <unsigned kVecBits>
+void matrix2_groups(const SoaSpan& s, int a, int b, const Mat4& u) {
+  using Layout = QuadLayout<kVecBits>;
+  constexpr int kVecs = Layout::kVecs;
+  real_t* const re = s.re;
+  real_t* const im = s.im;
+  const Layout q = quad_layout<kVecBits>(a, b, u);
+  const int lo = a < b ? a : b;
+  const int hi = a < b ? b : a;
+  parallel_for(s.n, static_cast<int64_t>(s.n) / (4 * kVecs),
+               [=](int64_t group) {
+    const amp_index base = group_base<4, kVecBits>(group, lo, hi);
+    v4d vr[kVecs], vi[kVecs];
+    for (int j = 0; j < kVecs; ++j) {
+      vr[j] = _mm256_loadu_pd(re + base + q.offset[j]);
+      vi[j] = _mm256_loadu_pd(im + base + q.offset[j]);
+    }
+    v4d xr[4], xi[4];
+    for (int c = 0; c < 4; ++c) {
+      if constexpr (kVecBits == 3) {
+        xr[c] = vr[c];
+        xi[c] = vi[c];
+      } else {
+        const int j = vector_of<kVecBits>(c);
+        xr[c] = permute(q.member[c], vr[j]);
+        xi[c] = permute(q.member[c], vi[j]);
+      }
+    }
+    for (int v = 0; v < kVecs; ++v) {
+      v4d accr = _mm256_setzero_pd();
+      v4d acci = _mm256_setzero_pd();
+      for (int c = 0; c < 4; ++c) {
+        accr = _mm256_fnmadd_pd(q.ui[v][c], xi[c],
+                                _mm256_fmadd_pd(q.ur[v][c], xr[c], accr));
+        acci = _mm256_fmadd_pd(q.ui[v][c], xr[c],
+                               _mm256_fmadd_pd(q.ur[v][c], xi[c], acci));
+      }
+      _mm256_storeu_pd(re + base + q.offset[v], accr);
+      _mm256_storeu_pd(im + base + q.offset[v], acci);
+    }
+  });
+}
+
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
                  amp_index ctrl) {
-  const int lo = a < b ? a : b;
-  if (ctrl != 0 || lo < 2 || s.n < 16) {
+  if (ctrl != 0 || s.n < 16) {
     scalar_ops().matrix2_soa(s, a, b, u, ctrl);
     return;
   }
-  real_t* const re = s.re;
-  real_t* const im = s.im;
-  const int hi = a < b ? b : a;
-  const int64_t sa = int64_t{1} << a;
-  const int64_t sb = int64_t{1} << b;
-  v4d ur[4][4], ui[4][4];
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      ur[r][c] = _mm256_set1_pd(u.m[r][c].real());
-      ui[r][c] = _mm256_set1_pd(u.m[r][c].imag());
-    }
+  switch ((a >= 2 ? 1 : 0) | (b >= 2 ? 2 : 0)) {
+    case 0:
+      matrix2_groups<0>(s, a, b, u);
+      return;
+    case 1:
+      matrix2_groups<1>(s, a, b, u);
+      return;
+    case 2:
+      matrix2_groups<2>(s, a, b, u);
+      return;
+    default:
+      matrix2_groups<3>(s, a, b, u);
+      return;
   }
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(s.n, quads / 4, [=](int64_t group) {
-    // lo >= 2: the 4 consecutive quad counters share one contiguous base.
-    const int64_t base = static_cast<int64_t>(
-        bits::insert_two_zero_bits(static_cast<amp_index>(4 * group), lo, hi));
-    int64_t idx[4];
-    v4d inr[4], ini[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      idx[sub] = base + ((sub & 1) ? sa : 0) + ((sub & 2) ? sb : 0);
-      inr[sub] = _mm256_loadu_pd(re + idx[sub]);
-      ini[sub] = _mm256_loadu_pd(im + idx[sub]);
-    }
-    for (int row = 0; row < 4; ++row) {
-      v4d accr = _mm256_setzero_pd();
-      v4d acci = _mm256_setzero_pd();
-      for (int col = 0; col < 4; ++col) {
-        accr = _mm256_add_pd(
-            accr, _mm256_sub_pd(_mm256_mul_pd(ur[row][col], inr[col]),
-                                _mm256_mul_pd(ui[row][col], ini[col])));
-        acci = _mm256_add_pd(
-            acci, _mm256_add_pd(_mm256_mul_pd(ur[row][col], ini[col]),
-                                _mm256_mul_pd(ui[row][col], inr[col])));
-      }
-      _mm256_storeu_pd(re + idx[row], accr);
-      _mm256_storeu_pd(im + idx[row], acci);
-    }
-  });
 }
 
 void swap_soa(const SoaSpan& s, int a, int b) {

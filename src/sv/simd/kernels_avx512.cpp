@@ -3,16 +3,17 @@
 // chain, compose the AVX2 table's entries — worked examples of the
 // partial-backend composition rule in docs/KERNELS.md.
 //
-// Compiled with -mavx512f -ffp-contract=off; no FMA (bit-identity contract,
-// see kernels_scalar.cpp). Only the table getter is exported.
+// Compiled with -mavx512f -ffp-contract=off. matrix2 is the matrix2 chain
+// of FMA instructions (AVX-512F has them); every other kernel multiplies,
+// then adds, as the scalar reference does (bit-identity contract, see
+// kernels_scalar.cpp). Only the table getter is exported.
 #include <immintrin.h>
-
-#include <bit>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 #include "sv/simd/diag_sums.hpp"
+#include "sv/simd/quad_plan.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -218,14 +219,10 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
-// matrix2 works on groups of 8 whole quads. A target at bit 3 or above (a
-// vector bit) selects between whole vectors; a target below 3 (a lane bit)
-// varies inside each vector. `kVecBits` has bit k set when subspace bit k's
-// target (a for k = 0, b for k = 1) is a vector bit, so a group spans
-// 2^popcount(kVecBits) vectors: the 4 members of 8 quads side by side when
-// both targets are vector bits, 8 quads in one vector when both are lane
-// bits. Every output lane then sums its quad's four members in column order
-// with its own matrix row, as the scalar loop does.
+// matrix2 takes every target pair in groups of whole quads
+// (sv/simd/quad_plan.hpp): lane bits are 0..2, and every output lane runs
+// the matrix2 chain, where _mm512_fnmadd_pd(a, b, c) rounds -(a * b) + c
+// once, which is std::fma(-a, b, c).
 
 /// _mm512_permutexvar_pd written in its all-lanes masked form: GCC 12
 /// reports the unmasked intrinsic's undefined pass-through operand as
@@ -234,25 +231,12 @@ inline v8d permute(__m512i idx, v8d v) {
   return _mm512_maskz_permutexvar_pd(0xFF, idx, v);
 }
 
-/// Group vector j holds the quad members whose vector bits spell j: the
-/// subspace index with those bits is vector_sub(j), and member `sub` sits
-/// in group vector vector_of(sub).
-template <unsigned kVecBits>
-constexpr int vector_sub(int j) {
-  return kVecBits == 2 ? j << 1 : j;
-}
-template <unsigned kVecBits>
-constexpr int vector_of(int sub) {
-  return (sub & static_cast<int>(kVecBits)) >> (kVecBits == 2 ? 1 : 0);
-}
-
-/// A 4x4 gate laid out for one target pair: where each group vector sits,
-/// the permutexvar index that brings quad member c of lane l's quad into
-/// lane l, and per output vector v and column c the lane-wise matrix
-/// entries u[row of lane l][c].
+/// A QuadPlan in registers: the permutexvar index of each column's member,
+/// and per output vector v and column c the lane-wise entries u[row][c].
 template <unsigned kVecBits>
 struct QuadLayout {
-  static constexpr int kVecs = 1 << std::popcount(kVecBits);
+  using Plan = QuadPlan<8, kVecBits>;
+  static constexpr int kVecs = Plan::kVecs;
   int64_t offset[kVecs];
   __m512i member[4];
   v8d ur[kVecs][4], ui[kVecs][4];
@@ -260,26 +244,15 @@ struct QuadLayout {
 
 template <unsigned kVecBits>
 QuadLayout<kVecBits> quad_layout(int a, int b, const Mat4& u) {
+  const QuadPlan<8, kVecBits> p = quad_plan<8, kVecBits>(a, b);
   QuadLayout<kVecBits> q{};
-  const int target[2] = {a, b};
-  const auto offset_of = [&](int sub) {
-    int64_t off = 0;
-    for (int k = 0; k < 2; ++k) {
-      if ((sub >> k) & 1) {
-        off += int64_t{1} << target[k];
-      }
-    }
-    return off;
-  };
-  const int lane_subs = 3 & ~static_cast<int>(kVecBits);
-  const int64_t lane_mask = offset_of(lane_subs);
   for (int j = 0; j < q.kVecs; ++j) {
-    q.offset[j] = offset_of(vector_sub<kVecBits>(j));
+    q.offset[j] = p.offset[j];
   }
   for (int c = 0; c < 4; ++c) {
     alignas(64) int64_t idx[8];
-    for (int64_t l = 0; l < 8; ++l) {
-      idx[l] = (l & ~lane_mask) | offset_of(c & lane_subs);
+    for (int l = 0; l < 8; ++l) {
+      idx[l] = p.member[c][l];
     }
     q.member[c] = _mm512_load_si512(idx);
   }
@@ -287,14 +260,8 @@ QuadLayout<kVecBits> quad_layout(int a, int b, const Mat4& u) {
     for (int c = 0; c < 4; ++c) {
       alignas(64) double r[8], i[8];
       for (int l = 0; l < 8; ++l) {
-        int row = vector_sub<kVecBits>(v);
-        for (int k = 0; k < 2; ++k) {
-          if (((lane_subs >> k) & 1) && ((l >> target[k]) & 1)) {
-            row |= 1 << k;
-          }
-        }
-        r[l] = u.m[row][c].real();
-        i[l] = u.m[row][c].imag();
+        r[l] = u.m[p.row[v][l]][c].real();
+        i[l] = u.m[p.row[v][l]][c].imag();
       }
       q.ur[v][c] = _mm512_load_pd(r);
       q.ui[v][c] = _mm512_load_pd(i);
@@ -314,12 +281,7 @@ void matrix2_groups(const SoaSpan& s, int a, int b, const Mat4& u) {
   const int hi = a < b ? b : a;
   parallel_for(s.n, static_cast<int64_t>(s.n) / (8 * kVecs),
                [=](int64_t group) {
-    amp_index base = 8 * static_cast<amp_index>(group);
-    if constexpr (kVecBits == 3) {
-      base = bits::insert_two_zero_bits(base, lo, hi);
-    } else if constexpr (kVecBits != 0) {
-      base = bits::insert_zero_bit(base, hi);
-    }
+    const amp_index base = group_base<8, kVecBits>(group, lo, hi);
     v8d vr[kVecs], vi[kVecs];
     for (int j = 0; j < kVecs; ++j) {
       vr[j] = _mm512_loadu_pd(re + base + q.offset[j]);
@@ -340,12 +302,10 @@ void matrix2_groups(const SoaSpan& s, int a, int b, const Mat4& u) {
       v8d accr = _mm512_setzero_pd();
       v8d acci = _mm512_setzero_pd();
       for (int c = 0; c < 4; ++c) {
-        accr = _mm512_add_pd(
-            accr, _mm512_sub_pd(_mm512_mul_pd(q.ur[v][c], xr[c]),
-                                _mm512_mul_pd(q.ui[v][c], xi[c])));
-        acci = _mm512_add_pd(
-            acci, _mm512_add_pd(_mm512_mul_pd(q.ur[v][c], xi[c]),
-                                _mm512_mul_pd(q.ui[v][c], xr[c])));
+        accr = _mm512_fnmadd_pd(q.ui[v][c], xi[c],
+                                _mm512_fmadd_pd(q.ur[v][c], xr[c], accr));
+        acci = _mm512_fmadd_pd(q.ui[v][c], xr[c],
+                               _mm512_fmadd_pd(q.ur[v][c], xi[c], acci));
       }
       _mm512_storeu_pd(re + base + q.offset[v], accr);
       _mm512_storeu_pd(im + base + q.offset[v], acci);

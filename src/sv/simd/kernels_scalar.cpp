@@ -5,18 +5,27 @@
 // mirrors std::complex exactly —
 //   a * b = (a.re*b.re - a.im*b.im,  a.re*b.im + a.im*b.re)
 // with the left operand's components first — and the whole file is compiled
-// with -ffp-contract=off so no multiply-add contraction can change rounding
-// (see src/sv/CMakeLists.txt; the vector backends use no FMA either).
+// with -ffp-contract=off so the compiler cannot contract a multiply and an
+// add into one rounding (see src/sv/CMakeLists.txt).
+//
+// The one fused kernel is matrix2: each output is one chain of std::fma
+// calls (sv/simd/matrix2_chain.hpp), which every backend computes bit for
+// bit. Its loop has two builds, this file's and kernels_scalar_fma.cpp's
+// -mfma one, and scalar_ops() takes the second when the CPU has FMA.
 //
 // Uncontrolled matrix1 loops are written as (block, offset) nests over the
 // pair stride so the compiler can auto-vectorise the contiguous inner loop
 // even in this backend. The readout (sv/simd/diag_sums.hpp) is the one
 // vector-extension kernel every backend shares, at its own width.
+#include <cmath>
+#include <vector>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "sv/simd/backends.hpp"
 #include "sv/simd/diag_sums.hpp"
+#include "sv/simd/matrix2_chain.hpp"
 
 namespace qsv::simd {
 namespace {
@@ -65,47 +74,13 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   });
 }
 
+// The baseline build of the matrix2 chain: std::fma is a libm call here,
+// correctly rounded like the FMA instruction. scalar_ops() takes the -mfma
+// build (kernels_scalar_fma.cpp) instead when the CPU has FMA.
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
                  amp_index ctrl) {
-  real_t* const re = s.re;
-  real_t* const im = s.im;
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-  parallel_for(s.n, quads, [=](int64_t k) {
-    const amp_index base =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    if (!bits::all_set(base, ctrl)) {
-      return;
-    }
-    // Subspace index order follows (bit b, bit a).
-    amp_index idx[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      amp_index i = base;
-      if (sub & 1) {
-        i = bits::set_bit(i, a);
-      }
-      if (sub & 2) {
-        i = bits::set_bit(i, b);
-      }
-      idx[sub] = i;
-    }
-    real_t inr[4], ini[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      inr[sub] = re[idx[sub]];
-      ini[sub] = im[idx[sub]];
-    }
-    for (int row = 0; row < 4; ++row) {
-      real_t accr = 0, acci = 0;
-      for (int col = 0; col < 4; ++col) {
-        const real_t ur = u.m[row][col].real();
-        const real_t ui = u.m[row][col].imag();
-        accr = accr + (ur * inr[col] - ui * ini[col]);
-        acci = acci + (ur * ini[col] + ui * inr[col]);
-      }
-      re[idx[row]] = accr;
-      im[idx[row]] = acci;
-    }
+  matrix2_chain(s, a, b, u, ctrl, [](real_t x, real_t y, real_t z) {
+    return std::fma(x, y, z);
   });
 }
 
@@ -159,15 +134,28 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
-// The readout's chain pairs are SSE2 registers on baseline x86-64, and
-// pairs of scalars on a target without vectors.
-constexpr KernelOps kScalarOps = {
-    "scalar", matrix1_soa, matrix2_soa, swap_soa, phase_soa, rz_soa,
-    diag_sums<2>,
-};
-
 }  // namespace
 
-const KernelOps& scalar_ops() { return kScalarOps; }
+std::vector<Matrix2Build> scalar_matrix2_builds() {
+  std::vector<Matrix2Build> builds = {{"baseline", matrix2_soa}};
+#if QSV_SIMD_HAVE_SCALAR_FMA
+  if (cpu_has_fma()) {
+    builds.push_back({"fma", scalar_matrix2_fma});
+  }
+#endif
+  return builds;
+}
+
+// The readout's chain pairs are SSE2 registers on baseline x86-64, and
+// pairs of scalars on a target without vectors. The matrix2 build is
+// resolved once, on first use, like the active table.
+const KernelOps& scalar_ops() {
+  static const KernelOps ops = {
+      "scalar", matrix1_soa, scalar_matrix2_builds().back().fn,
+      swap_soa, phase_soa,   rz_soa,
+      diag_sums<2>,
+  };
+  return ops;
+}
 
 }  // namespace qsv::simd

@@ -11,9 +11,11 @@
 // Contract (see docs/KERNELS.md for the full ABI):
 //  * Every backend produces bit-identical amplitudes (and sums) for every
 //    entry. The vector kernels mirror the scalar complex-arithmetic
-//    operation order exactly, use no FMA, and every backend translation
-//    unit is compiled with -ffp-contract=off, so dispatch never changes
-//    results.
+//    operation order exactly, and every backend translation unit is
+//    compiled with -ffp-contract=off, so dispatch never changes results.
+//    matrix2 is the one entry with fused multiply-adds: every backend
+//    computes the same chain of them (docs/KERNELS.md §4); the others
+//    multiply, then add.
 //  * Spans always cover a power-of-two number of amplitudes (a slice or a
 //    sweep tile), so vector main loops never need remainder handling —
 //    backends fall back to their scalar path below a minimum span size.
@@ -25,6 +27,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "circuit/matrix.hpp"
 #include "common/types.hpp"
@@ -130,6 +133,18 @@ struct KernelOps {
                     amp_index base, const amp_index* masks,
                     std::size_t count, real_t* acc);
 };
+
+/// One build of the scalar table's matrix2 entry.
+struct Matrix2Build {
+  const char* name;  // "baseline" or "fma"
+  decltype(KernelOps::matrix2_soa) fn;
+};
+
+/// The builds of the scalar matrix2 entry this host can run: "baseline",
+/// whose fma calls go to libm, then "fma", built with -mfma, when
+/// it was compiled in and the CPU has FMA. The scalar table uses the last.
+/// All give the same bits.
+[[nodiscard]] std::vector<Matrix2Build> scalar_matrix2_builds();
 
 /// Table of a specific backend (must be supported).
 [[nodiscard]] const KernelOps& ops_for(Backend b);

@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -326,7 +329,296 @@ TEST(SimdBitIdentity, DiagSumsEveryBackendEqualsTheDefinition) {
   }
 }
 
-/// A slice with get/set only: the gate kernels have no path for it./// A slice with get/set only: the gate kernels have no path for it.
+/// One component for the kernel-definition tests: uniform in (-1, 1) or,
+/// with probability `zeros`, +0 or -0. Signed zeros are where a chain that
+/// started from its first product instead of +0 would show: an output whose
+/// products are all -0 sums to -0 from its first product and to +0 from +0.
+real_t draw(Rng& rng, double zeros) {
+  if (rng.uniform() < zeros) {
+    return rng.uniform() < 0.5 ? 0.0 : -0.0;
+  }
+  return rng.uniform(-1, 1);
+}
+
+/// A register's components, as a kernel's span sees them.
+struct Amps {
+  std::vector<real_t> re, im;
+
+  [[nodiscard]] simd::SoaSpan span() {
+    return {re.data(), im.data(), re.size()};
+  }
+  /// The same amplitudes as complex numbers, for expect_bitwise_eq.
+  [[nodiscard]] std::vector<cplx> amplitudes() const {
+    std::vector<cplx> v;
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      v.emplace_back(re[i], im[i]);
+    }
+    return v;
+  }
+};
+
+Amps draw_amps(Rng& rng, amp_index n, double zeros) {
+  Amps a{std::vector<real_t>(n), std::vector<real_t>(n)};
+  for (amp_index i = 0; i < n; ++i) {
+    a.re[i] = draw(rng, zeros);
+    a.im[i] = draw(rng, zeros);
+  }
+  return a;
+}
+
+template <class M>
+M draw_matrix(Rng& rng, double zeros) {
+  M u;
+  for (auto& row : u.m) {
+    for (cplx& e : row) {
+      const real_t re = draw(rng, zeros);
+      e = cplx(re, draw(rng, zeros));
+    }
+  }
+  return u;
+}
+
+/// Control masks for a kernel on `n` qubits whose targets are `busy`: none,
+/// each free bit alone, and every free bit.
+std::vector<amp_index> control_masks(int n, amp_index busy) {
+  std::vector<amp_index> masks = {0};
+  const amp_index free = ((amp_index{1} << n) - 1) & ~busy;
+  for (int q = 0; q < n; ++q) {
+    if (bits::bit(free, q) != 0) {
+      masks.push_back(amp_index{1} << q);
+    }
+  }
+  if (std::popcount(free) > 1) {
+    masks.push_back(free);
+  }
+  return masks;
+}
+
+/// matrix2 as its chain defines it: on every quad whose base holds the
+/// control bits, each output starts from +0 and takes the columns in
+/// subspace order (bit b, bit a) as re = fma(-ui, xi, fma(ur, xr, re)),
+/// im = fma(ui, xr, fma(ur, xi, im)).
+void matrix2_definition(Amps& s, int a, int b, const Mat4& u,
+                        amp_index ctrl) {
+  for (amp_index base = 0; base < s.re.size(); ++base) {
+    if (bits::bit(base, a) != 0 || bits::bit(base, b) != 0 ||
+        !bits::all_set(base, ctrl)) {
+      continue;
+    }
+    amp_index idx[4];
+    real_t xr[4], xi[4];
+    for (int sub = 0; sub < 4; ++sub) {
+      idx[sub] = base | (sub & 1 ? amp_index{1} << a : 0) |
+                 (sub & 2 ? amp_index{1} << b : 0);
+      xr[sub] = s.re[idx[sub]];
+      xi[sub] = s.im[idx[sub]];
+    }
+    for (int row = 0; row < 4; ++row) {
+      real_t re = +0.0, im = +0.0;
+      for (int col = 0; col < 4; ++col) {
+        const real_t ur = u.m[row][col].real(), ui = u.m[row][col].imag();
+        re = std::fma(-ui, xi[col], std::fma(ur, xr[col], re));
+        im = std::fma(ui, xr[col], std::fma(ur, xi[col], im));
+      }
+      s.re[idx[row]] = re;
+      s.im[idx[row]] = im;
+    }
+  }
+}
+
+// Every compiled backend's matrix2, and each build of the scalar entry
+// this CPU can run, equals the chain's definition bit for bit: every
+// ordered target pair on 2 to 9 qubits (spans 4 to 512, so every minimum
+// span, lane-bit and vector-bit layout and scalar fallback), with and
+// without controls, on dense amplitudes, on amplitudes half of them signed
+// zeros, and on signed zeros alone.
+TEST(SimdBitIdentity, Matrix2EveryBuildIsTheFmaChain) {
+  using Matrix2Fn = decltype(simd::KernelOps::matrix2_soa);
+  std::vector<std::pair<std::string, Matrix2Fn>> entries;
+  for (Backend b : supported_backends()) {
+    entries.emplace_back(std::string(simd::backend_name(b)) + " table",
+                         simd::ops_for(b).matrix2_soa);
+  }
+  for (const simd::Matrix2Build& build : simd::scalar_matrix2_builds()) {
+    entries.emplace_back(std::string("scalar ") + build.name + " build",
+                         build.fn);
+  }
+  Rng rng(23);
+  for (int n = 2; n <= 9; ++n) {
+    for (const double zeros : {0.0, 0.5, 1.0}) {
+      const Amps in = draw_amps(rng, amp_index{1} << n, zeros);
+      const auto u = draw_matrix<Mat4>(rng, zeros == 0.5 ? 0.25 : 0.0);
+      for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+          if (a == b) {
+            continue;
+          }
+          const amp_index busy = (amp_index{1} << a) | (amp_index{1} << b);
+          for (const amp_index ctrl : control_masks(n, busy)) {
+            Amps want = in;
+            matrix2_definition(want, a, b, u, ctrl);
+            for (const auto& [name, fn] : entries) {
+              Amps got = in;
+              fn(got.span(), a, b, u, ctrl);
+              expect_bitwise_eq(got.amplitudes(), want.amplitudes(),
+                                name + ", (a, b) = (" + std::to_string(a) +
+                                    ", " + std::to_string(b) + ") ctrl " +
+                                    std::to_string(ctrl) + " on " +
+                                    std::to_string(n) + " qubits, zeros " +
+                                    std::to_string(zeros));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Applies `def(value, i)` to every amplitude i of `s` as a std::complex,
+/// the definition of the unfused kernels: multiply, then add, in
+/// std::complex order.
+template <class Def>
+void for_each_complex(Amps& s, Def def) {
+  for (amp_index i = 0; i < s.re.size(); ++i) {
+    const cplx v = def(cplx(s.re[i], s.im[i]), i);
+    s.re[i] = v.real();
+    s.im[i] = v.imag();
+  }
+}
+
+// matrix1, swap, phase and rz on every backend, and the distributed matrix1
+// combine, keep their unfused arithmetic: each equals its definition in
+// std::complex arithmetic (built, like every kernel, without contraction)
+// bit for bit, for every target and control position on 1 to 9 qubits.
+// Only matrix2 fuses.
+TEST(SimdBitIdentity, UnfusedKernelsEqualTheirDefinitions) {
+  Rng rng(29);
+  for (int n = 1; n <= 9; ++n) {
+    const amp_index size = amp_index{1} << n;
+    for (const double zeros : {0.0, 0.5}) {
+      const Amps in = draw_amps(rng, size, zeros);
+      const auto u = draw_matrix<Mat2>(rng, zeros / 2);
+      const cplx f0(draw(rng, 0), draw(rng, 0));
+      const cplx f1(draw(rng, 0), draw(rng, 0));
+      const auto check = [&](const Amps& want, const std::string& what,
+                             const auto& apply) {
+        for (Backend b : supported_backends()) {
+          Amps got = in;
+          apply(simd::ops_for(b), got.span());
+          expect_bitwise_eq(got.amplitudes(), want.amplitudes(),
+                            std::string(simd::backend_name(b)) + " " + what +
+                                " on " + std::to_string(n) + " qubits");
+        }
+      };
+      for (int t = 0; t < n; ++t) {
+        const amp_index tbit = amp_index{1} << t;
+        for (const amp_index ctrl : control_masks(n, tbit)) {
+          const std::string at =
+              "t " + std::to_string(t) + " ctrl " + std::to_string(ctrl);
+          Amps want = in;
+          for (amp_index i0 = 0; i0 < size; ++i0) {
+            if ((i0 & tbit) != 0 || !bits::all_set(i0, ctrl)) {
+              continue;
+            }
+            const cplx a0(in.re[i0], in.im[i0]);
+            const cplx a1(in.re[i0 | tbit], in.im[i0 | tbit]);
+            const cplx n0 = u.m[0][0] * a0 + u.m[0][1] * a1;
+            const cplx n1 = u.m[1][0] * a0 + u.m[1][1] * a1;
+            want.re[i0] = n0.real();
+            want.im[i0] = n0.imag();
+            want.re[i0 | tbit] = n1.real();
+            want.im[i0 | tbit] = n1.imag();
+          }
+          check(want, "matrix1 " + at,
+                [&](const simd::KernelOps& ops, const simd::SoaSpan& s) {
+                  ops.matrix1_soa(s, t, u, ctrl);
+                });
+          want = in;
+          for_each_complex(want, [&](cplx v, amp_index i) {
+            return bits::all_set(i, ctrl) ? v * ((i & tbit) != 0 ? f1 : f0)
+                                          : v;
+          });
+          check(want, "rz " + at,
+                [&](const simd::KernelOps& ops, const simd::SoaSpan& s) {
+                  ops.rz_soa(s, t, f0, f1, ctrl);
+                });
+        }
+      }
+      for (const amp_index mask : control_masks(n, 0)) {
+        Amps want = in;
+        for_each_complex(want, [&](cplx v, amp_index i) {
+          return bits::all_set(i, mask) ? v * f0 : v;
+        });
+        check(want, "phase mask " + std::to_string(mask),
+              [&](const simd::KernelOps& ops, const simd::SoaSpan& s) {
+                ops.phase_soa(s, mask, f0);
+              });
+      }
+      for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+          if (a == b) {
+            continue;
+          }
+          const amp_index flip = (amp_index{1} << a) | (amp_index{1} << b);
+          Amps want = in;
+          for (amp_index i = 0; i < size; ++i) {
+            if (bits::bit(i, a) != bits::bit(i, b)) {
+              want.re[i] = in.re[i ^ flip];
+              want.im[i] = in.im[i ^ flip];
+            }
+          }
+          check(want,
+                "swap (" + std::to_string(a) + ", " + std::to_string(b) + ")",
+                [&](const simd::KernelOps& ops, const simd::SoaSpan& s) {
+                  ops.swap_soa(s, a, b);
+                });
+        }
+      }
+      // The combine: my amplitudes against a peer message that covers the
+      // whole slice, or only its middle half, over the whole slice or a
+      // region inside it.
+      const Amps peer = draw_amps(rng, size, zeros);
+      for (const amp_index ctrl : control_masks(n, 0)) {
+        for (int my_row = 0; my_row < 2; ++my_row) {
+          for (const bool part : {false, true}) {
+            const amp_index pfirst = part ? size / 4 : 0;
+            const amp_index pcount = part ? size / 2 : size;
+            const amp_index first = part ? size / 8 : 0;
+            const amp_index count = part ? size - size / 4 : size;
+            const kern::PeerSpan span{peer.re.data(), peer.im.data(), pfirst,
+                                      pcount};
+            SoaStorage mine(size);
+            std::copy(in.re.begin(), in.re.end(), mine.re());
+            std::copy(in.im.begin(), in.im.end(), mine.im());
+            kern::combine_matrix1_range(mine, span, my_row, u, ctrl, first,
+                                        count);
+            Amps want = in;
+            for_each_complex(want, [&](cplx v, amp_index k) {
+              const bool held = k >= std::max(first, pfirst) &&
+                                k < std::min(first + count, pfirst + pcount);
+              if (!held || !bits::all_set(k, ctrl)) {
+                return v;
+              }
+              // The message's first amplitude is the stream's pfirst.
+              const cplx p(peer.re[k - pfirst], peer.im[k - pfirst]);
+              return u.m[my_row][my_row] * v + u.m[my_row][1 - my_row] * p;
+            });
+            Amps got{std::vector<real_t>(mine.re(), mine.re() + size),
+                     std::vector<real_t>(mine.im(), mine.im() + size)};
+            expect_bitwise_eq(got.amplitudes(), want.amplitudes(),
+                              "combine_matrix1_range row " +
+                                  std::to_string(my_row) + " ctrl " +
+                                  std::to_string(ctrl) +
+                                  (part ? " part" : "") + " on " +
+                                  std::to_string(n) + " qubits");
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A slice with get/set only: the gate kernels have no path for it.
 struct GetSetOnly {
   [[nodiscard]] amp_index size() const;
   [[nodiscard]] cplx get(amp_index i) const;

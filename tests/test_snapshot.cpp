@@ -10,6 +10,7 @@
 #include "circuit/builders.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "perf/runner.hpp"
 #include "test_util.hpp"
@@ -412,6 +413,33 @@ TEST(Snapshot, DigestIsThePayloadCrcAtEveryWidth) {
   (void)shrunk.reshard(4, 3);
   ASSERT_EQ(shrunk.num_ranks(), 4);
   EXPECT_EQ(check(shrunk), first);
+}
+
+TEST(Snapshot, PayloadCrcIsTheOneThreadValueAtEveryLoopWidth) {
+  // payload_crc checksums one range of global amplitudes per thread of the
+  // loop width and joins the parts in order. At widths 3 and 4 it must give
+  // the one-thread integer, at 1, 2 and 4 ranks, on a register below
+  // kParallelMinAmps (one part) and one above it, where ranges of widths 3
+  // and 4 start inside blocks and slices.
+  const test::LoopWidthGuard width;
+  for (const int n : {12, 17}) {
+    ASSERT_EQ(amp_index{1} << n >= kParallelMinAmps, n == 17);
+    Rng rng(static_cast<std::uint64_t>(n));
+    const Circuit c = build_rcs(n, 2, rng);
+    for (const int ranks : {1, 2, 4}) {
+      DistStateVector<SoaStorage> sv(n, ranks);
+      sv.apply(c);
+      set_loop_width(1);
+      const std::uint32_t want = payload_crc(sv);
+      EXPECT_EQ(want, per_amplitude_crc(sv)) << n << " qubits, " << ranks
+                                             << " ranks";
+      for (const int w : {3, 4}) {
+        set_loop_width(w);
+        EXPECT_EQ(payload_crc(sv), want)
+            << n << " qubits, " << ranks << " ranks, loop width " << w;
+      }
+    }
+  }
 }
 
 }  // namespace
