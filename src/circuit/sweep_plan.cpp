@@ -11,52 +11,41 @@ bool is_sweepable(const Gate& g, int tile_qubits) {
   return classify_gate(g, tile_qubits) != GateLocality::kDistributed;
 }
 
+GateRun next_sweep_run(const std::vector<Gate>& gates, std::size_t first,
+                       std::size_t end, int local_qubits,
+                       const SweepOptions& opts) {
+  QSV_REQUIRE(local_qubits >= 1, "slices hold at least 2 amplitudes");
+  QSV_REQUIRE(opts.tile_qubits >= 1, "tiles hold at least 2 amplitudes");
+  QSV_REQUIRE(first < end && end <= gates.size(), "gate run out of range");
+
+  // A forward scan over consecutive sweepable gates, in stream order: the
+  // planner never commutes gates, so it cannot reorder non-commuting ones.
+  std::size_t j = first;
+  if (opts.enabled) {
+    const int t = std::min(opts.tile_qubits, local_qubits);
+    while (j < end && is_sweepable(gates[j], t)) {
+      ++j;
+    }
+  }
+  if (j - first >= kMinSweepRun) {
+    return GateRun{first, j - first, true};
+  }
+  return GateRun{first, 1, false};
+}
+
 std::vector<GateRun> plan_sweep_runs(const std::vector<Gate>& gates,
                                      int local_qubits,
                                      const SweepOptions& opts) {
-  QSV_REQUIRE(local_qubits >= 1, "slices hold at least 2 amplitudes");
-  QSV_REQUIRE(opts.tile_qubits >= 1, "tiles hold at least 2 amplitudes");
-
   std::vector<GateRun> runs;
-  if (gates.empty()) {
-    return runs;
-  }
-  if (!opts.enabled) {
-    runs.push_back(GateRun{0, gates.size(), false});
-    return runs;
-  }
-
-  const int t = std::min(opts.tile_qubits, local_qubits);
-
-  // Single forward scan; consecutive sweepable gates accumulate into a
-  // candidate run, demoted to gate-by-gate execution when too short.
-  // Runs are emitted strictly in stream order — the planner never commutes
-  // gates, so it cannot reorder non-commuting ones.
-  std::size_t i = 0;
-  auto emit = [&runs](std::size_t first, std::size_t count, bool sweep) {
-    if (count == 0) {
-      return;
+  for (std::size_t i = 0; i < gates.size();) {
+    const GateRun run =
+        next_sweep_run(gates, i, gates.size(), local_qubits, opts);
+    if (!run.sweep && !runs.empty() && !runs.back().sweep) {
+      runs.back().count += run.count;  // merge adjacent gate-by-gate gates
+    } else {
+      runs.push_back(run);
     }
-    if (!sweep && !runs.empty() && !runs.back().sweep &&
-        runs.back().first + runs.back().count == first) {
-      runs.back().count += count;  // merge adjacent gate-by-gate segments
-      return;
-    }
-    runs.push_back(GateRun{first, count, sweep});
-  };
-
-  while (i < gates.size()) {
-    if (!is_sweepable(gates[i], t)) {
-      emit(i, 1, false);
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < gates.size() && is_sweepable(gates[j], t)) {
-      ++j;
-    }
-    emit(i, j - i, j - i >= kMinSweepRun);
-    i = j;
+    i += run.count;
   }
   return runs;
 }

@@ -60,10 +60,20 @@ struct GateRun {
 /// gates when every target lies below the tile boundary.
 [[nodiscard]] bool is_sweepable(const Gate& g, int tile_qubits);
 
-/// Partitions `gates` into runs for slices of 2^local_qubits amplitudes.
-/// The effective tile is min(opts.tile_qubits, local_qubits), so a gate
-/// local to the slice but above the tile boundary breaks a run. With
-/// opts.enabled == false, one non-sweep run covers the whole stream.
+/// The run that starts at gates[first] in slices of 2^local_qubits
+/// amplitudes and ends by gates[end - 1]: the sweepable gates from `first`
+/// when at least kMinSweepRun of them lie before `end`, else the single
+/// gate at `first`. The effective tile is min(opts.tile_qubits,
+/// local_qubits), so a gate local to the slice but above the tile boundary
+/// breaks a run. With opts.enabled == false every run is a single gate.
+[[nodiscard]] GateRun next_sweep_run(const std::vector<Gate>& gates,
+                                     std::size_t first, std::size_t end,
+                                     int local_qubits,
+                                     const SweepOptions& opts);
+
+/// Partitions `gates` into next_sweep_run's runs, adjacent single gates
+/// merged into one gate-by-gate run. With opts.enabled == false, one
+/// non-sweep run covers the whole stream.
 [[nodiscard]] std::vector<GateRun> plan_sweep_runs(
     const std::vector<Gate>& gates, int local_qubits,
     const SweepOptions& opts);

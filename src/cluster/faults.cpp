@@ -392,4 +392,23 @@ std::size_t FaultInjector::pending_revivals() const {
   return pending;
 }
 
+std::uint64_t FaultInjector::next_gate_fault(std::uint64_t gate) const {
+  std::lock_guard<std::mutex> lk(m_);
+  std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t i = 0; i < plan_.specs.size(); ++i) {
+    const FaultSpec& s = plan_.specs[i];
+    if (fired_[i]) {
+      continue;
+    }
+    if (s.kind == FaultKind::kRevive) {
+      next = std::min(next, std::max(s.at_gate, gate + 1));
+    } else if ((s.kind == FaultKind::kNodeFailure ||
+                s.kind == FaultKind::kBitFlip) &&
+               s.at_gate > gate) {
+      next = std::min(next, s.at_gate);
+    }
+  }
+  return next;
+}
+
 }  // namespace qsv

@@ -257,6 +257,13 @@ class FaultInjector {
   /// can prefer shrink-now-grow-back-later over shrink-forever).
   [[nodiscard]] std::size_t pending_revivals() const;
 
+  /// Where a run of engine gates from `gate` must end for every gate-indexed
+  /// spec to fire as it would gate by gate: the first index above `gate` at
+  /// which an unfired node failure or bit flip fires or an unfired revival
+  /// falls due (max(at_gate, gate + 1); run_verified drains arrivals after
+  /// each run). The maximum uint64 when none is pending.
+  [[nodiscard]] std::uint64_t next_gate_fault(std::uint64_t gate) const;
+
   /// Every fault that fired, in firing order.
   [[nodiscard]] const std::vector<FaultEvent>& log() const { return log_; }
 

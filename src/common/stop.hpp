@@ -1,11 +1,11 @@
 // Cooperative cancellation: a deadline/cancel token checked at safe points.
 //
 // A StopToken carries an optional wall-clock deadline and an optional external
-// cancel flag. Long-running drivers (the circuit executor, the verified-run
-// loop, the serve worker) poll `expired()` at gate-run boundaries — the only
-// points where the statevector is globally consistent — and raise
-// DeadlineExceeded carrying how far the run got, so callers can price the
-// partial work and report it instead of discarding it.
+// cancel flag. run_verified, the one run loop behind `qsv run` and every
+// serve job, polls `expired()` at run boundaries — the only points where the
+// statevector is globally consistent — and raises DeadlineExceeded carrying
+// how far the run got, so callers can price the partial work and report it
+// instead of discarding it.
 #pragma once
 
 #include <atomic>
@@ -68,7 +68,8 @@ class StopToken {
   /// token's use). Set it from any thread to request a stop.
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
 
-  /// True once the deadline passed or the cancel flag was raised.
+  /// True once the deadline passed or the cancel flag was raised. Reads no
+  /// clock when the token has no deadline.
   [[nodiscard]] bool expired() const {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       return true;
@@ -81,12 +82,6 @@ class StopToken {
   /// True when the external cancel flag (not the clock) is the reason.
   [[nodiscard]] bool cancelled() const {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
-
-  /// True when this token can ever fire (lets drivers skip clock reads on
-  /// the common no-deadline path).
-  [[nodiscard]] bool possible() const {
-    return has_deadline_ || cancel_ != nullptr;
   }
 
  private:

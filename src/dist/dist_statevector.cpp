@@ -611,8 +611,12 @@ ReshardPlan DistStateVector<S>::reshard(int new_ranks, rank_t rebuilt) {
 template <class S>
 void DistStateVector<S>::apply_sweep_run(const Circuit& c, std::size_t first,
                                          std::size_t count) {
-  // A planned node failure anywhere inside the tiled run fires before the
-  // run executes: slices are never left mid-sweep.
+  // Every gate is ticked before any work, so a gate-indexed spec may fire
+  // only at the first, where it would fire gate by gate too.
+  QSV_REQUIRE(injector_ == nullptr ||
+                  injector_->next_gate_fault(gates_applied_) -
+                          gates_applied_ >= count,
+              "a gate-indexed fault spec fires inside a sweep run");
   for (std::size_t i = 0; i < count; ++i) {
     tick_gate();
   }
@@ -645,12 +649,27 @@ void DistStateVector<S>::apply_sweep_run(const Circuit& c, std::size_t first,
 }
 
 template <class S>
+GateRun DistStateVector<S>::next_run(const Circuit& c, std::size_t first,
+                                     std::size_t end) const {
+  QSV_REQUIRE(first < end && end <= c.size(), "gate run out of range");
+  if (injector_ != nullptr) {
+    // Circuit gate first + k of a sweep run is engine gate
+    // gates_applied_ + k.
+    const std::uint64_t room =
+        injector_->next_gate_fault(gates_applied_) - gates_applied_;
+    end = first + static_cast<std::size_t>(
+                      std::min<std::uint64_t>(room, end - first));
+  }
+  return next_sweep_run(c.gates(), first, end, local_qubits_, opts_.sweep);
+}
+
+template <class S>
 void DistStateVector<S>::apply(const Circuit& c) {
   QSV_REQUIRE(c.num_qubits() == num_qubits_, "register size mismatch");
-  const std::vector<GateRun> runs =
-      plan_sweep_runs(c.gates(), local_qubits_, opts_.sweep);
-  for (const GateRun& run : runs) {
+  for (std::size_t i = 0; i < c.size();) {
+    const GateRun run = next_run(c, i, c.size());
     apply_run(c, run);
+    i += run.count;
   }
 }
 

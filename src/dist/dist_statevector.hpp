@@ -70,13 +70,22 @@ class DistStateVector {
   void init_from(const BasicStateVector<S>& sv);
 
   void apply(const Gate& g);
+  /// Applies next_run's runs, one after another.
   void apply(const Circuit& c);
 
-  /// Applies one planned run (see plan_sweep_runs) — either a cache-tiled
-  /// sweep or a gate-by-gate stretch. apply(Circuit) is exactly a loop over
-  /// these; exposing the step lets drivers with deadlines or cancellation
-  /// (qsv run --deadline-s, the serve executor) stop between runs, the
-  /// safe points where every rank's slice reflects the same gate prefix.
+  /// The run from circuit gate `first`: next_sweep_run's sweepable gates at
+  /// the current width, ending by circuit gate `end` (a caller's checkpoint
+  /// or guard boundary) and before the attached injector's next_gate_fault;
+  /// else the single gate at `first`. Callers ask again after every run, so
+  /// runs follow every re-shard, rollback and restart.
+  [[nodiscard]] GateRun next_run(const Circuit& c, std::size_t first,
+                                 std::size_t end) const;
+
+  /// Applies one run — either a cache-tiled sweep or a gate-by-gate
+  /// stretch. Its ends are the safe points where every rank's slice
+  /// reflects the same gate prefix. Every gate of a sweep run is one engine
+  /// gate, and no gate-indexed fault spec may fire inside one: all of its
+  /// gates are ticked before any of them is applied.
   void apply_run(const Circuit& c, const GateRun& run);
 
   /// Re-applies `g` (and its decomposition) to rank `r`'s slice only: the

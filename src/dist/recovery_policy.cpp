@@ -372,10 +372,11 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     return true;
   };
 
-  // One observation per completed gate: the gate's exchange (if any) is the
-  // heartbeat carrier, and any sender whose message faulted during it is
-  // withheld — that is what accrues suspicion.
-  auto observe_health = [&](const Gate& applied) {
+  // One observation per completed circuit gate, at `gate`, the engine gate
+  // count after it: the gate's exchange (if any) is the heartbeat carrier,
+  // and any sender whose message faulted during it is withheld — that is
+  // what accrues suspicion.
+  auto observe_health = [&](const Gate& applied, std::uint64_t gate) {
     if (!policy.health.enabled) {
       return;
     }
@@ -392,7 +393,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
       }
       fault_log_seen = log.size();
     }
-    monitor.observe(sv.gates_applied(), !sv.gate_runs_local(applied), missed);
+    monitor.observe(gate, !sv.gate_runs_local(applied), missed);
   };
 
   // Drains the replacement-arrival stream and, when the run is below its
@@ -434,11 +435,26 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     }
   };
 
+  // The first circuit-gate boundary after `from` where the loop acts: a
+  // guard check, a checkpoint or the end of the circuit. No run crosses one.
+  auto next_boundary = [&](std::size_t from) {
+    std::uint64_t end = c.size();
+    if (guards.enabled()) {
+      const std::uint64_t every = guards.cadence_gates;
+      end = std::min(end, (from / every + 1) * every);
+    }
+    if (checkpointing) {
+      const std::uint64_t every = ck.interval_gates;
+      end = std::min(end, (from / every + 1) * every);
+    }
+    return static_cast<std::size_t>(end);
+  };
+
   while (i < c.size()) {
-    // Deadline/cancel poll at the gate boundary — the safe point where
+    // Deadline/cancel poll at the run boundary — the safe point where
     // every rank's slice reflects the same circuit prefix. The partial
     // state is left intact for the caller to digest and price.
-    if (stop != nullptr && stop->possible() && stop->expired()) {
+    if (stop != nullptr && stop->expired()) {
       const bool cancelled = stop->cancelled();
       throw DeadlineExceeded(
           std::string(cancelled ? "cancelled" : "deadline exceeded") +
@@ -446,14 +462,19 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
               std::to_string(c.size()),
           i, c.size(), cancelled);
     }
-    // Engine gate count before this circuit gate: a boundary failure whose
-    // gate_index still equals this fired before any sub-gate of the
-    // expansion ran, so the surviving slices are at the circuit boundary.
+    // Engine gate count before this run: a boundary failure whose
+    // gate_index still equals this fired before any work of the run, so
+    // the surviving slices are at the circuit boundary.
     const std::uint64_t g0 = sv.gates_applied();
     try {
-      sv.apply(c.gate(i));
-      ++i;
-      observe_health(c.gate(i - 1));
+      // A sweep run or one gate, cut where a gate-indexed fault fires or
+      // falls due, so what follows sees every gate as it would gate by gate.
+      const GateRun run = sv.next_run(c, i, next_boundary(i));
+      sv.apply_run(c, run);
+      for (std::size_t k = 1; k <= run.count; ++k, ++i) {
+        // Each gate of a sweep run is one engine gate.
+        observe_health(c.gate(i), sv.gates_applied() - (run.count - k));
+      }
       // Replacement arrivals are polled (and any grow-back runs) before the
       // guard/checkpoint block, so a checkpoint landing on the same gate is
       // written at the restored width — keeping the rank-slice tiers armed
@@ -521,7 +542,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
                             kBytesPerAmp,
                         1.0 / static_cast<double>(sv.num_ranks()),
                         i - ckpt_gate);
-          break;  // the loop re-runs gate i with every rank caught up
+          break;  // the loop resumes at gate i with every rank caught up
         }
         case RecoveryTier::kShrink:
         case RecoveryTier::kGrowBack: {

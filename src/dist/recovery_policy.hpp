@@ -180,12 +180,21 @@ struct IntegrityStats {
   std::uint64_t guard_violations = 0;
   /// Health-monitor counters (all zero when RecoveryPolicy::health is off).
   HealthMonitor::Stats health;
+
+  bool operator==(const IntegrityStats&) const = default;
 };
 
 /// Runs `c` on `sv` under the full integrity regime: checkpoints every
 /// `ck.interval_gates` circuit gates (0 = off), guard checks per `guards`
 /// (cadence 0 = off; a final check always runs when guards are enabled so
 /// trailing corruption cannot slip out), rollbacks/restarts per `policy`.
+/// With none of these set and no fault injector attached it is the plain
+/// run. Either way it applies the engine's runs (DistStateVector::next_run),
+/// re-planned after every re-shard, rollback and restart. No sweep run
+/// crosses a checkpoint or guard boundary, which count circuit gates, or a
+/// gate at which a fault spec fires, which counts engine gates. Health
+/// observations, solo replays and the replayable-window test still walk
+/// single gates.
 /// With guards on and checkpointing off, a violation aborts immediately —
 /// there is nothing to roll back to. NodeFailure propagates unchanged when
 /// checkpointing is off (PR 2 semantics). Node failures route through
@@ -205,7 +214,7 @@ struct IntegrityStats {
 /// in stats.checkpoint_write_failures, and the run continues uncheckpointed
 /// — the last successfully committed snapshot stays the rollback target.
 ///
-/// `stop` (optional) is polled at every gate boundary; when it fires the
+/// `stop` (optional) is polled at every run boundary; when it fires the
 /// run raises DeadlineExceeded carrying the applied prefix length, leaving
 /// `sv` in the consistent state after exactly that prefix so callers can
 /// digest/price the partial work.

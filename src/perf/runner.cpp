@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "circuit/sweep_plan.hpp"
 #include "common/error.hpp"
 #include "dist/snapshot.hpp"
 #include "dist/trace.hpp"
@@ -35,31 +34,10 @@ template <class S>
 RunOutcome run_circuit(DistStateVector<S>& sv, const Circuit& c,
                        const RunSpec& spec) {
   RunOutcome out;
-  out.verified = sv.fault_injector() != nullptr ||
-                 spec.checkpoint.interval_gates > 0 || spec.guards.enabled();
   const int planned_ranks = sv.num_ranks();
   try {
-    if (out.verified) {
-      out.integrity = run_verified(sv, c, spec.checkpoint, spec.guards,
-                                   spec.recovery, spec.elastic, spec.stop);
-    } else {
-      std::uint64_t gates_done = 0;
-      for (const GateRun& run :
-           plan_sweep_runs(c.gates(), sv.local_qubits(), sv.options().sweep)) {
-        // Sweep-run boundaries are the plain path's safe points: every
-        // rank's slice reflects the same gate prefix there.
-        if (spec.stop != nullptr && spec.stop->expired()) {
-          const bool cancelled = spec.stop->cancelled();
-          throw DeadlineExceeded(
-              std::string(cancelled ? "cancelled" : "deadline exceeded") +
-                  " at gate " + std::to_string(gates_done) + " of " +
-                  std::to_string(c.size()),
-              gates_done, c.size(), cancelled);
-        }
-        sv.apply_run(c, run);
-        gates_done += run.count;
-      }
-    }
+    out.integrity = run_verified(sv, c, spec.checkpoint, spec.guards,
+                                 spec.recovery, spec.elastic, spec.stop);
   } catch (const DeadlineExceeded& e) {
     // Price the applied prefix on the trace engine, so the joules a stopped
     // run already burned are reported, not discarded.
@@ -77,7 +55,6 @@ RunOutcome run_circuit(DistStateVector<S>& sv, const Circuit& c,
     return out;
   }
   out.gates_done = c.size();
-  // Both counts stay 0 on the plain path, which never re-shards.
   if (out.integrity.final_ranks < out.integrity.planned_ranks) {
     out.status = RunOutcome::Status::kDegraded;
   }

@@ -36,15 +36,14 @@ template <class S>
 /// How run_circuit drives a circuit. The defaults run it plain and to
 /// completion.
 struct RunSpec {
-  /// The verified path's knobs (run_verified). The run takes that path when
-  /// checkpointing or guards are on, or when the engine has a fault
-  /// injector attached; otherwise it runs the sweep plan run by run.
+  /// run_verified's knobs. With no checkpoint, guard or fault injector set
+  /// the run is the plain one.
   CheckpointOptions checkpoint;
   GuardOptions guards;
   RecoveryPolicy recovery;
   ElasticOptions elastic;
-  /// Polled at every safe point: sweep-run boundaries on the plain path,
-  /// gate boundaries on the verified one. Null never stops.
+  /// Polled at every run boundary, the safe points between the engine's
+  /// runs. Null never stops.
   const StopToken* stop = nullptr;
   /// What a stopped run's applied prefix is priced on (run_model, at the
   /// engine's starting rank count and exchange options).
@@ -60,10 +59,7 @@ struct RunOutcome {
     kStopped,   // the stop token fired at a safe point
   };
   Status status = Status::kOk;
-  /// Whether run_verified drove the run.
-  bool verified = false;
-  /// The verified path's counters (default on the plain path and when
-  /// stopped).
+  /// run_verified's counters (default when stopped).
   IntegrityStats integrity;
   /// state_digest of the final state; empty when stopped.
   std::string digest;
@@ -75,9 +71,9 @@ struct RunOutcome {
 };
 
 /// Runs `c` on `sv` (already configured: options, fault injector, listener)
-/// on the plain or the verified path, polls `spec.stop`, and digests the
-/// final state. A stop leaves `sv` at the applied prefix and returns it
-/// priced in `partial`.
+/// through run_verified, polls `spec.stop`, and digests the final state. A
+/// stop leaves `sv` at the applied prefix and returns it priced in
+/// `partial`.
 template <class S>
 [[nodiscard]] RunOutcome run_circuit(DistStateVector<S>& sv, const Circuit& c,
                                      const RunSpec& spec = {});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -294,6 +296,24 @@ TEST(Faults, RestartRevivesDeadRanksButNotFiredSpecs) {
   EXPECT_FALSE(inj.rank_dead(1));
   // The spec is a one-shot latch: replaying gate 0 does not re-kill.
   EXPECT_EQ(inj.on_gate(0), std::nullopt);
+}
+
+TEST(Faults, NextGateFaultIsWhereARunMustEnd) {
+  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+  FaultInjector inj(
+      parse_fault_plan("fail@12:1, bitflip@7:0, revive@20, drop@3"));
+  EXPECT_EQ(inj.next_gate_fault(0), 7u);
+  // A spec at a run's first gate fires there and does not end the run.
+  EXPECT_EQ(inj.next_gate_fault(7), 12u);
+  EXPECT_EQ(inj.next_gate_fault(12), 20u);
+  // A revival already due is drained after the next gate.
+  EXPECT_EQ(inj.next_gate_fault(25), 26u);
+  EXPECT_EQ(inj.take_revivals(25), 1u);
+  EXPECT_EQ(inj.next_gate_fault(25), kNone);
+  // Fired specs end no run; message specs never do.
+  EXPECT_EQ(inj.bitflips_at_gate(7).size(), 1u);
+  EXPECT_EQ(inj.on_gate(12), std::optional<rank_t>{1});
+  EXPECT_EQ(inj.next_gate_fault(0), kNone);
 }
 
 TEST(Faults, BitflipDrawsAreDeterministicAndOneShot) {

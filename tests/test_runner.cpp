@@ -132,7 +132,6 @@ TEST(RunCircuit, PlainAndVerifiedPathsLandOnOneDigest) {
   const RunSpec defaults;
   const RunOutcome a = run_circuit(plain, c, defaults);
   EXPECT_EQ(a.status, RunOutcome::Status::kOk);
-  EXPECT_FALSE(a.verified);
   EXPECT_EQ(a.gates_done, c.size());
   EXPECT_EQ(a.digest, state_digest(plain));
 
@@ -141,9 +140,31 @@ TEST(RunCircuit, PlainAndVerifiedPathsLandOnOneDigest) {
   spec.guards.cadence_gates = 3;
   const RunOutcome b = run_circuit(guarded, c, spec);
   EXPECT_EQ(b.status, RunOutcome::Status::kOk);
-  EXPECT_TRUE(b.verified);
   EXPECT_GT(b.integrity.guard_checks, 0u);
   EXPECT_EQ(b.digest, a.digest);
+}
+
+TEST(RunCircuit, VerifiedRunsSweepLikePlainOnes) {
+  // A guard or checkpoint cadence longer than the circuit cuts no run.
+  const Circuit c = six_qubit_circuit();
+  DistStateVector<SoaStorage> plain(6, 4);
+  const RunSpec defaults;
+  (void)run_circuit(plain, c, defaults);
+  ASSERT_GT(plain.sweep_stats().runs, 0u);
+
+  RunSpec guarded;
+  guarded.guards.cadence_gates = 100;
+  RunSpec checkpointed;
+  checkpointed.checkpoint.interval_gates = 100;
+  const test::ScratchDir scratch("run_circuit_sweep");
+  checkpointed.checkpoint.dir = scratch.path();
+  for (const RunSpec* spec : {&guarded, &checkpointed}) {
+    DistStateVector<SoaStorage> sv(6, 4);
+    const RunOutcome out = run_circuit(sv, c, *spec);
+    EXPECT_EQ(sv.sweep_stats().runs, plain.sweep_stats().runs);
+    EXPECT_EQ(sv.sweep_stats().swept_gates, plain.sweep_stats().swept_gates);
+    EXPECT_EQ(out.digest, state_digest(plain));
+  }
 }
 
 TEST(RunCircuit, StopBeforeTheFirstGatePricesNothing) {
@@ -170,7 +191,7 @@ TEST(RunCircuit, StoppedRunHoldsThePrefixAndPricesIt) {
   StopToken stop;
   stop.set_cancel_flag(&cancel);
   RunSpec spec;
-  spec.guards.cadence_gates = 1;  // the verified path polls every gate
+  spec.guards.cadence_gates = 1;  // every run is one gate: a poll each
   spec.stop = &stop;
   const RunOutcome out = run_circuit(sv, c, spec);
   ASSERT_EQ(out.status, RunOutcome::Status::kStopped);
@@ -208,7 +229,6 @@ TEST(RunCircuit, ShrinkThatNeverGrowsBackIsDegraded) {
   spec.elastic.allow_shrink = true;  // no spares: shrink is the only tier
   const RunOutcome out = run_circuit(sv, c, spec);
   EXPECT_EQ(out.status, RunOutcome::Status::kDegraded);
-  EXPECT_TRUE(out.verified);
   EXPECT_EQ(out.integrity.shrinks, 1);
   EXPECT_EQ(out.integrity.final_ranks, 2);
   EXPECT_EQ(out.digest, state_digest(clean));

@@ -408,7 +408,6 @@ TEST(StopToken, DeadlinesPastTheClockRangeNeverFire) {
   // 1e10 s is past the 2^63 ns a steady_clock time point can hold.
   for (double s : {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
     const StopToken t = StopToken::after_seconds(s);
-    EXPECT_TRUE(t.possible()) << s;
     EXPECT_FALSE(t.expired()) << s;
   }
   EXPECT_TRUE(StopToken::after_seconds(0).expired());

@@ -11,10 +11,13 @@
 #include "circuit/locality.hpp"
 #include "circuit/matrix.hpp"
 #include "circuit/sweep_plan.hpp"
+#include "cluster/faults.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
 #include "dist/trace.hpp"
 #include "perf/cost_model.hpp"
+#include "perf/runner.hpp"
 #include "machine/archer2.hpp"
 #include "sv/statevector.hpp"
 
@@ -245,6 +248,83 @@ TEST(SweepPlan, MinRunRespected) {
   const auto runs2 = plan_sweep_runs(c.gates(), 8, tiny_tiles(3));
   ASSERT_EQ(runs2.size(), 1u);
   EXPECT_TRUE(runs2[0].sweep);
+}
+
+// --- gate-indexed faults inside would-be sweep runs --------------------------
+
+/// RCS 10x4 (seed 7) on 4 ranks: engine gates 20 and 30 lie inside stretches
+/// a sweep would otherwise tile as one run.
+Circuit rcs_10x4() {
+  Rng rng(7);
+  return build_rcs(10, 4, rng);
+}
+
+/// The digest apply(Circuit) leaves on 4 ranks with `faults` injected, or
+/// the node failure it throws and the digest of the slices it leaves.
+std::string faulted_apply(const std::string& faults, bool sweep) {
+  DistOptions opts;
+  opts.sweep.enabled = sweep;
+  DistStateVectorSoa sv(10, 4, opts);
+  FaultInjector inj(parse_fault_plan(faults));
+  sv.set_fault_injector(&inj);
+  std::string failure;
+  try {
+    sv.apply(rcs_10x4());
+  } catch (const NodeFailure& f) {
+    failure = std::string(f.what()) + ", slices ";
+  }
+  EXPECT_EQ(sv.sweep_stats().runs > 0, sweep) << faults;
+  return failure + state_digest(sv);
+}
+
+TEST(SweepFaults, BitFlipsLandBeforeTheirOwnGate) {
+  // Ticking every gate of a run before any of it ran used to flip the bit
+  // before the run's first gate: 686bd64e and 79fb6296 when swept.
+  for (const auto& [faults, digest] :
+       {std::pair{"bitflip@20:1:61", "fad28033"},
+        std::pair{"bitflip@30:1:61", "614b2cdc"}}) {
+    EXPECT_EQ(faulted_apply(faults, false), digest) << faults;
+    EXPECT_EQ(faulted_apply(faults, true), digest) << faults;
+  }
+}
+
+TEST(SweepFaults, NodeFailureLeavesTheGatesBeforeIt) {
+  // Swept, a failure inside a would-be run used to name its gate while the
+  // slices still held the state before the run's first gate.
+  const std::string naive = faulted_apply("fail@20:1", false);
+  EXPECT_EQ(naive.rfind("rank 1 failed at gate 20, slices ", 0), 0u) << naive;
+  EXPECT_EQ(faulted_apply("fail@20:1", true), naive);
+}
+
+TEST(SweepFaults, ARunHoldsNoFaultPastItsFirstGate) {
+  // Eight local gates on 4 ranks: one sweep run, unless a bit flip at
+  // engine gate 3 cuts it there.
+  Circuit c(6);
+  for (int i = 0; i < 8; ++i) {
+    c.add(make_h(i % 4));
+  }
+  DistStateVectorSoa sv(6, 4);
+  FaultInjector inj(parse_fault_plan("bitflip@3:1"));
+  sv.set_fault_injector(&inj);
+  const std::vector<GateRun> runs =
+      plan_sweep_runs(c.gates(), sv.local_qubits(), sv.options().sweep);
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_TRUE(runs[0].sweep);
+  EXPECT_THROW(sv.apply_run(c, runs[0]), Error);
+  EXPECT_EQ(sv.gates_applied(), 0u);
+  EXPECT_EQ(inj.totals().bitflips, 0u);
+
+  const GateRun first = sv.next_run(c, 0, c.size());
+  EXPECT_TRUE(first.sweep);
+  EXPECT_EQ(first.count, 3u);
+  sv.apply_run(c, first);
+  const GateRun second = sv.next_run(c, 3, c.size());
+  EXPECT_EQ(second.count, 5u);
+  sv.apply_run(c, second);
+  EXPECT_EQ(inj.totals().bitflips, 1u);
+  // A caller's boundary cuts a run too, and a short stretch is one gate.
+  EXPECT_EQ(sv.next_run(c, 0, 4).count, 4u);
+  EXPECT_FALSE(sv.next_run(c, 0, 1).sweep);
 }
 
 TEST(SweepCost, ChargesAreIdenticalWithAndWithoutSweeping) {

@@ -24,6 +24,8 @@
 #include "dist/dist_statevector.hpp"
 #include "dist/recovery_policy.hpp"
 #include "dist/trace.hpp"
+#include "machine/archer2.hpp"
+#include "perf/cost_model.hpp"
 #include "perf/runner.hpp"
 #include "test_util.hpp"
 
@@ -580,28 +582,34 @@ struct EngineCase {
   ElasticOptions elastic;
   /// Message faults (drops, corruptions, delays) the spec fires.
   std::uint64_t message_faults;
+  /// run_verified's cadences when faults are planned, and the sweep switch.
+  std::uint64_t guard_cadence = 0;
+  std::uint64_t checkpoint_interval = 5;
+  bool sweep = true;
 };
 
 /// What one run records, apart from its wall time.
 struct EngineRecord {
   std::vector<ExecEvent> events;
+  std::uint64_t sweep_runs = 0;
   FaultInjector::Totals totals;
   /// Sorted: rank threads log their faults in the scheduler's order.
   std::vector<FaultEvent> faults;
   CommStats comm;
   IntegrityStats integrity;
+  /// The final digest, or the error that ended the run.
   std::string digest;
 };
 
-/// Runs `c` as qsv run does: on the verified path with checkpoints, the
-/// health monitor and the case's tiers when faults are planned, on the
-/// plain path otherwise.
+/// Runs `c` as qsv run does: with the case's checkpoints, guards, tiers and
+/// the health monitor when faults are planned, plain otherwise.
 EngineRecord run_on_engine(const Circuit& c, const EngineCase& k,
                            bool threaded) {
   DistOptions opts;
   opts.policy = k.policy;
   opts.max_message_bytes = k.cap;
   opts.threading.threads = threaded ? k.ranks : 0;
+  opts.sweep.enabled = k.sweep;
   DistStateVectorSoa sv(c.num_qubits(), k.ranks, opts);
   RecordingListener rec;
   sv.set_listener(&rec);
@@ -611,18 +619,23 @@ EngineRecord run_on_engine(const Circuit& c, const EngineCase& k,
   if (!k.faults.empty()) {
     inj.emplace(parse_fault_plan(k.faults));
     sv.set_fault_injector(&*inj);
-    spec.checkpoint.interval_gates = 5;
+    spec.checkpoint.interval_gates = k.checkpoint_interval;
     spec.checkpoint.dir = scratch.path();
+    spec.guards.cadence_gates = k.guard_cadence;
     spec.recovery.health.enabled = true;
     spec.elastic = k.elastic;
   }
-  const RunOutcome out = run_circuit(sv, c, spec);
-
   EngineRecord r;
+  try {
+    const RunOutcome out = run_circuit(sv, c, spec);
+    r.integrity = out.integrity;
+    r.digest = out.digest;
+  } catch (const Error& e) {
+    r.digest = e.what();
+  }
   r.events = rec.events();
+  r.sweep_runs = sv.sweep_stats().runs;
   r.comm = sv.comm_stats();
-  r.integrity = out.integrity;
-  r.digest = out.digest;
   if (inj) {
     r.totals = inj->totals();
     r.faults = inj->log();
@@ -751,6 +764,72 @@ TEST(EngineModel, RankThreadsChangeTheClockAndNothingElse) {
       EXPECT_TRUE(traced.events() == threaded.events);
     }
   }
+}
+
+TEST(EngineModel, SweepingChangesNothingButTheSweepEvents) {
+  // Verified runs on rank threads, swept and gate by gate. On the probe
+  // gates 7-19 are one would-be sweep run, and every gate-indexed spec
+  // lands inside it.
+  const Circuit c = determinism_probe();
+  ElasticOptions tiers;
+  tiers.spares = 1;
+  tiers.allow_shrink = true;
+  tiers.allow_grow_back = true;
+  ElasticOptions grow = tiers;
+  grow.spares = 0;
+  std::uint64_t swept_runs = 0;
+  for (const auto& [faults, elastic] :
+       {std::pair{"fail@12:1", tiers},
+        std::pair{"bitflip@11:2:62, fail@14:1, revive@16", grow},
+        std::pair{"revive@0, corrupt@3:1, bitflip@9:0:62", grow}}) {
+    for (const std::uint64_t guard_cadence : {1, 3, 20}) {
+      for (const std::uint64_t interval : {0, 5, 40}) {
+        SCOPED_TRACE(std::string("faults '") + faults + "', guards " +
+                     std::to_string(guard_cadence) +
+                     ", checkpoints every " + std::to_string(interval));
+        EngineCase k{4, CommPolicy::kBlocking, DistOptions{}.max_message_bytes,
+                     faults, elastic, 0};
+        k.guard_cadence = guard_cadence;
+        k.checkpoint_interval = interval;
+        const EngineRecord swept = run_on_engine(c, k, true);
+        k.sweep = false;
+        const EngineRecord naive = run_on_engine(c, k, true);
+
+        std::vector<ExecEvent> unswept;
+        for (const ExecEvent& e : swept.events) {
+          if (e.kind != ExecEvent::Kind::kSweep) {
+            unswept.push_back(e);
+          }
+        }
+        EXPECT_TRUE(unswept == naive.events);
+        EXPECT_TRUE(swept.totals == naive.totals);
+        EXPECT_TRUE(swept.faults == naive.faults);
+        EXPECT_EQ(swept.comm.messages, naive.comm.messages);
+        EXPECT_EQ(swept.comm.bytes, naive.comm.bytes);
+        EXPECT_TRUE(swept.integrity == naive.integrity);
+        EXPECT_TRUE(swept.integrity.health == naive.integrity.health);
+        EXPECT_EQ(swept.digest, naive.digest);
+        JobConfig job;
+        job.num_qubits = c.num_qubits();
+        job.nodes = k.ranks;
+        const MachineModel machine = archer2();
+        CostModel swept_cost(machine, job);
+        CostModel naive_cost(machine, job);
+        for (const ExecEvent& e : swept.events) {
+          swept_cost.on_event(e);
+        }
+        for (const ExecEvent& e : naive.events) {
+          naive_cost.on_event(e);
+        }
+        EXPECT_EQ(swept_cost.report().runtime_s, naive_cost.report().runtime_s);
+        EXPECT_EQ(swept_cost.report().total_energy_j(),
+                  naive_cost.report().total_energy_j());
+        EXPECT_EQ(naive.sweep_runs, 0u);
+        swept_runs += swept.sweep_runs;
+      }
+    }
+  }
+  EXPECT_GT(swept_runs, 0u);
 }
 
 }  // namespace

@@ -53,10 +53,10 @@ cx 1 2
 EOF
 
 # Everything that must be reproducible: the digest, the traffic totals, the
-# fault totals and the recovery summary. Timestamps or paths never appear in
-# these lines.
+# sweep runs, the fault totals and the recovery summary. Timestamps or paths
+# never appear in these lines.
 summarise() {
-  grep -E "state crc32|messages|faults:|health:|recovery:|shrink-to-survive|grow-back:|degraded:" "$1"
+  grep -E "state crc32|messages|sweep executor|faults:|health:|recovery:|shrink-to-survive|grow-back:|degraded:" "$1"
 }
 
 # A message fault a case names must fire whenever the run exchanges: the
@@ -107,11 +107,12 @@ check() {
 }
 
 # One case on both engines, each checked twice: rank threads change the
-# wall time and nothing else, so the threaded run's digest, traffic, fault,
-# health and recovery lines must equal the serial run's.
+# wall time and nothing else, so the threaded run's digest, traffic, sweep,
+# fault, health and recovery lines must equal the serial run's.
 threaded=(--threads auto --placement compact)
 engines() {
-  local name=$1 lines='state crc32|messages|faults:|health:|recovery:'
+  local name=$1
+  local lines='state crc32|messages|sweep executor|faults:|health:|recovery:'
   shift
   check "$name" "$@"
   grep -E "$lines" "$tmp/run1" >"$tmp/serial"
@@ -351,11 +352,32 @@ else
   echo "ok   overlapped identity: $serial_crc"
 fi
 
+"$qsv" run "$tmp/c.qc" >"$tmp/clean_out" 2>&1
+clean_crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/clean_out")
+
+# One run loop: every run goes through run_verified, which cuts sweep runs
+# only at checkpoint and guard boundaries and where a fault fires. With
+# cadences longer than the circuit, a guarded and a checkpointed run sweep
+# exactly as the plain run does.
+loop_lines='sweep executor|state crc32'
+grep -E "$loop_lines" "$tmp/clean_out" >"$tmp/loop_plain"
+for cadence in guards checkpoint-interval; do
+  "$qsv" run "$tmp/c.qc" "--$cadence" 100 --checkpoint-dir "$tmp/ck_loop" \
+      >"$tmp/out" 2>&1
+  if ! grep -q 'sweep executor' "$tmp/loop_plain" ||
+     ! grep -E "$loop_lines" "$tmp/out" | diff -u "$tmp/loop_plain" - \
+         >"$tmp/diff"; then
+    echo "FAIL one loop (--$cadence 100): the run swept differently:" >&2
+    cat "$tmp/diff" >&2
+    status=1
+  else
+    echo "ok   one loop (--$cadence 100): $(tr '\n' ' ' <"$tmp/loop_plain")"
+  fi
+done
+
 # Cross-tier bit-identity: every recovered run must land on the clean run's
 # digest (the digest is global-order, so it is comparable across the shrink
 # run's narrower final layout).
-"$qsv" run "$tmp/c.qc" >"$tmp/clean_out" 2>&1
-clean_crc=$(grep -o 'state crc32: [0-9a-f]*' "$tmp/clean_out")
 for tier in sub shrink reshard_drop growback restart; do
   case $tier in
     sub)          args=(--spares 1) ;;

@@ -34,7 +34,7 @@
 //   5  integrity abort (recovery budget exhausted or unrecoverable
 //      corruption; forensics on stderr)
 //   6  deadline exceeded (--deadline-s elapsed; the run was cancelled at a
-//      gate boundary and the partial cost was reported)
+//      run boundary and the partial cost was reported)
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -346,7 +346,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::cout << "threads: off (serial engine)\n";
     }
   }
-  if (opts.sweep.enabled && !out.verified) {
+  if (opts.sweep.enabled) {
     const SweepStats& sw = sv.sweep_stats();
     std::cout << "sweep executor: " << sw.runs << " tiled runs covering "
               << sw.swept_gates << " gates, " << sw.passes_saved
